@@ -4,12 +4,10 @@ A graph instance owns its *identity* — the node objects, their dense
 integer indexing and the frozen/mutation-counter bookkeeping — and
 delegates *storage* to a :class:`GraphBackend`:
 
-* the **canonical columnar edge store**: de-duplicated ``(rows, cols,
-  weights)`` arrays holding one entry per edge (``lo < hi`` for
-  undirected graphs) while the graph is in columnar mode;
-* the **dict adjacency** (``succ``/``pred`` lists of ``{index: weight}``
-  dicts) that columnar edges fold into lazily when a dict-style accessor
-  is first used;
+* the **columnar edge store**: de-duplicated ``(rows, cols, weights)``
+  arrays holding one entry per edge (``lo < hi`` for undirected graphs),
+  sorted by ``(row, col)``.  It is the graph's only adjacency: point
+  queries binary-search it or slice the CSR exported from it;
 * the **node-attribute columns** (``{name: {index: value}}``).
 
 Two implementations ship:
@@ -23,11 +21,9 @@ Two implementations ship:
   zero-copy, and other processes can map the same files without
   fork-inherited ``shared_memory``.
 
-The dict adjacency and attribute columns are Python-object structures
-and therefore always RAM-resident regardless of backend: materialising
-them is an explicitly RAM-bound operation (array-native pipelines —
-``from_arrays`` → ``to_csr`` → solve — never trigger it).  See
-``docs/storage.md`` for the full contract.
+Attribute columns are Python-object structures and therefore always
+RAM-resident regardless of backend.  See ``docs/storage.md`` for the
+full contract.
 """
 
 from __future__ import annotations
@@ -59,17 +55,13 @@ class GraphBackend(ABC):
     name: str = "abstract"
 
     def __init__(self) -> None:
-        # succ[i][j] = weight of edge i -> j; pred is the reverse map and
-        # exists only for directed graphs (created by bind()).
-        self.succ: list[dict[int, float]] = []
-        self.pred: list[dict[int, float]] | None = None
         self.node_attrs: dict[str, dict[int, Any]] = {}
         self._bound = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def bind(self, *, directed: bool) -> "GraphBackend":
+    def bind(self) -> "GraphBackend":
         """Attach this backend to one graph instance (called by ``__init__``)."""
         if self._bound:
             raise ParameterError(
@@ -77,35 +69,18 @@ class GraphBackend(ABC):
                 "construct a fresh backend per graph"
             )
         self._bound = True
-        if directed:
-            self.pred = []
         return self
 
     def close(self) -> None:
         """Release backend resources (files, mappings).  Idempotent."""
 
     # ------------------------------------------------------------------
-    # adjacency slots (always RAM dicts; see module docstring)
-    # ------------------------------------------------------------------
-    def grow_slot(self) -> None:
-        """Append adjacency slots for one newly added node."""
-        self.succ.append({})
-        if self.pred is not None:
-            self.pred.append({})
-
-    def reset_slots(self, n: int) -> None:
-        """Replace the adjacency with ``n`` empty slots."""
-        self.succ = [{} for _ in range(n)]
-        if self.pred is not None:
-            self.pred = [{} for _ in range(n)]
-
-    # ------------------------------------------------------------------
     # canonical columnar edge store
     # ------------------------------------------------------------------
     @property
     @abstractmethod
-    def columnar(self) -> Columnar | None:
-        """The canonical edge triple, or ``None`` while in dict mode."""
+    def columnar(self) -> Columnar:
+        """The canonical edge triple (empty arrays for an edgeless graph)."""
 
     @abstractmethod
     def set_columnar(
@@ -114,14 +89,11 @@ class GraphBackend(ABC):
         """Replace the columnar store with canonical arrays.
 
         ``rows``/``cols`` are int64, ``data`` float64, all equal-length
-        1-D, de-duplicated, one entry per edge.  The backend may retain
-        the arrays by reference or persist copies; callers must treat
-        previously returned triples as stale after this call.
+        1-D, de-duplicated, one entry per edge, sorted by ``(row, col)``.
+        The backend may retain the arrays by reference or persist copies;
+        callers must treat previously returned triples as stale after
+        this call.
         """
-
-    @abstractmethod
-    def clear_columnar(self) -> None:
-        """Leave columnar mode (edges now live in the dict adjacency)."""
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -142,4 +114,13 @@ def _as_columnar(
         np.ascontiguousarray(rows, dtype=np.int64),
         np.ascontiguousarray(cols, dtype=np.int64),
         np.ascontiguousarray(data, dtype=np.float64),
+    )
+
+
+def _empty_columnar() -> Columnar:
+    """The columnar triple of a graph with no edges."""
+    return (
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.float64),
     )

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.backends.base import Columnar, GraphBackend, _as_columnar
+from repro.graph.backends.base import (
+    Columnar,
+    GraphBackend,
+    _as_columnar,
+    _empty_columnar,
+)
 
 __all__ = ["InMemoryBackend"]
 
@@ -23,10 +28,10 @@ class InMemoryBackend(GraphBackend):
 
     def __init__(self) -> None:
         super().__init__()
-        self._columnar: Columnar | None = None
+        self._columnar: Columnar = _empty_columnar()
 
     @property
-    def columnar(self) -> Columnar | None:
+    def columnar(self) -> Columnar:
         return self._columnar
 
     def set_columnar(
@@ -34,13 +39,9 @@ class InMemoryBackend(GraphBackend):
     ) -> None:
         self._columnar = _as_columnar(rows, cols, data)
 
-    def clear_columnar(self) -> None:
-        self._columnar = None
-
     def describe(self) -> dict:
-        info = {"backend": self.name, "resident": "ram"}
-        if self._columnar is not None:
-            info["columnar_bytes"] = int(
-                sum(arr.nbytes for arr in self._columnar)
-            )
-        return info
+        return {
+            "backend": self.name,
+            "resident": "ram",
+            "columnar_bytes": int(sum(arr.nbytes for arr in self._columnar)),
+        }

@@ -28,7 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.graph.backends.base import Columnar, GraphBackend, _as_columnar
+from repro.graph.backends.base import (
+    Columnar,
+    GraphBackend,
+    _as_columnar,
+    _empty_columnar,
+)
 
 __all__ = ["MMAP_DIR_PREFIX", "MmapBackend"]
 
@@ -76,7 +81,7 @@ class MmapBackend(GraphBackend):
             self.directory.mkdir(parents=True, exist_ok=True)
             owns_dir = False
         self._generation = 0
-        self._views: Columnar | None = None
+        self._views: Columnar = _empty_columnar()
         # Shared with the GC finalizer (which must not retain self).
         self._state: dict = {
             "files": [],
@@ -88,7 +93,7 @@ class MmapBackend(GraphBackend):
     # columnar store
     # ------------------------------------------------------------------
     @property
-    def columnar(self) -> Columnar | None:
+    def columnar(self) -> Columnar:
         return self._views
 
     def set_columnar(
@@ -137,32 +142,18 @@ class MmapBackend(GraphBackend):
             except OSError:
                 pass
 
-    def clear_columnar(self) -> None:
-        stale = list(self._state["files"])
-        self._state["files"].clear()
-        self._views = None
-        for name in stale:
-            try:
-                os.unlink(name)
-            except OSError:
-                pass
-
     # ------------------------------------------------------------------
     # lifecycle / diagnostics
     # ------------------------------------------------------------------
     def close(self) -> None:
-        self._views = None
+        self._views = _empty_columnar()
         self._finalizer()
 
     def describe(self) -> dict:
-        info = {
+        return {
             "backend": self.name,
             "resident": "disk",
             "directory": str(self.directory),
             "files": list(self._state["files"]),
+            "columnar_bytes": int(sum(arr.nbytes for arr in self._views)),
         }
-        if self._views is not None:
-            info["columnar_bytes"] = int(
-                sum(arr.nbytes for arr in self._views)
-            )
-        return info

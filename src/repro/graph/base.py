@@ -18,21 +18,28 @@ indices; the mapping is exposed through :meth:`BaseGraph.index_of` and
 
 Design notes
 ------------
-Adjacency is a ``list[dict[int, float]]`` keyed by integer index.  Dicts give
-O(1) edge lookup and weight updates while staying cheap to iterate for CSR
-export.  Node attributes live in per-name arrays (``dict[str, list]``) so
-that attribute vectors align with node indices and can be handed directly to
-numpy.
+Edges live in exactly one place: the **columnar store**, a
+``(rows, cols, weights)`` triple held by the graph's storage backend with
+one entry per edge (``row < col`` for undirected graphs), sorted by
+``(row, col)``.  Everything else is derived from it:
 
-Two layers sit on top of the dict adjacency to make the graph→matrix→solver
-pipeline array-native:
-
-* **Bulk ingestion** — :meth:`Graph.add_edges_arrays` /
-  :meth:`Graph.from_arrays` (and the :class:`DiGraph` equivalents) accept
-  numpy index/weight arrays, validate and de-duplicate them vectorised, and
-  fold them into the adjacency with C-level ``dict.update`` calls instead of
-  one Python call per edge.  All heavy producers (generators, IO, dataset
-  builders) route through this path.
+* **Point queries** — :meth:`BaseGraph.has_edge` and
+  :meth:`BaseGraph.edge_weight` binary-search the store;
+  :meth:`BaseGraph.neighbors` and :meth:`BaseGraph.degree` slice one row
+  of the cached CSR export (:meth:`BaseGraph.to_csr`), and
+  :meth:`DiGraph.predecessors` / :meth:`DiGraph.in_degree` one row of
+  its transpose.  Neighbour lists therefore come back in ascending index
+  order.
+* **Per-edge mutation** — :meth:`BaseGraph.add_edge` and
+  :meth:`BaseGraph.increment_edge` write into a small staging map keyed
+  by the orientation-canonical index pair.  The map is folded into the
+  store (the same last-weight-wins merge bulk ingestion uses) the next
+  time a read needs the arrays, so per-edge loops stay linear.
+* **Bulk ingestion** — :meth:`BaseGraph.add_edges_arrays` /
+  :meth:`BaseGraph.from_arrays` validate and de-duplicate whole numpy
+  arrays and merge them into the store with no per-edge Python calls.
+  All heavy producers (generators, IO, dataset builders) route through
+  this path.
 * **Invalidation-aware caching** — every structural mutation bumps a
   monotonic counter (:attr:`BaseGraph.mutation_count`) and clears a per-graph
   cache that memoises COO/CSR exports and the transition matrices derived
@@ -41,14 +48,18 @@ pipeline array-native:
   Cached arrays/matrices are shared, so callers must treat them as
   read-only; :meth:`BaseGraph.invalidate_caches` is the manual escape hatch.
 
+Node attributes live in per-name columns (``{name: {index: value}}``) so
+that attribute vectors align with node indices and can be handed directly
+to numpy.
+
 See ``docs/performance.md`` for the full cache-keying and bulk-ingestion
-contract.
+contract, and ``docs/storage.md`` for the backend contract.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from itertools import chain
 from typing import Any
 
@@ -88,25 +99,6 @@ class PendingRefresh:
         return self._build()
 
 
-def row_segments(
-    sources: np.ndarray, n_rows: int
-) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """Group entry positions by source row for segment-wise bulk updates.
-
-    Returns the stable sort order of ``sources`` plus ``(row, start, stop)``
-    triples delimiting each occupied row's slice of the order-sorted arrays.
-    Shared by the graph and bipartite bulk-ingestion paths.
-    """
-    order = np.argsort(sources, kind="stable")
-    counts = np.bincount(sources, minlength=n_rows)
-    occupied = np.flatnonzero(counts)
-    stops = np.cumsum(counts[occupied])
-    starts = stops - counts[occupied]
-    return order, list(
-        zip(occupied.tolist(), starts.tolist(), stops.tolist())
-    )
-
-
 class BaseGraph:
     """Shared machinery for :class:`Graph` and :class:`DiGraph`.
 
@@ -121,12 +113,16 @@ class BaseGraph:
 
         self._index: dict[Node, int] = {}
         self._nodes: list[Node] = []
-        # Storage engine: owns the dict adjacency (_succ/_pred views), the
-        # node-attribute columns and the canonical columnar edge store.
-        # ``backend`` accepts a registry name ("memory", "mmap"), an
-        # instance or a class; see repro.graph.backends.
-        self._store = resolve_backend(backend).bind(directed=self.directed)
+        # Storage engine: owns the columnar edge store and the
+        # node-attribute columns.  ``backend`` accepts a registry name
+        # ("memory", "mmap"), an instance or a class; see
+        # repro.graph.backends.
+        self._store = resolve_backend(backend).bind()
         self._num_edges = 0
+        # Per-edge writes not yet merged into the columnar store,
+        # {(row, col): weight} with orientation-canonical keys.  Written
+        # and folded under _cache_lock.
+        self._staged: dict[tuple[int, int], float] = {}
         # Structural version counter + derived-object cache (COO arrays,
         # CSR matrices, transition matrices).  Any mutation bumps the
         # version and clears the cache.
@@ -154,34 +150,8 @@ class BaseGraph:
         return self._store
 
     @property
-    def _succ(self) -> list[dict[int, float]]:
-        # _succ[i][j] = weight of edge i -> j.  For undirected graphs the
-        # structure is symmetric (both directions stored).
-        return self._store.succ
-
-    @property
     def _node_attrs(self) -> dict[str, dict[int, Any]]:
         return self._store.node_attrs
-
-    @property
-    def _lazy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        # Canonical columnar edge store for bulk-ingested graphs: while
-        # set, the dict adjacency is empty and all edges live in these
-        # de-duplicated arrays (one entry per edge; ``(lo, hi, w)`` with
-        # lo < hi for undirected graphs, ``(rows, cols, w)`` for
-        # directed).  Dict-style accessors call _materialize() to fold
-        # them in lazily, so array-only pipelines (build -> to_csr ->
-        # solve) never pay for dict construction at all.
-        return self._store.columnar
-
-    @_lazy.setter
-    def _lazy(
-        self, value: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    ) -> None:
-        if value is None:
-            self._store.clear_columnar()
-        else:
-            self._store.set_columnar(*value)
 
     # ------------------------------------------------------------------
     # cache plumbing
@@ -314,23 +284,47 @@ class BaseGraph:
         return apply_graph_delta(self, delta, log=log)
 
     def _canonical_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Canonical ``(rows, cols, weights)`` with each edge stored once.
+        """The columnar store: ``(rows, cols, weights)``, each edge once.
 
-        Unlike :meth:`edge_arrays` this may alias the internal columnar
-        store — callers must not mutate the result.
+        Folds staged per-edge writes in first, so the result is complete
+        and sorted by ``(row, col)``.  Unlike :meth:`edge_arrays` this
+        aliases the store — callers must not mutate the result.
         """
-        if self._lazy is not None:
-            return self._lazy
-        rows, cols, data = self._coo_from_dicts()
-        if not self.directed:
-            once = rows < cols
-            return rows[once], cols[once], data[once]
-        return rows, cols, data
+        with self._cache_lock:
+            if self._staged:
+                self._merge_edges()
+            return self._store.columnar
+
+    def _merge_edges(self, *batch: np.ndarray) -> None:
+        """Merge staged writes, then ``batch``, into the columnar store.
+
+        ``batch`` is an optional orientation-canonical ``(rows, cols,
+        weights)`` triple.  Duplicate pairs keep the *last* weight (store,
+        then staged writes, then ``batch``), which is the result of
+        applying every write in order.  Caller holds the cache lock.
+        """
+        parts = [self._store.columnar]
+        staged = self._staged
+        if staged:
+            pairs = np.fromiter(
+                chain.from_iterable(staged), dtype=np.int64,
+                count=2 * len(staged),
+            ).reshape(-1, 2)
+            weights = np.fromiter(
+                staged.values(), dtype=np.float64, count=len(staged)
+            )
+            parts.append((pairs[:, 0], pairs[:, 1], weights))
+        if batch:
+            parts.append(batch)
+        rows, cols, data = (np.concatenate(column) for column in zip(*parts))
+        sel = self._dedup_last_wins(rows * np.int64(self.number_of_nodes) + cols)
+        self._set_edge_store(rows[sel], cols[sel], data[sel])
+        self._staged = {}
 
     def _canonical_pairs(
         self, rows: np.ndarray, cols: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Orientation-canonical form of delta index pairs."""
+        """Orientation-canonical form of index pair arrays."""
         if not self.directed:
             return np.minimum(rows, cols), np.maximum(rows, cols)
         return rows, cols
@@ -348,12 +342,8 @@ class BaseGraph:
     def _set_edge_store(
         self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
     ) -> None:
-        """Replace the edge store with canonical columnar arrays."""
-        if self._lazy is None:
-            # Dicts were materialised and now hold stale edges; reset
-            # them (columnar mode keeps them empty by invariant).
-            self._store.reset_slots(self.number_of_nodes)
-        self._lazy = (rows, cols, data)
+        """Replace the edge store with canonical, key-sorted arrays."""
+        self._store.set_columnar(rows, cols, data)
         self._num_edges = rows.shape[0]
 
     def cache_info(self) -> dict[str, int]:
@@ -389,9 +379,9 @@ class BaseGraph:
         structural mutation — node or edge insertion, re-weighting, bulk
         ingestion — and any node-attribute write raises
         :class:`~repro.errors.FrozenGraphError`.  Read access (including
-        lazy materialisation of the dict adjacency) is unaffected, and
-        :meth:`copy` / :meth:`subgraph` return ordinary *unfrozen* graphs
-        to mutate freely.
+        folding edges staged before the freeze into the store) is
+        unaffected, and :meth:`copy` / :meth:`subgraph` return ordinary
+        *unfrozen* graphs to mutate freely.
 
         Freezing is idempotent and returns ``self`` for chaining.
         """
@@ -419,15 +409,10 @@ class BaseGraph:
             idx = len(self._nodes)
             self._index[node] = idx
             self._nodes.append(node)
-            self._grow_adjacency()
             self._invalidate()
         for name, value in attrs.items():
             self._node_attrs.setdefault(name, {})[idx] = value
         return idx
-
-    def _grow_adjacency(self) -> None:
-        """Append adjacency slots for one newly added node."""
-        self._store.grow_slot()
 
     def add_nodes_from(self, nodes: Iterable[Node]) -> None:
         """Add every node in ``nodes``."""
@@ -444,7 +429,6 @@ class BaseGraph:
         ids = range(n)
         self._nodes = list(ids)
         self._index = {i: i for i in ids}
-        self._store.reset_slots(n)
         self._invalidate()
 
     def has_node(self, node: Node) -> bool:
@@ -548,12 +532,84 @@ class BaseGraph:
             raise EdgeError(f"edge weight must be positive, got {weight!r}")
         return weight
 
+    def _pair(self, ui: int, vi: int) -> tuple[int, int]:
+        """Orientation-canonical key of one index pair."""
+        if self.directed or ui < vi:
+            return ui, vi
+        return vi, ui
+
+    def _weight_at(self, row: int, col: int) -> float | None:
+        """Weight of the canonical pair ``(row, col)``, or ``None``.
+
+        Staged writes first, then a binary search of the columnar store:
+        ``rows`` brackets the row's run, ``cols`` is sorted within it.
+        """
+        weight = self._staged.get((row, col))
+        if weight is not None:
+            return weight
+        rows, cols, data = self._store.columnar
+        start = int(np.searchsorted(rows, row))
+        stop = int(np.searchsorted(rows, row, side="right"))
+        pos = start + int(np.searchsorted(cols[start:stop], col))
+        if pos < stop and cols[pos] == col:
+            return float(data[pos])
+        return None
+
+    def _stage(self, key: tuple[int, int], weight: float, *, is_new: bool) -> None:
+        with self._cache_lock:
+            self._staged[key] = weight
+            self._num_edges += is_new
+            self._invalidate()
+
+    def add_edge(self, u: Node, v: Node, weight: float = 1.0) -> None:
+        """Add (or re-weight) the edge ``u -> v`` (``u -- v`` for a Graph).
+
+        Missing endpoints are added.  Self-loops are rejected: none of the
+        graphs studied by the paper contain them and they would silently
+        distort degree statistics.
+        """
+        self._check_mutable()
+        if u == v:
+            raise EdgeError(f"self-loop on {u!r} is not allowed")
+        weight = self._require_weight(weight)
+        key = self._pair(self.add_node(u), self.add_node(v))
+        self._stage(key, weight, is_new=self._weight_at(*key) is None)
+
+    def increment_edge(self, u: Node, v: Node, delta: float = 1.0) -> None:
+        """Add ``delta`` to the weight of edge ``u -> v``, creating it if absent.
+
+        This is the operation used by bipartite projections, where the edge
+        weight counts shared affiliations.
+        """
+        self._check_mutable()
+        if u == v:
+            raise EdgeError(f"self-loop on {u!r} is not allowed")
+        key = self._pair(self.add_node(u), self.add_node(v))
+        current = self._weight_at(*key)
+        weight = self._require_weight(
+            (0.0 if current is None else current) + delta
+        )
+        self._stage(key, weight, is_new=current is None)
+
+    def add_edges_from(
+        self, edges: Iterable[tuple[Node, Node] | tuple[Node, Node, float]]
+    ) -> None:
+        """Add edges from ``(u, v)`` or ``(u, v, weight)`` tuples."""
+        for edge in edges:
+            if len(edge) == 2:
+                u, v = edge  # type: ignore[misc]
+                self.add_edge(u, v)
+            else:
+                u, v, w = edge  # type: ignore[misc]
+                self.add_edge(u, v, weight=w)
+
     def has_edge(self, u: Node, v: Node) -> bool:
         """Return ``True`` when the edge ``u -> v`` (or ``u -- v``) exists."""
-        if u not in self._index or v not in self._index:
+        ui = self._index.get(u)
+        vi = self._index.get(v)
+        if ui is None or vi is None:
             return False
-        self._materialize()
-        return self._index[v] in self._succ[self._index[u]]
+        return self._weight_at(*self._pair(ui, vi)) is not None
 
     def edge_weight(self, u: Node, v: Node) -> float:
         """Return the weight of edge ``u -> v``.
@@ -564,24 +620,36 @@ class BaseGraph:
             If the edge does not exist.
         """
         ui, vi = self.index_of(u), self.index_of(v)
-        self._materialize()
-        try:
-            return self._succ[ui][vi]
-        except KeyError:
-            raise EdgeError(f"no edge {u!r} -> {v!r}") from None
+        weight = self._weight_at(*self._pair(ui, vi))
+        if weight is None:
+            raise EdgeError(f"no edge {u!r} -> {v!r}")
+        return weight
+
+    @staticmethod
+    def _row(mat: sparse.csr_matrix, index: int) -> np.ndarray:
+        return mat.indices[mat.indptr[index]:mat.indptr[index + 1]]
 
     def neighbors(self, node: Node) -> list[Node]:
-        """Return the (out-)neighbours of ``node`` as node objects."""
-        idx = self.index_of(node)
-        self._materialize()
-        return [self._nodes[j] for j in self._succ[idx]]
+        """Return the (out-)neighbours of ``node``, by ascending index."""
+        row = self._row(self.to_csr(), self.index_of(node))
+        return [self._nodes[j] for j in row.tolist()]
 
     def neighbor_indices(self, index: int) -> list[int]:
-        """Return (out-)neighbour integer indices of node ``index``."""
-        if not 0 <= index < len(self._succ):
+        """Return (out-)neighbour integer indices of node ``index``, ascending."""
+        if not 0 <= index < self.number_of_nodes:
             raise NodeNotFoundError(index)
-        self._materialize()
-        return list(self._succ[index])
+        return self._row(self.to_csr(), index).tolist()
+
+    def edges(self) -> Iterator[tuple[Node, Node, float]]:
+        """Iterate over edges once each as ``(u, v, weight)``.
+
+        Edges come in ascending ``(u-index, v-index)`` order; for a Graph
+        each edge is listed once with u-index < v-index.
+        """
+        rows, cols, data = self._canonical_edges()
+        nodes = self._nodes
+        for i, j, w in zip(rows.tolist(), cols.tolist(), data.tolist()):
+            yield nodes[i], nodes[j], w
 
     # ------------------------------------------------------------------
     # bulk ingestion
@@ -650,44 +718,30 @@ class BaseGraph:
         _, first_in_reversed = np.unique(keys[::-1], return_index=True)
         return keys.shape[0] - 1 - first_in_reversed
 
-    def _bulk_update_succ(
+    def add_edges_arrays(
         self,
-        adjacency: list[dict[int, float]],
-        sources: np.ndarray,
-        targets: np.ndarray,
-        data: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        weights: np.ndarray | None = None,
     ) -> None:
-        """Fold ``source -> target = weight`` triples into dict adjacency.
+        """Bulk-add edges ``rows[k] -> cols[k]`` from integer index arrays.
 
-        One ``dict.update(zip(...))`` per distinct source row: the per-entry
-        work happens at C speed instead of one Python ``add_edge`` per edge.
+        Each edge gets weight ``weights[k]`` (default 1.0); for a Graph the
+        edges are undirected.  Indices must refer to already-added nodes
+        (use :meth:`add_node` / :meth:`add_nodes_from` first, or
+        :meth:`from_arrays`).  Duplicate pairs — for a Graph in either
+        orientation — keep the last weight, matching a sequential
+        :meth:`add_edge` loop.  Validation and de-duplication are
+        vectorised; no per-edge Python calls are made.
         """
-        order, segments = row_segments(sources, len(adjacency))
-        targets_l = targets[order].tolist()
-        data_l = data[order].tolist()
-        for i, s, e in segments:
-            adjacency[i].update(zip(targets_l[s:e], data_l[s:e]))
-
-    def _entry_total(self) -> int:
-        return sum(map(len, self._succ))
-
-    def _materialize(self) -> None:
-        """Fold lazily stored bulk edges into the dict adjacency.
-
-        No-op unless the graph is in columnar mode.  Called by every
-        accessor that needs dict lookups (``has_edge``, ``neighbors``,
-        incremental mutation, ...); array-based exports never trigger it.
-        """
-        if self._lazy is None:
+        self._check_mutable()
+        rows, cols, data = self._validate_edge_arrays(rows, cols, weights)
+        if rows.size == 0:
             return
-        arrays = self._lazy
-        self._lazy = None
-        self._fold_arrays(*arrays)
-
-    def _fold_arrays(
-        self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
-    ) -> None:
-        raise NotImplementedError  # pragma: no cover - subclass hook
+        rows, cols = self._canonical_pairs(rows, cols)
+        with self._cache_lock:
+            self._merge_edges(rows, cols, data)
+            self._invalidate()
 
     @classmethod
     def from_arrays(
@@ -724,35 +778,44 @@ class BaseGraph:
         g.add_edges_arrays(rows, cols, weights)
         return g
 
+    @classmethod
+    def from_edges(
+        cls,
+        edges: Iterable[tuple[Node, Node] | tuple[Node, Node, float]],
+        *,
+        nodes: Iterable[Node] | None = None,
+    ):
+        """Build a graph from an edge iterable (and optional isolated nodes)."""
+        g = cls()
+        if nodes is not None:
+            g.add_nodes_from(nodes)
+        g.add_edges_from(edges)
+        return g
+
+    def subgraph(self, nodes: Iterable[Node]):
+        """Return the subgraph induced by ``nodes`` (attributes preserved)."""
+        kept = sorted({self.index_of(node) for node in nodes})
+        sub = type(self)()
+        for i in kept:
+            sub.add_node(self._nodes[i], **self._attrs_at(i))
+        rows, cols, data = self._canonical_edges()
+        if rows.size:
+            # Monotone remap: canonical (row < col) pairs stay canonical.
+            remap = np.full(self.number_of_nodes, -1, dtype=np.int64)
+            remap[kept] = np.arange(len(kept), dtype=np.int64)
+            new_rows = remap[rows]
+            new_cols = remap[cols]
+            mask = (new_rows >= 0) & (new_cols >= 0)
+            sub.add_edges_arrays(new_rows[mask], new_cols[mask], data[mask])
+        return sub
+
+    def copy(self):
+        """Return a deep structural copy of the graph."""
+        return self.subgraph(self._nodes)
+
     # ------------------------------------------------------------------
     # numpy / scipy export
     # ------------------------------------------------------------------
-    def _coo_from_dicts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Extract (rows, cols, weights) from the dict adjacency, vectorised.
-
-        Uses preallocated ``np.fromiter`` buffers over chained dict views
-        instead of per-edge list appends.
-        """
-        n = self.number_of_nodes
-        lengths = np.fromiter(map(len, self._succ), dtype=np.int64, count=n)
-        nnz = int(lengths.sum())
-        rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        cols = np.fromiter(
-            chain.from_iterable(self._succ), dtype=np.int64, count=nnz
-        )
-        data = np.fromiter(
-            chain.from_iterable(map(dict.values, self._succ)),
-            dtype=np.float64,
-            count=nnz,
-        )
-        return rows, cols, data
-
-    def _coo_current(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """COO triple of the current structure, whichever store holds it."""
-        if self._lazy is not None:
-            return self._coo_from_lazy(*self._lazy)
-        return self._coo_from_dicts()
-
     def _coo_from_lazy(
         self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -772,7 +835,8 @@ class BaseGraph:
         until the next mutation and marked read-only; copy before writing.
         """
         return self.cached(
-            ("coo",), lambda: self._freeze(*self._coo_current())
+            ("coo",),
+            lambda: self._freeze(*self._coo_from_lazy(*self._canonical_edges())),
         )
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -824,8 +888,9 @@ class BaseGraph:
 
     def degree(self, node: Node) -> int:
         """Number of (out-)edges incident on ``node``."""
-        self._materialize()
-        return len(self._succ[self.index_of(node)])
+        idx = self.index_of(node)
+        indptr = self.to_csr().indptr
+        return int(indptr[idx + 1] - indptr[idx])
 
     # ------------------------------------------------------------------
     # misc
@@ -858,111 +923,6 @@ class Graph(BaseGraph):
 
     directed = False
 
-    def add_edge(self, u: Node, v: Node, weight: float = 1.0) -> None:
-        """Add (or re-weight) the undirected edge ``u -- v``.
-
-        Self-loops are rejected: none of the graphs studied by the paper
-        contain them and they would silently distort degree statistics.
-        """
-        self._check_mutable()
-        if u == v:
-            raise EdgeError(f"self-loop on {u!r} is not allowed")
-        weight = self._require_weight(weight)
-        self._materialize()
-        ui = self.add_node(u)
-        vi = self.add_node(v)
-        is_new = vi not in self._succ[ui]
-        self._succ[ui][vi] = weight
-        self._succ[vi][ui] = weight
-        if is_new:
-            self._num_edges += 1
-        self._invalidate()
-
-    def increment_edge(self, u: Node, v: Node, delta: float = 1.0) -> None:
-        """Add ``delta`` to the weight of ``u -- v``, creating it if absent.
-
-        This is the operation used by bipartite projections, where the edge
-        weight counts shared affiliations.
-        """
-        self._check_mutable()
-        if u == v:
-            raise EdgeError(f"self-loop on {u!r} is not allowed")
-        self._materialize()
-        ui = self.add_node(u)
-        vi = self.add_node(v)
-        current = self._succ[ui].get(vi)
-        if current is None:
-            self._num_edges += 1
-            current = 0.0
-        new_weight = self._require_weight(current + delta)
-        self._succ[ui][vi] = new_weight
-        self._succ[vi][ui] = new_weight
-        self._invalidate()
-
-    def add_edges_from(
-        self, edges: Iterable[tuple[Node, Node] | tuple[Node, Node, float]]
-    ) -> None:
-        """Add edges from ``(u, v)`` or ``(u, v, weight)`` tuples."""
-        for edge in edges:
-            if len(edge) == 2:
-                u, v = edge  # type: ignore[misc]
-                self.add_edge(u, v)
-            else:
-                u, v, w = edge  # type: ignore[misc]
-                self.add_edge(u, v, weight=w)
-
-    def add_edges_arrays(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        weights: np.ndarray | None = None,
-    ) -> None:
-        """Bulk-add undirected edges from integer index arrays.
-
-        ``rows[k] -- cols[k]`` gets weight ``weights[k]`` (default 1.0).
-        Indices must refer to already-added nodes (use :meth:`add_node` /
-        :meth:`add_nodes_from` first, or :meth:`from_arrays`).  Duplicate
-        pairs — in either orientation — keep the last weight, matching a
-        sequential :meth:`add_edge` loop.  Validation, de-duplication and
-        symmetrisation are vectorised; no per-edge Python calls are made.
-        """
-        self._check_mutable()
-        rows, cols, data = self._validate_edge_arrays(rows, cols, weights)
-        if rows.size == 0:
-            return
-        n = self.number_of_nodes
-        lo = np.minimum(rows, cols)
-        hi = np.maximum(rows, cols)
-        if self._num_edges == 0 or self._lazy is not None:
-            # Columnar fast path: merge with any previous lazy batch and
-            # stay array-native — the dict adjacency is filled on demand.
-            if self._lazy is not None:
-                prev_lo, prev_hi, prev_w = self._lazy
-                lo = np.concatenate([prev_lo, lo])
-                hi = np.concatenate([prev_hi, hi])
-                data = np.concatenate([prev_w, data])
-            sel = self._dedup_last_wins(lo * np.int64(n) + hi)
-            lo, hi, data = lo[sel], hi[sel], data[sel]
-            self._lazy = (lo, hi, data)
-            self._num_edges = lo.shape[0]
-            self._invalidate()
-        else:
-            sel = self._dedup_last_wins(lo * np.int64(n) + hi)
-            lo, hi, data = lo[sel], hi[sel], data[sel]
-            self._fold_arrays(lo, hi, data)
-            self._num_edges = self._entry_total() // 2
-            self._invalidate()
-
-    def _fold_arrays(
-        self, lo: np.ndarray, hi: np.ndarray, data: np.ndarray
-    ) -> None:
-        self._bulk_update_succ(
-            self._succ,
-            np.concatenate([lo, hi]),
-            np.concatenate([hi, lo]),
-            np.concatenate([data, data]),
-        )
-
     def _coo_from_lazy(
         self, lo: np.ndarray, hi: np.ndarray, data: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -971,14 +931,6 @@ class Graph(BaseGraph):
             np.concatenate([hi, lo]),
             np.concatenate([data, data]),
         )
-
-    def edges(self) -> Iterator[tuple[Node, Node, float]]:
-        """Iterate over edges once each as ``(u, v, weight)`` with u-index < v-index."""
-        self._materialize()
-        for i, nbrs in enumerate(self._succ):
-            for j, w in nbrs.items():
-                if i < j:
-                    yield self._nodes[i], self._nodes[j], w
 
     def degree_vector(self, *, weighted: bool = False) -> np.ndarray:
         """Degree (or strength when ``weighted``) of every node, by index."""
@@ -1015,27 +967,6 @@ class Graph(BaseGraph):
         self.require_nonempty()
         return self.subgraph(self.connected_components()[0])
 
-    def subgraph(self, nodes: Iterable[Node]) -> "Graph":
-        """Return the subgraph induced by ``nodes`` (attributes preserved)."""
-        keep = {self.index_of(node) for node in nodes}
-        kept = sorted(keep)
-        sub = Graph()
-        for i in kept:
-            sub.add_node(self._nodes[i], **self._attrs_at(i))
-        rows, cols, data = self.to_coo_arrays()
-        if rows.size:
-            remap = np.full(self.number_of_nodes, -1, dtype=np.int64)
-            remap[kept] = np.arange(len(kept), dtype=np.int64)
-            new_rows = remap[rows]
-            new_cols = remap[cols]
-            mask = (new_rows >= 0) & (new_cols >= 0) & (rows < cols)
-            sub.add_edges_arrays(new_rows[mask], new_cols[mask], data[mask])
-        return sub
-
-    def copy(self) -> "Graph":
-        """Return a deep structural copy of the graph."""
-        return self.subgraph(self._nodes)
-
     def to_directed(self) -> "DiGraph":
         """Return a :class:`DiGraph` with both orientations of every edge."""
         d = DiGraph()
@@ -1044,20 +975,6 @@ class Graph(BaseGraph):
         rows, cols, data = self.to_coo_arrays()
         d.add_edges_arrays(rows, cols, data)
         return d
-
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[Node, Node] | tuple[Node, Node, float]],
-        *,
-        nodes: Iterable[Node] | None = None,
-    ) -> "Graph":
-        """Build a graph from an edge iterable (and optional isolated nodes)."""
-        g = cls()
-        if nodes is not None:
-            g.add_nodes_from(nodes)
-        g.add_edges_from(edges)
-        return g
 
 
 class DiGraph(BaseGraph):
@@ -1073,86 +990,6 @@ class DiGraph(BaseGraph):
 
     directed = True
 
-    @property
-    def _pred(self) -> list[dict[int, float]]:
-        # Reverse adjacency: _pred[j][i] = weight of edge i -> j.  The
-        # backend maintains it in lock-step with _succ (grow_slot /
-        # reset_slots) because the graph declared itself directed.
-        return self._store.pred
-
-    def add_edge(self, u: Node, v: Node, weight: float = 1.0) -> None:
-        """Add (or re-weight) the directed edge ``u -> v``.
-
-        Self-loops are rejected (see :class:`Graph`).
-        """
-        self._check_mutable()
-        if u == v:
-            raise EdgeError(f"self-loop on {u!r} is not allowed")
-        weight = self._require_weight(weight)
-        self._materialize()
-        ui = self.add_node(u)
-        vi = self.add_node(v)
-        is_new = vi not in self._succ[ui]
-        self._succ[ui][vi] = weight
-        self._pred[vi][ui] = weight
-        if is_new:
-            self._num_edges += 1
-        self._invalidate()
-
-    def add_edges_from(
-        self, edges: Iterable[tuple[Node, Node] | tuple[Node, Node, float]]
-    ) -> None:
-        """Add directed edges from ``(u, v)`` or ``(u, v, weight)`` tuples."""
-        for edge in edges:
-            if len(edge) == 2:
-                u, v = edge  # type: ignore[misc]
-                self.add_edge(u, v)
-            else:
-                u, v, w = edge  # type: ignore[misc]
-                self.add_edge(u, v, weight=w)
-
-    def add_edges_arrays(
-        self,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        weights: np.ndarray | None = None,
-    ) -> None:
-        """Bulk-add directed edges ``rows[k] -> cols[k]`` from index arrays.
-
-        Same contract as :meth:`Graph.add_edges_arrays`: indices must refer
-        to existing nodes, duplicates keep the last weight, and all
-        validation/de-duplication is vectorised.
-        """
-        self._check_mutable()
-        rows, cols, data = self._validate_edge_arrays(rows, cols, weights)
-        if rows.size == 0:
-            return
-        n = self.number_of_nodes
-        if self._num_edges == 0 or self._lazy is not None:
-            # Columnar fast path — see Graph.add_edges_arrays.
-            if self._lazy is not None:
-                prev_r, prev_c, prev_w = self._lazy
-                rows = np.concatenate([prev_r, rows])
-                cols = np.concatenate([prev_c, cols])
-                data = np.concatenate([prev_w, data])
-            sel = self._dedup_last_wins(rows * np.int64(n) + cols)
-            rows, cols, data = rows[sel], cols[sel], data[sel]
-            self._lazy = (rows, cols, data)
-            self._num_edges = rows.shape[0]
-            self._invalidate()
-        else:
-            sel = self._dedup_last_wins(rows * np.int64(n) + cols)
-            rows, cols, data = rows[sel], cols[sel], data[sel]
-            self._fold_arrays(rows, cols, data)
-            self._num_edges = self._entry_total()
-            self._invalidate()
-
-    def _fold_arrays(
-        self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
-    ) -> None:
-        self._bulk_update_succ(self._succ, rows, cols, data)
-        self._bulk_update_succ(self._pred, cols, rows, data)
-
     def _coo_from_lazy(
         self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1162,22 +999,21 @@ class DiGraph(BaseGraph):
             return rows, cols, data
         return rows.copy(), cols.copy(), data.copy()
 
-    def edges(self) -> Iterator[tuple[Node, Node, float]]:
-        """Iterate over directed edges as ``(u, v, weight)``."""
-        self._materialize()
-        for i, nbrs in enumerate(self._succ):
-            for j, w in nbrs.items():
-                yield self._nodes[i], self._nodes[j], w
+    def _transpose(self) -> sparse.csr_matrix:
+        """Cached CSR of the reversed adjacency (row ``j`` = in-edges of ``j``)."""
+        from repro.linalg.operator import LinearOperatorBundle
+
+        return LinearOperatorBundle.of(self.to_csr()).t_csr
 
     def out_degree(self, node: Node) -> int:
         """Number of edges leaving ``node``."""
-        self._materialize()
-        return len(self._succ[self.index_of(node)])
+        return self.degree(node)
 
     def in_degree(self, node: Node) -> int:
         """Number of edges entering ``node``."""
-        self._materialize()
-        return len(self._pred[self.index_of(node)])
+        idx = self.index_of(node)
+        indptr = self._transpose().indptr
+        return int(indptr[idx + 1] - indptr[idx])
 
     def in_degree_vector(self, *, weighted: bool = False) -> np.ndarray:
         """In-degree (or total in-weight) per node index."""
@@ -1188,35 +1024,13 @@ class DiGraph(BaseGraph):
         ).astype(float)
 
     def predecessors(self, node: Node) -> list[Node]:
-        """Return nodes with an edge into ``node``."""
-        idx = self.index_of(node)
-        self._materialize()
-        return [self._nodes[j] for j in self._pred[idx]]
+        """Return nodes with an edge into ``node``, by ascending index."""
+        row = self._row(self._transpose(), self.index_of(node))
+        return [self._nodes[j] for j in row.tolist()]
 
     def dangling_mask(self) -> np.ndarray:
         """Boolean array marking nodes without outgoing edges."""
         return self.out_degree_vector() == 0.0
-
-    def subgraph(self, nodes: Iterable[Node]) -> "DiGraph":
-        """Return the subgraph induced by ``nodes`` (attributes preserved)."""
-        keep = {self.index_of(node) for node in nodes}
-        kept = sorted(keep)
-        sub = DiGraph()
-        for i in kept:
-            sub.add_node(self._nodes[i], **self._attrs_at(i))
-        rows, cols, data = self.to_coo_arrays()
-        if rows.size:
-            remap = np.full(self.number_of_nodes, -1, dtype=np.int64)
-            remap[kept] = np.arange(len(kept), dtype=np.int64)
-            new_rows = remap[rows]
-            new_cols = remap[cols]
-            mask = (new_rows >= 0) & (new_cols >= 0)
-            sub.add_edges_arrays(new_rows[mask], new_cols[mask], data[mask])
-        return sub
-
-    def copy(self) -> "DiGraph":
-        """Return a deep structural copy of the graph."""
-        return self.subgraph(self._nodes)
 
     def to_undirected(self) -> Graph:
         """Collapse directions; anti-parallel edge weights are summed."""
@@ -1236,22 +1050,3 @@ class DiGraph(BaseGraph):
                 sums,
             )
         return g
-
-    @classmethod
-    def from_edges(
-        cls,
-        edges: Iterable[tuple[Node, Node] | tuple[Node, Node, float]],
-        *,
-        nodes: Iterable[Node] | None = None,
-    ) -> "DiGraph":
-        """Build a digraph from an edge iterable (plus optional nodes)."""
-        g = cls()
-        if nodes is not None:
-            g.add_nodes_from(nodes)
-        g.add_edges_from(edges)
-        return g
-
-
-def as_mapping(graph: BaseGraph) -> Mapping[Node, list[Node]]:
-    """Return a read-only ``{node: neighbours}`` view (debugging helper)."""
-    return {node: graph.neighbors(node) for node in graph.nodes()}

@@ -24,9 +24,27 @@ from typing import Any
 import numpy as np
 
 from repro.errors import GraphError, NodeNotFoundError, ParameterError
-from repro.graph.base import Graph, Node, row_segments
+from repro.graph.base import Graph, Node
 
 __all__ = ["BipartiteGraph", "project"]
+
+
+def row_segments(
+    sources: np.ndarray, n_rows: int
+) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Group entry positions by source row for segment-wise bulk updates.
+
+    Returns the stable sort order of ``sources`` plus ``(row, start, stop)``
+    triples delimiting each occupied row's slice of the order-sorted arrays.
+    """
+    order = np.argsort(sources, kind="stable")
+    counts = np.bincount(sources, minlength=n_rows)
+    occupied = np.flatnonzero(counts)
+    stops = np.cumsum(counts[occupied])
+    starts = stops - counts[occupied]
+    return order, list(
+        zip(occupied.tolist(), starts.tolist(), stops.tolist())
+    )
 
 
 class BipartiteGraph:

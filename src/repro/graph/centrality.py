@@ -34,8 +34,14 @@ __all__ = [
 ]
 
 
-def _neighbors_by_index(graph: BaseGraph) -> list[list[int]]:
-    return [graph.neighbor_indices(i) for i in range(graph.number_of_nodes)]
+def _csr_lists(graph: BaseGraph) -> tuple[list[int], list[int]]:
+    """``(indptr, indices)`` of the unweighted CSR as Python lists.
+
+    The BFS loops below visit ``indices[indptr[v]:indptr[v + 1]]``; list
+    slices keep that per-step read cheap in pure Python.
+    """
+    mat = graph.to_csr(weighted=False)
+    return mat.indptr.tolist(), mat.indices.tolist()
 
 
 def betweenness_centrality(
@@ -52,7 +58,7 @@ def betweenness_centrality(
     """
     graph.require_nonempty()
     n = graph.number_of_nodes
-    adjacency = _neighbors_by_index(graph)
+    indptr, indices = _csr_lists(graph)
     centrality = np.zeros(n, dtype=float)
 
     for source in range(n):
@@ -67,7 +73,7 @@ def betweenness_centrality(
         while queue:
             v = queue.popleft()
             stack.append(v)
-            for w in adjacency[v]:
+            for w in indices[indptr[v]:indptr[v + 1]]:
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     queue.append(w)
@@ -89,13 +95,15 @@ def betweenness_centrality(
     return centrality
 
 
-def _bfs_distances(adjacency: list[list[int]], source: int, n: int) -> np.ndarray:
+def _bfs_distances(
+    indptr: list[int], indices: list[int], source: int, n: int
+) -> np.ndarray:
     dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
     queue: deque[int] = deque([source])
     while queue:
         v = queue.popleft()
-        for w in adjacency[v]:
+        for w in indices[indptr[v]:indptr[v + 1]]:
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -111,10 +119,10 @@ def closeness_centrality(graph: Graph) -> np.ndarray:
     """
     graph.require_nonempty()
     n = graph.number_of_nodes
-    adjacency = _neighbors_by_index(graph)
+    indptr, indices = _csr_lists(graph)
     out = np.zeros(n, dtype=float)
     for v in range(n):
-        dist = _bfs_distances(adjacency, v, n)
+        dist = _bfs_distances(indptr, indices, v, n)
         reachable = dist >= 0
         r = int(reachable.sum())
         if r <= 1:
@@ -129,10 +137,10 @@ def harmonic_centrality(graph: Graph) -> np.ndarray:
     """Harmonic centrality ``Σ_u 1/d(v, u)`` (robust to disconnection)."""
     graph.require_nonempty()
     n = graph.number_of_nodes
-    adjacency = _neighbors_by_index(graph)
+    indptr, indices = _csr_lists(graph)
     out = np.zeros(n, dtype=float)
     for v in range(n):
-        dist = _bfs_distances(adjacency, v, n)
+        dist = _bfs_distances(indptr, indices, v, n)
         positive = dist > 0
         if positive.any():
             out[v] = float((1.0 / dist[positive]).sum())
@@ -143,19 +151,17 @@ def clustering_coefficient(graph: Graph) -> np.ndarray:
     """Local clustering coefficient (the paper's cohesion notion).
 
     ``C(v) = 2·T(v) / (k_v (k_v - 1))`` where ``T(v)`` counts edges among
-    ``v``'s neighbours.  Nodes with degree < 2 get 0.
+    ``v``'s neighbours.  Nodes with degree < 2 get 0.  With ``A`` the
+    0/1 adjacency, ``2·T(v) = Σ_j (A²)_vj · A_vj`` (each triangle through
+    ``v`` is seen from both of its other corners).
     """
     graph.require_nonempty()
-    n = graph.number_of_nodes
-    adjacency = [set(graph.neighbor_indices(i)) for i in range(n)]
-    out = np.zeros(n, dtype=float)
-    for v in range(n):
-        nbrs = sorted(adjacency[v])
-        k = len(nbrs)
-        if k < 2:
-            continue
-        triangles = 0
-        for idx, a in enumerate(nbrs):
-            triangles += sum(1 for b in nbrs[idx + 1 :] if b in adjacency[a])
-        out[v] = 2.0 * triangles / (k * (k - 1))
+    adjacency = graph.to_csr(weighted=False)
+    k = np.diff(adjacency.indptr).astype(float)
+    twice_triangles = np.asarray(
+        (adjacency @ adjacency).multiply(adjacency).sum(axis=1)
+    ).ravel()
+    out = np.zeros(graph.number_of_nodes, dtype=float)
+    enough = k >= 2
+    out[enough] = twice_triangles[enough] / (k[enough] * (k[enough] - 1))
     return out

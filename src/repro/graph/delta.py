@@ -451,15 +451,9 @@ def apply_graph_delta(graph, delta: GraphDelta, *, log=None) -> dict:
     _require_positive_weights(delta.reweight_weights, "reweight")
 
     n = n_total
+    # The store is sorted by (row, col), so its keys are sorted too.
     rows0, cols0, w0 = graph._canonical_edges()
     keys0 = rows0 * np.int64(n) + cols0
-    if keys0.size and (keys0[:-1] > keys0[1:]).any():
-        # The lazy columnar store is key-sorted by construction; only
-        # dict-derived canonical arrays need the sort.
-        order0 = np.argsort(keys0, kind="stable")
-        keys0, rows0, cols0, w0 = (
-            keys0[order0], rows0[order0], cols0[order0], w0[order0]
-        )
     # The merge below is pure: the live store is only replaced at the
     # very end, so any validation error leaves the graph untouched.
     # ``w_owned`` tracks whether ``w0`` is a private copy we may write.
@@ -583,9 +577,7 @@ def _commit_with_node_ops(
     with graph._cache_lock:
         graph._nodes = new_nodes
         graph._index = {node: i for i, node in enumerate(new_nodes)}
-        graph._store.reset_slots(len(new_nodes))
-        graph._store.set_columnar(rows0, cols0, w0)
-        graph._num_edges = rows0.shape[0]
+        graph._set_edge_store(rows0, cols0, w0)
         stats["dropped"].extend(graph._cache)
         graph._cache.clear()
         graph._version += 1
@@ -825,7 +817,7 @@ def _refresh_caches(graph, touched: np.ndarray, stats: dict) -> None:
     plan = _RefreshPlan(
         directed=graph.directed,
         n=graph.number_of_nodes,
-        store=graph._lazy,
+        store=graph._store.columnar,
         touched=touched,
     )
 

@@ -96,10 +96,9 @@ _WRITE_CHUNK = 65_536
 def write_edge_list(graph: BaseGraph, path: str | Path) -> None:
     """Write ``graph`` as ``u v weight`` lines (one per edge).
 
-    Streams the canonical columnar arrays in chunks — no dict
-    materialisation, no per-edge ``write`` call — so dumping a
-    bulk-ingested graph never pulls the whole edge list through Python
-    objects at once.
+    Streams the canonical columnar arrays in chunks — no per-edge
+    ``write`` call — so dumping a large graph never pulls the whole
+    edge list through Python objects at once.
     """
     path = Path(path)
     rows, cols, data = graph._canonical_edges()
@@ -128,9 +127,9 @@ def write_json_graph(graph: BaseGraph, path: str | Path) -> None:
 
     Edges are read straight from the canonical columnar arrays (one
     ``tolist`` per column) and attributes from the per-name columns, so
-    serialisation does no dict materialisation and no per-node
-    ``node_attr`` lookups; JSON stays the small-graph interchange
-    format, :func:`repro.graph.persist.save_snapshot` the bulk one.
+    serialisation does no per-node ``node_attr`` lookups; JSON stays
+    the small-graph interchange format,
+    :func:`repro.graph.persist.save_snapshot` the bulk one.
     """
     nodes = graph.nodes()
     attr_rows: list[dict] = [{} for _ in nodes]

@@ -65,22 +65,15 @@ _EDGE_FILES = ("edges-rows.npy", "edges-cols.npy", "edges-weights.npy")
 def save_snapshot(graph: BaseGraph, path: str | Path) -> Path:
     """Write ``graph`` to the snapshot directory ``path`` (created/overwritten).
 
-    The canonical columnar edge arrays are written key-sorted, so a
-    loaded snapshot satisfies the sorted-store invariant the streaming
-    delta merge relies on.  Frozen state is recorded and restored by
+    The columnar edge store is written as-is: it is sorted by
+    ``(row, col)``, so a loaded snapshot keeps the sorted-store
+    invariant the point queries and the streaming delta merge rely on.  Frozen state is recorded and restored by
     :func:`load_snapshot`.  Returns the snapshot directory.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     n = graph.number_of_nodes
     rows, cols, data = graph._canonical_edges()
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    cols = np.ascontiguousarray(cols, dtype=np.int64)
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    keys = rows * np.int64(max(n, 1)) + cols
-    if keys.size and (keys[:-1] > keys[1:]).any():
-        order = np.argsort(keys, kind="stable")
-        rows, cols, data = rows[order], cols[order], data[order]
     for name, arr in zip(_EDGE_FILES, (rows, cols, data)):
         np.save(path / name, arr)
 
@@ -158,7 +151,6 @@ def load_snapshot(
             )
         graph._nodes = list(nodes)
         graph._index = {node: i for i, node in enumerate(graph._nodes)}
-        store.reset_slots(n)
     if meta.get("has_attrs"):
         with open(path / "attrs.pkl", "rb") as handle:
             attrs = pickle.load(handle)

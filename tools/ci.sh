@@ -40,6 +40,16 @@ shm_before=$(ls /dev/shm 2>/dev/null | grep '^repro_shard_' || true)
 mmapseg_before=$(ls "$TMPDIR_BASE" 2>/dev/null | grep '^repro_shard_.*\.mmap$' || true)
 mmapdir_before=$(ls "$TMPDIR_BASE" 2>/dev/null | grep '^repro_mmap_' || true)
 
+# One graph representation: the columnar store (plus the CSR derived
+# from it) is the only adjacency.  Fail if the identifiers of the
+# deleted per-node dict adjacency reappear, and print the graph layer's
+# line count so size is tracked next to speed.
+if grep -rnwE '_succ|_pred|_materialize|_coo_from_dicts|grow_slot|reset_slots' src/repro/; then
+    echo "FAIL: per-node dict adjacency identifiers reappeared under src/repro/" >&2
+    exit 1
+fi
+echo "src/repro/graph/ lines: $(cat src/repro/graph/*.py src/repro/graph/backends/*.py | wc -l)"
+
 python -m pytest -x -q
 
 # Re-run the multi-threaded stress suite under a hard watchdog: a

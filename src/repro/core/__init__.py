@@ -28,7 +28,7 @@ from repro.core.manipulation import (
     plant_link_farm,
     rank_boost_from_farm,
 )
-from repro.core.pagerank import pagerank, walk_operator
+from repro.core.pagerank import pagerank
 from repro.core.personalized import (
     personalized_d2pr,
     personalized_pagerank,
@@ -49,7 +49,6 @@ __all__ = [
     "personalized_d2pr",
     "robust_personalized_d2pr",
     "seed_weights",
-    "walk_operator",
     "degree_scores",
     "teleport_adjusted_pagerank",
     "weighted_pagerank",

@@ -18,8 +18,8 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.engine import build_teleport, solve_transition
-from repro.core.pagerank import pagerank, walk_operator
+from repro.core.engine import RankQuery, solve_group
+from repro.core.pagerank import pagerank
 from repro.core.results import NodeScores
 from repro.errors import ParameterError
 from repro.graph.base import BaseGraph, DiGraph, Node
@@ -79,18 +79,16 @@ def teleport_adjusted_pagerank(
     teleport = np.exp(log_w)
     # Shares the conventional-PageRank matrix and bundle: same transition,
     # same cached transpose/dangling views (only the teleport differs).
-    bundle = walk_operator(graph)
-    result = solve_transition(
-        bundle.mat,
-        operator=bundle,
+    return solve_group(
+        graph,
+        RankQuery(method="pagerank").group_key,
+        teleport=teleport,
         solver=solver,
         alpha=alpha,
-        teleport=teleport,
         dangling=dangling,
         tol=tol,
         max_iter=max_iter,
     )
-    return NodeScores(graph, result.scores, result)
 
 
 def weighted_pagerank(

@@ -34,89 +34,17 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.engine import adjacency_and_theta, build_teleport, solve_transition
+from repro.core.engine import RankQuery, solve_group
 from repro.core.results import NodeScores
-from repro.errors import ParameterError
 from repro.graph.base import BaseGraph, Node
-from repro.linalg.transition import (
-    blended_transition,
-    degree_decoupled_transition,
-)
+from repro.methods.stochastic import d2pr_transition
 
 __all__ = [
     "d2pr",
     "d2pr_transition",
     "d2pr_operator",
-    "d2pr_sharded_operator",
     "transition_probabilities",
 ]
-
-
-def d2pr_transition(
-    graph: BaseGraph,
-    p: float,
-    *,
-    beta: float = 0.0,
-    weighted: bool = False,
-    clamp_min: float | None = None,
-):
-    """Build the (row-stochastic) D2PR transition matrix for ``graph``.
-
-    Parameters
-    ----------
-    graph:
-        Undirected or directed graph.
-    p:
-        Degree de-coupling weight.
-    beta:
-        Connection-strength blend for weighted graphs; must be 0 when
-        ``weighted=False`` because the paper only defines the blend for
-        weighted graphs (an unweighted ``T_conn`` is just ``p = 0``).
-    weighted:
-        Use stored edge weights.  ``theta`` becomes the total out-weight.
-    clamp_min:
-        Minimum ``theta`` used for weighting.  ``None`` (default) picks
-        1.0 for unweighted graphs (sinks count as degree-1 nodes, see
-        DESIGN.md §5.3) and the smallest *positive* ``Θ`` for weighted
-        graphs — clamping weighted thetas at a fixed 1.0 would break the
-        scale-invariance of the formulation (multiplying all edge weights
-        by a constant must not change the scores).
-
-    Returns
-    -------
-    scipy.sparse.csr_matrix
-        Rows are sources; each non-dangling row sums to 1.
-    """
-    if not weighted and beta != 0.0:
-        raise ParameterError(
-            "beta is only meaningful for weighted graphs "
-            "(the paper defines the blend in §3.2.3); pass weighted=True"
-        )
-    graph.require_nonempty()
-
-    def build():
-        adjacency, theta = adjacency_and_theta(graph, weighted=weighted)
-        resolved = clamp_min
-        if resolved is None:
-            if weighted:
-                positive = theta[theta > 0]
-                resolved = float(positive.min()) if positive.size else 1.0
-            else:
-                resolved = 1.0
-        if weighted:
-            return blended_transition(
-                adjacency, p, beta, theta=theta, clamp_min=resolved
-            )
-        return degree_decoupled_transition(
-            adjacency, p, theta=theta, clamp_min=resolved
-        )
-
-    # Memoised per graph version: sweeps and repeated solves with the same
-    # (p, beta, weighted, clamp_min) reuse the built matrix.
-    return graph.cached(
-        ("d2pr_transition", float(p), float(beta), bool(weighted), clamp_min),
-        build,
-    )
 
 
 def d2pr_operator(
@@ -129,74 +57,17 @@ def d2pr_operator(
 ):
     """Graph-cached solver-operator bundle for the D2PR transition.
 
-    Returns the :class:`~repro.linalg.operator.LinearOperatorBundle`
-    wrapping :func:`d2pr_transition` with the same parameters, memoised on
-    the graph's mutation-aware cache: the CSR-transpose conversion, the
-    dangling mask and the patched linear-system views are derived at most
-    once per graph version and shared by every single-query solve.
+    The :class:`~repro.linalg.operator.LinearOperatorBundle` that
+    :func:`repro.methods.operator_for` builds for this ``(p, beta,
+    weighted, clamp_min)`` — the same object the engine, the coalescer
+    and the service solve on, memoised on the graph's mutation-aware
+    cache.  :func:`d2pr_transition` (re-exported from
+    :mod:`repro.methods.stochastic`) is its matrix.
     """
-    return graph.operator_bundle(
-        ("d2pr", float(p), float(beta), bool(weighted), clamp_min),
-        lambda: d2pr_transition(
-            graph, p, beta=beta, weighted=weighted, clamp_min=clamp_min
-        ),
-    )
+    from repro.methods import operator_for
 
-
-def d2pr_sharded_operator(
-    graph: BaseGraph,
-    p: float = 0.0,
-    *,
-    beta: float = 0.0,
-    weighted: bool = False,
-    clamp_min: float | None = None,
-    n_shards: int = 8,
-    method: str = "auto",
-    size_floor: int | None = None,
-    force: bool = False,
-):
-    """Graph-cached block-partitioned operator for the D2PR transition.
-
-    Wraps :func:`d2pr_operator` (same parameters, same cached bundle) in
-    a :class:`~repro.shard.operator.ShardedOperator` over the graph's
-    memoised :meth:`~repro.graph.base.BaseGraph.shard_plan`, and memoises
-    the result on the mutation-aware cache: repeated sharded solves and
-    the serving layer's shard-local push path share one set of diagonal /
-    coupling blocks per graph version.  Below the size floor the
-    constructor refuses unless ``force=True`` — callers wanting the
-    transparent fallback should go through
-    :func:`~repro.shard.solver.sharded_solve` instead.
-
-    Note the sharded operator owns no shared-memory segments itself;
-    those belong to worker pools (created on demand via ``.pool()`` and
-    released by ``.close()`` or interpreter exit).
-    """
-    from repro.shard.operator import DEFAULT_SIZE_FLOOR, ShardedOperator
-
-    floor = DEFAULT_SIZE_FLOOR if size_floor is None else int(size_floor)
-
-    def build():
-        bundle = d2pr_operator(
-            graph, p, beta=beta, weighted=weighted, clamp_min=clamp_min
-        )
-        plan = graph.shard_plan(n_shards, method=method)
-        return ShardedOperator(
-            bundle, plan, size_floor=floor, force=force
-        )
-
-    return graph.cached(
-        (
-            "sharded_operator",
-            "d2pr",
-            float(p),
-            float(beta),
-            bool(weighted),
-            clamp_min,
-            int(n_shards),
-            str(method),
-        ),
-        build,
-    )
+    key = RankQuery(p=p, beta=beta, weighted=weighted).group_key
+    return operator_for(graph, key, clamp_min=clamp_min)
 
 
 def d2pr(
@@ -263,21 +134,17 @@ def d2pr(
     >>> penalised["c"] < conventional["c"]
     True
     """
-    bundle = d2pr_operator(
-        graph, p, beta=beta, weighted=weighted, clamp_min=clamp_min
-    )
-    teleport_vec = build_teleport(graph, teleport)
-    result = solve_transition(
-        bundle.mat,
+    return solve_group(
+        graph,
+        RankQuery(p=p, beta=beta, weighted=weighted).group_key,
+        teleport=teleport,
+        clamp_min=clamp_min,
         solver=solver,
         alpha=alpha,
-        teleport=teleport_vec,
         dangling=dangling,
         tol=tol,
         max_iter=max_iter,
-        operator=bundle,
     )
-    return NodeScores(graph, result.scores, result)
 
 
 def transition_probabilities(

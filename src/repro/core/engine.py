@@ -1,9 +1,8 @@
 """Shared plumbing between the score functions in :mod:`repro.core`.
 
-Handles teleport-vector construction from node-keyed inputs, solver
-dispatch, and extraction of the adjacency/theta pair that parameterises the
-degree de-coupled transition for each graph flavour (undirected / directed /
-weighted).
+Handles teleport-vector construction from node-keyed inputs and solver
+dispatch, on operators that only :mod:`repro.methods` builds (it also
+re-exports the adjacency/theta pair of the D2PR transition from there).
 
 It also hosts the **batched multi-query engine**: :class:`RankQuery`
 describes one ``(p, α, β, teleport)`` ranking request and
@@ -29,6 +28,7 @@ from repro.graph.base import BaseGraph, Node
 from repro.linalg.batch import power_iteration_batch
 from repro.linalg.operator import LinearOperatorBundle
 from repro.linalg.push import forward_push
+from repro.methods.stochastic import adjacency_and_theta
 from repro.telemetry.trace import annotate
 from repro.linalg.solvers import (
     DANGLING_STRATEGIES,
@@ -42,6 +42,7 @@ __all__ = [
     "SOLVERS",
     "RankQuery",
     "build_teleport",
+    "solve_group",
     "solve_transition",
     "solve_many",
     "update_scores",
@@ -223,6 +224,37 @@ def solve_transition(
     )
 
 
+def solve_group(
+    graph: BaseGraph,
+    group_key: tuple,
+    *,
+    teleport: Mapping[Node, float] | Sequence[Node] | np.ndarray | None = None,
+    clamp_min: float | None = None,
+    **options: Any,
+):
+    """Solve one query on the registry-built operator of ``group_key``.
+
+    The shared body of :func:`~repro.core.d2pr.d2pr` and
+    :func:`~repro.core.pagerank.pagerank`: the bundle comes from
+    :func:`repro.methods.operator_for`, ``teleport`` goes through
+    :func:`build_teleport` and ``options`` (``solver``, ``alpha``,
+    ``dangling``, ``tol``, ``max_iter``) through
+    :func:`solve_transition`.  Returns
+    :class:`~repro.core.results.NodeScores`.
+    """
+    from repro.core.results import NodeScores
+    from repro.methods import operator_for
+
+    bundle = operator_for(graph, group_key, clamp_min=clamp_min)
+    result = solve_transition(
+        bundle.mat,
+        operator=bundle,
+        teleport=build_teleport(graph, teleport),
+        **options,
+    )
+    return NodeScores(graph, result.scores, result)
+
+
 @dataclass(frozen=True, eq=False)
 class RankQuery:
     """One ranking request against a graph: method + parameters + teleport.
@@ -384,7 +416,7 @@ def solve_many(
         through :func:`~repro.linalg.power_iteration_batch`;
         ``"sharded"`` solves each group's queries through one
         graph-cached :class:`~repro.shard.operator.ShardedOperator`
-        (:func:`~repro.core.d2pr.d2pr_sharded_operator`) — the
+        (:func:`~repro.methods.sharded_operator_for`) — the
         block-partitioned path for graphs too large to stream whole,
         falling back to the monolithic path below the sharding size
         floor.
@@ -736,33 +768,3 @@ def update_scores_many(
             )
             out[idx] = NodeScores(graph, result.scores, result)
     return out
-
-
-def adjacency_and_theta(
-    graph: BaseGraph, *, weighted: bool
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Return the adjacency matrix and the paper's ``theta`` vector.
-
-    ``theta`` is the per-node quantity whose power ``-p`` weights incoming
-    transitions (Equation 1 and §3.2.2–3.2.3 of the paper):
-
-    * undirected unweighted — node degree;
-    * directed unweighted   — node out-degree;
-    * weighted (either)     — total out-weight ``Θ(v) = Σ_h w(v→h)``.
-
-    The pair is memoised on the graph's mutation-aware cache, so repeated
-    solves and parameter sweeps reuse one export per graph version.
-    """
-    graph.require_nonempty()
-
-    def build() -> tuple[sparse.csr_matrix, np.ndarray]:
-        adjacency = graph.to_csr(weighted=weighted)
-        if weighted:
-            theta = np.asarray(adjacency.sum(axis=1)).ravel()
-        else:
-            # Degree for undirected graphs, out-degree for DiGraph — both
-            # are exactly out_degree_vector on our representation.
-            theta = graph.out_degree_vector()
-        return adjacency, theta
-
-    return graph.cached(("adj_theta", bool(weighted)), build)

@@ -66,15 +66,16 @@ def hits(
         ``result.hubs`` and ``result.authorities`` as :class:`NodeScores`
         (each normalised to sum 1).
     """
-    from repro.methods import adjacency_bundle, resolve
+    from repro.methods import resolve
 
     graph.require_nonempty()
     if max_iter <= 0:
         raise ParameterError(f"max_iter must be positive, got {max_iter}")
     method = resolve("hits")
+    key = ("hits", bool(weighted))
     result = method.solve(
         graph,
-        ("hits", bool(weighted)),
+        key,
         tol=tol,
         max_iter=max_iter,
         raise_on_failure=raise_on_failure,
@@ -82,7 +83,7 @@ def hits(
     authorities = result.scores
     # Hubs are one adjacency matvec away from the authority fixed point
     # (hubs ∝ A·auth); the bundle is the same cached view the solver used.
-    adjacency = adjacency_bundle(graph, weighted=weighted).mat
+    adjacency = method.operator(graph, key).mat
     n = adjacency.shape[0]
     hubs_vec = adjacency @ authorities
     total = hubs_vec.sum()

@@ -28,11 +28,20 @@ from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.sparse import linalg as sparse_linalg
 
-from repro.core.pagerank import walk_operator
+from repro.core.engine import RankQuery
 from repro.graph.base import BaseGraph, Node
 from repro.linalg.operator import LinearOperatorBundle
 
 __all__ = ["hitting_times", "commute_time"]
+
+
+def _walk(graph: BaseGraph, weighted: bool) -> LinearOperatorBundle:
+    """The conventional walk's bundle: the registry's pagerank operator."""
+    from repro.methods import operator_for
+
+    return operator_for(
+        graph, RankQuery(method="pagerank", weighted=weighted).group_key
+    )
 
 
 def _reachers(bundle: LinearOperatorBundle, target: int) -> np.ndarray:
@@ -103,10 +112,7 @@ def hitting_times(
     >>> times["b"] < times["c"]
     True
     """
-    graph.require_nonempty()
-    return _hitting_times_for(
-        graph, walk_operator(graph, weighted=weighted), target
-    )
+    return _hitting_times_for(graph, _walk(graph, weighted), target)
 
 
 def commute_time(
@@ -123,8 +129,7 @@ def commute_time(
     are served by one shared transition export/bundle — the walk operator
     does not depend on the endpoints, only the restriction does.
     """
-    graph.require_nonempty()
-    bundle = walk_operator(graph, weighted=weighted)
+    bundle = _walk(graph, weighted)
     forward = _hitting_times_for(graph, bundle, v)[u]
     backward = _hitting_times_for(graph, bundle, u)[v]
     return forward + backward

@@ -11,41 +11,11 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.engine import build_teleport, solve_transition
+from repro.core.engine import RankQuery, solve_group
 from repro.core.results import NodeScores
 from repro.graph.base import BaseGraph, Node
-from repro.linalg.transition import (
-    connection_strength_transition,
-    uniform_transition,
-)
 
-__all__ = ["pagerank", "walk_operator"]
-
-
-def walk_operator(graph: BaseGraph, *, weighted: bool = False):
-    """Graph-cached operator bundle of the conventional walk transition.
-
-    The single owner of the ``("pagerank_transition", weighted)`` matrix
-    cache key and its ``("pagerank", weighted)`` operator bundle: every
-    feature built on the plain random walk — :func:`pagerank`,
-    :func:`repro.core.baselines.teleport_adjusted_pagerank`, the hitting
-    times in :mod:`repro.core.hitting` — resolves its transition through
-    this helper, so one export and one transpose serve them all and the
-    builder cannot drift between call sites.
-    """
-
-    def build():
-        adjacency = graph.to_csr(weighted=weighted)
-        if weighted:
-            return connection_strength_transition(adjacency)
-        return uniform_transition(adjacency)
-
-    return graph.operator_bundle(
-        ("pagerank", bool(weighted)),
-        lambda: graph.cached(
-            ("pagerank_transition", bool(weighted)), build
-        ),
-    )
+__all__ = ["pagerank"]
 
 
 def pagerank(
@@ -66,8 +36,9 @@ def pagerank(
     ``weighted=True``).
 
     Equivalent to ``d2pr(graph, p=0.0, ...)`` for unweighted graphs and to
-    ``d2pr(graph, p=0.0, beta=1.0, weighted=True, ...)`` for weighted ones;
-    the test-suite asserts both identities.
+    ``d2pr(graph, p=0.0, beta=1.0, weighted=True, ...)`` for weighted ones —
+    it solves on the very same cached operator, as do
+    ``RankQuery(method="pagerank")`` and ``RankRequest(method="pagerank")``.
 
     Parameters
     ----------
@@ -87,20 +58,15 @@ def pagerank(
     -------
     NodeScores
     """
-    graph.require_nonempty()
-    # Memoised per graph version (see BaseGraph.cached): repeated calls on
-    # an unmutated graph reuse the row-normalised transition, and the
-    # operator bundle keeps the transpose/dangling views alongside it.
-    bundle = walk_operator(graph, weighted=weighted)
-    teleport_vec = build_teleport(graph, teleport)
-    result = solve_transition(
-        bundle.mat,
-        operator=bundle,
+    # The registry's pagerank key: the p = 0 point of the D2PR family,
+    # at beta = 1 when weighted, so every layer shares one transition.
+    return solve_group(
+        graph,
+        RankQuery(method="pagerank", weighted=weighted).group_key,
+        teleport=teleport,
         solver=solver,
         alpha=alpha,
-        teleport=teleport_vec,
         dangling=dangling,
         tol=tol,
         max_iter=max_iter,
     )
-    return NodeScores(graph, result.scores, result)

@@ -1000,10 +1000,14 @@ class DiGraph(BaseGraph):
         return rows.copy(), cols.copy(), data.copy()
 
     def _transpose(self) -> sparse.csr_matrix:
-        """Cached CSR of the reversed adjacency (row ``j`` = in-edges of ``j``)."""
-        from repro.linalg.operator import LinearOperatorBundle
+        """Cached CSR of the reversed adjacency (row ``j`` = in-edges of ``j``).
 
-        return LinearOperatorBundle.of(self.to_csr()).t_csr
+        The transpose of the graph-cached adjacency bundle the spectral
+        methods iterate: a repeat read is one cache lookup.
+        """
+        from repro.methods.spectral import adjacency_bundle
+
+        return adjacency_bundle(self, weighted=True).t_csr
 
     def out_degree(self, node: Node) -> int:
         """Number of edges leaving ``node``."""

@@ -735,24 +735,22 @@ class _RefreshPlan:
         _, _, c_sub, w_sub, sub_indptr, lengths, sums, _ = (
             self._ensure_scan()
         )
-        len_rep = np.repeat(lengths, lengths).astype(np.float64)
-        sum_rep = np.repeat(sums, lengths)
-        if key[0] == "pagerank_transition":
-            if key[1]:  # weighted: connection strength
-                return w_sub / np.where(sum_rep > 0.0, sum_rep, 1.0)
-            return 1.0 / np.where(len_rep > 0.0, len_rep, 1.0)
-        # ("d2pr_transition", p, beta, weighted, clamp_min)
+        # ("d2pr_transition", p, beta, weighted, clamp_min); the
+        # conventional walk is its p = 0 (beta = 1 when weighted) point.
         _, p, beta, weighted, clamp_min = key
+        blend = weighted and beta != 0.0
+        if blend:
+            sum_rep = np.repeat(sums, lengths)
+            strength = w_sub / np.where(sum_rep > 0.0, sum_rep, 1.0)
+            if beta == 1.0:
+                return strength
         resolved = 1.0 if clamp_min is None else float(clamp_min)
         theta = self.theta(bool(weighted), None)
         log_theta = np.log(np.maximum(theta, resolved))
         decoupled = segment_softmax_weights(
             log_theta[c_sub], sub_indptr, float(p)
         )
-        if weighted and beta != 0.0:
-            strength = w_sub / np.where(sum_rep > 0.0, sum_rep, 1.0)
-            if beta == 1.0:
-                return strength
+        if blend:
             return beta * strength + (1.0 - beta) * decoupled
         return decoupled
 
@@ -856,11 +854,13 @@ def _refresh_caches(graph, touched: np.ndarray, stats: dict) -> None:
                         plan.theta(bool(weighted), _resolve(value)[1]),
                     )
                 )
-        elif kind in ("pagerank_transition", "d2pr_transition"):
-            if kind == "d2pr_transition" and key[3] and key[4] is None:
+        elif kind == "d2pr_transition":
+            _, p, beta, weighted, clamp_min = key
+            if weighted and clamp_min is None and p != 0.0 and beta != 1.0:
                 # Scale-safe default clamp depends on the global minimum
                 # positive theta, which the delta may have moved: every
-                # row could change, so evict this entry instead.
+                # row could change, so evict this entry instead.  (At
+                # p = 0 or beta = 1 the clamp cannot reach the matrix.)
                 new_value = None
             else:
                 transition_keys.add(key)
@@ -871,14 +871,10 @@ def _refresh_caches(graph, touched: np.ndarray, stats: dict) -> None:
                     )
                 )
         elif kind == "operator":
-            suffix = key[1:]
-            if suffix and suffix[0] == "pagerank":
-                trans_key = ("pagerank_transition", *suffix[1:])
-            elif suffix and suffix[0] == "d2pr":
-                trans_key = ("d2pr_transition", *suffix[1:])
-            else:
-                trans_key = None
-            if trans_key in transition_keys:
+            # ("operator", "d2pr", *params) wraps ("d2pr_transition",
+            # *params); other bundles are dropped.
+            trans_key = ("d2pr_transition", *key[2:])
+            if key[1] == "d2pr" and trans_key in transition_keys:
                 new_value = defer(
                     lambda trans_key=trans_key, old=value: _refresh_bundle(
                         graph, plan, trans_key, old

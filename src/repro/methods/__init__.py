@@ -7,7 +7,9 @@ methods on the adjacency bundle, eigen certificate).  Every layer that
 needs method identity — engine group keys, planner validation, cache
 digests, coalescer pooling, sharded-operator resolution — dispatches
 through :func:`resolve` / :func:`operator_for` instead of branching on
-method strings.  See ``docs/methods.md`` for the contract.
+method strings, and :func:`operator_for` / :func:`sharded_operator_for`
+are the only builders of transition, bundle and sharded operators.
+See ``docs/methods.md`` for the contract.
 """
 
 from repro.methods.base import CERTIFICATES, CentralityMethod, MethodParams
@@ -23,7 +25,6 @@ from repro.methods.stochastic import (
     D2PRMethod,
     FatiguedMethod,
     PageRankMethod,
-    fatigued_operator,
     fatigued_transition,
 )
 from repro.methods.spectral import (
@@ -46,7 +47,6 @@ __all__ = [
     "PageRankMethod",
     "adjacency_bundle",
     "family_method",
-    "fatigued_operator",
     "fatigued_transition",
     "method_names",
     "operator_for",

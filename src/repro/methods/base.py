@@ -17,11 +17,13 @@ replaces those branches with one object that owns, per method:
   tag, so requests of different families can never pool into one
   microbatch, while ``pagerank`` and ``d2pr`` (one family) keep sharing
   transitions, cache lines and warm starts exactly as before;
-* **operator construction** against the graph's mutation-aware cache
-  (:meth:`operator` returns the
-  :class:`~repro.linalg.operator.LinearOperatorBundle` for batchable
-  methods; :meth:`solve` runs the direct power method for spectral
-  ones);
+* **operator construction** against the graph's mutation-aware cache —
+  the only place in the library that turns a group key into a matrix:
+  :meth:`transition` builds the row-stochastic matrix, :meth:`operator`
+  wraps it in the :class:`~repro.linalg.operator.LinearOperatorBundle`
+  and :meth:`sharded_operator` block-partitions that bundle (spectral
+  methods return their adjacency bundle from :meth:`operator` and run
+  the direct power method in :meth:`solve`);
 * the **convergence-certificate semantics**: ``"l1"`` — successive L1
   residual of a contraction at rate α (PageRank-shaped; the cache,
   push and incremental certificates all build on it) — or ``"eigen"``
@@ -85,9 +87,10 @@ class CentralityMethod:
     """One centrality measure: vocabulary, operators, certificate, flags.
 
     Subclasses override the class attributes below plus
-    :meth:`group_key` and either :meth:`operator` (batchable methods)
-    or :meth:`solve` (spectral methods).  Instances are stateless; one
-    instance per method lives in the registry.
+    :meth:`group_key` and either :meth:`transition` (batchable methods;
+    the bundle and the sharded operator come from this base class) or
+    :meth:`operator` and :meth:`solve` (spectral methods).  Instances
+    are stateless; one instance per method lives in the registry.
     """
 
     #: Registry name (``RankRequest.method`` / ``RankQuery.method``).
@@ -199,15 +202,32 @@ class CentralityMethod:
     # ------------------------------------------------------------------
     # operators / solving
     # ------------------------------------------------------------------
+    def matrix_key(self, group_key: tuple, clamp_min=None) -> tuple:
+        """Graph-cache identity of the matrix ``group_key`` solves on.
+
+        The group key plus the theta clamp.  Methods whose group keys
+        end in per-solve fields drop them here, so every solve over one
+        matrix shares one bundle and one sharded operator.
+        """
+        return (*group_key, clamp_min)
+
+    def transition(self, graph, group_key: tuple, *, clamp_min=None):
+        """Graph-cached row-stochastic transition for ``group_key``."""
+        raise ReproError(  # pragma: no cover - guarded by capability flags
+            f"method {self.name!r} has no stochastic transition; "
+            "it solves through CentralityMethod.solve"
+        )
+
     def operator(self, graph, group_key: tuple, *, clamp_min=None):
         """Graph-cached :class:`LinearOperatorBundle` for ``group_key``.
 
-        Only batchable methods have one; spectral methods solve through
-        :meth:`solve` instead.
+        Wraps :meth:`transition`, memoised under
+        ``("operator", *matrix_key)`` so every solve strategy of every
+        layer shares one transpose and one set of dangling views.
         """
-        raise ReproError(  # pragma: no cover - guarded by capability flags
-            f"method {self.name!r} has no batched operator; "
-            "it solves through CentralityMethod.solve"
+        return graph.operator_bundle(
+            self.matrix_key(group_key, clamp_min),
+            lambda: self.transition(graph, group_key, clamp_min=clamp_min),
         )
 
     def sharded_operator(
@@ -221,9 +241,38 @@ class CentralityMethod:
         size_floor: int | None = None,
         force: bool = False,
     ):
-        """Graph-cached block-partitioned operator (sharding methods)."""
-        raise ReproError(  # pragma: no cover - guarded by capability flags
-            f"method {self.name!r} does not support sharding"
+        """Graph-cached block-partitioned operator (sharding methods).
+
+        A :class:`~repro.shard.operator.ShardedOperator` over
+        :meth:`operator` and the graph's memoised
+        :meth:`~repro.graph.base.BaseGraph.shard_plan`, memoised per
+        graph version so repeated sharded solves and shard-local pushes
+        share one set of diagonal / coupling blocks.  Below the size
+        floor the constructor refuses unless ``force=True``.  The
+        operator owns no shared-memory segments; those belong to the
+        worker pools it creates on demand.
+        """
+        if not self.supports_sharding:
+            raise ReproError(
+                f"method {self.name!r} does not support sharding"
+            )
+        from repro.shard.operator import DEFAULT_SIZE_FLOOR, ShardedOperator
+
+        floor = DEFAULT_SIZE_FLOOR if size_floor is None else int(size_floor)
+
+        def build():
+            bundle = self.operator(graph, group_key, clamp_min=clamp_min)
+            plan = graph.shard_plan(n_shards, method=method)
+            return ShardedOperator(bundle, plan, size_floor=floor, force=force)
+
+        return graph.cached(
+            (
+                "sharded_operator",
+                *self.matrix_key(group_key, clamp_min),
+                int(n_shards),
+                str(method),
+            ),
+            build,
         )
 
     def solve(

@@ -49,11 +49,13 @@ __all__ = [
 
 
 def adjacency_bundle(graph, *, weighted: bool = False):
-    """Cached adjacency-operator bundle shared by the spectral family.
+    """Cached adjacency-operator bundle, one per graph version.
 
     The bundle is a view cache, not a stochastic-matrix contract: it
     memoises the CSR adjacency and its transpose per graph version, so
-    Katz, eigenvector centrality and HITS all iterate one export.
+    Katz, eigenvector centrality, HITS and the graph's own predecessor
+    reads (:meth:`~repro.graph.base.DiGraph.predecessors`) all iterate
+    one export.  This is the only construction site of that bundle.
     """
     return graph.operator_bundle(
         ("adjacency", bool(weighted)),
@@ -115,6 +117,9 @@ class _SpectralMethod(CentralityMethod):
     def group_key(self, params: MethodParams) -> tuple:
         return (self.family, bool(params.weighted))
 
+    def operator(self, graph, group_key: tuple, *, clamp_min=None):
+        return adjacency_bundle(graph, weighted=group_key[-1])
+
     @staticmethod
     def _teleport(n: int, teleport) -> np.ndarray:
         if teleport is None:
@@ -151,12 +156,10 @@ class KatzMethod(_SpectralMethod):
         clamp_min=None,
         raise_on_failure: bool = False,
     ) -> PageRankResult:
-        _, weighted = group_key
-        bundle = adjacency_bundle(graph, weighted=weighted)
-        at = bundle.t_csr
+        at = self.operator(graph, group_key).t_csr
         n = at.shape[0]
         t = self._teleport(n, teleport)
-        lam = spectral_radius(graph, weighted=weighted)
+        lam = spectral_radius(graph, weighted=group_key[-1])
         if lam <= 0.0:  # edgeless: score is the teleport itself
             return PageRankResult(
                 scores=t, iterations=0, converged=True,
@@ -212,9 +215,7 @@ class EigenvectorMethod(_SpectralMethod):
         clamp_min=None,
         raise_on_failure: bool = False,
     ) -> PageRankResult:
-        _, weighted = group_key
-        bundle = adjacency_bundle(graph, weighted=weighted)
-        at = bundle.t_csr
+        at = self.operator(graph, group_key).t_csr
         n = at.shape[0]
         if at.nnz == 0:  # edgeless: every node is equally (in)significant
             return PageRankResult(
@@ -281,8 +282,7 @@ class HitsMethod(_SpectralMethod):
         clamp_min=None,
         raise_on_failure: bool = False,
     ) -> PageRankResult:
-        _, weighted = group_key
-        bundle = adjacency_bundle(graph, weighted=weighted)
+        bundle = self.operator(graph, group_key)
         adjacency = bundle.mat
         adjacency_t = bundle.t_csr
         n = adjacency.shape[0]

@@ -231,7 +231,7 @@ class RankingService:
         Iteration budget forwarded to every solver.
     sharding:
         Serve through block-partitioned operators
-        (:func:`~repro.core.d2pr.d2pr_sharded_operator`): global
+        (:func:`~repro.methods.sharded_operator_for`): global
         rankings run the sharded block-relaxation solver, and
         push-eligible queries whose seeds land in one shard run
         **shard-local push** against that shard's small diagonal block —
@@ -599,7 +599,7 @@ class RankingService:
         floor — the planner then never chooses a shard strategy, so the
         service degrades to exactly the unsharded behaviour.  Built
         operators are memoised both on the graph's mutation-aware cache
-        (via :func:`~repro.core.d2pr.d2pr_sharded_operator`) and in a
+        (via :func:`~repro.methods.sharded_operator_for`) and in a
         service-side table, so :meth:`apply_delta` can close stale
         worker pools instead of leaving them to garbage collection.
         The build runs under the bookkeeping lock so concurrent first
@@ -1280,16 +1280,9 @@ class RankingService:
             for f in (path / "graph").iterdir()
             if f.is_file()
         )
-        from repro.methods import adjacency_bundle, family_method
-
         for key in state.get("group_keys", ()):
             key = tuple(key)
-            if family_method(key).batchable:
-                service._bundle(key)
-            else:
-                # Spectral families solve on the shared adjacency
-                # bundle; pre-build that instead of a transition.
-                adjacency_bundle(graph, weighted=bool(key[-1]))
+            service._bundle(key)  # spectral: the shared adjacency bundle
             service._sharded(key)
         seeded = 0
         if (

@@ -10,9 +10,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import d2pr, pagerank, simulate_walk
+from repro.core import d2pr, hitting_times, pagerank, simulate_walk
 from repro.core.d2pr import d2pr_transition
 from repro.graph import DiGraph, Graph
+from repro.linalg.operator import LinearOperatorBundle
+from repro.methods import resolve
+from repro.serving import RankingService, RankRequest
 
 
 @pytest.fixture
@@ -145,3 +148,51 @@ class TestCacheIsolation:
         info1 = small_graph.cache_info()
         assert info1["misses"] >= info0["misses"] + 1
         assert info1["hits"] >= info0["hits"] + 1
+
+
+class TestOneOperatorBuilder:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_walk_callers_share_one_transition_and_bundle(
+        self, small_graph, weighted
+    ):
+        g = small_graph
+        beta = 1.0 if weighted else 0.0
+        pagerank(g, weighted=weighted)
+        d2pr(g, 0.0, beta=beta, weighted=weighted)
+        hitting_times(g, "A", weighted=weighted)
+        RankingService(g).rank(
+            RankRequest(method="pagerank", weighted=weighted)
+        )
+        transitions = [k for k in g._cache if k[0].endswith("_transition")]
+        bundles = [k for k in g._cache if k[0] == "operator"]
+        assert transitions == [("d2pr_transition", 0.0, beta, weighted, None)]
+        assert bundles == [("operator", "d2pr", 0.0, beta, weighted, None)]
+
+    def test_repeat_predecessor_reads_do_no_fingerprint_work(
+        self, monkeypatch
+    ):
+        g = DiGraph.from_edges(
+            [("a", "b"), ("b", "c"), ("a", "c"), ("d", "c"), ("c", "a")]
+        )
+        calls = []
+        original = LinearOperatorBundle._fingerprint_of
+
+        def counting(mat):
+            calls.append(1)
+            return original(mat)
+
+        monkeypatch.setattr(
+            LinearOperatorBundle, "_fingerprint_of", staticmethod(counting)
+        )
+        assert g.predecessors("c") == ["a", "b", "d"]
+        built = len(calls)
+        assert g.predecessors("c") == ["a", "b", "d"]
+        assert g.in_degree("c") == 3
+        assert len(calls) == built
+
+    def test_predecessors_and_spectral_share_the_adjacency_bundle(self):
+        g = DiGraph.from_edges([("a", "b", 2.0), ("b", "c", 1.0)])
+        g.predecessors("b")
+        resolve("eigenvector").solve(g, ("eigenvector", True))
+        bundles = [k for k in g._cache if k[0] == "operator"]
+        assert bundles == [("operator", "adjacency", True)]

@@ -8,7 +8,6 @@ import pytest
 from repro.core import d2pr, pagerank
 from repro.core.d2pr import d2pr_operator, d2pr_transition
 from repro.core.engine import adjacency_and_theta
-from repro.core.pagerank import walk_operator
 from repro.errors import (
     EdgeError,
     FrozenGraphError,
@@ -263,8 +262,7 @@ class TestCacheRefresh:
         # the refreshed keys include every warmed matrix; the raw COO
         # triple is dropped (its on-demand rebuild is the same cost)
         kinds = {key[0] for key in stats["refreshed"]}
-        assert {"csr", "adj_theta", "pagerank_transition",
-                "d2pr_transition", "operator"} <= kinds
+        assert {"csr", "adj_theta", "d2pr_transition", "operator"} <= kinds
         assert {key[0] for key in stats["dropped"]} <= {"coo"}
 
         assert (graph.to_csr() != fresh.to_csr()).nnz == 0
@@ -323,13 +321,48 @@ class TestCacheRefresh:
         )
 
     def test_walk_operator_refreshed(self, grid_digraph, rng):
-        walk_operator(grid_digraph)
+        pagerank(grid_digraph)
         delta = self._delta_for(grid_digraph, rng)
         stats = grid_digraph.apply_delta(delta)
-        assert ("operator", "pagerank", False) in stats["refreshed"]
+        assert ("operator", "d2pr", 0.0, 0.0, False, None) in stats[
+            "refreshed"
+        ]
         fresh = _rebuilt(grid_digraph)
         np.testing.assert_allclose(
             pagerank(grid_digraph).values, pagerank(fresh).values,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("p,beta", [(0.0, 1.0), (0.0, 0.5), (2.0, 1.0)])
+    def test_clamp_free_weighted_transition_refreshed(self, rng, p, beta):
+        # At p = 0 or beta = 1 the default clamp cannot reach the matrix,
+        # so the weighted walk (p = 0, beta = 1) is patched, not evicted.
+        n = 30
+        rows = rng.integers(0, n, 150)
+        cols = rng.integers(0, n, 150)
+        keep = rows != cols
+        weights = rng.uniform(0.5, 4.0, keep.sum())
+        g = DiGraph.from_arrays(rows[keep], cols[keep], weights, num_nodes=n)
+        if (p, beta) == (0.0, 1.0):
+            pagerank(g, weighted=True)
+        else:
+            d2pr(g, p, beta=beta, weighted=True)
+        er, ec, _ = g.edge_arrays()
+        stats = g.apply_delta(
+            GraphDelta.delete(er[:2], ec[:2])
+            | GraphDelta.reweight(er[2:4], ec[2:4], np.full(2, 7.0))
+        )
+        key = ("d2pr_transition", p, beta, True, None)
+        assert key in stats["refreshed"]
+        assert ("operator", "d2pr", *key[1:]) in stats["refreshed"]
+        fresh = _rebuilt(g)
+        patched = d2pr_transition(g, p, beta=beta, weighted=True)
+        rebuilt = d2pr_transition(fresh, p, beta=beta, weighted=True)
+        assert patched.shape == rebuilt.shape
+        assert abs(patched - rebuilt).max() < 1e-15
+        np.testing.assert_allclose(
+            d2pr(g, p, beta=beta, weighted=True).values,
+            d2pr(fresh, p, beta=beta, weighted=True).values,
             atol=1e-12,
         )
 

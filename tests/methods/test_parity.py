@@ -122,6 +122,26 @@ class TestStochasticParity:
         )
         assert np.abs(listed.values - ref).max() < 1e-9
 
+    @pytest.mark.parametrize("cls", [Graph, DiGraph])
+    def test_weighted_pagerank_agrees_across_layers(self, cls):
+        """Served, engine and library weighted pagerank: one walk (β = 1)."""
+        from repro import pagerank
+        from repro.serving import RankingService, RankRequest
+
+        graph = _random_graph(cls, 5, n=60, weighted=True, dangling=True)
+        tol = 1e-10
+        library = pagerank(graph, weighted=True, tol=tol).values
+        engine = solve_many(
+            graph, [RankQuery(method="pagerank", weighted=True)], tol=tol
+        )[0].values
+        served = RankingService(graph).rank(
+            RankRequest(method="pagerank", weighted=True, tol=tol)
+        ).scores.values
+        assert np.abs(engine - library).sum() < tol
+        assert np.abs(served - library).sum() < tol
+        unweighted = pagerank(graph, tol=tol).values
+        assert np.abs(library - unweighted).sum() > 1e3 * tol
+
     def test_mixed_method_batch_solves_every_query(self):
         graph = _random_graph(DiGraph, 11, dangling=True)
         queries = [

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core.d2pr import d2pr_operator, d2pr_sharded_operator
-from repro.errors import ParameterError
+from repro.core.d2pr import d2pr_operator
+from repro.errors import ParameterError, ReproError
+from repro.methods import sharded_operator_for
 from repro.shard import DEFAULT_SIZE_FLOOR, ShardedOperator, plan_shards
 
 
@@ -119,10 +120,32 @@ def test_push_context_ghost_absorbs_leak(community_digraph):
     assert row_sums[ns] == 0.0
 
 
+def _key(p, dangling="teleport"):
+    return ("d2pr", float(p), 0.0, False, dangling)
+
+
 def test_cached_sharded_operator(community_digraph):
     g = community_digraph
-    a = d2pr_sharded_operator(g, 0.0, n_shards=4, force=True)
-    b = d2pr_sharded_operator(g, 0.0, n_shards=4, force=True)
+    a = sharded_operator_for(g, _key(0.0), n_shards=4, force=True)
+    b = sharded_operator_for(g, _key(0.0), n_shards=4, force=True)
     assert a is b
-    assert d2pr_sharded_operator(g, 0.5, n_shards=4, force=True) is not a
+    assert sharded_operator_for(g, _key(0.5), n_shards=4, force=True) is not a
     assert a.plan is g.shard_plan(4)
+    # the dangling strategy is per solve: one sharded operator serves all
+    assert sharded_operator_for(
+        g, _key(0.0, "uniform"), n_shards=4, force=True
+    ) is a
+    assert a.bundle is d2pr_operator(g, 0.0)
+
+
+def test_fatigued_sharded_operator_from_base_class(community_digraph):
+    g = community_digraph
+    key = ("fatigued", 0.0, 0.5, 0.0, False, "teleport")
+    sharded = sharded_operator_for(g, key, n_shards=4, force=True)
+    assert sharded is sharded_operator_for(g, key, n_shards=4, force=True)
+    assert ("sharded_operator", *key[:-1], None, 4, "auto") in g._cache
+
+
+def test_spectral_methods_refuse_sharding(community_digraph):
+    with pytest.raises(ReproError):
+        sharded_operator_for(community_digraph, ("katz", False), force=True)

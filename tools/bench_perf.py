@@ -74,7 +74,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.d2pr import (  # noqa: E402
     d2pr,
     d2pr_operator,
-    d2pr_sharded_operator,
     d2pr_transition,
 )
 from repro.core.engine import (  # noqa: E402
@@ -89,6 +88,7 @@ from repro.core.personalized import personalized_d2pr  # noqa: E402
 from repro.core.walkers import simulate_walk  # noqa: E402
 from repro.graph.base import DiGraph, Graph  # noqa: E402
 from repro.graph.delta import GraphDelta  # noqa: E402
+from repro.methods import sharded_operator_for  # noqa: E402
 from repro.linalg import (  # noqa: E402
     LinearOperatorBundle,
     forward_push,
@@ -613,7 +613,7 @@ def _bench_sharded_solve(
     vectors must agree within twice that — asserted below, not just
     recorded.  The sharded side is timed through the public
     ``sharded_solve`` entry point on the graph-cached
-    ``d2pr_sharded_operator`` (plan + blocks memoised, as in serving);
+    ``sharded_operator_for`` (plan + blocks memoised, as in serving);
     the one-time plan/block build is reported separately since a served
     workload amortises it across every subsequent solve and delta-free
     query.  ``workers=None`` runs the in-process path (the honest
@@ -625,8 +625,8 @@ def _bench_sharded_solve(
     bundle = d2pr_operator(graph, 1.0)
     bundle.t_csr  # warm: both sides stream the same operand
     t0 = time.perf_counter()
-    sharded = d2pr_sharded_operator(
-        graph, 1.0, n_shards=n_shards, method="blocked"
+    sharded = sharded_operator_for(
+        graph, RankQuery(p=1.0).group_key, n_shards=n_shards, method="blocked"
     )
     build_s = time.perf_counter() - t0
     t0 = time.perf_counter()

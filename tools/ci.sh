@@ -50,6 +50,22 @@ if grep -rnwE '_succ|_pred|_materialize|_coo_from_dicts|grow_slot|reset_slots' s
 fi
 echo "src/repro/graph/ lines: $(cat src/repro/graph/*.py src/repro/graph/backends/*.py | wc -l)"
 
+# One operator builder: the method registry (src/repro/methods/) is the
+# only code that turns a group key into a transition, an operator bundle
+# or a sharded operator.  Fail if the deleted parallel builders reappear,
+# or if a graph-cache construction site (operator_bundle / cached) shows
+# up outside the registry and the BaseGraph definitions in graph/base.py.
+if grep -rnwE 'walk_operator|d2pr_sharded_operator|pagerank_transition' src/repro/; then
+    echo "FAIL: a parallel operator builder reappeared under src/repro/" >&2
+    exit 1
+fi
+if grep -rnE '(operator_bundle|\.cached)\(' src/repro/ \
+        | grep -vE '^src/repro/(methods/[a-z_]+|graph/base)\.py:'; then
+    echo "FAIL: operator construction outside src/repro/methods/" >&2
+    exit 1
+fi
+echo "src/repro/methods/ + core/ lines: $(cat src/repro/methods/*.py src/repro/core/*.py | wc -l)"
+
 python -m pytest -x -q
 
 # Re-run the multi-threaded stress suite under a hard watchdog: a

@@ -61,7 +61,6 @@ def main() -> None:
         ]
         for request in stream:
             front.rank(request)
-        service.poll()
 
         print("=== One traced request, span by span ===")
         traced = [

@@ -19,7 +19,8 @@ Two complementary durability primitives (see ``docs/storage.md``):
 
 The snapshot layout is a directory::
 
-    meta.json            format/version, directedness, counts, flags
+    meta.json            format/version, directedness, counts, flags,
+                         and a random snapshot_id naming this write
     edges-rows.npy       canonical int64 source indices (key-sorted)
     edges-cols.npy       canonical int64 target indices
     edges-weights.npy    float64 weights
@@ -36,6 +37,7 @@ from __future__ import annotations
 import json
 import pickle
 import struct
+import uuid
 import zlib
 from pathlib import Path
 
@@ -51,6 +53,7 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "load_snapshot",
     "save_snapshot",
+    "snapshot_id",
 ]
 
 SNAPSHOT_FORMAT = "repro-graph-snapshot"
@@ -67,8 +70,11 @@ def save_snapshot(graph: BaseGraph, path: str | Path) -> Path:
 
     The columnar edge store is written as-is: it is sorted by
     ``(row, col)``, so a loaded snapshot keeps the sorted-store
-    invariant the point queries and the streaming delta merge rely on.  Frozen state is recorded and restored by
-    :func:`load_snapshot`.  Returns the snapshot directory.
+    invariant the point queries and the streaming delta merge rely on.
+    Frozen state is recorded and restored by :func:`load_snapshot`.
+    Every write gets a fresh random :func:`snapshot_id`, so state
+    certified against one write can tell it from a later rewrite of the
+    same directory.  Returns the snapshot directory.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -98,6 +104,7 @@ def save_snapshot(graph: BaseGraph, path: str | Path) -> Path:
         "integer_nodes": integer_nodes,
         "frozen": graph.frozen,
         "has_attrs": bool(attrs),
+        "snapshot_id": uuid.uuid4().hex,
     }
     (path / "meta.json").write_text(json.dumps(meta, indent=1))
     return path
@@ -119,20 +126,7 @@ def load_snapshot(
     unfrozen graph even when the snapshot recorded a frozen one.
     """
     path = Path(path)
-    meta_path = path / "meta.json"
-    if not meta_path.is_file():
-        raise GraphError(f"no snapshot at {path} (missing meta.json)")
-    meta = json.loads(meta_path.read_text())
-    if meta.get("format") != SNAPSHOT_FORMAT:
-        raise GraphError(
-            f"{path} is not a graph snapshot (format={meta.get('format')!r})"
-        )
-    if int(meta.get("version", -1)) > SNAPSHOT_VERSION:
-        raise GraphError(
-            f"snapshot {path} has version {meta['version']}, newer than "
-            f"this library supports ({SNAPSHOT_VERSION})"
-        )
-
+    meta = _read_meta(path)
     cls = DiGraph if meta["directed"] else Graph
     graph = cls(backend=backend)
     store = graph._store
@@ -179,6 +173,31 @@ def load_snapshot(
     if meta.get("frozen") and restore_frozen:
         graph.freeze()
     return graph
+
+
+def snapshot_id(path: str | Path) -> str | None:
+    """The random id :func:`save_snapshot` gave the snapshot at ``path``.
+
+    ``None`` for a snapshot written before ids existed.
+    """
+    return _read_meta(Path(path)).get("snapshot_id")
+
+
+def _read_meta(path: Path) -> dict:
+    meta_path = path / "meta.json"
+    if not meta_path.is_file():
+        raise GraphError(f"no snapshot at {path} (missing meta.json)")
+    meta = json.loads(meta_path.read_text())
+    if meta.get("format") != SNAPSHOT_FORMAT:
+        raise GraphError(
+            f"{path} is not a graph snapshot (format={meta.get('format')!r})"
+        )
+    if int(meta.get("version", -1)) > SNAPSHOT_VERSION:
+        raise GraphError(
+            f"snapshot {path} has version {meta['version']}, newer than "
+            f"this library supports ({SNAPSHOT_VERSION})"
+        )
+    return meta
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,11 @@ A small diagonal shift keeps the power method aperiodic (bipartite
 adjacencies oscillate with period 2); the shift leaves eigenvectors
 unchanged and is subtracted back out of the reported eigenvalue and
 residual.
+
+Every solve reports iterations, convergence and its final residual into
+the ambient trace span (:func:`~repro.telemetry.trace.record_result`);
+for eigenvector and HITS that residual is the Rayleigh residual of the
+returned vector.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from repro.errors import ConvergenceError
 from repro.linalg.solvers import PageRankResult
 from repro.methods.base import CentralityMethod, MethodParams
 from repro.methods.registry import register
+from repro.telemetry.trace import active_span, record_result
 
 __all__ = [
     "EigenvectorMethod",
@@ -104,6 +110,25 @@ def spectral_radius(
     return graph.cached(("spectral_radius", bool(weighted)), build)
 
 
+def _reported(result: PageRankResult, apply=None) -> PageRankResult:
+    """Report a spectral solve into the ambient span; return it unchanged.
+
+    ``apply`` is the operator ``M`` whose dominant eigenvector the
+    scores are (eigenvector, HITS).  The reported residual is then the
+    Rayleigh residual ``‖Mx − λx‖₁ / λ`` with ``λ = ‖Mx‖₁`` of the
+    returned L1-unit vector — the eigen certificate of Perra &
+    Fortunato's spectral-centrality survey — computed only when a trace
+    span is active.
+    """
+    if apply is None or active_span() is None:
+        return record_result(result)
+    x = result.scores
+    y = apply(x)
+    lam = float(y.sum())
+    residual = float(np.abs(y - lam * x).sum()) / lam if lam > 0.0 else 0.0
+    return record_result(result, residual=residual)
+
+
 class _SpectralMethod(CentralityMethod):
     """Shared capability surface: direct solves, no pooling/push/deltas."""
 
@@ -161,10 +186,10 @@ class KatzMethod(_SpectralMethod):
         t = self._teleport(n, teleport)
         lam = spectral_radius(graph, weighted=group_key[-1])
         if lam <= 0.0:  # edgeless: score is the teleport itself
-            return PageRankResult(
+            return _reported(PageRankResult(
                 scores=t, iterations=0, converged=True,
                 residuals=[0.0], method="katz",
-            )
+            ))
         scale = float(alpha) / lam
         base = (1.0 - float(alpha)) * t
         x = t.copy()
@@ -185,10 +210,10 @@ class KatzMethod(_SpectralMethod):
                 iterations=iterations,
                 residual=residuals[-1],
             )
-        return PageRankResult(
+        return _reported(PageRankResult(
             scores=x / x.sum(), iterations=iterations, converged=converged,
             residuals=residuals, method="katz",
-        )
+        ))
 
 
 class EigenvectorMethod(_SpectralMethod):
@@ -218,10 +243,10 @@ class EigenvectorMethod(_SpectralMethod):
         at = self.operator(graph, group_key).t_csr
         n = at.shape[0]
         if at.nnz == 0:  # edgeless: every node is equally (in)significant
-            return PageRankResult(
+            return _reported(PageRankResult(
                 scores=np.full(n, 1.0 / n), iterations=0, converged=True,
                 residuals=[0.0], method="eigenvector",
-            )
+            ))
         col_mass = np.asarray(at.sum(axis=0)).ravel()
         shift = 0.25 * float(col_mass.max())
         x = np.full(n, 1.0 / n)
@@ -249,9 +274,12 @@ class EigenvectorMethod(_SpectralMethod):
                 iterations=iterations,
                 residual=residuals[-1] if residuals else float("inf"),
             )
-        return PageRankResult(
-            scores=x, iterations=iterations, converged=converged,
-            residuals=residuals, method="eigenvector",
+        return _reported(
+            PageRankResult(
+                scores=x, iterations=iterations, converged=converged,
+                residuals=residuals, method="eigenvector",
+            ),
+            lambda v: at @ v,
         )
 
 
@@ -316,9 +344,12 @@ class HitsMethod(_SpectralMethod):
                 iterations=iterations,
                 residual=residuals[-1],
             )
-        return PageRankResult(
-            scores=authorities, iterations=iterations, converged=converged,
-            residuals=residuals, method="hits",
+        return _reported(
+            PageRankResult(
+                scores=authorities, iterations=iterations,
+                converged=converged, residuals=residuals, method="hits",
+            ),
+            lambda v: adjacency_t @ (adjacency @ v),
         )
 
 

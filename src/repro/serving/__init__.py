@@ -5,8 +5,8 @@ The first layer of the library that owns *requests* rather than solves
 the front door; :mod:`~repro.serving.planner`,
 :mod:`~repro.serving.coalescer` and :mod:`~repro.serving.cache` are its
 injectable components.  :class:`ServingFront` puts a concurrent request
-path — bounded admission queue, worker pool, flush timer — in front of
-the (thread-safe) service.  See ``docs/serving.md`` for the serving and
+path — bounded admission queue and worker pool — in front of the
+(thread-safe) service.  See ``docs/serving.md`` for the serving and
 concurrency contracts.
 
 Every component records into one shared
@@ -19,7 +19,6 @@ from repro.serving.admission import AdmissionController
 from repro.serving.cache import CacheEntry, ResultCache
 from repro.serving.coalescer import CoalescerTicket, MicrobatchCoalescer
 from repro.serving.front import FrontTicket, ServingFront
-from repro.serving.latency import LatencyRecorder
 from repro.serving.planner import (
     METHODS,
     STRATEGIES,
@@ -40,7 +39,6 @@ __all__ = [
     "CanonicalQuery",
     "CoalescerTicket",
     "FrontTicket",
-    "LatencyRecorder",
     "MicrobatchCoalescer",
     "QueryPlan",
     "QueryPlanner",

@@ -12,13 +12,7 @@ piece that turns request traffic into those blocks:
   :class:`CoalescerTicket` immediately;
 * a group **auto-flushes** when it reaches the configured ``window``
   (the flush threshold / maximum block width, which also caps the dense
-  block memory at ``O(n · window)``); two optional triggers bound how
-  long a column can sit in an underfull window: ``max_age`` flushes a
-  group whose oldest pending column has waited longer than the budget
-  (checked on every submit and by :meth:`MicrobatchCoalescer.poll`),
-  and ``backlog`` flushes everything once the *total* pending count
-  across groups reaches the bound — many sparse groups each one column
-  short of its window must not pin unbounded dense memory;
+  block memory at ``O(n · window)``);
 * :meth:`flush` (or reading an unflushed ticket's :meth:`~CoalescerTicket.
   result`, which flushes its group on demand) drains partial windows, so
   a caller can never deadlock on an underfull batch;
@@ -59,6 +53,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from time import monotonic
 
 import numpy as np
 
@@ -193,24 +188,6 @@ class MicrobatchCoalescer:
         so idle groups past this bound are dropped (losing only their
         warm start, never pending columns: groups with unflushed
         columns or an in-flight solve are exempt from eviction).
-    max_age:
-        Latency budget in seconds: a group whose **oldest** pending
-        column has waited longer than this is flushed underfull.  The
-        check runs on every :meth:`submit` and on :meth:`poll` (for
-        callers with idle periods between submissions — the serving
-        front drives :meth:`poll` from a timer thread).  ``None``
-        (default) disables the trigger — columns then wait for a full
-        window or an on-demand read, which is correct for tight
-        submit-then-read loops but lets a steady trickle of distinct
-        groups serve every request at occupancy 1.
-    backlog:
-        Total-pending bound across *all* groups: reaching it flushes
-        everything.  Many sparse groups each one column short of a
-        window otherwise pin ``O(n · pending)`` dense memory with no
-        flush in sight.  ``None`` (default) disables the trigger.
-    clock:
-        Monotonic time source for the age trigger (injectable for
-        deterministic tests); defaults to :func:`time.monotonic`.
     metrics:
         Telemetry registry for the flush counters (cause-labelled),
         column totals and occupancy gauges; ``None`` creates a private
@@ -227,9 +204,6 @@ class MicrobatchCoalescer:
         max_iter: int = 1000,
         clamp_min: float | None = None,
         max_groups: int = 8,
-        max_age: float | None = None,
-        backlog: int | None = None,
-        clock=None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if window < 1:
@@ -242,27 +216,12 @@ class MicrobatchCoalescer:
             raise ParameterError(
                 f"max_groups must be >= 1, got {max_groups}"
             )
-        if max_age is not None and not (
-            np.isfinite(max_age) and max_age >= 0.0
-        ):
-            raise ParameterError(
-                f"max_age must be a non-negative number, got {max_age}"
-            )
-        if backlog is not None and backlog < 1:
-            raise ParameterError(f"backlog must be >= 1, got {backlog}")
         self._graph = graph
         self.window = window
         self.precision = precision
         self.max_iter = max_iter
         self.clamp_min = clamp_min
         self.max_groups = max_groups
-        self.max_age = max_age
-        self.backlog = backlog
-        if clock is None:
-            import time
-
-            clock = time.monotonic
-        self._clock = clock
         # One condition variable (over a non-reentrant lock: no method
         # nests acquisition) guards every piece of mutable state below;
         # flush solves run outside it and notify on delivery.
@@ -307,8 +266,7 @@ class MicrobatchCoalescer:
         it internally so
         columns solved to different accuracies never share a block (a
         block converges per column, but its certificate is per flush).
-        Reaching ``window`` pending columns auto-flushes the group;
-        the ``max_age``/``backlog`` triggers are also checked here.
+        Reaching ``window`` pending columns auto-flushes the group.
         """
         if not (np.isfinite(tol) and tol > 0.0):
             raise ParameterError(f"tol must be positive, got {tol}")
@@ -317,7 +275,6 @@ class MicrobatchCoalescer:
             # own submit instead of poisoning a whole batched block.
             raise ParameterError(f"alpha must be in [0, 1), got {alpha}")
         key = (*group_key, float(tol))
-        flush_all = False
         with self._cv:
             state = self._groups.setdefault(key, _GroupState())
             self._touch(key)
@@ -328,58 +285,22 @@ class MicrobatchCoalescer:
                     alpha=float(alpha),
                     digest=_teleport_digest(teleport),
                     ticket=ticket,
-                    filed_at=self._clock(),
+                    filed_at=monotonic(),
                 )
             )
             window_full = len(state.pending) >= self.window
-            if not window_full and self.backlog is not None:
-                flush_all = self._pending_locked() >= self.backlog
         if window_full:
             self._flush_group(key, cause="window")
-        elif flush_all:
-            for gkey in self._group_keys():
-                self._flush_group(gkey, cause="backlog")
-        else:
-            self.poll()
         return ticket
 
     def _pending_locked(self) -> int:
         return sum(len(s.pending) for s in self._groups.values())
-
-    def _group_keys(self) -> list[tuple]:
-        with self._cv:
-            return list(self._groups)
 
     @property
     def pending(self) -> int:
         """Columns filed but not yet solved, across all groups."""
         with self._cv:
             return self._pending_locked()
-
-    def poll(self) -> int:
-        """Flush groups whose oldest pending column exceeds ``max_age``.
-
-        Submission already runs this check, so a steadily-fed coalescer
-        needs no polling; call it from service idle loops — or let a
-        :class:`~repro.serving.front.ServingFront` poller thread drive
-        it — when traffic can stop with columns in flight.  Returns the
-        number of groups flushed.  No-op when ``max_age`` is ``None``.
-        """
-        if self.max_age is None:
-            return 0
-        with self._cv:
-            now = self._clock()
-            due = [
-                key
-                for key, state in self._groups.items()
-                if state.pending
-                and now - state.pending[0].filed_at >= self.max_age
-            ]
-        flushed = 0
-        for key in due:
-            if self._flush_group(key, cause="age"):
-                flushed += 1
-        return flushed
 
     # ------------------------------------------------------------------
     # flushing
@@ -389,24 +310,25 @@ class MicrobatchCoalescer:
         if group is not None:
             self._flush_group(group)
             return
-        for key in self._group_keys():
+        with self._cv:
+            keys = list(self._groups)
+        for key in keys:
             self._flush_group(key)
 
-    def _flush_group(self, key: tuple, cause: str = "demand") -> bool:
+    def _flush_group(self, key: tuple, cause: str = "demand") -> None:
         """Take ownership of ``key``'s pending columns and solve them.
 
-        Returns whether any columns were actually flushed.  The solve
-        runs outside the condition variable: concurrent submits keep
-        filing into the group, concurrent flushes of *other* pending
-        columns proceed independently, and ticket readers wait on the
-        ``solving`` marker.
+        The solve runs outside the condition variable: concurrent
+        submits keep filing into the group, concurrent flushes of
+        *other* pending columns proceed independently, and ticket
+        readers wait on the ``solving`` marker.
         """
         from repro.methods import operator_for  # local: avoids cycle
 
         with self._cv:
             state = self._groups.get(key)
             if state is None or not state.pending:
-                return False
+                return
             columns = state.pending
             state.pending = []
             state.solving += 1
@@ -422,7 +344,7 @@ class MicrobatchCoalescer:
                 and state.prev_scores is not None
                 else None
             )
-            taken_at = self._clock()
+            taken_at = monotonic()
         group_key, tol = tuple(key[:-1]), key[-1]
         dangling = group_key[-1]
         try:
@@ -480,7 +402,6 @@ class MicrobatchCoalescer:
             self._g_occupancy.set_max(len(columns))
             self._evict_idle_groups()
             self._cv.notify_all()
-        return True
 
     def _touch(self, key: tuple) -> None:
         """Move ``key`` to the recently-used end of the group table."""
@@ -514,7 +435,7 @@ class MicrobatchCoalescer:
         exporters publish the same numbers under the
         ``coalescer_*`` names.
         """
-        causes = {"window": 0, "age": 0, "backlog": 0, "demand": 0}
+        causes = {"window": 0, "demand": 0}
         for labels, value in self._m_flushes.values().items():
             causes[dict(labels)["cause"]] = int(value)
         flushes = sum(causes.values())

@@ -1,4 +1,4 @@
-"""The concurrent serving front: workers, admission, timed flushes.
+"""The concurrent serving front: a worker pool behind bounded admission.
 
 :class:`~repro.serving.RankingService` is thread-safe but *passive* —
 every caller brings its own thread and blocks through its own solve.
@@ -10,35 +10,23 @@ every caller brings its own thread and blocks through its own solve.
   an explicit :class:`~repro.errors.AdmissionError` (never silently),
   and per-strategy concurrency limits keep expensive ``sharded`` solves
   from starving the cheap pushes queued behind them;
-* **a worker pool** — ``workers`` threads drain the queue and execute
-  requests through the service, fulfilling each request's
-  :class:`FrontTicket`;
-* **microbatch-aware scheduling** — workers *file* ``batch``-planned
-  requests with the coalescer and keep draining the queue instead of
-  resolving immediately, so concurrent pooled requests fill shared
-  windows (the whole point of coalescing); parked tickets resolve when
-  the queue goes momentarily idle or a window's worth has accumulated;
-* **a flush timer** — a daemon thread calls
-  :meth:`RankingService.poll` every ``poll_interval`` seconds so
-  age-bounded flushing (``max_age``) holds even when every client is
-  parked waiting and no new request would trigger a flush.
+* **a worker pool** — ``workers`` threads drain the queue and answer
+  each request through :meth:`RankingService.rank`, whatever its
+  strategy, fulfilling the request's :class:`FrontTicket`.
 
 The front is a context manager; :meth:`close` stops intake, fails
-every queued-but-unstarted request with ``reason="shutdown"``, drains
-the workers and stops the timer.  It does **not** close the underlying
-service (whose sharding pools may outlive several fronts).
+every queued-but-unstarted request with ``reason="shutdown"`` and
+drains the workers.  It does **not** close the underlying service
+(whose sharding pools may outlive several fronts).
 
 Latency contract: a client thread calling ``front.submit(...).result()``
 observes queueing + solve time; the service records per-strategy solve
-latencies which feed the planner's self-tuning (see
-``docs/serving.md`` for the full concurrency contract).
+latencies (see ``docs/serving.md`` for the full concurrency contract).
 """
 
 from __future__ import annotations
 
 import threading
-from time import perf_counter
-
 from contextlib import nullcontext
 
 from repro.errors import AdmissionError, ParameterError, ReproError
@@ -132,10 +120,6 @@ class ServingFront:
         strategies absent from the map are unlimited.  Defaults to
         ``{"sharded": max(1, workers // 2)}`` so global solves can never
         occupy the whole pool.  Pass ``{}`` to disable.
-    poll_interval:
-        Period of the flush-timer thread driving
-        :meth:`RankingService.poll`.  Defaults to half the coalescer's
-        ``max_age`` (no timer when the service has no age bound).
     """
 
     def __init__(
@@ -145,14 +129,9 @@ class ServingFront:
         workers: int = 4,
         capacity: int = 64,
         limits: dict[str, int] | None = None,
-        poll_interval: float | None = None,
     ) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
-        if poll_interval is not None and poll_interval <= 0:
-            raise ParameterError(
-                f"poll_interval must be > 0, got {poll_interval}"
-            )
         self._service = service
         self.workers = workers
         if limits is None:
@@ -169,11 +148,6 @@ class ServingFront:
         self._admission = AdmissionController(
             capacity, limits=limits, metrics=telemetry
         )
-        max_age = service.coalescer.max_age
-        if poll_interval is None and max_age is not None:
-            poll_interval = max(max_age / 2.0, 1e-3)
-        self.poll_interval = poll_interval
-        self._window = service.coalescer.window
         self._m_served = telemetry.counter(
             "front_served_total", "Requests fulfilled by front workers"
         )
@@ -181,10 +155,6 @@ class ServingFront:
             "front_failed_total",
             "Requests whose ticket was failed with an exception",
         )
-        self._m_polls = telemetry.counter(
-            "front_polls_total", "Flush-timer service polls"
-        )
-        self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         for i in range(workers):
             t = threading.Thread(
@@ -194,14 +164,6 @@ class ServingFront:
             )
             t.start()
             self._threads.append(t)
-        self._timer: threading.Thread | None = None
-        if self.poll_interval is not None:
-            self._timer = threading.Thread(
-                target=self._timer_loop,
-                name="repro-front-poll",
-                daemon=True,
-            )
-            self._timer.start()
 
     @property
     def service(self) -> RankingService:
@@ -278,92 +240,25 @@ class ServingFront:
             if ticket._trace is not None:
                 ticket._trace.finish()
 
-    def _resolve_parked(
-        self, parked: list[tuple[FrontTicket, object]]
-    ) -> None:
-        for fticket, sticket in parked:
-            try:
-                # No activation needed: the service captured the parent
-                # span at submit time and re-enters it in its resolver.
-                fticket._fulfill(sticket.result())
-                self._m_served.inc()
-            except BaseException as exc:  # noqa: BLE001
-                fticket._fail(exc)
-                self._m_failed.inc()
-                if fticket._trace is not None:
-                    fticket._trace.root.annotate(error=type(exc).__name__)
-            finally:
-                if fticket._trace is not None:
-                    fticket._trace.finish()
-        parked.clear()
-
     def _worker_loop(self) -> None:
-        # Tickets whose columns are filed with the coalescer but whose
-        # resolution is deferred so concurrent submissions can pool.
-        # Parking is time-bounded: under a sustained non-batch stream
-        # the queue never goes idle, so age alone must force a resolve.
-        parked: list[tuple[FrontTicket, object]] = []
-        parked_since = 0.0
-        park_bound = (
-            self.poll_interval if self.poll_interval is not None else 0.05
-        )
-        while True:
-            if parked and perf_counter() - parked_since > park_bound:
-                self._resolve_parked(parked)
-            # With parked work, only poll the queue — an empty instant
-            # means the burst is over and the partial window should
-            # flush rather than age out.
-            taken = self._admission.take(timeout=0 if parked else 0.05)
-            if taken is None:
-                if parked:
-                    self._resolve_parked(parked)
-                    continue
-                if self._admission.closed:
-                    return
-                if self._stop.is_set():
-                    return
-                continue
+        # take() blocks until work arrives and returns None only once
+        # the front is closed and its queue is empty.
+        while (taken := self._admission.take()) is not None:
             ticket, cls = taken
             if ticket._aspan is not None:
                 # Close the admission span: its duration is the queue
                 # wait between client offer and worker pickup.
                 ticket._aspan.close()
             try:
-                if cls == "batch":
-                    # File the column now (cheap); defer the resolve so
-                    # other workers' pooled columns share the window.
-                    try:
-                        with self._activation(ticket):
-                            sticket = self._service.submit(ticket.request)
-                    except BaseException as exc:  # noqa: BLE001
-                        ticket._fail(exc)
-                        self._m_failed.inc()
-                        if ticket._trace is not None:
-                            ticket._trace.finish()
-                    else:
-                        if not parked:
-                            parked_since = perf_counter()
-                        parked.append((ticket, sticket))
-                        if len(parked) >= self._window:
-                            self._resolve_parked(parked)
-                else:
-                    self._execute(ticket)
+                self._execute(ticket)
             finally:
                 self._admission.release(cls)
-
-    def _timer_loop(self) -> None:
-        while not self._stop.wait(self.poll_interval):
-            try:
-                self._service.poll()
-                self._m_polls.inc()
-            except Exception:  # pragma: no cover - poll must never kill
-                pass
 
     # ------------------------------------------------------------------
     # lifecycle / introspection
     # ------------------------------------------------------------------
     def close(self, timeout: float | None = 30.0) -> None:
-        """Stop intake, reject the queued backlog, drain workers and timer.
+        """Stop intake, reject the queued backlog and drain the workers.
 
         Every admitted-but-unstarted request fails its ticket with an
         explicit ``AdmissionError(reason="shutdown")`` — a client
@@ -382,11 +277,8 @@ class ServingFront:
             if item._trace is not None:
                 item._aspan.annotate(rejected="shutdown")
                 item._trace.finish()
-        self._stop.set()
         for t in self._threads:
             t.join(timeout=timeout)
-        if self._timer is not None:
-            self._timer.join(timeout=timeout)
 
     def __enter__(self) -> "ServingFront":
         return self
@@ -395,7 +287,7 @@ class ServingFront:
         self.close()
 
     def stats(self) -> dict:
-        """Front health: admission state, served/failed counts, poll count.
+        """Front health: admission state and served/failed counts.
 
         A view over the service's telemetry registry (families
         ``front_*`` and ``admission_*``).
@@ -404,7 +296,5 @@ class ServingFront:
             "workers": self.workers,
             "served": int(self._m_served.value()),
             "failed": int(self._m_failed.value()),
-            "polls": int(self._m_polls.value()),
-            "poll_interval": self.poll_interval,
             "admission": self._admission.stats(),
         }

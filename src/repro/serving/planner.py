@@ -73,7 +73,6 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.graph.base import BaseGraph, Node
 from repro.methods import MethodParams, method_names, resolve
-from repro.serving.latency import LatencyRecorder
 from repro.telemetry.trace import annotate
 
 __all__ = [
@@ -388,24 +387,6 @@ class QueryPlanner:
         deliberately crude (the push solver carries its own exact
         ``frontier_cap`` fallback); it exists to keep obviously global
         queries off the push path, not to be a performance model.
-    latency:
-        A :class:`~repro.serving.latency.LatencyRecorder` of observed
-        per-strategy latencies.  When provided (the
-        :class:`~repro.serving.RankingService` wires its own recorder
-        into its default planner), the static ``push_localization``
-        constant **self-tunes** under real traffic: once both ``push``
-        and ``batch`` hold at least ``min_samples`` observations, the
-        effective threshold is scaled by
-        ``sqrt(batch_p50 / push_p50)`` (clamped to ``tune_bounds`` as a
-        multiple of the static value).  Observed-cheap pushes widen
-        their eligibility window, observed-expensive pushes shrink it —
-        the decision boundary tracks what the strategies actually cost
-        on this graph and hardware instead of the shipped constants.
-        The square root damps the adjustment: observed latencies are
-        noisy mixtures of query shapes, and the boundary should drift
-        with sustained evidence, not whiplash on one slow flush.
-    min_samples / tune_bounds:
-        Evidence floor and clamp interval for the self-tuning above.
     """
 
     def __init__(
@@ -413,9 +394,6 @@ class QueryPlanner:
         *,
         push_max_seeds: int = 32,
         push_localization: float = 0.25,
-        latency: LatencyRecorder | None = None,
-        min_samples: int = 12,
-        tune_bounds: tuple[float, float] = (0.25, 4.0),
     ) -> None:
         if push_max_seeds < 0:
             raise ParameterError(
@@ -426,82 +404,8 @@ class QueryPlanner:
                 f"push_localization must be in [0, 1], "
                 f"got {push_localization}"
             )
-        if min_samples < 1:
-            raise ParameterError(
-                f"min_samples must be >= 1, got {min_samples}"
-            )
-        lo, hi = tune_bounds
-        if not (0.0 < lo <= 1.0 <= hi):
-            raise ParameterError(
-                f"tune_bounds must satisfy 0 < lo <= 1 <= hi, "
-                f"got {tune_bounds}"
-            )
         self.push_max_seeds = push_max_seeds
         self.push_localization = push_localization
-        self.latency = latency
-        self.min_samples = min_samples
-        self.tune_bounds = (float(lo), float(hi))
-
-    # ------------------------------------------------------------------
-    # observed-latency feedback
-    # ------------------------------------------------------------------
-    def observe(self, strategy: str, seconds: float) -> None:
-        """Feed one observed per-strategy latency into the cost model.
-
-        No-op without an attached recorder; the service calls this for
-        every served request (batch requests at resolution time, so the
-        recorded cost is the pooled per-request cost, queueing included).
-        """
-        if self.latency is not None:
-            self.latency.observe(strategy, seconds)
-
-    def effective_push_localization(self) -> float:
-        """The self-tuned push threshold (static value until evidence)."""
-        ratio = self._observed_ratio()
-        if ratio is None:
-            return self.push_localization
-        lo, hi = self.tune_bounds
-        scale = min(hi, max(lo, math.sqrt(ratio)))
-        return min(1.0, self.push_localization * scale)
-
-    def _observed_ratio(self) -> float | None:
-        """``batch_p50 / push_p50`` when both have enough evidence."""
-        recorder = self.latency
-        if recorder is None:
-            return None
-        if (
-            recorder.count("push") < self.min_samples
-            or recorder.count("batch") < self.min_samples
-        ):
-            return None
-        push_p50 = recorder.quantile("push", 0.5)
-        batch_p50 = recorder.quantile("batch", 0.5)
-        if not push_p50 or batch_p50 is None:
-            return None
-        return batch_p50 / push_p50
-
-    def tuning(self) -> dict:
-        """Self-tuning evidence: static vs effective threshold and p50s.
-
-        Surfaced through ``RankingService.stats()["planner"]`` so
-        operators can see *why* the plan mix drifted under load.
-        """
-        recorder = self.latency
-        out = {
-            "push_localization": self.push_localization,
-            "effective_push_localization": (
-                self.effective_push_localization()
-            ),
-            "min_samples": self.min_samples,
-            "samples": {
-                "push": recorder.count("push") if recorder else 0,
-                "batch": recorder.count("batch") if recorder else 0,
-            },
-        }
-        ratio = self._observed_ratio()
-        if ratio is not None:
-            out["observed_batch_over_push_p50"] = ratio
-        return out
 
     def plan(
         self,
@@ -609,17 +513,15 @@ class QueryPlanner:
             # out-entries amplified by the walk length 1/(1-alpha).
             reach = support * avg_entries / max(1.0 - alpha, 1e-12)
             localization = reach / max(entries, 1.0)
-            threshold = self.effective_push_localization()
             estimates.update(
                 seed_support=float(support),
                 est_frontier_entries=reach,
                 localization=localization,
-                localization_threshold=threshold,
             )
             if (
                 method.supports_push
                 and support <= self.push_max_seeds
-                and localization <= threshold
+                and localization <= self.push_localization
             ):
                 shard = self._local_shard(shard_state, query)
                 if shard is not None:

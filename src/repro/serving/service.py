@@ -11,7 +11,10 @@ earlier layers:
 * :meth:`RankingService.rank` answers one request; :meth:`rank_many`
   answers a burst, coalescing the pooled ones into shared batched
   blocks; :meth:`submit` exposes the underlying ticket interface for
-  callers that interleave submission and consumption.
+  callers that interleave submission and consumption.  Every planned
+  strategy runs through one ``{strategy: handler}`` table; the
+  dispatcher owns the ``solve`` span, the latency record and the cache
+  commit of fresh answers.
 * :meth:`RankingService.apply_delta` is the **one mutation door** for a
   served graph: it applies the :class:`~repro.graph.delta.GraphDelta`
   through the graph's delta-aware matrix refresh and, for localized
@@ -34,8 +37,8 @@ The service is safe to drive from many threads (the
 that).  The concurrency model is a **readers/writer barrier** over the
 graph plus small per-component locks:
 
-* every solve path — :meth:`submit`, :meth:`rank`, ticket resolution,
-  :meth:`poll` — holds the shared (read) side of a
+* every solve path — :meth:`submit`, :meth:`rank`, ticket resolution
+  — holds the shared (read) side of a
   :class:`~repro.serving.sync.ReadWriteLock`, because solves read
   operator bundles that the delta path patches *in place*;
 * :meth:`apply_delta` holds the exclusive (write) side: it waits for
@@ -56,7 +59,7 @@ from __future__ import annotations
 import pickle
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -66,13 +69,17 @@ from repro.core.results import NodeScores
 from repro.errors import ParameterError, ReproError
 from repro.graph.base import BaseGraph, Node
 from repro.graph.delta import GraphDelta
-from repro.graph.persist import DeltaLog, load_snapshot, save_snapshot
+from repro.graph.persist import (
+    DeltaLog,
+    load_snapshot,
+    save_snapshot,
+    snapshot_id,
+)
 from repro.linalg.incremental import incremental_update, residual_vector
 from repro.linalg.push import forward_push
 from repro.linalg.solvers import _validate_common
 from repro.serving.cache import CacheEntry, ResultCache
 from repro.serving.coalescer import CoalescerTicket, MicrobatchCoalescer
-from repro.serving.latency import LatencyRecorder
 from repro.serving.planner import (
     CanonicalQuery,
     QueryPlan,
@@ -202,20 +209,10 @@ class RankingService:
         cache entries (never serves stale answers).
     planner / cache / coalescer:
         Injectable components; defaults are constructed from the scalar
-        options below.  The default planner is wired to the service's
-        latency recorder so its push/batch decision boundary self-tunes
-        under traffic; an injected planner without a recorder gets the
-        service's recorder attached.
+        options below.
     window:
         Microbatch flush threshold (see
         :class:`~repro.serving.coalescer.MicrobatchCoalescer`).
-    max_age / backlog / clock:
-        Forwarded to the default coalescer: the age bound on underfull
-        windows (drained by :meth:`poll`), the total-pending-columns
-        flush trigger, and the injectable monotonic clock that makes
-        age-based behaviour deterministic in tests.  Ignored (with an
-        error) when an explicit ``coalescer`` is injected — configure
-        that coalescer directly instead.
     cache_capacity:
         Result-cache LRU bound.
     precision:
@@ -261,9 +258,6 @@ class RankingService:
         cache: ResultCache | None = None,
         coalescer: MicrobatchCoalescer | None = None,
         window: int = 16,
-        max_age: float | None = None,
-        backlog: int | None = None,
-        clock=None,
         cache_capacity: int = 128,
         precision: str = "double",
         localized_fraction: float = 0.05,
@@ -297,13 +291,6 @@ class RankingService:
             )
         if n_shards < 1:
             raise ParameterError(f"n_shards must be >= 1, got {n_shards}")
-        if coalescer is not None and (
-            max_age is not None or backlog is not None or clock is not None
-        ):
-            raise ParameterError(
-                "max_age/backlog/clock configure the default coalescer; "
-                "with an injected coalescer, set them on it directly"
-            )
         self._graph = graph
         # One telemetry registry per serving stack: every component
         # below registers its families here, so a single snapshot /
@@ -322,9 +309,6 @@ class RankingService:
         else:
             self._tracer = None
         self._planner = planner or QueryPlanner()
-        if self._planner.latency is None:
-            self._planner.latency = LatencyRecorder(metrics=self._telemetry)
-        self._latency = self._planner.latency
         self._cache = cache or ResultCache(
             capacity=cache_capacity, metrics=self._telemetry
         )
@@ -334,9 +318,6 @@ class RankingService:
             precision=precision,
             max_iter=max_iter,
             clamp_min=clamp_min,
-            max_age=max_age,
-            backlog=backlog,
-            clock=clock,
             metrics=self._telemetry,
         )
         self._clamp_min = clamp_min
@@ -394,6 +375,23 @@ class RankingService:
             "Shard-routing outcomes",
             labels=("event",),
         )
+        self._m_latency = self._telemetry.histogram(
+            "serving_latency_seconds",
+            "Observed serving latency per plan strategy",
+            labels=("strategy",),
+        )
+        # strategy -> handler(query, plan, entry); the keys are exactly
+        # planner.STRATEGIES.  See _answer for the shared solve span,
+        # latency record and commit.
+        self._strategies = {
+            "cached": self._solve_cached,
+            "incremental": self._solve_incremental,
+            "spectral": self._solve_spectral,
+            "shard_push": self._solve_shard_push,
+            "push": self._solve_push,
+            "sharded": self._solve_sharded,
+            "batch": self._solve_batch,
+        }
         self._outstanding: list[ServingTicket] = []
         # digest -> (tol, ticket) of not-yet-resolved batch submissions,
         # so identical queries in one burst share a single column.
@@ -413,7 +411,7 @@ class RankingService:
 
     @property
     def coalescer(self) -> MicrobatchCoalescer:
-        """The microbatch coalescer (the front reads its age bound)."""
+        """The microbatch coalescer batch-planned requests pool through."""
         return self._coalescer
 
     @property
@@ -472,7 +470,7 @@ class RankingService:
         coalescer and resolve when their window flushes (or on first
         :meth:`ServingTicket.result` read); every other strategy
         resolves immediately.  Observed latencies are recorded per
-        strategy and fed back into the planner's cost model.
+        strategy in the ``serving_latency_seconds`` histogram.
 
         With tracing configured (``tracing=True`` / an injected
         :class:`~repro.telemetry.trace.Tracer`) and this request
@@ -526,31 +524,44 @@ class RankingService:
                     )
             self._m_requests.inc()
             self._m_plans.inc(strategy=plan.strategy)
-
             if plan.strategy == "batch":
-                return self._submit_batch(query, plan, trace=trace)
-            start = perf_counter()
-            with child_span("solve", strategy=plan.strategy) as span:
-                if plan.strategy == "cached":
-                    scores = entry.scores
-                    if span is not None:
-                        span.annotate(cache="hit")
-                elif plan.strategy == "incremental":
-                    scores = self._correct_entry(query.digest, entry)
-                elif plan.strategy == "spectral":
-                    scores = self._serve_spectral(query)
-                elif plan.strategy == "shard_push":
-                    scores = self._serve_shard_push(query, plan)
-                elif plan.strategy == "push":
-                    scores = self._serve_push(query)
-                elif plan.strategy == "sharded":
-                    scores = self._serve_sharded(query)
-                else:  # pragma: no cover - planner strategies are closed
-                    raise ReproError(f"unknown strategy {plan.strategy!r}")
-            self._planner.observe(plan.strategy, perf_counter() - start)
+                # The one deferred strategy: the column waits in the
+                # coalescer for window-mates and is answered on read.
+                return self._defer(query, plan, trace)
+            scores = self._answer(query, plan, entry)
             return ServingTicket(
                 request, plan, result=ServedResult(scores, plan, request)
             )
+
+    def _answer(self, query: CanonicalQuery, plan: QueryPlan, entry):
+        """Run ``plan``'s strategy from the table and commit its answer.
+
+        The strategy runs under the ``solve`` span and its latency
+        (cache commit included) lands in ``serving_latency_seconds``.
+        A fresh solver result is wrapped and committed here; a
+        coalescer column is certified at the graph version its flush
+        solved it at (the flush may precede this read, and a mutation
+        in between must not let pre-mutation scores pass as
+        post-mutation answers), anything else at the current version.
+        """
+        start = perf_counter()
+        with child_span("solve", strategy=plan.strategy):
+            answer = self._strategies[plan.strategy](query, plan, entry)
+        if not isinstance(answer, NodeScores):
+            answer = NodeScores(self._graph, answer.scores, answer)
+            self._commit(
+                query,
+                answer,
+                mutation=(
+                    entry.mutation
+                    if isinstance(entry, CoalescerTicket)
+                    else self._graph.mutation_count
+                ),
+            )
+        self._m_latency.observe(
+            perf_counter() - start, strategy=plan.strategy
+        )
+        return answer
 
     def rank(
         self, request: RankRequest | None = None, **kwargs
@@ -570,17 +581,6 @@ class RankingService:
         """
         tickets = [self.submit(request) for request in requests]
         return [ticket.result() for ticket in tickets]
-
-    def poll(self) -> int:
-        """Flush microbatch groups whose oldest column exceeds ``max_age``.
-
-        The serving front's timer thread calls this so latency-bounded
-        coalescing works without any client blocking in
-        :meth:`ServingTicket.result`.  Returns the number of groups
-        flushed; a service without ``max_age`` is a no-op.
-        """
-        with self._rw.read():
-            return self._coalescer.poll()
 
     # ------------------------------------------------------------------
     # strategy execution
@@ -651,9 +651,7 @@ class RankingService:
             return None
         return dense_teleport(self._graph.number_of_nodes, pair[0], pair[1])
 
-    def _commit(
-        self, query: CanonicalQuery, scores: NodeScores, *, mutation=None
-    ):
+    def _commit(self, query: CanonicalQuery, scores: NodeScores, *, mutation):
         """Store a fresh answer under a ``cache.commit`` span."""
         request = query.request
         with child_span("cache.commit") as span:
@@ -661,11 +659,7 @@ class RankingService:
                 query.digest,
                 scores=scores,
                 tol=request.tol,
-                mutation=(
-                    self._graph.mutation_count
-                    if mutation is None
-                    else mutation
-                ),
+                mutation=mutation,
                 request=request,
                 teleport=self._sparse_pair(query),
             )
@@ -673,7 +667,16 @@ class RankingService:
                 span.annotate(outcome="stored")
         return entry
 
-    def _serve_spectral(self, query: CanonicalQuery) -> NodeScores:
+    # Each strategy below takes ``(query, plan, entry)`` — ``entry`` is
+    # the cache entry for cached/incremental, the coalescer column (or
+    # the deduplicated ticket it shares) for batch, else ``None`` — and
+    # returns either final ``NodeScores`` or a fresh solver result.
+
+    def _solve_cached(self, query, plan, entry: CacheEntry) -> NodeScores:
+        annotate(cache="hit")
+        return entry.scores
+
+    def _solve_spectral(self, query: CanonicalQuery, plan, entry):
         """Direct solve for non-batchable (adjacency power-method) methods.
 
         The answer is cached like any other: the method's recorded
@@ -685,8 +688,7 @@ class RankingService:
         from repro.methods import resolve  # local: avoids cycle
 
         request = query.request
-        method = resolve(request.method)
-        result = method.solve(
+        return resolve(request.method).solve(
             self._graph,
             query.group_key,
             alpha=request.alpha,
@@ -695,29 +697,20 @@ class RankingService:
             max_iter=self._max_iter,
             clamp_min=self._clamp_min,
         )
-        scores = NodeScores(self._graph, result.scores, result)
-        self._commit(query, scores)
-        return scores
 
-    def _serve_push(self, query: CanonicalQuery) -> NodeScores:
+    def _solve_push(self, query: CanonicalQuery, plan, entry):
         request = query.request
-        bundle = self._bundle(query.group_key)
-        result = forward_push(
+        return forward_push(
             None,
             (query.seed_idx, query.seed_weights),
             alpha=request.alpha,
             tol=request.tol,
             max_iter=self._max_iter,
             dangling=request.dangling,
-            operator=bundle,
+            operator=self._bundle(query.group_key),
         )
-        scores = NodeScores(self._graph, result.scores, result)
-        self._commit(query, scores)
-        return scores
 
-    def _serve_shard_push(
-        self, query: CanonicalQuery, plan: QueryPlan
-    ) -> NodeScores:
+    def _solve_shard_push(self, query: CanonicalQuery, plan: QueryPlan, entry):
         """Serve a single-shard localized query by shard-local push.
 
         Runs forward push on the shard's ghost-augmented local system
@@ -762,7 +755,7 @@ class RankingService:
         if not certified:
             self._m_shard.inc(event="shard_push_fallback")
             annotate(shard_push="fallback", ghost_mass=ghost_mass)
-            return self._serve_push(query)
+            return self._solve_push(query, plan, entry)
         self._m_shard.inc(event="shard_push_local")
         annotate(shard_push="local", shard=shard, ghost_mass=ghost_mass)
         full = np.zeros(self._graph.number_of_nodes)
@@ -770,16 +763,13 @@ class RankingService:
         total = full.sum()
         if total > 0.0:
             full /= total
-        scores = NodeScores(self._graph, full, result)
-        self._commit(query, scores)
-        return scores
+        return replace(result, scores=full)
 
-    def _serve_sharded(self, query: CanonicalQuery) -> NodeScores:
+    def _solve_sharded(self, query: CanonicalQuery, plan, entry):
         """Serve a global ranking through the sharded block solver."""
         from repro.shard.solver import sharded_solve
 
         request = query.request
-        sharded = self._sharded(query.group_key)
         result = sharded_solve(
             alpha=request.alpha,
             teleport=self._dense_teleport(self._sparse_pair(query)),
@@ -787,16 +777,16 @@ class RankingService:
             tol=request.tol,
             max_iter=self._max_iter,
             operator=self._bundle(query.group_key),
-            sharded=sharded,
+            sharded=self._sharded(query.group_key),
             workers=self._shard_workers,
             precision=self.precision,
         )
         self._m_shard.inc(event="sharded_solves")
-        scores = NodeScores(self._graph, result.scores, result)
-        self._commit(query, scores)
-        return scores
+        return result
 
-    def _correct_entry(self, digest: str, entry: CacheEntry) -> NodeScores:
+    def _solve_incremental(
+        self, query: CanonicalQuery, plan, entry: CacheEntry
+    ) -> NodeScores:
         request = entry.request
         bundle = self._bundle(request.group_key)
         teleport = self._dense_teleport(entry.teleport)
@@ -841,7 +831,7 @@ class RankingService:
         # current graph under the read hold) — only caching is skipped.
         with child_span("cache.commit") as span:
             outcome, _resolved = self._cache.resolve_pending(
-                digest,
+                query.digest,
                 scores=scores,
                 tol=entry.tol,
                 mutation=self._graph.mutation_count,
@@ -851,71 +841,59 @@ class RankingService:
                 span.annotate(outcome=outcome)
         return scores
 
-    def _submit_batch(
-        self, query: CanonicalQuery, plan: QueryPlan, trace=None
+    def _solve_batch(self, query, plan, column):
+        """Read a coalesced column, flushing its window on demand."""
+        if isinstance(column, ServingTicket):
+            # Deduplicated: an identical query filed earlier in the
+            # burst owns the column and commits its answer.
+            annotate(deduplicated=True)
+            return column.result().scores
+        result = column.result()
+        annotate(**{
+            key: value
+            for key, value in (column.meta or {}).items()
+            if value is not None
+        })
+        return result
+
+    def _defer(
+        self, query: CanonicalQuery, plan: QueryPlan, trace
     ) -> ServingTicket:
+        """File a batch column with the coalescer; answer it on read.
+
+        An identical query already filed in this burst at an equal or
+        stricter tol is shared instead: the new ticket reads that
+        ticket's answer rather than solving a redundant column.
+        """
         request = query.request
-        ticket = ServingTicket(request, plan, resolver=None)
+        ticket = ServingTicket(request, plan)
         # The batch resolves on another thread (or later on this one);
         # capture the submitting request's span so the resolver can
         # re-enter it there, and the owned trace so it can finish it.
         parent = active_span()
         with self._lock:
             inflight = self._inflight.get(query.digest)
-            if inflight is not None and inflight[0] <= request.tol:
-                # An identical (or stricter) query is already filed in
-                # this burst: share its column instead of solving a
-                # redundant one.  The wrapper re-labels the shared
-                # answer with this request's own plan/top_k.
-                shared = inflight[1]
-
-                def resolve_shared() -> ServedResult:
-                    with activate_span(parent):
-                        with child_span(
-                            "solve", strategy="batch"
-                        ) as span:
-                            result = shared.result()
-                            if span is not None:
-                                span.annotate(deduplicated=True)
-                    if trace is not None:
-                        trace.finish()
-                    return ServedResult(result.scores, plan, request)
-
-                ticket._set_resolver(resolve_shared)
-                return ticket
-            # Reserve the dedup slot before filing the column (outside
-            # this lock), so a concurrent identical submission shares
-            # this ticket instead of filing a duplicate.
-            self._inflight[query.digest] = (request.tol, ticket)
-            self._outstanding.append(ticket)
-        cticket: CoalescerTicket = self._coalescer.submit(
-            query.group_key,
-            teleport=query.dense_teleport(),
-            alpha=request.alpha,
-            tol=request.tol,
-        )
+            shared = inflight is not None and inflight[0] <= request.tol
+            if shared:
+                column = inflight[1]
+            else:
+                # Reserve the dedup slot before filing the column
+                # (outside this lock), so a concurrent identical
+                # submission shares this ticket instead of filing a
+                # duplicate.
+                self._inflight[query.digest] = (request.tol, ticket)
+                self._outstanding.append(ticket)
+        if not shared:
+            column = self._coalescer.submit(
+                query.group_key,
+                teleport=query.dense_teleport(),
+                alpha=request.alpha,
+                tol=request.tol,
+            )
 
         def resolve() -> ServedResult:
-            with self._rw.read():
-                start = perf_counter()
-                with activate_span(parent):
-                    with child_span("solve", strategy="batch") as span:
-                        result = cticket.result()
-                        if span is not None:
-                            meta = cticket.meta
-                            if meta:
-                                span.annotate(**{
-                                    key: value
-                                    for key, value in meta.items()
-                                    if value is not None
-                                })
-                    scores = NodeScores(self._graph, result.scores, result)
-                    # Certify at the version the column was *solved* at
-                    # (the flush may long precede this read — and a
-                    # mutation in between must not let pre-mutation
-                    # scores masquerade as post-mutation answers).
-                    self._commit(query, scores, mutation=cticket.mutation)
-                self._planner.observe("batch", perf_counter() - start)
+            with self._rw.read(), activate_span(parent):
+                scores = self._answer(query, plan, column)
             with self._lock:
                 # Identity-guarded: a later submission at a stricter tol
                 # may have replaced this digest's inflight entry with
@@ -1153,7 +1131,7 @@ class RankingService:
         """Checkpoint body; caller holds the exclusive (write) side."""
         self._drain()
         path.mkdir(parents=True, exist_ok=True)
-        save_snapshot(self._graph, path / "graph")
+        snapshot = save_snapshot(self._graph, path / "graph")
         mutation = self._graph.mutation_count
         entries: list[tuple[str, dict]] = []
         group_keys: set[tuple] = set()
@@ -1186,6 +1164,9 @@ class RankingService:
         state = {
             "format": self._CHECKPOINT_FORMAT,
             "version": self._CHECKPOINT_VERSION,
+            # The entries below were certified on exactly this snapshot;
+            # warm_start seeds them only while its id is still on disk.
+            "snapshot_id": snapshot_id(snapshot),
             "nodes": self._graph.number_of_nodes,
             "edges": self._graph.number_of_edges,
             "log_path": str(self._delta_log.path),
@@ -1235,12 +1216,15 @@ class RankingService:
         transition group the checkpointed service had built, so the
         first requests skip cold operator construction.
 
-        When *zero* deltas were replayed, the checkpointed cache entries
-        are re-seeded too: the restored graph is bit-identical to the
-        one the answers were certified on, so they serve as hits
-        immediately — a warm restart answers its previous query stream
-        without re-solving.  Any replayed delta (or a snapshot/state
-        mismatch) skips seeding; correctness never depends on it.
+        When *zero* deltas were replayed and the snapshot on disk is the
+        one the state file names (same ``snapshot_id``), the
+        checkpointed cache entries are re-seeded too: the restored graph
+        is bit-identical to the one the answers were certified on, so
+        they serve as hits immediately — a warm restart answers its
+        previous query stream without re-solving.  Any replayed delta,
+        a snapshot rewritten by a checkpoint that crashed before its
+        state file landed, or a state file without an id skips seeding;
+        correctness never depends on it.
 
         The restored service keeps the checkpoint's delta log armed, so
         the checkpoint → mutate → warm-start cycle composes.
@@ -1285,10 +1269,11 @@ class RankingService:
             service._bundle(key)  # spectral: the shared adjacency bundle
             service._sharded(key)
         seeded = 0
+        certified_on = state.get("snapshot_id")
         if (
             replayed == 0
-            and state.get("nodes") == graph.number_of_nodes
-            and state.get("edges") == graph.number_of_edges
+            and certified_on is not None
+            and certified_on == snapshot_id(path / "graph")
         ):
             mutation = graph.mutation_count
             for digest, record in state.get("entries", ()):
@@ -1343,8 +1328,10 @@ class RankingService:
             "hit_rate": cache["hit_rate"],
             "coalescer": self._coalescer.stats(),
             "deltas": deltas,
-            "latency": self._latency.summary(),
-            "planner": self._planner.tuning(),
+            "latency": {
+                dict(labels)["strategy"]: summary
+                for labels, summary in self._m_latency.summaries().items()
+            },
             "sharding": {
                 "enabled": self._sharding,
                 **shard_stats,

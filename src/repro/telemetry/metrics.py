@@ -21,9 +21,8 @@ Design points
   different metrics under one name is always a bug.
 * **Histograms are bounded.**  Each child keeps a sliding window of the
   most recent ``window`` observations (for p50/p95/p99/mean/last) plus
-  never-truncated ``count``/``sum`` totals, exactly the shape the
-  planner's self-tuning needs and the shape the old
-  ``serving.latency.LatencyRecorder`` pinned.
+  never-truncated ``count``/``sum`` totals (the service's
+  ``serving_latency_seconds`` family is one).
 * **Callback gauges.**  A gauge child may be bound to a zero-argument
   callable (queue depth, ring occupancy); it is evaluated at snapshot
   time.  Callbacks may acquire component locks, therefore component

@@ -1,11 +1,9 @@
-"""Flush-trigger tests for the microbatch coalescer (age / backlog)."""
+"""Flush-trigger tests for the microbatch coalescer (window / demand)."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.errors import ParameterError
 from repro.graph import Graph
 from repro.serving import MicrobatchCoalescer
 
@@ -21,74 +19,10 @@ def _graph(n=120, m=900, seed=4):
 GROUP = ("d2pr", 0.0, 0.0, False, "teleport")
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
 def _teleport(graph, idx):
     t = np.zeros(graph.number_of_nodes)
     t[idx] = 1.0
     return t
-
-
-def test_age_trigger_flushes_underfull_window():
-    graph = _graph()
-    clock = FakeClock()
-    co = MicrobatchCoalescer(
-        graph, window=16, max_age=5.0, clock=clock
-    )
-    t1 = co.submit(GROUP, teleport=_teleport(graph, 0), alpha=0.85, tol=1e-8)
-    assert not t1.done and co.pending == 1
-    # not old enough: a later submit leaves both pending
-    clock.now = 3.0
-    t2 = co.submit(GROUP, teleport=_teleport(graph, 1), alpha=0.85, tol=1e-8)
-    assert co.pending == 2
-    # crossing the age budget flushes the whole group on the next submit
-    clock.now = 6.0
-    t3 = co.submit(GROUP, teleport=_teleport(graph, 2), alpha=0.85, tol=1e-8)
-    assert t1.done and t2.done and t3.done
-    stats = co.stats()
-    assert stats["flush_causes"]["age"] == 1
-    assert stats["mean_occupancy"] == 3.0
-
-
-def test_poll_flushes_without_traffic():
-    graph = _graph()
-    clock = FakeClock()
-    co = MicrobatchCoalescer(graph, window=16, max_age=1.0, clock=clock)
-    ticket = co.submit(
-        GROUP, teleport=_teleport(graph, 0), alpha=0.85, tol=1e-8
-    )
-    assert co.poll() == 0  # too young
-    clock.now = 2.0
-    assert co.poll() == 1
-    assert ticket.done
-    assert co.stats()["flush_causes"]["age"] == 1
-
-
-def test_poll_noop_without_max_age():
-    graph = _graph()
-    co = MicrobatchCoalescer(graph, window=16)
-    co.submit(GROUP, teleport=_teleport(graph, 0), alpha=0.85, tol=1e-8)
-    assert co.poll() == 0
-    assert co.pending == 1
-
-
-def test_backlog_trigger_flushes_all_groups():
-    graph = _graph()
-    co = MicrobatchCoalescer(graph, window=16, backlog=3)
-    other = ("d2pr", 0.5, 0.0, False, "teleport")
-    t1 = co.submit(GROUP, teleport=_teleport(graph, 0), alpha=0.85, tol=1e-8)
-    t2 = co.submit(other, teleport=_teleport(graph, 1), alpha=0.85, tol=1e-8)
-    assert co.pending == 2
-    t3 = co.submit(other, teleport=_teleport(graph, 2), alpha=0.85, tol=1e-8)
-    assert co.pending == 0
-    assert t1.done and t2.done and t3.done
-    assert co.stats()["flush_causes"]["backlog"] == 2
 
 
 def test_window_trigger_still_counts():
@@ -109,11 +43,3 @@ def test_demand_flush_counts():
     )
     ticket.result()
     assert co.stats()["flush_causes"]["demand"] == 1
-
-
-def test_trigger_validation():
-    graph = _graph()
-    with pytest.raises(ParameterError):
-        MicrobatchCoalescer(graph, max_age=-1.0)
-    with pytest.raises(ParameterError):
-        MicrobatchCoalescer(graph, backlog=0)

@@ -1,4 +1,4 @@
-"""Tests for the concurrent serving front: workers, admission, timer."""
+"""Tests for the concurrent serving front: workers and admission."""
 
 from __future__ import annotations
 
@@ -36,19 +36,9 @@ class _GatedService:
     def plan(self, *args, **kwargs):
         return self._inner.plan(*args, **kwargs)
 
-    def submit(self, *args, **kwargs):
-        return self._inner.submit(*args, **kwargs)
-
     def rank(self, *args, **kwargs):
         assert self._gate.wait(timeout=30), "test gate never opened"
         return self._inner.rank(*args, **kwargs)
-
-    def poll(self):
-        return self._inner.poll()
-
-    @property
-    def coalescer(self):
-        return self._inner.coalescer
 
 
 class TestServing:
@@ -113,32 +103,6 @@ class TestServing:
                     t.join(timeout=60)
                     assert not t.is_alive(), "client thread deadlocked"
         assert not errors
-
-    def test_batch_requests_pool_across_the_queue(self):
-        graph = _graph()
-        gate = threading.Event()
-        with RankingService(graph, window=16) as service:
-            gated = _GatedService(service, gate)
-            with ServingFront(gated, workers=1, capacity=32) as front:
-                # Hold the single worker on a push request...
-                blocker = front.submit(
-                    method="d2pr", p=1.0, seeds=[graph.nodes()[0]]
-                )
-                # ...while six distinct pooled queries queue up behind it.
-                tickets = [
-                    front.submit(method="d2pr", p=1.0, alpha=a)
-                    for a in (0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
-                ]
-                gate.set()
-                blocker.result(timeout=30)
-                results = [t.result(timeout=30) for t in tickets]
-        for a, res in zip((0.7, 0.75, 0.8, 0.85, 0.9, 0.95), results):
-            ref = d2pr(graph, 1.0, alpha=a)
-            assert np.abs(res.scores.values - ref.values).max() < 1e-8
-        # All six were filed before any resolve, so they share windows:
-        # the flush occupancy must beat the synchronous one-per-flush.
-        stats = service.stats()["coalescer"]
-        assert stats["max_occupancy"] >= 2
 
 
 class TestAdmission:
@@ -212,22 +176,6 @@ class TestAdmission:
 
 
 class TestTimerAndLifecycle:
-    def test_poll_timer_runs(self):
-        graph = _graph()
-        with RankingService(graph, max_age=0.02) as service:
-            with ServingFront(service, workers=1) as front:
-                assert front.poll_interval == pytest.approx(0.01)
-                deadline = time.monotonic() + 10
-                while front.stats()["polls"] == 0:
-                    assert time.monotonic() < deadline, "timer never fired"
-                    time.sleep(0.005)
-
-    def test_no_timer_without_max_age(self):
-        graph = _graph()
-        with RankingService(graph) as service:
-            with ServingFront(service, workers=1) as front:
-                assert front.poll_interval is None
-
     def test_close_is_idempotent(self):
         graph = _graph()
         with RankingService(graph) as service:
@@ -240,5 +188,3 @@ class TestTimerAndLifecycle:
         with RankingService(graph) as service:
             with pytest.raises(ParameterError):
                 ServingFront(service, workers=0)
-            with pytest.raises(ParameterError):
-                ServingFront(service, poll_interval=0.0)

@@ -179,6 +179,67 @@ class TestWarmStart:
         )
 
 
+class _Crash(Exception):
+    """Stands in for the process dying at an injected point."""
+
+
+class TestCheckpointCrash:
+    def test_crash_after_log_truncate_seeds_nothing(
+        self, graph, tmp_path, monkeypatch
+    ):
+        from repro.graph.persist import DeltaLog
+
+        request = RankRequest(p=1.0, beta=1.0, weighted=True)
+        service = RankingService(graph)
+        service.rank(request)
+        service.checkpoint(tmp_path / "ckpt")
+        # Reweight-only: node and edge counts stay the same.
+        rows, cols, _ = graph.edge_arrays()
+        heavy = rows < 40
+        service.apply_delta(
+            GraphDelta.reweight(
+                rows[heavy], cols[heavy], np.full(int(heavy.sum()), 50.0)
+            )
+        )
+
+        # Die in the next checkpoint after the post-delta snapshot and
+        # the log truncation, before service.pkl is replaced: the state
+        # file on disk still holds the pre-delta answer.
+        truncate = DeltaLog.truncate
+
+        def truncate_then_crash(log):
+            truncate(log)
+            raise _Crash
+
+        monkeypatch.setattr(DeltaLog, "truncate", truncate_then_crash)
+        with pytest.raises(_Crash):
+            service.checkpoint()
+        monkeypatch.undo()
+
+        warm = RankingService.warm_start(tmp_path / "ckpt")
+        assert warm._warm_started == {"replayed": 0, "seeded": 0}
+        served = warm.rank(request)
+        assert served.plan.strategy != "cached"
+        cold = RankingService(service.graph.copy()).rank(request)
+        l1 = float(np.abs(served.scores.values - cold.scores.values).sum())
+        assert l1 <= 2 * request.tol
+
+    def test_state_without_snapshot_id_seeds_nothing(
+        self, graph, stream, tmp_path
+    ):
+        import pickle
+
+        service = RankingService(graph)
+        _serve_all(service, stream)
+        service.checkpoint(tmp_path / "ckpt")
+        state_path = tmp_path / "ckpt" / "service.pkl"
+        state = pickle.loads(state_path.read_bytes())
+        del state["snapshot_id"]
+        state_path.write_bytes(pickle.dumps(state))
+        warm = RankingService.warm_start(tmp_path / "ckpt")
+        assert warm._warm_started == {"replayed": 0, "seeded": 0}
+
+
 class TestNodeOpsThroughService:
     def test_node_delta_takes_evicting_path(self, graph, stream, tmp_path):
         service = RankingService(graph)

@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ParameterError
 from repro.graph import Graph
 from repro.serving import (
-    LatencyRecorder,
     QueryPlan,
     QueryPlanner,
     RankRequest,
@@ -248,80 +247,3 @@ class TestQueryPlanner:
             QueryPlanner(push_max_seeds=-1)
         with pytest.raises(ParameterError):
             QueryPlanner(push_localization=1.5)
-
-
-class TestSelfTuning:
-    """Observed-latency feedback into the push/batch decision boundary."""
-
-    def _fed(self, push, batch, **kwargs):
-        planner = QueryPlanner(latency=LatencyRecorder(), **kwargs)
-        for _ in range(planner.min_samples):
-            planner.observe("push", push)
-            planner.observe("batch", batch)
-        return planner
-
-    def test_static_without_recorder(self):
-        planner = QueryPlanner()
-        assert planner.latency is None
-        planner.observe("push", 1.0)  # no-op, not an error
-        assert planner.effective_push_localization() == pytest.approx(0.25)
-
-    def test_static_until_min_samples(self):
-        planner = QueryPlanner(latency=LatencyRecorder(), min_samples=5)
-        for _ in range(4):
-            planner.observe("push", 0.001)
-            planner.observe("batch", 0.1)
-        assert planner.effective_push_localization() == pytest.approx(0.25)
-        planner.observe("push", 0.001)
-        planner.observe("batch", 0.1)
-        assert planner.effective_push_localization() > 0.25
-
-    def test_cheap_push_widens_threshold(self):
-        planner = self._fed(push=0.001, batch=0.016)
-        # sqrt(16) = 4 -> clamped to tune_bounds hi = 4
-        assert planner.effective_push_localization() == pytest.approx(1.0)
-
-    def test_expensive_push_narrows_threshold(self):
-        planner = self._fed(push=0.1, batch=0.025)
-        # sqrt(1/4) = 0.5 -> 0.25 * 0.5
-        assert planner.effective_push_localization() == pytest.approx(0.125)
-
-    def test_clamped_at_bounds(self):
-        planner = self._fed(push=1.0, batch=1e-6)
-        lo, _hi = planner.tune_bounds
-        assert planner.effective_push_localization() == pytest.approx(
-            0.25 * lo
-        )
-
-    def test_threshold_never_exceeds_one(self):
-        planner = self._fed(push=1e-6, batch=1.0, push_localization=0.9)
-        assert planner.effective_push_localization() == pytest.approx(1.0)
-
-    def test_tuning_report(self):
-        planner = self._fed(push=0.001, batch=0.004)
-        report = planner.tuning()
-        assert report["push_localization"] == pytest.approx(0.25)
-        assert report["effective_push_localization"] == pytest.approx(0.5)
-        assert report["samples"]["push"] == planner.min_samples
-        assert report["observed_batch_over_push_p50"] == pytest.approx(4.0)
-
-    def test_plan_uses_effective_threshold(self):
-        graph = _graph()
-        # A ~10-seed query de-localises under the static threshold...
-        seeds = [graph.nodes()[i] for i in range(10)]
-        query = canonical_query(graph, RankRequest(p=1.0, seeds=seeds))
-        static = QueryPlanner()
-        assert static.plan(graph, query).strategy == "batch"
-        # ...but observed-cheap pushes widen the boundary into push.
-        tuned = self._fed(push=0.0005, batch=0.05)
-        plan = tuned.plan(graph, query)
-        assert plan.strategy == "push"
-        assert plan.estimates["localization_threshold"] == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            QueryPlanner(min_samples=0)
-        with pytest.raises(ParameterError):
-            QueryPlanner(tune_bounds=(0.0, 4.0))
-        with pytest.raises(ParameterError):
-            QueryPlanner(tune_bounds=(0.5, 0.9))

@@ -281,7 +281,7 @@ class TestStats:
         assert stats["plan_mix"] == {"batch": 1, "cached": 1, "push": 1}
         assert set(stats) == {
             "requests", "plan_mix", "cache", "hit_rate", "coalescer",
-            "deltas", "latency", "planner", "sharding", "warm_start",
+            "deltas", "latency", "sharding", "warm_start",
         }
         assert stats["warm_start"] is None
         assert stats["sharding"] == {
@@ -376,57 +376,6 @@ class TestRecommenderIntegration:
         assert np.abs(rec2.scores.values - cold.values).max() < 1e-9
 
 
-class _FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestServiceCoalescerForwarding:
-    """Service-level forwarding of max_age / backlog / clock (and poll)."""
-
-    def test_age_bound_flush_via_service_poll(self):
-        graph = _graph()
-        clock = _FakeClock()
-        service = RankingService(
-            graph, window=16, max_age=5.0, clock=clock
-        )
-        ticket = service.submit(method="d2pr", p=1.0)
-        assert service.poll() == 0  # not due yet
-        clock.now = 6.0
-        assert service.poll() == 1  # age bound forces the flush
-        assert ticket._resolver is not None  # resolution still pending
-        served = ticket.result()  # no further solve: column is ready
-        ref = d2pr(graph, 1.0)
-        assert np.abs(served.scores.values - ref.values).max() < 1e-8
-
-    def test_backlog_forwarded(self):
-        graph = _graph()
-        service = RankingService(graph, window=16, backlog=2)
-        assert service.coalescer.backlog == 2
-
-    def test_poll_noop_without_max_age(self):
-        graph = _graph()
-        service = RankingService(graph)
-        assert service.poll() == 0
-
-    def test_injected_coalescer_conflicts_with_forwarding(self):
-        graph = _graph()
-        from repro.serving import MicrobatchCoalescer
-
-        co = MicrobatchCoalescer(graph)
-        with pytest.raises(ParameterError):
-            RankingService(graph, coalescer=co, max_age=1.0)
-        with pytest.raises(ParameterError):
-            RankingService(graph, coalescer=co, backlog=4)
-        with pytest.raises(ParameterError):
-            RankingService(graph, coalescer=co, clock=_FakeClock())
-        # injected without forwarded options is fine
-        RankingService(graph, coalescer=co)
-
-
 class TestContextManager:
     def test_service_context_manager_closes(self):
         graph = _graph()
@@ -434,7 +383,7 @@ class TestContextManager:
             assert service.rank(method="d2pr", p=1.0) is not None
         service.close()  # idempotent after __exit__
 
-    def test_latency_feeds_planner(self):
+    def test_latency_recorded_per_strategy(self):
         graph = _graph()
         with RankingService(graph) as service:
             service.rank(method="d2pr", p=1.0)
@@ -443,6 +392,5 @@ class TestContextManager:
             stats = service.stats()
             assert stats["latency"]["batch"]["count"] == 1
             assert stats["latency"]["push"]["count"] == 1
-            assert stats["planner"]["samples"]["push"] == 1
-            # shared recorder: the planner sees the service's numbers
-            assert service._planner.latency is service._latency
+            hist = service.telemetry.get("serving_latency_seconds")
+            assert hist.count(strategy="push") == 1

@@ -120,7 +120,7 @@ class TestStaticStorm:
         refs = [_oracle(graph, req) for req in pool]
         errors = []
 
-        with RankingService(graph, window=6, max_age=0.02) as service:
+        with RankingService(graph, window=6) as service:
             with ServingFront(service, workers=3, capacity=256) as front:
 
                 def client(seed):

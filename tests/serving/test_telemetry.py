@@ -21,16 +21,11 @@ def _graph(n=250, m=2500, seed=5):
     return Graph.from_arrays(rows[keep], cols[keep], num_nodes=n)
 
 
-def _drain(service):
-    service.poll()
-
-
 class TestServiceTracing:
     def test_rank_trace_covers_plan_solve_commit(self):
         service = RankingService(_graph(), tracing=True)
         try:
             service.rank(method="pagerank", tol=1e-8)
-            service.poll()
             traces = service.tracer.traces()
             assert len(traces) == 1
             trace = traces[0]
@@ -60,7 +55,6 @@ class TestServiceTracing:
         service = RankingService(_graph(), tracing=True)
         try:
             service.rank(method="pagerank", tol=1e-8)
-            service.poll()
             service.rank(method="pagerank", tol=1e-8)
             trace = service.tracer.traces()[-1]
             assert trace.root.find("plan").annotations["strategy"] == "cached"
@@ -110,7 +104,6 @@ class TestFrontTracing:
         front = ServingFront(service, workers=2)
         try:
             front.rank(method="pagerank", tol=1e-8)
-            service.poll()
             traces = [
                 t
                 for t in service.tracer.traces()
@@ -149,7 +142,6 @@ class TestRegistryView:
         try:
             node = service.graph.nodes()[0]
             service.rank(method="pagerank", tol=1e-8)
-            service.poll()
             service.rank(method="pagerank", seeds=[node], tol=1e-6)
             stats = service.stats()
             reg = service.telemetry
@@ -208,7 +200,6 @@ class TestRegistryView:
         service = RankingService(_graph(), tracing=True)
         try:
             service.rank(method="pagerank", tol=1e-8)
-            service.poll()
             samples = parse_prometheus(service.telemetry.to_prometheus())
             names = {name for name, _labels in samples}
             assert "serving_requests_total" in names
@@ -227,7 +218,6 @@ class TestDeltaCounters:
         service = RankingService(_graph())
         try:
             service.rank(method="pagerank", tol=1e-8)
-            service.poll()
             delta = GraphDelta.insert(np.array([0]), np.array([1]))
             service.apply_delta(delta)
             stats = service.stats()
@@ -235,5 +225,39 @@ class TestDeltaCounters:
             assert (
                 stats["deltas"]["localized"] + stats["deltas"]["evicting"] == 1
             )
+        finally:
+            service.close()
+
+
+class TestSpectralTelemetry:
+    # Operator whose dominant eigenvector the scores are, for the
+    # independent Rayleigh residual ‖Mx − λx‖₁ / λ with λ = ‖Mx‖₁.
+    RAYLEIGH = {
+        "eigenvector": lambda a, x: a.T @ x,
+        "hits": lambda a, x: a.T @ (a @ x),
+    }
+
+    @pytest.mark.parametrize("method", ["katz", "eigenvector", "hits"])
+    def test_spectral_solve_span_records_solver(self, method):
+        service = RankingService(_graph(), tracing=True)
+        try:
+            served = service.rank(method=method, tol=1e-8)
+            solve = service.tracer.traces()[-1].root.find("solve")
+            assert solve.annotations["strategy"] == "spectral"
+            (record,) = solve.annotations["solver"]
+            result = served.scores.solver_result
+            assert record["method"] == method
+            assert record["converged"] is True
+            assert record["iterations"] == result.iterations
+            assert record["residual"] <= 1e-8
+            if method in self.RAYLEIGH:
+                x = served.scores.values
+                y = self.RAYLEIGH[method](service.graph.to_csr(), x)
+                lam = y.sum()
+                assert record["residual"] == pytest.approx(
+                    np.abs(y - lam * x).sum() / lam, rel=1e-9
+                )
+            else:
+                assert record["residual"] == result.residuals[-1]
         finally:
             service.close()

@@ -959,7 +959,6 @@ def _bench_serving(
             replayed += 1
             if replayed >= 3:
                 break
-        traced.poll()
         for tr in traced.tracer.traces():
             solve = tr.root.find("solve")
             if solve is not None:
@@ -1023,7 +1022,7 @@ def _bench_serving_front(
     * **concurrent front** — N closed-loop client threads pulling
       requests from a shared cursor and blocking in
       ``ServingFront.rank`` (queueing included), over a worker pool
-      with admission control and a flush timer.
+      with admission control.
 
     Deltas act as stream barriers on both sides (clients drain the
     segment, then the delta lands), so both replays serve each request
@@ -1033,10 +1032,8 @@ def _bench_serving_front(
     be zero at the provisioned capacity: backpressure must be explicit,
     and absent when the queue is sized for the offered load.
 
-    Throughput scaling comes from two mechanisms: on multi-core hosts
-    the GIL-releasing solves overlap, and on any host concurrent
-    clients fill shared microbatch windows that the synchronous replay
-    flushes at occupancy 1.  The ≥2x-at-4-clients acceptance gate is
+    Throughput scaling comes from multi-core hosts overlapping the
+    GIL-releasing solves.  The ≥2x-at-4-clients acceptance gate is
     asserted only when the host has ≥4 cores; the 1-client run is
     always held to "no worse than ~sync" (small bounded overhead).
     """
@@ -1086,7 +1083,7 @@ def _bench_serving_front(
         kept: dict[int, np.ndarray] = {}
         rejected = 0
         record_lock = threading.Lock()
-        service = RankingService(rebuild(), window=16, max_age=0.05)
+        service = RankingService(rebuild(), window=16)
         with service, ServingFront(
             service,
             workers=workers,
@@ -1134,7 +1131,6 @@ def _bench_serving_front(
                 "occupancy": service.stats()["coalescer"][
                     "mean_occupancy"
                 ],
-                "planner": service.stats()["planner"],
             }
         return wall, lat, kept, rejected, stats
 
@@ -1187,7 +1183,6 @@ def _bench_serving_front(
             "max_l1_diff": max_diff,
             "rejected": rejected,
             "served": stats["front"]["served"],
-            "polls": stats["front"]["polls"],
             "occupancy": stats["occupancy"],
             "plan_mix": stats["plan_mix"],
         }

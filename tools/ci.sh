@@ -66,6 +66,16 @@ if grep -rnE '(operator_bundle|\.cached)\(' src/repro/ \
 fi
 echo "src/repro/methods/ + core/ lines: $(cat src/repro/methods/*.py src/repro/core/*.py | wc -l)"
 
+# One strategy table: serving mechanisms without a measured win stay
+# deleted — the planner's latency self-tuning, the coalescer's age and
+# backlog triggers with their poll(), and the front's batch parking
+# with its flush timer.  Print the serving layer's line count too.
+if grep -rnE 'LatencyRecorder|effective_push_localization|max_age|backlog=|poll_interval|_resolve_parked|def poll' src/repro/serving/; then
+    echo "FAIL: a deleted serving mechanism reappeared under src/repro/serving/" >&2
+    exit 1
+fi
+echo "src/repro/serving/ lines: $(cat src/repro/serving/*.py | wc -l)"
+
 python -m pytest -x -q
 
 # Re-run the multi-threaded stress suite under a hard watchdog: a
@@ -128,8 +138,8 @@ EOF
 
 # Observability smoke: a traced query stream through the front must
 # yield traces covering admission -> plan -> solve -> cache commit
-# (with solver convergence recorded), and both exporters must
-# round-trip through their own parsers.
+# (with solver convergence recorded, spectral katz included), and both
+# exporters must round-trip through their own parsers.
 python - <<'EOF'
 import json
 import numpy as np
@@ -152,9 +162,9 @@ with ServingFront(svc, workers=3, capacity=128) as front:
         RankRequest(p=0.0, seeds=(nodes[int(i)],), tol=1e-6)
         for i in rng.integers(0, n, 10)
     ]
+    stream.append(RankRequest(method="katz", tol=1e-8))
     for req in stream:
         front.rank(req)
-    svc.poll()
 full = [
     t for t in svc.tracer.traces()
     if t.root.find("admission") is not None
@@ -169,6 +179,15 @@ solved = [
     if rec.get("iterations") is not None and rec.get("residual") is not None
 ]
 assert solved, "no trace recorded solver iterations + residual"
+katz = [
+    rec
+    for t in full
+    for rec in t.root.find("solve").annotations.get("solver", [])
+    if rec["method"] == "katz"
+]
+assert katz and katz[0]["converged"] and katz[0]["residual"] <= 1e-8, (
+    f"katz solve recorded no solver telemetry: {katz}"
+)
 
 samples = parse_prometheus(svc.telemetry.to_prometheus())
 names = {name for name, _ in samples}

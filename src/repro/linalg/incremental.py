@@ -20,11 +20,19 @@ which is supported only on the out-neighbourhood of the rows the delta
 touched — for a small delta, a sparse vector.  The correction
 ``e = x' - x`` solves the *linear* system ``e = α·P̂'ᵀ·e + b``, so it can
 be computed by the same Gauss–Southwell residual propagation as
-:func:`~repro.linalg.push.forward_push`, generalised to **signed**
-residual mass: pushing node ``u`` settles ``res[u]`` into the correction
-and forwards ``α·res[u]`` along row ``u`` of ``P'`` — no transpose view is
-ever needed, which also means an update never pays the ``P.T.tocsr()``
-rebuild a cold solve does.
+:func:`~repro.linalg.push.forward_push` — the very same epoch loop,
+generalised to **signed** residual mass: pushing node ``u`` settles
+``res[u]`` into the correction and forwards ``α·res[u]`` along row ``u``
+of ``P'`` — no transpose view is ever needed, which also means an update
+never pays the ``P.T.tocsr()`` rebuild a cold solve does.
+
+Cost: evaluating the starting residual (one matvec through the CSC view)
+and assembling the returned vector are O(nnz) and O(n), once per call.
+Each push epoch then costs O(stored entries of the active rows +
+residual support): the correction lives on per-call slots of the nodes
+that ever held residual, never on all n nodes.  A dense teleport under
+``dangling="teleport"`` is the exception — the first dangling push gives
+every teleport node a slot.
 
 Certificate: because each push removes ``|res[u]|`` and re-injects at most
 ``α·|res[u]|``, the remaining signed mass ``Σ|res|`` bounds the L1 error
@@ -52,12 +60,8 @@ from scipy import sparse
 
 from repro.errors import ConvergenceError, ParameterError
 from repro.linalg.operator import DANGLING_STRATEGIES, LinearOperatorBundle
-from repro.linalg.push import _THETA_FRACTION
-from repro.linalg.solvers import (
-    PageRankResult,
-    _validate_common,
-    power_iteration,
-)
+from repro.linalg.push import _fallback, _push_epochs
+from repro.linalg.solvers import PageRankResult, _validate_common
 from repro.telemetry.trace import record_result
 
 __all__ = ["incremental_update", "residual_vector"]
@@ -90,17 +94,17 @@ def residual_vector(
 
 
 def _finish(
+    estimate: np.ndarray,
     x: np.ndarray,
-    q: np.ndarray,
-    res: np.ndarray,
     *,
     epochs: int,
     converged: bool,
     history: list[float],
     method: str,
+    **facts,
 ) -> PageRankResult:
-    scores = x + q + res
-    np.maximum(scores, 0.0, out=scores)
+    """Clip and renormalise ``estimate`` (``x`` + correction) into scores."""
+    scores = np.maximum(estimate, 0.0)
     total = scores.sum()
     if total > 0.0:
         scores = scores / total
@@ -113,49 +117,8 @@ def _finish(
             converged=converged,
             residuals=history,
             method=method,
-        )
-    )
-
-
-def _fallback(
-    bundle: LinearOperatorBundle,
-    teleport: np.ndarray,
-    x: np.ndarray,
-    q: np.ndarray,
-    res: np.ndarray,
-    *,
-    alpha: float,
-    tol: float,
-    max_iter: int,
-    dangling: str,
-    raise_on_failure: bool,
-    epochs: int,
-    history: list[float],
-    cause: str,
-) -> PageRankResult:
-    """Finish with power iteration warm-started from the partial update."""
-    guess = np.maximum(x + q + res, 0.0)
-    result = power_iteration(
-        None,
-        alpha=alpha,
-        teleport=teleport,
-        tol=tol,
-        max_iter=max(max_iter, 1),
-        dangling=dangling,
-        raise_on_failure=raise_on_failure,
-        operator=bundle,
-        x0=guess if guess.sum() > 0.0 else None,
-    )
-    return record_result(
-        PageRankResult(
-            scores=result.scores,
-            iterations=epochs + result.iterations,
-            converged=result.converged,
-            residuals=history + result.residuals,
-            method="incremental_fallback",
         ),
-        fallback=cause,
-        push_epochs=epochs,
+        **facts,
     )
 
 
@@ -220,8 +183,8 @@ def incremental_update(
     -------
     PageRankResult
         ``method`` is ``"incremental_push"`` (localized convergence,
-        certified L1 distance ≤ ``tol·α/(1−α)`` — the cold power
-        iteration guarantee) or ``"incremental_fallback"``
+        certified L1 distance ≤ ``3·tol·α/(1−α)``, see the module
+        notes) or ``"incremental_fallback"``
         (finished by warm-started power iteration); ``iterations``
         counts push epochs (plus fallback sweeps) and ``residuals`` the
         remaining signed residual mass per epoch.
@@ -250,7 +213,6 @@ def incremental_update(
     x = x / total
 
     res = residual_vector(bundle, x, t, alpha, dangling)
-    q = np.zeros(n)
     # The previous solve was itself only tol-accurate, so ``res`` carries
     # a *dense* inherited background (total mass ≲ tol, per-entry ≲
     # tol/n) on top of the (sparse) delta-induced defect.  Chasing that
@@ -283,10 +245,9 @@ def incremental_update(
         dust = dust + base
     sum_abs = float(np.abs(res).sum())
     history: list[float] = [sum_abs]
-    stop_at = tol
-    if sum_abs <= stop_at:
+    if sum_abs <= tol:
         return _finish(
-            x, q, res + dust,
+            x + res + dust, x,
             epochs=0, converged=True, history=history,
             method="incremental_push",
         )
@@ -295,85 +256,48 @@ def incremental_update(
         # One dangling push densifies the correction; go straight to the
         # solver the frontier check would fall back to anyway.
         return _fallback(
-            bundle, t, x, q, res + dust,
-            alpha=alpha, tol=tol, max_iter=max_iter, dangling=dangling,
-            raise_on_failure=raise_on_failure, epochs=0, history=history,
-            cause="uniform_dangling",
+            bundle, t, np.maximum(x + res + dust, 0.0),
+            alpha=alpha, tol=tol, max_iter=max(max_iter, 1),
+            dangling=dangling, raise_on_failure=raise_on_failure, epochs=0,
+            history=history, method="incremental_fallback",
+            fallback="uniform_dangling",
         )
 
-    mat = bundle.mat
-    row_nnz = np.diff(mat.indptr)
-    dangle_mask = bundle.dangle_mask
     # Fall back when one epoch would stream more than frontier_cap of the
     # stored entries: at that point a push epoch costs a comparable
     # matrix stream to a full power sweep while contracting no faster,
     # so warm-started power iteration wins.  (A *row-count* cap would
     # misfire: a wide frontier of low-degree rows is still far cheaper
-    # than a sweep.)
-    frontier_limit = frontier_cap * mat.nnz
-    epochs = 0
-    converged = False
-    while epochs < max_iter:
-        abs_res = np.abs(res)
-        nnz = np.count_nonzero(abs_res)
-        if nnz == 0:
-            converged = True
-            break
-        theta = _THETA_FRACTION * sum_abs / nnz
-        active = np.flatnonzero(abs_res >= theta)
-        if int(row_nnz[active].sum()) > frontier_limit:
-            return _fallback(
-                bundle, t, x, q, res + dust,
-                alpha=alpha, tol=tol, max_iter=max_iter - epochs,
-                dangling=dangling, raise_on_failure=raise_on_failure,
-                epochs=epochs, history=history, cause="frontier_cap",
-            )
-        epochs += 1
-
-        if dangling == "self":
-            # Closed form, as in forward push but for the correction
-            # system: a self-looping dangling node's signed residual
-            # settles geometrically into its own correction,
-            # Σ_k α^k · res = res / (1−α).
-            self_d = active[dangle_mask[active]]
-            if self_d.size:
-                q[self_d] += res[self_d] / (1.0 - alpha)
-                res[self_d] = 0.0
-                active = active[~dangle_mask[active]]
-                if active.size == 0:
-                    sum_abs = float(np.abs(res).sum())
-                    history.append(sum_abs)
-                    if sum_abs <= stop_at:
-                        converged = True
-                        break
-                    continue
-
-        r_act = res[active].copy()
-        res[active] = 0.0
-        q[active] += r_act
-        # One restricted sparse·dense product over the active rows of the
-        # *new* matrix: res += α · Σ_u res_u · P'[u, :].
-        sub = mat[active]
-        res += alpha * (sub.T @ r_act)
-        if dangling == "teleport":
-            d_mass = float(r_act[dangle_mask[active]].sum())
-            if d_mass != 0.0:
-                res += alpha * d_mass * t
-        sum_abs = float(np.abs(res).sum())
-        history.append(sum_abs)
-        if sum_abs <= stop_at:
-            converged = True
-            break
-
-    if not converged and raise_on_failure:
+    # than a sweep.)  The push settles a correction, not a score: each
+    # pushed residual settles whole (settle=1).
+    support = np.flatnonzero(res)
+    t_idx = np.flatnonzero(t)
+    front = _push_epochs(
+        bundle, support, res[support],
+        alpha=alpha, tol=tol, max_iter=max_iter, dangling=dangling,
+        settle=1.0, target=(t_idx, t[t_idx]),
+        row_limit=np.inf, entry_limit=frontier_cap * bundle.mat.nnz,
+        history=history,
+    )
+    estimate = x + front.dense(front.q + front.res) + dust
+    facts = {"frontier_peak": front.frontier_peak, "support": front.support}
+    if front.capped:
+        return _fallback(
+            bundle, t, np.maximum(estimate, 0.0),
+            alpha=alpha, tol=tol, max_iter=max(max_iter - front.epochs, 1),
+            dangling=dangling, raise_on_failure=raise_on_failure,
+            epochs=front.epochs, history=history,
+            method="incremental_fallback", fallback="frontier_cap", **facts,
+        )
+    if not front.converged and raise_on_failure:
         raise ConvergenceError(
             f"incremental update did not reach tol={tol} within "
-            f"{max_iter} epochs (remaining residual mass={sum_abs:.3e})",
-            iterations=epochs,
-            residual=sum_abs,
+            f"{max_iter} epochs (remaining residual mass={front.mass:.3e})",
+            iterations=front.epochs,
+            residual=front.mass,
         )
     return _finish(
-        x, q, res + dust,
-        epochs=epochs, converged=converged, history=history,
-        method="incremental_push",
+        estimate, x,
+        epochs=front.epochs, converged=front.converged, history=history,
+        method="incremental_push", **facts,
     )

@@ -26,12 +26,20 @@ certificate: the solver stops when ``Σ res ≤ tol``.
 This implementation pushes **epoch-wise and vectorised** (a batched
 Gauss–Southwell): each epoch selects every node whose residual exceeds an
 adaptive threshold (a fraction of the mean active residual) and propagates
-them with one restricted sparse·dense product over just those rows.  The
-mass argument guarantees each epoch shrinks ``Σ res`` by at least
-``(1−c)(1−α)`` relative (``c`` the threshold fraction), so epochs are
-bounded by the same α-rate as power iteration while touching only the hot
-frontier instead of all ``nnz`` — the win grows with graph size for
-localized queries (``tools/bench_perf.py``, ``single_query``).
+them in one scatter over just those rows.  The mass argument guarantees
+each epoch shrinks ``Σ res`` by at least ``(1−c)(1−α)`` relative (``c``
+the threshold fraction), so epochs are bounded by the same α-rate as power
+iteration.
+
+An epoch costs O(stored entries of the active rows + residual support),
+never O(n).  Each node gets a *slot* the first time it holds residual and
+``q``/``res`` live only on those slots (:func:`_push_epochs`); the active
+rows are gathered straight from the CSR ``indptr``/``indices``/``data``
+arrays and scattered back with one ``np.bincount`` over the slots.  The
+only O(n) work left in a call is the per-call slot map, the dense
+returned score vector and, when it triggers, the power-iteration
+fallback — so the win grows with graph size for localized queries
+(``tools/bench_perf.py``, ``single_query``; ``docs/performance.md``).
 
 When the premise fails — the frontier stops being sparse (uniform-ish
 teleports, very small α, ``dangling="uniform"`` spraying mass everywhere)
@@ -137,21 +145,169 @@ def _seed_arrays(
         raise ParameterError(f"seed index {bad} out of range for n={n}")
     if (w < 0).any():
         raise ParameterError("seed weights must be non-negative")
-    # Accumulate duplicates, then drop zero-weight seeds.
-    dense_w = np.bincount(idx, weights=w, minlength=n)
-    idx = np.flatnonzero(dense_w)
-    w = dense_w[idx]
+    # Accumulate duplicates (in input order, O(seeds) not O(n)), then
+    # drop zero-weight seeds.
+    idx, inverse = np.unique(idx, return_inverse=True)
+    w = np.bincount(inverse, weights=w, minlength=idx.size)
+    keep = w != 0.0
+    idx = idx[keep]
+    w = w[keep]
     total = w.sum()
     if total <= 0.0:
         raise ParameterError("seed weights must have positive total mass")
     return idx, w / total
 
 
+class _Frontier:
+    """Per-call push state stored on *slots*, not on all n nodes.
+
+    A node gets a slot the first time it holds residual; ``nodes`` maps
+    slot → node, ``q`` and ``res`` hold the settled estimate and the
+    residual per slot, and ``slot_of`` (node → slot, ``-1`` for none) is
+    the one O(n) array of the call.  Every instance is private to one
+    solver call, so concurrent pushes on a shared bundle never share
+    scratch state.
+    """
+
+    def __init__(self, n: int, nodes: np.ndarray, res: np.ndarray) -> None:
+        self.slot_of = np.full(n, -1, dtype=np.int64)
+        self.slot_of[nodes] = np.arange(nodes.size)
+        self.nodes = nodes
+        self.res = res
+        self.q = np.zeros(nodes.size)
+        self.epochs = 0
+        self.converged = False
+        self.capped = False
+        self.frontier_peak = 0
+        self.mass = float(np.abs(res).sum())
+
+    @property
+    def support(self) -> int:
+        """Number of nodes that ever held residual."""
+        return int(self.nodes.size)
+
+    def slots(self, nodes: np.ndarray) -> np.ndarray:
+        """Slots of ``nodes``, allocating one for each first-time node."""
+        slots = self.slot_of.take(nodes)
+        fresh = slots < 0
+        if fresh.any():
+            new = np.unique(nodes[fresh])
+            self.slot_of[new] = np.arange(
+                self.nodes.size, self.nodes.size + new.size
+            )
+            self.nodes = np.concatenate((self.nodes, new))
+            self.q = np.concatenate((self.q, np.zeros(new.size)))
+            self.res = np.concatenate((self.res, np.zeros(new.size)))
+            slots = self.slot_of.take(nodes)
+        return slots
+
+    def dense(self, values: np.ndarray) -> np.ndarray:
+        """Scatter per-slot ``values`` into a dense length-n vector."""
+        out = np.zeros(self.slot_of.size)
+        out[self.nodes] = values
+        return out
+
+
+def _push_epochs(
+    bundle: LinearOperatorBundle,
+    nodes: np.ndarray,
+    res: np.ndarray,
+    *,
+    alpha: float,
+    tol: float,
+    max_iter: int,
+    dangling: str,
+    settle: float,
+    target: tuple[np.ndarray, np.ndarray],
+    row_limit: float,
+    entry_limit: float,
+    history: list[float],
+) -> _Frontier:
+    """Run Gauss–Southwell push epochs on the signed residual ``res``.
+
+    ``nodes``/``res`` are the initial residual support (distinct node
+    indices) and its values.  Pushing slot ``u`` settles
+    ``settle·res[u]`` into ``q[u]`` and forwards ``α·res[u]`` along row
+    ``u`` of the bundle's matrix; a ``dangling="self"`` row settles its
+    whole geometric series ``settle·res[u]/(1−α)`` at once, and under
+    ``dangling="teleport"`` a dangling row's forwarded mass goes to the
+    sparse ``target`` ``(indices, weights)``.  Each epoch appends
+    ``Σ|res|`` to ``history``; the run stops once it is ``≤ tol``, after
+    ``max_iter`` epochs, or — with ``capped`` set and the state left as
+    it was before that epoch — when the active frontier has more than
+    ``row_limit`` rows or its rows store more than ``entry_limit``
+    entries.  One epoch costs O(active rows' entries + support).
+    """
+    mat = bundle.mat
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    dangle_mask = bundle.dangle_mask
+    has_dangling = bundle.has_dangling
+    self_settle = settle / (1.0 - alpha)
+    front = _Frontier(bundle.n, nodes, res)
+    while front.epochs < max_iter:
+        # Adaptive Gauss–Southwell threshold: push everything holding at
+        # least _THETA_FRACTION of the mean active residual.  The mean is
+        # ≤ the max, so the active set is never empty while mass remains.
+        res = front.res
+        live = np.count_nonzero(res)
+        if live == 0:
+            front.converged = True
+            break
+        theta = _THETA_FRACTION * front.mass / live
+        active = np.flatnonzero(np.abs(res) >= theta)
+        act_nodes = front.nodes[active]
+        starts = indptr[act_nodes]
+        lengths = indptr[act_nodes + 1] - starts
+        entries = int(lengths.sum())
+        if active.size > row_limit or entries > entry_limit:
+            front.capped = True
+            break
+        front.frontier_peak = max(front.frontier_peak, int(active.size))
+        front.epochs += 1
+
+        if dangling == "self" and has_dangling:
+            # Closed form: a dangling node keeps its walk mass in place,
+            # so its residual settles geometrically into its own slot —
+            # Σ_k settle·α^k·res = settle·res/(1−α).  Settle it in one
+            # step; its row stores no entries, so the push below skips it.
+            done = active[dangle_mask[act_nodes]]
+            front.q[done] += res[done] * self_settle
+            res[done] = 0.0
+
+        r_act = res[active]
+        res[active] = 0.0
+        front.q[active] += settle * r_act
+        # Gather the active rows' entries straight from the CSR arrays
+        # and scatter res += α · Σ_u r_u · P[u, :] over the slots.
+        if entries:
+            pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+            pos += np.arange(entries)
+            weights = data.take(pos)
+            weights *= np.repeat(r_act, lengths)
+            flow = np.bincount(
+                front.slots(indices.take(pos)),
+                weights=weights,
+                minlength=front.nodes.size,
+            )
+            front.res += alpha * flow
+        if dangling == "teleport" and has_dangling:
+            d_mass = float(r_act[dangle_mask[act_nodes]].sum())
+            if d_mass != 0.0:
+                t_idx, t_w = target
+                t_slots = front.slots(t_idx)
+                front.res[t_slots] += alpha * d_mass * t_w
+        front.mass = float(np.abs(front.res).sum())
+        history.append(front.mass)
+        if front.mass <= tol:
+            front.converged = True
+            break
+    return front
+
+
 def _fallback(
     bundle: LinearOperatorBundle,
     teleport: np.ndarray,
-    q: np.ndarray,
-    res: np.ndarray,
+    guess: np.ndarray,
     *,
     alpha: float,
     tol: float,
@@ -160,11 +316,10 @@ def _fallback(
     raise_on_failure: bool,
     epochs: int,
     history: list[float],
-    cause: str,
+    method: str,
+    **facts,
 ) -> PageRankResult:
-    """Finish with power iteration (same bundle), warm-started from q+res."""
-    guess = q + res
-    x0 = guess if guess.sum() > 0.0 else None
+    """Finish by power iteration on the same bundle from ``guess``."""
     result = power_iteration(
         None,
         alpha=alpha,
@@ -174,21 +329,22 @@ def _fallback(
         dangling=dangling,
         raise_on_failure=raise_on_failure,
         operator=bundle,
-        x0=x0,
+        x0=guess if guess.sum() > 0.0 else None,
     )
     return record_result(
         replace(
             result,
             iterations=epochs + result.iterations,
             residuals=history + result.residuals,
-            method="forward_push_fallback",
+            method=method,
         ),
-        fallback=cause,
         push_epochs=epochs,
+        **facts,
     )
 
 
 def forward_push(
+
     transition: sparse.spmatrix | None,
     seeds,
     *,
@@ -265,102 +421,56 @@ def forward_push(
         )
     seed_idx, seed_w = _seed_arrays(seeds, n)
 
-    teleport = np.zeros(n)
-    teleport[seed_idx] = seed_w
+    def teleport() -> np.ndarray:
+        vec = np.zeros(n)
+        vec[seed_idx] = seed_w
+        return vec
 
-    mat = bundle.mat
-    dangle_mask = bundle.dangle_mask
-    q = np.zeros(n)
-    res = teleport.copy()
-    sum_res = 1.0
     history: list[float] = []
-    frontier_limit = frontier_cap * n
-
     if dangling == "uniform" and bundle.has_dangling:
         # Dangling mass sprayed uniformly densifies the residual in one
         # step: push has no advantage, go straight to the solver it would
         # fall back to anyway.
+        t = teleport()
         return _fallback(
-            bundle, teleport, q, res,
+            bundle, t, t,
             alpha=alpha, tol=tol, max_iter=max_iter, dangling=dangling,
             raise_on_failure=raise_on_failure, epochs=0, history=history,
-            cause="uniform_dangling",
+            method="forward_push_fallback", fallback="uniform_dangling",
         )
 
-    epochs = 0
-    converged = False
-    frontier_peak = 0
-    while epochs < max_iter:
-        # Adaptive Gauss–Southwell threshold: push everything holding at
-        # least _THETA_FRACTION of the mean active residual.  The mean is
-        # ≤ the max, so the active set is never empty while mass remains.
-        nnz = np.count_nonzero(res)
-        if nnz == 0:
-            converged = True
-            break
-        theta = _THETA_FRACTION * sum_res / nnz
-        active = np.flatnonzero(res >= theta)
-        if active.size > frontier_limit:
-            return _fallback(
-                bundle, teleport, q, res,
-                alpha=alpha, tol=tol, max_iter=max_iter - epochs,
-                dangling=dangling, raise_on_failure=raise_on_failure,
-                epochs=epochs, history=history, cause="frontier_cap",
-            )
-        if active.size > frontier_peak:
-            frontier_peak = int(active.size)
-        epochs += 1
-
-        if dangling == "self":
-            # Closed form: a dangling node keeps its walk mass in place,
-            # so its residual settles geometrically into its own score —
-            # Σ_k (1−α)α^k · res = res.  Settle it in one step.
-            self_d = active[dangle_mask[active]]
-            if self_d.size:
-                q[self_d] += res[self_d]
-                res[self_d] = 0.0
-                active = active[~dangle_mask[active]]
-                if active.size == 0:
-                    sum_res = float(res.sum())
-                    history.append(sum_res)
-                    if sum_res <= tol:
-                        converged = True
-                        break
-                    continue
-
-        r_act = res[active].copy()
-        res[active] = 0.0
-        q[active] += (1.0 - alpha) * r_act
-        # One restricted sparse·dense product over just the active rows:
-        # res += α · Σ_u r_u · P[u, :].
-        sub = mat[active]
-        res += alpha * (sub.T @ r_act)
-        if dangling == "teleport":
-            d_mass = float(r_act[dangle_mask[active]].sum())
-            if d_mass > 0.0:
-                res[seed_idx] += alpha * d_mass * seed_w
-        sum_res = float(res.sum())
-        history.append(sum_res)
-        if sum_res <= tol:
-            converged = True
-            break
-
-    if not converged and raise_on_failure:
+    front = _push_epochs(
+        bundle, seed_idx, seed_w.copy(),
+        alpha=alpha, tol=tol, max_iter=max_iter, dangling=dangling,
+        settle=1.0 - alpha, target=(seed_idx, seed_w),
+        row_limit=frontier_cap * n, entry_limit=np.inf, history=history,
+    )
+    if front.capped:
+        return _fallback(
+            bundle, teleport(), front.dense(front.q + front.res),
+            alpha=alpha, tol=tol, max_iter=max_iter - front.epochs,
+            dangling=dangling, raise_on_failure=raise_on_failure,
+            epochs=front.epochs, history=history,
+            method="forward_push_fallback", fallback="frontier_cap",
+            frontier_peak=front.frontier_peak, support=front.support,
+        )
+    if not front.converged and raise_on_failure:
         raise ConvergenceError(
             f"forward push did not reach tol={tol} within {max_iter} "
-            f"epochs (remaining residual mass={sum_res:.3e})",
-            iterations=epochs,
-            residual=sum_res,
+            f"epochs (remaining residual mass={front.mass:.3e})",
+            iterations=front.epochs,
+            residual=front.mass,
         )
-    total = q.sum()
-    scores = q / total if total > 0.0 else teleport.copy()
+    total = front.q.sum()
+    scores = front.dense(front.q / total) if total > 0.0 else teleport()
     return record_result(
         PageRankResult(
             scores=scores,
-            iterations=epochs,
-            converged=converged,
+            iterations=front.epochs,
+            converged=front.converged,
             residuals=history,
             method="forward_push",
         ),
-        frontier_peak=frontier_peak,
+        frontier_peak=front.frontier_peak,
+        support=front.support,
     )

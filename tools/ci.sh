@@ -76,6 +76,16 @@ if grep -rnE 'LatencyRecorder|effective_push_localization|max_age|backlog=|poll_
 fi
 echo "src/repro/serving/ lines: $(cat src/repro/serving/*.py | wc -l)"
 
+# Frontier-local push epochs: an epoch gathers the active rows straight
+# from the CSR arrays and scatters over the residual's slots, so it
+# never costs O(n).  Fail if the dense scipy row-slice / transpose
+# product comes back, and print the solver layer's line count.
+if grep -nE 'mat\[active\]|sub\.T @' src/repro/linalg/push.py src/repro/linalg/incremental.py; then
+    echo "FAIL: a dense per-epoch push product reappeared in src/repro/linalg/" >&2
+    exit 1
+fi
+echo "src/repro/linalg/ lines: $(cat src/repro/linalg/*.py | wc -l)"
+
 python -m pytest -x -q
 
 # Re-run the multi-threaded stress suite under a hard watchdog: a

@@ -130,10 +130,9 @@ def solve_transition(
     :func:`~repro.shard.solver.sharded_solve` — block relaxation with the
     aggregation/disaggregation coarse correction over a
     :class:`~repro.shard.operator.ShardedOperator`.  Sharding options
-    (``sharded``, ``n_shards``, ``method``, ``workers``,
-    ``inner_sweeps``, ``precision``, ``aggregate``, ``size_floor``) pass
-    through ``extra``; below the size floor it falls back transparently
-    to the monolithic power path.
+    (``sharded``, ``n_shards``, ``inner_sweeps``, ``aggregate``,
+    ``size_floor``) pass through ``extra``; below the size floor it
+    falls back transparently to the monolithic power path.
     """
     if warm_from is not None and solver == "push":
         raise ParameterError(
@@ -205,8 +204,8 @@ def solve_transition(
         )
     if solver == "sharded":
         from repro.shard.solver import sharded_solve  # local: keep the
-        # shard package (and its multiprocessing import) off the default
-        # import path of every non-sharded caller.
+        # shard package off the default import path of every non-sharded
+        # caller.
 
         return sharded_solve(
             transition,
@@ -367,7 +366,6 @@ def solve_many(
     precision: str = "double",
     solver: str = "batch",
     n_shards: int = 8,
-    shard_workers: int | None = None,
     raise_on_failure: bool = False,
 ) -> list:
     """Solve many ranking queries against one graph in batched passes.
@@ -408,9 +406,9 @@ def solve_many(
         column structure matches.
     precision:
         ``"double"`` (default, matches per-query solves to 1e-12) or
-        ``"mixed"`` (float32 sweeps + float64 polish to ``tol`` — the
-        serving configuration; see
-        :func:`~repro.linalg.power_iteration_batch`).
+        ``"mixed"`` (float32 sweeps + float64 polish to ``tol``; see
+        :func:`~repro.linalg.power_iteration_batch`) for the ``"batch"``
+        solver.  The ``"sharded"`` solver always runs in double.
     solver:
         ``"batch"`` (default) advances each group as one ``n × K`` block
         through :func:`~repro.linalg.power_iteration_batch`;
@@ -420,9 +418,8 @@ def solve_many(
         block-partitioned path for graphs too large to stream whole,
         falling back to the monolithic path below the sharding size
         floor.
-    n_shards, shard_workers:
-        Shard count and worker-pool size of the ``"sharded"`` solver
-        (``None``/``1`` workers = serial block Gauss–Seidel).
+    n_shards:
+        Shard count of the ``"sharded"`` solver.
     raise_on_failure:
         Raise :class:`~repro.errors.ConvergenceError` if any column fails
         to converge.
@@ -511,8 +508,6 @@ def solve_many(
                     max_iter=max_iter,
                     operator=bundle,
                     sharded=sharded,
-                    workers=shard_workers,
-                    precision=precision,
                     raise_on_failure=raise_on_failure,
                 )
                 out[idx] = NodeScores(graph, result.scores, result)
@@ -585,8 +580,7 @@ def update_scores(
     the graph, not the question.  The result converges to the cold
     re-solve answer within solver tolerance (certified; see
     ``linalg/incremental.py``) and is typically far cheaper for deltas
-    touching a small fraction of edges (``tools/bench_perf.py``,
-    ``dynamic_update``).
+    touching a small fraction of edges.
 
     ``apply_delta=False`` skips step 1 for callers that already applied
     the delta (e.g. several ``update_scores`` calls for different

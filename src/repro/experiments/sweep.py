@@ -12,8 +12,7 @@ through the batched engine (:func:`repro.core.engine.solve_many`): points
 sharing a transition matrix (same ``p``/``β``) are advanced together as one
 ``n × K`` block — e.g. :func:`alpha_sweep` solves all four α values per
 ``p`` in a single sparse·dense pass — and consecutive ``p`` grid points
-warm-start from each other.  ``tools/bench_perf.py`` (``sweep`` scenario)
-tracks the measured speedup over the per-point loop.
+warm-start from each other.
 """
 
 from __future__ import annotations

@@ -6,10 +6,7 @@ The graph's canonical ``(rows, cols, weights)`` triple is persisted to
 * graphs larger than RAM page from disk on demand (the OS page cache
   keeps the hot range resident),
 * a snapshot directory can be *attached* zero-copy — loading a 100M-edge
-  snapshot costs three ``mmap(2)`` calls, not a read of the file bodies,
-* other processes can map the same files (MAP_SHARED file mappings need
-  no fork-inherited ``shared_memory`` handles, which is what lets the
-  shard worker pools run under exec-spawn — see ``repro.shard.pool``).
+  snapshot costs three ``mmap(2)`` calls, not a read of the file bodies.
 
 Every mutation that rewrites the columnar store writes a fresh file
 generation and unlinks the previous one; open views keep the unlinked

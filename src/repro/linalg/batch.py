@@ -14,7 +14,8 @@ can be advanced together as one ``n × K`` dense score block:
 One CSR·dense multiply per sweep replaces K CSR·vector multiplies.  Because
 sparse matvec is memory-bound, the batched multiply touches every stored
 nonzero once per sweep *for all columns at once*, which is where the
-measured speedup comes from (``tools/bench_perf.py``, ``ppr_batch``).
+speedup comes from (the ``analytics-sweep`` workload of ``perfbench/``
+spends most of its time here).
 
 Semantics match :func:`repro.linalg.solvers.power_iteration` column by
 column (the test-suite pins agreement to 1e-12 across all dangling
@@ -538,8 +539,8 @@ def power_iteration_batch(
         polishes each column with float64 sweeps against the
         full-precision matrix until the true L1 residual is below
         ``tol``; results stay within tolerance-level distance of the
-        double-precision answer, at a large throughput gain on big graphs
-        (``BENCH_core.json``).
+        double-precision answer, at lower latency and higher peak memory
+        (``docs/performance.md`` § Mechanism verdicts).
     raise_on_failure:
         Raise :class:`ConvergenceError` if any column fails to converge.
     operator:

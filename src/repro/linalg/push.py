@@ -39,7 +39,7 @@ arrays and scattered back with one ``np.bincount`` over the slots.  The
 only O(n) work left in a call is the per-call slot map, the dense
 returned score vector and, when it triggers, the power-iteration
 fallback — so the win grows with graph size for localized queries
-(``tools/bench_perf.py``, ``single_query``; ``docs/performance.md``).
+(``docs/performance.md`` § Forward push; the ``serve-local`` workload).
 
 When the premise fails — the frontier stops being sparse (uniform-ish
 teleports, very small α, ``dangling="uniform"`` spraying mass everywhere)

@@ -237,7 +237,6 @@ class CentralityMethod:
         *,
         clamp_min=None,
         n_shards: int = 8,
-        method: str = "auto",
         size_floor: int | None = None,
         force: bool = False,
     ):
@@ -248,9 +247,7 @@ class CentralityMethod:
         :meth:`~repro.graph.base.BaseGraph.shard_plan`, memoised per
         graph version so repeated sharded solves and shard-local pushes
         share one set of diagonal / coupling blocks.  Below the size
-        floor the constructor refuses unless ``force=True``.  The
-        operator owns no shared-memory segments; those belong to the
-        worker pools it creates on demand.
+        floor the constructor refuses unless ``force=True``.
         """
         if not self.supports_sharding:
             raise ReproError(
@@ -262,7 +259,7 @@ class CentralityMethod:
 
         def build():
             bundle = self.operator(graph, group_key, clamp_min=clamp_min)
-            plan = graph.shard_plan(n_shards, method=method)
+            plan = graph.shard_plan(n_shards)
             return ShardedOperator(bundle, plan, size_floor=floor, force=force)
 
         return graph.cached(
@@ -270,7 +267,6 @@ class CentralityMethod:
                 "sharded_operator",
                 *self.matrix_key(group_key, clamp_min),
                 int(n_shards),
-                str(method),
             ),
             build,
         )

@@ -87,7 +87,6 @@ def sharded_operator_for(
     *,
     clamp_min=None,
     n_shards: int = 8,
-    method: str = "auto",
     size_floor: int | None = None,
     force: bool = False,
 ):
@@ -97,7 +96,6 @@ def sharded_operator_for(
         group_key,
         clamp_min=clamp_min,
         n_shards=n_shards,
-        method=method,
         size_floor=size_floor,
         force=force,
     )

@@ -467,7 +467,7 @@ class D2PRRecommender:
         sets on large graphs that is a small neighbourhood around the
         seeds and their high-degree hubs, not the whole edge stream, so a
         single query answers in a fraction of a full power-iteration
-        solve (``tools/bench_perf.py``, ``single_query``).  Non-localized
+        solve (``docs/performance.md`` § Forward push).  Non-localized
         queries transparently fall back to warm-started power iteration,
         and non-power solver configurations keep their verification
         semantics through :meth:`recommend_for`.
@@ -527,8 +527,7 @@ class D2PRRecommender:
         personalised system shares the recommender's transition matrix and
         differs only in its teleport vector, so the whole cohort is solved
         as **one batched pass** (:func:`repro.core.engine.solve_many`) —
-        the path to take when serving query traffic, ``tools/bench_perf.py
-        ppr_batch`` measures the speedup over per-user solves.
+        the path to take when serving query traffic.
 
         Returns one recommendation list per user, aligned with ``users``.
         Non-power solvers fall back to per-user :meth:`recommend_for`.

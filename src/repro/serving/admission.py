@@ -3,28 +3,21 @@
 A serving process under more load than it can absorb has exactly three
 honest options: queue the request, serve it now, or **refuse it with a
 reason**.  :class:`AdmissionController` implements that contract as a
-bounded FIFO ingress queue plus per-class concurrency limits:
+bounded FIFO ingress queue:
 
 * **Bounded queue** — an offer beyond ``capacity`` raises
   :class:`~repro.errors.AdmissionError` with ``reason="queue_full"``.
   Backpressure is *explicit*: the client learns immediately that the
   front is saturated instead of watching its request age in an
   unbounded queue.
-* **Per-class concurrency limits** — each queued item carries a class
-  label (the serving front uses the planner's strategy name), and
-  ``limits`` caps how many items of a class may be *running* at once.
-  :meth:`take` hands out the **first queued item whose class has a free
-  slot**, skipping over blocked ones — an expensive class (a global
-  ``sharded`` solve) saturating its slots cannot starve the cheap
-  pushes queued behind it; they jump ahead while the heavy slot drains.
-  FIFO order is preserved *within* a class.
+* **FIFO hand-out** — :meth:`take` returns the oldest queued item.
 * **Explicit shutdown** — :meth:`close` rejects everything still queued
   with ``reason="shutdown"`` and returns the rejected items so the
   caller can fail their tickets loudly.  Nothing is ever dropped
   silently.
 
 Thread safety: one condition variable guards all state; ``offer`` /
-``take`` / ``release`` / ``close`` may be called from any thread.
+``take`` / ``close`` may be called from any thread.
 """
 
 from __future__ import annotations
@@ -39,16 +32,12 @@ __all__ = ["AdmissionController"]
 
 
 class AdmissionController:
-    """Bounded ingress queue with per-class concurrency limits.
+    """Bounded FIFO ingress queue.
 
     Parameters
     ----------
     capacity:
-        Maximum queued (admitted but not yet running) items.
-    limits:
-        ``{class_label: max_concurrent}`` — classes absent from the map
-        are unlimited.  Limits bound *running* items (between
-        :meth:`take` and :meth:`release`), not queued ones.
+        Maximum queued (admitted but not yet taken) items.
     metrics:
         Telemetry registry for the admit/reject counters and the
         queue-depth gauge; ``None`` creates a private registry.
@@ -58,22 +47,13 @@ class AdmissionController:
         self,
         capacity: int = 64,
         *,
-        limits: dict[str, int] | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if capacity < 1:
             raise ParameterError(f"capacity must be >= 1, got {capacity}")
-        limits = dict(limits or {})
-        for label, limit in limits.items():
-            if limit < 1:
-                raise ParameterError(
-                    f"limit for class {label!r} must be >= 1, got {limit}"
-                )
         self.capacity = capacity
-        self.limits = limits
         self._cv = threading.Condition()
-        self._queue: deque[tuple[object, str]] = deque()
-        self._running: dict[str, int] = {}
+        self._queue: deque[object] = deque()
         self._closed = False
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._m_admitted = self.metrics.counter(
@@ -94,7 +74,7 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # producer side
     # ------------------------------------------------------------------
-    def offer(self, item: object, cls: str = "default") -> None:
+    def offer(self, item: object) -> None:
         """Admit ``item`` or raise :class:`AdmissionError` with a reason."""
         with self._cv:
             if self._closed:
@@ -109,71 +89,38 @@ class AdmissionController:
                     "retry later or raise capacity",
                     reason="queue_full",
                 )
-            self._queue.append((item, cls))
+            self._queue.append(item)
             self._m_admitted.inc()
             self._cv.notify_all()
 
     # ------------------------------------------------------------------
     # consumer side
     # ------------------------------------------------------------------
-    def _eligible(self) -> int | None:
-        """Index of the first queued item whose class has a free slot."""
-        for i, (_item, cls) in enumerate(self._queue):
-            limit = self.limits.get(cls)
-            if limit is None or self._running.get(cls, 0) < limit:
-                return i
-        return None
+    def take(self, timeout: float | None = None) -> object | None:
+        """The oldest queued item, or ``None``.
 
-    def take(
-        self, timeout: float | None = None
-    ) -> tuple[object, str] | None:
-        """The next runnable ``(item, class)``, or ``None``.
-
-        Blocks until an item whose class has a free concurrency slot is
-        available (claiming its slot), the controller is closed
+        Blocks until an item is available, the controller is closed
         (returns ``None`` once the queue is empty), or ``timeout``
-        elapses (``None``; ``timeout=0`` polls).  Pair every successful
-        take with a :meth:`release` of the returned class.
+        elapses (``None``; ``timeout=0`` polls).
         """
         with self._cv:
-            while True:
-                index = self._eligible()
-                if index is not None:
-                    item, cls = self._queue[index]
-                    del self._queue[index]
-                    self._running[cls] = self._running.get(cls, 0) + 1
-                    return item, cls
-                if self._closed and not self._queue:
-                    return None
-                if timeout == 0:
+            while not self._queue:
+                if self._closed or timeout == 0:
                     return None
                 if not self._cv.wait(timeout=timeout):
                     return None
-
-    def release(self, cls: str) -> None:
-        """Return the concurrency slot claimed by a :meth:`take`."""
-        with self._cv:
-            count = self._running.get(cls, 0)
-            if count <= 0:
-                raise ParameterError(
-                    f"release of class {cls!r} without a matching take"
-                )
-            if count == 1:
-                del self._running[cls]
-            else:
-                self._running[cls] = count - 1
-            self._cv.notify_all()
+            return self._queue.popleft()
 
     # ------------------------------------------------------------------
     # lifecycle / introspection
     # ------------------------------------------------------------------
-    def close(self) -> list[tuple[object, str]]:
+    def close(self) -> list[object]:
         """Stop admitting; return still-queued items for explicit rejection.
 
-        Waiting :meth:`take` calls wake and drain what remains already
-        taken; the *queued* backlog is handed back to the caller, whose
-        job is to fail each item loudly (the serving front rejects their
-        tickets with ``reason="shutdown"``).  Idempotent.
+        Waiting :meth:`take` calls wake and return ``None``; the
+        *queued* backlog is handed back to the caller, whose job is to
+        fail each item loudly (the serving front rejects their tickets
+        with ``reason="shutdown"``).  Idempotent.
         """
         with self._cv:
             self._closed = True
@@ -190,15 +137,15 @@ class AdmissionController:
             return self._closed
 
     def depth(self) -> int:
-        """Currently queued (admitted, not yet running) items."""
+        """Currently queued (admitted, not yet taken) items."""
         with self._cv:
             return len(self._queue)
 
     def stats(self) -> dict:
-        """Admission health: depth, running per class, rejections by reason.
+        """Admission health: depth and rejections by reason.
 
-        A backwards-compatible view over the telemetry registry (the
-        ``admission_*`` export names).
+        A view over the telemetry registry (the ``admission_*`` export
+        names).
         """
         rejected = {
             dict(labels)["reason"]: int(value)
@@ -206,14 +153,11 @@ class AdmissionController:
         }
         with self._cv:
             depth = len(self._queue)
-            running = dict(self._running)
             closed = self._closed
         return {
             "capacity": self.capacity,
             "depth": depth,
             "admitted": int(self._m_admitted.value()),
             "rejected": rejected,
-            "running": running,
-            "limits": dict(self.limits),
             "closed": closed,
         }

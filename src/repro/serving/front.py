@@ -4,20 +4,19 @@
 every caller brings its own thread and blocks through its own solve.
 :class:`ServingFront` puts an active request path in front of it:
 
-* **admission** — each incoming request is dry-run planned and offered
-  to an :class:`~repro.serving.admission.AdmissionController` under its
-  strategy label: a full ingress queue or a closed front rejects with
-  an explicit :class:`~repro.errors.AdmissionError` (never silently),
-  and per-strategy concurrency limits keep expensive ``sharded`` solves
-  from starving the cheap pushes queued behind them;
-* **a worker pool** — ``workers`` threads drain the queue and answer
-  each request through :meth:`RankingService.rank`, whatever its
+* **admission** — each incoming request is validated and offered to
+  an :class:`~repro.serving.admission.AdmissionController`, a bounded
+  FIFO queue: a full queue or a closed front rejects with an explicit
+  :class:`~repro.errors.AdmissionError` (never silently).  Planning
+  happens once, in the worker, when the service answers the request;
+* **a worker pool** — ``workers`` threads drain the queue in order and
+  answer each request through :meth:`RankingService.rank`, whatever its
   strategy, fulfilling the request's :class:`FrontTicket`.
 
 The front is a context manager; :meth:`close` stops intake, fails
 every queued-but-unstarted request with ``reason="shutdown"`` and
-drains the workers.  It does **not** close the underlying service
-(whose sharding pools may outlive several fronts).
+drains the workers.  It does **not** close the underlying service,
+which may outlive several fronts.
 
 Latency contract: a client thread calling ``front.submit(...).result()``
 observes queueing + solve time; the service records per-strategy solve
@@ -32,7 +31,7 @@ from contextlib import nullcontext
 from repro.errors import AdmissionError, ParameterError, ReproError
 from repro.serving.admission import AdmissionController
 from repro.serving.planner import RankRequest
-from repro.serving.service import RankingService, ServedResult
+from repro.serving.service import RankingService, ServedResult, coerce_request
 from repro.telemetry.trace import active_span
 
 __all__ = ["FrontTicket", "ServingFront"]
@@ -49,7 +48,6 @@ class FrontTicket:
 
     __slots__ = (
         "request",
-        "strategy",
         "_cond",
         "_result",
         "_error",
@@ -57,12 +55,8 @@ class FrontTicket:
         "_aspan",
     )
 
-    def __init__(self, request: RankRequest, strategy: str) -> None:
+    def __init__(self, request: RankRequest) -> None:
         self.request = request
-        #: The dry-run planned strategy the request was admitted under
-        #: (advisory: the serving-time plan may differ if e.g. a cache
-        #: entry appeared in between).
-        self.strategy = strategy
         self._cond = threading.Condition()
         self._result: ServedResult | None = None
         self._error: BaseException | None = None
@@ -115,11 +109,6 @@ class ServingFront:
     capacity:
         Ingress queue bound; an offer beyond it raises
         :class:`~repro.errors.AdmissionError` (``reason="queue_full"``).
-    limits:
-        Per-strategy concurrency limits, e.g. ``{"sharded": 1}`` —
-        strategies absent from the map are unlimited.  Defaults to
-        ``{"sharded": max(1, workers // 2)}`` so global solves can never
-        occupy the whole pool.  Pass ``{}`` to disable.
     """
 
     def __init__(
@@ -128,14 +117,11 @@ class ServingFront:
         *,
         workers: int = 4,
         capacity: int = 64,
-        limits: dict[str, int] | None = None,
     ) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
         self._service = service
         self.workers = workers
-        if limits is None:
-            limits = {"sharded": max(1, workers // 2)}
         # Duck-typed service wrappers (tests, gating shims) may not
         # expose a registry/tracer; fall back to a private registry so
         # the front's own counters always work.
@@ -145,9 +131,7 @@ class ServingFront:
 
             telemetry = MetricsRegistry()
         self._telemetry = telemetry
-        self._admission = AdmissionController(
-            capacity, limits=limits, metrics=telemetry
-        )
+        self._admission = AdmissionController(capacity, metrics=telemetry)
         self._m_served = telemetry.counter(
             "front_served_total", "Requests fulfilled by front workers"
         )
@@ -179,24 +163,23 @@ class ServingFront:
 
         Raises :class:`~repro.errors.AdmissionError` when the ingress
         queue is full or the front is shut down — backpressure is the
-        *caller's* signal to shed or retry, never a silent drop.
+        *caller's* signal to shed or retry, never a silent drop — and
+        :class:`~repro.errors.ParameterError` for a malformed request.
+        The request is not planned here: the worker's
+        :meth:`RankingService.rank` plans it once, against the cache
+        state it is served from.
         """
-        plan = self._service.plan(request, **kwargs)
-        if request is None:
-            request = RankRequest(**kwargs)
-        ticket = FrontTicket(request, plan.strategy)
+        request = coerce_request(request, kwargs)
+        request.validate()
+        ticket = FrontTicket(request)
         tracer = getattr(self._service, "tracer", None)
         if tracer is not None and active_span() is None:
-            trace = tracer.start(
-                "front.rank",
-                method=request.method,
-                admitted_strategy=plan.strategy,
-            )
+            trace = tracer.start("front.rank", method=request.method)
             if trace is not None:
                 ticket._trace = trace
                 ticket._aspan = trace.root.child("admission")
         try:
-            self._admission.offer(ticket, plan.strategy)
+            self._admission.offer(ticket)
         except AdmissionError as exc:
             if ticket._trace is not None:
                 ticket._aspan.annotate(rejected=exc.reason)
@@ -243,16 +226,12 @@ class ServingFront:
     def _worker_loop(self) -> None:
         # take() blocks until work arrives and returns None only once
         # the front is closed and its queue is empty.
-        while (taken := self._admission.take()) is not None:
-            ticket, cls = taken
+        while (ticket := self._admission.take()) is not None:
             if ticket._aspan is not None:
                 # Close the admission span: its duration is the queue
                 # wait between client offer and worker pickup.
                 ticket._aspan.close()
-            try:
-                self._execute(ticket)
-            finally:
-                self._admission.release(cls)
+            self._execute(ticket)
 
     # ------------------------------------------------------------------
     # lifecycle / introspection
@@ -267,7 +246,7 @@ class ServingFront:
         close the underlying service.
         """
         leftovers = self._admission.close()
-        for item, _cls in leftovers:
+        for item in leftovers:
             item._fail(
                 AdmissionError(
                     "serving front shut down before this request started",

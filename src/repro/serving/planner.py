@@ -48,9 +48,9 @@ the planner's contract:
     service certifies the answer with the escaped-mass bound and falls
     back to a global push when too much mass leaves the shard;
   - ``"sharded"``     — uniform-teleport (global) rankings when a
-    sharded operator is held: fan the block-relaxation rounds of
-    :func:`~repro.shard.solver.sharded_solve` across its worker pool
-    instead of streaming the monolithic matrix;
+    sharded operator is held: run the block-relaxation rounds of
+    :func:`~repro.shard.solver.sharded_solve` over its blocks instead of
+    streaming the monolithic matrix;
   - ``"batch"``       — everything else (dense teleports, wide seed
     sets, pooled cohorts): pooled
     :func:`~repro.linalg.power_iteration_batch` blocks through the

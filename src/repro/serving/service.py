@@ -101,6 +101,21 @@ from repro.telemetry.trace import (
 __all__ = ["RankingService", "ServedResult", "ServingTicket"]
 
 
+def coerce_request(request, kwargs) -> RankRequest:
+    """The :class:`RankRequest` named by a ``(request, **kwargs)`` call."""
+    if request is None:
+        return RankRequest(**kwargs)
+    if kwargs:
+        raise ParameterError(
+            "pass either a RankRequest or keyword fields, not both"
+        )
+    if not isinstance(request, RankRequest):
+        raise ParameterError(
+            f"expected a RankRequest, got {type(request).__name__}"
+        )
+    return request
+
+
 @dataclass(frozen=True)
 class _PendingCorrection:
     """Correction token: the pre-delta operator an entry was solved on.
@@ -236,10 +251,12 @@ class RankingService:
         push when the certificate fails (counted in :meth:`stats`).
         Graphs below ``shard_size_floor`` nodes serve exactly as with
         ``sharding=False``.
-    n_shards / shard_workers / shard_method / shard_size_floor:
-        Shard count, worker-pool size (``None``/``1`` = serial),
-        partitioning method and the size floor below which sharding is
-        bypassed (``None`` = the library default).
+    n_shards / shard_size_floor:
+        Shard count (contiguous blocked ranges) and the size floor below
+        which sharding is bypassed (``None`` = the library default).
+    shard_method:
+        Accepted for existing callers; ``"blocked"`` is the only
+        partitioning.
     delta_log:
         Optional :class:`~repro.graph.persist.DeltaLog` the service tees
         every applied delta into (after the graph commit), enabling
@@ -247,7 +264,7 @@ class RankingService:
         absorbed.  :meth:`checkpoint` arms one automatically.
 
     The service is a context manager: ``with RankingService(g) as svc:``
-    releases sharding worker pools on exit (see :meth:`close`).
+    drops its sharded operators on exit (see :meth:`close`).
     """
 
     def __init__(
@@ -265,8 +282,7 @@ class RankingService:
         clamp_min: float | None = None,
         sharding: bool = False,
         n_shards: int = 8,
-        shard_workers: int | None = None,
-        shard_method: str = "auto",
+        shard_method: str = "blocked",
         shard_size_floor: int | None = None,
         delta_log: DeltaLog | None = None,
         compact_threshold: float | None = None,
@@ -291,6 +307,10 @@ class RankingService:
             )
         if n_shards < 1:
             raise ParameterError(f"n_shards must be >= 1, got {n_shards}")
+        if shard_method != "blocked":
+            raise ParameterError(
+                f"shard_method must be 'blocked', got {shard_method!r}"
+            )
         self._graph = graph
         # One telemetry registry per serving stack: every component
         # below registers its families here, so a single snapshot /
@@ -325,8 +345,6 @@ class RankingService:
         self._max_iter = max_iter
         self._sharding = bool(sharding)
         self._n_shards = int(n_shards)
-        self._shard_workers = shard_workers
-        self._shard_method = shard_method
         self._shard_size_floor = shard_size_floor
         # Optional write-ahead tee: every delta committed through
         # apply_delta is appended here after the graph commit, so a
@@ -350,9 +368,8 @@ class RankingService:
         # the inflight-dedup table, outstanding tickets, shard-op memo.
         self._lock = threading.RLock()
         # Transition group -> ShardedOperator (or None when the graph is
-        # below the size floor).  Mirrors the graph-level cache so the
-        # service can close stale operators on delta instead of leaving
-        # worker pools to garbage collection.
+        # below the size floor).  Mirrors the graph-level cache; cleared
+        # on every delta, and checkpoint() records its keys.
         self._shard_ops: dict[tuple, object | None] = {}
         # Service counters live in the telemetry registry; each
         # increment is atomic under the counter family's own leaf lock
@@ -427,26 +444,13 @@ class RankingService:
     # ------------------------------------------------------------------
     # request intake
     # ------------------------------------------------------------------
-    def _coerce(self, request, kwargs) -> RankRequest:
-        if request is None:
-            return RankRequest(**kwargs)
-        if kwargs:
-            raise ParameterError(
-                "pass either a RankRequest or keyword fields, not both"
-            )
-        if not isinstance(request, RankRequest):
-            raise ParameterError(
-                f"expected a RankRequest, got {type(request).__name__}"
-            )
-        return request
-
     def plan(self, request: RankRequest | None = None, **kwargs) -> QueryPlan:
         """Dry-run planning: explain how a request *would* be served.
 
         Consults the cache without counting a lookup or touching LRU
         order, and executes nothing.
         """
-        request = self._coerce(request, kwargs)
+        request = coerce_request(request, kwargs)
         with self._rw.read():
             query = canonical_query(self._graph, request)
             state = self._cache.peek(
@@ -480,7 +484,7 @@ class RankingService:
         the service then adds its spans to the caller's trace instead of
         starting its own.
         """
-        request = self._coerce(request, kwargs)
+        request = coerce_request(request, kwargs)
         trace = None
         if self._tracer is not None and active_span() is None:
             trace = self._tracer.start("rank", method=request.method)
@@ -600,10 +604,9 @@ class RankingService:
         service degrades to exactly the unsharded behaviour.  Built
         operators are memoised both on the graph's mutation-aware cache
         (via :func:`~repro.methods.sharded_operator_for`) and in a
-        service-side table, so :meth:`apply_delta` can close stale
-        worker pools instead of leaving them to garbage collection.
-        The build runs under the bookkeeping lock so concurrent first
-        requests cannot race two worker pools into existence.
+        service-side table whose keys :meth:`checkpoint` records.  The
+        build runs under the bookkeeping lock so concurrent first
+        requests cannot build the same operator twice.
         """
         if not self._sharding:
             return None
@@ -629,7 +632,6 @@ class RankingService:
                     group_key,
                     clamp_min=self._clamp_min,
                     n_shards=self._n_shards,
-                    method=self._shard_method,
                     size_floor=floor,
                 )
             self._shard_ops[group_key] = sharded
@@ -778,8 +780,6 @@ class RankingService:
             max_iter=self._max_iter,
             operator=self._bundle(query.group_key),
             sharded=self._sharded(query.group_key),
-            workers=self._shard_workers,
-            precision=self.precision,
         )
         self._m_shard.inc(event="sharded_solves")
         return result
@@ -1011,20 +1011,14 @@ class RankingService:
             # commit precedes the log tee inside apply_graph_delta).
             stats = graph.apply_delta(delta, log=self._delta_log)
             # The graph cache just dropped its shard plans and sharded
-            # operators (unrecognised keys are never refreshed); close
-            # the stale operators' worker pools now instead of waiting
-            # for garbage collection to release their shared-memory
-            # segments.
+            # operators (unrecognised keys are never refreshed); drop
+            # the service's references to the stale ones too.
             with self._lock:
-                shard_ops = list(self._shard_ops.values())
                 self._shard_ops.clear()
             self._m_deltas.inc(kind="applied")
             self._m_deltas.inc(
                 kind="localized" if localized else "evicting"
             )
-            for sharded in shard_ops:
-                if sharded is not None:
-                    sharded.close()
             if localized:
                 mutation = graph.mutation_count
                 for digest in pending + stale:
@@ -1367,20 +1361,15 @@ class RankingService:
         )
 
     def close(self) -> None:
-        """Release sharding worker pools and shared-memory segments.
+        """Drop the service's references to its sharded operators.
 
-        Idempotent; a service without sharding (or whose pools were
-        never spun up) is a no-op.  Cached answers and the coalescer's
-        warm-start memory are untouched — only process/segment resources
-        are released, and a later sharded request transparently rebuilds
-        them.
+        Idempotent; a service without sharding is a no-op.  Cached
+        answers and the coalescer's warm-start memory are untouched, and
+        a later sharded request transparently fetches the operator
+        again.
         """
         with self._lock:
-            shard_ops = list(self._shard_ops.values())
             self._shard_ops.clear()
-        for sharded in shard_ops:
-            if sharded is not None:
-                sharded.close()
 
     def __enter__(self) -> "RankingService":
         return self

@@ -15,10 +15,9 @@ solvers.
 Construction is one vectorised pass: ``P``'s COO triplets are relabeled
 through the plan and assembled directly into the permuted ``A`` (no
 monolithic transpose conversion), then each shard's rows are split by a
-column mask with ``O(nnz)`` cumulative sums.  Diagonal blocks keep their
-``indices``/``indptr`` in int32 and expose a lazily-built float32 data
-copy — the mixed-precision sweep operand, mirroring
-``LinearOperatorBundle.mat_f32``.
+column mask with ``O(nnz)`` cumulative sums.  Blocks keep their
+``indices``/``indptr`` in int32 where the shape allows, halving the
+index bytes every relaxation sweep streams.
 
 Shard-local push views (:meth:`ShardedOperator.push_context`) model the
 rest of the graph as a single absorbing **ghost node**: the shard's
@@ -31,12 +30,12 @@ certificate checks.
 
 Size floor
 ----------
-Sharding pays off only past a size where block bookkeeping and (for the
-pool path) worker round-trips are noise; below ``size_floor`` nodes the
-constructor **refuses** (raises :class:`~repro.errors.ParameterError`)
-unless ``force=True``.  :func:`~repro.shard.solver.sharded_solve`
-converts that refusal into a transparent fallback to the monolithic
-power path, so tiny-graph callers never pay shard setup.
+Sharding pays off only past a size where block bookkeeping is noise;
+below ``size_floor`` nodes the constructor **refuses** (raises
+:class:`~repro.errors.ParameterError`) unless ``force=True``.
+:func:`~repro.shard.solver.sharded_solve` converts that refusal into a
+transparent fallback to the monolithic power path, so tiny-graph callers
+never pay shard setup.
 """
 
 from __future__ import annotations
@@ -112,9 +111,9 @@ class ShardedOperator:
         (or a transition matrix, which resolves to its memoised bundle).
     plan:
         A :class:`~repro.shard.plan.ShardPlan` over the same node set;
-        built on demand from ``n_shards``/``method`` when omitted.
-    n_shards, method:
-        Plan parameters used when ``plan`` is ``None``.
+        built on demand from ``n_shards`` when omitted.
+    n_shards:
+        Shard count used when ``plan`` is ``None``.
     size_floor:
         Minimum node count; smaller operands are refused unless
         ``force=True`` (see module docstring).
@@ -128,7 +127,6 @@ class ShardedOperator:
         plan: ShardPlan | None = None,
         *,
         n_shards: int = 8,
-        method: str = "auto",
         size_floor: int = DEFAULT_SIZE_FLOOR,
         force: bool = False,
     ) -> None:
@@ -141,7 +139,7 @@ class ShardedOperator:
                 "a smaller size_floor)"
             )
         if plan is None:
-            plan = plan_shards(bundle.mat, n_shards, method=method)
+            plan = plan_shards(bundle.mat, n_shards)
         if plan.n != n:
             raise ParameterError(
                 f"shard plan covers {plan.n} nodes but the operator has {n}"
@@ -182,12 +180,8 @@ class ShardedOperator:
         self.dangle_shard_p = (
             np.searchsorted(plan.bounds, self.dangle_idx_p, side="right") - 1
         )
-        self._intra32: list[sparse.csr_matrix | None] = (
-            [None] * plan.n_shards
-        )
         self._coarse_ctx: list[tuple] | None = None
         self._push_ctx: dict[int, tuple] = {}
-        self._pools: dict[tuple[int, str], object] = {}
 
     # ------------------------------------------------------------------
     # shape / diagnostics
@@ -208,23 +202,6 @@ class ShardedOperator:
             return 0.0
         cross = sum(block.nnz for block in self.ext)
         return float(cross / total)
-
-    def intra_f32(self, shard: int) -> sparse.csr_matrix:
-        """Float32-data view of a diagonal block (lazily built, shared).
-
-        Shares the float64 block's int32 ``indices``/``indptr`` buffers —
-        only the data array is copied, exactly like
-        ``LinearOperatorBundle.mat_f32``.
-        """
-        cached = self._intra32[shard]
-        if cached is None:
-            base = self.intra[shard]
-            cached = sparse.csr_matrix(
-                (base.data.astype(np.float32), base.indices, base.indptr),
-                shape=base.shape,
-            )
-            self._intra32[shard] = cached
-        return cached
 
     @property
     def coarse_ctx(self) -> list[tuple]:
@@ -299,54 +276,8 @@ class ShardedOperator:
         self._push_ctx[shard] = ctx
         return ctx
 
-    # ------------------------------------------------------------------
-    # worker pools
-    # ------------------------------------------------------------------
-    def pool(
-        self,
-        workers: int,
-        *,
-        substrate: str = "shm",
-        start_method: str | None = None,
-    ):
-        """Return (building once) the persistent worker pool of this size.
-
-        Pools attach the shard blocks to one zero-copy segment —
-        ``substrate="shm"`` for a fork-inherited ``/dev/shm`` segment,
-        ``substrate="mmap"`` for a file-backed MAP_SHARED segment whose
-        workers attach by path (and may therefore use ``spawn``) — and
-        start worker processes once; subsequent solves at the same
-        ``(workers, substrate)`` reuse them.  :meth:`close` (or garbage
-        collection of the operator, via each pool's finalizer) releases
-        processes and segments.
-        """
-        from repro.shard.pool import ShardWorkerPool  # local: mp import
-
-        workers = int(workers)
-        if workers < 2:
-            raise ParameterError(
-                f"a worker pool needs >= 2 workers, got {workers}"
-            )
-        key = (workers, str(substrate))
-        pool = self._pools.get(key)
-        if pool is None or not pool.alive:
-            pool = ShardWorkerPool(
-                self,
-                workers=workers,
-                substrate=substrate,
-                start_method=start_method,
-            )
-            self._pools[key] = pool
-        return pool
-
-    def close(self) -> None:
-        """Shut down any worker pools and release their shared memory."""
-        for pool in self._pools.values():
-            pool.close()
-        self._pools.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<ShardedOperator n={self.n} shards={self.n_shards} "
-            f"cross={self.cross_fraction:.3f} method={self.plan.method!r}>"
+            f"cross={self.cross_fraction:.3f}>"
         )

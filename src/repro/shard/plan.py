@@ -1,28 +1,17 @@
-"""Node-to-shard partitioning with locality-aware block relabeling.
+"""Node-to-shard partitioning into contiguous index blocks.
 
 A :class:`ShardPlan` is the contract every sharded component shares: an
 assignment of nodes to shards plus a **node relabeling** under which each
 shard's rows are contiguous.  The relabeling is what makes the sharded
 operator cheap — a shard's diagonal block is a plain row-range slice of
-the permuted matrix, its iterate a plain slice of the permuted vector,
-and the worker pool can hand out disjoint slices of one shared-memory
-buffer with no index indirection in the inner loop.
+the permuted matrix and its iterate a plain slice of the permuted vector,
+with no index indirection in the inner loop.
 
-Two partitioning methods are provided:
-
-* ``"blocked"`` — contiguous index ranges.  Zero analysis cost; exactly
-  right when the node numbering already encodes locality (the bench
-  generators and most real ingests emit community-clustered ids).
-* ``"labelprop"`` — a deterministic, capacity-bounded label propagation
-  seeded from the blocked split: each round reassigns every node to the
-  shard holding the plurality of its neighbours (ties keep the current
-  shard), then overfull shards spill their weakest-attached nodes to
-  shards with free capacity.  A few rounds recover community blocks from
-  scrambled numberings at O(rounds · nnz) cost.
-
-``"auto"`` picks ``"labelprop"`` whenever it can improve on the blocked
-split (more than one shard and a non-trivial graph) — the analysis cost
-is amortised by the plan living in the graph's mutation-aware cache.
+Partitioning is **blocked**: ``ceil(n / k)``-sized contiguous index
+ranges, the last one short.  It costs nothing to compute and is exactly
+right when the node numbering already encodes locality — the workload
+generators and most real ingests emit community-clustered ids.  Under a
+blocked plan the relabeling is the identity.
 """
 
 from __future__ import annotations
@@ -34,19 +23,7 @@ from scipy import sparse
 
 from repro.errors import ParameterError
 
-__all__ = ["PARTITION_METHODS", "ShardPlan", "intra_fraction", "plan_shards"]
-
-PARTITION_METHODS = ("auto", "blocked", "labelprop")
-
-#: Label-propagation refinement rounds.  Affinity counts stabilise within
-#: a handful of rounds on community-structured graphs; more rounds only
-#: shuffle boundary nodes.
-_LABELPROP_ROUNDS = 4
-
-#: Capacity slack of the label-propagation rebalance: no shard may exceed
-#: ``ceil(n / k) · (1 + slack)`` nodes, so pool workers stay load-balanced
-#: even when communities are skewed.
-_BALANCE_SLACK = 0.25
+__all__ = ["ShardPlan", "plan_shards"]
 
 
 @dataclass(frozen=True)
@@ -68,15 +45,12 @@ class ShardPlan:
     bounds:
         ``(n_shards + 1,)`` int64; shard ``s`` owns permuted rows
         ``bounds[s]:bounds[s + 1]``.
-    method:
-        The partitioning method that produced the plan.
     """
 
     assign: np.ndarray
     order: np.ndarray
     ranks: np.ndarray
     bounds: np.ndarray
-    method: str = "blocked"
 
     @property
     def n(self) -> int:
@@ -117,146 +91,36 @@ class ShardPlan:
         return vec[self.ranks]
 
 
-def _blocked_labels(n: int, k: int) -> np.ndarray:
-    """Contiguous-range labels: ``ceil(n / k)``-sized blocks, last short."""
-    size = -(-n // k)
-    return np.minimum(np.arange(n, dtype=np.int64) // size, k - 1).astype(
-        np.int32
-    )
-
-
-def _labelprop_labels(
-    structure: sparse.csr_matrix, k: int, rounds: int
-) -> np.ndarray:
-    """Deterministic capacity-bounded label propagation.
-
-    Affinity of node ``v`` to shard ``s`` counts v's stored neighbours
-    (both edge directions) currently labelled ``s``; every round
-    reassigns each node to its plurality shard with a half-count bias
-    toward the incumbent (ties never flip, so the iteration cannot
-    oscillate between equivalent relabelings).  A final rebalance caps
-    every shard at ``ceil(n / k) · (1 + _BALANCE_SLACK)`` nodes, spilling
-    the weakest-attached members of overfull shards into free capacity in
-    ascending shard order — fully vectorised and free of tie ambiguity.
-    """
-    n = structure.shape[0]
-    labels = _blocked_labels(n, k)
-    onehot = np.zeros((n, k), dtype=np.float32)
-    for _ in range(max(rounds, 1)):
-        onehot[:] = 0.0
-        onehot[np.arange(n), labels] = 1.0
-        # Undirected affinity from a directed store: out-neighbours via
-        # S @ onehot, in-neighbours via the transpose product computed as
-        # (onehot.T @ S).T — no CSC→CSR conversion needed.
-        counts = structure @ onehot
-        counts += (onehot.T @ structure).T
-        counts[np.arange(n), labels] += 0.5  # incumbent bias: ties stay
-        new_labels = np.argmax(counts, axis=1).astype(np.int32)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-
-    cap = int(np.ceil(n / k) * (1.0 + _BALANCE_SLACK))
-    cap = max(cap, -(-n // k))  # capacity must always admit a full split
-    affinity = counts[np.arange(n), labels]
-    sizes = np.bincount(labels, minlength=k)
-    if (sizes > cap).any():
-        # Within each overfull shard keep the cap highest-affinity nodes
-        # (ties keep lower node ids); spill the rest.
-        keep_order = np.lexsort((np.arange(n), -affinity, labels))
-        position = np.empty(n, dtype=np.int64)
-        start = np.concatenate(([0], np.cumsum(sizes)))
-        position[keep_order] = np.arange(n) - start[labels[keep_order]]
-        spilled = np.flatnonzero(position >= cap)  # ascending node id
-        labels = labels.copy()
-        sizes = np.minimum(sizes, cap)
-        ptr = 0
-        for s in range(k):
-            free = cap - int(sizes[s])
-            if free <= 0:
-                continue
-            take = spilled[ptr : ptr + free]
-            if take.size == 0:
-                break
-            labels[take] = s
-            sizes[s] += take.size
-            ptr += take.size
-    return labels
-
-
-def plan_shards(
-    structure: sparse.spmatrix,
-    n_shards: int,
-    *,
-    method: str = "auto",
-    rounds: int = _LABELPROP_ROUNDS,
-) -> ShardPlan:
-    """Partition the nodes of a (square) sparse structure into shards.
+def plan_shards(structure: sparse.spmatrix, n_shards: int) -> ShardPlan:
+    """Partition the nodes of a (square) sparse structure into blocks.
 
     ``n_shards`` is clamped to ``[1, n]`` — asking for more shards than
     nodes yields one node per shard, never an empty request.  Only the
-    sparsity structure of ``structure`` is read; values are ignored, so
-    any of a graph's cached matrices (adjacency, transition) produces the
-    same plan.
+    shape of ``structure`` is read, so any of a graph's cached matrices
+    (adjacency, transition) produces the same plan.
     """
-    if method not in PARTITION_METHODS:
-        raise ParameterError(
-            f"unknown partition method {method!r}; "
-            f"expected one of {PARTITION_METHODS}"
-        )
     if n_shards < 1:
         raise ParameterError(f"n_shards must be >= 1, got {n_shards}")
-    mat = structure.tocsr() if structure.format != "csr" else structure
-    if mat.shape[0] != mat.shape[1]:
-        raise ParameterError(f"structure must be square, got {mat.shape}")
-    n = mat.shape[0]
+    n, n_cols = structure.shape
+    if n != n_cols:
+        raise ParameterError(
+            f"structure must be square, got {structure.shape}"
+        )
     if n == 0:
         raise ParameterError("cannot shard an empty structure")
     k = min(int(n_shards), n)
-
-    resolved = method
-    if method == "auto":
-        resolved = "labelprop" if (k > 1 and mat.nnz > 0) else "blocked"
-    if k == 1:
-        resolved = "blocked"
-    if resolved == "blocked":
-        labels = _blocked_labels(n, k)
-    else:
-        labels = _labelprop_labels(mat, k, rounds)
-
-    # Stable grouping: shard-major, ascending original index inside each
-    # shard, so the relabeling is deterministic for a given assignment.
-    order = np.argsort(labels, kind="stable").astype(np.int64)
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(n, dtype=np.int64)
+    size = -(-n // k)
+    labels = np.minimum(np.arange(n, dtype=np.int64) // size, k - 1).astype(
+        np.int32
+    )
+    # Blocked labels are already shard-major, so the relabeling is the
+    # identity permutation (``order`` and ``ranks`` share one array).
+    order = np.arange(n, dtype=np.int64)
+    ranks = order
     bounds = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(labels, minlength=k), out=bounds[1:])
-    for arr in (labels, order, ranks, bounds):
+    for arr in (labels, order, bounds):
         arr.setflags(write=False)
     return ShardPlan(
-        assign=labels, order=order, ranks=ranks, bounds=bounds,
-        method=resolved,
+        assign=labels, order=order, ranks=ranks, bounds=bounds
     )
-
-
-def intra_fraction(
-    structure: sparse.spmatrix, plan: ShardPlan
-) -> float:
-    """Fraction of stored entries whose endpoints share a shard.
-
-    The partitioner's quality metric: block relaxation converges in few
-    outer rounds exactly when this is high (coupling blocks are thin).
-    """
-    mat = structure.tocsr() if structure.format != "csr" else structure
-    if mat.shape[0] != plan.n:
-        raise ParameterError(
-            f"structure has {mat.shape[0]} rows but the plan covers "
-            f"{plan.n} nodes"
-        )
-    if mat.nnz == 0:
-        return 1.0
-    row_of = np.repeat(
-        np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr)
-    )
-    same = plan.assign[row_of] == plan.assign[mat.indices]
-    return float(np.count_nonzero(same) / mat.nnz)

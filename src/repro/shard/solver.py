@@ -10,25 +10,18 @@
 — by outer **rounds** over the shards.  Within a round each shard runs
 ``inner_sweeps`` relaxation sweeps against its small diagonal block
 ``A_ss`` while the coupling term ``α · A_s· x`` (plus off-shard dangling
-mass) stays frozen; between rounds only boundary mass is exchanged.
-Two schedules share the round body:
-
-* **serial** (``workers`` ≤ 1): shards are swept in order against the
-  *live* iterate, so shard ``s`` already sees this round's values of
-  shards ``< s`` — multiplicative Schwarz / block Gauss–Seidel.
-* **pooled** (``workers`` ≥ 2): every shard relaxes against the previous
-  round's iterate — additive Schwarz / block Jacobi — which is what
-  parallelises: the :class:`~repro.shard.pool.ShardWorkerPool` workers
-  sweep their shards concurrently against shared-memory buffers and
-  exchange only per-round scalar reductions with the parent.
+mass) stays frozen.  Shards are swept in order against the *live*
+iterate, so shard ``s`` already sees this round's values of shards
+``< s`` — multiplicative Schwarz / block Gauss–Seidel, in the calling
+process.
 
 Aggregation/disaggregation (the single-core speed-up)
 -----------------------------------------------------
 
 Plain block relaxation cannot beat the monolithic α-rate: each inner
 sweep contracts the error by ~α just like a power sweep, so rounds ×
-sweeps ≈ power iterations and the only wins are bandwidth (float32
-sweeps, cache-resident blocks).  What *does* beat it on a
+sweeps ≈ power iterations and the only win is bandwidth (cache-resident
+blocks).  What *does* beat it on a
 community-partitioned graph is the classical iterative
 aggregation/disaggregation correction for nearly-uncoupled Markov
 chains (Simon–Ando; Koury–McAllister–Stewart): a shard's diagonal block
@@ -52,15 +45,11 @@ a handful of rounds when the partitioner finds real structure — while
 the fixed point is untouched: at ``x = x*`` the coarse solve returns
 exactly the current shard masses.  The correction is an accelerator,
 not a correctness assumption: if the certificate residual ever rises
-for consecutive float64 rounds the solve drops back to plain block
-relaxation (a regular splitting of the M-matrix ``I − αPᵀ``, hence
-provably convergent) for the remaining rounds.
+for consecutive rounds the solve drops back to plain block relaxation
+(a regular splitting of the M-matrix ``I − αPᵀ``, hence provably
+convergent) for the remaining rounds.
 
-Mixed precision mirrors :mod:`repro.linalg.batch`: inner sweeps run on
-float32 diagonal blocks while the outer residual is above the float32
-hand-off (or until it stalls at the float32 floor), then float64 rounds
-polish to ``tol``.  Reductions always accumulate in float64.  The
-reported residuals are successive-iterate L1 differences of the
+The reported residuals are successive-iterate L1 differences of the
 normalised iterate — the same certificate the monolithic power path
 stops on.
 """
@@ -82,16 +71,10 @@ from repro.linalg.solvers import (
     _validate_common,
     power_iteration,
 )
-from repro.shard._kernel import relax_block
 from repro.shard.operator import DEFAULT_SIZE_FLOOR, ShardedOperator
 from repro.telemetry.trace import record_result
 
 __all__ = ["sharded_solve"]
-
-#: Outer-residual hand-off from float32 sweeps to the float64 polish —
-#: the same constant (and stall guard) as the batch solver's mixed mode.
-_MIXED_SWITCH_TOL = 1e-6
-_STALL_FACTOR = 0.95
 
 #: Default inner relaxation sweeps per shard per round.  Sweeps are the
 #: aggregation step's smoother: enough to damp the fast in-shard modes so
@@ -99,7 +82,7 @@ _STALL_FACTOR = 0.95
 #: that rounds stay cheap.
 _DEFAULT_INNER_SWEEPS = 3
 
-#: Rounds of rising float64 residual tolerated before the aggregation
+#: Rounds of rising residual tolerated before the aggregation
 #: correction is disabled for the rest of the solve.
 _AGG_PATIENCE = 2
 
@@ -110,7 +93,7 @@ def _segment_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return cs[bounds[1:]] - cs[bounds[:-1]]
 
 
-def _shard_rounds_serial(
+def _shard_round(
     op: ShardedOperator,
     x: np.ndarray,
     t_p: np.ndarray,
@@ -119,13 +102,19 @@ def _shard_rounds_serial(
     *,
     alpha: float,
     inner_sweeps: int,
-    use_f32: bool,
     self_dangling: bool,
 ) -> None:
-    """One serial Gauss–Seidel round over all shards, in place on ``x``.
+    """One Gauss–Seidel round over all shards, in place on ``x``.
 
-    Refreshes the per-shard dangling-mass accumulator ``dmass`` as it
-    goes, so later shards see earlier shards' fresh dangling mass.
+    Each shard iterates ``y ← α · (A_ss y + dangling(y)) + g`` for
+    ``inner_sweeps`` sweeps with the coupling term ``g`` frozen.
+    ``dangling(y)`` is the *local* dangling contribution: mass of the
+    shard's own dangling rows redistributed through the global target
+    restricted to this shard (**not** renormalised — the escaping
+    remainder is other shards' coupling), or kept in place under
+    ``self_dangling``.  Refreshes the per-shard dangling-mass
+    accumulator ``dmass`` as it goes, so later shards see earlier
+    shards' fresh dangling mass.
     """
     plan = op.plan
     one_minus_alpha = 1.0 - alpha
@@ -133,7 +122,7 @@ def _shard_rounds_serial(
         lo, hi = int(plan.bounds[s]), int(plan.bounds[s + 1])
         if hi == lo:
             continue
-        xs = x[lo:hi]
+        intra = op.intra[s]
         ld = op.local_dangle[s]
         # Coupling terms frozen for this shard's inner sweeps: boundary
         # matvec (fresh values for shards < s — the Gauss–Seidel gain)
@@ -145,18 +134,17 @@ def _shard_rounds_serial(
             m_ext = float(dmass.sum() - dmass[s])
             if m_ext > 0.0:
                 g += (alpha * m_ext) * target_slice
-        y = relax_block(
-            op.intra[s],
-            op.intra_f32(s) if use_f32 else None,
-            ld,
-            xs,
-            g,
-            target_slice,
-            alpha=alpha,
-            inner_sweeps=inner_sweeps,
-            use_f32=use_f32,
-            self_dangling=self_dangling,
-        )
+        y = x[lo:hi].copy()
+        for _ in range(inner_sweeps):
+            z = intra @ y
+            if ld.size:
+                if self_dangling:
+                    z[ld] += y[ld]
+                elif target_slice is not None:
+                    m_loc = float(y[ld].sum())
+                    if m_loc > 0.0:
+                        z += m_loc * target_slice
+            y = alpha * z + g
         x[lo:hi] = y
         if ld.size:
             dmass[s] = float(y[ld].sum())
@@ -229,11 +217,7 @@ def sharded_solve(
     operator: LinearOperatorBundle | None = None,
     sharded: ShardedOperator | None = None,
     n_shards: int = 8,
-    method: str = "auto",
-    workers: int | None = None,
-    pool_substrate: str = "shm",
     inner_sweeps: int = _DEFAULT_INNER_SWEEPS,
-    precision: str = "mixed",
     aggregate: bool = True,
     size_floor: int = DEFAULT_SIZE_FLOOR,
     raise_on_failure: bool = False,
@@ -247,26 +231,14 @@ def sharded_solve(
     sharded:
         A pre-built (typically graph-cached) :class:`ShardedOperator`.
         When omitted one is built from the resolved monolithic bundle
-        with ``n_shards``/``method`` — unless the graph is below
+        with ``n_shards`` blocked shards — unless the graph is below
         ``size_floor`` nodes, in which case the solve **falls back
         transparently** to monolithic power iteration (``method``
         reports ``"sharded_fallback_power"``), so tiny-graph callers
-        never pay shard/pool setup.
-    workers:
-        ``None``/``0``/``1`` → serial block Gauss–Seidel on the calling
-        process; ``>= 2`` → block Jacobi across the operator's
-        persistent shared-memory worker pool.
-    pool_substrate:
-        Segment substrate for the pooled path — ``"shm"`` (default,
-        fork-inherited ``/dev/shm`` segment) or ``"mmap"`` (file-backed
-        MAP_SHARED segment; spawn-capable workers).  Forwarded to
-        :meth:`ShardedOperator.pool`.
+        never pay shard setup.
     inner_sweeps:
         Relaxation sweeps per shard per round (the outer ``max_iter``
         counts rounds).
-    precision:
-        ``"double"`` or ``"mixed"`` (float32 sweep phase + float64
-        polish, as in the batch solver).
     aggregate:
         Apply the per-round aggregation/disaggregation coarse correction
         (see the module docstring).  On by default; ``False`` leaves the
@@ -277,16 +249,11 @@ def sharded_solve(
     Returns
     -------
     PageRankResult
-        ``method`` is ``"sharded_block_gs"`` (serial),
-        ``"sharded_block_jacobi"`` (pooled) or
+        ``method`` is ``"sharded_block_gs"`` or
         ``"sharded_fallback_power"``; ``residuals`` holds the per-round
         successive-iterate L1 differences of the normalised iterate —
         the same certificate quantity the monolithic power path reports.
     """
-    if precision not in ("double", "mixed"):
-        raise ParameterError(
-            f"precision must be 'double' or 'mixed', got {precision!r}"
-        )
     if inner_sweeps < 1:
         raise ParameterError(
             f"inner_sweeps must be >= 1, got {inner_sweeps}"
@@ -318,7 +285,7 @@ def sharded_solve(
                 fallback="size_floor",
             )
         sharded = ShardedOperator(
-            bundle, n_shards=n_shards, method=method, size_floor=size_floor
+            bundle, n_shards=n_shards, size_floor=size_floor
         )
     elif sharded.n != bundle.n:
         raise ParameterError(
@@ -336,18 +303,14 @@ def sharded_solve(
 
     has_dangling = sharded.dangle_idx_p.size > 0
     self_dangling = has_dangling and target is None
-    dangle_shard = sharded.dangle_shard_p
-
-    def _dangle_masses(vec: np.ndarray) -> np.ndarray:
-        if not has_dangling:
-            return np.zeros(plan.n_shards)
-        return np.bincount(
-            dangle_shard,
-            weights=vec[sharded.dangle_idx_p],
+    if has_dangling:
+        dmass = np.bincount(
+            sharded.dangle_shard_p,
+            weights=x[sharded.dangle_idx_p],
             minlength=plan.n_shards,
         )
-
-    dmass = _dangle_masses(x)
+    else:
+        dmass = np.zeros(plan.n_shards)
     # "self" keeps dangling mass in place — no cross-shard mass term.
     target_term = target_p if (has_dangling and target is not None) else None
     t_hat = _segment_sums(t_p, bounds)
@@ -356,99 +319,56 @@ def sharded_solve(
     )
     aggregate_on = aggregate and plan.n_shards > 1
 
-    pooled = workers is not None and int(workers) >= 2
-    pool = (
-        sharded.pool(int(workers), substrate=pool_substrate)
-        if pooled
-        else None
-    )
-
-    use_f32 = precision == "mixed" and tol < _MIXED_SWITCH_TOL
     residuals: list[float] = []
     converged = False
     rounds = 0
     prev_diff = np.inf
     agg_bad = 0
-    x_prev = np.empty_like(x) if pool is None else None
-    if pool is not None:
-        pool.load_vectors(t_p, target_p if target_term is not None else None)
-        pool.seed(x)
-    try:
-        for rounds in range(1, max_iter + 1):
-            if pool is not None:
-                pool.round(
-                    alpha=alpha,
-                    self_dangling=self_dangling,
-                    inner_sweeps=inner_sweeps,
-                    use_f32=use_f32,
-                    m_total=float(dmass.sum()),
-                )
-                x_ref = pool.read_view()  # previous normalised iterate
-                x = pool.write_view()
-                dmass = _dangle_masses(x)
-            else:
-                x_prev[:] = x
-                x_ref = x_prev
-                _shard_rounds_serial(
-                    sharded,
-                    x,
-                    t_p,
-                    target_term,
-                    dmass,
-                    alpha=alpha,
-                    inner_sweeps=inner_sweeps,
-                    use_f32=use_f32,
-                    self_dangling=self_dangling,
-                )
-            masses = _segment_sums(x, bounds)
-            if aggregate_on:
-                _aggregate(
-                    sharded, x, masses, dmass, t_hat, target_hat,
-                    alpha=alpha, self_dangling=self_dangling,
-                )
-            total = float(masses.sum())
-            if not np.isfinite(total) or total <= 0.0:
-                raise ConvergenceError(
-                    "sharded solve produced a non-normalisable iterate "
-                    f"(sum={total!r})",
-                    iterations=rounds,
-                    residual=float("nan"),
-                )
-            x *= 1.0 / total
-            dmass *= 1.0 / total
-            # The certificate: L1 change between successive normalised
-            # iterates — exactly what the monolithic power path stops on.
-            diff = float(np.abs(x - x_ref).sum())
-            residuals.append(diff)
-            if pool is not None:
-                pool.swap()
-            if use_f32:
-                # Hand off to float64 rounds at the shared switch point,
-                # or as soon as float32 round-off stalls the contraction.
-                if diff <= _MIXED_SWITCH_TOL or diff > _STALL_FACTOR * prev_diff:
-                    use_f32 = False
-                prev_diff = diff
-                continue
-            if aggregate_on:
-                # Safety valve: aggregation is an accelerator with strong
-                # empirical behaviour but no global guarantee — if the
-                # float64 residual rises for consecutive rounds, finish
-                # with the provably convergent plain relaxation.
-                agg_bad = agg_bad + 1 if diff > prev_diff else 0
-                if agg_bad >= _AGG_PATIENCE:
-                    aggregate_on = False
-            prev_diff = diff
-            if diff < tol:
-                converged = True
-                break
-        if pool is not None:
-            x = pool.read_view().copy()
-    except BaseException:
-        if pool is not None:
-            # A failed pooled solve must not leave a wedged pool behind
-            # for the next solve to deadlock on.
-            pool.close()
-        raise
+    x_prev = np.empty_like(x)
+    for rounds in range(1, max_iter + 1):
+        x_prev[:] = x
+        _shard_round(
+            sharded,
+            x,
+            t_p,
+            target_term,
+            dmass,
+            alpha=alpha,
+            inner_sweeps=inner_sweeps,
+            self_dangling=self_dangling,
+        )
+        masses = _segment_sums(x, bounds)
+        if aggregate_on:
+            _aggregate(
+                sharded, x, masses, dmass, t_hat, target_hat,
+                alpha=alpha, self_dangling=self_dangling,
+            )
+        total = float(masses.sum())
+        if not np.isfinite(total) or total <= 0.0:
+            raise ConvergenceError(
+                "sharded solve produced a non-normalisable iterate "
+                f"(sum={total!r})",
+                iterations=rounds,
+                residual=float("nan"),
+            )
+        x *= 1.0 / total
+        dmass *= 1.0 / total
+        # The certificate: L1 change between successive normalised
+        # iterates — exactly what the monolithic power path stops on.
+        diff = float(np.abs(x - x_prev).sum())
+        residuals.append(diff)
+        if aggregate_on:
+            # Safety valve: aggregation is an accelerator with strong
+            # empirical behaviour but no global guarantee — if the
+            # residual rises for consecutive rounds, finish with the
+            # provably convergent plain relaxation.
+            agg_bad = agg_bad + 1 if diff > prev_diff else 0
+            if agg_bad >= _AGG_PATIENCE:
+                aggregate_on = False
+        prev_diff = diff
+        if diff < tol:
+            converged = True
+            break
 
     scores = plan.unpermute(x)
     scores = scores / scores.sum()
@@ -473,10 +393,9 @@ def sharded_solve(
             iterations=rounds,
             converged=converged,
             residuals=residuals,
-            method="sharded_block_jacobi" if pooled else "sharded_block_gs",
+            method="sharded_block_gs",
         ),
         n_shards=int(plan.n_shards),
-        workers=int(workers) if pooled else 1,
         aggregation=bool(aggregate_on),
         contraction=contraction,
     )

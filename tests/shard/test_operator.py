@@ -143,7 +143,8 @@ def test_fatigued_sharded_operator_from_base_class(community_digraph):
     key = ("fatigued", 0.0, 0.5, 0.0, False, "teleport")
     sharded = sharded_operator_for(g, key, n_shards=4, force=True)
     assert sharded is sharded_operator_for(g, key, n_shards=4, force=True)
-    assert ("sharded_operator", *key[:-1], None, 4, "auto") in g._cache
+    assert ("sharded_operator", *key[:-1], None, 4) in g._cache
+    assert ("shard_plan", 4) in g._cache
 
 
 def test_spectral_methods_refuse_sharding(community_digraph):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.shard import ShardPlan, intra_fraction, plan_shards
+from repro.shard import ShardedOperator, ShardPlan, plan_shards
 
 
 def _structure(graph):
@@ -28,11 +28,16 @@ def _check_invariants(plan: ShardPlan, n: int, k: int):
     assert int(plan.sizes.sum()) == n
 
 
-@pytest.mark.parametrize("method", ["blocked", "labelprop", "auto"])
 @pytest.mark.parametrize("k", [1, 3, 8])
-def test_plan_invariants(community_digraph, method, k):
-    plan = plan_shards(_structure(community_digraph), k, method=method)
+def test_plan_invariants(community_digraph, k):
+    plan = plan_shards(_structure(community_digraph), k)
     _check_invariants(plan, community_digraph.number_of_nodes, k)
+    # blocked ranges: ceil(n / k)-sized, contiguous, identity relabeling
+    n = community_digraph.number_of_nodes
+    size = -(-n // k)
+    assert np.array_equal(plan.order, np.arange(n))
+    blocks = np.minimum(np.arange(n) // size, k - 1)
+    assert np.array_equal(plan.assign, blocks)
 
 
 def test_more_shards_than_nodes_clamps():
@@ -49,18 +54,20 @@ def test_zero_shards_rejected(community_digraph):
         plan_shards(_structure(community_digraph), 0)
 
 
-def test_unknown_method_rejected(community_digraph):
+def test_non_square_structure_rejected():
+    import scipy.sparse as sp
+
     with pytest.raises(ParameterError):
-        plan_shards(_structure(community_digraph), 4, method="metis")
+        plan_shards(sp.csr_matrix((3, 4)), 2)
 
 
-def test_labelprop_recovers_communities(community_digraph):
-    """Label propagation at the community count is near-perfectly intra."""
-    mat = _structure(community_digraph)
-    lp = plan_shards(mat, 4, method="labelprop")
-    blocked = plan_shards(mat, 4, method="blocked")
-    assert intra_fraction(mat, lp) >= intra_fraction(mat, blocked) - 1e-12
-    assert intra_fraction(mat, lp) > 0.9
+def test_blocked_plan_follows_index_communities(community_digraph):
+    """Blocked ranges at the community count keep most mass in-shard."""
+    plan = plan_shards(_structure(community_digraph), 4)
+    op = ShardedOperator(
+        community_digraph.to_csr(weighted=False), plan, force=True
+    )
+    assert op.cross_fraction < 0.1
 
 
 def test_permute_roundtrip(community_digraph):

@@ -17,7 +17,7 @@ from repro.core.engine import RankQuery, solve_many, solve_transition
 from repro.errors import ConvergenceError, ParameterError
 from repro.graph import DiGraph, Graph
 from repro.linalg import power_iteration
-from repro.shard import ShardedOperator, sharded_solve
+from repro.shard import sharded_solve
 from tests.shard.conftest import community_edges
 
 TOL = 1e-11
@@ -96,32 +96,41 @@ def test_more_shards_than_nodes():
     assert np.abs(result.scores - reference.scores).sum() < MATCH
 
 
-def test_pooled_matches_serial(community_digraph):
-    bundle = d2pr_operator(community_digraph, 0.0)
-    sharded = ShardedOperator(bundle, n_shards=4, force=True)
-    try:
-        serial = sharded_solve(
-            alpha=0.85, dangling="teleport", tol=TOL,
-            operator=bundle, sharded=sharded, workers=1,
-        )
-        pooled = sharded_solve(
-            alpha=0.85, dangling="teleport", tol=TOL,
-            operator=bundle, sharded=sharded, workers=2,
-        )
-        assert pooled.converged
-        assert np.abs(pooled.scores - serial.scores).sum() < MATCH
-        # pool persists between solves at the same worker count
-        pool = sharded.pool(2)
-        assert pool.alive
-        again = sharded_solve(
-            alpha=0.85, dangling="self", tol=TOL,
-            operator=bundle, sharded=sharded, workers=2,
-        )
-        assert again.converged
-        assert sharded.pool(2) is pool
-    finally:
-        sharded.close()
-    assert not pool.alive
+def _directed_communities(n, k_comm, deg, cross, seed):
+    """``k_comm`` index-contiguous communities with ``cross`` rewiring."""
+    rng = np.random.default_rng(seed)
+    csize = n // k_comm
+    src = np.tile(np.arange(n, dtype=np.int64), deg)
+    base = (src // csize) * csize
+    dst = base + (src - base + rng.integers(1, csize, size=src.size)) % csize
+    stray = rng.random(src.size) < cross
+    dst[stray] = rng.integers(0, n, size=int(stray.sum()))
+    keep = src != dst
+    return DiGraph.from_arrays(src[keep], dst[keep], num_nodes=n)
+
+
+def test_certified_against_power_on_community_graph():
+    """Both sides stop on the same L1 certificate, so they agree within it.
+
+    Each answer is within ``tol·α/(1−α)`` of the fixed point, hence the
+    two are within twice that of each other.  The sharded side runs the
+    graph-cached operator at the community count, as served.
+    """
+    from repro.methods import sharded_operator_for
+
+    alpha, tol = 0.9, 1e-8
+    graph = _directed_communities(8000, 8, 8, 0.02, seed=3)
+    bundle = d2pr_operator(graph, 1.0)
+    sharded = sharded_operator_for(
+        graph, RankQuery(p=1.0).group_key, n_shards=8, force=True
+    )
+    assert sharded.bundle is bundle
+    power = power_iteration(None, alpha=alpha, tol=tol, operator=bundle)
+    result = sharded_solve(alpha=alpha, tol=tol, sharded=sharded)
+    assert result.converged and result.method == "sharded_block_gs"
+    assert result.iterations < power.iterations
+    l1 = float(np.abs(result.scores - power.scores).sum())
+    assert l1 <= 2.0 * tol * alpha / (1.0 - alpha)
 
 
 def test_below_floor_falls_back(path_graph):

@@ -1,29 +1,13 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: full test suite plus a smoke run of the perf benchmark.
-# The --quick bench exercises every scenario — the batched multi-query
-# engine (ppr_batch, sweep), the single-query serving path
-# (single_query: cached operator bundle + forward push), the
-# streaming-update path (dynamic_update: GraphDelta apply + delta-aware
-# cache refresh + incremental residual-correction solve vs cold
-# re-solve), the ranking service layer (serving: planner + microbatch
-# coalescer + delta-aware result cache + shard routing over a mixed
-# request stream, with non-zero coalescer occupancy and a certified
-# shard-local push asserted in-process), the concurrent serving front
-# (serving_front: N closed-loop client threads through the bounded
-# admission queue + worker pool vs a synchronous baseline, answers
-# cross-checked within the certificate bound and admission rejections
-# asserted zero at provisioned capacity), the block-partitioned
-# solver (sharded_solve: blocked shard plan + aggregation/
-# disaggregation rounds through a 2-worker zero-copy shared-memory
-# pool), the storage/persistence layer (persistence: snapshot
-# write/load on both backends, delta-log replay, service checkpoint +
-# warm_start answering the replayed query stream certificate-equal)
-# and the method registry (centrality_family: a mixed pagerank /
-# fatigued / katz / eigenvector stream through one RankingService vs
-# per-method cold solves, repeats asserted to be certified cache
-# hits) — so a broken batch, operator-cache, push, streaming, serving,
-# front, sharding, persistence or method-dispatch path fails CI even
-# before the full-size numbers are regenerated.
+# Tier-1 CI gate: full test suite, the structural guards below, the
+# stress suite under a watchdog, persistence and observability smokes,
+# and a short run of the repository benchmark (perfbench/run.py) on each
+# of its three workloads — serve-local (push, cache, deltas through the
+# serving front), analytics-sweep (batched power iteration, coalescer,
+# spectral methods) and restart-recover (checkpoint, warm restart,
+# sharded solves) — each of which must report every answer correct and
+# zero failed operations, so a broken serving, batch, persistence or
+# sharding path fails CI.
 # Mirrors what .github/workflows/ci.yml executes on every push; run it
 # locally before sending a PR.
 set -euo pipefail
@@ -34,10 +18,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 TMPDIR_BASE="${TMPDIR:-/tmp}"
 
 # Snapshot leakable artifacts so an unreleased resource fails the run:
-# /dev/shm segments and .mmap segment files from shard worker pools,
-# and repro_mmap_* backend directories from mmap-backed graphs.
-shm_before=$(ls /dev/shm 2>/dev/null | grep '^repro_shard_' || true)
-mmapseg_before=$(ls "$TMPDIR_BASE" 2>/dev/null | grep '^repro_shard_.*\.mmap$' || true)
+# repro_mmap_* backend directories from mmap-backed graphs.
 mmapdir_before=$(ls "$TMPDIR_BASE" 2>/dev/null | grep '^repro_mmap_' || true)
 
 # One graph representation: the columnar store (plus the CSR derived
@@ -85,6 +66,16 @@ if grep -nE 'mat\[active\]|sub\.T @' src/repro/linalg/push.py src/repro/linalg/i
     exit 1
 fi
 echo "src/repro/linalg/ lines: $(cat src/repro/linalg/*.py | wc -l)"
+
+# One shard schedule, one partitioner, one admission queue: the shard
+# worker pool with its shm/mmap substrates, label-propagation
+# partitioning, the shard float32 phase and the admission class limits
+# stay deleted.  Print the shard layer's line count.
+if grep -rnE 'ShardWorkerPool|pool_substrate|shard_workers|labelprop|intra_f32|relax_block|limits=' src/repro/; then
+    echo "FAIL: a deleted shard or admission mechanism reappeared under src/repro/" >&2
+    exit 1
+fi
+echo "src/repro/shard/ lines: $(cat src/repro/shard/*.py | wc -l)"
 
 python -m pytest -x -q
 
@@ -215,23 +206,24 @@ print(f"observability smoke: OK ({len(full)} full traces, "
       f"{len(names)} exported series)")
 EOF
 
-python tools/bench_perf.py --quick
+# Benchmark smoke: two seconds of each perfbench workload.  The last
+# line of its output is the result object; every answer must pass the
+# benchmark's independent checker and no operation may fail.
+for workload in serve-local analytics-sweep restart-recover; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+        | tail -n 1 \
+        | python3 -c '
+import json, sys
+name = sys.argv[1]
+result = json.load(sys.stdin)
+correct, failed = result["correct"], result["failed"]
+if not (correct and failed == 0):
+    sys.exit(f"FAIL: perfbench {name} smoke: correct={correct} failed={failed}")
+print(f"perfbench {name} smoke: OK")
+' "$workload"
+done
 
 fail=0
-shm_after=$(ls /dev/shm 2>/dev/null | grep '^repro_shard_' || true)
-leaked=$(comm -13 <(sort <<<"$shm_before") <(sort <<<"$shm_after") | grep . || true)
-if [ -n "$leaked" ]; then
-    echo "FAIL: leaked shared-memory segments:" >&2
-    echo "$leaked" >&2
-    fail=1
-fi
-mmapseg_after=$(ls "$TMPDIR_BASE" 2>/dev/null | grep '^repro_shard_.*\.mmap$' || true)
-leaked=$(comm -13 <(sort <<<"$mmapseg_before") <(sort <<<"$mmapseg_after") | grep . || true)
-if [ -n "$leaked" ]; then
-    echo "FAIL: leaked shard .mmap segment files in $TMPDIR_BASE:" >&2
-    echo "$leaked" >&2
-    fail=1
-fi
 mmapdir_after=$(ls "$TMPDIR_BASE" 2>/dev/null | grep '^repro_mmap_' || true)
 leaked=$(comm -13 <(sort <<<"$mmapdir_before") <(sort <<<"$mmapdir_after") | grep . || true)
 if [ -n "$leaked" ]; then

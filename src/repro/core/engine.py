@@ -103,7 +103,6 @@ def solve_transition(
     tol: float = 1e-10,
     max_iter: int = 1000,
     operator: LinearOperatorBundle | None = None,
-    warm_from: np.ndarray | None = None,
     **extra: Any,
 ) -> PageRankResult:
     """Dispatch to one of the solvers by name.
@@ -112,14 +111,6 @@ def solve_transition(
     :class:`~repro.linalg.operator.LinearOperatorBundle` so no solver
     re-derives transpose/dangling views per call; when omitted each solver
     falls back to the bundle memoised on the transition matrix object.
-
-    ``warm_from`` seeds the iterative solvers with a previous solution
-    (the streaming-update hot path: scores of the pre-delta system are an
-    excellent initial iterate for the post-delta one).  Supported by
-    ``"power"`` and ``"gauss_seidel"``; ``"direct"`` is exact and ignores
-    it; ``"push"`` rejects it — its warm state is residual mass, not an
-    iterate (use :func:`update_scores` /
-    :func:`repro.linalg.incremental.incremental_update` instead).
 
     ``solver="push"`` routes to :func:`~repro.linalg.push.forward_push`,
     the low-latency path for sparse personalised teleports; a ``None``
@@ -134,13 +125,6 @@ def solve_transition(
     ``size_floor``) pass through ``extra``; below the size floor it
     falls back transparently to the monolithic power path.
     """
-    if warm_from is not None and solver == "push":
-        raise ParameterError(
-            "solver='push' does not take warm_from; use update_scores / "
-            "incremental_update for warm incremental solving"
-        )
-    if warm_from is not None and "x0" in extra:
-        raise ParameterError("pass either warm_from or x0, not both")
     if solver == "power":
         return power_iteration(
             transition,
@@ -150,7 +134,6 @@ def solve_transition(
             max_iter=max_iter,
             dangling=dangling,
             operator=operator,
-            x0=warm_from if warm_from is not None else extra.pop("x0", None),
             **extra,
         )
     if solver == "gauss_seidel":
@@ -162,7 +145,6 @@ def solve_transition(
             max_iter=max(max_iter, 1),
             dangling=dangling,
             operator=operator,
-            x0=warm_from if warm_from is not None else extra.pop("x0", None),
             **extra,
         )
     if solver == "direct":
@@ -215,7 +197,6 @@ def solve_transition(
             tol=tol,
             max_iter=max_iter,
             operator=operator,
-            x0=warm_from if warm_from is not None else extra.pop("x0", None),
             **extra,
         )
     raise ParameterError(
@@ -415,9 +396,8 @@ def solve_many(
         ``"sharded"`` solves each group's queries through one
         graph-cached :class:`~repro.shard.operator.ShardedOperator`
         (:func:`~repro.methods.sharded_operator_for`) — the
-        block-partitioned path for graphs too large to stream whole,
-        falling back to the monolithic path below the sharding size
-        floor.
+        block-partitioned path for graphs too large to stream whole.
+        It shards at any graph size.
     n_shards:
         Shard count of the ``"sharded"`` solver.
     raise_on_failure:
@@ -461,8 +441,8 @@ def solve_many(
         digests = None
 
     out: list = [None] * len(queries)
-    prev_signature: tuple | None = None
-    prev_scores: np.ndarray | None = None
+    last_signature: tuple | None = None
+    last_scores: np.ndarray | None = None
     for key in sorted(groups, key=lambda k: family_method(k).sort_key(k)):
         indices = groups[key]
         fam = family_method(key)
@@ -497,7 +477,6 @@ def solve_many(
                 key,
                 clamp_min=clamp_min,
                 n_shards=n_shards,
-                force=True,
             )
             for j, idx in enumerate(indices):
                 result = sharded_solve(
@@ -518,8 +497,8 @@ def solve_many(
             else None
         )
         initial = (
-            prev_scores
-            if signature is not None and signature == prev_signature
+            last_scores
+            if signature is not None and signature == last_signature
             else None
         )
         batch = power_iteration_batch(
@@ -537,8 +516,8 @@ def solve_many(
         for j, idx in enumerate(indices):
             column = batch.column(j)
             out[idx] = NodeScores(graph, column.scores, column)
-        prev_signature = signature
-        prev_scores = batch.scores
+        last_signature = signature
+        last_scores = batch.scores
     return out
 
 

@@ -221,25 +221,6 @@ class BaseGraph:
             lambda: LinearOperatorBundle.of(transition_builder()),
         )
 
-    def shard_plan(self, n_shards: int):
-        """Memoised block partition of this graph's nodes into shards.
-
-        Returns the :class:`~repro.shard.plan.ShardPlan` produced by
-        :func:`~repro.shard.plan.plan_shards` over the unweighted CSR
-        export, memoised on this graph's mutation-aware cache under
-        ``("shard_plan", n_shards)``.  The plan is shared by every
-        sharded operator built at the same shard count; it is an
-        *unrecognised* key for :meth:`apply_delta` and is therefore
-        dropped (not refreshed) on streaming mutation, like the sharded
-        operators built over it.
-        """
-        from repro.shard.plan import plan_shards
-
-        return self.cached(
-            ("shard_plan", int(n_shards)),
-            lambda: plan_shards(self.to_csr(weighted=False), n_shards),
-        )
-
     def invalidate_caches(self) -> None:
         """Drop all cached derived objects and bump the mutation counter.
 

@@ -30,11 +30,7 @@ strategies):
   exactly like the sequential solver;
 * **warm starting** — ``warm_start`` seeds the initial block (an ``(n,)``
   guess broadcast to all columns, or a full ``(n, K)`` block, e.g. the
-  scores of the previous point of a smooth parameter grid), and
-  ``warm_start="chain"`` solves the columns left-to-right with column
-  ``k+1`` starting from column ``k``'s solution — the right mode when the
-  columns themselves form a smooth grid and iteration count, not matmul
-  throughput, dominates.
+  scores of the previous point of a smooth parameter grid).
 """
 
 from __future__ import annotations
@@ -190,13 +186,18 @@ def _alpha_vector(alphas: float | Sequence[float] | np.ndarray, k: int) -> np.nd
 
 
 def _initial_block(
-    warm_start: np.ndarray | str | None,
+    warm_start: np.ndarray | None,
     teleport_block: np.ndarray,
 ) -> np.ndarray:
     n, k = teleport_block.shape
     if warm_start is None:
         return teleport_block.copy()
-    arr = np.asarray(warm_start, dtype=np.float64)
+    try:
+        arr = np.asarray(warm_start, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"warm_start must be None or an array, got {warm_start!r}"
+        ) from None
     if arr.ndim == 1:
         col = _normalize_column(arr, n, "warm_start")
         return np.repeat(col[:, None], k, axis=1)
@@ -500,7 +501,7 @@ def power_iteration_batch(
     tol: float = 1e-10,
     max_iter: int = 1000,
     dangling: str = "teleport",
-    warm_start: np.ndarray | str | None = None,
+    warm_start: np.ndarray | None = None,
     precision: str = "double",
     raise_on_failure: bool = False,
     operator: LinearOperatorBundle | None = None,
@@ -527,10 +528,8 @@ def power_iteration_batch(
         One of ``"teleport"`` (default), ``"uniform"``, ``"self"`` — shared
         by the whole batch; ``"teleport"`` uses each column's own vector.
     warm_start:
-        ``None`` (cold start from each column's teleport vector), an
-        ``(n,)`` or ``(n, K)`` initial guess, or the string ``"chain"`` to
-        solve columns sequentially with column ``k+1`` seeded from column
-        ``k``'s solution (for smooth parameter grids).
+        ``None`` (cold start from each column's teleport vector) or an
+        ``(n,)`` or ``(n, K)`` initial guess.
     precision:
         ``"double"`` (default) iterates entirely in float64 and matches
         :func:`~repro.linalg.solvers.power_iteration` column-by-column to
@@ -594,15 +593,8 @@ def power_iteration_batch(
     # sequential solvers now amortise through the same operator bundle).
     mat_t = bundle.t_csc
 
-    chain = isinstance(warm_start, str)
-    if chain and warm_start != "chain":
-        raise ParameterError(
-            f"warm_start must be None, an array or 'chain', got {warm_start!r}"
-        )
-
     family = (
-        not chain
-        and warm_start is None
+        warm_start is None
         and k >= 2
         and bool((teleport_block == teleport_block[:, :1]).all())
     )
@@ -626,35 +618,6 @@ def power_iteration_batch(
             tol,
             max_iter,
         )
-    elif chain:
-        # Sequential cascade: column k+1 starts from column k's solution.
-        scores = np.empty((n, k))
-        iterations = np.zeros(k, dtype=np.int64)
-        converged = np.zeros(k, dtype=bool)
-        residuals: list[list[float]] = []
-        prev: np.ndarray | None = None
-        for j in range(k):
-            x0 = (
-                teleport_block[:, j : j + 1].copy()
-                if prev is None
-                else prev[:, None].copy()
-            )
-            col_scores, col_iter, col_conv, col_res = _iterate_block(
-                mat_t,
-                mat_t32,
-                dangle_idx,
-                dangling,
-                teleport_block[:, j : j + 1],
-                alphas_vec[j : j + 1],
-                x0,
-                tol,
-                max_iter,
-            )
-            scores[:, j] = col_scores[:, 0]
-            iterations[j] = col_iter[0]
-            converged[j] = col_conv[0]
-            residuals.append(col_res[0])
-            prev = col_scores[:, 0]
     else:
         x0 = _initial_block(warm_start, teleport_block)
         scores, iterations, converged, residuals = _iterate_block(
@@ -679,8 +642,6 @@ def power_iteration_batch(
             residual=float(worst),
         )
     method = "power_iteration_batch"
-    if chain:
-        method += "_chain"
     if family:
         method += "_family"
     elif use_mixed:

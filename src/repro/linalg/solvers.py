@@ -367,7 +367,6 @@ def gauss_seidel(
     dangling: str = "teleport",
     raise_on_failure: bool = False,
     operator: LinearOperatorBundle | None = None,
-    x0: np.ndarray | None = None,
 ) -> PageRankResult:
     """Solve ``(I − α·P.T) r = (1−α) t`` with forward Gauss–Seidel sweeps.
 
@@ -375,8 +374,6 @@ def gauss_seidel(
     Each sweep updates ``r[j]`` in place using the freshest values.  Sweeps
     are Python-loop bound, so this solver exists as an independent
     verification path for small/medium graphs, not as the production path.
-    ``x0`` optionally warm-starts the sweeps (normalised automatically);
-    the fixed point is unchanged.
     """
     bundle, t = _validate_common(transition, alpha, teleport, operator)
     n = bundle.n
@@ -384,7 +381,7 @@ def gauss_seidel(
     # bundle's memoised patched-CSC view (dangling rows densified once per
     # (strategy, teleport) instead of per call).
     csc = bundle.patched_csc(dangling, t)
-    x = t.copy() if x0 is None else _normalise_x0(x0, t)
+    x = t.copy()
     b = (1.0 - alpha) * t
     residuals: list[float] = []
     converged = False

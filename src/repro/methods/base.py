@@ -237,30 +237,24 @@ class CentralityMethod:
         *,
         clamp_min=None,
         n_shards: int = 8,
-        size_floor: int | None = None,
-        force: bool = False,
     ):
         """Graph-cached block-partitioned operator (sharding methods).
 
         A :class:`~repro.shard.operator.ShardedOperator` over
-        :meth:`operator` and the graph's memoised
-        :meth:`~repro.graph.base.BaseGraph.shard_plan`, memoised per
+        :meth:`operator` with ``n_shards`` blocked shards, memoised per
         graph version so repeated sharded solves and shard-local pushes
-        share one set of diagonal / coupling blocks.  Below the size
-        floor the constructor refuses unless ``force=True``.
+        share one set of diagonal / coupling blocks.  It builds at any
+        size: whether to shard is the caller's decision.
         """
         if not self.supports_sharding:
             raise ReproError(
                 f"method {self.name!r} does not support sharding"
             )
-        from repro.shard.operator import DEFAULT_SIZE_FLOOR, ShardedOperator
-
-        floor = DEFAULT_SIZE_FLOOR if size_floor is None else int(size_floor)
+        from repro.shard.operator import ShardedOperator
 
         def build():
             bundle = self.operator(graph, group_key, clamp_min=clamp_min)
-            plan = graph.shard_plan(n_shards)
-            return ShardedOperator(bundle, plan, size_floor=floor, force=force)
+            return ShardedOperator(bundle, n_shards=n_shards)
 
         return graph.cached(
             (

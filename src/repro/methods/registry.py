@@ -87,15 +87,8 @@ def sharded_operator_for(
     *,
     clamp_min=None,
     n_shards: int = 8,
-    size_floor: int | None = None,
-    force: bool = False,
 ):
     """Graph-cached sharded operator for a family-tagged group key."""
     return family_method(group_key).sharded_operator(
-        graph,
-        group_key,
-        clamp_min=clamp_min,
-        n_shards=n_shards,
-        size_floor=size_floor,
-        force=force,
+        graph, group_key, clamp_min=clamp_min, n_shards=n_shards
     )

@@ -15,15 +15,14 @@ piece that turns request traffic into those blocks:
   block memory at ``O(n · window)``);
 * :meth:`flush` (or reading an unflushed ticket's :meth:`~CoalescerTicket.
   result`, which flushes its group on demand) drains partial windows, so
-  a caller can never deadlock on an underfull batch;
-* before solving, the pending columns are **ordered by (teleport digest,
-  alpha)** so columns sharing a teleport sit adjacent — when a whole
-  flush shares one teleport, the batch solver's α-family fast path
-  reconstructs the entire block from a single power sequence; and when
-  two consecutive flushes of one group have identical column structure
-  (the shape of parameter sweeps), the later flush **warm-starts** from
-  the earlier block's solutions, mirroring
-  :func:`~repro.core.engine.solve_many`.
+  a caller can never deadlock on an underfull batch.
+
+Columns are solved in submission order and always from a cold start.
+When every column of a flush shares one teleport, the batch solver's
+α-family fast path reconstructs the whole block from a single power
+sequence, whatever the column order.  A group's state is only its
+pending columns and its count of in-flight solves; it is dropped as soon
+as both are empty, so an idle coalescer holds no groups.
 
 Thread safety
 -------------
@@ -33,15 +32,14 @@ works unchanged.  Under the concurrent front
 (:class:`~repro.serving.front.ServingFront`) several worker threads
 submit, flush and read tickets at once; the coalescer is safe for that
 because all bookkeeping (group tables, pending lists, ticket resolution,
-warm-start memory, counters) happens under one internal condition
-variable, while the **batched solves themselves run outside the lock**:
+counters) happens under one internal condition variable, while the
+**batched solves themselves run outside the lock**:
 a flush atomically takes ownership of its group's pending columns, marks
 the group *solving*, releases the lock for the solve, and re-acquires it
 to deliver results and wake waiters.  Consequences worth knowing:
 
 * two threads can solve two different flushes concurrently (even of the
-  same group, when columns arrived between the takes — the warm-start
-  signature check keeps the blocks independent);
+  same group, when columns arrived between the takes);
 * a thread reading a ticket whose column is being solved by another
   thread's flush **waits** on the condition variable instead of
   double-solving;
@@ -57,7 +55,6 @@ from time import monotonic
 
 import numpy as np
 
-from repro.core.engine import _teleport_digest
 from repro.errors import ParameterError, ReproError
 from repro.graph.base import BaseGraph
 from repro.linalg.batch import power_iteration_batch
@@ -71,7 +68,6 @@ __all__ = ["CoalescerTicket", "MicrobatchCoalescer"]
 class _Column:
     teleport: np.ndarray | None
     alpha: float
-    digest: bytes | None
     ticket: "CoalescerTicket"
     filed_at: float
 
@@ -155,12 +151,8 @@ class _GroupState:
     pending: list[_Column] = field(default_factory=list)
     #: Number of in-flight flush solves currently owning columns of this
     #: group; ticket readers wait while non-zero, and the group is never
-    #: evicted from the LRU table while a solve is out.
+    #: dropped while a solve is out.
     solving: int = 0
-    # Warm-start memory: the previous flush's (column signature, scores
-    # block) — reused when the next flush has identical structure.
-    prev_signature: tuple | None = None
-    prev_scores: np.ndarray | None = None
 
 
 class MicrobatchCoalescer:
@@ -181,13 +173,6 @@ class MicrobatchCoalescer:
         (``"double"`` or the float32-sweep ``"mixed"`` serving mode).
     max_iter:
         Per-flush iteration budget.
-    max_groups:
-        Retained group states (LRU by last submit/flush).  Each flushed
-        group keeps its previous block as warm-start memory — an
-        ``n × window`` float64 array, ~128 MB at n = 1M / window = 16 —
-        so idle groups past this bound are dropped (losing only their
-        warm start, never pending columns: groups with unflushed
-        columns or an in-flight solve are exempt from eviction).
     metrics:
         Telemetry registry for the flush counters (cause-labelled),
         column totals and occupancy gauges; ``None`` creates a private
@@ -203,7 +188,6 @@ class MicrobatchCoalescer:
         precision: str = "double",
         max_iter: int = 1000,
         clamp_min: float | None = None,
-        max_groups: int = 8,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if window < 1:
@@ -212,16 +196,11 @@ class MicrobatchCoalescer:
             raise ParameterError(
                 f"precision must be 'double' or 'mixed', got {precision!r}"
             )
-        if max_groups < 1:
-            raise ParameterError(
-                f"max_groups must be >= 1, got {max_groups}"
-            )
         self._graph = graph
         self.window = window
         self.precision = precision
         self.max_iter = max_iter
         self.clamp_min = clamp_min
-        self.max_groups = max_groups
         # One condition variable (over a non-reentrant lock: no method
         # nests acquisition) guards every piece of mutable state below;
         # flush solves run outside it and notify on delivery.
@@ -274,16 +253,21 @@ class MicrobatchCoalescer:
             # Validate here, not at flush: a bad column must fail its
             # own submit instead of poisoning a whole batched block.
             raise ParameterError(f"alpha must be in [0, 1), got {alpha}")
+        if teleport is not None:
+            t = np.asarray(teleport)
+            if not (np.isfinite(t).all() and (t >= 0).all() and t.sum() > 0):
+                raise ParameterError(
+                    "teleport must be non-negative and finite with "
+                    "positive mass"
+                )
         key = (*group_key, float(tol))
         with self._cv:
             state = self._groups.setdefault(key, _GroupState())
-            self._touch(key)
             ticket = CoalescerTicket(self, key)
             state.pending.append(
                 _Column(
                     teleport=teleport,
                     alpha=float(alpha),
-                    digest=_teleport_digest(teleport),
                     ticket=ticket,
                     filed_at=monotonic(),
                 )
@@ -332,18 +316,6 @@ class MicrobatchCoalescer:
             columns = state.pending
             state.pending = []
             state.solving += 1
-            # Adjacent shared-teleport columns let the batch solver's
-            # α-family fast path fire on family-shaped flushes; the sort
-            # key also makes the flush signature deterministic for
-            # warm-start matching across flushes.
-            columns.sort(key=lambda c: (c.digest or b"", c.alpha))
-            signature = tuple((c.alpha, c.digest) for c in columns)
-            warm = (
-                state.prev_scores
-                if state.prev_signature == signature
-                and state.prev_scores is not None
-                else None
-            )
             taken_at = monotonic()
         group_key, tol = tuple(key[:-1]), key[-1]
         dangling = group_key[-1]
@@ -351,8 +323,6 @@ class MicrobatchCoalescer:
             bundle = operator_for(
                 self._graph, group_key, clamp_min=self.clamp_min
             )
-            if warm is not None and warm.shape[0] != bundle.n:
-                warm = None
             batch = power_iteration_batch(
                 bundle.mat,
                 teleports=[c.teleport for c in columns],
@@ -360,7 +330,6 @@ class MicrobatchCoalescer:
                 tol=tol,
                 max_iter=self.max_iter,
                 dangling=dangling,
-                warm_start=warm,
                 precision=self.precision,
                 operator=bundle,
             )
@@ -389,41 +358,16 @@ class MicrobatchCoalescer:
                         float(residuals[-1]) if residuals else None
                     ),
                 }
-            state.prev_signature = signature
-            state.prev_scores = batch.scores
             state.solving -= 1
-            if key in self._groups:
-                self._touch(key)
+            if not state.pending and not state.solving:
+                del self._groups[key]
             # Counter locks are leaves (see docs/serving.md
             # § Concurrency): incrementing under the condition variable
             # keeps delivery and accounting atomic for ticket readers.
             self._m_flushes.inc(cause=cause)
             self._m_columns.inc(len(columns))
             self._g_occupancy.set_max(len(columns))
-            self._evict_idle_groups()
             self._cv.notify_all()
-
-    def _touch(self, key: tuple) -> None:
-        """Move ``key`` to the recently-used end of the group table."""
-        state = self._groups.pop(key)
-        self._groups[key] = state
-
-    def _evict_idle_groups(self) -> None:
-        """Drop the oldest idle groups past ``max_groups``.
-
-        Only their warm-start memory is lost; a group holding pending
-        (unflushed) columns or an in-flight solve is never evicted.
-        """
-        if len(self._groups) <= self.max_groups:
-            return
-        excess = len(self._groups) - self.max_groups
-        for key in list(self._groups):
-            if excess <= 0:
-                break
-            state = self._groups[key]
-            if not state.pending and state.solving == 0:
-                del self._groups[key]
-                excess -= 1
 
     # ------------------------------------------------------------------
     # introspection

@@ -632,7 +632,6 @@ class RankingService:
                     group_key,
                     clamp_min=self._clamp_min,
                     n_shards=self._n_shards,
-                    size_floor=floor,
                 )
             self._shard_ops[group_key] = sharded
             return sharded
@@ -736,7 +735,7 @@ class RankingService:
         lo = int(splan.bounds[shard])
         hi = int(splan.bounds[shard + 1])
         local_bundle, ghost = sharded.push_context(shard)
-        local_idx = splan.ranks[query.seed_idx] - lo
+        local_idx = query.seed_idx - lo
         result = forward_push(
             None,
             (local_idx, query.seed_weights),
@@ -761,7 +760,7 @@ class RankingService:
         self._m_shard.inc(event="shard_push_local")
         annotate(shard_push="local", shard=shard, ghost_mass=ghost_mass)
         full = np.zeros(self._graph.number_of_nodes)
-        full[splan.order[lo:hi]] = result.scores[:ghost]
+        full[lo:hi] = result.scores[:ghost]
         total = full.sum()
         if total > 0.0:
             full /= total
@@ -1364,9 +1363,8 @@ class RankingService:
         """Drop the service's references to its sharded operators.
 
         Idempotent; a service without sharding is a no-op.  Cached
-        answers and the coalescer's warm-start memory are untouched, and
-        a later sharded request transparently fetches the operator
-        again.
+        answers are untouched, and a later sharded request transparently
+        fetches the operator again.
         """
         with self._lock:
             self._shard_ops.clear()

@@ -1,23 +1,21 @@
 """Per-shard block views of a transition operator.
 
 :class:`ShardedOperator` splits the solve operand ``A = P.T`` of one
-:class:`~repro.linalg.operator.LinearOperatorBundle` along a
+:class:`~repro.linalg.operator.LinearOperatorBundle` along a blocked
 :class:`~repro.shard.plan.ShardPlan`: for each shard ``s`` it holds the
 **diagonal block** ``A_ss`` (an ``n_s × n_s`` CSR over the shard's own
-permuted rows/columns — the operand of the shard's inner relaxation
-sweeps) and the **coupling block** ``A_s·`` (an ``n_s × n`` CSR holding
-the same rows' off-shard columns — the operand of the boundary-mass
-exchange between rounds).  The split is exact: ``A_ss + A_s·`` scattered
-back is row-range ``s`` of the permuted ``A``, so block relaxation over
-these views converges to the *same* fixed point as the monolithic
-solvers.
+rows/columns — the operand of the shard's inner relaxation sweeps) and
+the **coupling block** ``A_s·`` (an ``n_s × n`` CSR holding the same
+rows' off-shard columns — the operand of the boundary-mass exchange
+between rounds).  The split is exact: ``A_ss + A_s·`` scattered back is
+row-range ``s`` of ``A``, so block relaxation over these views
+converges to the *same* fixed point as the monolithic solvers.
 
-Construction is one vectorised pass: ``P``'s COO triplets are relabeled
-through the plan and assembled directly into the permuted ``A`` (no
-monolithic transpose conversion), then each shard's rows are split by a
-column mask with ``O(nnz)`` cumulative sums.  Blocks keep their
-``indices``/``indptr`` in int32 where the shape allows, halving the
-index bytes every relaxation sweep streams.
+Construction is one transpose conversion ``P.T.tocsr()`` (not cached on
+the bundle, so deltas never re-patch it), then each shard's rows are
+split by a column mask with ``O(nnz)`` cumulative sums.  Blocks keep
+their ``indices``/``indptr`` in int32 where the shape allows, halving
+the index bytes every relaxation sweep streams.
 
 Shard-local push views (:meth:`ShardedOperator.push_context`) model the
 rest of the graph as a single absorbing **ghost node**: the shard's
@@ -28,14 +26,11 @@ ghost's settled mass is an exact upper bound on the probability the true
 walk spends outside the shard, which is what the planner's shard-local
 certificate checks.
 
-Size floor
-----------
-Sharding pays off only past a size where block bookkeeping is noise;
-below ``size_floor`` nodes the constructor **refuses** (raises
-:class:`~repro.errors.ParameterError`) unless ``force=True``.
-:func:`~repro.shard.solver.sharded_solve` converts that refusal into a
-transparent fallback to the monolithic power path, so tiny-graph callers
-never pay shard setup.
+The constructor builds at any size.  Whether sharding pays off is the
+caller's decision: :func:`~repro.shard.solver.sharded_solve` falls back
+to the monolithic power path below ``DEFAULT_SIZE_FLOOR`` nodes when it
+builds its own operator, and the service's ``shard_size_floor`` keeps
+small graphs unsharded.
 """
 
 from __future__ import annotations
@@ -43,22 +38,21 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.errors import ParameterError
 from repro.linalg.operator import LinearOperatorBundle
-from repro.shard.plan import ShardPlan, plan_shards
+from repro.shard.plan import plan_shards
 
 __all__ = ["DEFAULT_SIZE_FLOOR", "ShardedOperator"]
 
 #: Below this many nodes a sharded solve cannot beat the monolithic path
-#: (block setup alone exceeds a handful of full sweeps); the constructor
-#: refuses unless forced and the solver falls back transparently.
+#: (block setup alone exceeds a handful of full sweeps); the callers that
+#: decide whether to shard stay monolithic below it.
 DEFAULT_SIZE_FLOOR = 4096
 
 
 def _split_rows(
     mat: sparse.csr_matrix, lo: int, hi: int
 ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Split permuted rows ``lo:hi`` into (diagonal, coupling) blocks.
+    """Split rows ``lo:hi`` into (diagonal, coupling) blocks.
 
     One pass over the row range's nnz: a column mask plus two cumulative
     sums rebuild both CSR index structures without scipy's generic (and
@@ -102,83 +96,49 @@ def _split_rows(
 
 
 class ShardedOperator:
-    """Block decomposition of one transition operator along a shard plan.
+    """Block decomposition of one transition operator into blocked shards.
 
     Parameters
     ----------
     operator:
         The monolithic :class:`~repro.linalg.operator.LinearOperatorBundle`
         (or a transition matrix, which resolves to its memoised bundle).
-    plan:
-        A :class:`~repro.shard.plan.ShardPlan` over the same node set;
-        built on demand from ``n_shards`` when omitted.
     n_shards:
-        Shard count used when ``plan`` is ``None``.
-    size_floor:
-        Minimum node count; smaller operands are refused unless
-        ``force=True`` (see module docstring).
-    force:
-        Build regardless of ``size_floor`` (tests, explicit callers).
+        Shard count of the blocked :class:`~repro.shard.plan.ShardPlan`
+        (clamped to the node count).
     """
 
     def __init__(
         self,
         operator: "LinearOperatorBundle | sparse.spmatrix",
-        plan: ShardPlan | None = None,
         *,
         n_shards: int = 8,
-        size_floor: int = DEFAULT_SIZE_FLOOR,
-        force: bool = False,
     ) -> None:
         bundle = LinearOperatorBundle.of(operator)
-        n = bundle.n
-        if n < size_floor and not force:
-            raise ParameterError(
-                f"graph has {n} nodes, below the sharding size floor of "
-                f"{size_floor}; solve monolithically (or pass force=True / "
-                "a smaller size_floor)"
-            )
-        if plan is None:
-            plan = plan_shards(bundle.mat, n_shards)
-        if plan.n != n:
-            raise ParameterError(
-                f"shard plan covers {plan.n} nodes but the operator has {n}"
-            )
+        plan = plan_shards(bundle.n, n_shards)
         self.bundle = bundle
         self.plan = plan
 
-        # Assemble the permuted A = P.T directly from P's COO triplets:
-        # edge u→v of P contributes A[rank(v), rank(u)], so one relabeled
-        # coo→csr assembly replaces both the transpose conversion and the
-        # (row, column) permutation.
-        coo = bundle.mat.tocoo()
-        a_rows = plan.ranks[coo.col]
-        a_cols = plan.ranks[coo.row]
-        permuted = sparse.csr_matrix(
-            (coo.data, (a_rows, a_cols)), shape=(n, n)
-        )
+        a = bundle.mat.T.tocsr()
         self.intra: list[sparse.csr_matrix] = []
         self.ext: list[sparse.csr_matrix] = []
         for s in range(plan.n_shards):
             lo, hi = int(plan.bounds[s]), int(plan.bounds[s + 1])
-            intra, ext = _split_rows(permuted, lo, hi)
+            intra, ext = _split_rows(a, lo, hi)
             self.intra.append(intra)
             self.ext.append(ext)
 
-        # Permuted dangling bookkeeping: global mask plus each shard's
-        # *local* dangling offsets (into its own slice).
-        pmask = bundle.dangle_mask[plan.order]
-        pmask.setflags(write=False)
-        self.dangle_mask_p = pmask
-        self.dangle_idx_p = np.flatnonzero(pmask)
+        # Each shard's *local* dangling offsets (into its own slice), and
+        # the shard of every global dangling row.
+        mask = bundle.dangle_mask
         self.local_dangle: list[np.ndarray] = [
             np.flatnonzero(
-                pmask[int(plan.bounds[s]) : int(plan.bounds[s + 1])]
+                mask[int(plan.bounds[s]) : int(plan.bounds[s + 1])]
             )
             for s in range(plan.n_shards)
         ]
-        self.dangle_shard_p = (
-            np.searchsorted(plan.bounds, self.dangle_idx_p, side="right") - 1
+        self.dangle_shard = (
+            np.searchsorted(plan.bounds, bundle.dangle_idx, side="right") - 1
         )
         self._coarse_ctx: list[tuple] | None = None
         self._push_ctx: dict[int, tuple] = {}
@@ -207,9 +167,9 @@ class ShardedOperator:
     def coarse_ctx(self) -> list[tuple]:
         """Static boundary-flow functionals of the aggregation step.
 
-        For shard ``s`` the entry is ``(js, vs, qs)``: the permuted
-        column support of the coupling block ``A_s·``, its column sums,
-        and each support column's source shard.  The cross-shard mass
+        For shard ``s`` the entry is ``(js, vs, qs)``: the column
+        support of the coupling block ``A_s·``, its column sums, and
+        each support column's source shard.  The cross-shard mass
         flow ``C[s, q] = 1ᵀ A_sq x_q`` of *any* iterate then reduces to
         ``Σ_{j∈q} vs[j]·x[j]`` — a precomputed linear functional, so one
         aggregation round touches only ``O(nnz(coupling))`` entries
@@ -251,9 +211,9 @@ class ShardedOperator:
         local_p = self.intra[shard].T.tocsr()
         # Row sums of the full P rows tell leak = full − in-shard mass;
         # rows that were dangling globally stay dangling locally.
-        full_row_sum = 1.0 - self.bundle.dangle_mask[
-            self.plan.order[lo : lo + ns]
-        ].astype(np.float64)
+        full_row_sum = 1.0 - self.bundle.dangle_mask[lo : lo + ns].astype(
+            np.float64
+        )
         leak = full_row_sum - np.asarray(local_p.sum(axis=1)).ravel()
         np.clip(leak, 0.0, None, out=leak)
         leak[leak < 1e-15] = 0.0  # round-off dust is not real escape

@@ -67,7 +67,6 @@ from repro.linalg.operator import (
 )
 from repro.linalg.solvers import (
     PageRankResult,
-    _normalise_x0,
     _validate_common,
     power_iteration,
 )
@@ -88,7 +87,7 @@ _AGG_PATIENCE = 2
 
 
 def _segment_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Per-shard sums of a permuted vector (empty-shard safe)."""
+    """Per-shard sums of a node-aligned vector (empty-shard safe)."""
     cs = np.concatenate(([0.0], np.cumsum(x)))
     return cs[bounds[1:]] - cs[bounds[:-1]]
 
@@ -96,8 +95,8 @@ def _segment_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def _shard_round(
     op: ShardedOperator,
     x: np.ndarray,
-    t_p: np.ndarray,
-    target_p: np.ndarray | None,
+    t: np.ndarray,
+    target: np.ndarray | None,
     dmass: np.ndarray,
     *,
     alpha: float,
@@ -128,8 +127,8 @@ def _shard_round(
         # matvec (fresh values for shards < s — the Gauss–Seidel gain)
         # plus the off-shard dangling mass under mass-moving strategies.
         g = alpha * (op.ext[s] @ x)
-        g += one_minus_alpha * t_p[lo:hi]
-        target_slice = target_p[lo:hi] if target_p is not None else None
+        g += one_minus_alpha * t[lo:hi]
+        target_slice = target[lo:hi] if target is not None else None
         if target_slice is not None:
             m_ext = float(dmass.sum() - dmass[s])
             if m_ext > 0.0:
@@ -221,7 +220,6 @@ def sharded_solve(
     aggregate: bool = True,
     size_floor: int = DEFAULT_SIZE_FLOOR,
     raise_on_failure: bool = False,
-    x0: np.ndarray | None = None,
 ) -> PageRankResult:
     """Solve the PageRank fixed point by sharded block relaxation.
 
@@ -244,7 +242,8 @@ def sharded_solve(
         (see the module docstring).  On by default; ``False`` leaves the
         plain — provably convergent but α-rate — block relaxation.
     size_floor:
-        Forwarded to :class:`ShardedOperator` when building one.
+        Node count below which a solve without ``sharded`` falls back
+        to power iteration instead of building a :class:`ShardedOperator`.
 
     Returns
     -------
@@ -278,15 +277,12 @@ def sharded_solve(
                 dangling=dangling,
                 raise_on_failure=raise_on_failure,
                 operator=bundle,
-                x0=x0,
             )
             return record_result(
                 replace(result, method="sharded_fallback_power"),
                 fallback="size_floor",
             )
-        sharded = ShardedOperator(
-            bundle, n_shards=n_shards, size_floor=size_floor
-        )
+        sharded = ShardedOperator(bundle, n_shards=n_shards)
     elif sharded.n != bundle.n:
         raise ParameterError(
             f"sharded operator covers {sharded.n} nodes but the "
@@ -296,26 +292,26 @@ def sharded_solve(
     plan = sharded.plan
     bounds = plan.bounds
     target = bundle.dangling_target(dangling, t)  # None for "self"
-    t_p = plan.permute(t)
-    target_p = plan.permute(target) if target is not None else None
-    x = plan.permute(t if x0 is None else _normalise_x0(x0, t))
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    # A fresh copy: the rounds update x in place while t stays the
+    # teleport term of every round.
+    x = np.array(t, dtype=np.float64)
 
-    has_dangling = sharded.dangle_idx_p.size > 0
+    dangle_idx = bundle.dangle_idx
+    has_dangling = dangle_idx.size > 0
     self_dangling = has_dangling and target is None
     if has_dangling:
         dmass = np.bincount(
-            sharded.dangle_shard_p,
-            weights=x[sharded.dangle_idx_p],
+            sharded.dangle_shard,
+            weights=x[dangle_idx],
             minlength=plan.n_shards,
         )
     else:
         dmass = np.zeros(plan.n_shards)
     # "self" keeps dangling mass in place — no cross-shard mass term.
-    target_term = target_p if (has_dangling and target is not None) else None
-    t_hat = _segment_sums(t_p, bounds)
+    target_term = target if has_dangling else None
+    t_hat = _segment_sums(t, bounds)
     target_hat = (
-        _segment_sums(target_p, bounds) if target_p is not None else None
+        _segment_sums(target, bounds) if target is not None else None
     )
     aggregate_on = aggregate and plan.n_shards > 1
 
@@ -330,7 +326,7 @@ def sharded_solve(
         _shard_round(
             sharded,
             x,
-            t_p,
+            t,
             target_term,
             dmass,
             alpha=alpha,
@@ -370,8 +366,7 @@ def sharded_solve(
             converged = True
             break
 
-    scores = plan.unpermute(x)
-    scores = scores / scores.sum()
+    scores = x / x.sum()
     if not converged and raise_on_failure:
         raise ConvergenceError(
             f"sharded solve did not reach tol={tol} within {max_iter} "

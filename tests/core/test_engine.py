@@ -14,7 +14,7 @@ from repro.core.engine import (
 )
 from repro.errors import ParameterError
 from repro.graph import DiGraph, Graph
-from repro.linalg import uniform_transition
+from repro.linalg import power_iteration, uniform_transition
 
 
 class TestBuildTeleport:
@@ -293,46 +293,15 @@ class TestTeleportDigest:
 
 
 class TestWarmFrom:
+    """Warm-starting a solve from a previous solution."""
+
     @pytest.fixture
     def transition(self, figure1_graph):
         return uniform_transition(figure1_graph.to_csr())
 
     def test_power_warm_start_cuts_iterations(self, transition):
-        cold = solve_transition(transition, solver="power", tol=1e-12)
-        warm = solve_transition(
-            transition, solver="power", tol=1e-12, warm_from=cold.scores
-        )
+        """Seeding ``power_iteration(x0=)`` with its fixed point."""
+        cold = power_iteration(transition, tol=1e-12)
+        warm = power_iteration(transition, tol=1e-12, x0=cold.scores)
         assert warm.iterations < cold.iterations
         np.testing.assert_allclose(warm.scores, cold.scores, atol=1e-10)
-
-    def test_gauss_seidel_warm_start(self, transition):
-        cold = solve_transition(transition, solver="gauss_seidel", tol=1e-12)
-        warm = solve_transition(
-            transition, solver="gauss_seidel", tol=1e-12,
-            warm_from=cold.scores,
-        )
-        assert warm.iterations <= cold.iterations
-        np.testing.assert_allclose(warm.scores, cold.scores, atol=1e-10)
-
-    def test_direct_ignores_warm_from(self, transition):
-        cold = solve_transition(transition, solver="direct")
-        warm = solve_transition(
-            transition, solver="direct", warm_from=cold.scores
-        )
-        np.testing.assert_allclose(warm.scores, cold.scores)
-
-    def test_push_rejects_warm_from(self, transition):
-        seeds = np.zeros(6)
-        seeds[0] = 1.0
-        with pytest.raises(ParameterError, match="warm_from"):
-            solve_transition(
-                transition, solver="push", teleport=seeds,
-                warm_from=np.full(6, 1 / 6),
-            )
-
-    def test_warm_from_and_x0_conflict(self, transition):
-        with pytest.raises(ParameterError, match="not both"):
-            solve_transition(
-                transition, solver="power",
-                warm_from=np.full(6, 1 / 6), x0=np.full(6, 1 / 6),
-            )

@@ -188,21 +188,6 @@ class TestWarmStart:
             warm.scores, cold.scores, atol=1e-10, rtol=0
         )
 
-    def test_chain_mode_solves_smooth_grid(self, transition):
-        """'chain' warm-starts column k+1 from column k's solution."""
-        alphas = [0.80, 0.82, 0.84, 0.86]
-        chained = power_iteration_batch(
-            transition, alphas=alphas, warm_start="chain"
-        )
-        assert chained.all_converged
-        # later columns start near their neighbour's fixed point
-        assert chained.iterations[1] < chained.iterations[0]
-        for k, alpha in enumerate(alphas):
-            seq = power_iteration(transition, alpha=alpha)
-            np.testing.assert_allclose(
-                chained.scores[:, k], seq.scores, atol=1e-8, rtol=0
-            )
-
     def test_bad_warm_start_string_rejected(self, transition):
         with pytest.raises(ParameterError):
             power_iteration_batch(transition, warm_start="cascade")

@@ -92,8 +92,8 @@ class TestSubmitFlush:
 
     def test_alpha_family_sorted_adjacent(self):
         # A shared-teleport alpha grid submitted out of order still
-        # solves correctly (the flush sorts columns so the batch
-        # solver's family fast path can fire).
+        # solves correctly, and the batch solver's family fast path
+        # fires whatever the column order.
         graph = _graph()
         alphas = (0.9, 0.3, 0.6, 0.75)
         co = MicrobatchCoalescer(graph, window=16)
@@ -105,17 +105,38 @@ class TestSubmitFlush:
         for alpha, ticket in tickets.items():
             ref = d2pr(graph, 1.0, alpha=alpha, tol=1e-10)
             assert np.abs(ticket.result().scores - ref.values).max() < 1e-8
+            assert ticket.meta["batch_method"].endswith("_family")
 
-    def test_warm_start_across_matching_flushes(self):
+    def test_repeated_flush_solves_cold(self):
+        """An identical second flush runs as many sweeps as the first."""
         graph = _graph()
         co = MicrobatchCoalescer(graph, window=16)
-        first = co.submit(GROUP, teleport=None, alpha=0.85, tol=1e-10)
-        co.flush()
-        warm = co.submit(GROUP, teleport=None, alpha=0.85, tol=1e-10)
-        co.flush()
-        cold_iters = first.result().iterations
-        warm_iters = warm.result().iterations
-        assert warm_iters <= max(cold_iters // 4, 2)
+        runs = []
+        for _ in range(2):
+            tickets = [
+                co.submit(GROUP, teleport=_teleport(graph, i), alpha=0.85,
+                          tol=1e-10)
+                for i in range(3)
+            ]
+            co.flush()
+            runs.append([t.result() for t in tickets])
+        for first, again in zip(*runs):
+            assert again.iterations == first.iterations
+            assert np.array_equal(again.scores, first.scores)
+
+    def test_groups_dropped_once_resolved(self):
+        graph = _graph()
+        co = MicrobatchCoalescer(graph, window=16)
+        tickets = [
+            co.submit(("d2pr", p, 0.0, False, "teleport"),
+                      teleport=_teleport(graph, i), alpha=0.85, tol=1e-8)
+            for p in (0.0, 1.0)
+            for i in range(2)
+        ]
+        assert len(co._groups) == 2
+        for ticket in tickets:
+            ticket.result()
+        assert co._groups == {}
 
 
 class TestValidationAndStats:
@@ -131,25 +152,21 @@ class TestValidationAndStats:
         with pytest.raises(ParameterError):
             co.submit(GROUP, teleport=None, alpha=0.85, tol=0.0)
 
-    def test_idle_groups_evicted_past_cap(self):
+    def test_rejects_bad_teleport_at_submit(self):
         graph = _graph()
-        co = MicrobatchCoalescer(graph, window=16, max_groups=2)
-        for p in (0.0, 0.5, 1.0, 1.5):
-            co.submit(
-                ("d2pr", p, 0.0, False, "teleport"),
-                teleport=None, alpha=0.85, tol=1e-8,
-            )
-            co.flush()
-        # Only the two most recent flushed groups keep warm-start state.
-        assert len(co._groups) == 2
-        assert set(co._groups) == {
-            ("d2pr", 1.0, 0.0, False, "teleport", 1e-8),
-            ("d2pr", 1.5, 0.0, False, "teleport", 1e-8),
-        }
+        co = MicrobatchCoalescer(graph)
+        for bad in (np.zeros(graph.number_of_nodes),
+                    -_teleport(graph, 0),
+                    np.full(graph.number_of_nodes, np.nan)):
+            with pytest.raises(ParameterError):
+                co.submit(GROUP, teleport=bad, alpha=0.85, tol=1e-8)
+        assert co.pending == 0
 
     def test_groups_with_pending_columns_survive_eviction(self):
+        # Flushed groups are dropped; a group still holding a pending
+        # column is not.
         graph = _graph()
-        co = MicrobatchCoalescer(graph, window=16, max_groups=1)
+        co = MicrobatchCoalescer(graph, window=16)
         pending = co.submit(
             ("d2pr", 0.0, 0.0, False, "teleport"),
             teleport=None, alpha=0.85, tol=1e-8,
@@ -160,13 +177,11 @@ class TestValidationAndStats:
                 teleport=None, alpha=0.85, tol=1e-8,
             )
             co.flush(("d2pr", p, 0.0, False, "teleport", 1e-8))
+        assert set(co._groups) == {("d2pr", 0.0, 0.0, False, "teleport", 1e-8)}
         assert not pending.done
         ref = d2pr(graph, 0.0, tol=1e-8)
         assert np.abs(pending.result().scores - ref.values).max() < 1e-7
-
-    def test_rejects_bad_max_groups(self):
-        with pytest.raises(ParameterError):
-            MicrobatchCoalescer(_graph(), max_groups=0)
+        assert co._groups == {}
 
     def test_stats_track_occupancy(self):
         graph = _graph()

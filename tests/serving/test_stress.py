@@ -20,6 +20,7 @@ the point — the assertions hold for *every* interleaving.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -27,7 +28,12 @@ import pytest
 
 from repro.core import d2pr, pagerank, personalized_d2pr
 from repro.graph import DiGraph, Graph, GraphDelta
-from repro.serving import RankRequest, RankingService, ServingFront
+from repro.serving import (
+    MicrobatchCoalescer,
+    RankRequest,
+    RankingService,
+    ServingFront,
+)
 
 TOL = 1e-10
 # Two certified answers to one query differ by at most ~2·tol/(1-alpha);
@@ -428,3 +434,54 @@ class TestTelemetryUnderStorm:
             for trace in traces:
                 assert trace.finished
                 assert trace.root.name == "rank"
+
+
+class TestCoalescerStorm:
+    """Groups are dropped when idle, and never while a thread needs one."""
+
+    def test_concurrent_groups_resolve_and_drop(self):
+        graph = _graph()
+        nodes = graph.nodes()
+        n = graph.number_of_nodes
+        groups = [("d2pr", p, 0.0, False, "teleport") for p in (0.0, 1.0)]
+        refs = {
+            (p, i): personalized_d2pr(graph, [nodes[i]], p, tol=TOL).values
+            for p in (0.0, 1.0)
+            for i in range(6)
+        }
+        coalescer = MicrobatchCoalescer(graph, window=3)
+        errors = []
+
+        def client(seed):
+            crng = np.random.default_rng(seed)
+            try:
+                for _ in range(12):
+                    group = groups[int(crng.integers(0, 2))]
+                    i = int(crng.integers(0, 6))
+                    teleport = np.zeros(n)
+                    teleport[i] = 1.0
+                    ticket = coalescer.submit(
+                        group, teleport=teleport, alpha=0.85, tol=TOL
+                    )
+                    diff = np.abs(
+                        ticket.result().scores - refs[(group[1], i)]
+                    ).sum()
+                    assert diff < ATOL, (group, i, diff)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(700 + k,), name=f"g{k}")
+                for k in range(4)
+            ]
+            for t in threads:
+                t.start()
+            _join_all(threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[0]
+        assert coalescer.pending == 0
+        assert coalescer._groups == {}

@@ -7,23 +7,21 @@ import pytest
 from scipy import sparse
 
 from repro.core.d2pr import d2pr_operator
-from repro.errors import ParameterError, ReproError
+from repro.errors import ReproError
 from repro.methods import sharded_operator_for
-from repro.shard import DEFAULT_SIZE_FLOOR, ShardedOperator, plan_shards
+from repro.shard import DEFAULT_SIZE_FLOOR, ShardedOperator
 
 
-def _sharded(graph, k=4, **kw):
-    kw.setdefault("force", True)
+def _sharded(graph, k=4):
     bundle = d2pr_operator(graph, 0.0)
-    return ShardedOperator(bundle, n_shards=k, **kw)
+    return ShardedOperator(bundle, n_shards=k)
 
 
 def test_split_is_exact(community_digraph):
-    """intra + ext scattered back equals the permuted solve operand."""
+    """intra + ext scattered back equals the solve operand A = P.T."""
     op = _sharded(community_digraph)
     plan = op.plan
-    a = op.bundle.t_csr  # A = P.T, original labels
-    perm = a[plan.order][:, plan.order].tocsr()
+    a = op.bundle.t_csr
     rebuilt = sparse.vstack(
         [
             op.ext[s]
@@ -46,7 +44,27 @@ def test_split_is_exact(community_digraph):
         ],
         format="csr",
     )
-    assert abs(perm - rebuilt).sum() < 1e-12
+    assert abs(a - rebuilt).sum() < 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["community_digraph", "dangling_digraph"])
+def test_blocks_are_the_row_split_of_the_transpose(fixture, request):
+    """Each shard's blocks are rows lo:hi of P.T.tocsr(), bit for bit."""
+    graph = request.getfixturevalue(fixture)
+    op = _sharded(graph, k=3)
+    a = op.bundle.mat.T.tocsr()
+    for s in range(op.n_shards):
+        lo, hi = int(op.plan.bounds[s]), int(op.plan.bounds[s + 1])
+        rows = a[lo:hi].tocoo()
+        inside = (rows.col >= lo) & (rows.col < hi)
+        for block, keep, shift in (
+            (op.intra[s], inside, lo),
+            (op.ext[s], ~inside, 0),
+        ):
+            coo = block.tocoo()
+            assert np.array_equal(coo.row, rows.row[keep])
+            assert np.array_equal(coo.col, rows.col[keep] - shift)
+            assert np.array_equal(coo.data, rows.data[keep])
 
 
 def test_ext_has_no_inshard_columns(community_digraph):
@@ -62,13 +80,13 @@ def test_dangling_bookkeeping(dangling_digraph):
     op = _sharded(dangling_digraph, k=3)
     plan = op.plan
     dangle = op.bundle.dangle_mask
-    # permuted mask matches per-shard local indices
+    # per-shard local offsets index the global mask
     for s in range(op.n_shards):
         lo = int(plan.bounds[s])
-        local = op.local_dangle[s]
-        original = plan.order[lo + local]
-        assert dangle[original].all()
+        assert dangle[lo + op.local_dangle[s]].all()
     assert sum(ld.size for ld in op.local_dangle) == int(dangle.sum())
+    for shard, node in zip(op.dangle_shard, op.bundle.dangle_idx):
+        assert plan.bounds[shard] <= node < plan.bounds[shard + 1]
 
 
 def test_coarse_ctx_matches_dense(community_digraph):
@@ -97,13 +115,11 @@ def test_coarse_ctx_matches_dense(community_digraph):
     assert np.allclose(fast, dense)
 
 
-def test_size_floor_refusal_and_force(path_graph):
-    bundle = d2pr_operator(path_graph, 0.0)
-    with pytest.raises(ParameterError):
-        ShardedOperator(bundle, n_shards=2)
-    op = ShardedOperator(bundle, n_shards=2, force=True)
-    assert op.n_shards == 2
+def test_builds_below_size_floor(path_graph):
+    """The floor is the caller's decision; the constructor always builds."""
     assert DEFAULT_SIZE_FLOOR > path_graph.number_of_nodes
+    op = ShardedOperator(d2pr_operator(path_graph, 0.0), n_shards=2)
+    assert op.n_shards == 2
 
 
 def test_push_context_ghost_absorbs_leak(community_digraph):
@@ -126,27 +142,30 @@ def _key(p, dangling="teleport"):
 
 def test_cached_sharded_operator(community_digraph):
     g = community_digraph
-    a = sharded_operator_for(g, _key(0.0), n_shards=4, force=True)
-    b = sharded_operator_for(g, _key(0.0), n_shards=4, force=True)
+    a = sharded_operator_for(g, _key(0.0), n_shards=4)
+    b = sharded_operator_for(g, _key(0.0), n_shards=4)
     assert a is b
-    assert sharded_operator_for(g, _key(0.5), n_shards=4, force=True) is not a
-    assert a.plan is g.shard_plan(4)
+    assert sharded_operator_for(g, _key(0.5), n_shards=4) is not a
     # the dangling strategy is per solve: one sharded operator serves all
-    assert sharded_operator_for(
-        g, _key(0.0, "uniform"), n_shards=4, force=True
-    ) is a
+    assert sharded_operator_for(g, _key(0.0, "uniform"), n_shards=4) is a
     assert a.bundle is d2pr_operator(g, 0.0)
 
 
 def test_fatigued_sharded_operator_from_base_class(community_digraph):
     g = community_digraph
     key = ("fatigued", 0.0, 0.5, 0.0, False, "teleport")
-    sharded = sharded_operator_for(g, key, n_shards=4, force=True)
-    assert sharded is sharded_operator_for(g, key, n_shards=4, force=True)
+    sharded = sharded_operator_for(g, key, n_shards=4)
+    assert sharded is sharded_operator_for(g, key, n_shards=4)
     assert ("sharded_operator", *key[:-1], None, 4) in g._cache
-    assert ("shard_plan", 4) in g._cache
+
+
+def test_sharded_operator_caches_no_plan(community_digraph):
+    """The operator owns its plan; the graph cache holds no plan key."""
+    g = community_digraph
+    sharded_operator_for(g, _key(0.0), n_shards=4)
+    assert not [key for key in g._cache if key[0] == "shard_plan"]
 
 
 def test_spectral_methods_refuse_sharding(community_digraph):
     with pytest.raises(ReproError):
-        sharded_operator_for(community_digraph, ("katz", False), force=True)
+        sharded_operator_for(community_digraph, ("katz", False))

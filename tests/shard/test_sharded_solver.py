@@ -122,7 +122,7 @@ def test_certified_against_power_on_community_graph():
     graph = _directed_communities(8000, 8, 8, 0.02, seed=3)
     bundle = d2pr_operator(graph, 1.0)
     sharded = sharded_operator_for(
-        graph, RankQuery(p=1.0).group_key, n_shards=8, force=True
+        graph, RankQuery(p=1.0).group_key, n_shards=8
     )
     assert sharded.bundle is bundle
     power = power_iteration(None, alpha=alpha, tol=tol, operator=bundle)
@@ -143,20 +143,6 @@ def test_below_floor_falls_back(path_graph):
         None, alpha=0.85, dangling="teleport", tol=TOL, operator=bundle
     )
     assert np.abs(result.scores - reference.scores).sum() < MATCH
-
-
-def test_warm_start_x0(community_digraph):
-    bundle = d2pr_operator(community_digraph, 0.0)
-    cold = sharded_solve(
-        alpha=0.85, dangling="teleport", tol=TOL,
-        operator=bundle, size_floor=0, n_shards=4,
-    )
-    warm = sharded_solve(
-        alpha=0.85, dangling="teleport", tol=TOL,
-        operator=bundle, size_floor=0, n_shards=4, x0=cold.scores,
-    )
-    assert warm.iterations <= cold.iterations
-    assert np.abs(warm.scores - cold.scores).sum() < MATCH
 
 
 def test_budget_exhaustion_raises(community_digraph):

@@ -77,6 +77,14 @@ if grep -rnE 'ShardWorkerPool|pool_substrate|shard_workers|labelprop|intra_f32|r
 fi
 echo "src/repro/shard/ lines: $(cat src/repro/shard/*.py | wc -l)"
 
+# No inert bookkeeping: the shard plan's identity relabeling and its
+# graph-cached plan, the coalescer's cross-flush warm start with its
+# group LRU, and the warm-start paths no caller used stay deleted.
+if grep -rnE 'prev_signature|max_groups|_evict_idle_groups|unpermute|def permute|shard_plan\(|warm_from|"chain"' src/repro/; then
+    echo "FAIL: deleted shard-plan or warm-start bookkeeping reappeared under src/repro/" >&2
+    exit 1
+fi
+
 python -m pytest -x -q
 
 # Re-run the multi-threaded stress suite under a hard watchdog: a

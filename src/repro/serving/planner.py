@@ -422,15 +422,18 @@ class QueryPlanner:
         version), ``"pending"`` (pre-delta answer plus captured baseline
         residual awaiting incremental correction) or ``None`` (miss).
 
-        ``shard_state`` is the service's block-partitioned operator for
-        the query's transition group (a
-        :class:`~repro.shard.operator.ShardedOperator`), or ``None`` when
-        the service is not sharding.  It upgrades two decisions:
-        push-eligible queries whose seeds land in a single shard become
-        ``"shard_push"``, and uniform-teleport global rankings become
-        ``"sharded"``.  Wide-seed personalised queries stay ``"batch"``
-        regardless — pooling cohorts through the coalescer beats solving
-        them one sharded system at a time.
+        ``shard_state`` is a zero-argument callable returning the
+        service's block-partitioned operator for the query's transition
+        group (a :class:`~repro.shard.operator.ShardedOperator`, or
+        ``None`` when the service is not sharding), or ``None`` itself.
+        It upgrades two decisions: push-eligible queries whose seeds land
+        in a single shard become ``"shard_push"``, and uniform-teleport
+        global rankings become ``"sharded"``.  It is called at most once,
+        and only by those two branches, so ``"cached"``,
+        ``"incremental"``, ``"spectral"`` and wide-seed ``"batch"`` plans
+        never build an operator.  Wide-seed personalised queries stay
+        ``"batch"`` regardless — pooling cohorts through the coalescer
+        beats solving them one sharded system at a time.
 
         When a trace is active, the decision is annotated onto the
         ambient span (``planner_strategy`` / ``planner_reason``) — this
@@ -523,13 +526,12 @@ class QueryPlanner:
                 and support <= self.push_max_seeds
                 and localization <= self.push_localization
             ):
-                shard = self._local_shard(shard_state, query)
+                sharded = shard_state() if shard_state is not None else None
+                shard = self._local_shard(sharded, query)
                 if shard is not None:
                     estimates.update(
                         shard=float(shard),
-                        shard_nodes=float(
-                            shard_state.plan.sizes[shard]
-                        ),
+                        shard_nodes=float(sharded.plan.sizes[shard]),
                     )
                     return QueryPlan(
                         strategy="shard_push",
@@ -570,8 +572,13 @@ class QueryPlanner:
                 estimates=estimates,
             )
 
-        if shard_state is not None and method.supports_sharding:
-            estimates["n_shards"] = float(shard_state.n_shards)
+        sharded = (
+            shard_state()
+            if shard_state is not None and method.supports_sharding
+            else None
+        )
+        if sharded is not None:
+            estimates["n_shards"] = float(sharded.n_shards)
             return QueryPlan(
                 strategy="sharded",
                 reason=(
@@ -593,7 +600,7 @@ class QueryPlanner:
         )
 
     @staticmethod
-    def _local_shard(shard_state, query: CanonicalQuery) -> int | None:
+    def _local_shard(sharded, query: CanonicalQuery) -> int | None:
         """The single shard a push-eligible query is local to, or ``None``.
 
         Local means every seed lands in one shard **and** local push can
@@ -604,12 +611,12 @@ class QueryPlanner:
         redistributes mass globally, which a shard-local system cannot
         represent.
         """
-        if shard_state is None or query.seed_idx is None:
+        if sharded is None:
             return None
-        shards = shard_state.plan.shards_of(query.seed_idx)
+        shards = sharded.plan.shards_of(query.seed_idx)
         if np.unique(shards).size != 1:
             return None
         shard = int(shards[0])
         if query.request.dangling == "self":
             return shard
-        return shard if shard_state.local_dangle[shard].size == 0 else None
+        return shard if sharded.local_dangle[shard].size == 0 else None

@@ -263,8 +263,8 @@ class RankingService:
         :meth:`warm_start` recovery of mutations a checkpoint has not
         absorbed.  :meth:`checkpoint` arms one automatically.
 
-    The service is a context manager: ``with RankingService(g) as svc:``
-    drops its sharded operators on exit (see :meth:`close`).
+    The service is a context manager (``with RankingService(g) as
+    svc:``); see :meth:`close`.
     """
 
     def __init__(
@@ -365,12 +365,8 @@ class RankingService:
         # (delta refresh patches cached operator bundles in place).
         self._rw = ReadWriteLock()
         # Bookkeeping lock (leaf relative to the RW barrier): counters,
-        # the inflight-dedup table, outstanding tickets, shard-op memo.
+        # the inflight-dedup table, outstanding tickets.
         self._lock = threading.RLock()
-        # Transition group -> ShardedOperator (or None when the graph is
-        # below the size floor).  Mirrors the graph-level cache; cleared
-        # on every delta, and checkpoint() records its keys.
-        self._shard_ops: dict[tuple, object | None] = {}
         # Service counters live in the telemetry registry; each
         # increment is atomic under the counter family's own leaf lock
         # (no bare dict mutations — see docs/serving.md § Concurrency).
@@ -448,7 +444,10 @@ class RankingService:
         """Dry-run planning: explain how a request *would* be served.
 
         Consults the cache without counting a lookup or touching LRU
-        order, and executes nothing.
+        order, and executes nothing.  A cached, pending, spectral or
+        wide-seed request builds nothing either; only a plan that could
+        become ``"shard_push"`` or ``"sharded"`` builds (and caches) the
+        group's sharded operator, which that decision reads.
         """
         request = coerce_request(request, kwargs)
         with self._rw.read():
@@ -462,7 +461,7 @@ class RankingService:
                 self._graph,
                 query,
                 cache_state=None if state == "miss" else state,
-                shard_state=self._sharded(query.group_key),
+                shard_state=lambda: self._sharded(query.group_key),
             )
 
     def submit(
@@ -518,7 +517,7 @@ class RankingService:
                     self._graph,
                     query,
                     cache_state=None if state == "miss" else state,
-                    shard_state=self._sharded(query.group_key),
+                    shard_state=lambda: self._sharded(query.group_key),
                 )
                 if span is not None:
                     span.annotate(
@@ -599,42 +598,37 @@ class RankingService:
     def _sharded(self, group_key: tuple):
         """The block-partitioned operator for ``group_key``, or ``None``.
 
-        ``None`` when sharding is off or the graph sits below the size
-        floor — the planner then never chooses a shard strategy, so the
-        service degrades to exactly the unsharded behaviour.  Built
-        operators are memoised both on the graph's mutation-aware cache
-        (via :func:`~repro.methods.sharded_operator_for`) and in a
-        service-side table whose keys :meth:`checkpoint` records.  The
-        build runs under the bookkeeping lock so concurrent first
-        requests cannot build the same operator twice.
+        ``None`` when sharding is off, the graph sits below the size
+        floor or the method cannot shard — the planner then never
+        chooses a shard strategy, so the service degrades to exactly the
+        unsharded behaviour.  The operator is built on first use and
+        memoised on the graph's mutation-aware cache (via
+        :func:`~repro.methods.sharded_operator_for`), whose lock keeps
+        concurrent first requests from building it twice; a delta drops
+        it.  The planner calls this lazily, so a cached answer never
+        builds one.
         """
         if not self._sharding:
             return None
-        with self._lock:
-            if group_key in self._shard_ops:
-                return self._shard_ops[group_key]
-            from repro.methods import family_method, sharded_operator_for
-            from repro.shard.operator import DEFAULT_SIZE_FLOOR
+        from repro.methods import family_method, sharded_operator_for
+        from repro.shard.operator import DEFAULT_SIZE_FLOOR
 
-            floor = (
-                DEFAULT_SIZE_FLOOR
-                if self._shard_size_floor is None
-                else self._shard_size_floor
-            )
-            if (
-                self._graph.number_of_nodes < floor
-                or not family_method(group_key).supports_sharding
-            ):
-                sharded = None
-            else:
-                sharded = sharded_operator_for(
-                    self._graph,
-                    group_key,
-                    clamp_min=self._clamp_min,
-                    n_shards=self._n_shards,
-                )
-            self._shard_ops[group_key] = sharded
-            return sharded
+        floor = (
+            DEFAULT_SIZE_FLOOR
+            if self._shard_size_floor is None
+            else self._shard_size_floor
+        )
+        if (
+            self._graph.number_of_nodes < floor
+            or not family_method(group_key).supports_sharding
+        ):
+            return None
+        return sharded_operator_for(
+            self._graph,
+            group_key,
+            clamp_min=self._clamp_min,
+            n_shards=self._n_shards,
+        )
 
     @staticmethod
     def _sparse_pair(
@@ -1009,11 +1003,6 @@ class RankingService:
             # Raises → nothing committed (and nothing logged: the graph
             # commit precedes the log tee inside apply_graph_delta).
             stats = graph.apply_delta(delta, log=self._delta_log)
-            # The graph cache just dropped its shard plans and sharded
-            # operators (unrecognised keys are never refreshed); drop
-            # the service's references to the stale ones too.
-            with self._lock:
-                self._shard_ops.clear()
             self._m_deltas.inc(kind="applied")
             self._m_deltas.inc(
                 kind="localized" if localized else "evicting"
@@ -1055,9 +1044,8 @@ class RankingService:
           (:func:`~repro.graph.persist.save_snapshot`);
         * ``path/service.pkl`` — the warm-start state: every certified
           current-version cache entry (digest, raw score vector, tol,
-          request, sparse teleport) plus the transition group keys whose
-          operators were built, so :meth:`warm_start` can rebuild them
-          before traffic arrives;
+          request, sparse teleport), which :meth:`warm_start` re-seeds
+          so a restart answers them without building any operator;
         * ``path/deltas.log`` — an **armed, empty**
           :class:`~repro.graph.persist.DeltaLog`: the snapshot has
           absorbed everything logged so far (the log is truncated), and
@@ -1127,11 +1115,9 @@ class RankingService:
         snapshot = save_snapshot(self._graph, path / "graph")
         mutation = self._graph.mutation_count
         entries: list[tuple[str, dict]] = []
-        group_keys: set[tuple] = set()
         for digest, entry in self._cache.live_entries():
             if entry.mutation != mutation:
                 continue
-            group_keys.add(entry.request.group_key)
             entries.append(
                 (
                     digest,
@@ -1145,12 +1131,6 @@ class RankingService:
                     },
                 )
             )
-        with self._lock:
-            group_keys.update(
-                key
-                for key, sharded in self._shard_ops.items()
-                if sharded is not None
-            )
         if self._delta_log is None:
             self._delta_log = DeltaLog(path / "deltas.log")
         self._delta_log.truncate()
@@ -1163,7 +1143,6 @@ class RankingService:
             "nodes": self._graph.number_of_nodes,
             "edges": self._graph.number_of_edges,
             "log_path": str(self._delta_log.path),
-            "group_keys": sorted(group_keys),
             "entries": entries,
         }
         tmp = path / "service.pkl.tmp"
@@ -1184,7 +1163,6 @@ class RankingService:
             "nodes": state["nodes"],
             "edges": state["edges"],
             "entries": len(entries),
-            "group_keys": len(group_keys),
             "log": state["log_path"],
             "snapshot_bytes": self._snapshot_bytes,
         }
@@ -1204,10 +1182,12 @@ class RankingService:
         any deltas the checkpoint's armed log accumulated after the
         snapshot, then constructs the service (``options`` are the
         normal constructor options — service configuration is not
-        persisted) and **pre-builds** the operator bundles — and, with
-        ``sharding=True``, the block-partitioned operators — for every
-        transition group the checkpointed service had built, so the
-        first requests skip cold operator construction.
+        persisted).  It builds no operator: a re-seeded answer is served
+        without one, and a request that must solve builds its bundle
+        (and, with ``sharding=True``, its block-partitioned operator) on
+        first use, exactly as in a fresh service.  A state file written
+        by an older checkpoint may also list the groups whose operators
+        were built; that field is ignored.
 
         When *zero* deltas were replayed and the snapshot on disk is the
         one the state file names (same ``snapshot_id``), the
@@ -1257,10 +1237,6 @@ class RankingService:
             for f in (path / "graph").iterdir()
             if f.is_file()
         )
-        for key in state.get("group_keys", ()):
-            key = tuple(key)
-            service._bundle(key)  # spectral: the shared adjacency bundle
-            service._sharded(key)
         seeded = 0
         certified_on = state.get("snapshot_id")
         if (
@@ -1360,14 +1336,12 @@ class RankingService:
         )
 
     def close(self) -> None:
-        """Drop the service's references to its sharded operators.
+        """Release nothing: the service holds no resource of its own.
 
-        Idempotent; a service without sharding is a no-op.  Cached
-        answers are untouched, and a later sharded request transparently
-        fetches the operator again.
+        Its operators live in the graph's cache, which a delta or the
+        graph's own lifetime bounds.  Kept so the service is a context
+        manager; idempotent.
         """
-        with self._lock:
-            self._shard_ops.clear()
 
     def __enter__(self) -> "RankingService":
         return self

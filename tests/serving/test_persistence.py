@@ -277,3 +277,29 @@ class TestNodeOpsThroughService:
         # Post-delta answers have the grown score space.
         answer = service.rank(stream[0])
         assert answer.scores.values.shape[0] == graph.number_of_nodes
+
+
+class TestOldFormatState:
+    def test_state_with_group_keys_seeds_and_serves(
+        self, graph, stream, tmp_path
+    ):
+        """A state file from a checkpoint that still recorded the built
+        operator groups loads, seeds and serves as before, and the
+        restart builds none of those operators."""
+        import pickle
+
+        service = RankingService(graph)
+        baseline = _serve_all(service, stream)
+        service.checkpoint(tmp_path / "ckpt")
+        state_path = tmp_path / "ckpt" / "service.pkl"
+        state = pickle.loads(state_path.read_bytes())
+        state["group_keys"] = sorted({r.group_key for r in stream})
+        state_path.write_bytes(pickle.dumps(state))
+
+        warm = RankingService.warm_start(tmp_path / "ckpt")
+        assert warm._warm_started == {"replayed": 0, "seeded": len(stream)}
+        answers = _serve_all(warm, stream)
+        assert [a.plan.strategy for a in answers] == ["cached"] * len(stream)
+        for base, again in zip(baseline, answers):
+            assert np.array_equal(base.scores.values, again.scores.values)
+        assert warm.graph.cache_info()["misses"] == 0

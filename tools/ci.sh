@@ -85,6 +85,14 @@ if grep -rnE 'prev_signature|max_groups|_evict_idle_groups|unpermute|def permute
     exit 1
 fi
 
+# A cache hit builds nothing: the planner resolves shard state lazily,
+# and warm_start builds no operator.  Fail if the service-side shard
+# memo, the checkpoint's group-key list or the restart prebuild return.
+if grep -rnE '_shard_ops|group_keys|pre-builds' src/repro/serving/; then
+    echo "FAIL: the shard memo or the warm_start prebuild reappeared under src/repro/serving/" >&2
+    exit 1
+fi
+
 python -m pytest -x -q
 
 # Re-run the multi-threaded stress suite under a hard watchdog: a

@@ -32,7 +32,12 @@ Each push epoch then costs O(stored entries of the active rows +
 residual support): the correction lives on per-call slots of the nodes
 that ever held residual, never on all n nodes.  A dense teleport under
 ``dangling="teleport"`` is the exception — the first dangling push gives
-every teleport node a slot.
+every teleport node a slot.  The loop's local finish applies unchanged
+to the signed correction: after a few epochs one sparse LU on the
+support's out-closure settles it, leaving only the leaked mass as
+residual (see :mod:`repro.linalg.push`).  Under a global teleport a
+dangling row in the support would send mass outside it, so there the
+solve is refused and the epochs finish the correction.
 
 Certificate: because each push removes ``|res[u]|`` and re-injects at most
 ``α·|res[u]|``, the remaining signed mass ``Σ|res|`` bounds the L1 error
@@ -97,7 +102,7 @@ def _finish(
     estimate: np.ndarray,
     x: np.ndarray,
     *,
-    epochs: int,
+    steps: int,
     converged: bool,
     history: list[float],
     method: str,
@@ -113,7 +118,7 @@ def _finish(
     return record_result(
         PageRankResult(
             scores=scores,
-            iterations=epochs,
+            iterations=steps,
             converged=converged,
             residuals=history,
             method=method,
@@ -186,8 +191,8 @@ def incremental_update(
         certified L1 distance ≤ ``3·tol·α/(1−α)``, see the module
         notes) or ``"incremental_fallback"``
         (finished by warm-started power iteration); ``iterations``
-        counts push epochs (plus fallback sweeps) and ``residuals`` the
-        remaining signed residual mass per epoch.
+        counts push epochs and local solves (plus fallback sweeps) and
+        ``residuals`` the remaining signed residual mass after each.
     """
     bundle, t = _validate_common(transition, alpha, teleport, operator)
     n = bundle.n
@@ -248,7 +253,7 @@ def incremental_update(
     if sum_abs <= tol:
         return _finish(
             x + res + dust, x,
-            epochs=0, converged=True, history=history,
+            steps=0, converged=True, history=history,
             method="incremental_push",
         )
 
@@ -258,7 +263,7 @@ def incremental_update(
         return _fallback(
             bundle, t, np.maximum(x + res + dust, 0.0),
             alpha=alpha, tol=tol, max_iter=max(max_iter, 1),
-            dangling=dangling, raise_on_failure=raise_on_failure, epochs=0,
+            dangling=dangling, raise_on_failure=raise_on_failure, front=None,
             history=history, method="incremental_fallback",
             fallback="uniform_dangling",
         )
@@ -280,24 +285,23 @@ def incremental_update(
         history=history,
     )
     estimate = x + front.dense(front.q + front.res) + dust
-    facts = {"frontier_peak": front.frontier_peak, "support": front.support}
     if front.capped:
         return _fallback(
             bundle, t, np.maximum(estimate, 0.0),
-            alpha=alpha, tol=tol, max_iter=max(max_iter - front.epochs, 1),
+            alpha=alpha, tol=tol, max_iter=max(max_iter - front.steps, 1),
             dangling=dangling, raise_on_failure=raise_on_failure,
-            epochs=front.epochs, history=history,
-            method="incremental_fallback", fallback="frontier_cap", **facts,
+            front=front, history=history,
+            method="incremental_fallback", fallback="frontier_cap",
         )
     if not front.converged and raise_on_failure:
         raise ConvergenceError(
             f"incremental update did not reach tol={tol} within "
-            f"{max_iter} epochs (remaining residual mass={front.mass:.3e})",
-            iterations=front.epochs,
+            f"{max_iter} steps (remaining residual mass={front.mass:.3e})",
+            iterations=front.steps,
             residual=front.mass,
         )
     return _finish(
         estimate, x,
-        epochs=front.epochs, converged=front.converged, history=history,
-        method="incremental_push", **facts,
+        steps=front.steps, converged=front.converged, history=history,
+        method="incremental_push", **front.facts(),
     )

@@ -41,6 +41,24 @@ returned score vector and, when it triggers, the power-iteration
 fallback — so the win grows with graph size for localized queries
 (``docs/performance.md`` § Forward push; the ``serve-local`` workload).
 
+**Local finish.**  Epochs find *where* the answer lives; they are a slow
+way to settle it there (about 118 epochs at ``tol=1e-8``, α = 0.85).  So
+after ``_LOCAL_EPOCHS`` epochs the loop closes the support over
+``_LOCAL_HOPS`` out-hops into a node set ``S``, factors the
+support-sized sparse system ``A = I − α·P̂_SSᵀ`` once
+(:func:`_local_solve`, ``splu`` in node order) and solves
+``A·y = res_S``: ``settle·y`` goes into ``q``, the residual on ``S``
+becomes the round-off ``res_S − A·y`` and only the mass leaking out of
+``S``, ``α·(P_{S,Sᶜ})ᵀ·y``, stays to be pushed.  Push's invariant
+``x = q + settle·(I − αP̂ᵀ)⁻¹·res`` holds after every solve, so the
+``Σ|res|`` certificate and stopping rule are unchanged; the loop
+re-closes ``S`` over the leaked support and solves again until
+``Σ|res| ≤ tol``, typically twice.  A solve is refused — the epochs then
+carry on as before — when ``S`` exceeds the frontier limits, when a
+``dangling="teleport"`` row in ``S`` would send mass to a target outside
+``S``, or when the LU could fill more than ``_LOCAL_FILL`` times the
+system's entries (an expander-like support).
+
 When the premise fails — the frontier stops being sparse (uniform-ish
 teleports, very small α, ``dangling="uniform"`` spraying mass everywhere)
 — the solver *falls back* to :func:`~repro.linalg.solvers.power_iteration`
@@ -55,6 +73,7 @@ from dataclasses import replace
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from repro.errors import ConvergenceError, ParameterError
 from repro.linalg.operator import DANGLING_STRATEGIES, LinearOperatorBundle
@@ -68,6 +87,21 @@ __all__ = ["forward_push"]
 #: at least (1−c) of the residual mass and Σres contracts by a factor of at
 #: most α + c·(1−α) — α-rate epochs with a sparse frontier.
 _THETA_FRACTION = 0.25
+
+#: Push epochs run before the first local solve: enough for the residual
+#: support to find the nodes the answer lives on.
+_LOCAL_EPOCHS = 8
+
+#: Out-hops the residual support is closed over before a local solve, so
+#: the mass leaking out of the solved set starts two hops downstream.
+_LOCAL_HOPS = 2
+
+#: A local solve is refused when its LU could fill more than this many
+#: times the local system's entries.  A support-sized block of a
+#: community graph fills about 3x; an expander-like one fills densely
+#: (a 4000-node random block of out-degree 12 took 6 s and 131 MB on a
+#: 2-core host), and push epochs are far cheaper there.
+_LOCAL_FILL = 8
 
 
 def _seed_arrays(
@@ -176,6 +210,7 @@ class _Frontier:
         self.res = res
         self.q = np.zeros(nodes.size)
         self.epochs = 0
+        self.local_solves = 0
         self.converged = False
         self.capped = False
         self.frontier_peak = 0
@@ -183,8 +218,21 @@ class _Frontier:
 
     @property
     def support(self) -> int:
-        """Number of nodes that ever held residual."""
+        """Number of nodes that ever held residual or settled mass."""
         return int(self.nodes.size)
+
+    @property
+    def steps(self) -> int:
+        """Push epochs plus local solves: the call's iteration count."""
+        return self.epochs + self.local_solves
+
+    def facts(self) -> dict[str, int]:
+        """The call's solver-record fields."""
+        return {
+            "frontier_peak": self.frontier_peak,
+            "support": self.support,
+            "local_solves": self.local_solves,
+        }
 
     def slots(self, nodes: np.ndarray) -> np.ndarray:
         """Slots of ``nodes``, allocating one for each first-time node."""
@@ -201,11 +249,156 @@ class _Frontier:
             slots = self.slot_of.take(nodes)
         return slots
 
+    def truncate(self, count: int) -> None:
+        """Drop every slot from ``count`` on (they hold no mass)."""
+        self.slot_of[self.nodes[count:]] = -1
+        self.nodes = self.nodes[:count]
+        self.q = self.q[:count]
+        self.res = self.res[:count]
+
     def dense(self, values: np.ndarray) -> np.ndarray:
         """Scatter per-slot ``values`` into a dense length-n vector."""
         out = np.zeros(self.slot_of.size)
         out[self.nodes] = values
         return out
+
+
+def _positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions in the CSR arrays of the rows ``starts``/``lengths``."""
+    pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    pos += np.arange(pos.size)
+    return pos
+
+
+def _close(
+    front: _Frontier, indptr: np.ndarray, indices: np.ndarray, row_limit: float
+) -> None:
+    """Give every node ``_LOCAL_HOPS`` out-hops from a slot a slot.
+
+    Each hop gathers only the rows of the nodes the previous hop added;
+    the closure stops early once there are more than ``row_limit`` slots.
+    """
+    new = front.nodes
+    for _ in range(_LOCAL_HOPS):
+        count = front.nodes.size
+        starts = indptr[new]
+        front.slots(indices.take(_positions(starts, indptr[new + 1] - starts)))
+        new = front.nodes[count:]
+        if new.size == 0 or front.nodes.size > row_limit:
+            break
+
+
+def _local_solve(
+    front: _Frontier,
+    bundle: LinearOperatorBundle,
+    *,
+    alpha: float,
+    dangling: str,
+    settle: float,
+    target: tuple[np.ndarray, np.ndarray],
+    row_limit: float,
+    entry_limit: float,
+) -> bool:
+    """Settle all residual on the support's out-closure by one sparse LU.
+
+    With ``S`` the slots' nodes closed over ``_LOCAL_HOPS`` out-hops, in
+    node order, and ``A = I − α·P̂_SSᵀ`` (``P̂`` the dangling-augmented
+    transition), solve ``A·y = res_S``, settle ``settle·y`` into ``q``
+    and replace the residual by the recomputed round-off
+    ``res_S − A·y`` on ``S`` plus the leaked mass ``α·(P_{S,Sᶜ})ᵀ·y``
+    outside it.  That keeps push's invariant
+    ``x = q + settle·(I − αP̂ᵀ)⁻¹·res``, so ``Σ|res|`` stays the
+    certificate.  A ``dangling="self"`` row of ``S`` is the diagonal
+    entry ``1 − α``; under ``"teleport"`` the dangling rows of ``S`` add
+    the rank-one block ``α·t_S·d_Sᵀ``, so the target must lie inside
+    ``S``.  Returns ``False``, changing nothing, when it does not, when
+    ``S`` has more than ``row_limit`` rows or its rows store more than
+    ``entry_limit`` entries, or when the LU could fill more than
+    ``_LOCAL_FILL`` times the system's entries.
+    """
+    mat = bundle.mat
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    before = front.nodes.size
+    _close(front, indptr, indices, row_limit)
+    m = front.nodes.size
+    if m > row_limit:
+        front.truncate(before)
+        return False
+    order = np.argsort(front.nodes)
+    closed = front.nodes[order]
+    starts = indptr[closed]
+    lengths = indptr[closed + 1] - starts
+    sinks = np.flatnonzero(lengths == 0)
+    teleported = sinks.size > 0 and dangling != "self"
+    if teleported:
+        t_idx, t_w = target
+        t_slots = front.slot_of.take(t_idx)
+    if int(lengths.sum()) > entry_limit or (
+        teleported and not (t_slots >= 0).all()
+    ):
+        front.truncate(before)
+        return False
+    pos = _positions(starts, lengths)
+    cols = indices.take(pos)
+    vals = data.take(pos)
+    owner = np.repeat(np.arange(m), lengths)
+    # Slots for every node S's rows reach, then slot → local index (-1
+    # outside S): a support-sized map, no search per entry.
+    col_slots = front.slots(cols)
+    local_of = np.full(front.nodes.size, -1, dtype=np.int64)
+    local_of[order] = np.arange(m)
+    col_local = local_of.take(col_slots)
+    inside = col_local >= 0
+
+    # A = I − α·P̂_SSᵀ in CSC: column j is row closed[j] of P̂ (its inside
+    # entries, already grouped by row), then the diagonal, then under
+    # "teleport" a dangling row's target entries.
+    in_count = np.bincount(owner[inside], minlength=m)
+    counts = in_count + 1
+    if teleported:
+        counts[sinks] += t_idx.size
+    a_ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=a_ptr[1:])
+    a_val = np.empty(a_ptr[-1])
+    a_idx = np.empty(a_ptr[-1], dtype=np.int64)
+    shift = a_ptr[:-1] - (np.cumsum(in_count) - in_count)
+    dest = np.arange(in_count.sum()) + shift[owner[inside]]
+    a_val[dest] = -alpha * vals[inside]
+    a_idx[dest] = col_local[inside]
+    diag_at = a_ptr[:-1] + in_count
+    a_val[diag_at] = 1.0
+    a_idx[diag_at] = np.arange(m)
+    if sinks.size and not teleported:
+        a_val[diag_at[sinks]] = 1.0 - alpha
+    elif teleported:
+        t_at = (diag_at[sinks] + 1)[:, None] + np.arange(t_idx.size)
+        a_val[t_at] = -alpha * t_w
+        a_idx[t_at] = local_of.take(t_slots)
+    # A is strictly column diagonally dominant, so the LU in node order
+    # keeps the diagonal pivots and L + U fill at most A's envelope:
+    # from each column's top entry and each row's leftmost entry to the
+    # diagonal.
+    top = np.minimum.reduceat(a_idx, a_ptr[:-1])
+    left = np.arange(m)
+    np.minimum.at(left, a_idx, np.repeat(np.arange(m), counts))
+    envelope = int((2 * np.arange(m) - top - left).sum()) + m
+    if envelope > _LOCAL_FILL * a_ptr[-1]:
+        front.truncate(before)
+        return False
+    local = sparse.csc_matrix((a_val, a_idx, a_ptr), shape=(m, m))
+
+    r_local = front.res[order]
+    y = splu(local, permc_spec="NATURAL").solve(r_local)
+    front.q[order] += settle * y
+    front.res[order] = r_local - local @ y
+    outside = ~inside
+    front.res += alpha * np.bincount(
+        col_slots[outside],
+        weights=vals[outside] * y[owner[outside]],
+        minlength=front.nodes.size,
+    )
+    front.local_solves += 1
+    return True
 
 
 def _push_epochs(
@@ -223,7 +416,8 @@ def _push_epochs(
     entry_limit: float,
     history: list[float],
 ) -> _Frontier:
-    """Run Gauss–Southwell push epochs on the signed residual ``res``.
+    """Run Gauss–Southwell push epochs on the signed residual ``res``,
+    then finish with local solves.
 
     ``nodes``/``res`` are the initial residual support (distinct node
     indices) and its values.  Pushing slot ``u`` settles
@@ -231,12 +425,16 @@ def _push_epochs(
     ``u`` of the bundle's matrix; a ``dangling="self"`` row settles its
     whole geometric series ``settle·res[u]/(1−α)`` at once, and under
     ``dangling="teleport"`` a dangling row's forwarded mass goes to the
-    sparse ``target`` ``(indices, weights)``.  Each epoch appends
-    ``Σ|res|`` to ``history``; the run stops once it is ``≤ tol``, after
-    ``max_iter`` epochs, or — with ``capped`` set and the state left as
-    it was before that epoch — when the active frontier has more than
-    ``row_limit`` rows or its rows store more than ``entry_limit``
-    entries.  One epoch costs O(active rows' entries + support).
+    sparse ``target`` ``(indices, weights)``.  After ``_LOCAL_EPOCHS``
+    epochs each step is a :func:`_local_solve` on the support's
+    out-closure instead, until one is refused or stops shrinking
+    ``Σ|res|``; then the epochs resume.  Each step appends ``Σ|res|`` to
+    ``history``; the run stops once it is ``≤ tol``, after ``max_iter``
+    steps, or — with ``capped`` set and the state left as it was before
+    that epoch — when the active frontier has more than ``row_limit``
+    rows or its rows store more than ``entry_limit`` entries.  One epoch
+    costs O(active rows' entries + support), one local solve the sparse
+    LU of a support-sized system.
     """
     mat = bundle.mat
     indptr, indices, data = mat.indptr, mat.indices, mat.data
@@ -244,7 +442,23 @@ def _push_epochs(
     has_dangling = bundle.has_dangling
     self_settle = settle / (1.0 - alpha)
     front = _Frontier(bundle.n, nodes, res)
-    while front.epochs < max_iter:
+    local = True
+    while front.steps < max_iter:
+        if local and front.epochs >= _LOCAL_EPOCHS:
+            before = front.mass
+            local = _local_solve(
+                front, bundle,
+                alpha=alpha, dangling=dangling, settle=settle, target=target,
+                row_limit=row_limit, entry_limit=entry_limit,
+            )
+            if local:
+                front.mass = float(np.abs(front.res).sum())
+                history.append(front.mass)
+                if front.mass <= tol:
+                    front.converged = True
+                    break
+                local = front.mass < before
+                continue
         # Adaptive Gauss–Southwell threshold: push everything holding at
         # least _THETA_FRACTION of the mean active residual.  The mean is
         # ≤ the max, so the active set is never empty while mass remains.
@@ -280,8 +494,7 @@ def _push_epochs(
         # Gather the active rows' entries straight from the CSR arrays
         # and scatter res += α · Σ_u r_u · P[u, :] over the slots.
         if entries:
-            pos = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-            pos += np.arange(entries)
+            pos = _positions(starts, lengths)
             weights = data.take(pos)
             weights *= np.repeat(r_act, lengths)
             flow = np.bincount(
@@ -314,12 +527,17 @@ def _fallback(
     max_iter: int,
     dangling: str,
     raise_on_failure: bool,
-    epochs: int,
+    front: _Frontier | None,
     history: list[float],
     method: str,
-    **facts,
+    fallback: str,
 ) -> PageRankResult:
-    """Finish by power iteration on the same bundle from ``guess``."""
+    """Finish by power iteration on the same bundle from ``guess``.
+
+    ``front`` is the push that ran first, or ``None`` when none did.
+    """
+    steps = front.steps if front is not None else 0
+    facts = front.facts() if front is not None else {}
     result = power_iteration(
         None,
         alpha=alpha,
@@ -334,11 +552,12 @@ def _fallback(
     return record_result(
         replace(
             result,
-            iterations=epochs + result.iterations,
+            iterations=steps + result.iterations,
             residuals=history + result.residuals,
             method=method,
         ),
-        push_epochs=epochs,
+        fallback=fallback,
+        push_epochs=front.epochs if front is not None else 0,
         **facts,
     )
 
@@ -378,7 +597,8 @@ def forward_push(
         scores are renormalised to sum to 1, adding at most ~``tol``
         relative distortion.
     max_iter:
-        Epoch budget (one epoch = one batched push of the active frontier).
+        Step budget (one step = one batched push of the active frontier
+        or one local solve).
     dangling:
         ``"teleport"`` (default) and ``"self"`` stay sparse and are handled
         natively (``"self"`` in closed form: a self-looping dangling node's
@@ -401,10 +621,11 @@ def forward_push(
     Returns
     -------
     PageRankResult
-        ``method`` is ``"forward_push"`` (native convergence) or
-        ``"forward_push_fallback"`` (finished by power iteration);
-        ``iterations`` counts epochs (plus fallback sweeps),
-        ``residuals`` the per-epoch remaining residual mass.
+        ``method`` is ``"forward_push"`` (native convergence, local
+        solves included) or ``"forward_push_fallback"`` (finished by
+        power iteration); ``iterations`` counts epochs and local solves
+        (plus fallback sweeps), ``residuals`` the remaining residual mass
+        after each of them.
     """
     bundle = LinearOperatorBundle.resolve(transition, operator)
     n = bundle.n
@@ -435,7 +656,7 @@ def forward_push(
         return _fallback(
             bundle, t, t,
             alpha=alpha, tol=tol, max_iter=max_iter, dangling=dangling,
-            raise_on_failure=raise_on_failure, epochs=0, history=history,
+            raise_on_failure=raise_on_failure, front=None, history=history,
             method="forward_push_fallback", fallback="uniform_dangling",
         )
 
@@ -448,17 +669,16 @@ def forward_push(
     if front.capped:
         return _fallback(
             bundle, teleport(), front.dense(front.q + front.res),
-            alpha=alpha, tol=tol, max_iter=max_iter - front.epochs,
+            alpha=alpha, tol=tol, max_iter=max_iter - front.steps,
             dangling=dangling, raise_on_failure=raise_on_failure,
-            epochs=front.epochs, history=history,
+            front=front, history=history,
             method="forward_push_fallback", fallback="frontier_cap",
-            frontier_peak=front.frontier_peak, support=front.support,
         )
     if not front.converged and raise_on_failure:
         raise ConvergenceError(
             f"forward push did not reach tol={tol} within {max_iter} "
-            f"epochs (remaining residual mass={front.mass:.3e})",
-            iterations=front.epochs,
+            f"steps (remaining residual mass={front.mass:.3e})",
+            iterations=front.steps,
             residual=front.mass,
         )
     total = front.q.sum()
@@ -466,11 +686,10 @@ def forward_push(
     return record_result(
         PageRankResult(
             scores=scores,
-            iterations=front.epochs,
+            iterations=front.steps,
             converged=front.converged,
             residuals=history,
             method="forward_push",
         ),
-        frontier_peak=front.frontier_peak,
-        support=front.support,
+        **front.facts(),
     )

@@ -1,27 +1,33 @@
 """The frontier-local push epoch loop shared by forward push and incremental.
 
 ``forward_push`` and ``incremental_update`` run the same slot-based epoch
-loop.  These tests pin it to a dense ``np.linalg.solve`` oracle on small
-random digraphs with dangling and isolated nodes, check that the residual
+loop, finished by local sparse LU solves on the support's out-closure.
+These tests pin it to a dense ``np.linalg.solve`` oracle on small random
+digraphs with dangling and isolated nodes, check that the residual
 support reported on the solver record stays inside a seeded component of
-a large graph, and push from several threads on one shared operator
-bundle.
+a large graph, push from several threads on one shared operator bundle,
+and cover the local finish: dangling seeds, signed residuals, supports
+too large for the limits, and a community ring it finishes in a handful
+of steps.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.sparse.linalg import spsolve
 
 from repro.graph import DiGraph, GraphDelta
 from repro.linalg import forward_push, incremental_update, residual_vector
+from repro.linalg import push
 from repro.linalg.operator import LinearOperatorBundle
 from repro.telemetry import Tracer
 
@@ -49,8 +55,8 @@ def _transition(graph) -> sparse.csr_matrix:
     )
 
 
-def _oracle(P, t, alpha, dangling) -> np.ndarray:
-    """Exact fixed point by a dense linear solve on the augmented matrix."""
+def _system(P, t, alpha, dangling) -> np.ndarray:
+    """Dense ``I − α·P̂ᵀ`` of the dangling-augmented transition ``P̂``."""
     n = P.shape[0]
     hat = P.toarray()
     sinks = np.flatnonzero(np.diff(P.indptr) == 0)
@@ -60,7 +66,12 @@ def _oracle(P, t, alpha, dangling) -> np.ndarray:
         hat[sinks] = 1.0 / n
     else:
         hat[sinks, sinks] = 1.0
-    return np.linalg.solve(np.eye(n) - alpha * hat.T, (1.0 - alpha) * t)
+    return np.eye(n) - alpha * hat.T
+
+
+def _oracle(P, t, alpha, dangling) -> np.ndarray:
+    """Exact fixed point by a dense linear solve on the augmented matrix."""
+    return np.linalg.solve(_system(P, t, alpha, dangling), (1.0 - alpha) * t)
 
 
 def _l1(a, b) -> float:
@@ -406,3 +417,295 @@ class TestSharedBundleThreads:
             assert len(answers[k]) == 5
             for got in answers[k]:
                 np.testing.assert_array_equal(got, want)
+
+
+def _epochs_only():
+    """Patch the push loop so it never reaches a local solve."""
+    return mock.patch.object(push, "_LOCAL_EPOCHS", 10**9)
+
+
+def _finished_locally(result, record) -> bool:
+    """A run past the local-solve epoch budget must have solved locally."""
+    return (
+        record["local_solves"] >= 1
+        or result.iterations <= push._LOCAL_EPOCHS
+    )
+
+
+@st.composite
+def fanned_cycles(draw):
+    """A directed cycle whose node ``fan`` also links to ``width`` nodes.
+
+    Each epoch pushes one row until the mass reaches ``fan``, so the
+    support grows one node per epoch while its two-hop closure after
+    ``_LOCAL_EPOCHS`` epochs already has ``_LOCAL_EPOCHS + 3`` nodes.
+    """
+    length = draw(st.integers(24, 60))
+    fan = draw(st.integers(push._LOCAL_EPOCHS + 2, length // 2))
+    width = draw(st.integers(12, length // 2))
+    rows = np.concatenate([np.arange(length), np.full(width, fan)])
+    cols = np.concatenate([
+        (np.arange(length) + 1) % length,
+        (fan + 2 + np.arange(width)) % length,
+    ])
+    adj = sparse.csr_matrix(
+        (np.ones(rows.size), (rows, cols)), shape=(length, length)
+    )
+    adj.sum_duplicates()
+    return adj
+
+
+def _community_ring(blocks: int, size: int, peers: int, rng):
+    """``blocks`` random ``size``-node communities, each node linking to
+    ``peers`` nodes of its own block, plus one bridge edge per block to
+    the next block around the ring."""
+    n = blocks * size
+    src = np.repeat(np.arange(n), peers)
+    dst = (src // size) * size + (
+        src % size + rng.integers(1, size, src.size)
+    ) % size
+    bridge = np.arange(0, n, size)
+    adj = sparse.csr_matrix(
+        (
+            np.ones(src.size + bridge.size),
+            (
+                np.concatenate([src, bridge]),
+                np.concatenate([dst, (bridge + size) % n]),
+            ),
+        ),
+        shape=(n, n),
+    )
+    adj.sum_duplicates()
+    return adj
+
+
+class TestLocalFinish:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=digraphs(),
+        alpha=st.sampled_from(ALPHAS),
+        dangling=st.sampled_from(("teleport", "self")),
+        where=st.sampled_from(("sink", "beside", "both")),
+    )
+    def test_dangling_seeds_match_dense_solve(
+        self, graph, alpha, dangling, where
+    ):
+        # Node n-2 is dangling and node 0 links to it; under "teleport"
+        # the seeds are the dangling target, so the local system carries
+        # the rank-one block, under "self" the diagonal 1 − α.
+        P = _transition(graph)
+        n = P.shape[0]
+        seeds = {"sink": [n - 2], "beside": [0], "both": [0, n - 2]}[where]
+        result, (record,) = _traced(
+            lambda: forward_push(
+                P, seeds, alpha=alpha, tol=TOL, max_iter=MAX_ITER,
+                dangling=dangling, frontier_cap=1.0,
+            )
+        )
+        t = np.zeros(n)
+        t[seeds] = 1.0 / len(seeds)
+        exact = _oracle(P, t, alpha, dangling)
+        assert result.method == "forward_push"
+        assert result.converged
+        assert _finished_locally(result, record)
+        remaining = result.residuals[-1]
+        assert remaining <= TOL
+        settled = result.scores * (1.0 - remaining)
+        assert _l1(settled, exact) <= TOL + SLACK
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=digraphs(),
+        alpha=st.sampled_from(ALPHAS),
+        dangling=st.sampled_from(("teleport", "self")),
+        where=st.sampled_from(("sink", "beside", "both")),
+    )
+    def test_local_solves_keep_the_push_invariant(
+        self, graph, alpha, dangling, where
+    ):
+        # x = q + (1−α)·(I − αP̂ᵀ)⁻¹·res holds after every step, so the
+        # unnormalised state — not just the returned scores — is exact.
+        P = _transition(graph)
+        n = P.shape[0]
+        seeds = np.array(
+            {"sink": [n - 2], "beside": [0], "both": [0, n - 2]}[where]
+        )
+        weights = np.full(seeds.size, 1.0 / seeds.size)
+        front = push._push_epochs(
+            LinearOperatorBundle.of(P), seeds, weights.copy(),
+            alpha=alpha, tol=TOL, max_iter=MAX_ITER, dangling=dangling,
+            settle=1.0 - alpha, target=(seeds, weights),
+            row_limit=np.inf, entry_limit=np.inf, history=[],
+        )
+        t = np.zeros(n)
+        t[seeds] = weights
+        system = _system(P, t, alpha, dangling)
+        state = front.dense(front.q) + (1.0 - alpha) * np.linalg.solve(
+            system, front.dense(front.res)
+        )
+        assert front.converged
+        assert front.local_solves >= 1 or front.epochs <= push._LOCAL_EPOCHS
+        np.testing.assert_allclose(
+            state, np.linalg.solve(system, (1.0 - alpha) * t), atol=1e-12
+        )
+
+    def test_refused_local_solve_changes_nothing(self):
+        # Community 0 holds the seed and a dangling node (15); the
+        # teleport target (node 40) lies in another community.
+        rng = np.random.default_rng(3)
+        adj = _community_ring(8, 16, 4, rng).tolil()
+        adj[15, :] = 0.0
+        P = _normalise(adj.tocsr())
+        bundle = LinearOperatorBundle.of(P)
+        far = (np.array([40]), np.array([1.0]))
+        support = np.array([3, 15])
+        cases = {
+            "rows": dict(row_limit=4, entry_limit=np.inf, target=far),
+            "entries": dict(row_limit=np.inf, entry_limit=10, target=far),
+            "target": dict(row_limit=np.inf, entry_limit=np.inf, target=far),
+        }
+        for name, limits in cases.items():
+            front = push._Frontier(bundle.n, support, np.array([0.5, 0.5]))
+            before = [front.nodes.copy(), front.q.copy(), front.res.copy(),
+                      front.slot_of.copy()]
+            assert not push._local_solve(
+                front, bundle, alpha=0.85, dangling="teleport", settle=0.15,
+                **limits,
+            ), name
+            after = [front.nodes, front.q, front.res, front.slot_of]
+            for old, new in zip(before, after):
+                np.testing.assert_array_equal(old, new)
+            assert front.local_solves == 0
+        # The same support with the target inside it is solved.
+        front = push._Frontier(bundle.n, support, np.array([0.5, 0.5]))
+        assert push._local_solve(
+            front, bundle, alpha=0.85, dangling="teleport", settle=0.15,
+            row_limit=np.inf, entry_limit=np.inf,
+            target=(np.array([3]), np.array([1.0])),
+        )
+        assert front.local_solves == 1
+
+    def test_expander_support_is_refused_by_the_fill_bound(self):
+        # A random 400-node block fills its LU densely; the solve is
+        # refused and the epochs converge as they always did.
+        rng = np.random.default_rng(5)
+        adj = _two_component_adjacency(400, 2_000, rng)
+        P = _normalise(adj)
+        result, (record,) = _traced(lambda: forward_push(P, [7], tol=1e-8))
+        with _epochs_only():
+            epochs_only = forward_push(P, [7], tol=1e-8)
+        assert record["local_solves"] == 0
+        assert result.method == "forward_push"
+        np.testing.assert_array_equal(result.scores, epochs_only.scores)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=digraphs(),
+        alpha=st.sampled_from(ALPHAS),
+        dangling=st.sampled_from(("teleport", "self")),
+        kind=st.sampled_from(["delete", "reweight", "insert"]),
+        personalised=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_signed_incremental_residual_matches_dense_solve(
+        self, graph, alpha, dangling, kind, personalised, seed
+    ):
+        # A delete or reweight moves walk mass between out-neighbours,
+        # so the starting residual of the correction has both signs.
+        rng = np.random.default_rng(seed)
+        P_old = _transition(graph)
+        n = P_old.shape[0]
+        t = np.zeros(n)
+        if personalised:
+            t[rng.choice(n, 2, replace=False)] = [1.0, 2.0]
+        else:
+            t[:] = 1.0
+        t /= t.sum()
+        x_old = _oracle(P_old, t, alpha, dangling)
+        _apply(graph, kind, rng)
+        P_new = _transition(graph)
+        start = residual_vector(
+            LinearOperatorBundle.of(P_new), x_old, t, alpha, dangling
+        )
+        assume((start < -TOL).any() and (start > TOL).any())
+        result, (record,) = _traced(
+            lambda: incremental_update(
+                P_new, x_old, alpha=alpha, teleport=t, dangling=dangling,
+                tol=TOL, max_iter=MAX_ITER, frontier_cap=1.0,
+            )
+        )
+        exact = _oracle(P_new, t, alpha, dangling)
+        assert result.converged
+        assert result.method == "incremental_push"
+        if dangling == "self":
+            # Under "teleport" a dangling row in the support with the
+            # target outside it refuses the solve; the epochs finish.
+            assert _finished_locally(result, record)
+        assert _l1(result.scores, exact) <= (
+            3.0 * TOL * alpha / (1.0 - alpha) + SLACK
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        adj=fanned_cycles(),
+        alpha=st.sampled_from(ALPHAS),
+        dangling=st.sampled_from(DANGLING),
+    )
+    def test_support_beyond_the_limits_takes_the_epoch_path(
+        self, adj, alpha, dangling
+    ):
+        # The closure outgrows the row limit before the first local
+        # solve; the run must then be exactly today's epochs and, once
+        # the fan floods the frontier, today's power fallback.
+        P = _normalise(adj)
+        n = P.shape[0]
+        cap = (push._LOCAL_EPOCHS + 2) / n
+
+        def solve():
+            return forward_push(
+                P, 0, alpha=alpha, tol=TOL, max_iter=MAX_ITER,
+                dangling=dangling, frontier_cap=cap,
+            )
+
+        result, (record,) = _traced(solve)
+        with _epochs_only():
+            epochs_only, (reference,) = _traced(solve)
+        assert record["local_solves"] == 0
+        assert record == reference
+        np.testing.assert_array_equal(result.scores, epochs_only.scores)
+        assert result.residuals == epochs_only.residuals
+        assert result.method == "forward_push_fallback"
+        assert record["fallback"] == "frontier_cap"
+        assert record["push_epochs"] > push._LOCAL_EPOCHS
+        t = np.zeros(n)
+        t[0] = 1.0
+        exact = _oracle(P, t, alpha, dangling)
+        assert _l1(result.scores, exact) <= (
+            TOL * alpha / (1.0 - alpha) + SLACK
+        )
+
+    def test_community_ring_finishes_in_a_few_local_solves(self):
+        rng = np.random.default_rng(19)
+        adj = _community_ring(64, 64, 12, rng)
+        P = _normalise(adj)
+        n = P.shape[0]
+        seeds = [130, 140, 171]
+        tol = 1e-8
+        result, (record,) = _traced(
+            lambda: forward_push(P, seeds, tol=tol)
+        )
+        with _epochs_only():
+            epochs_only = forward_push(P, seeds, tol=tol)
+        assert result.method == epochs_only.method == "forward_push"
+        assert record["local_solves"] >= 1
+        assert result.iterations <= 20
+        assert epochs_only.iterations >= 5 * result.iterations
+        t = np.zeros(n)
+        t[seeds] = 1.0 / len(seeds)
+        exact = spsolve(
+            (sparse.identity(n) - 0.85 * P.T).tocsc(), 0.15 * t
+        )
+        remaining = result.residuals[-1]
+        assert remaining <= tol
+        settled = result.scores * (1.0 - remaining)
+        assert _l1(settled, exact) <= tol + SLACK

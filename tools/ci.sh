@@ -8,7 +8,7 @@
 # sharded solves) — each of which must report every answer correct and
 # zero failed operations, so a broken serving, batch, persistence or
 # sharding path fails CI.
-# Mirrors what .github/workflows/ci.yml executes on every push; run it
+# .github/workflows/ci.yml runs this script on every push; run it
 # locally before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -66,6 +66,14 @@ if grep -nE 'mat\[active\]|sub\.T @' src/repro/linalg/push.py src/repro/linalg/i
     exit 1
 fi
 echo "src/repro/linalg/ lines: $(cat src/repro/linalg/*.py | wc -l)"
+
+# Local finish: the push loop's local system is sparse and support-sized
+# (one sparse LU on the support's out-closure).  Fail if a dense
+# factorization or a densified local system appears in the push kernel.
+if grep -nE '\.toarray\(|\.todense\(|np\.linalg\.solve' src/repro/linalg/push.py src/repro/linalg/incremental.py; then
+    echo "FAIL: a dense local system or factorization appeared in the push kernel" >&2
+    exit 1
+fi
 
 # One shard schedule, one partitioner, one admission queue: the shard
 # worker pool with its shm/mmap substrates, label-propagation

@@ -363,8 +363,14 @@ class DeltaLog:
     def __len__(self) -> int:
         return len(self.records())
 
-    def replay(self, graph: BaseGraph, *, strict: bool = False) -> dict:
-        """Apply every recorded delta to ``graph``; returns op totals."""
+    def replay(self, target, *, strict: bool = False) -> dict:
+        """Apply every recorded delta to ``target``; returns op totals.
+
+        ``target`` is a graph, or anything with a graph's
+        ``apply_delta`` — a :class:`~repro.serving.RankingService`
+        replays through its own delta path, so its cached answers
+        follow the graph.
+        """
         totals = {
             "records": 0,
             "inserted": 0,
@@ -374,7 +380,7 @@ class DeltaLog:
             "nodes_deleted": 0,
         }
         for delta in self.records(strict=strict):
-            stats = graph.apply_delta(delta)
+            stats = target.apply_delta(delta)
             totals["records"] += 1
             for key in (
                 "inserted",

@@ -19,9 +19,13 @@ hit.  This cache keeps entries *alive across localized deltas* instead:
   ``update_scores`` machinery, with the baseline residual derived
   lazily from the retained pre-delta operator), re-certifying it at
   the new graph version for a small fraction of a cold solve;
-* an entry still pending when a *second* delta lands was not read in
-  between — it is evicted rather than chained, mirroring the one-layer
-  rule of the graph's own delta-aware matrix refresh;
+* an entry still pending when a *further* localized delta lands was
+  not read in between — it is **chained**: re-marked under a fresh
+  token that keeps the operator it was certified on, so one correction
+  covers the composite delta.  The service evicts it instead when its
+  transition group captured live entries at this delta (one retained
+  operator per group) or when the deltas since certification touched
+  more than ``localized_fraction`` of the nodes;
 * capacity is bounded LRU; storing past capacity evicts the
   least-recently-served digest.
 
@@ -124,6 +128,10 @@ class ResultCache:
         self._m_corrections = self.metrics.counter(
             "cache_corrections_total",
             "Pending entries re-certified by incremental correction",
+        )
+        self._m_chained = self.metrics.counter(
+            "cache_chained_total",
+            "Pending entries carried across a further delta",
         )
         self._m_stale = self.metrics.counter(
             "cache_stale_corrections_total",
@@ -243,11 +251,11 @@ class ResultCache:
                 if entry.pending is None
             ]
 
-    def pending_digests(self) -> list[str]:
-        """Digests still awaiting correction from an earlier delta."""
+    def pending_entries(self) -> list[tuple[str, CacheEntry]]:
+        """Digest/entry pairs awaiting correction from an earlier delta."""
         with self._lock:
             return [
-                digest
+                (digest, entry)
                 for digest, entry in self._entries.items()
                 if entry.pending is not None
             ]
@@ -264,12 +272,16 @@ class ResultCache:
         is computed lazily on first post-delta access.  The token's
         identity also guards the correction lifecycle: an in-flight
         correction holding the *previous* token (or none) can no longer
-        resolve into this entry once it is re-marked.
+        resolve into this entry once it is re-marked.  Re-marking an
+        entry that is already pending chains it across the new delta
+        (counted as ``chained``).
         """
         with self._lock:
             entry = self._entries.get(digest)
             if entry is None:  # pragma: no cover - defensive
                 return
+            if entry.pending is not None:
+                self._m_chained.inc()
             entry.pending = token
             entry.mutation = int(mutation)
 
@@ -373,6 +385,7 @@ class ResultCache:
             "hits": hits,
             "misses": int(self._m_misses.value()),
             "corrections": int(self._m_corrections.value()),
+            "chained": int(self._m_chained.value()),
             "stale_corrections": int(self._m_stale.value()),
             "evictions": int(self._m_evictions.value()),
             "hit_rate": hits / lookups if lookups else 0.0,

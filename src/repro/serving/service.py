@@ -118,14 +118,15 @@ def coerce_request(request, kwargs) -> RankRequest:
 
 @dataclass(frozen=True)
 class _PendingCorrection:
-    """Correction token: the pre-delta operator an entry was solved on.
+    """Correction token: the operator an entry was certified on.
 
     Holding the bundle (not a precomputed residual) keeps
     :meth:`RankingService.apply_delta` at O(1) per cached entry; the
     bundle is immutable, so the baseline residual derived from it at
     correction time equals the one a pre-delta capture would have
-    produced.  Its memory is one retained matrix per delta layer per
-    transition group — released as entries are corrected or evicted.
+    produced — however many localized deltas the entry was chained
+    across since.  Its memory is one retained matrix per transition
+    group — released as entries are corrected or evicted.
 
     The token's *identity* also guards the correction commit: the cache
     stores a corrected answer only when the entry is still pending on
@@ -134,6 +135,9 @@ class _PendingCorrection:
     """
 
     old_bundle: object
+    #: Delta endpoints summed over every delta since certification; a
+    #: chain past ``localized_fraction`` of the nodes is evicted.
+    touched: int
 
 
 @dataclass(frozen=True)
@@ -409,7 +413,8 @@ class RankingService:
         # digest -> (tol, ticket) of not-yet-resolved batch submissions,
         # so identical queries in one burst share a single column.
         self._inflight: dict[str, tuple[float, ServingTicket]] = {}
-        # Set by warm_start(): {"replayed": ..., "seeded": ...}.
+        # Set by warm_start(): {"replayed": ..., "seeded": ...,
+        # "pending": ...}.
         self._warm_started: dict | None = None
 
     @property
@@ -932,10 +937,15 @@ class RankingService:
         its still-cached pre-delta operator *before* the delta lands (an
         O(1) capture) — the next request for that answer derives its
         baseline residual from it and corrects by residual push at a
-        fraction of a cold solve.  De-localised deltas evict the cache
-        instead (classic semantics), and entries still pending from a
-        previous delta are evicted rather than chained.  The delta
-        itself goes through
+        fraction of a cold solve.  An entry still pending from an
+        earlier delta is chained: it keeps the bundle it was certified
+        on under a fresh token, so one correction covers every delta
+        since.  It is evicted instead when its transition group captured
+        live entries at this delta (one retained bundle per group) or
+        when the endpoints touched since certification exceed
+        ``localized_fraction`` of the nodes.  De-localised deltas and
+        node inserts/deletes evict the cache (classic semantics).  The
+        delta itself goes through
         :meth:`~repro.graph.base.BaseGraph.apply_delta`, so the graph's
         cached matrices and operator bundles are surgically refreshed
         too.
@@ -959,14 +969,12 @@ class RankingService:
             self._graph._check_mutable()  # fail before paying the drain
             self._drain()
             graph = self._graph
-            n = graph.number_of_nodes
-            touched = delta.endpoints()
+            budget = max(1.0, self._localized_fraction * graph.number_of_nodes)
+            touched = int(delta.endpoints().size)
             # Node inserts/deletes renumber (or resize) the score index
             # space, so no cached vector can be residual-corrected across
             # them — always take the evicting path.
-            localized = not delta.has_node_ops and touched.size <= max(
-                1.0, self._localized_fraction * n
-            )
+            localized = not delta.has_node_ops and touched <= budget
 
             prepared: list[tuple[str, _PendingCorrection]] = []
             stale: list[str] = []
@@ -974,6 +982,7 @@ class RankingService:
                 from repro.methods import resolve  # local: avoids cycle
 
                 mutation = graph.mutation_count
+                captured: set[tuple] = set()
                 for digest, entry in self._cache.live_entries():
                     if entry.mutation != mutation:
                         stale.append(digest)
@@ -990,15 +999,31 @@ class RankingService:
                     # immutable) pre-delta bundle; the baseline residual
                     # is derived from it lazily when the entry is next
                     # requested.
-                    prepared.append(
-                        (
-                            digest,
-                            _PendingCorrection(
-                                self._bundle(entry.request.group_key)
-                            ),
-                        )
+                    group = entry.request.group_key
+                    captured.add(group)
+                    token = _PendingCorrection(self._bundle(group), touched)
+                    prepared.append((digest, token))
+                # An entry still pending from an earlier delta chains:
+                # a fresh token keeps the bundle it was certified on,
+                # whose residual is still the exact old-system baseline,
+                # so one correction covers the composite delta.  It is
+                # evicted when its group captured a newer bundle above
+                # (one retained bundle per group) or when the chain has
+                # touched more than a localized delta may.
+                for digest, entry in self._cache.pending_entries():
+                    token = entry.pending
+                    if (
+                        entry.mutation != mutation
+                        or not isinstance(token, _PendingCorrection)
+                        or entry.request.group_key in captured
+                        or token.touched + touched > budget
+                    ):
+                        stale.append(digest)
+                        continue
+                    chained = _PendingCorrection(
+                        token.old_bundle, token.touched + touched
                     )
-                pending = self._cache.pending_digests()
+                    prepared.append((digest, chained))
 
             # Raises → nothing committed (and nothing logged: the graph
             # commit precedes the log tee inside apply_graph_delta).
@@ -1009,7 +1034,7 @@ class RankingService:
             )
             if localized:
                 mutation = graph.mutation_count
-                for digest in pending + stale:
+                for digest in stale:
                     self._cache.evict(digest)
                 for digest, token in prepared:
                     self._cache.mark_pending(
@@ -1178,26 +1203,26 @@ class RankingService:
         """Restore a service from a :meth:`checkpoint` directory.
 
         Loads the graph snapshot (``backend`` picks the storage backend,
-        e.g. ``"mmap"`` for a zero-copy memory-mapped restore), replays
-        any deltas the checkpoint's armed log accumulated after the
-        snapshot, then constructs the service (``options`` are the
-        normal constructor options — service configuration is not
-        persisted).  It builds no operator: a re-seeded answer is served
-        without one, and a request that must solve builds its bundle
-        (and, with ``sharding=True``, its block-partitioned operator) on
-        first use, exactly as in a fresh service.  A state file written
-        by an older checkpoint may also list the groups whose operators
-        were built; that field is ignored.
+        e.g. ``"mmap"`` for a zero-copy memory-mapped restore) and
+        constructs the service (``options`` are the normal constructor
+        options — service configuration is not persisted).  When the
+        snapshot on disk is the one the state file names (same
+        ``snapshot_id``), the checkpointed cache entries are re-seeded:
+        the restored graph is bit-identical to the one the answers were
+        certified on.  A snapshot rewritten by a checkpoint that crashed
+        before its state file landed, or a state file without an id,
+        seeds nothing; correctness never depends on seeding.
 
-        When *zero* deltas were replayed and the snapshot on disk is the
-        one the state file names (same ``snapshot_id``), the
-        checkpointed cache entries are re-seeded too: the restored graph
-        is bit-identical to the one the answers were certified on, so
-        they serve as hits immediately — a warm restart answers its
-        previous query stream without re-solving.  Any replayed delta,
-        a snapshot rewritten by a checkpoint that crashed before its
-        state file landed, or a state file without an id skips seeding;
-        correctness never depends on it.
+        Then the deltas the checkpoint's log accumulated are replayed
+        through :meth:`apply_delta`, exactly as the live service applied
+        them: a localized edge-only tail leaves the seeded answers
+        pending one chained incremental correction, node ops and
+        de-localised deltas evict them.  The log is armed only
+        afterwards, so replayed records are not appended again and no
+        compaction fires.  A request that must solve builds its bundle
+        (and, with ``sharding=True``, its block-partitioned operator) on
+        first use, as in a fresh service.  The ``group_keys`` field of
+        older state files is ignored.
 
         The restored service keeps the checkpoint's delta log armed, so
         the checkpoint → mutate → warm-start cycle composes.
@@ -1222,27 +1247,11 @@ class RankingService:
         ):
             raise ReproError(f"{state_path} is not a service checkpoint")
         graph = load_snapshot(path / "graph", backend=backend)
-        log = None
-        replayed = 0
-        log_path = state.get("log_path")
-        if log_path and Path(log_path).exists():
-            log = DeltaLog(log_path)
-            replayed = int(log.replay(graph)["records"])
-        service = cls(graph, delta_log=log, **options)
-        # Re-arm the compaction baseline: the restored service can keep
-        # auto-compacting against the checkpoint it was started from.
-        service._checkpoint_path = path
-        service._snapshot_bytes = sum(
-            f.stat().st_size
-            for f in (path / "graph").iterdir()
-            if f.is_file()
-        )
+        service = cls(graph, **options)
         seeded = 0
         certified_on = state.get("snapshot_id")
-        if (
-            replayed == 0
-            and certified_on is not None
-            and certified_on == snapshot_id(path / "graph")
+        if certified_on is not None and certified_on == snapshot_id(
+            path / "graph"
         ):
             mutation = graph.mutation_count
             for digest, record in state.get("entries", ()):
@@ -1255,7 +1264,27 @@ class RankingService:
                     teleport=record["teleport"],
                 )
                 seeded += 1
-        service._warm_started = {"replayed": replayed, "seeded": seeded}
+        log = None
+        replayed = 0
+        log_path = state.get("log_path")
+        if log_path and Path(log_path).exists():
+            log = DeltaLog(log_path)
+            replayed = int(log.replay(service)["records"])
+        # Arm the log and the compaction baseline: the restored service
+        # tees its own deltas and keeps auto-compacting against the
+        # checkpoint it was started from.
+        service._delta_log = log
+        service._checkpoint_path = path
+        service._snapshot_bytes = sum(
+            f.stat().st_size
+            for f in (path / "graph").iterdir()
+            if f.is_file()
+        )
+        service._warm_started = {
+            "replayed": replayed,
+            "seeded": seeded,
+            "pending": service._cache.stats()["pending"],
+        }
         return service
 
     # ------------------------------------------------------------------

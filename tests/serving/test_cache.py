@@ -104,7 +104,18 @@ class TestPendingLifecycle:
         _store(cache, graph, "q2", mutation=0)
         cache.mark_pending("q2", object(), mutation=1)
         assert [d for d, _ in cache.live_entries()] == ["q1"]
-        assert cache.pending_digests() == ["q2"]
+        assert [d for d, _ in cache.pending_entries()] == ["q2"]
+
+    def test_re_marking_a_pending_entry_counts_a_chain(self, graph):
+        cache = ResultCache()
+        _store(cache, graph, "q1", mutation=0)
+        cache.mark_pending("q1", object(), mutation=1)
+        assert cache.stats()["chained"] == 0
+        token = object()
+        cache.mark_pending("q1", token, mutation=2)
+        assert cache.stats()["chained"] == 1
+        state, entry = cache.lookup("q1", mutation=2, tol=1e-10)
+        assert state == "pending" and entry.pending is token
 
 
 class TestCapacity:
@@ -146,7 +157,7 @@ class TestCapacity:
         assert stats["hit_rate"] == 1.0
         assert set(stats) >= {
             "capacity", "entries", "pending", "lookups", "hits",
-            "misses", "corrections", "evictions", "hit_rate",
+            "misses", "corrections", "chained", "evictions", "hit_rate",
         }
 
 

@@ -86,6 +86,7 @@ class TestWarmStart:
         assert warm._warm_started == {
             "replayed": 0,
             "seeded": len(stream),
+            "pending": 0,
         }
         answers = _serve_all(warm, stream)
         for base, again in zip(baseline, answers):
@@ -132,7 +133,9 @@ class TestWarmStart:
         answer = warm.rank(stream[0])
         assert answer.plan.strategy == "cached"
 
-    def test_deltas_replayed_cache_not_seeded(self, graph, stream, tmp_path):
+    def test_node_op_replay_evicts_seeded_entries(
+        self, graph, stream, tmp_path
+    ):
         service = RankingService(graph)
         _serve_all(service, stream)
         service.checkpoint(tmp_path / "ckpt")
@@ -148,17 +151,55 @@ class TestWarmStart:
         service.apply_delta(d2)
 
         warm = RankingService.warm_start(tmp_path / "ckpt")
-        assert warm._warm_started["replayed"] == 2
-        assert warm._warm_started["seeded"] == 0
+        # Seeded, then evicted by the replayed node-op delta.
+        assert warm._warm_started == {
+            "replayed": 2, "seeded": len(stream), "pending": 0,
+        }
+        assert len(warm._cache) == 0
+        assert warm.stats()["deltas"]["evicting"] == 1
         assert warm.graph.number_of_nodes == graph.number_of_nodes
         assert warm.graph.number_of_edges == graph.number_of_edges
         # Answers against the replayed graph equal the live service's.
         live = service.rank(stream[0])
         restored = warm.rank(stream[0])
+        assert restored.plan.strategy not in ("cached", "incremental")
         l1 = float(
             np.abs(live.scores.values - restored.scores.values).sum()
         )
         assert l1 <= 2 * stream[0].tol
+
+    def test_edge_replay_serves_incremental(self, graph, stream, tmp_path):
+        tol, alpha = 1e-8, 0.85
+        stream = [replace(r, tol=tol) for r in stream]
+        service = RankingService(graph)
+        _serve_all(service, stream)
+        service.checkpoint(tmp_path / "ckpt")
+        for src, dst in ((0, 9), (2, 11), (5, 40)):
+            service.apply_delta(
+                GraphDelta.insert(
+                    np.array([src], dtype=np.int64),
+                    np.array([dst], dtype=np.int64),
+                )
+            )
+
+        warm = RankingService.warm_start(tmp_path / "ckpt")
+        assert warm._warm_started == {
+            "replayed": 3, "seeded": len(stream), "pending": len(stream),
+        }
+        # Replayed records were not appended to the log a second time.
+        assert len(warm._delta_log) == 3
+        assert warm.stats()["cache"]["chained"] == 2 * len(stream)
+        certificate = 3.0 * tol * alpha / (1.0 - alpha)
+        for request in stream:
+            restored = warm.rank(request)
+            assert restored.plan.strategy == "incremental"
+            cold = RankingService(warm.graph.copy()).rank(
+                replace(request, tol=1e-13)
+            )
+            l1 = float(
+                np.abs(restored.scores.values - cold.scores.values).sum()
+            )
+            assert l1 <= certificate
 
     def test_cycle_composes(self, graph, stream, tmp_path):
         service = RankingService(graph)
@@ -243,7 +284,9 @@ class TestCheckpointCrash:
         monkeypatch.undo()
 
         warm = RankingService.warm_start(tmp_path / "ckpt")
-        assert warm._warm_started == {"replayed": 0, "seeded": 0}
+        assert warm._warm_started == {
+            "replayed": 0, "seeded": 0, "pending": 0,
+        }
         served = warm.rank(request)
         assert served.plan.strategy != "cached"
         cold = RankingService(service.graph.copy()).rank(request)
@@ -263,7 +306,9 @@ class TestCheckpointCrash:
         del state["snapshot_id"]
         state_path.write_bytes(pickle.dumps(state))
         warm = RankingService.warm_start(tmp_path / "ckpt")
-        assert warm._warm_started == {"replayed": 0, "seeded": 0}
+        assert warm._warm_started == {
+            "replayed": 0, "seeded": 0, "pending": 0,
+        }
 
 
 class TestNodeOpsThroughService:
@@ -297,7 +342,9 @@ class TestOldFormatState:
         state_path.write_bytes(pickle.dumps(state))
 
         warm = RankingService.warm_start(tmp_path / "ckpt")
-        assert warm._warm_started == {"replayed": 0, "seeded": len(stream)}
+        assert warm._warm_started == {
+            "replayed": 0, "seeded": len(stream), "pending": 0,
+        }
         answers = _serve_all(warm, stream)
         assert [a.plan.strategy for a in answers] == ["cached"] * len(stream)
         for base, again in zip(baseline, answers):

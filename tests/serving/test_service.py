@@ -175,21 +175,51 @@ class TestApplyDelta:
         cold = d2pr(graph, 1.0)
         assert np.abs(after.scores.values - cold.values).max() < 1e-9
 
-    def test_second_delta_evicts_unread_pending_entry(self):
+    def test_second_delta_chains_unread_pending_entry(self):
         graph = _graph()
         service = RankingService(graph)
-        service.rank(method="d2pr", p=1.0)
+        tol, alpha = 1e-8, 0.85
+        service.rank(method="d2pr", p=1.0, tol=tol)
         service.apply_delta(
             GraphDelta.insert(np.array([0]), np.array([9]))
         )
-        # Entry is pending and never read before the next delta lands.
+        # Entry is pending and never read before the next delta lands:
+        # it chains on the bundle it was certified on.
         service.apply_delta(
             GraphDelta.insert(np.array([1]), np.array([12]))
         )
+        assert service.stats()["cache"]["chained"] == 1
+        after = service.rank(method="d2pr", p=1.0, tol=tol)
+        assert after.plan.strategy == "incremental"
+        cold = d2pr(graph, 1.0, alpha=alpha, tol=1e-13)
+        certificate = 3.0 * tol * alpha / (1.0 - alpha)
+        assert np.abs(after.scores.values - cold.values).sum() <= certificate
+
+    def test_group_with_live_entries_evicts_older_pending(self):
+        graph = _graph()
+        service = RankingService(graph)
+        seeded = RankRequest(p=1.0, seeds=[graph.nodes()[3]])
+        service.rank(method="d2pr", p=1.0)
+        service.rank(seeded)
+        service.apply_delta(
+            GraphDelta.insert(np.array([0]), np.array([9]))
+        )
+        # The global answer is read (corrected, live again); the seeded
+        # one stays pending on the pre-delta bundle of the same group.
+        assert service.rank(method="d2pr", p=1.0).plan.strategy == (
+            "incremental"
+        )
+        service.apply_delta(
+            GraphDelta.insert(np.array([1]), np.array([12]))
+        )
+        # One retained bundle per group: the live answer captured the
+        # newer one, so the older pending answer was evicted.
+        assert service.stats()["cache"]["chained"] == 0
+        assert service.rank(seeded).plan.strategy == "push"
         after = service.rank(method="d2pr", p=1.0)
-        assert after.plan.strategy == "batch"
+        assert after.plan.strategy == "incremental"
         cold = d2pr(graph, 1.0)
-        assert np.abs(after.scores.values - cold.values).max() < 1e-9
+        assert np.abs(after.scores.values - cold.values).max() < 1e-8
 
     def test_empty_delta_is_a_noop(self):
         graph = _graph()

@@ -218,7 +218,9 @@ def test_sharded_warm_start_answers_hits_without_building(tmp_path):
     live.checkpoint(tmp_path / "ckpt")
 
     warm = RankingService.warm_start(tmp_path / "ckpt", **_OPTIONS)
-    assert warm._warm_started == {"replayed": 0, "seeded": len(stream)}
+    assert warm._warm_started == {
+        "replayed": 0, "seeded": len(stream), "pending": 0,
+    }
     misses = warm.graph._cache_misses
     for request, before in zip(stream, served):
         assert warm.plan(request).strategy == "cached"
@@ -253,10 +255,14 @@ def test_replay_restart_builds_shard_operators_on_first_use(tmp_path):
     live.rank(global_rank)
     live.rank(local)
     live.checkpoint(tmp_path / "ckpt")
-    live.apply_delta(GraphDelta.insert(np.array([0]), np.array([50])))
+    # A node-op delta evicts the seeded answers, so both re-solve.
+    live.apply_delta(
+        GraphDelta.add_nodes([480])
+        | GraphDelta.insert(np.array([0]), np.array([50]))
+    )
 
     warm = RankingService.warm_start(tmp_path / "ckpt", **_OPTIONS)
-    assert warm._warm_started == {"replayed": 1, "seeded": 0}
+    assert warm._warm_started == {"replayed": 1, "seeded": 2, "pending": 0}
     assert _sharded_keys(warm.graph) == []
     graph = warm.graph
     assert graph.number_of_edges == live.graph.number_of_edges
@@ -270,3 +276,27 @@ def test_replay_restart_builds_shard_operators_on_first_use(tmp_path):
     ref = d2pr(graph, 0.0, alpha=0.85, teleport=[5], tol=1e-12)
     assert np.abs(served.scores.values - ref.values).sum() < 1e-7
     assert warm.stats()["sharding"]["shard_push_local"] == 1
+
+
+def test_localized_replay_restart_builds_no_shard_operator(tmp_path):
+    live = RankingService(_community_digraph(), **_OPTIONS)
+    tol, alpha = 1e-10, 0.85
+    global_rank = RankRequest(method="pagerank", tol=tol)
+    local = RankRequest(method="pagerank", seeds=[5], tol=tol)
+    live.rank(global_rank)
+    live.rank(local)
+    live.checkpoint(tmp_path / "ckpt")
+    live.apply_delta(GraphDelta.insert(np.array([0]), np.array([50])))
+
+    warm = RankingService.warm_start(tmp_path / "ckpt", **_OPTIONS)
+    assert warm._warm_started == {"replayed": 1, "seeded": 2, "pending": 2}
+    graph = warm.graph
+    certificate = 3.0 * tol * alpha / (1.0 - alpha)
+    for request, teleport in ((global_rank, None), (local, [5])):
+        assert warm.plan(request).strategy == "incremental"
+        served = warm.rank(request)
+        assert served.plan.strategy == "incremental"
+        ref = d2pr(graph, 0.0, alpha=alpha, teleport=teleport, tol=1e-13)
+        assert np.abs(served.scores.values - ref.values).sum() <= certificate
+    assert _sharded_keys(graph) == []
+    assert warm.stats()["sharding"]["sharded_solves"] == 0

@@ -152,8 +152,11 @@ try:
         np.array([0, 1], dtype=np.int64), np.array([9, 11], dtype=np.int64)))
     warm = RankingService.warm_start(tmp / "ckpt", backend="mmap")
     assert warm._warm_started["replayed"] == 1, warm._warm_started
+    assert warm._warm_started["seeded"] == 1, warm._warm_started
     live = svc.rank(req)
     restored = warm.rank(req)
+    # The replayed edge delta corrects the seeded answer, no re-solve.
+    assert restored.plan.strategy == "incremental", restored.plan.strategy
     l1 = float(np.abs(live.scores.values - restored.scores.values).sum())
     assert l1 <= 2 * req.tol, f"warm restart diverged: L1={l1:g}"
     print("persistence roundtrip smoke: OK")

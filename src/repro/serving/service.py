@@ -1221,8 +1221,8 @@ class RankingService:
         afterwards, so replayed records are not appended again and no
         compaction fires.  A request that must solve builds its bundle
         (and, with ``sharding=True``, its block-partitioned operator) on
-        first use, as in a fresh service.  The ``group_keys`` field of
-        older state files is ignored.
+        first use, as in a fresh service.  The list of groups an older
+        checkpoint's state file carries is ignored.
 
         The restored service keeps the checkpoint's delta log armed, so
         the checkpoint → mutate → warm-start cycle composes.

@@ -242,9 +242,9 @@ class CentralityMethod:
 
         A :class:`~repro.shard.operator.ShardedOperator` over
         :meth:`operator` with ``n_shards`` blocked shards, memoised per
-        graph version so repeated sharded solves and shard-local pushes
-        share one set of diagonal / coupling blocks.  It builds at any
-        size: whether to shard is the caller's decision.
+        graph version so repeated sharded solves share one set of
+        diagonal / coupling blocks.  It builds at any size: whether to
+        shard is the caller's decision.
         """
         if not self.supports_sharding:
             raise ReproError(

@@ -40,17 +40,12 @@ the planner's contract:
     Katz/HITS): solve directly through
     :meth:`~repro.methods.CentralityMethod.solve`; the answer is still
     cached under the method's eigen/L1 certificate;
-  - ``"shard_push"``  — push-eligible *and* the service holds a
-    block-partitioned operator (``shard_state``) whose plan maps every
-    seed into one shard with no foreign dangling rows: run the push
-    against that shard's small diagonal block plus a ghost absorber
-    (:meth:`~repro.shard.operator.ShardedOperator.push_context`) — the
-    service certifies the answer with the escaped-mass bound and falls
-    back to a global push when too much mass leaves the shard;
   - ``"sharded"``     — uniform-teleport (global) rankings when a
     sharded operator is held: run the block-relaxation rounds of
     :func:`~repro.shard.solver.sharded_solve` over its blocks instead of
-    streaming the monolithic matrix;
+    streaming the monolithic matrix.  This is the only plan that reads
+    shard state; a sharded service still serves personalised queries by
+    ``"push"`` or ``"batch"``;
   - ``"batch"``       — everything else (dense teleports, wide seed
     sets, pooled cohorts): pooled
     :func:`~repro.linalg.power_iteration_batch` blocks through the
@@ -92,7 +87,6 @@ STRATEGIES = (
     "cached",
     "incremental",
     "spectral",
-    "shard_push",
     "push",
     "sharded",
     "batch",
@@ -426,14 +420,13 @@ class QueryPlanner:
         service's block-partitioned operator for the query's transition
         group (a :class:`~repro.shard.operator.ShardedOperator`, or
         ``None`` when the service is not sharding), or ``None`` itself.
-        It upgrades two decisions: push-eligible queries whose seeds land
-        in a single shard become ``"shard_push"``, and uniform-teleport
-        global rankings become ``"sharded"``.  It is called at most once,
-        and only by those two branches, so ``"cached"``,
-        ``"incremental"``, ``"spectral"`` and wide-seed ``"batch"`` plans
-        never build an operator.  Wide-seed personalised queries stay
-        ``"batch"`` regardless — pooling cohorts through the coalescer
-        beats solving them one sharded system at a time.
+        It upgrades one decision: uniform-teleport global rankings become
+        ``"sharded"``.  It is called at most once, and only by that
+        branch, so no personalised plan ever builds an operator:
+        push-eligible queries are ``"push"`` (the push kernel's own local
+        finish already confines them to the seeds' neighbourhood) and
+        wide-seed queries stay ``"batch"`` — pooling cohorts through the
+        coalescer beats solving them one sharded system at a time.
 
         When a trace is active, the decision is annotated onto the
         ambient span (``planner_strategy`` / ``planner_reason``) — this
@@ -526,24 +519,6 @@ class QueryPlanner:
                 and support <= self.push_max_seeds
                 and localization <= self.push_localization
             ):
-                sharded = shard_state() if shard_state is not None else None
-                shard = self._local_shard(sharded, query)
-                if shard is not None:
-                    estimates.update(
-                        shard=float(shard),
-                        shard_nodes=float(sharded.plan.sizes[shard]),
-                    )
-                    return QueryPlan(
-                        strategy="shard_push",
-                        reason=(
-                            f"{support} seed(s) fall in shard {shard} "
-                            "with no foreign dangling rows: shard-local "
-                            "forward push with escaped-mass certificate"
-                        ),
-                        digest=query.digest,
-                        group_key=query.group_key,
-                        estimates=estimates,
-                    )
                 return QueryPlan(
                     strategy="push",
                     reason=(
@@ -598,25 +573,3 @@ class QueryPlanner:
             group_key=query.group_key,
             estimates=estimates,
         )
-
-    @staticmethod
-    def _local_shard(sharded, query: CanonicalQuery) -> int | None:
-        """The single shard a push-eligible query is local to, or ``None``.
-
-        Local means every seed lands in one shard **and** local push can
-        be exact about dangling mass: either the request already keeps
-        dangling mass in place (``dangling="self"``, which the ghost
-        system models directly) or the shard contains no dangling rows at
-        all — genuine in-shard dangling under ``"teleport"``/``"uniform"``
-        redistributes mass globally, which a shard-local system cannot
-        represent.
-        """
-        if sharded is None:
-            return None
-        shards = sharded.plan.shards_of(query.seed_idx)
-        if np.unique(shards).size != 1:
-            return None
-        shard = int(shards[0])
-        if query.request.dangling == "self":
-            return shard
-        return shard if sharded.local_dangle[shard].size == 0 else None

@@ -59,7 +59,7 @@ from __future__ import annotations
 import pickle
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
@@ -246,18 +246,15 @@ class RankingService:
     max_iter:
         Iteration budget forwarded to every solver.
     sharding:
-        Serve through block-partitioned operators
-        (:func:`~repro.methods.sharded_operator_for`): global
-        rankings run the sharded block-relaxation solver, and
-        push-eligible queries whose seeds land in one shard run
-        **shard-local push** against that shard's small diagonal block —
-        certified by the escaped-mass bound, falling back to a global
-        push when the certificate fails (counted in :meth:`stats`).
-        Graphs below ``shard_size_floor`` nodes serve exactly as with
-        ``sharding=False``.
-    n_shards / shard_size_floor:
-        Shard count (contiguous blocked ranges) and the size floor below
-        which sharding is bypassed (``None`` = the library default).
+        Serve global (uniform-teleport) rankings through block-partitioned
+        operators (:func:`~repro.methods.sharded_operator_for`) and the
+        sharded block-relaxation solver.  Personalised queries plan
+        exactly as unsharded (``"push"`` or ``"batch"``) and never build
+        a sharded operator.  Graphs below
+        :data:`~repro.shard.operator.DEFAULT_SIZE_FLOOR` nodes serve
+        exactly as with ``sharding=False``.
+    n_shards:
+        Shard count (contiguous blocked ranges).
     shard_method:
         Accepted for existing callers; ``"blocked"`` is the only
         partitioning.
@@ -287,7 +284,6 @@ class RankingService:
         sharding: bool = False,
         n_shards: int = 8,
         shard_method: str = "blocked",
-        shard_size_floor: int | None = None,
         delta_log: DeltaLog | None = None,
         compact_threshold: float | None = None,
         telemetry: MetricsRegistry | None = None,
@@ -349,7 +345,6 @@ class RankingService:
         self._max_iter = max_iter
         self._sharding = bool(sharding)
         self._n_shards = int(n_shards)
-        self._shard_size_floor = shard_size_floor
         # Optional write-ahead tee: every delta committed through
         # apply_delta is appended here after the graph commit, so a
         # later warm_start(checkpoint) can replay exactly the mutations
@@ -389,7 +384,7 @@ class RankingService:
         )
         self._m_shard = self._telemetry.counter(
             "serving_shard_events_total",
-            "Shard-routing outcomes",
+            "Sharded global solves",
             labels=("event",),
         )
         self._m_latency = self._telemetry.histogram(
@@ -404,7 +399,6 @@ class RankingService:
             "cached": self._solve_cached,
             "incremental": self._solve_incremental,
             "spectral": self._solve_spectral,
-            "shard_push": self._solve_shard_push,
             "push": self._solve_push,
             "sharded": self._solve_sharded,
             "batch": self._solve_batch,
@@ -450,9 +444,10 @@ class RankingService:
 
         Consults the cache without counting a lookup or touching LRU
         order, and executes nothing.  A cached, pending, spectral or
-        wide-seed request builds nothing either; only a plan that could
-        become ``"shard_push"`` or ``"sharded"`` builds (and caches) the
-        group's sharded operator, which that decision reads.
+        wide-seed request builds nothing either, nor does any
+        personalised request; only a global ranking that could become
+        ``"sharded"`` builds (and caches) the group's sharded operator,
+        which that decision reads.
         """
         request = coerce_request(request, kwargs)
         with self._rw.read():
@@ -605,7 +600,7 @@ class RankingService:
 
         ``None`` when sharding is off, the graph sits below the size
         floor or the method cannot shard — the planner then never
-        chooses a shard strategy, so the service degrades to exactly the
+        chooses ``"sharded"``, so the service degrades to exactly the
         unsharded behaviour.  The operator is built on first use and
         memoised on the graph's mutation-aware cache (via
         :func:`~repro.methods.sharded_operator_for`), whose lock keeps
@@ -618,13 +613,8 @@ class RankingService:
         from repro.methods import family_method, sharded_operator_for
         from repro.shard.operator import DEFAULT_SIZE_FLOOR
 
-        floor = (
-            DEFAULT_SIZE_FLOOR
-            if self._shard_size_floor is None
-            else self._shard_size_floor
-        )
         if (
-            self._graph.number_of_nodes < floor
+            self._graph.number_of_nodes < DEFAULT_SIZE_FLOOR
             or not family_method(group_key).supports_sharding
         ):
             return None
@@ -709,61 +699,6 @@ class RankingService:
             dangling=request.dangling,
             operator=self._bundle(query.group_key),
         )
-
-    def _solve_shard_push(self, query: CanonicalQuery, plan: QueryPlan, entry):
-        """Serve a single-shard localized query by shard-local push.
-
-        Runs forward push on the shard's ghost-augmented local system
-        (at a tolerance split so the certificate below can still pass)
-        and accepts the answer only when
-
-            local residual + 3 · ghost mass <= tol
-
-        — the ghost's settled mass bounds the walk's out-of-shard
-        probability, and each unit of escaped mass costs at most one
-        unit of un-returned score, one unit of unrepresented off-shard
-        score and one unit of renormalisation shift.  On certificate
-        failure (or a local solver fallback) the query re-runs as a
-        plain global push — never wrong, only slower — and the fallback
-        is counted in :meth:`stats`.
-        """
-        request = query.request
-        sharded = self._sharded(query.group_key)
-        shard = int(plan.estimates["shard"])
-        splan = sharded.plan
-        lo = int(splan.bounds[shard])
-        hi = int(splan.bounds[shard + 1])
-        local_bundle, ghost = sharded.push_context(shard)
-        local_idx = query.seed_idx - lo
-        result = forward_push(
-            None,
-            (local_idx, query.seed_weights),
-            alpha=request.alpha,
-            tol=request.tol / 4.0,
-            max_iter=self._max_iter,
-            dangling="self",
-            operator=local_bundle,
-        )
-        # The local solve is certified by its own residual whether push
-        # stayed localized or de-localized into its internal power
-        # fallback — both end below the local tolerance; only the
-        # escaped (ghost) mass separates the local from the global
-        # answer.
-        residual = float(result.residuals[-1]) if result.residuals else 0.0
-        ghost_mass = float(result.scores[ghost])
-        certified = residual + 3.0 * ghost_mass <= request.tol
-        if not certified:
-            self._m_shard.inc(event="shard_push_fallback")
-            annotate(shard_push="fallback", ghost_mass=ghost_mass)
-            return self._solve_push(query, plan, entry)
-        self._m_shard.inc(event="shard_push_local")
-        annotate(shard_push="local", shard=shard, ghost_mass=ghost_mass)
-        full = np.zeros(self._graph.number_of_nodes)
-        full[lo:hi] = result.scores[:ghost]
-        total = full.sum()
-        if total > 0.0:
-            full /= total
-        return replace(result, scores=full)
 
     def _solve_sharded(self, query: CanonicalQuery, plan, entry):
         """Serve a global ranking through the sharded block solver."""
@@ -1313,6 +1248,7 @@ class RankingService:
         for labels, value in self._m_deltas.values().items():
             deltas[dict(labels)["kind"]] = int(value)
         shard_stats = {
+            # Always 0; kept only because existing readers index them.
             "shard_push_local": 0,
             "shard_push_fallback": 0,
             "sharded_solves": 0,

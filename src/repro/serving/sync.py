@@ -2,9 +2,9 @@
 
 The serving front's concurrency model needs exactly one non-standard
 primitive: a **readers/writer barrier** separating solves from
-mutations.  Query execution — push, shard-local push, sharded solve,
-batch flush, incremental correction — reads graph matrices and operator
-bundles that :meth:`~repro.serving.RankingService.apply_delta` patches
+mutations.  Query execution — push, sharded solve, batch flush,
+incremental correction — reads graph matrices and operator bundles
+that :meth:`~repro.serving.RankingService.apply_delta` patches
 *in place* (the delta-aware refresh keeps the cached CSR transpose
 alive by writing ``old + D`` into its buffers).  Readers therefore
 share; the mutation door excludes.  ``threading`` offers no

@@ -17,20 +17,11 @@ split by a column mask with ``O(nnz)`` cumulative sums.  Blocks keep
 their ``indices``/``indptr`` in int32 where the shape allows, halving
 the index bytes every relaxation sweep streams.
 
-Shard-local push views (:meth:`ShardedOperator.push_context`) model the
-rest of the graph as a single absorbing **ghost node**: the shard's
-local rows of ``P`` keep their in-shard columns and route all escaping
-mass to the ghost, which is dangling (handled in closed form by
-:func:`~repro.linalg.push.forward_push` under ``dangling="self"``).  The
-ghost's settled mass is an exact upper bound on the probability the true
-walk spends outside the shard, which is what the planner's shard-local
-certificate checks.
-
 The constructor builds at any size.  Whether sharding pays off is the
 caller's decision: :func:`~repro.shard.solver.sharded_solve` falls back
 to the monolithic power path below ``DEFAULT_SIZE_FLOOR`` nodes when it
-builds its own operator, and the service's ``shard_size_floor`` keeps
-small graphs unsharded.
+builds its own operator, and a sharding service serves graphs below it
+unsharded.
 """
 
 from __future__ import annotations
@@ -141,7 +132,6 @@ class ShardedOperator:
             np.searchsorted(plan.bounds, bundle.dangle_idx, side="right") - 1
         )
         self._coarse_ctx: list[tuple] | None = None
-        self._push_ctx: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # shape / diagnostics
@@ -187,54 +177,6 @@ class ShardedOperator:
                 ctx.append((js, vs, qs))
             self._coarse_ctx = ctx
         return self._coarse_ctx
-
-    # ------------------------------------------------------------------
-    # shard-local push views
-    # ------------------------------------------------------------------
-    def push_context(self, shard: int) -> tuple[LinearOperatorBundle, int]:
-        """Return ``(local bundle, ghost index)`` for shard-local push.
-
-        The local system has ``n_s + 1`` nodes: the shard's own rows of
-        ``P`` restricted to in-shard columns, plus one trailing **ghost**
-        column absorbing each row's escaping (off-shard) mass.  The ghost
-        row is empty — a dangling node — so under ``dangling="self"`` the
-        push solver settles everything that would leave the shard into
-        the ghost's score in closed form; that settled mass bounds the
-        true solution's out-of-shard probability from above.
-        """
-        ctx = self._push_ctx.get(shard)
-        if ctx is not None:
-            return ctx
-        lo = int(self.plan.bounds[shard])
-        ns = self.intra[shard].shape[0]
-        # Local P_ss = (A_ss).T; the CSC transpose view converts once.
-        local_p = self.intra[shard].T.tocsr()
-        # Row sums of the full P rows tell leak = full − in-shard mass;
-        # rows that were dangling globally stay dangling locally.
-        full_row_sum = 1.0 - self.bundle.dangle_mask[lo : lo + ns].astype(
-            np.float64
-        )
-        leak = full_row_sum - np.asarray(local_p.sum(axis=1)).ravel()
-        np.clip(leak, 0.0, None, out=leak)
-        leak[leak < 1e-15] = 0.0  # round-off dust is not real escape
-        ghost_rows = np.flatnonzero(leak)
-        ghost_col = sparse.csr_matrix(
-            (
-                leak[ghost_rows],
-                (ghost_rows, np.full(ghost_rows.shape[0], ns)),
-            ),
-            shape=(ns, ns + 1),
-        )
-        body = sparse.hstack(
-            [local_p, sparse.csr_matrix((ns, 1))], format="csr"
-        )
-        body = (body + ghost_col).tocsr()
-        full = sparse.vstack(
-            [body, sparse.csr_matrix((1, ns + 1))], format="csr"
-        )
-        ctx = (LinearOperatorBundle(full), ns)
-        self._push_ctx[shard] = ctx
-        return ctx
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -49,17 +49,6 @@ class ShardPlan:
         """Nodes per shard (``(n_shards,)`` int64)."""
         return np.diff(self.bounds)
 
-    def shards_of(self, nodes: np.ndarray) -> np.ndarray:
-        """Distinct shards touched by the given node indices."""
-        idx = np.asarray(nodes, dtype=np.int64).ravel()
-        if idx.size and ((idx < 0).any() or (idx >= self.n).any()):
-            raise ParameterError(
-                f"node index out of range for n={self.n}"
-            )
-        return np.unique(
-            np.searchsorted(self.bounds, idx, side="right") - 1
-        )
-
 
 def plan_shards(n: int, n_shards: int) -> ShardPlan:
     """Partition ``n`` nodes into ``n_shards`` blocked index ranges.

@@ -3,7 +3,7 @@
 One :class:`MetricsRegistry` per serving stack unifies the per-layer
 statistics that used to live in ad-hoc dicts (`RankingService` plan mix,
 cache hit/evict/correct counts, coalescer flush causes, admission
-accept/reject, shard local/fallback counters, the latency ring).  Every
+accept/reject, sharded-solve counts, the latency ring).  Every
 mutation happens under the owning family's lock, so concurrent writers
 from client threads, the coalescer resolver, and the front's worker pool
 never produce torn updates — see ``docs/serving.md`` § Concurrency for

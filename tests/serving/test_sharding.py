@@ -1,4 +1,8 @@
-"""Serving-layer sharding: planner routes, local push certificate, stats."""
+"""Serving-layer sharding: planner routes, lazy shard state, stats.
+
+Only global (uniform-teleport) rankings read the shard layer; a sharded
+service serves personalised queries exactly as an unsharded one.
+"""
 
 from __future__ import annotations
 
@@ -32,13 +36,14 @@ def _community_digraph(closed_first=True, n_comm=4, csize=120, seed=2):
 
 
 @pytest.fixture
-def service():
-    svc = RankingService(
-        _community_digraph(),
-        sharding=True,
-        n_shards=4,
-        shard_size_floor=0,
-    )
+def no_size_floor(monkeypatch):
+    """Let the service shard these few-hundred-node test graphs."""
+    monkeypatch.setattr("repro.shard.operator.DEFAULT_SIZE_FLOOR", 0)
+
+
+@pytest.fixture
+def service(no_size_floor):
+    svc = RankingService(_community_digraph(), sharding=True, n_shards=4)
     yield svc
     svc.close()
 
@@ -57,12 +62,13 @@ def test_planner_shard_routes(service):
     q_local = canonical_query(
         graph, RankRequest(method="pagerank", seeds=[3, 9])
     )
+    # a personalised query pushes whether or not shard state is held
     plan = planner.plan(graph, q_local, shard_state=lambda: op)
-    assert plan.strategy == "shard_push"
-    assert "shard" in plan.estimates
+    assert plan.strategy == "push"
+    assert "shard" not in plan.estimates
     assert planner.plan(graph, q_local).strategy == "push"
 
-    # seeds straddling two shards stay on the global push path
+    # so do seeds straddling two shards
     q_wide = canonical_query(
         graph, RankRequest(method="pagerank", seeds=[3, 130])
     )
@@ -70,28 +76,6 @@ def test_planner_shard_routes(service):
         planner.plan(graph, q_wide, shard_state=lambda: op).strategy
         == "push"
     )
-
-
-def test_local_push_certificate_and_fallback(service):
-    graph = service.graph
-    # seeds in the closed community certify locally
-    local = service.rank(RankRequest(method="pagerank", seeds=[5], tol=1e-8))
-    assert local.plan.strategy == "shard_push"
-    ref = d2pr(graph, 0.0, alpha=0.85, teleport=[5], tol=1e-12)
-    assert np.abs(local.scores.values - ref.values).sum() < 1e-6
-    # seeds in an open community fail the escaped-mass certificate and
-    # fall back to a global push — still correct
-    open_seed = 120 + 5
-    fallback = service.rank(
-        RankRequest(method="pagerank", seeds=[open_seed], tol=1e-8)
-    )
-    assert fallback.plan.strategy == "shard_push"
-    ref = d2pr(graph, 0.0, alpha=0.85, teleport=[open_seed], tol=1e-12)
-    assert np.abs(fallback.scores.values - ref.values).sum() < 1e-6
-    stats = service.stats()["sharding"]
-    assert stats["enabled"]
-    assert stats["shard_push_local"] == 1
-    assert stats["shard_push_fallback"] == 1
 
 
 def test_sharded_global_solve_and_cache(service):
@@ -133,8 +117,8 @@ def test_delta_closes_and_rebuilds_shard_operators(service):
 
 def test_mixed_stream_fills_windows_and_serves_shard_local(service):
     """A burst of wide-seed requests pools in the coalescer while a
-    single-seed request in a closed community certifies shard-locally;
-    every answer matches its reference within the certificate."""
+    single-seed request in a closed community is a plain push; every
+    answer matches its reference within the certificate."""
     graph = service.graph
     rng = np.random.default_rng(4)
     tol = 1e-8
@@ -149,10 +133,10 @@ def test_mixed_stream_fills_windows_and_serves_shard_local(service):
     local = RankRequest(method="pagerank", seeds=[7], tol=tol)
     served = service.rank_many(wide + [local])
     assert {r.plan.strategy for r in served[:-1]} == {"batch"}
-    assert served[-1].plan.strategy == "shard_push"
+    assert served[-1].plan.strategy == "push"
     stats = service.stats()
     assert stats["coalescer"]["mean_occupancy"] > 1.0
-    assert stats["sharding"]["shard_push_local"] >= 1
+    assert _sharded_keys(graph) == []
     bound = 2.0 * tol * 0.85 / 0.15
     for request, result in zip(wide + [local], served):
         ref = d2pr(graph, 0.0, alpha=0.85, teleport=request.seeds, tol=1e-12)
@@ -160,9 +144,9 @@ def test_mixed_stream_fills_windows_and_serves_shard_local(service):
 
 
 # ----------------------------------------------------------------------
-# lazy shard state: only a plan that reaches shard_push/sharded builds
+# lazy shard state: only a plan that reaches sharded builds
 # ----------------------------------------------------------------------
-_OPTIONS = dict(sharding=True, n_shards=4, shard_size_floor=0)
+_OPTIONS = dict(sharding=True, n_shards=4)
 
 
 def _sharded_keys(graph):
@@ -172,7 +156,7 @@ def _sharded_keys(graph):
 def _lazy_stream():
     return [
         RankRequest(method="pagerank", tol=1e-10),  # sharded
-        RankRequest(method="pagerank", seeds=[5], tol=1e-8),  # shard_push
+        RankRequest(method="pagerank", seeds=[5], tol=1e-8),  # push
         RankRequest(  # wide seeds: batch
             method="d2pr", p=1.0, seeds=list(range(0, 480, 9)), tol=1e-8
         ),
@@ -204,16 +188,17 @@ def test_planner_resolves_shard_state_lazily(service):
     wide = RankRequest(method="pagerank", seeds=list(range(0, 480, 9)))
     assert planned(wide) == ("batch", 0)
     local = RankRequest(method="pagerank", seeds=[3])
-    assert planned(local) == ("shard_push", 1)
+    assert planned(local) == ("push", 0)
     assert planned(global_rank) == ("sharded", 1)
 
 
+@pytest.mark.usefixtures("no_size_floor")
 def test_sharded_warm_start_answers_hits_without_building(tmp_path):
     live = RankingService(_community_digraph(), **_OPTIONS)
     stream = _lazy_stream()
     served = [live.rank(request) for request in stream]
     assert [r.plan.strategy for r in served] == [
-        "sharded", "shard_push", "batch", "spectral"
+        "sharded", "push", "batch", "spectral"
     ]
     live.checkpoint(tmp_path / "ckpt")
 
@@ -231,11 +216,22 @@ def test_sharded_warm_start_answers_hits_without_building(tmp_path):
     assert _sharded_keys(warm.graph) == []
 
 
+@pytest.mark.usefixtures("no_size_floor")
 def test_dry_plan_builds_no_shard_operator():
     svc = RankingService(_community_digraph(), **_OPTIONS)
-    wide, spectral = _lazy_stream()[2:]
+    local, wide, spectral = _lazy_stream()[1:]
     assert svc.plan(wide).strategy == "batch"
     assert svc.plan(spectral).strategy == "spectral"
+    assert _sharded_keys(svc.graph) == []
+
+    # a single-seed request is served by push and builds no operator;
+    # on a graph this small push hands over to power iteration, whose
+    # successive-difference stop leaves at most tol·α/(1−α) in L1
+    served = svc.rank(local)
+    assert served.plan.strategy == "push"
+    ref = d2pr(svc.graph, 0.0, alpha=0.85, teleport=[5], tol=1e-12)
+    bound = local.tol * 0.85 / 0.15
+    assert np.abs(served.scores.values - ref.values).sum() <= bound
     assert _sharded_keys(svc.graph) == []
 
     # pending: a localized delta drops the operator a sharded solve built
@@ -248,6 +244,7 @@ def test_dry_plan_builds_no_shard_operator():
     assert _sharded_keys(svc.graph) == []
 
 
+@pytest.mark.usefixtures("no_size_floor")
 def test_replay_restart_builds_shard_operators_on_first_use(tmp_path):
     live = RankingService(_community_digraph(), **_OPTIONS)
     global_rank = RankRequest(method="pagerank", tol=1e-10)
@@ -272,12 +269,14 @@ def test_replay_restart_builds_shard_operators_on_first_use(tmp_path):
     ref = d2pr(graph, 0.0, alpha=0.85, tol=1e-12)
     assert np.abs(served.scores.values - ref.values).sum() < 1e-7
     served = warm.rank(local)
-    assert served.plan.strategy == "shard_push"
+    assert served.plan.strategy == "push"
     ref = d2pr(graph, 0.0, alpha=0.85, teleport=[5], tol=1e-12)
     assert np.abs(served.scores.values - ref.values).sum() < 1e-7
-    assert warm.stats()["sharding"]["shard_push_local"] == 1
+    assert len(_sharded_keys(graph)) == 1
+    assert warm.stats()["sharding"]["sharded_solves"] == 1
 
 
+@pytest.mark.usefixtures("no_size_floor")
 def test_localized_replay_restart_builds_no_shard_operator(tmp_path):
     live = RankingService(_community_digraph(), **_OPTIONS)
     tol, alpha = 1e-10, 0.85

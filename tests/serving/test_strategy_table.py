@@ -1,10 +1,9 @@
 """The service's strategy table: one handler per planner strategy.
 
-Every fresh answer — push, shard-local push (certified or fallen back),
-spectral, sharded and batch — goes through the one dispatcher commit, so
-it lands in the cache exactly once and a repeat is a certified hit; an
-incremental correction commits only through the token-guarded
-``resolve_pending``.
+Every fresh answer — push, spectral, sharded and batch — goes through
+the one dispatcher commit, so it lands in the cache exactly once and a
+repeat is a certified hit; an incremental correction commits only
+through the token-guarded ``resolve_pending``.
 """
 
 from __future__ import annotations
@@ -36,10 +35,10 @@ def _community_digraph(n_comm=4, csize=120, seed=2):
 
 
 @pytest.fixture
-def service():
-    svc = RankingService(
-        _community_digraph(), sharding=True, n_shards=4, shard_size_floor=0
-    )
+def service(monkeypatch):
+    # Let the service shard this few-hundred-node graph.
+    monkeypatch.setattr("repro.shard.operator.DEFAULT_SIZE_FLOOR", 0)
+    svc = RankingService(_community_digraph(), sharding=True, n_shards=4)
     yield svc
     svc.close()
 
@@ -62,12 +61,8 @@ def test_table_keys_are_the_planner_strategies(service):
 
 
 FRESH = [
-    # seeds straddling two shards: global forward push
+    # sparse seeds: forward push, sharded service or not
     ("push", dict(seeds=[3, 130]), None),
-    # seed in the closed community: certified shard-local push
-    ("shard_push", dict(seeds=[5]), "shard_push_local"),
-    # seed in an open community: falls back to a global push
-    ("shard_push", dict(seeds=[125]), "shard_push_fallback"),
     ("spectral", dict(method="katz"), None),
     ("sharded", dict(), "sharded_solves"),
     # wider than the push window: pooled through the coalescer

@@ -122,20 +122,6 @@ def test_builds_below_size_floor(path_graph):
     assert op.n_shards == 2
 
 
-def test_push_context_ghost_absorbs_leak(community_digraph):
-    op = _sharded(community_digraph)
-    local, ghost = op.push_context(1)
-    ns = op.intra[1].shape[0]
-    assert ghost == ns
-    mat = local.mat
-    assert mat.shape == (ns + 1, ns + 1)
-    row_sums = np.asarray(mat.sum(axis=1)).ravel()
-    # every non-ghost local row is stochastic (leak routed to ghost);
-    # the ghost row is empty (dangling)
-    assert np.allclose(row_sums[:ns], 1.0)
-    assert row_sums[ns] == 0.0
-
-
 def _key(p, dangling="teleport"):
     return ("d2pr", float(p), 0.0, False, dangling)
 

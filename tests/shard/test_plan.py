@@ -29,13 +29,12 @@ def test_plan_invariants(community_digraph, k):
     for s in range(k):
         lo, hi = int(plan.bounds[s]), int(plan.bounds[s + 1])
         assert (blocks[lo:hi] == s).all()
-        assert plan.shards_of(np.arange(lo, hi)).tolist() == [s]
 
 
 def test_short_last_block_leaves_trailing_shards_empty():
     plan = plan_shards(5, 4)
     assert plan.bounds.tolist() == [0, 2, 4, 5, 5]
-    assert plan.shards_of(np.arange(5)).tolist() == [0, 1, 2]
+    assert plan.sizes.tolist() == [2, 2, 1, 0]
 
 
 def test_more_shards_than_nodes_clamps():
@@ -65,13 +64,3 @@ def test_blocked_plan_follows_index_communities(community_digraph):
     """Blocked ranges at the community count keep most mass in-shard."""
     op = ShardedOperator(community_digraph.to_csr(weighted=False), n_shards=4)
     assert op.cross_fraction < 0.1
-
-
-def test_shards_of_bounds(community_digraph):
-    plan = plan_shards(community_digraph.number_of_nodes, 4)
-    with pytest.raises(ParameterError):
-        plan.shards_of(np.array([plan.n]))
-    with pytest.raises(ParameterError):
-        plan.shards_of(np.array([-1]))
-    shards = plan.shards_of(np.arange(plan.n))
-    assert set(shards.tolist()) == set(range(4))

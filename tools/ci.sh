@@ -101,6 +101,16 @@ if grep -rnE '_shard_ops|group_keys|pre-builds' src/repro/serving/; then
     exit 1
 fi
 
+# One local kernel: personalised queries push through linalg/push.py
+# whether or not the service shards, and the shard layer serves global
+# solves only.  Fail if shard-local push (its ghost-node systems, its
+# escaped-mass certificate, the planner's shard lookup) or the service's
+# shard size-floor knob reappear.
+if grep -rnE 'push_context|_solve_shard_push|_local_shard|shards_of|ghost_mass|shard_size_floor' src/repro/; then
+    echo "FAIL: shard-local push or the shard size-floor knob reappeared under src/repro/" >&2
+    exit 1
+fi
+
 python -m pytest -x -q
 
 # Re-run the multi-threaded stress suite under a hard watchdog: a

@@ -17,9 +17,17 @@ nonzero once per sweep *for all columns at once*, which is where the
 speedup comes from (the ``analytics-sweep`` workload of ``perfbench/``
 spends most of its time here).
 
-Semantics match :func:`repro.linalg.solvers.power_iteration` column by
-column (the test-suite pins agreement to 1e-12 across all dangling
-strategies):
+With ``reversible=False`` (the default) semantics match
+:func:`repro.linalg.solvers.power_iteration` column by column (the
+test-suite pins agreement to 1e-12 across all dangling strategies).  On
+a reversible transition — a fact callers take from
+:meth:`~repro.methods.base.CentralityMethod.reversible` — the float64
+block loop runs as a Chebyshev semi-iteration (Golub & Varga 1961) on the
+real spectrum ``[−α, α]``: each sweep still computes and certifies the
+power step, so ``converged``, ``iterations``, ``residuals`` and the L1
+certificate keep their meaning, but answers agree with
+``power_iteration`` within ``α/(1−α)·tol`` rather than to round-off.
+Either way:
 
 * **per-column convergence masking** — a column whose L1 residual drops
   below ``tol`` freezes and leaves the active block, so late stragglers
@@ -247,6 +255,7 @@ def _pooled_loop(
     converged: np.ndarray | None,
     stall_factor: float | None = None,
     chunk_size: int = _CHUNK,
+    chebyshev: bool = False,
 ) -> None:
     """Advance every column of the batch to ``tol`` with a pooled scheduler.
 
@@ -267,6 +276,17 @@ def _pooled_loop(
     full-precision results agree with the sequential solver to round-off
     (pinned at 1e-12 by the equivalence suite).  ``iterations``
     accumulates sweeps per column across calls (phases).
+
+    With ``chebyshev`` (reversible transitions only: the spectrum of
+    ``α·Pᵀ`` is real and lies in ``[−α, α]``) the residual and the
+    returned iterate are those of the power step ``y = G(x_k)``, but the
+    next iterate is the Chebyshev semi-iterate
+    ``x_{k+1} = max(ω_k·(y − x_{k−1}) + x_{k−1}, 0)`` with
+    ``ω_1 = 1``, ``ω_2 = 2/(2−α²)``, ``ω_{k+1} = 1/(1 − α²ω_k/4)``
+    per column, contracting at ``α/(1+√(1−α²))`` instead of ``α`` per
+    sweep.  The clip keeps every iterate non-negative; it moves each
+    entry toward the non-negative fixed point, so it never increases
+    any component's error.
     """
     n, k = x_full.shape
     if k == 0:
@@ -281,6 +301,12 @@ def _pooled_loop(
     tb = np.ascontiguousarray(tb_full[:, :next_fill])
     al = al_full[:next_fill].copy()
     prev_res = np.full(cols.shape[0], np.inf)
+    if chebyshev:
+        # x_{k−1} (unread on a column's first sweep, where ω = 1), the
+        # residual scratch, and per column ω (0 before the first sweep).
+        xp = xa.copy()
+        buf = np.empty_like(xa)
+        om = np.zeros(cols.size)
 
     while cols.size:
         spread = mat_t @ xa
@@ -307,14 +333,28 @@ def _pooled_loop(
         spread /= spread.sum(axis=0, dtype=np.float64).astype(
             dtype, copy=False
         )
-        # Residual pass reuses the previous iterate's buffer in place.
-        np.subtract(xa, spread, out=xa)
-        np.abs(xa, out=xa)
-        res = xa.sum(axis=0, dtype=np.float64)
+        if chebyshev:
+            # x_k is next sweep's x_{k−1}: the residual needs scratch.
+            np.subtract(xa, spread, out=buf)
+            np.abs(buf, out=buf)
+            res = buf.sum(axis=0, dtype=np.float64)
+            # ω: 0 → 1 → 2/(2−α²) → 1/(1 − α²ω/4); only ω_1 equals 1.
+            om = 1.0 / (1.0 - al * al * om * np.where(om == 1.0, 0.5, 0.25))
+            # ω·(y − x_{k−1}) + x_{k−1}, written into x_{k−1}'s buffer.
+            np.subtract(xp, spread, out=xp)
+            xp *= 1.0 - om
+            xp += spread
+            np.maximum(xp, 0.0, out=xp)
+            xa, xp = xp, xa
+        else:
+            # Residual pass reuses the previous iterate's buffer in place.
+            np.subtract(xa, spread, out=xa)
+            np.abs(xa, out=xa)
+            res = xa.sum(axis=0, dtype=np.float64)
+            xa = spread
         iterations[cols] += 1
         for col, value in zip(cols, res):
             residuals[col].append(float(value))
-        xa = spread
         done = res < tol
         if stall_factor is not None:
             done |= res > prev_res * stall_factor  # hit the fp32 floor
@@ -328,7 +368,8 @@ def _pooled_loop(
                 finished = cols[done]
                 if converged is not None:
                     converged[finished] = res[done] < tol
-                scores[:, finished] = xa[:, done]
+                # A finished column returns the power step it certified.
+                scores[:, finished] = spread[:, done]
                 keep = ~done
                 cols = cols[keep]
                 # Boolean fancy indexing along axis 1 compacts into fresh
@@ -338,6 +379,9 @@ def _pooled_loop(
                 tb = tb[:, keep]
                 al = al[keep]
                 res = res[keep]
+                if chebyshev:
+                    xp = xp[:, keep]
+                    om = om[keep]
             if refill:
                 take = min(chunk_size - cols.size, k - next_fill)
                 new = np.arange(next_fill, next_fill + take)
@@ -350,6 +394,11 @@ def _pooled_loop(
                 res = np.concatenate(
                     [res, np.full(take, np.inf, dtype=res.dtype)]
                 )
+                if chebyshev:
+                    xp = np.concatenate([xp, x_full[:, new]], axis=1)
+                    om = np.concatenate([om, np.zeros(take)])
+            if chebyshev:
+                buf = np.empty_like(xa)
         prev_res = res
 
 
@@ -441,6 +490,7 @@ def _iterate_block(
     tol: float,
     max_iter: int,
     chunk_size: int = _CHUNK,
+    reversible: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
     """Solve the whole batch via the pooled scheduler (one or two phases).
 
@@ -451,7 +501,9 @@ def _iterate_block(
     float64 sweeps against the full-precision matrix until the true L1
     residual drops below ``tol``.  Convergence is therefore always
     certified in float64 at the requested tolerance; the shared
-    ``max_iter`` budget spans both phases.
+    ``max_iter`` budget spans both phases.  ``reversible`` runs the
+    float64 loop as a Chebyshev semi-iteration; the float32 phase stays
+    plain power iteration (its stall guard assumes monotone residuals).
     """
     n, k = teleport_block.shape
     scores = np.empty((n, k))
@@ -487,7 +539,7 @@ def _iterate_block(
         mat_t, dangle_idx, dangling,
         x_full, ta_full, tb_full, al_full,
         tol, max_iter, residuals, iterations,
-        scores, converged, chunk_size=chunk_size,
+        scores, converged, chunk_size=chunk_size, chebyshev=reversible,
     )
     return scores, iterations, converged, residuals
 
@@ -505,6 +557,7 @@ def power_iteration_batch(
     precision: str = "double",
     raise_on_failure: bool = False,
     operator: LinearOperatorBundle | None = None,
+    reversible: bool = False,
 ) -> BatchResult:
     """Solve ``r_k = α_k·P.T·r_k + (1−α_k)·t_k`` for all columns at once.
 
@@ -548,6 +601,17 @@ def power_iteration_batch(
         object is used (shared with the single-query solvers), so the
         canonical CSR — and the float32 copy in mixed mode — is derived
         once per matrix, not per call.
+    reversible:
+        Whether ``transition`` is a reversible chain (an undirected graph
+        with symmetric conductances), so that ``α·Pᵀ`` has a real
+        spectrum in ``[−α, α]``.  A fact about the input, like
+        ``dangling``: callers pass
+        :meth:`~repro.methods.base.CentralityMethod.reversible`.  When
+        true, the float64 block loop runs as a Chebyshev
+        semi-iteration: the same residual and certificate, fewer
+        sweeps, and answers that agree with power iteration within the
+        certificate rather than to round-off.  The α-family path
+        ignores it.
 
     Returns
     -------
@@ -630,6 +694,7 @@ def power_iteration_batch(
             x0,
             tol,
             max_iter,
+            reversible=reversible,
         )
 
     if raise_on_failure and not converged.all():
@@ -644,8 +709,11 @@ def power_iteration_batch(
     method = "power_iteration_batch"
     if family:
         method += "_family"
-    elif use_mixed:
-        method += "_mixed"
+    else:
+        if use_mixed:
+            method += "_mixed"
+        if reversible:
+            method += "_chebyshev"
     finals = [r[-1] for r in residuals if r]
     record_solver(
         method,

@@ -211,6 +211,16 @@ class CentralityMethod:
         """
         return (*group_key, clamp_min)
 
+    def reversible(self, graph, group_key: tuple) -> bool:
+        """Whether ``group_key``'s transition on ``graph`` is reversible.
+
+        A reversible chain (``π_i·P_ij = π_j·P_ji``) has a real spectrum,
+        which lets :func:`~repro.linalg.batch.power_iteration_batch` run a
+        Chebyshev semi-iteration (its ``reversible=`` argument).  The
+        default is ``False``: spectral methods never take that path.
+        """
+        return False
+
     def transition(self, graph, group_key: tuple, *, clamp_min=None):
         """Graph-cached row-stochastic transition for ``group_key``."""
         raise ReproError(  # pragma: no cover - guarded by capability flags

@@ -213,6 +213,14 @@ class _StochasticMethod(CentralityMethod):
         # strategy solves on the same matrix.
         return (*group_key[:-1], clamp_min)
 
+    def reversible(self, graph, group_key: tuple) -> bool:
+        # On an undirected graph every builder here re-weights the
+        # columns of a symmetric adjacency, P_ij ∝ A_ij·w_j, so the
+        # conductances A_ij·w_i·w_j are symmetric.  A blended β ∈ (0, 1)
+        # mixes two chains with different stationary laws.  β sits third
+        # from the end of every group key of this family.
+        return not graph.directed and group_key[-3] in (0.0, 1.0)
+
 
 class PageRankMethod(_StochasticMethod):
     """Conventional PageRank — the ``p = 0`` point of the D2PR family.

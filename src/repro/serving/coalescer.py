@@ -307,7 +307,10 @@ class MicrobatchCoalescer:
         *other* pending columns proceed independently, and ticket
         readers wait on the ``solving`` marker.
         """
-        from repro.methods import operator_for  # local: avoids cycle
+        from repro.methods import (  # local: avoids cycle
+            family_method,
+            operator_for,
+        )
 
         with self._cv:
             state = self._groups.get(key)
@@ -332,6 +335,9 @@ class MicrobatchCoalescer:
                 dangling=dangling,
                 precision=self.precision,
                 operator=bundle,
+                reversible=family_method(group_key).reversible(
+                    self._graph, group_key
+                ),
             )
             solved_at = self._graph.mutation_count
         except BaseException:

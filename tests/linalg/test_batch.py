@@ -434,3 +434,178 @@ class TestOperatorParam:
             power_iteration_batch(
                 d2pr_transition(g, 0.0), n_queries=2, operator=bundle
             )
+
+
+def _community_ring(n=4096, community=64, reps=12, seed=1):
+    """Undirected ring of dense blocks: slow global mixing, λ₂ near 1."""
+    rng = np.random.default_rng(seed)
+    u = np.repeat(np.arange(n), reps)
+    offsets = rng.integers(1, community, size=u.size)
+    v = (u // community) * community + (u % community + offsets) % community
+    bridge = np.arange(0, n, community)
+    rows = np.concatenate([u, bridge])
+    cols = np.concatenate([v, (bridge + community) % n])
+    return Graph.from_arrays(rows, cols, num_nodes=n)
+
+
+def _seed_block(n, k, rng, community=64, seeds=3):
+    """``k`` personalised columns, each on 3 seeds inside one block."""
+    block = np.zeros((n, k))
+    for j in range(k):
+        base = community * rng.integers(0, n // community)
+        block[base + rng.choice(community, seeds, replace=False), j] = 1.0
+    return block
+
+
+def _dense_oracle(transition, teleport, alpha, dangling):
+    """Exact fixed point of the power step, by one dense solve."""
+    mat = transition.toarray()
+    n = mat.shape[0]
+    t = teleport / teleport.sum()
+    d = (mat.sum(axis=1) == 0).astype(np.float64)
+    step = mat.T.copy()
+    if dangling == "teleport":
+        step += np.outer(t, d)
+    elif dangling == "uniform":
+        step += np.outer(np.full(n, 1.0 / n), d)
+    else:  # "self"
+        step += np.diag(d)
+    return np.linalg.solve(np.eye(n) - alpha * step, (1.0 - alpha) * t)
+
+
+class TestChebyshev:
+    """reversible=True: Chebyshev sweeps, power-step certificate."""
+
+    TOL = 1e-9
+
+    @pytest.fixture(scope="class")
+    def undirected(self):
+        """A reversible d2pr walk on an undirected graph with an isolated node."""
+        rng = np.random.default_rng(3)
+        n = 200
+        rows = rng.integers(0, n - 1, 900)
+        cols = rng.integers(0, n - 1, 900)
+        keep = rows != cols
+        graph = Graph.from_arrays(rows[keep], cols[keep], num_nodes=n)
+        assert graph.degree(n - 1) == 0
+        return d2pr_transition(graph, 1.0)
+
+    def _assert_certified(self, batch, transition, teleports, alphas,
+                          dangling="teleport", tol=TOL):
+        for k, (tel, alpha) in enumerate(zip(teleports, alphas)):
+            exact = _dense_oracle(transition, tel, alpha, dangling)
+            err = np.abs(batch.scores[:, k] - exact).sum()
+            assert err <= alpha / (1 - alpha) * tol
+
+    @pytest.mark.parametrize("dangling", DANGLING_STRATEGIES)
+    def test_dangling_strategies_within_certificate(self, undirected, dangling):
+        rng = np.random.default_rng(7)
+        n = undirected.shape[0]
+        tels = [np.full(n, 1.0), rng.random(n), rng.random(n) + 0.1]
+        batch = power_iteration_batch(
+            undirected, tels, alphas=0.85, dangling=dangling,
+            tol=self.TOL, reversible=True,
+        )
+        assert batch.all_converged
+        assert batch.method == "power_iteration_batch_chebyshev"
+        self._assert_certified(
+            batch, undirected, tels, [0.85] * 3, dangling=dangling
+        )
+
+    def test_per_column_alpha(self, undirected):
+        rng = np.random.default_rng(8)
+        n = undirected.shape[0]
+        tels = [rng.random(n) for _ in range(4)]
+        alphas = [0.5, 0.85, 0.95, 0.7]
+        batch = power_iteration_batch(
+            undirected, tels, alphas=alphas, tol=self.TOL, reversible=True
+        )
+        assert batch.all_converged
+        self._assert_certified(batch, undirected, tels, alphas)
+
+    def test_refill_beyond_one_chunk(self, undirected):
+        rng = np.random.default_rng(9)
+        n = undirected.shape[0]
+        tels = [rng.random(n) ** 4 for _ in range(40)]
+        alphas = rng.uniform(0.5, 0.95, 40)
+        batch = power_iteration_batch(
+            undirected, tels, alphas=alphas, tol=self.TOL, reversible=True
+        )
+        assert batch.all_converged
+        self._assert_certified(batch, undirected, tels, alphas)
+
+    def test_warm_start(self, undirected):
+        rng = np.random.default_rng(10)
+        n = undirected.shape[0]
+        tels = [rng.random(n), rng.random(n)]
+        near = np.column_stack(
+            [_dense_oracle(undirected, t, 0.85, "teleport") for t in tels]
+        ) + 1e-4 * rng.random((n, 2))
+        cold = power_iteration_batch(
+            undirected, tels, tol=self.TOL, reversible=True
+        )
+        warm = power_iteration_batch(
+            undirected, tels, tol=self.TOL, warm_start=near, reversible=True
+        )
+        assert warm.all_converged
+        assert (warm.iterations < cold.iterations).all()
+        self._assert_certified(warm, undirected, tels, [0.85, 0.85])
+
+    def test_max_iter_exhaustion_reported(self, undirected):
+        rng = np.random.default_rng(11)
+        n = undirected.shape[0]
+        batch = power_iteration_batch(
+            undirected, [rng.random(n), rng.random(n)],
+            tol=1e-14, max_iter=5, reversible=True,
+        )
+        assert not batch.converged.any()
+        assert (batch.iterations == 5).all()
+        with pytest.raises(ConvergenceError):
+            power_iteration_batch(
+                undirected, [rng.random(n)], tol=1e-14, max_iter=5,
+                reversible=True, raise_on_failure=True,
+            )
+
+    def test_scores_non_negative_on_long_ring(self):
+        """Chebyshev over-relaxation would dip tiny entries below zero."""
+        transition = d2pr_transition(_community_ring(), 1.0)
+        n = transition.shape[0]
+        block = _seed_block(n, 8, np.random.default_rng(12))
+        batch = power_iteration_batch(
+            transition, block, tol=1e-8, reversible=True
+        )
+        assert batch.all_converged
+        assert (batch.scores >= 0.0).all()
+
+    def test_personalised_block_needs_fewer_sweeps(self):
+        transition = d2pr_transition(_community_ring(), 1.0)
+        n = transition.shape[0]
+        block = _seed_block(n, 8, np.random.default_rng(13))
+        power = power_iteration_batch(transition, block, tol=1e-8)
+        cheb = power_iteration_batch(
+            transition, block, tol=1e-8, reversible=True
+        )
+        assert power.all_converged and cheb.all_converged
+        assert cheb.iterations.sum() <= 0.6 * power.iterations.sum()
+        assert np.abs(cheb.scores - power.scores).sum(axis=0).max() <= (
+            2 * 0.85 / 0.15 * 1e-8
+        )
+
+    def test_alpha_family_ignores_the_flag(self, undirected):
+        batch = power_iteration_batch(
+            undirected, None, alphas=[0.5, 0.85], tol=self.TOL,
+            reversible=True,
+        )
+        assert batch.method == "power_iteration_batch_family"
+
+    def test_mixed_precision_polishes_with_chebyshev(self, undirected):
+        rng = np.random.default_rng(14)
+        n = undirected.shape[0]
+        tels = [rng.random(n), rng.random(n)]
+        batch = power_iteration_batch(
+            undirected, tels, tol=self.TOL, precision="mixed",
+            reversible=True,
+        )
+        assert batch.method == "power_iteration_batch_mixed_chebyshev"
+        assert batch.all_converged
+        self._assert_certified(batch, undirected, tels, [0.85, 0.85])

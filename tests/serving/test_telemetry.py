@@ -45,7 +45,7 @@ class TestServiceTracing:
             assert solve.annotations["residual"] <= 1e-8
             # The batch solver recorded its convergence into the span.
             record = solve.annotations["solver"][0]
-            assert record["method"] == "power_iteration_batch"
+            assert record["method"] == "power_iteration_batch_chebyshev"
             assert record["converged"] is True
             assert trace.finished and trace.duration > 0.0
         finally:

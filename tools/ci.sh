@@ -111,6 +111,14 @@ if grep -rnE 'push_context|_solve_shard_push|_local_shard|shards_of|ghost_mass|s
     exit 1
 fi
 
+# Chebyshev sweeps are sound only on a reversible transition, and only
+# the method descriptor knows which transitions are: callers pass
+# CentralityMethod.reversible(graph, group_key), never a literal.
+if grep -rnE 'reversible=True' src/repro/; then
+    echo "FAIL: a literal reversible=True appeared under src/repro/; pass the method predicate" >&2
+    exit 1
+fi
+
 python -m pytest -x -q
 
 # Re-run the multi-threaded stress suite under a hard watchdog: a

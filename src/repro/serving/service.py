@@ -66,7 +66,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.results import NodeScores
-from repro.errors import ParameterError, ReproError
+from repro.errors import ConvergenceError, ParameterError, ReproError
 from repro.graph.base import BaseGraph, Node
 from repro.graph.delta import GraphDelta
 from repro.graph.persist import (
@@ -546,11 +546,22 @@ class RankingService:
         solved it at (the flush may precede this read, and a mutation
         in between must not let pre-mutation scores pass as
         post-mutation answers), anything else at the current version.
+        A fresh result that did not converge is never committed: it
+        raises :class:`~repro.errors.ConvergenceError`, so a repeat
+        re-solves instead of hitting an uncertified entry.
         """
         start = perf_counter()
         with child_span("solve", strategy=plan.strategy):
             answer = self._strategies[plan.strategy](query, plan, entry)
         if not isinstance(answer, NodeScores):
+            if not answer.converged:
+                raise ConvergenceError(
+                    f"{answer.method} did not reach "
+                    f"tol={query.request.tol} within "
+                    f"{answer.iterations} iterations",
+                    iterations=answer.iterations,
+                    residual=answer.final_residual,
+                )
             answer = NodeScores(self._graph, answer.scores, answer)
             self._commit(
                 query,
@@ -825,20 +836,24 @@ class RankingService:
             )
 
         def resolve() -> ServedResult:
-            with self._rw.read(), activate_span(parent):
-                scores = self._answer(query, plan, column)
-            with self._lock:
-                # Identity-guarded: a later submission at a stricter tol
-                # may have replaced this digest's inflight entry with
-                # its own still-unresolved ticket, which must keep
-                # deduping.
-                current = self._inflight.get(query.digest)
-                if current is not None and current[1] is ticket:
-                    del self._inflight[query.digest]
-                if ticket in self._outstanding:
-                    self._outstanding.remove(ticket)
-            if trace is not None:
-                trace.finish()
+            try:
+                with self._rw.read(), activate_span(parent):
+                    scores = self._answer(query, plan, column)
+            finally:
+                # Released whether or not the column converged: a failed
+                # answer must neither be shared nor block the drain.
+                with self._lock:
+                    # Identity-guarded: a later submission at a stricter
+                    # tol may have replaced this digest's inflight entry
+                    # with its own still-unresolved ticket, which must
+                    # keep deduping.
+                    current = self._inflight.get(query.digest)
+                    if current is not None and current[1] is ticket:
+                        del self._inflight[query.digest]
+                    if ticket in self._outstanding:
+                        self._outstanding.remove(ticket)
+                if trace is not None:
+                    trace.finish()
             return ServedResult(scores, plan, request)
 
         ticket._set_resolver(resolve)
@@ -852,7 +867,12 @@ class RankingService:
             if not outstanding:
                 break
             for ticket in outstanding:
-                ticket.result()
+                try:
+                    ticket.result()
+                except ConvergenceError:
+                    # Nothing was cached; the submitter reads the error
+                    # from its own ticket.
+                    pass
         self._coalescer.flush()
         with self._lock:
             self._inflight.clear()

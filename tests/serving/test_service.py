@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import d2pr, pagerank, personalized_d2pr, solve_many
 from repro.core.engine import RankQuery
-from repro.errors import FrozenGraphError, ParameterError
+from repro.errors import ConvergenceError, FrozenGraphError, ParameterError
 from repro.graph import DiGraph, Graph, GraphDelta
 from repro.recsys import D2PRRecommender
 from repro.recsys.recommender import RecommenderConfig
@@ -320,6 +320,41 @@ class TestStats:
             "shard_push_fallback": 0,
             "sharded_solves": 0,
         }
+
+
+class TestUnconvergedAnswers:
+    """A fresh answer that missed its tol raises and is never cached."""
+
+    def test_spectral_raises_and_repeat_resolves(self):
+        graph = _graph(cls=DiGraph, n=300, m=3000)
+        service = RankingService(graph, max_iter=3)
+        request = RankRequest(method="eigenvector", tol=1e-8)
+        with pytest.raises(ConvergenceError) as info:
+            service.rank(request)
+        assert info.value.iterations == 3
+        assert info.value.residual > request.tol
+        assert service.stats()["cache"]["entries"] == 0
+        assert service.plan(request).strategy == "spectral"
+        with pytest.raises(ConvergenceError):
+            service.rank(request)
+        assert service.stats()["plan_mix"] == {"spectral": 2}
+
+    def test_batch_column_raises_and_releases_its_slot(self):
+        graph = _graph(cls=DiGraph, n=300, m=3000)
+        service = RankingService(graph, max_iter=3)
+        request = RankRequest(method="pagerank", tol=1e-12)
+        ticket = service.submit(request)
+        with pytest.raises(ConvergenceError):
+            ticket.result()
+        with pytest.raises(ConvergenceError):
+            ticket.result()
+        assert service.stats()["cache"]["entries"] == 0
+        assert service.plan(request).strategy == "batch"
+        # An unread failing column does not block the pre-delta drain.
+        service.submit(request)
+        nodes = graph.nodes()
+        service.apply_delta(GraphDelta.insert([nodes[0]], [nodes[7]]))
+        assert service.stats()["cache"]["entries"] == 0
 
 
 class TestRecommenderIntegration:

@@ -119,6 +119,14 @@ if grep -rnE 'reversible=True' src/repro/; then
     exit 1
 fi
 
+# One Perron-pair site: the spectral methods' cached Lanczos start
+# (methods/spectral.py::_perron_start) is the library's only eigensolver
+# call, so every spectral loop shares one pair per graph version.
+if grep -rn 'eigsh(' src/repro/ | grep -v '^src/repro/methods/spectral\.py:'; then
+    echo "FAIL: eigsh( appeared outside src/repro/methods/spectral.py; use _perron_start" >&2
+    exit 1
+fi
+
 python -m pytest -x -q
 
 # Re-run the multi-threaded stress suite under a hard watchdog: a

@@ -344,9 +344,6 @@ def solve_many(
     max_iter: int = 1000,
     clamp_min: float | None = None,
     warm_start: bool = True,
-    precision: str = "double",
-    solver: str = "batch",
-    n_shards: int = 8,
     raise_on_failure: bool = False,
 ) -> list:
     """Solve many ranking queries against one graph in batched passes.
@@ -356,12 +353,13 @@ def solve_many(
     :class:`~repro.methods.CentralityMethod`, e.g.
     ``("d2pr", p, beta, weighted, dangling)``) builds (or reuses, via
     the graph's matrix cache) one matrix — and each batchable group is
-    dispatched as a single ``n × K`` block through
+    dispatched as a single float64 ``n × K`` block through
     :func:`repro.linalg.power_iteration_batch`: one CSR·dense multiply
-    per sweep instead of K independent matvec loops.  Queries of
-    non-batchable (spectral) methods are solved per query through their
-    descriptor's ``solve`` — their operator is the raw adjacency, not a
-    stochastic transition, so they cannot share a pooled block.
+    per sweep instead of K independent matvec loops, matching per-query
+    solves to 1e-12.  Queries of non-batchable (spectral) methods are
+    solved per query through their descriptor's ``solve`` — their
+    operator is the raw adjacency, not a stochastic transition, so they
+    cannot share a pooled block.
 
     Groups are processed in each method's declared ``sort_key`` order
     (for the stochastic family: ``(weighted, dangling, beta, p)``
@@ -385,21 +383,6 @@ def solve_many(
     warm_start:
         Seed each group from the previous group's solutions when the
         column structure matches.
-    precision:
-        ``"double"`` (default, matches per-query solves to 1e-12) or
-        ``"mixed"`` (float32 sweeps + float64 polish to ``tol``; see
-        :func:`~repro.linalg.power_iteration_batch`) for the ``"batch"``
-        solver.  The ``"sharded"`` solver always runs in double.
-    solver:
-        ``"batch"`` (default) advances each group as one ``n × K`` block
-        through :func:`~repro.linalg.power_iteration_batch`;
-        ``"sharded"`` solves each group's queries through one
-        graph-cached :class:`~repro.shard.operator.ShardedOperator`
-        (:func:`~repro.methods.sharded_operator_for`) — the
-        block-partitioned path for graphs too large to stream whole.
-        It shards at any graph size.
-    n_shards:
-        Shard count of the ``"sharded"`` solver.
     raise_on_failure:
         Raise :class:`~repro.errors.ConvergenceError` if any column fails
         to converge.
@@ -414,10 +397,6 @@ def solve_many(
     from repro.core.results import NodeScores
     from repro.methods import family_method, operator_for
 
-    if solver not in ("batch", "sharded"):
-        raise ParameterError(
-            f"solver must be 'batch' or 'sharded', got {solver!r}"
-        )
     queries = list(queries)
     if not queries:
         return []
@@ -463,34 +442,7 @@ def solve_many(
                 )
                 out[idx] = NodeScores(graph, result.scores, result)
             continue
-        dangling = key[-1]
         bundle = operator_for(graph, key, clamp_min=clamp_min)
-        transition = bundle.mat
-        teleports = [vectors[i] for i in indices]
-        alphas = np.array([queries[i].alpha for i in indices])
-        if solver == "sharded" and fam.supports_sharding:
-            from repro.methods import sharded_operator_for  # local
-            from repro.shard.solver import sharded_solve
-
-            sharded = sharded_operator_for(
-                graph,
-                key,
-                clamp_min=clamp_min,
-                n_shards=n_shards,
-            )
-            for j, idx in enumerate(indices):
-                result = sharded_solve(
-                    alpha=float(alphas[j]),
-                    teleport=teleports[j],
-                    dangling=dangling,
-                    tol=tol,
-                    max_iter=max_iter,
-                    operator=bundle,
-                    sharded=sharded,
-                    raise_on_failure=raise_on_failure,
-                )
-                out[idx] = NodeScores(graph, result.scores, result)
-            continue
         signature = (
             tuple((float(queries[i].alpha), digests[i]) for i in indices)
             if digests is not None
@@ -502,14 +454,13 @@ def solve_many(
             else None
         )
         batch = power_iteration_batch(
-            transition,
-            teleports=teleports,
-            alphas=alphas,
+            bundle.mat,
+            teleports=[vectors[i] for i in indices],
+            alphas=np.array([queries[i].alpha for i in indices]),
             tol=tol,
             max_iter=max_iter,
-            dangling=dangling,
+            dangling=key[-1],
             warm_start=initial,
-            precision=precision,
             raise_on_failure=raise_on_failure,
             operator=bundle,
         )

@@ -17,12 +17,12 @@ nonzero once per sweep *for all columns at once*, which is where the
 speedup comes from (the ``analytics-sweep`` workload of ``perfbench/``
 spends most of its time here).
 
-With ``reversible=False`` (the default) semantics match
-:func:`repro.linalg.solvers.power_iteration` column by column (the
-test-suite pins agreement to 1e-12 across all dangling strategies).  On
-a reversible transition — a fact callers take from
-:meth:`~repro.methods.base.CentralityMethod.reversible` — the float64
-block loop runs as a Chebyshev semi-iteration (Golub & Varga 1961) on the
+Every sweep runs in float64.  With ``reversible=False`` (the default)
+semantics match :func:`repro.linalg.solvers.power_iteration` column by
+column (the test-suite pins agreement to 1e-12 across all dangling
+strategies).  On a reversible transition — a fact callers take from
+:meth:`~repro.methods.base.CentralityMethod.reversible` — the block
+loop runs as a Chebyshev semi-iteration (Golub & Varga 1961) on the
 real spectrum ``[−α, α]``: each sweep still computes and certifies the
 power step, so ``converged``, ``iterations``, ``residuals`` and the L1
 certificate keep their meaning, but answers agree with
@@ -230,41 +230,23 @@ def _initial_block(
 #: per-call allocation; split very large query sets across calls.
 _CHUNK = 16
 
-#: L1 residual at which the mixed-precision path hands a column from the
-#: float32 phase to the float64 polish.  Above the float32 rounding floor
-#: of the L1 residual with margin, so columns don't bounce on float32
-#: noise just short of the switch; the stall guard in
-#: :func:`_pooled_loop` promotes a column early if its float32 residual
-#: bottoms out sooner anyway.
-_MIXED_SWITCH_TOL = 1e-6
-
-
 def _pooled_loop(
     mat_t: sparse.spmatrix,
     dangle_idx: np.ndarray,
     dangling: str,
-    x_full: np.ndarray,
-    ta_full: np.ndarray,
-    tb_full: np.ndarray,
-    al_full: np.ndarray,
+    teleport_block: np.ndarray,
+    alphas: np.ndarray,
+    x0: np.ndarray,
     tol: float,
     max_iter: int,
-    residuals: list[list[float]],
-    iterations: np.ndarray,
-    scores: np.ndarray,
-    converged: np.ndarray | None,
-    stall_factor: float | None = None,
-    chunk_size: int = _CHUNK,
     chebyshev: bool = False,
-) -> None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
     """Advance every column of the batch to ``tol`` with a pooled scheduler.
 
-    At most ``chunk_size`` columns iterate at a time (one contiguous dense
+    At most ``_CHUNK`` columns iterate at a time (one contiguous dense
     block: one sparse·dense multiply plus a few in-place passes per
     sweep).  A column leaves the pool when its L1 residual drops below
-    ``tol`` — or, when ``stall_factor`` is set (the float32 phase), when
-    its residual stops improving by that factor (the float32 rounding
-    floor) — or when it exhausts its ``max_iter`` budget.  Finished
+    ``tol`` or when it exhausts its ``max_iter`` budget.  Finished
     columns are compacted out and **pending columns are refilled in**
     once the pool thins below half width, so the sparse·dense multiply
     keeps running at an efficient block width even when per-column
@@ -273,9 +255,8 @@ def _pooled_loop(
 
     The per-column arithmetic matches ``power_iteration`` operation for
     operation — pool composition never affects a column's values — so
-    full-precision results agree with the sequential solver to round-off
-    (pinned at 1e-12 by the equivalence suite).  ``iterations``
-    accumulates sweeps per column across calls (phases).
+    results agree with the sequential solver to round-off (pinned at
+    1e-12 by the equivalence suite).
 
     With ``chebyshev`` (reversible transitions only: the spectrum of
     ``α·Pᵀ`` is real and lies in ``[−α, α]``) the residual and the
@@ -288,19 +269,24 @@ def _pooled_loop(
     entry toward the non-negative fixed point, so it never increases
     any component's error.
     """
-    n, k = x_full.shape
-    if k == 0:
-        return
+    n, k = teleport_block.shape
+    scores = np.empty((n, k))
+    iterations = np.zeros(k, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    residuals: list[list[float]] = [[] for _ in range(k)]
     has_dangling = dangle_idx.size > 0
-    dtype = x_full.dtype
 
-    next_fill = min(k, chunk_size)
+    ta_full = np.ascontiguousarray(teleport_block)
+    # (1 − α)·t is constant across sweeps: precompute it once per batch.
+    tb_full = ta_full * (1.0 - alphas)
+    x_full = np.ascontiguousarray(x0)
+
+    next_fill = min(k, _CHUNK)
     cols = np.arange(next_fill)
     xa = np.ascontiguousarray(x_full[:, :next_fill])
     ta = np.ascontiguousarray(ta_full[:, :next_fill])
     tb = np.ascontiguousarray(tb_full[:, :next_fill])
-    al = al_full[:next_fill].copy()
-    prev_res = np.full(cols.shape[0], np.inf)
+    al = alphas[:next_fill].copy()
     if chebyshev:
         # x_{k−1} (unread on a column's first sweep, where ω = 1), the
         # residual scratch, and per column ω (0 before the first sweep).
@@ -314,30 +300,20 @@ def _pooled_loop(
             if dangling == "self":
                 spread[dangle_idx] += xa[dangle_idx]
             else:
-                mass = (
-                    xa[dangle_idx]
-                    .sum(axis=0, dtype=np.float64)
-                    .astype(dtype, copy=False)
-                )
+                mass = xa[dangle_idx].sum(axis=0)
                 if dangling == "teleport":
                     spread += ta * mass
                 else:  # "uniform"
-                    spread += (mass / n).astype(dtype, copy=False)
+                    spread += mass / n
         spread *= al
         spread += tb
-        # Normalise each column to kill accumulated round-off drift.  All
-        # reductions accumulate in float64 even during the float32 phase:
-        # a float32 sum over 10^6 entries drifts at ~1e-4 relative, which
-        # would inject a scale error along the teleport direction that the
-        # float64 polish then burns α-rate sweeps to remove.
-        spread /= spread.sum(axis=0, dtype=np.float64).astype(
-            dtype, copy=False
-        )
+        # Normalise each column to kill accumulated round-off drift.
+        spread /= spread.sum(axis=0)
         if chebyshev:
             # x_k is next sweep's x_{k−1}: the residual needs scratch.
             np.subtract(xa, spread, out=buf)
             np.abs(buf, out=buf)
-            res = buf.sum(axis=0, dtype=np.float64)
+            res = buf.sum(axis=0)
             # ω: 0 → 1 → 2/(2−α²) → 1/(1 − α²ω/4); only ω_1 equals 1.
             om = 1.0 / (1.0 - al * al * om * np.where(om == 1.0, 0.5, 0.25))
             # ω·(y − x_{k−1}) + x_{k−1}, written into x_{k−1}'s buffer.
@@ -350,24 +326,20 @@ def _pooled_loop(
             # Residual pass reuses the previous iterate's buffer in place.
             np.subtract(xa, spread, out=xa)
             np.abs(xa, out=xa)
-            res = xa.sum(axis=0, dtype=np.float64)
+            res = xa.sum(axis=0)
             xa = spread
         iterations[cols] += 1
         for col, value in zip(cols, res):
             residuals[col].append(float(value))
-        done = res < tol
-        if stall_factor is not None:
-            done |= res > prev_res * stall_factor  # hit the fp32 floor
-        done |= iterations[cols] >= max_iter  # budget exhausted
+        done = (res < tol) | (iterations[cols] >= max_iter)
         refill = (
             next_fill < k
-            and (cols.size - int(done.sum())) <= chunk_size // 2
+            and (cols.size - int(done.sum())) <= _CHUNK // 2
         )
         if done.any() or refill:
             if done.any():
                 finished = cols[done]
-                if converged is not None:
-                    converged[finished] = res[done] < tol
+                converged[finished] = res[done] < tol
                 # A finished column returns the power step it certified.
                 scores[:, finished] = spread[:, done]
                 keep = ~done
@@ -378,28 +350,24 @@ def _pooled_loop(
                 ta = ta[:, keep]
                 tb = tb[:, keep]
                 al = al[keep]
-                res = res[keep]
                 if chebyshev:
                     xp = xp[:, keep]
                     om = om[keep]
             if refill:
-                take = min(chunk_size - cols.size, k - next_fill)
+                take = min(_CHUNK - cols.size, k - next_fill)
                 new = np.arange(next_fill, next_fill + take)
                 next_fill += take
                 cols = np.concatenate([cols, new])
                 xa = np.concatenate([xa, x_full[:, new]], axis=1)
                 ta = np.concatenate([ta, ta_full[:, new]], axis=1)
                 tb = np.concatenate([tb, tb_full[:, new]], axis=1)
-                al = np.concatenate([al, al_full[new]])
-                res = np.concatenate(
-                    [res, np.full(take, np.inf, dtype=res.dtype)]
-                )
+                al = np.concatenate([al, alphas[new]])
                 if chebyshev:
                     xp = np.concatenate([xp, x_full[:, new]], axis=1)
                     om = np.concatenate([om, np.zeros(take)])
             if chebyshev:
                 buf = np.empty_like(xa)
-        prev_res = res
+    return scores, iterations, converged, residuals
 
 
 def _alpha_family(
@@ -479,71 +447,6 @@ def _alpha_family(
     return scores, iterations, converged, residuals
 
 
-def _iterate_block(
-    mat_t: sparse.spmatrix,
-    mat_t32: sparse.spmatrix | None,
-    dangle_idx: np.ndarray,
-    dangling: str,
-    teleport_block: np.ndarray,
-    alphas: np.ndarray,
-    x0: np.ndarray,
-    tol: float,
-    max_iter: int,
-    chunk_size: int = _CHUNK,
-    reversible: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
-    """Solve the whole batch via the pooled scheduler (one or two phases).
-
-    When ``mat_t32`` is given (``precision="mixed"``) the batch first
-    iterates in float32 — halving both the matrix stream and the dense
-    block traffic — until each column reaches the float32 switch
-    tolerance (or its rounding floor), then finishes with standard
-    float64 sweeps against the full-precision matrix until the true L1
-    residual drops below ``tol``.  Convergence is therefore always
-    certified in float64 at the requested tolerance; the shared
-    ``max_iter`` budget spans both phases.  ``reversible`` runs the
-    float64 loop as a Chebyshev semi-iteration; the float32 phase stays
-    plain power iteration (its stall guard assumes monotone residuals).
-    """
-    n, k = teleport_block.shape
-    scores = np.empty((n, k))
-    iterations = np.zeros(k, dtype=np.int64)
-    converged = np.zeros(k, dtype=bool)
-    residuals: list[list[float]] = [[] for _ in range(k)]
-
-    ta_full = np.ascontiguousarray(teleport_block)
-    al_full = alphas.copy()
-    # (1 − α)·t is constant across sweeps: precompute it once per batch.
-    tb_full = ta_full * (1.0 - al_full)
-    x_full = np.ascontiguousarray(x0)
-
-    if mat_t32 is not None and tol < _MIXED_SWITCH_TOL:
-        # The float32 phase writes its final iterates into `f32_scores`;
-        # every column then re-enters the float64 loop from that iterate.
-        f32_scores = np.empty((n, k), dtype=np.float32)
-        _pooled_loop(
-            mat_t32, dangle_idx, dangling,
-            x_full.astype(np.float32),
-            ta_full.astype(np.float32),
-            tb_full.astype(np.float32),
-            al_full.astype(np.float32),
-            _MIXED_SWITCH_TOL, max_iter, residuals, iterations,
-            f32_scores, None, stall_factor=0.95, chunk_size=chunk_size,
-        )
-        x_full = np.ascontiguousarray(f32_scores.astype(np.float64))
-        # Column sums drifted at float32 scale: renormalise before the
-        # float64 polish (power_iteration renormalises every sweep anyway).
-        x_full /= x_full.sum(axis=0)
-
-    _pooled_loop(
-        mat_t, dangle_idx, dangling,
-        x_full, ta_full, tb_full, al_full,
-        tol, max_iter, residuals, iterations,
-        scores, converged, chunk_size=chunk_size, chebyshev=reversible,
-    )
-    return scores, iterations, converged, residuals
-
-
 def power_iteration_batch(
     transition: sparse.spmatrix,
     teleports: np.ndarray | Sequence[np.ndarray | None] | None = None,
@@ -554,7 +457,6 @@ def power_iteration_batch(
     max_iter: int = 1000,
     dangling: str = "teleport",
     warm_start: np.ndarray | None = None,
-    precision: str = "double",
     raise_on_failure: bool = False,
     operator: LinearOperatorBundle | None = None,
     reversible: bool = False,
@@ -583,31 +485,20 @@ def power_iteration_batch(
     warm_start:
         ``None`` (cold start from each column's teleport vector) or an
         ``(n,)`` or ``(n, K)`` initial guess.
-    precision:
-        ``"double"`` (default) iterates entirely in float64 and matches
-        :func:`~repro.linalg.solvers.power_iteration` column-by-column to
-        1e-12.  ``"mixed"`` runs the bulk of the sweeps in float32 —
-        halving the matrix stream and the dense-block traffic — then
-        polishes each column with float64 sweeps against the
-        full-precision matrix until the true L1 residual is below
-        ``tol``; results stay within tolerance-level distance of the
-        double-precision answer, at lower latency and higher peak memory
-        (``docs/performance.md`` § Mechanism verdicts).
     raise_on_failure:
         Raise :class:`ConvergenceError` if any column fails to converge.
     operator:
         Pre-built :class:`~repro.linalg.operator.LinearOperatorBundle` of
         ``transition``; when omitted the memoised bundle of the matrix
         object is used (shared with the single-query solvers), so the
-        canonical CSR — and the float32 copy in mixed mode — is derived
-        once per matrix, not per call.
+        canonical CSR is derived once per matrix, not per call.
     reversible:
         Whether ``transition`` is a reversible chain (an undirected graph
         with symmetric conductances), so that ``α·Pᵀ`` has a real
         spectrum in ``[−α, α]``.  A fact about the input, like
         ``dangling``: callers pass
         :meth:`~repro.methods.base.CentralityMethod.reversible`.  When
-        true, the float64 block loop runs as a Chebyshev
+        true, the block loop runs as a Chebyshev
         semi-iteration: the same residual and certificate, fewer
         sweeps, and answers that agree with power iteration within the
         certificate rather than to round-off.  The α-family path
@@ -618,7 +509,6 @@ def power_iteration_batch(
     BatchResult
     """
     bundle = LinearOperatorBundle.resolve(transition, operator)
-    mat = bundle.mat
     n = bundle.n
     if dangling not in DANGLING_STRATEGIES:
         raise ParameterError(
@@ -647,10 +537,6 @@ def power_iteration_batch(
     teleport_block = _teleport_block(teleports, n, k)
     alphas_vec = _alpha_vector(alphas, k)
 
-    if precision not in ("double", "mixed"):
-        raise ParameterError(
-            f"precision must be 'double' or 'mixed', got {precision!r}"
-        )
     dangle_idx = bundle.dangle_idx
     # P.T as a free CSC view: scipy multiplies CSC·dense directly, so the
     # batch never pays a CSR transpose conversion (the per-call cost the
@@ -662,14 +548,6 @@ def power_iteration_batch(
         and k >= 2
         and bool((teleport_block == teleport_block[:, :1]).all())
     )
-    # The float32 matrix copy only pays for the block path with a tight
-    # enough tolerance; the family path is single-matvec-dominated and a
-    # loose tolerance converges before the float32 phase would hand off,
-    # so both run in float64 throughout (and are labelled accordingly).
-    use_mixed = (
-        precision == "mixed" and not family and tol < _MIXED_SWITCH_TOL
-    )
-    mat_t32 = bundle.mat_f32.T if use_mixed else None
     if family:
         # Every column shares its teleport (an α grid): one shared power
         # sequence reconstructs all columns at single-matvec cost.
@@ -684,9 +562,8 @@ def power_iteration_batch(
         )
     else:
         x0 = _initial_block(warm_start, teleport_block)
-        scores, iterations, converged, residuals = _iterate_block(
+        scores, iterations, converged, residuals = _pooled_loop(
             mat_t,
-            mat_t32,
             dangle_idx,
             dangling,
             teleport_block,
@@ -694,7 +571,7 @@ def power_iteration_batch(
             x0,
             tol,
             max_iter,
-            reversible=reversible,
+            chebyshev=reversible,
         )
 
     if raise_on_failure and not converged.all():
@@ -709,11 +586,8 @@ def power_iteration_batch(
     method = "power_iteration_batch"
     if family:
         method += "_family"
-    else:
-        if use_mixed:
-            method += "_mixed"
-        if reversible:
-            method += "_chebyshev"
+    elif reversible:
+        method += "_chebyshev"
     finals = [r[-1] for r in residuals if r]
     record_solver(
         method,

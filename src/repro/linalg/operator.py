@@ -146,7 +146,6 @@ class LinearOperatorBundle:
 
     __slots__ = (
         "_mat",
-        "_mat_f32",
         "_t_csr",
         "_dangle_mask",
         "_dangle_idx",
@@ -178,14 +177,13 @@ class LinearOperatorBundle:
         # (or nnz) reveals structural in-place edits, and the value
         # checksum catches the sneakier failure of mutating `.data`
         # through the same buffer (same sparsity pattern) — which used
-        # to serve a stale cached transpose/float32 copy.  `of` rebuilds
-        # on any mismatch.  The checksum is O(nnz) in the sum plus a
-        # fixed-size sampled digest, so compensating edits confined to
-        # unsampled positions remain theoretically undetectable — the
+        # to serve a stale cached transpose.  `of` rebuilds on any
+        # mismatch.  The checksum is O(nnz) in the sum plus a fixed-size
+        # sampled digest, so compensating edits confined to unsampled
+        # positions remain theoretically undetectable — the
         # wrap-only-immutable-matrices contract still stands; the
         # fingerprint is a guard rail, not a licence to mutate.
         self._fingerprint = self._fingerprint_of(mat)
-        self._mat_f32: sparse.csr_matrix | None = None
         self._t_csr: sparse.csr_matrix | None = None
         self._dangle_mask: np.ndarray | None = None
         self._dangle_idx: np.ndarray | None = None
@@ -338,13 +336,6 @@ class LinearOperatorBundle:
     def t_csc(self) -> sparse.csc_matrix:
         """``P.T`` as the free CSC view of the CSR buffers."""
         return self._mat.T
-
-    @property
-    def mat_f32(self) -> sparse.csr_matrix:
-        """Float32 copy of ``P`` (the mixed-precision sweep operand)."""
-        if self._mat_f32 is None:
-            self._mat_f32 = self._mat.astype(np.float32)
-        return self._mat_f32
 
     # ------------------------------------------------------------------
     # dangling bookkeeping

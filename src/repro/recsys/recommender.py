@@ -517,7 +517,6 @@ class D2PRRecommender:
         k: int = 10,
         *,
         include_seeds: bool = False,
-        precision: str = "double",
         batch_size: int = 256,
     ) -> list[list[tuple[Node, float]]]:
         """Bulk serving: top-``k`` recommendations for many users at once.
@@ -526,16 +525,12 @@ class D2PRRecommender:
         seed sequence or ``{node: weight}`` mapping).  Every user's
         personalised system shares the recommender's transition matrix and
         differs only in its teleport vector, so the whole cohort is solved
-        as **one batched pass** (:func:`repro.core.engine.solve_many`) —
+        as **one float64 batched pass**
+        (:func:`repro.core.engine.solve_many`) —
         the path to take when serving query traffic.
 
         Returns one recommendation list per user, aligned with ``users``.
         Non-power solvers fall back to per-user :meth:`recommend_for`.
-
-        ``precision="mixed"`` enables the float32+float64 serving mode of
-        the batched solver — scores stay within solver-tolerance of the
-        double-precision answer (see ``docs/performance.md``), which is
-        the configuration to run under load.
 
         The cohort is served in slices of ``batch_size`` users per solver
         call: one solver call holds the full ``n × K`` teleport and score
@@ -544,10 +539,7 @@ class D2PRRecommender:
 
         With an injected :class:`~repro.serving.RankingService` the
         service's coalescer ``window`` (default 16) takes over that
-        memory-capping role and ``batch_size`` is not used; ``precision``
-        must match the service's configured precision (a conflict
-        raises, since precision is a property of the serving stack, not
-        of one call).
+        memory-capping role and ``batch_size`` is not used.
         """
         graph, _scores = self._require_fitted()
         if batch_size < 1:
@@ -559,16 +551,6 @@ class D2PRRecommender:
             # One burst through the service: the microbatch coalescer
             # windows the batched columns (its window, not batch_size,
             # caps block memory) and repeat users hit the result cache.
-            # Solve precision is a property of the service's coalescer,
-            # so a conflicting per-call request must fail loudly rather
-            # than silently serve the other accuracy mode.
-            if precision != self.service.precision:
-                raise ParameterError(
-                    f"precision={precision!r} conflicts with the injected "
-                    f"RankingService (precision="
-                    f"{self.service.precision!r}); construct the service "
-                    "with the precision to serve under"
-                )
             results = self.service.rank_many(
                 [self._request(seeds=seeds) for seeds in users]
             )
@@ -597,7 +579,7 @@ class D2PRRecommender:
                 )
                 for seeds in chunk
             ]
-            results = solve_many(graph, queries, precision=precision)
+            results = solve_many(graph, queries)
             out.extend(
                 self._top_k(seeded, set(seeds), k, include_seeds)
                 for seeds, seeded in zip(chunk, results)

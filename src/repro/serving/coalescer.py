@@ -168,9 +168,6 @@ class MicrobatchCoalescer:
     window:
         Flush threshold and maximum block width (K) per solve.  Also the
         dense-memory cap: one flush holds ``O(n · window)`` floats.
-    precision:
-        Forwarded to :func:`~repro.linalg.power_iteration_batch`
-        (``"double"`` or the float32-sweep ``"mixed"`` serving mode).
     max_iter:
         Per-flush iteration budget.
     metrics:
@@ -185,20 +182,14 @@ class MicrobatchCoalescer:
         graph: BaseGraph,
         *,
         window: int = 16,
-        precision: str = "double",
         max_iter: int = 1000,
         clamp_min: float | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if window < 1:
             raise ParameterError(f"window must be >= 1, got {window}")
-        if precision not in ("double", "mixed"):
-            raise ParameterError(
-                f"precision must be 'double' or 'mixed', got {precision!r}"
-            )
         self._graph = graph
         self.window = window
-        self.precision = precision
         self.max_iter = max_iter
         self.clamp_min = clamp_min
         # One condition variable (over a non-reentrant lock: no method
@@ -333,7 +324,6 @@ class MicrobatchCoalescer:
                 tol=tol,
                 max_iter=self.max_iter,
                 dangling=dangling,
-                precision=self.precision,
                 operator=bundle,
                 reversible=family_method(group_key).reversible(
                     self._graph, group_key

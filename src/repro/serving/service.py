@@ -116,6 +116,16 @@ def coerce_request(request, kwargs) -> RankRequest:
     return request
 
 
+def _unconverged(result, tol: float) -> ConvergenceError:
+    """The error for a solver ``result`` that missed ``tol``."""
+    return ConvergenceError(
+        f"{result.method} did not reach tol={tol} within "
+        f"{result.iterations} iterations",
+        iterations=result.iterations,
+        residual=result.final_residual,
+    )
+
+
 @dataclass(frozen=True)
 class _PendingCorrection:
     """Correction token: the operator an entry was certified on.
@@ -234,9 +244,6 @@ class RankingService:
         :class:`~repro.serving.coalescer.MicrobatchCoalescer`).
     cache_capacity:
         Result-cache LRU bound.
-    precision:
-        Batched-solve precision (``"double"`` or the float32-sweep
-        ``"mixed"`` serving mode).
     localized_fraction:
         A delta naming at most this fraction of the nodes is treated as
         localized: cached entries are corrected by residual push instead
@@ -277,7 +284,6 @@ class RankingService:
         coalescer: MicrobatchCoalescer | None = None,
         window: int = 16,
         cache_capacity: int = 128,
-        precision: str = "double",
         localized_fraction: float = 0.05,
         max_iter: int = 1000,
         clamp_min: float | None = None,
@@ -335,7 +341,6 @@ class RankingService:
         self._coalescer = coalescer or MicrobatchCoalescer(
             graph,
             window=window,
-            precision=precision,
             max_iter=max_iter,
             clamp_min=clamp_min,
             metrics=self._telemetry,
@@ -415,11 +420,6 @@ class RankingService:
     def graph(self) -> BaseGraph:
         """The served graph (mutate only through :meth:`apply_delta`)."""
         return self._graph
-
-    @property
-    def precision(self) -> str:
-        """The batched-solve precision the coalescer serves under."""
-        return self._coalescer.precision
 
     @property
     def coalescer(self) -> MicrobatchCoalescer:
@@ -555,13 +555,7 @@ class RankingService:
             answer = self._strategies[plan.strategy](query, plan, entry)
         if not isinstance(answer, NodeScores):
             if not answer.converged:
-                raise ConvergenceError(
-                    f"{answer.method} did not reach "
-                    f"tol={query.request.tol} within "
-                    f"{answer.iterations} iterations",
-                    iterations=answer.iterations,
-                    residual=answer.final_residual,
-                )
+                raise _unconverged(answer, query.request.tol)
             answer = NodeScores(self._graph, answer.scores, answer)
             self._commit(
                 query,
@@ -765,6 +759,11 @@ class RankingService:
             operator=bundle,
             baseline_residual=baseline,
         )
+        if not result.converged:
+            # An uncertified correction never lands: drop the pending
+            # entry so the next request re-plans a fresh solve.
+            self._cache.evict(query.digest)
+            raise _unconverged(result, entry.tol)
         scores = NodeScores(self._graph, result.scores, result)
         # Token-identity commit: stores only if the entry is still
         # pending on *this* correction token.  The RW barrier already

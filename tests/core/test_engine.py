@@ -211,23 +211,6 @@ class TestSolveMany:
         assert result.solver_result.converged
         assert result.solver_result.residuals
 
-    def test_mixed_precision_within_tolerance(self, graph):
-        from repro.core.d2pr import d2pr
-
-        queries = [RankQuery(p=1.0, alpha=0.85), RankQuery(p=1.0, alpha=0.5)]
-        mixed = solve_many(graph, queries, tol=1e-10, precision="mixed")
-        for query, result in zip(queries, mixed):
-            assert result.solver_result.converged
-            assert result.solver_result.final_residual < 1e-10
-            direct = d2pr(graph, 1.0, alpha=query.alpha)
-            np.testing.assert_allclose(
-                result.values, direct.values, atol=1e-8, rtol=0
-            )
-
-    def test_invalid_precision_rejected(self, graph):
-        with pytest.raises(ParameterError):
-            solve_many(graph, [RankQuery()], precision="half")
-
 
 class TestTeleportDigest:
     """Regression: digest must normalise, and reject invalid mass."""

@@ -276,63 +276,6 @@ class TestNoDangling:
             )
 
 
-class TestMixedPrecision:
-    """precision="mixed": f32 sweeps + f64 polish, certified at tol in f64."""
-
-    @pytest.mark.parametrize("dangling", DANGLING_STRATEGIES)
-    def test_within_tolerance_of_sequential(self, transition, dangling):
-        rng = np.random.default_rng(11)
-        n = transition.shape[0]
-        tels = [None, rng.random(n)]
-        alphas = [0.7, 0.9]
-        mixed = power_iteration_batch(
-            transition, tels, alphas=alphas, dangling=dangling,
-            tol=1e-10, precision="mixed",
-        )
-        assert mixed.all_converged
-        assert mixed.method == "power_iteration_batch_mixed"
-        for k, (tel, alpha) in enumerate(zip(tels, alphas)):
-            seq = power_iteration(
-                transition, alpha=alpha, teleport=tel, dangling=dangling,
-                tol=1e-10,
-            )
-            np.testing.assert_allclose(
-                mixed.scores[:, k], seq.scores, atol=1e-8, rtol=0
-            )
-
-    def test_final_residual_certified_in_double(self, transition):
-        mixed = power_iteration_batch(
-            transition, alphas=[0.85, 0.95], tol=1e-10, precision="mixed"
-        )
-        assert (mixed.final_residuals < 1e-10).all()
-
-    def test_loose_tolerance_skips_float32_phase(self, transition):
-        """tol above the switch point runs pure float64 (identical paths)."""
-        loose_mixed = power_iteration_batch(
-            transition, alphas=[0.85], tol=1e-4, precision="mixed"
-        )
-        loose_double = power_iteration_batch(
-            transition, alphas=[0.85], tol=1e-4, precision="double"
-        )
-        np.testing.assert_allclose(
-            loose_mixed.scores, loose_double.scores, atol=0, rtol=0
-        )
-        assert loose_mixed.iterations[0] == loose_double.iterations[0]
-
-    def test_true_dangling_rows_mixed(self, dangling_transition):
-        mixed = power_iteration_batch(
-            dangling_transition, alphas=[0.85], precision="mixed"
-        )
-        seq = power_iteration(dangling_transition, alpha=0.85)
-        np.testing.assert_allclose(
-            mixed.scores[:, 0], seq.scores, atol=1e-8, rtol=0
-        )
-
-    def test_invalid_precision_rejected(self, transition):
-        with pytest.raises(ParameterError):
-            power_iteration_batch(transition, precision="half")
-
-
 class TestAlphaFamily:
     """Shared-teleport α grids take the one-matvec-per-sweep family path."""
 
@@ -400,15 +343,6 @@ class TestAlphaFamily:
         assert bool(batch.converged[0]) is True
         assert bool(batch.converged[1]) is False
         assert batch.iterations[1] == 20
-
-    def test_loose_tol_mixed_method_not_mislabelled(self, transition):
-        """tol above the float32 switch runs (and reports) pure float64."""
-        rng = np.random.default_rng(9)
-        loose = power_iteration_batch(
-            transition, [None, rng.random(transition.shape[0])],
-            alphas=0.85, tol=1e-4, precision="mixed",
-        )
-        assert loose.method == "power_iteration_batch"
 
 
 class TestOperatorParam:
@@ -597,15 +531,3 @@ class TestChebyshev:
             reversible=True,
         )
         assert batch.method == "power_iteration_batch_family"
-
-    def test_mixed_precision_polishes_with_chebyshev(self, undirected):
-        rng = np.random.default_rng(14)
-        n = undirected.shape[0]
-        tels = [rng.random(n), rng.random(n)]
-        batch = power_iteration_batch(
-            undirected, tels, tol=self.TOL, precision="mixed",
-            reversible=True,
-        )
-        assert batch.method == "power_iteration_batch_mixed_chebyshev"
-        assert batch.all_converged
-        self._assert_certified(batch, undirected, tels, [0.85, 0.85])

@@ -47,11 +47,6 @@ class TestBundleViews:
         # The view shares the CSR's buffers: no conversion happened.
         assert np.shares_memory(bundle.t_csc.data, t.data)
 
-    def test_mat_f32_memoised(self, dangling_digraph):
-        bundle = LinearOperatorBundle(_transition(dangling_digraph))
-        assert bundle.mat_f32.dtype == np.float32
-        assert bundle.mat_f32 is bundle.mat_f32
-
     def test_dangle_mask_and_idx(self, dangling_digraph):
         bundle = LinearOperatorBundle(_transition(dangling_digraph))
         sink = dangling_digraph.index_of("c")
@@ -117,7 +112,7 @@ class TestBundleMemoisation:
     def test_value_only_inplace_edit_rebuilds_bundle(self):
         # Regression: mutating `.data` through the same buffers (same
         # sparsity pattern) used to pass the structural fingerprint and
-        # serve a stale cached transpose / float32 copy.
+        # serve a stale cached transpose.
         from scipy import sparse as sp
 
         t = sp.csr_matrix(
@@ -125,7 +120,6 @@ class TestBundleMemoisation:
         )
         stale = LinearOperatorBundle.of(t)
         stale_transpose = stale.t_csr
-        stale_f32 = stale.mat_f32
         t.data *= np.array([0.5, 1.5, 1.0, 1.0])  # same pattern, new values
         fresh = LinearOperatorBundle.of(t)
         assert fresh is not stale
@@ -133,10 +127,6 @@ class TestBundleMemoisation:
         assert not np.allclose(
             fresh.t_csr.toarray(), stale_transpose.toarray()
         )
-        np.testing.assert_allclose(
-            fresh.mat_f32.toarray(), t.astype(np.float32).toarray()
-        )
-        assert not np.allclose(fresh.mat_f32.toarray(), stale_f32.toarray())
 
     def test_single_value_edit_detected_by_checksum(self, figure1_graph):
         t = d2pr_transition(figure1_graph, 1.0).copy()

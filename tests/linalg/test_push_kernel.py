@@ -432,17 +432,14 @@ def _finished_locally(result, record) -> bool:
     )
 
 
-@st.composite
-def fanned_cycles(draw):
-    """A directed cycle whose node ``fan`` also links to ``width`` nodes.
+#: Deepest ``fan`` whose share of the seed's mass after ``fan`` cycle
+#: hops, ``min(ALPHAS) ** fan``, is still at least ``4·TOL``; past it the
+#: push can certify before the fan is ever pushed.
+_FAN_REACH = int(np.log(4.0 * TOL) / np.log(min(ALPHAS)))
 
-    Each epoch pushes one row until the mass reaches ``fan``, so the
-    support grows one node per epoch while its two-hop closure after
-    ``_LOCAL_EPOCHS`` epochs already has ``_LOCAL_EPOCHS + 3`` nodes.
-    """
-    length = draw(st.integers(24, 60))
-    fan = draw(st.integers(push._LOCAL_EPOCHS + 2, length // 2))
-    width = draw(st.integers(12, length // 2))
+
+def _fanned_cycle(length: int, fan: int, width: int) -> sparse.csr_matrix:
+    """A directed cycle whose node ``fan`` also links to ``width`` nodes."""
     rows = np.concatenate([np.arange(length), np.full(width, fan)])
     cols = np.concatenate([
         (np.arange(length) + 1) % length,
@@ -453,6 +450,23 @@ def fanned_cycles(draw):
     )
     adj.sum_duplicates()
     return adj
+
+
+@st.composite
+def fanned_cycles(draw):
+    """A :func:`_fanned_cycle` whose fan the seed's mass always reaches.
+
+    Each epoch pushes one row until the mass reaches ``fan``, so the
+    support grows one node per epoch while its two-hop closure after
+    ``_LOCAL_EPOCHS`` epochs already has ``_LOCAL_EPOCHS + 3`` nodes.
+    ``fan`` stays within :data:`_FAN_REACH` hops of the seed.
+    """
+    length = draw(st.integers(24, 60))
+    fan = draw(
+        st.integers(push._LOCAL_EPOCHS + 2, min(length // 2, _FAN_REACH))
+    )
+    width = draw(st.integers(12, length // 2))
+    return _fanned_cycle(length, fan, width)
 
 
 def _community_ring(blocks: int, size: int, peers: int, rng):
@@ -683,6 +697,37 @@ class TestLocalFinish:
         assert _l1(result.scores, exact) <= (
             TOL * alpha / (1.0 - alpha) + SLACK
         )
+
+    @pytest.mark.parametrize("dangling", DANGLING)
+    def test_fan_beyond_reach_certifies_as_plain_push(self, dangling):
+        # At α = 0.5 only 0.5**29 ≈ 1.9·TOL of the seed's mass reaches
+        # node 29, so the epochs certify before the fan floods the
+        # frontier: a plain push, never a local solve, within its own
+        # certificate.
+        P = _normalise(_fanned_cycle(58, 29, 12))
+        n = P.shape[0]
+        cap = (push._LOCAL_EPOCHS + 2) / n
+
+        def solve():
+            return forward_push(
+                P, 0, alpha=0.5, tol=TOL, max_iter=MAX_ITER,
+                dangling=dangling, frontier_cap=cap,
+            )
+
+        result, (record,) = _traced(solve)
+        with _epochs_only():
+            epochs_only, (reference,) = _traced(solve)
+        assert result.method == "forward_push"
+        assert record["local_solves"] == 0
+        assert record == reference
+        np.testing.assert_array_equal(result.scores, epochs_only.scores)
+        assert result.residuals == epochs_only.residuals
+        remaining = result.residuals[-1]
+        assert remaining <= TOL
+        t = np.zeros(n)
+        t[0] = 1.0
+        settled = result.scores * (1.0 - remaining)
+        assert _l1(settled, _oracle(P, t, 0.5, dangling)) <= TOL + SLACK
 
     def test_community_ring_finishes_in_a_few_local_solves(self):
         rng = np.random.default_rng(19)

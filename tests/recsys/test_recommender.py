@@ -208,17 +208,6 @@ class TestTunePGridKeys:
         for p, corr in batched.items():
             assert corr == pytest.approx(seq[p], abs=1e-9)
 
-    def test_mixed_precision_serving_mode(self, fitted):
-        """precision='mixed' returns tolerance-level-identical scores."""
-        g, rec = fitted
-        users = [[g.nodes()[0]], [g.nodes()[1]]]
-        exact = rec.recommend_for_many(users, k=5)
-        served = rec.recommend_for_many(users, k=5, precision="mixed")
-        for a, b in zip(exact, served):
-            np.testing.assert_allclose(
-                [s for _n, s in a], [s for _n, s in b], atol=1e-7, rtol=0
-            )
-
     def test_batch_size_slicing_matches_single_batch(self, fitted):
         g, rec = fitted
         users = [[g.nodes()[i]] for i in range(7)]

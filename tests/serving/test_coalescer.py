@@ -144,7 +144,7 @@ class TestValidationAndStats:
         graph = _graph()
         with pytest.raises(ParameterError):
             MicrobatchCoalescer(graph, window=0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError):
             MicrobatchCoalescer(graph, precision="half")
 
     def test_rejects_bad_tol(self):

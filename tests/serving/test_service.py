@@ -356,6 +356,27 @@ class TestUnconvergedAnswers:
         service.apply_delta(GraphDelta.insert([nodes[0]], [nodes[7]]))
         assert service.stats()["cache"]["entries"] == 0
 
+    def test_incremental_correction_raises_and_evicts(self):
+        from repro.graph.generators import erdos_renyi
+
+        service = RankingService(erdos_renyi(400, 0.02, seed=3))
+        request = RankRequest(p=0.0, tol=1e-10)
+        service.rank(request)
+        service._max_iter = 1
+        service.apply_delta(GraphDelta.insert([1, 2, 3], [50, 60, 70]))
+        assert service.plan(request).strategy == "incremental"
+        with pytest.raises(ConvergenceError) as info:
+            service.rank(request)
+        assert info.value.iterations == 1
+        assert info.value.residual > request.tol
+        assert service.stats()["cache"]["entries"] == 0
+        service._max_iter = 1000
+        assert service.plan(request).strategy == "batch"
+        fresh = service.rank(request)
+        assert fresh.plan.strategy == "batch"
+        assert fresh.scores.solver_result.converged
+        assert service.rank(request).plan.strategy == "cached"
+
 
 class TestRecommenderIntegration:
     def test_injected_service_matches_plain_recommender(self):
@@ -427,17 +448,6 @@ class TestRecommenderIntegration:
         )
         with pytest.raises(ParameterError):
             rec.fit(graph)
-
-    def test_precision_conflict_raises(self):
-        graph = _graph()
-        service = RankingService(graph)  # double-precision coalescer
-        rec = D2PRRecommender(
-            config=RecommenderConfig(p=1.0), service=service
-        ).fit(graph)
-        users = [[graph.nodes()[0]]]
-        with pytest.raises(ParameterError):
-            rec.recommend_for_many(users, k=3, precision="mixed")
-        rec.recommend_for_many(users, k=3, precision="double")  # matches
 
     def test_with_p_keeps_the_service(self):
         graph = _graph()

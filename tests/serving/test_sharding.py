@@ -115,7 +115,7 @@ def test_delta_closes_and_rebuilds_shard_operators(service):
     assert np.abs(result.scores.values - ref.values).sum() < 1e-7
 
 
-def test_mixed_stream_fills_windows_and_serves_shard_local(service):
+def test_mixed_stream_fills_windows_and_pushes_single_seed(service):
     """A burst of wide-seed requests pools in the coalescer while a
     single-seed request in a closed community is a plain push; every
     answer matches its reference within the certificate."""

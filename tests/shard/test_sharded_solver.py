@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.d2pr import d2pr_operator
-from repro.core.engine import RankQuery, solve_many, solve_transition
+from repro.core.engine import RankQuery, solve_transition
 from repro.errors import ConvergenceError, ParameterError
 from repro.graph import DiGraph, Graph
 from repro.linalg import power_iteration
@@ -180,19 +180,3 @@ def test_engine_dispatch(community_digraph):
         alpha=0.85, tol=TOL, operator=bundle, size_floor=0, n_shards=4
     )
     assert np.abs(via_engine.scores - direct.scores).sum() < MATCH
-
-
-def test_solve_many_sharded(community_digraph):
-    queries = [
-        RankQuery(alpha=0.85, p=0.0),
-        RankQuery(alpha=0.9, p=0.5, teleport=[3, 8]),
-    ]
-    sharded = solve_many(
-        community_digraph, queries, tol=TOL, solver="sharded", n_shards=4
-    )
-    batch = solve_many(community_digraph, queries, tol=TOL)
-    for a, b in zip(sharded, batch):
-        assert np.abs(a.values - b.values).sum() < MATCH
-        assert a.solver_result.method.startswith("sharded")
-    with pytest.raises(ParameterError):
-        solve_many(community_digraph, queries, solver="bogus")

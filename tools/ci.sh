@@ -127,6 +127,16 @@ if grep -rn 'eigsh(' src/repro/ | grep -v '^src/repro/methods/spectral\.py:'; th
     exit 1
 fi
 
+# One float64 batch kernel: batch sweeps run in double precision only.
+# Fail if the deleted float32 phase (its matrix copy, switch tolerance
+# and stall guard) or a precision= keyword reappears in the layers that
+# solve or forward batched systems.
+if grep -rnE 'mat_f32|_MIXED_SWITCH_TOL|stall_factor|precision=' \
+        src/repro/linalg/ src/repro/serving/ src/repro/core/ src/repro/recsys/; then
+    echo "FAIL: a batch precision mode reappeared under src/repro/" >&2
+    exit 1
+fi
+
 python -m pytest -x -q
 
 # Re-run the multi-threaded stress suite under a hard watchdog: a

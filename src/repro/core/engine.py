@@ -607,8 +607,7 @@ def update_scores_many(
     annotate(engine="update_scores_many", engine_blocks=len(previous))
 
     from repro.core.results import NodeScores
-    from repro.linalg.incremental import incremental_update, residual_vector
-    from repro.linalg.solvers import _validate_common
+    from repro.linalg.incremental import incremental_update, pre_delta_residual
     from repro.methods import operator_for, resolve
 
     previous = list(previous)
@@ -658,19 +657,13 @@ def update_scores_many(
             dangling = key[-1]
             old_bundle = operator_for(graph, key, clamp_min=clamp_min)
             for idx in indices:
-                _, t_norm = _validate_common(
-                    None, queries[idx].alpha, vectors[idx], old_bundle
+                baselines[idx] = pre_delta_residual(
+                    old_bundle,
+                    previous[idx].values,
+                    queries[idx].alpha,
+                    vectors[idx],
+                    dangling,
                 )
-                prev_values = previous[idx].values
-                prev_total = prev_values.sum()
-                if prev_total > 0.0:
-                    baselines[idx] = residual_vector(
-                        old_bundle,
-                        prev_values / prev_total,
-                        t_norm,
-                        queries[idx].alpha,
-                        dangling,
-                    )
         graph.apply_delta(delta)
 
     out: list = [None] * len(previous)

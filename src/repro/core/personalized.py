@@ -38,17 +38,20 @@ __all__ = [
 def seed_weights(
     seeds: Mapping[Node, float] | Sequence[Node],
 ) -> dict[Node, float]:
-    """Normalise a seed spec into ``{node: weight}`` (the shared semantics).
+    """Normalise a seed spec into ``{node: weight}`` and validate it.
 
-    Sequences de-duplicate (each distinct node gets weight 1); mappings
-    pass through.  Every seed consumer — the personalised solvers here and
-    :meth:`repro.recsys.D2PRRecommender.recommend_one` — resolves its
-    seeds through this one helper.
+    A sequence weights each node by its number of occurrences (``[a, a,
+    b]`` is ``{a: 2, b: 1}``); a mapping passes through.  That is the
+    rule :func:`repro.core.engine.build_teleport`, the serving planner
+    and forward push's seed arrays apply too, so one seed list means one
+    teleport whichever path solves it.
     """
     if isinstance(seeds, Mapping):
         weights = {node: float(w) for node, w in seeds.items()}
     else:
-        weights = {node: 1.0 for node in seeds}
+        weights = {}
+        for node in seeds:
+            weights[node] = weights.get(node, 0.0) + 1.0
     if not weights:
         raise ParameterError("at least one seed node is required")
     if any(w < 0 for w in weights.values()):

@@ -69,7 +69,7 @@ from repro.linalg.push import _fallback, _push_epochs
 from repro.linalg.solvers import PageRankResult, _validate_common
 from repro.telemetry.trace import record_result
 
-__all__ = ["incremental_update", "residual_vector"]
+__all__ = ["incremental_update", "pre_delta_residual", "residual_vector"]
 
 
 def residual_vector(
@@ -96,6 +96,27 @@ def residual_vector(
             else:
                 spread = spread + mass * target
     return alpha * spread + (1.0 - alpha) * teleport - x
+
+
+def pre_delta_residual(
+    old_bundle: LinearOperatorBundle,
+    previous: np.ndarray,
+    alpha: float,
+    teleport: np.ndarray | None,
+    dangling: str,
+) -> np.ndarray | None:
+    """The ``baseline_residual`` of :func:`incremental_update`.
+
+    Residual of ``previous`` (normalised to unit mass) on the old system
+    ``old_bundle`` defines, with ``teleport`` resolved and normalised
+    exactly as the solvers resolve it.  ``None`` when ``previous`` has no
+    positive mass (the update then splits its dust by magnitude).
+    """
+    _, t = _validate_common(None, alpha, teleport, old_bundle)
+    total = previous.sum()
+    if total <= 0.0:
+        return None
+    return residual_vector(old_bundle, previous / total, t, alpha, dangling)
 
 
 def _finish(
@@ -168,9 +189,9 @@ def incremental_update(
         Pre-built bundle of the new transition.
     baseline_residual:
         The residual of ``previous`` on the **old** (pre-delta) system,
-        i.e. ``residual_vector(old_bundle, previous, t, alpha,
-        dangling)`` — :func:`repro.core.engine.update_scores` computes
-        it from the still-cached old bundle before applying the delta.
+        as :func:`pre_delta_residual` computes it from the old bundle
+        (:func:`repro.core.engine.update_scores` does so before applying
+        the delta, the serving layer from the bundle it retained).
         When given, this dense inherited background (total mass ≤ the
         old solve's tolerance) is frozen wholesale and subtracted from
         the working residual, leaving exactly the delta-induced part —

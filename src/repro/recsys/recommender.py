@@ -3,22 +3,30 @@
 The paper motivates D2PR through recommendation systems: "Recommendation
 systems leverage such node significance measures to rank the objects in the
 database."  This module packages the algorithms of :mod:`repro.core` into a
-small recommender with the two standard modes:
+small recommender:
 
 * **global ranking** — rank all items by significance (e.g. "top movies"),
 * **contextual recommendation** — rank items relative to a set of seed
   items the user liked, via personalised D2PR (the context-aware setting of
   the paper's §2.1),
 * **bulk serving** — :meth:`D2PRRecommender.recommend_for_many` answers a
-  whole cohort of personalised queries as one batched solve
-  (:func:`repro.core.engine.solve_many`): every user shares the fitted
-  transition matrix, so the cohort differs only in teleport vectors and
-  advances together, one sparse·dense multiply per sweep,
+  whole cohort of personalised queries as one batched solve: every user
+  shares the fitted transition matrix, so the cohort differs only in
+  teleport vectors and advances together, one sparse·dense multiply per
+  sweep,
 * **streaming updates** — :meth:`D2PRRecommender.update` absorbs a
   :class:`~repro.graph.delta.GraphDelta` without a refit: the fitted
   graph's caches are patched in place and the global ranking is
   corrected incrementally (:func:`repro.core.engine.update_scores`), so
   serving survives edits.
+
+Every solve — the global ranking, seeded queries, cohorts and the ``p``
+grid of :meth:`D2PRRecommender.tune_p` — is a list of
+:class:`~repro.core.engine.RankQuery` handed to
+:func:`repro.core.engine.solve_many`, which dispatches stochastic and
+spectral methods alike through the method registry.  The two exceptions
+are :meth:`D2PRRecommender.recommend_one` (forward push) and the
+incremental correction of :meth:`D2PRRecommender.update`.
 
 The degree de-coupling weight ``p`` is the recommender's key hyper-parameter;
 :meth:`D2PRRecommender.tune_p` selects it by maximising rank correlation
@@ -29,22 +37,19 @@ calibration message.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.d2pr import d2pr
 from repro.core.engine import RankQuery, solve_many, update_scores
-from repro.core.personalized import personalized_d2pr, seed_weights
+from repro.core.personalized import seed_weights
 from repro.core.results import NodeScores
 from repro.errors import ParameterError, ReproError
 from repro.graph.base import BaseGraph, Node
 from repro.linalg.push import forward_push
 from repro.metrics.correlation import spearman
-from repro.serving import RankingService, RankRequest
 
 __all__ = ["D2PRRecommender", "RecommenderConfig"]
-
 
 @dataclass(frozen=True)
 class RecommenderConfig:
@@ -70,18 +75,12 @@ class RecommenderConfig:
         Use stored edge weights (paper §3.2.3).
     fatigue:
         Degree-fatigue strength γ of ``method="fatigued"``.
-    solver:
-        One of ``"power"``, ``"gauss_seidel"``, ``"direct"``, ``"push"``
-        (the localized forward-push serving path for personalised
-        queries; global rankings under it are served by power iteration).
-        Non-power solvers apply to the d2pr family only.
     """
 
     p: float = 0.0
     alpha: float = 0.85
     beta: float = 0.0
     weighted: bool = False
-    solver: str = "power"
     method: str = "d2pr"
     fatigue: float = 0.0
 
@@ -110,18 +109,11 @@ class RecommenderConfig:
 class D2PRRecommender:
     """Graph recommender built on degree de-coupled PageRank.
 
-    An injected :class:`~repro.serving.RankingService` turns the
-    recommender into a *client* of the serving layer: global rankings,
-    per-user personalised queries, bulk cohorts and streaming updates
-    all route through the service's one planner, microbatch coalescer
-    and delta-aware result cache — instead of each method carrying its
-    own private solving state.  Several recommenders (or any other
-    consumer) sharing one service share one cache.  Without a service
-    the recommender keeps its self-contained direct-solve behaviour;
-    service mode accepts the ``solver="power"`` (default) and
-    ``solver="push"`` configurations — the service's planner makes the
-    power/push/batched call itself — while ``gauss_seidel``/``direct``
-    semantics require dropping the injection.
+    Fitting solves the configured method's global ranking once; seeded
+    queries, cohorts and ``p`` sweeps solve against the fitted graph's
+    cached operators through :func:`repro.core.engine.solve_many`.  A
+    shared planner, coalescer and result cache across many clients is
+    the serving layer's job (:mod:`repro.serving`), not this class's.
 
     Examples
     --------
@@ -133,7 +125,6 @@ class D2PRRecommender:
     """
 
     config: RecommenderConfig = field(default_factory=RecommenderConfig)
-    service: RankingService | None = None
     _graph: BaseGraph | None = field(default=None, repr=False)
     _global_scores: NodeScores | None = field(default=None, repr=False)
 
@@ -141,33 +132,11 @@ class D2PRRecommender:
     # fitting
     # ------------------------------------------------------------------
     def fit(self, graph: BaseGraph) -> "D2PRRecommender":
-        """Attach a graph and precompute the global significance ranking.
-
-        With an injected :class:`~repro.serving.RankingService` the
-        global ranking is served (and cached) by the service, which must
-        have been constructed over the same graph object; the
-        recommender then shares the service's planner/cache for every
-        query and update path.
-        """
+        """Attach a graph and precompute the global significance ranking."""
         self.config.validate()
         graph.require_nonempty()
-        if self.service is not None:
-            if self.config.solver not in ("power", "push"):
-                raise ParameterError(
-                    "a RankingService plans power/push/batched execution "
-                    f"itself; solver={self.config.solver!r} is not served "
-                    "(drop the service injection to use it)"
-                )
-            if self.service.graph is not graph:
-                raise ParameterError(
-                    "the injected RankingService serves a different graph "
-                    "object; construct the service over the fitted graph"
-                )
-            self._graph = graph
-            self._global_scores = self.service.rank(self._request()).scores
-            return self
         self._graph = graph
-        self._global_scores = self._solve_global(graph)
+        self._global_scores = self._solve(graph)[0]
         return self
 
     def _method(self):
@@ -176,58 +145,31 @@ class D2PRRecommender:
 
         return resolve(self.config.method)
 
-    def _group_key(self) -> tuple:
-        """The configured method's transition/operator group key."""
-        return self._method().group_key(self.config.method_params())
-
-    def _solve_global(self, graph: BaseGraph) -> NodeScores:
-        """Direct (service-less) global solve for the configured method."""
-        from repro.core.engine import solve_transition
-
-        method = self._method()
-        if method.family == "d2pr":
-            return d2pr(
-                graph,
-                self.config.p,
-                alpha=self.config.alpha,
-                beta=self.config.beta if self.config.weighted else 0.0,
-                weighted=self.config.weighted,
-                solver=self.config.solver,
-            )
-        if self.config.solver != "power":
-            raise ParameterError(
-                f"method {self.config.method!r} solves by power iteration; "
-                f"solver={self.config.solver!r} applies to the d2pr family "
-                "only"
-            )
-        key = self._group_key()
-        if method.batchable:
-            bundle = method.operator(graph, key)
-            result = solve_transition(
-                bundle.mat,
-                alpha=self.config.alpha,
-                operator=bundle,
-            )
-        else:
-            result = method.solve(graph, key, alpha=self.config.alpha)
-        return NodeScores(graph, result.scores, result)
-
-    def _request(
+    def _solve(
         self,
-        *,
-        seeds: Mapping[Node, float] | Sequence[Node] | None = None,
-        tol: float = 1e-10,
-    ) -> RankRequest:
-        """The service-layer request describing this recommender's query."""
-        return RankRequest(
-            method=self.config.method,
-            p=self.config.p,
-            alpha=self.config.alpha,
-            beta=self.config.beta if self.config.weighted else 0.0,
-            weighted=self.config.weighted,
-            fatigue=self.config.fatigue,
-            seeds=seed_weights(seeds) if seeds is not None else None,
-            tol=tol,
+        graph: BaseGraph,
+        overrides: Sequence[dict] = ({},),
+        tol: float | None = None,
+    ) -> list[NodeScores]:
+        """Every recommender solve, as one :func:`solve_many` call.
+
+        Builds one :class:`~repro.core.engine.RankQuery` per entry of
+        ``overrides`` — the configured query with that entry's fields
+        (``teleport``, ``p``) replaced.  ``tol=None`` keeps the engine's
+        default tolerance.
+        """
+        c = self.config
+        base = RankQuery(
+            p=c.p,
+            alpha=c.alpha,
+            beta=c.beta if c.weighted else 0.0,
+            weighted=c.weighted,
+            method=c.method,
+            fatigue=c.fatigue,
+        )
+        queries = [replace(base, **fields) for fields in overrides]
+        return solve_many(
+            graph, queries, **({} if tol is None else {"tol": tol})
         )
 
     def update(self, delta, *, tol: float = 1e-10) -> "D2PRRecommender":
@@ -240,31 +182,20 @@ class D2PRRecommender:
         from scratch — bulk serving (:meth:`recommend`,
         :meth:`recommend_for_many`, :meth:`recommend_one`) keeps running
         against up-to-date scores and patched cached operators while the
-        graph takes edits.  Fitted on a frozen shared graph, the update
-        raises :class:`~repro.errors.FrozenGraphError` (fit a private
+        graph takes edits.  Methods without incremental correction
+        (the spectral ones) re-solve the global ranking at ``tol``.
+        Fitted on a frozen shared graph, the update raises
+        :class:`~repro.errors.FrozenGraphError` (fit a private
         ``graph.copy()`` to serve a mutable stream).
-
-        With an injected service the delta routes through
-        :meth:`~repro.serving.RankingService.apply_delta`, so *every*
-        cached answer the service holds (this recommender's and any
-        other client's) is corrected instead of evicted; the global
-        ranking refresh is then itself an ``"incremental"``-planned
-        cache correction.
 
         Returns ``self`` for chaining.
         """
-        _graph, scores = self._require_fitted()
-        if self.service is not None:
-            self.service.apply_delta(delta)
-            self._global_scores = self.service.rank(
-                self._request(tol=tol)
-            ).scores
-            return self
+        graph, scores = self._require_fitted()
         if not self._method().supports_incremental:
             # Spectral answers carry no incremental-correction
-            # certificate; absorb the delta and re-solve directly.
-            _graph.apply_delta(delta)
-            self._global_scores = self._solve_global(_graph)
+            # certificate; absorb the delta and re-solve.
+            graph.apply_delta(delta)
+            self._global_scores = self._solve(graph, tol=tol)[0]
             return self
         self._global_scores = update_scores(
             scores,
@@ -375,79 +306,15 @@ class D2PRRecommender:
         """Top-``k`` items related to ``seeds`` via personalised D2PR.
 
         Seeds are excluded from the result unless ``include_seeds=True``.
-        ``tol`` overrides the solver's convergence tolerance (``None``
-        keeps the solver default; the direct solver is exact regardless).
+        A seed sequence weights each node by its number of occurrences
+        (:func:`repro.core.personalized.seed_weights`).  ``tol`` overrides
+        the convergence tolerance (``None`` keeps the engine default).
+        A global eigen measure (``method="eigenvector"``/``"hits"``)
+        rejects seeds with :class:`~repro.errors.ParameterError`.
         """
         graph, _scores = self._require_fitted()
-        if self.service is not None:
-            seeded = self.service.rank(
-                self._request(seeds=seeds, tol=tol if tol is not None else 1e-10)
-            ).scores
-            return self._top_k(seeded, set(seeds), k, include_seeds)
-        method = self._method()
-        if method.family == "d2pr":
-            extra = {} if tol is None else {"tol": tol}
-            seeded = personalized_d2pr(
-                graph,
-                seeds,
-                self.config.p,
-                alpha=self.config.alpha,
-                beta=self.config.beta if self.config.weighted else 0.0,
-                weighted=self.config.weighted,
-                solver=self.config.solver,
-                **extra,
-            )
-            return self._top_k(seeded, set(seeds), k, include_seeds)
-        seeded = self._solve_personalized(graph, seeds, tol=tol)
+        seeded = self._solve(graph, [{"teleport": seeds}], tol)[0]
         return self._top_k(seeded, set(seeds), k, include_seeds)
-
-    def _solve_personalized(
-        self,
-        graph: BaseGraph,
-        seeds: Mapping[Node, float] | Sequence[Node],
-        *,
-        tol: float | None,
-    ) -> NodeScores:
-        """Seeded solve for non-d2pr-family methods (service-less mode).
-
-        The registry gates eligibility: a global eigen measure rejects
-        seeds outright, a seed-capable method solves against its own
-        teleport vector — the batchable fatigued transition through the
-        shared solver dispatch, Katz through its direct power method.
-        """
-        from dataclasses import replace
-
-        from repro.core.engine import build_teleport, solve_transition
-
-        method = self._method()
-        method.validate(replace(self.config.method_params(), has_seeds=True))
-        if self.config.solver != "power":
-            raise ParameterError(
-                f"method {self.config.method!r} solves by power iteration; "
-                f"solver={self.config.solver!r} applies to the d2pr family "
-                "only"
-            )
-        teleport = build_teleport(graph, seed_weights(seeds))
-        extra = {} if tol is None else {"tol": tol}
-        key = self._group_key()
-        if method.batchable:
-            bundle = method.operator(graph, key)
-            result = solve_transition(
-                bundle.mat,
-                alpha=self.config.alpha,
-                teleport=teleport,
-                operator=bundle,
-                **extra,
-            )
-        else:
-            result = method.solve(
-                graph,
-                key,
-                alpha=self.config.alpha,
-                teleport=teleport,
-                **extra,
-            )
-        return NodeScores(graph, result.scores, result)
 
     def recommend_one(
         self,
@@ -461,7 +328,7 @@ class D2PRRecommender:
 
         The interactive-serving counterpart of :meth:`recommend_for`: one
         user's seeds, answered by the localized Gauss–Southwell push
-        solver (:func:`repro.linalg.forward_push`) against the
+        kernel (:func:`repro.linalg.forward_push`) against the
         recommender's graph-cached operator bundle.  Push only touches the
         frontier the personalised mass actually reaches — for sparse seed
         sets on large graphs that is a small neighbourhood around the
@@ -469,33 +336,25 @@ class D2PRRecommender:
         single query answers in a fraction of a full power-iteration
         solve (``docs/performance.md`` § Forward push).  Non-localized
         queries transparently fall back to warm-started power iteration,
-        and non-power solver configurations keep their verification
-        semantics through :meth:`recommend_for`.
+        and methods without push are answered by :meth:`recommend_for`.
 
         ``tol`` bounds the L1 distance to the exact personalised scores
         (push's residual-mass certificate); ranking-quality differences
         at the default 1e-8 are negligible.
         """
         graph, _scores = self._require_fitted()
-        if self.service is not None:
-            # The service's planner makes the push-vs-batch call (and its
-            # cache makes repeat queries free).
-            seeded = self.service.rank(
-                self._request(seeds=seeds, tol=tol)
-            ).scores
-            return self._top_k(seeded, set(seeds), k, include_seeds)
-        if self.config.solver != "power" or not self._method().supports_push:
-            # Keep the configured solver's (or method's) semantics —
-            # spectral seeds go through the direct solve with tol honoured.
+        method = self._method()
+        if not method.supports_push:
             return self.recommend_for(
                 seeds, k, include_seeds=include_seeds, tol=tol
             )
         from repro.methods import operator_for
 
-        bundle = operator_for(graph, self._group_key())
-        # One source of truth for seed semantics: normalise through the
-        # same helper recommend_for's personalised solve uses, then hand
-        # push an explicit (indices, weights) pair.
+        bundle = operator_for(
+            graph, method.group_key(self.config.method_params())
+        )
+        # The same seed weights recommend_for's teleport carries, handed
+        # to push as an explicit (indices, weights) pair.
         by_node = seed_weights(seeds)
         indices = np.array(
             [graph.index_of(node) for node in by_node], dtype=np.int64
@@ -530,56 +389,23 @@ class D2PRRecommender:
         the path to take when serving query traffic.
 
         Returns one recommendation list per user, aligned with ``users``.
-        Non-power solvers fall back to per-user :meth:`recommend_for`.
 
-        The cohort is served in slices of ``batch_size`` users per solver
-        call: one solver call holds the full ``n × K`` teleport and score
-        blocks in memory, so the slice size caps peak memory at roughly
-        ``5 · 8 · n · batch_size`` bytes regardless of cohort size.
-
-        With an injected :class:`~repro.serving.RankingService` the
-        service's coalescer ``window`` (default 16) takes over that
-        memory-capping role and ``batch_size`` is not used.
+        The cohort is served in slices of ``batch_size`` users per
+        ``solve_many`` call: one call holds the full ``n × K`` teleport
+        and score blocks in memory, so the slice size caps peak memory at
+        roughly ``5 · 8 · n · batch_size`` bytes regardless of cohort
+        size.
         """
         graph, _scores = self._require_fitted()
         if batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
         users = list(users)
-        if not users:
-            return []
-        if self.service is not None:
-            # One burst through the service: the microbatch coalescer
-            # windows the batched columns (its window, not batch_size,
-            # caps block memory) and repeat users hit the result cache.
-            results = self.service.rank_many(
-                [self._request(seeds=seeds) for seeds in users]
-            )
-            return [
-                self._top_k(served.scores, set(seeds), k, include_seeds)
-                for seeds, served in zip(users, results)
-            ]
-        if self.config.solver != "power":
-            return [
-                self.recommend_for(seeds, k, include_seeds=include_seeds)
-                for seeds in users
-            ]
-        beta = self.config.beta if self.config.weighted else 0.0
         out: list[list[tuple[Node, float]]] = []
         for start in range(0, len(users), batch_size):
             chunk = users[start : start + batch_size]
-            queries = [
-                RankQuery(
-                    p=self.config.p,
-                    alpha=self.config.alpha,
-                    beta=beta,
-                    weighted=self.config.weighted,
-                    teleport=seeds,
-                    method=self.config.method,
-                    fatigue=self.config.fatigue,
-                )
-                for seeds in chunk
-            ]
-            results = solve_many(graph, queries)
+            results = self._solve(
+                graph, [{"teleport": seeds} for seeds in chunk]
+            )
             out.extend(
                 self._top_k(seeded, set(seeds), k, include_seeds)
                 for seeds, seeded in zip(chunk, results)
@@ -636,38 +462,11 @@ class D2PRRecommender:
             if train_mask.sum() < 2:
                 raise ParameterError("train_mask must keep at least 2 nodes")
 
-        beta = self.config.beta if self.config.weighted else 0.0
         ps = [float(p) for p in p_grid]
-        if self.config.solver == "power":
-            # One batched call: each p is its own transition matrix, but
-            # solve_many warm-starts consecutive grid points from each
-            # other, and the graph's matrix cache amortises the exports.
-            results = solve_many(
-                graph,
-                [
-                    RankQuery(
-                        p=p,
-                        alpha=self.config.alpha,
-                        beta=beta,
-                        weighted=self.config.weighted,
-                        method=self.config.method,
-                        fatigue=self.config.fatigue,
-                    )
-                    for p in ps
-                ],
-            )
-        else:
-            results = [
-                d2pr(
-                    graph,
-                    p,
-                    alpha=self.config.alpha,
-                    beta=beta,
-                    weighted=self.config.weighted,
-                    solver=self.config.solver,
-                )
-                for p in ps
-            ]
+        # One batched call: each p is its own transition matrix, but
+        # solve_many warm-starts consecutive grid points from each
+        # other, and the graph's matrix cache amortises the exports.
+        results = self._solve(graph, [{"p": p} for p in ps])
         curve: dict[float, float] = {}
         for p, scores in zip(ps, results):
             values = scores.values
@@ -681,18 +480,7 @@ class D2PRRecommender:
 
     def with_p(self, p: float) -> "D2PRRecommender":
         """Return a new recommender with ``p`` replaced (and refitted)."""
-        new = D2PRRecommender(
-            config=RecommenderConfig(
-                p=p,
-                alpha=self.config.alpha,
-                beta=self.config.beta,
-                weighted=self.config.weighted,
-                solver=self.config.solver,
-                method=self.config.method,
-                fatigue=self.config.fatigue,
-            ),
-            service=self.service,
-        )
+        new = D2PRRecommender(config=replace(self.config, p=p))
         if self._graph is not None:
             new.fit(self._graph)
         return new

@@ -75,9 +75,8 @@ from repro.graph.persist import (
     save_snapshot,
     snapshot_id,
 )
-from repro.linalg.incremental import incremental_update, residual_vector
+from repro.linalg.incremental import incremental_update, pre_delta_residual
 from repro.linalg.push import forward_push
-from repro.linalg.solvers import _validate_common
 from repro.serving.cache import CacheEntry, ResultCache
 from repro.serving.coalescer import CoalescerTicket, MicrobatchCoalescer
 from repro.serving.planner import (
@@ -735,19 +734,13 @@ class RankingService:
         pending = entry.pending
         baseline = None
         if isinstance(pending, _PendingCorrection):
-            values = entry.scores.values
-            total = values.sum()
-            _, t_norm = _validate_common(
-                None, request.alpha, teleport, pending.old_bundle
+            baseline = pre_delta_residual(
+                pending.old_bundle,
+                entry.scores.values,
+                request.alpha,
+                teleport,
+                request.dangling,
             )
-            if total > 0.0:
-                baseline = residual_vector(
-                    pending.old_bundle,
-                    values / total,
-                    t_norm,
-                    request.alpha,
-                    request.dangling,
-                )
         result = incremental_update(
             None,
             entry.scores.values,

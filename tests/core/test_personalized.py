@@ -61,6 +61,17 @@ class TestPersonalizedPageRank:
         with pytest.raises(ParameterError):
             personalized_pagerank(two_cluster_graph, {"a2": 0.0})
 
+    def test_duplicate_seeds_weight_by_occurrence(self):
+        """A repeated seed counts twice, exactly as d2pr's teleport does."""
+        g = barabasi_albert(50, 2, seed=1)
+        a, b = g.nodes()[3], g.nodes()[17]
+        seeds = [a, a, b]
+        ppr = personalized_pagerank(g, seeds).values
+        direct = d2pr(g, 0.0, teleport=seeds).values
+        np.testing.assert_allclose(ppr, direct, atol=1e-12, rtol=0)
+        weighted = d2pr(g, 0.0, teleport={a: 2.0, b: 1.0}).values
+        np.testing.assert_allclose(ppr, weighted, atol=1e-12, rtol=0)
+
 
 class TestPersonalizedD2PR:
     def test_equals_d2pr_with_teleport(self, two_cluster_graph):

@@ -331,8 +331,8 @@ class TestEngineAndRecommender:
         keep = rows != cols
         g = Graph.from_arrays(rows[keep], cols[keep], num_nodes=80)
         rec = D2PRRecommender(config=RecommenderConfig(p=0.5)).fit(g)
-        # recommend_for de-duplicates seed sequences; the push path must
-        # agree, not accumulate the duplicate into a heavier weight.
+        # A repeated seed weighs by its occurrences on both paths: the
+        # push seed arrays and recommend_for's teleport agree.
         one = rec.recommend_one([3, 3, 9], k=6, tol=1e-10)
         ref = rec.recommend_for([3, 3, 9], k=6)
         assert [n for n, _ in one] == [n for n, _ in ref]
@@ -353,16 +353,6 @@ class TestEngineAndRecommender:
         t = d2pr_transition(g, 0.0)
         with pytest.raises(ParameterError, match="integer dtype"):
             forward_push(t, np.array([3.0, 7.0]), tol=PUSH_TOL)
-
-    def test_recommend_one_non_power_solver_falls_back(self, figure1_graph):
-        from repro.recsys import D2PRRecommender, RecommenderConfig
-
-        rec = D2PRRecommender(
-            config=RecommenderConfig(p=0.0, solver="direct")
-        ).fit(figure1_graph)
-        one = rec.recommend_one(["A"], k=3)
-        ref = rec.recommend_for(["A"], k=3)
-        assert one == ref
 
     def test_push_uniform_teleport_ignores_push_only_kwargs(
         self, figure1_graph

@@ -173,18 +173,6 @@ class TestRecommendForMany:
         with pytest.raises(ReproError):
             D2PRRecommender().recommend_for_many([["x"]])
 
-    def test_non_power_solver_falls_back(self):
-        g = barabasi_albert(40, 2, seed=13)
-        rec = D2PRRecommender(
-            config=RecommenderConfig(p=0.5, solver="direct")
-        ).fit(g)
-        users = [[g.nodes()[0]], [g.nodes()[1]]]
-        bulk = rec.recommend_for_many(users, k=3)
-        for seeds, got in zip(users, bulk):
-            assert [n for n, _s in got] == [
-                n for n, _s in rec.recommend_for(seeds, k=3)
-            ]
-
 
 class TestTunePGridKeys:
     def test_arange_grid_keys_are_exact(self, fitted):
@@ -339,3 +327,83 @@ class TestStreamingUpdate:
         er, ec, _ = g.edge_arrays()
         with pytest.raises(FrozenGraphError):
             rec.update(GraphDelta.delete(er[:1], ec[:1]))
+
+
+def _direct_solve(graph, config, seeds=None):
+    """The configured method's own solve, bypassing the recommender."""
+    from repro.core.engine import build_teleport, solve_transition
+    from repro.methods import resolve
+
+    method = resolve(config.method)
+    key = method.group_key(config.method_params())
+    teleport = build_teleport(graph, seeds)
+    if method.batchable:
+        bundle = method.operator(graph, key)
+        result = solve_transition(
+            bundle.mat, alpha=config.alpha, teleport=teleport, operator=bundle
+        )
+    else:
+        result = method.solve(
+            graph, key, alpha=config.alpha, teleport=teleport
+        )
+    return result.scores
+
+
+class TestOtherMethods:
+    CONFIGS = {
+        "fatigued": RecommenderConfig(method="fatigued", p=0.5, fatigue=0.3),
+        "katz": RecommenderConfig(method="katz", alpha=0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_paths_match_direct_solve(self, name):
+        config = self.CONFIGS[name]
+        g = barabasi_albert(60, 2, seed=2)
+        rec = D2PRRecommender(config=config).fit(g)
+        np.testing.assert_allclose(
+            rec.scores.values, _direct_solve(g, config), atol=1e-12, rtol=0
+        )
+        users = [[g.nodes()[i]] for i in (1, 7, 20)] + [
+            {g.nodes()[3]: 2.0, g.nodes()[40]: 1.0}
+        ]
+        for seeds, bulk in zip(users, rec.recommend_for_many(users, k=5)):
+            direct = _direct_solve(g, config, seeds)
+            one = rec.recommend_for(seeds, k=5)
+            for got in (one, bulk):
+                assert [n for n, _ in got] == [n for n, _ in one]
+                np.testing.assert_allclose(
+                    [s for _, s in got],
+                    [direct[g.index_of(n)] for n, _ in got],
+                    atol=1e-12,
+                    rtol=0,
+                )
+
+    def test_eigenvector_fits_and_rejects_seeds(self):
+        config = RecommenderConfig(method="eigenvector")
+        g = barabasi_albert(60, 2, seed=2)
+        rec = D2PRRecommender(config=config).fit(g)
+        np.testing.assert_allclose(
+            rec.scores.values, _direct_solve(g, config), atol=1e-12, rtol=0
+        )
+        with pytest.raises(ParameterError):
+            rec.recommend_for([g.nodes()[0]], k=3)
+
+    def test_recommend_one_without_push_is_recommend_for(self):
+        g = barabasi_albert(60, 2, seed=2)
+        rec = D2PRRecommender(config=self.CONFIGS["katz"]).fit(g)
+        seeds = [g.nodes()[5], g.nodes()[11]]
+        assert rec.recommend_one(seeds, k=6) == rec.recommend_for(
+            seeds, k=6, tol=1e-8
+        )
+
+    def test_update_honours_tol_without_incremental(self):
+        """A re-solving method converges to the tol the caller asked for."""
+        from repro.graph import GraphDelta
+
+        g = barabasi_albert(60, 2, seed=2)
+        rec = D2PRRecommender(
+            config=RecommenderConfig(method="katz", alpha=0.05)
+        ).fit(g)
+        er, ec, _ = g.edge_arrays()
+        rec.update(GraphDelta.delete(er[:1], ec[:1]), tol=1e-13)
+        assert rec.scores.solver_result.final_residual < 1e-13

@@ -9,8 +9,6 @@ from repro.core import d2pr, pagerank, personalized_d2pr, solve_many
 from repro.core.engine import RankQuery
 from repro.errors import ConvergenceError, FrozenGraphError, ParameterError
 from repro.graph import DiGraph, Graph, GraphDelta
-from repro.recsys import D2PRRecommender
-from repro.recsys.recommender import RecommenderConfig
 from repro.serving import RankingService, RankRequest
 
 
@@ -376,89 +374,6 @@ class TestUnconvergedAnswers:
         assert fresh.plan.strategy == "batch"
         assert fresh.scores.solver_result.converged
         assert service.rank(request).plan.strategy == "cached"
-
-
-class TestRecommenderIntegration:
-    def test_injected_service_matches_plain_recommender(self):
-        rows, cols, n = _arrays()
-        g_service = Graph.from_arrays(rows, cols, num_nodes=n)
-        g_plain = Graph.from_arrays(rows, cols, num_nodes=n)
-        service = RankingService(g_service)
-        rec = D2PRRecommender(
-            config=RecommenderConfig(p=1.0), service=service
-        ).fit(g_service)
-        plain = D2PRRecommender(config=RecommenderConfig(p=1.0)).fit(g_plain)
-
-        # The service's batch solve runs Chebyshev on this reversible
-        # walk: same ranking, scores within the two solves' certificates.
-        served, direct = rec.recommend(k=5), plain.recommend(k=5)
-        assert [n for n, _ in served] == [n for n, _ in direct]
-        alpha, tol = 0.85, 1e-10
-        np.testing.assert_allclose(
-            [s for _, s in served],
-            [s for _, s in direct],
-            atol=2 * alpha / (1 - alpha) * tol,
-            rtol=0,
-        )
-        seed = [g_service.nodes()[3]]
-        assert [n for n, _ in rec.recommend_one(seed, k=5)] == [
-            n for n, _ in plain.recommend_one(seed, k=5)
-        ]
-        users = [[g_service.nodes()[i]] for i in range(4)]
-        assert [
-            [n for n, _ in row] for row in rec.recommend_for_many(users, k=3)
-        ] == [
-            [n for n, _ in row]
-            for row in plain.recommend_for_many(users, k=3)
-        ]
-
-    def test_paths_share_one_cache(self):
-        graph = _graph()
-        service = RankingService(graph)
-        rec = D2PRRecommender(
-            config=RecommenderConfig(p=1.0), service=service
-        ).fit(graph)
-        seed = [graph.nodes()[2]]
-        rec.recommend_one(seed, k=3, tol=1e-8)
-        rec.recommend_for(seed, k=3, tol=1e-8)  # same digest: cache hit
-        stats = service.stats()
-        assert stats["cache"]["hits"] >= 1
-
-    def test_update_routes_through_service(self):
-        graph = _graph()
-        service = RankingService(graph)
-        rec = D2PRRecommender(
-            config=RecommenderConfig(p=1.0), service=service
-        ).fit(graph)
-        rec.update(GraphDelta.insert(np.array([0]), np.array([9])))
-        cold = d2pr(graph, 1.0)
-        assert np.abs(rec.scores.values - cold.values).max() < 1e-8
-        assert service.stats()["deltas"]["applied"] == 1
-        assert service.stats()["cache"]["corrections"] >= 1
-
-    def test_fit_validates_service_graph_and_solver(self):
-        graph = _graph()
-        other = _graph(seed=9)
-        service = RankingService(other)
-        with pytest.raises(ParameterError):
-            D2PRRecommender(service=service).fit(graph)
-        service2 = RankingService(graph)
-        rec = D2PRRecommender(
-            config=RecommenderConfig(solver="direct"), service=service2
-        )
-        with pytest.raises(ParameterError):
-            rec.fit(graph)
-
-    def test_with_p_keeps_the_service(self):
-        graph = _graph()
-        service = RankingService(graph)
-        rec = D2PRRecommender(
-            config=RecommenderConfig(p=1.0), service=service
-        ).fit(graph)
-        rec2 = rec.with_p(0.5)
-        assert rec2.service is service
-        cold = d2pr(graph, 0.5)
-        assert np.abs(rec2.scores.values - cold.values).max() < 1e-9
 
 
 class TestContextManager:

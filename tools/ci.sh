@@ -137,6 +137,16 @@ if grep -rnE 'mat_f32|_MIXED_SWITCH_TOL|stall_factor|precision=' \
     exit 1
 fi
 
+# One recommender path: D2PRRecommender solves through solve_many (plus
+# push for recommend_one and incremental correction for update).  Fail
+# if its serving-layer client mode or its per-query solver fork
+# reappears, and print the recommender layer's line count.
+if grep -rnE 'RankingService|RankRequest|self\.service|config\.solver' src/repro/recsys/; then
+    echo "FAIL: the recommender's service mode or solver fork reappeared under src/repro/recsys/" >&2
+    exit 1
+fi
+echo "src/repro/recsys/ lines: $(cat src/repro/recsys/*.py | wc -l)"
+
 python -m pytest -x -q
 
 # Re-run the multi-threaded stress suite under a hard watchdog: a

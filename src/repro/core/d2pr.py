@@ -53,13 +53,12 @@ def d2pr_operator(
     *,
     beta: float = 0.0,
     weighted: bool = False,
-    clamp_min: float | None = None,
 ):
     """Graph-cached solver-operator bundle for the D2PR transition.
 
     The :class:`~repro.linalg.operator.LinearOperatorBundle` that
     :func:`repro.methods.operator_for` builds for this ``(p, beta,
-    weighted, clamp_min)`` — the same object the engine, the coalescer
+    weighted)`` — the same object the engine, the coalescer
     and the service solve on, memoised on the graph's mutation-aware
     cache.  :func:`d2pr_transition` (re-exported from
     :mod:`repro.methods.stochastic`) is its matrix.
@@ -67,7 +66,7 @@ def d2pr_operator(
     from repro.methods import operator_for
 
     key = RankQuery(p=p, beta=beta, weighted=weighted).group_key
-    return operator_for(graph, key, clamp_min=clamp_min)
+    return operator_for(graph, key)
 
 
 def d2pr(
@@ -82,7 +81,6 @@ def d2pr(
     dangling: str = "teleport",
     tol: float = 1e-10,
     max_iter: int = 1000,
-    clamp_min: float | None = None,
 ) -> NodeScores:
     """Compute degree de-coupled PageRank scores.
 
@@ -115,9 +113,6 @@ def d2pr(
         Dangling-node strategy: ``"teleport"``, ``"uniform"`` or ``"self"``.
     tol, max_iter:
         Convergence controls for the iterative solvers.
-    clamp_min:
-        Degree clamp for weighting; ``None`` selects the scale-safe
-        default (see :func:`d2pr_transition` and DESIGN.md §5.3).
 
     Returns
     -------
@@ -138,7 +133,6 @@ def d2pr(
         graph,
         RankQuery(p=p, beta=beta, weighted=weighted).group_key,
         teleport=teleport,
-        clamp_min=clamp_min,
         solver=solver,
         alpha=alpha,
         dangling=dangling,
@@ -154,7 +148,6 @@ def transition_probabilities(
     *,
     beta: float = 0.0,
     weighted: bool = False,
-    clamp_min: float | None = None,
 ) -> dict[Node, float]:
     """Transition probabilities from ``source`` under D2PR.
 
@@ -162,9 +155,7 @@ def transition_probabilities(
     example graph, ``transition_probabilities(g, "A", p=2.0)`` returns
     ``{"B": 0.18..., "C": 0.08..., "D": 0.73...}``.
     """
-    transition = d2pr_transition(
-        graph, p, beta=beta, weighted=weighted, clamp_min=clamp_min
-    )
+    transition = d2pr_transition(graph, p, beta=beta, weighted=weighted)
     row = transition.getrow(graph.index_of(source)).tocoo()
     nodes = graph.nodes()
     return {nodes[j]: float(v) for j, v in zip(row.col, row.data)}

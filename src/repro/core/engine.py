@@ -33,6 +33,7 @@ from repro.telemetry.trace import annotate
 from repro.linalg.solvers import (
     DANGLING_STRATEGIES,
     PageRankResult,
+    _unit_mass,
     direct_solve,
     gauss_seidel,
     power_iteration,
@@ -209,7 +210,6 @@ def solve_group(
     group_key: tuple,
     *,
     teleport: Mapping[Node, float] | Sequence[Node] | np.ndarray | None = None,
-    clamp_min: float | None = None,
     **options: Any,
 ):
     """Solve one query on the registry-built operator of ``group_key``.
@@ -225,7 +225,7 @@ def solve_group(
     from repro.core.results import NodeScores
     from repro.methods import operator_for
 
-    bundle = operator_for(graph, group_key, clamp_min=clamp_min)
+    bundle = operator_for(graph, group_key)
     result = solve_transition(
         bundle.mat,
         operator=bundle,
@@ -317,23 +317,13 @@ def _teleport_digest(vec: np.ndarray | None) -> bytes | None:
     two proportional teleports (``v`` and ``3·v``) — which define the
     same personalised system — always digest equal and can warm-start
     each other.  A vector without positive finite mass has no valid
-    normalisation (and no valid solve): it raises
-    :class:`~repro.errors.ParameterError` here instead of silently
-    digesting raw bytes, which used to let a zero vector produce a
-    "valid-looking" digest while scaled copies of one teleport failed to
-    match.
+    normalisation (and no valid solve): the solvers' own check raises
+    :class:`~repro.errors.ParameterError` for it here.
     """
     if vec is None:
         return None
-    arr = np.ascontiguousarray(vec, dtype=np.float64)
-    if not np.isfinite(arr).all() or (arr < 0).any():
-        raise ParameterError(
-            "teleport vector must be non-negative and finite"
-        )
-    total = arr.sum()
-    if total <= 0.0:
-        raise ParameterError("teleport vector must have positive mass")
-    return hashlib.sha1((arr / total).tobytes()).digest()
+    unit = _unit_mass(vec, len(vec), "teleport vector")
+    return hashlib.sha1(unit.tobytes()).digest()
 
 
 def solve_many(
@@ -342,9 +332,7 @@ def solve_many(
     *,
     tol: float = 1e-10,
     max_iter: int = 1000,
-    clamp_min: float | None = None,
     warm_start: bool = True,
-    raise_on_failure: bool = False,
 ) -> list:
     """Solve many ranking queries against one graph in batched passes.
 
@@ -377,20 +365,18 @@ def solve_many(
         The ranking requests; results are returned in the same order.
     tol, max_iter:
         Convergence controls, shared by the whole call.
-    clamp_min:
-        Theta clamp forwarded to the transition builder (``None`` =
-        scale-safe default).
     warm_start:
         Seed each group from the previous group's solutions when the
         column structure matches.
-    raise_on_failure:
-        Raise :class:`~repro.errors.ConvergenceError` if any column fails
-        to converge.
 
     Returns
     -------
     list[NodeScores]
-        One result per query, aligned with the input order.
+        One result per query, aligned with the input order.  A column
+        that exhausts ``max_iter`` comes back with
+        ``solver_result.converged`` false; deciding whether such an
+        answer may be served is the caller's job (the serving layer
+        raises :class:`~repro.errors.ConvergenceError` for it).
     """
     annotate(engine="solve_many", engine_queries=len(queries))
 
@@ -437,12 +423,10 @@ def solve_many(
                     teleport=vectors[idx],
                     tol=tol,
                     max_iter=max_iter,
-                    clamp_min=clamp_min,
-                    raise_on_failure=raise_on_failure,
                 )
                 out[idx] = NodeScores(graph, result.scores, result)
             continue
-        bundle = operator_for(graph, key, clamp_min=clamp_min)
+        bundle = operator_for(graph, key)
         signature = (
             tuple((float(queries[i].alpha), digests[i]) for i in indices)
             if digests is not None
@@ -461,7 +445,6 @@ def solve_many(
             max_iter=max_iter,
             dangling=key[-1],
             warm_start=initial,
-            raise_on_failure=raise_on_failure,
             operator=bundle,
         )
         for j, idx in enumerate(indices):
@@ -484,7 +467,6 @@ def update_scores(
     dangling: str = "teleport",
     tol: float = 1e-10,
     max_iter: int = 1000,
-    clamp_min: float | None = None,
     frontier_cap: float = 0.2,
     apply_delta: bool = True,
     method: str = "d2pr",
@@ -505,7 +487,7 @@ def update_scores(
        residual the delta creates is propagated, instead of re-streaming
        the whole matrix for a cold solve.
 
-    ``(p, alpha, beta, weighted, teleport, dangling, clamp_min)`` must
+    ``(p, alpha, beta, weighted, teleport, dangling)`` must
     describe the query that produced ``previous`` — the delta changes
     the graph, not the question.  The result converges to the cold
     re-solve answer within solver tolerance (certified; see
@@ -540,7 +522,6 @@ def update_scores(
         [query],
         tol=tol,
         max_iter=max_iter,
-        clamp_min=clamp_min,
         frontier_cap=frontier_cap,
         apply_delta=apply_delta,
     )[0]
@@ -553,7 +534,6 @@ def update_scores_many(
     *,
     tol: float = 1e-10,
     max_iter: int = 1000,
-    clamp_min: float | None = None,
     frontier_cap: float = 0.2,
     apply_delta: bool = True,
 ) -> list:
@@ -593,7 +573,7 @@ def update_scores_many(
         query that produced it (the delta changes the graph, not the
         questions).  ``None`` means every entry was a default global
         ranking (``RankQuery()``).
-    tol, max_iter, clamp_min, frontier_cap:
+    tol, max_iter, frontier_cap:
         As in :func:`update_scores`, shared by the whole block.
     apply_delta:
         ``False`` skips both the baseline capture and the delta
@@ -655,7 +635,7 @@ def update_scores_many(
         # ``incremental_update``'s baseline_residual).
         for key, indices in groups.items():
             dangling = key[-1]
-            old_bundle = operator_for(graph, key, clamp_min=clamp_min)
+            old_bundle = operator_for(graph, key)
             for idx in indices:
                 baselines[idx] = pre_delta_residual(
                     old_bundle,
@@ -669,7 +649,7 @@ def update_scores_many(
     out: list = [None] * len(previous)
     for key, indices in groups.items():
         dangling = key[-1]
-        bundle = operator_for(graph, key, clamp_min=clamp_min)
+        bundle = operator_for(graph, key)
         for idx in indices:
             result = incremental_update(
                 None,

@@ -42,7 +42,6 @@ def hits(
     tol: float = 1e-10,
     max_iter: int = 1000,
     weighted: bool = False,
-    raise_on_failure: bool = False,
 ) -> HitsResult:
     """Compute HITS hub/authority scores by power iteration.
 
@@ -57,8 +56,6 @@ def hits(
         Iteration budget.
     weighted:
         Use stored edge weights.
-    raise_on_failure:
-        Raise :class:`ConvergenceError` when the budget is exhausted.
 
     Returns
     -------
@@ -73,13 +70,7 @@ def hits(
         raise ParameterError(f"max_iter must be positive, got {max_iter}")
     method = resolve("hits")
     key = ("hits", bool(weighted))
-    result = method.solve(
-        graph,
-        key,
-        tol=tol,
-        max_iter=max_iter,
-        raise_on_failure=raise_on_failure,
-    )
+    result = method.solve(graph, key, tol=tol, max_iter=max_iter)
     authorities = result.scores
     # Hubs are one adjacency matvec away from the authority fixed point
     # (hubs ∝ A·auth); the bundle is the same cached view the solver used.

@@ -127,7 +127,6 @@ def _batched_influences(
     dangling: str = "teleport",
     tol: float = 1e-10,
     max_iter: int = 1000,
-    clamp_min: float | None = None,
 ) -> tuple[NodeScores, dict[Node, float]]:
     """Full pass + all leave-one-out passes as one batched solve."""
     del solver  # always "power" here (checked by the caller)
@@ -145,9 +144,7 @@ def _batched_influences(
                 teleport=reduced, dangling=dangling,
             )
         )
-    results = solve_many(
-        graph, queries, tol=tol, max_iter=max_iter, clamp_min=clamp_min
-    )
+    results = solve_many(graph, queries, tol=tol, max_iter=max_iter)
     full = results[0]
     influences = {
         seed: float(np.abs(full.values - loo.values).sum())

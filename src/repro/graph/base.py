@@ -174,7 +174,7 @@ class BaseGraph:
         changes through the classic mutators (node added, edge
         added/re-weighted, bulk ingestion), so ``key`` only needs to
         encode the *parameters* of the derived object — e.g.
-        ``("d2pr", p, beta, weighted, clamp_min)`` — not the graph state.
+        ``("d2pr_transition", p, beta, weighted)`` — not the graph state.
         The streaming path (:meth:`apply_delta`) instead *refreshes*
         known entries: it stores deferred patch thunks that this method
         resolves transparently on first access, so a refreshed entry is

@@ -55,11 +55,11 @@ matrix: rows recomputed without an actual change reproduce their old
 values and cancel out of ``D`` (exactly, or to float round-off for
 theta-dependent weights — far below solver tolerance either way).
 
-A weighted D2PR transition cached under the scale-safe default
-``clamp_min=None`` resolves its clamp from the global minimum positive
-theta; a delta can move that minimum, which would silently re-weight
-*every* row, so those entries are dropped instead of refreshed (they
-rebuild on next use).
+A weighted D2PR transition clamps theta at the global minimum positive
+theta; a delta can move that minimum, which would re-weight *every*
+row, so weighted entries with ``p ≠ 0`` and ``β ≠ 1`` are dropped
+instead of refreshed.  The rest refresh with the unweighted clamp 1.0,
+which cannot reach a weighted matrix at ``p = 0`` or ``β = 1``.
 """
 
 from __future__ import annotations
@@ -735,18 +735,18 @@ class _RefreshPlan:
         _, _, c_sub, w_sub, sub_indptr, lengths, sums, _ = (
             self._ensure_scan()
         )
-        # ("d2pr_transition", p, beta, weighted, clamp_min); the
-        # conventional walk is its p = 0 (beta = 1 when weighted) point.
-        _, p, beta, weighted, clamp_min = key
+        # ("d2pr_transition", p, beta, weighted); the conventional walk
+        # is its p = 0 (beta = 1 when weighted) point.
+        _, p, beta, weighted = key
         blend = weighted and beta != 0.0
         if blend:
             sum_rep = np.repeat(sums, lengths)
             strength = w_sub / np.where(sum_rep > 0.0, sum_rep, 1.0)
             if beta == 1.0:
                 return strength
-        resolved = 1.0 if clamp_min is None else float(clamp_min)
+        # The unweighted clamp: a weighted entry gets here only at p = 0.
         theta = self.theta(bool(weighted), None)
-        log_theta = np.log(np.maximum(theta, resolved))
+        log_theta = np.log(np.maximum(theta, 1.0))
         decoupled = segment_softmax_weights(
             log_theta[c_sub], sub_indptr, float(p)
         )
@@ -826,7 +826,7 @@ def _refresh_caches(graph, touched: np.ndarray, stats: dict) -> None:
 
     transition_keys: set[tuple] = set()
     # Operators last: they must only survive when their transition entry
-    # did (a dropped weighted/default-clamp transition drops its bundle).
+    # did (a dropped weighted transition drops its bundle).
     ordered = sorted(old.items(), key=lambda kv: kv[0][0] == "operator")
     for key, value in ordered:
         kind = key[0]
@@ -855,12 +855,12 @@ def _refresh_caches(graph, touched: np.ndarray, stats: dict) -> None:
                     )
                 )
         elif kind == "d2pr_transition":
-            _, p, beta, weighted, clamp_min = key
-            if weighted and clamp_min is None and p != 0.0 and beta != 1.0:
-                # Scale-safe default clamp depends on the global minimum
-                # positive theta, which the delta may have moved: every
-                # row could change, so evict this entry instead.  (At
-                # p = 0 or beta = 1 the clamp cannot reach the matrix.)
+            _, p, beta, weighted = key
+            if weighted and p != 0.0 and beta != 1.0:
+                # The scale-safe clamp is the global minimum positive
+                # theta, which the delta may have moved: every row could
+                # change, so evict this entry instead.  (At p = 0 or
+                # beta = 1 the clamp cannot reach the matrix.)
                 new_value = None
             else:
                 transition_keys.add(key)

@@ -49,11 +49,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from repro.errors import ConvergenceError, ParameterError
+from repro.errors import ParameterError
 from repro.linalg.operator import LinearOperatorBundle
 from repro.linalg.solvers import (
     DANGLING_STRATEGIES,
     PageRankResult,
+    _unit_mass,
 )
 from repro.telemetry.trace import record_solver
 
@@ -119,20 +120,6 @@ class BatchResult:
         )
 
 
-def _normalize_column(vec: np.ndarray, n: int, what: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (n,):
-        raise ParameterError(
-            f"{what} must have shape ({n},), got {vec.shape}"
-        )
-    if (vec < 0).any():
-        raise ParameterError(f"{what} entries must be non-negative")
-    total = vec.sum()
-    if total <= 0.0:
-        raise ParameterError(f"{what} must have positive mass")
-    return vec / total
-
-
 def _teleport_block(
     teleports: np.ndarray | Sequence[np.ndarray | None] | None,
     n: int,
@@ -145,7 +132,7 @@ def _teleport_block(
     if isinstance(teleports, np.ndarray):
         arr = np.asarray(teleports, dtype=np.float64)
         if arr.ndim == 1:
-            col = _normalize_column(arr, n, "teleport column")
+            col = _unit_mass(arr, n, "teleport column")
             k = 1 if n_queries is None else n_queries
             return np.repeat(col[:, None], k, axis=1)
         if arr.ndim != 2 or arr.shape[0] != n:
@@ -154,9 +141,7 @@ def _teleport_block(
             )
         block = np.empty_like(arr)
         for k in range(arr.shape[1]):
-            block[:, k] = _normalize_column(
-                arr[:, k], n, f"teleport column {k}"
-            )
+            block[:, k] = _unit_mass(arr[:, k], n, f"teleport column {k}")
         return block
     # Sequence of per-column specs; each entry may be None (uniform).
     cols = list(teleports)
@@ -168,9 +153,7 @@ def _teleport_block(
         if spec is None:
             block[:, k] = uniform
         else:
-            block[:, k] = _normalize_column(
-                np.asarray(spec), n, f"teleport column {k}"
-            )
+            block[:, k] = _unit_mass(spec, n, f"teleport column {k}")
     return block
 
 
@@ -207,7 +190,7 @@ def _initial_block(
             f"warm_start must be None or an array, got {warm_start!r}"
         ) from None
     if arr.ndim == 1:
-        col = _normalize_column(arr, n, "warm_start")
+        col = _unit_mass(arr, n, "warm_start")
         return np.repeat(col[:, None], k, axis=1)
     if arr.shape != (n, k):
         raise ParameterError(
@@ -216,7 +199,7 @@ def _initial_block(
         )
     block = np.empty_like(arr)
     for j in range(k):
-        block[:, j] = _normalize_column(arr[:, j], n, f"warm_start column {j}")
+        block[:, j] = _unit_mass(arr[:, j], n, f"warm_start column {j}")
     return block
 
 
@@ -457,7 +440,6 @@ def power_iteration_batch(
     max_iter: int = 1000,
     dangling: str = "teleport",
     warm_start: np.ndarray | None = None,
-    raise_on_failure: bool = False,
     operator: LinearOperatorBundle | None = None,
     reversible: bool = False,
 ) -> BatchResult:
@@ -485,8 +467,6 @@ def power_iteration_batch(
     warm_start:
         ``None`` (cold start from each column's teleport vector) or an
         ``(n,)`` or ``(n, K)`` initial guess.
-    raise_on_failure:
-        Raise :class:`ConvergenceError` if any column fails to converge.
     operator:
         Pre-built :class:`~repro.linalg.operator.LinearOperatorBundle` of
         ``transition``; when omitted the memoised bundle of the matrix
@@ -574,15 +554,6 @@ def power_iteration_batch(
             chebyshev=reversible,
         )
 
-    if raise_on_failure and not converged.all():
-        failed = np.flatnonzero(~converged)
-        worst = max(residuals[int(j)][-1] for j in failed)
-        raise ConvergenceError(
-            f"{failed.size} of {k} batched systems did not reach tol={tol} "
-            f"within {max_iter} iterations (worst residual={worst:.3e})",
-            iterations=int(iterations.max()),
-            residual=float(worst),
-        )
     method = "power_iteration_batch"
     if family:
         method += "_family"

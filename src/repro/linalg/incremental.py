@@ -63,10 +63,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.errors import ConvergenceError, ParameterError
+from repro.errors import ParameterError
 from repro.linalg.operator import DANGLING_STRATEGIES, LinearOperatorBundle
 from repro.linalg.push import _fallback, _push_epochs
-from repro.linalg.solvers import PageRankResult, _validate_common
+from repro.linalg.solvers import PageRankResult, _unit_mass, _validate_common
 from repro.telemetry.trace import record_result
 
 __all__ = ["incremental_update", "pre_delta_residual", "residual_vector"]
@@ -160,7 +160,6 @@ def incremental_update(
     frontier_cap: float = 0.2,
     operator: LinearOperatorBundle | None = None,
     baseline_residual: np.ndarray | None = None,
-    raise_on_failure: bool = False,
 ) -> PageRankResult:
     """Update ``previous`` scores to the fixed point of a new transition.
 
@@ -201,9 +200,6 @@ def incremental_update(
         separates background from signal, which is enough for strongly
         localized deltas but floods the frontier near convergence when
         the background mass is comparable to ``tol``.
-    raise_on_failure:
-        Raise :class:`ConvergenceError` instead of returning an
-        unconverged result.
 
     Returns
     -------
@@ -226,17 +222,7 @@ def incremental_update(
         raise ParameterError(
             f"frontier_cap must be in [0, 1], got {frontier_cap}"
         )
-    x = np.asarray(previous, dtype=np.float64)
-    if x.shape != (n,):
-        raise ParameterError(
-            f"previous scores must have shape ({n},), got {x.shape}"
-        )
-    total = x.sum()
-    if total <= 0.0 or (x < 0).any():
-        raise ParameterError(
-            "previous scores must be non-negative with positive mass"
-        )
-    x = x / total
+    x = _unit_mass(previous, n, "previous scores")
 
     res = residual_vector(bundle, x, t, alpha, dangling)
     # The previous solve was itself only tol-accurate, so ``res`` carries
@@ -284,7 +270,7 @@ def incremental_update(
         return _fallback(
             bundle, t, np.maximum(x + res + dust, 0.0),
             alpha=alpha, tol=tol, max_iter=max(max_iter, 1),
-            dangling=dangling, raise_on_failure=raise_on_failure, front=None,
+            dangling=dangling, front=None,
             history=history, method="incremental_fallback",
             fallback="uniform_dangling",
         )
@@ -310,16 +296,8 @@ def incremental_update(
         return _fallback(
             bundle, t, np.maximum(estimate, 0.0),
             alpha=alpha, tol=tol, max_iter=max(max_iter - front.steps, 1),
-            dangling=dangling, raise_on_failure=raise_on_failure,
-            front=front, history=history,
+            dangling=dangling, front=front, history=history,
             method="incremental_fallback", fallback="frontier_cap",
-        )
-    if not front.converged and raise_on_failure:
-        raise ConvergenceError(
-            f"incremental update did not reach tol={tol} within "
-            f"{max_iter} steps (remaining residual mass={front.mass:.3e})",
-            iterations=front.steps,
-            residual=front.mass,
         )
     return _finish(
         estimate, x,

@@ -75,7 +75,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from repro.errors import ConvergenceError, ParameterError
+from repro.errors import ParameterError
 from repro.linalg.operator import DANGLING_STRATEGIES, LinearOperatorBundle
 from repro.linalg.solvers import PageRankResult, power_iteration
 from repro.telemetry.trace import record_result
@@ -177,6 +177,8 @@ def _seed_arrays(
     if (idx < 0).any() or (idx >= n).any():
         bad = int(idx[(idx < 0) | (idx >= n)][0])
         raise ParameterError(f"seed index {bad} out of range for n={n}")
+    if not np.isfinite(w).all():
+        raise ParameterError("seed weights must be finite")
     if (w < 0).any():
         raise ParameterError("seed weights must be non-negative")
     # Accumulate duplicates (in input order, O(seeds) not O(n)), then
@@ -526,7 +528,6 @@ def _fallback(
     tol: float,
     max_iter: int,
     dangling: str,
-    raise_on_failure: bool,
     front: _Frontier | None,
     history: list[float],
     method: str,
@@ -545,7 +546,6 @@ def _fallback(
         tol=tol,
         max_iter=max_iter,
         dangling=dangling,
-        raise_on_failure=raise_on_failure,
         operator=bundle,
         x0=guess if guess.sum() > 0.0 else None,
     )
@@ -573,7 +573,6 @@ def forward_push(
     dangling: str = "teleport",
     frontier_cap: float = 0.2,
     operator: LinearOperatorBundle | None = None,
-    raise_on_failure: bool = False,
 ) -> PageRankResult:
     """Personalised PageRank/D2PR via vectorised Gauss–Southwell push.
 
@@ -614,9 +613,6 @@ def forward_push(
     operator:
         Pre-built :class:`~repro.linalg.operator.LinearOperatorBundle`;
         when omitted the memoised bundle of ``transition`` is used.
-    raise_on_failure:
-        Raise :class:`ConvergenceError` instead of returning an
-        unconverged result.
 
     Returns
     -------
@@ -656,7 +652,7 @@ def forward_push(
         return _fallback(
             bundle, t, t,
             alpha=alpha, tol=tol, max_iter=max_iter, dangling=dangling,
-            raise_on_failure=raise_on_failure, front=None, history=history,
+            front=None, history=history,
             method="forward_push_fallback", fallback="uniform_dangling",
         )
 
@@ -670,16 +666,8 @@ def forward_push(
         return _fallback(
             bundle, teleport(), front.dense(front.q + front.res),
             alpha=alpha, tol=tol, max_iter=max_iter - front.steps,
-            dangling=dangling, raise_on_failure=raise_on_failure,
-            front=front, history=history,
+            dangling=dangling, front=front, history=history,
             method="forward_push_fallback", fallback="frontier_cap",
-        )
-    if not front.converged and raise_on_failure:
-        raise ConvergenceError(
-            f"forward push did not reach tol={tol} within {max_iter} "
-            f"steps (remaining residual mass={front.mass:.3e})",
-            iterations=front.steps,
-            residual=front.mass,
         )
     total = front.q.sum()
     scores = front.dense(front.q / total) if total > 0.0 else teleport()

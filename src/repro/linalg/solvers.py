@@ -38,7 +38,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from repro.errors import ConvergenceError, ParameterError
+from repro.errors import ParameterError
 from repro.linalg.operator import (
     DANGLING_STRATEGIES,
     LinearOperatorBundle,
@@ -92,6 +92,28 @@ class PageRankResult:
         return np.argsort(-self.scores, kind="stable")
 
 
+def _unit_mass(vec, n: int, what: str) -> np.ndarray:
+    """Validate a length-``n`` mass vector and scale it to unit mass.
+
+    The one check behind every teleport, warm start and previous-scores
+    argument of the solvers: the right shape, finite, non-negative
+    entries and positive total mass.  A NaN or infinite entry passes
+    ``< 0`` and ``<= 0`` comparisons, so it is rejected explicitly — left
+    in, it turns every iterate into NaN and burns the whole budget.
+    """
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.shape != (n,):
+        raise ParameterError(f"{what} must have shape ({n},), got {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ParameterError(f"{what} entries must be finite")
+    if (vec < 0).any():
+        raise ParameterError(f"{what} entries must be non-negative")
+    total = vec.sum()
+    if total <= 0.0:
+        raise ParameterError(f"{what} must have positive mass")
+    return vec / total
+
+
 def _validate_common(
     transition: sparse.spmatrix | None,
     alpha: float,
@@ -113,31 +135,8 @@ def _validate_common(
     if teleport is None:
         t = np.full(n, 1.0 / n)
     else:
-        t = np.asarray(teleport, dtype=np.float64)
-        if t.shape != (n,):
-            raise ParameterError(
-                f"teleport must have shape ({n},), got {t.shape}"
-            )
-        if (t < 0).any():
-            raise ParameterError("teleport entries must be non-negative")
-        total = t.sum()
-        if total <= 0.0:
-            raise ParameterError("teleport vector must have positive mass")
-        t = t / total
+        t = _unit_mass(teleport, n, "teleport")
     return bundle, t
-
-
-def _normalise_x0(x0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Validate and unit-normalise a warm-start iterate (shared by solvers)."""
-    x = np.asarray(x0, dtype=np.float64)
-    if x.shape != t.shape:
-        raise ParameterError(f"x0 must have shape {t.shape}, got {x.shape}")
-    total = x.sum()
-    if not total > 0.0 or (x < 0).any():
-        raise ParameterError(
-            "x0 must be a non-negative vector with positive mass"
-        )
-    return x / total
 
 
 def validate_stochastic_rows(
@@ -167,7 +166,6 @@ def power_iteration(
     tol: float = 1e-10,
     max_iter: int = 1000,
     dangling: str = "teleport",
-    raise_on_failure: bool = False,
     operator: LinearOperatorBundle | None = None,
     x0: np.ndarray | None = None,
 ) -> PageRankResult:
@@ -189,9 +187,6 @@ def power_iteration(
         Iteration budget.
     dangling:
         One of ``"teleport"`` (default), ``"uniform"``, ``"self"``.
-    raise_on_failure:
-        When ``True``, raise :class:`ConvergenceError` instead of returning
-        a result flagged ``converged=False``.
     operator:
         Pre-built :class:`~repro.linalg.operator.LinearOperatorBundle` of
         ``transition``; when omitted the memoised bundle of the matrix
@@ -215,7 +210,7 @@ def power_iteration(
     dangle_target = bundle.dangling_target(dangling, t)
 
     mat_t = bundle.t_csr  # we repeatedly need P.T @ x
-    x = t.copy() if x0 is None else _normalise_x0(x0, t)
+    x = t.copy() if x0 is None else _unit_mass(x0, bundle.n, "x0")
     residuals: list[float] = []
     converged = False
     iterations = 0
@@ -238,13 +233,6 @@ def power_iteration(
             converged = True
             break
 
-    if not converged and raise_on_failure:
-        raise ConvergenceError(
-            f"power iteration did not reach tol={tol} "
-            f"within {max_iter} iterations (residual={residuals[-1]:.3e})",
-            iterations=iterations,
-            residual=residuals[-1],
-        )
     return PageRankResult(
         scores=x,
         iterations=iterations,
@@ -263,7 +251,6 @@ def extrapolated_power_iteration(
     max_iter: int = 1000,
     dangling: str = "teleport",
     extrapolate_every: int = 10,
-    raise_on_failure: bool = False,
     operator: LinearOperatorBundle | None = None,
 ) -> PageRankResult:
     """Power iteration with periodic Aitken Δ² extrapolation.
@@ -341,13 +328,6 @@ def extrapolated_power_iteration(
                             converged = True
                             break
 
-    if not converged and raise_on_failure:
-        raise ConvergenceError(
-            f"extrapolated power iteration did not reach tol={tol} "
-            f"within {max_iter} iterations",
-            iterations=iterations,
-            residual=residuals[-1],
-        )
     return PageRankResult(
         scores=x,
         iterations=iterations,
@@ -365,7 +345,6 @@ def gauss_seidel(
     tol: float = 1e-10,
     max_iter: int = 200,
     dangling: str = "teleport",
-    raise_on_failure: bool = False,
     operator: LinearOperatorBundle | None = None,
 ) -> PageRankResult:
     """Solve ``(I − α·P.T) r = (1−α) t`` with forward Gauss–Seidel sweeps.
@@ -408,12 +387,6 @@ def gauss_seidel(
             break
 
     x = x / x.sum()
-    if not converged and raise_on_failure:
-        raise ConvergenceError(
-            f"Gauss-Seidel did not reach tol={tol} within {max_iter} sweeps",
-            iterations=iterations,
-            residual=residuals[-1],
-        )
     return PageRankResult(
         scores=x,
         iterations=iterations,

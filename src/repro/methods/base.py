@@ -202,14 +202,14 @@ class CentralityMethod:
     # ------------------------------------------------------------------
     # operators / solving
     # ------------------------------------------------------------------
-    def matrix_key(self, group_key: tuple, clamp_min=None) -> tuple:
+    def matrix_key(self, group_key: tuple) -> tuple:
         """Graph-cache identity of the matrix ``group_key`` solves on.
 
-        The group key plus the theta clamp.  Methods whose group keys
-        end in per-solve fields drop them here, so every solve over one
-        matrix shares one bundle and one sharded operator.
+        The group key itself.  Methods whose group keys end in per-solve
+        fields drop them here, so every solve over one matrix shares one
+        bundle and one sharded operator.
         """
-        return (*group_key, clamp_min)
+        return group_key
 
     def reversible(self, graph, group_key: tuple) -> bool:
         """Whether ``group_key``'s transition on ``graph`` is reversible.
@@ -221,14 +221,14 @@ class CentralityMethod:
         """
         return False
 
-    def transition(self, graph, group_key: tuple, *, clamp_min=None):
+    def transition(self, graph, group_key: tuple):
         """Graph-cached row-stochastic transition for ``group_key``."""
         raise ReproError(  # pragma: no cover - guarded by capability flags
             f"method {self.name!r} has no stochastic transition; "
             "it solves through CentralityMethod.solve"
         )
 
-    def operator(self, graph, group_key: tuple, *, clamp_min=None):
+    def operator(self, graph, group_key: tuple):
         """Graph-cached :class:`LinearOperatorBundle` for ``group_key``.
 
         Wraps :meth:`transition`, memoised under
@@ -236,18 +236,11 @@ class CentralityMethod:
         layer shares one transpose and one set of dangling views.
         """
         return graph.operator_bundle(
-            self.matrix_key(group_key, clamp_min),
-            lambda: self.transition(graph, group_key, clamp_min=clamp_min),
+            self.matrix_key(group_key),
+            lambda: self.transition(graph, group_key),
         )
 
-    def sharded_operator(
-        self,
-        graph,
-        group_key: tuple,
-        *,
-        clamp_min=None,
-        n_shards: int = 8,
-    ):
+    def sharded_operator(self, graph, group_key: tuple, *, n_shards: int = 8):
         """Graph-cached block-partitioned operator (sharding methods).
 
         A :class:`~repro.shard.operator.ShardedOperator` over
@@ -263,13 +256,13 @@ class CentralityMethod:
         from repro.shard.operator import ShardedOperator
 
         def build():
-            bundle = self.operator(graph, group_key, clamp_min=clamp_min)
+            bundle = self.operator(graph, group_key)
             return ShardedOperator(bundle, n_shards=n_shards)
 
         return graph.cached(
             (
                 "sharded_operator",
-                *self.matrix_key(group_key, clamp_min),
+                *self.matrix_key(group_key),
                 int(n_shards),
             ),
             build,
@@ -284,13 +277,12 @@ class CentralityMethod:
         teleport: np.ndarray | None = None,
         tol: float = 1e-10,
         max_iter: int = 1000,
-        clamp_min=None,
-        raise_on_failure: bool = False,
     ):
         """Direct solve for non-batchable (spectral) methods.
 
         Returns a :class:`~repro.linalg.solvers.PageRankResult` whose
-        residual history carries this method's certificate semantics.
+        residual history carries this method's certificate semantics;
+        an exhausted budget is reported as ``converged=False``.
         """
         raise ReproError(  # pragma: no cover - guarded by capability flags
             f"method {self.name!r} solves through its operator bundle; "

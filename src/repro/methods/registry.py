@@ -74,21 +74,13 @@ def family_method(family) -> CentralityMethod:
         ) from None
 
 
-def operator_for(graph, group_key: tuple, *, clamp_min=None):
+def operator_for(graph, group_key: tuple):
     """Graph-cached operator bundle for a family-tagged group key."""
-    return family_method(group_key).operator(
-        graph, group_key, clamp_min=clamp_min
-    )
+    return family_method(group_key).operator(graph, group_key)
 
 
-def sharded_operator_for(
-    graph,
-    group_key: tuple,
-    *,
-    clamp_min=None,
-    n_shards: int = 8,
-):
+def sharded_operator_for(graph, group_key: tuple, *, n_shards: int = 8):
     """Graph-cached sharded operator for a family-tagged group key."""
     return family_method(group_key).sharded_operator(
-        graph, group_key, clamp_min=clamp_min, n_shards=n_shards
+        graph, group_key, n_shards=n_shards
     )

@@ -54,7 +54,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from repro.errors import ConvergenceError
 from repro.linalg.solvers import PageRankResult
 from repro.methods.base import CentralityMethod, MethodParams
 from repro.methods.registry import register
@@ -194,7 +193,7 @@ class _SpectralMethod(CentralityMethod):
     def group_key(self, params: MethodParams) -> tuple:
         return (self.family, bool(params.weighted))
 
-    def operator(self, graph, group_key: tuple, *, clamp_min=None):
+    def operator(self, graph, group_key: tuple):
         return adjacency_bundle(graph, weighted=group_key[-1])
 
     @staticmethod
@@ -230,8 +229,6 @@ class KatzMethod(_SpectralMethod):
         teleport=None,
         tol: float = 1e-10,
         max_iter: int = 1000,
-        clamp_min=None,
-        raise_on_failure: bool = False,
     ) -> PageRankResult:
         at = self.operator(graph, group_key).t_csr
         n = at.shape[0]
@@ -256,12 +253,6 @@ class KatzMethod(_SpectralMethod):
             if residual < tol:
                 converged = True
                 break
-        if not converged and raise_on_failure:
-            raise ConvergenceError(
-                f"katz did not reach tol={tol} within {max_iter} iterations",
-                iterations=iterations,
-                residual=residuals[-1],
-            )
         return _reported(PageRankResult(
             scores=x / x.sum(), iterations=iterations, converged=converged,
             residuals=residuals, method="katz",
@@ -289,8 +280,6 @@ class EigenvectorMethod(_SpectralMethod):
         teleport=None,
         tol: float = 1e-10,
         max_iter: int = 1000,
-        clamp_min=None,
-        raise_on_failure: bool = False,
     ) -> PageRankResult:
         at = self.operator(graph, group_key).t_csr
         n = at.shape[0]
@@ -320,13 +309,6 @@ class EigenvectorMethod(_SpectralMethod):
             if residual < tol:
                 converged = True
                 break
-        if not converged and raise_on_failure:
-            raise ConvergenceError(
-                f"eigenvector centrality did not reach tol={tol} "
-                f"within {max_iter} iterations",
-                iterations=iterations,
-                residual=residuals[-1] if residuals else float("inf"),
-            )
         return _reported(
             PageRankResult(
                 scores=x, iterations=iterations, converged=converged,
@@ -360,8 +342,6 @@ class HitsMethod(_SpectralMethod):
         teleport=None,
         tol: float = 1e-10,
         max_iter: int = 1000,
-        clamp_min=None,
-        raise_on_failure: bool = False,
     ) -> PageRankResult:
         bundle = self.operator(graph, group_key)
         adjacency = bundle.mat
@@ -391,12 +371,6 @@ class HitsMethod(_SpectralMethod):
             if residual < tol:
                 converged = True
                 break
-        if not converged and raise_on_failure:
-            raise ConvergenceError(
-                f"HITS did not reach tol={tol} within {max_iter} iterations",
-                iterations=iterations,
-                residual=residuals[-1],
-            )
         return _reported(
             PageRankResult(
                 scores=authorities, iterations=iterations,

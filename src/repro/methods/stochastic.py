@@ -86,9 +86,15 @@ def d2pr_transition(
     *,
     beta: float = 0.0,
     weighted: bool = False,
-    clamp_min: float | None = None,
 ):
     """Build the (row-stochastic) D2PR transition matrix for ``graph``.
+
+    ``theta`` is clamped from below before weighting: at 1.0 on
+    unweighted graphs (sinks count as degree-1 nodes, see DESIGN.md
+    §5.3) and at the smallest *positive* ``Θ`` on weighted graphs —
+    clamping weighted thetas at a fixed 1.0 would break the
+    scale-invariance of the formulation (multiplying all edge weights by
+    a constant must not change the scores).
 
     Parameters
     ----------
@@ -102,13 +108,6 @@ def d2pr_transition(
         weighted graphs (an unweighted ``T_conn`` is just ``p = 0``).
     weighted:
         Use stored edge weights.  ``theta`` becomes the total out-weight.
-    clamp_min:
-        Minimum ``theta`` used for weighting.  ``None`` (default) picks
-        1.0 for unweighted graphs (sinks count as degree-1 nodes, see
-        DESIGN.md §5.3) and the smallest *positive* ``Θ`` for weighted
-        graphs — clamping weighted thetas at a fixed 1.0 would break the
-        scale-invariance of the formulation (multiplying all edge weights
-        by a constant must not change the scores).
 
     Returns
     -------
@@ -124,26 +123,20 @@ def d2pr_transition(
 
     def build():
         adjacency, theta = adjacency_and_theta(graph, weighted=weighted)
-        resolved = clamp_min
-        if resolved is None:
-            if weighted:
-                positive = theta[theta > 0]
-                resolved = float(positive.min()) if positive.size else 1.0
-            else:
-                resolved = 1.0
         if weighted:
+            positive = theta[theta > 0]
+            floor = float(positive.min()) if positive.size else 1.0
             return blended_transition(
-                adjacency, p, beta, theta=theta, clamp_min=resolved
+                adjacency, p, beta, theta=theta, clamp_min=floor
             )
         return degree_decoupled_transition(
-            adjacency, p, theta=theta, clamp_min=resolved
+            adjacency, p, theta=theta, clamp_min=1.0
         )
 
     # Memoised per graph version: sweeps and repeated solves with the same
-    # (p, beta, weighted, clamp_min) reuse the built matrix.
+    # (p, beta, weighted) reuse the built matrix.
     return graph.cached(
-        ("d2pr_transition", float(p), float(beta), bool(weighted), clamp_min),
-        build,
+        ("d2pr_transition", float(p), float(beta), bool(weighted)), build
     )
 
 
@@ -154,7 +147,6 @@ def fatigued_transition(
     fatigue: float,
     beta: float = 0.0,
     weighted: bool = False,
-    clamp_min: float | None = None,
 ):
     """Row-stochastic fatigued transition, memoised on the graph cache.
 
@@ -167,9 +159,7 @@ def fatigued_transition(
     """
 
     def build():
-        base = d2pr_transition(
-            graph, p, beta=beta, weighted=weighted, clamp_min=clamp_min
-        )
+        base = d2pr_transition(graph, p, beta=beta, weighted=weighted)
         _, theta = adjacency_and_theta(graph, weighted=weighted)
         theta_max = float(theta.max()) if theta.size else 0.0
         if theta_max > 0.0:
@@ -192,7 +182,6 @@ def fatigued_transition(
             float(fatigue),
             float(beta),
             bool(weighted),
-            clamp_min,
         ),
         build,
     )
@@ -208,10 +197,10 @@ class _StochasticMethod(CentralityMethod):
     supports_sharding = True
     supports_seeds = True
 
-    def matrix_key(self, group_key: tuple, clamp_min=None) -> tuple:
+    def matrix_key(self, group_key: tuple) -> tuple:
         # The trailing dangling strategy is a per-solve choice: every
         # strategy solves on the same matrix.
-        return (*group_key[:-1], clamp_min)
+        return group_key[:-1]
 
     def reversible(self, graph, group_key: tuple) -> bool:
         # On an undirected graph every builder here re-weights the
@@ -247,11 +236,9 @@ class PageRankMethod(_StochasticMethod):
         _, p, beta, weighted, dangling = group_key
         return ("d2pr", weighted, dangling, beta, p)
 
-    def transition(self, graph, group_key: tuple, *, clamp_min=None):
+    def transition(self, graph, group_key: tuple):
         _, p, beta, weighted, _dangling = group_key
-        return d2pr_transition(
-            graph, p, beta=beta, weighted=weighted, clamp_min=clamp_min
-        )
+        return d2pr_transition(graph, p, beta=beta, weighted=weighted)
 
 
 class D2PRMethod(PageRankMethod):
@@ -292,15 +279,10 @@ class FatiguedMethod(PageRankMethod):
         _, p, fatigue, beta, weighted, dangling = group_key
         return ("fatigued", weighted, dangling, beta, fatigue, p)
 
-    def transition(self, graph, group_key: tuple, *, clamp_min=None):
+    def transition(self, graph, group_key: tuple):
         _, p, fatigue, beta, weighted, _dangling = group_key
         return fatigued_transition(
-            graph,
-            p,
-            fatigue=fatigue,
-            beta=beta,
-            weighted=weighted,
-            clamp_min=clamp_min,
+            graph, p, fatigue=fatigue, beta=beta, weighted=weighted
         )
 
 

@@ -183,7 +183,6 @@ class MicrobatchCoalescer:
         *,
         window: int = 16,
         max_iter: int = 1000,
-        clamp_min: float | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if window < 1:
@@ -191,7 +190,6 @@ class MicrobatchCoalescer:
         self._graph = graph
         self.window = window
         self.max_iter = max_iter
-        self.clamp_min = clamp_min
         # One condition variable (over a non-reentrant lock: no method
         # nests acquisition) guards every piece of mutable state below;
         # flush solves run outside it and notify on delivery.
@@ -314,9 +312,7 @@ class MicrobatchCoalescer:
         group_key, tol = tuple(key[:-1]), key[-1]
         dangling = group_key[-1]
         try:
-            bundle = operator_for(
-                self._graph, group_key, clamp_min=self.clamp_min
-            )
+            bundle = operator_for(self._graph, group_key)
             batch = power_iteration_batch(
                 bundle.mat,
                 teleports=[c.teleport for c in columns],

@@ -278,10 +278,10 @@ def _sparse_seeds(
         pairs = []
         for node, weight in seeds.items():
             weight = float(weight)
-            if weight < 0:
+            if not 0.0 <= weight < np.inf:
                 raise ParameterError(
-                    f"teleport weight for {node!r} must be >= 0, "
-                    f"got {weight}"
+                    f"teleport weight for {node!r} must be finite and "
+                    f">= 0, got {weight}"
                 )
             pairs.append((graph.index_of(node), weight))
         idx = np.array([i for i, _ in pairs], dtype=np.int64)

@@ -228,6 +228,12 @@ class ServingTicket:
 class RankingService:
     """Serve ranking queries over one graph with planning, batching, caching.
 
+    The service builds its own :class:`~repro.serving.planner.QueryPlanner`,
+    :class:`~repro.serving.cache.ResultCache` and
+    :class:`~repro.serving.coalescer.MicrobatchCoalescer` from the scalar
+    options below; every transition uses the fixed theta clamp of
+    :func:`~repro.methods.stochastic.d2pr_transition`.
+
     Parameters
     ----------
     graph:
@@ -235,9 +241,6 @@ class RankingService:
         :meth:`apply_delta`; a mutation behind the service's back is
         detected by the mutation counter and simply evicts affected
         cache entries (never serves stale answers).
-    planner / cache / coalescer:
-        Injectable components; defaults are constructed from the scalar
-        options below.
     window:
         Microbatch flush threshold (see
         :class:`~repro.serving.coalescer.MicrobatchCoalescer`).
@@ -250,7 +253,10 @@ class RankingService:
         a sizeable fraction of the graph contracts no faster than the
         warm re-solve it would fall back to).
     max_iter:
-        Iteration budget forwarded to every solver.
+        Iteration budget forwarded to every solver.  A fresh or
+        incremental answer that exhausts it raises
+        :class:`~repro.errors.ConvergenceError` and is never cached; the
+        solvers themselves only report ``converged=False``.
     sharding:
         Serve global (uniform-teleport) rankings through block-partitioned
         operators (:func:`~repro.methods.sharded_operator_for`) and the
@@ -269,6 +275,10 @@ class RankingService:
         every applied delta into (after the graph commit), enabling
         :meth:`warm_start` recovery of mutations a checkpoint has not
         absorbed.  :meth:`checkpoint` arms one automatically.
+    tracer / tracing / trace_capacity:
+        Request tracing: pass a :class:`~repro.telemetry.trace.Tracer`,
+        or ``tracing=True`` for a private one that traces every request
+        and keeps the last ``trace_capacity`` traces.
 
     The service is a context manager (``with RankingService(g) as
     svc:``); see :meth:`close`.
@@ -278,14 +288,10 @@ class RankingService:
         self,
         graph: BaseGraph,
         *,
-        planner: QueryPlanner | None = None,
-        cache: ResultCache | None = None,
-        coalescer: MicrobatchCoalescer | None = None,
         window: int = 16,
         cache_capacity: int = 128,
         localized_fraction: float = 0.05,
         max_iter: int = 1000,
-        clamp_min: float | None = None,
         sharding: bool = False,
         n_shards: int = 8,
         shard_method: str = "blocked",
@@ -294,7 +300,6 @@ class RankingService:
         telemetry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         tracing: bool = False,
-        trace_sample: int = 1,
         trace_capacity: int = 256,
     ) -> None:
         graph.require_nonempty()
@@ -327,24 +332,17 @@ class RankingService:
             self._tracer: Tracer | None = tracer
         elif tracing:
             self._tracer = Tracer(
-                sample_every=trace_sample,
-                capacity=trace_capacity,
-                metrics=self._telemetry,
+                capacity=trace_capacity, metrics=self._telemetry
             )
         else:
             self._tracer = None
-        self._planner = planner or QueryPlanner()
-        self._cache = cache or ResultCache(
+        self._planner = QueryPlanner()
+        self._cache = ResultCache(
             capacity=cache_capacity, metrics=self._telemetry
         )
-        self._coalescer = coalescer or MicrobatchCoalescer(
-            graph,
-            window=window,
-            max_iter=max_iter,
-            clamp_min=clamp_min,
-            metrics=self._telemetry,
+        self._coalescer = MicrobatchCoalescer(
+            graph, window=window, max_iter=max_iter, metrics=self._telemetry
         )
-        self._clamp_min = clamp_min
         self._localized_fraction = localized_fraction
         self._max_iter = max_iter
         self._sharding = bool(sharding)
@@ -595,9 +593,7 @@ class RankingService:
     def _bundle(self, group_key: tuple):
         from repro.methods import operator_for  # local: avoids cycle
 
-        return operator_for(
-            self._graph, group_key, clamp_min=self._clamp_min
-        )
+        return operator_for(self._graph, group_key)
 
     def _sharded(self, group_key: tuple):
         """The block-partitioned operator for ``group_key``, or ``None``.
@@ -623,10 +619,7 @@ class RankingService:
         ):
             return None
         return sharded_operator_for(
-            self._graph,
-            group_key,
-            clamp_min=self._clamp_min,
-            n_shards=self._n_shards,
+            self._graph, group_key, n_shards=self._n_shards
         )
 
     @staticmethod
@@ -689,7 +682,6 @@ class RankingService:
             teleport=query.dense_teleport(),
             tol=request.tol,
             max_iter=self._max_iter,
-            clamp_min=self._clamp_min,
         )
 
     def _solve_push(self, query: CanonicalQuery, plan, entry):

@@ -219,7 +219,6 @@ def sharded_solve(
     inner_sweeps: int = _DEFAULT_INNER_SWEEPS,
     aggregate: bool = True,
     size_floor: int = DEFAULT_SIZE_FLOOR,
-    raise_on_failure: bool = False,
 ) -> PageRankResult:
     """Solve the PageRank fixed point by sharded block relaxation.
 
@@ -275,7 +274,6 @@ def sharded_solve(
                 tol=tol,
                 max_iter=max_iter * inner_sweeps,
                 dangling=dangling,
-                raise_on_failure=raise_on_failure,
                 operator=bundle,
             )
             return record_result(
@@ -367,13 +365,6 @@ def sharded_solve(
             break
 
     scores = x / x.sum()
-    if not converged and raise_on_failure:
-        raise ConvergenceError(
-            f"sharded solve did not reach tol={tol} within {max_iter} "
-            f"rounds (residual={residuals[-1]:.3e})",
-            iterations=rounds,
-            residual=residuals[-1],
-        )
     # Per-round geometric contraction rate of the residual — the shard
     # coupling statistic: ~alpha for well-mixed partitions, drifting
     # toward 1 when cross-shard mass slows the sweep down.

@@ -165,8 +165,8 @@ class TestOneOperatorBuilder:
         )
         transitions = [k for k in g._cache if k[0].endswith("_transition")]
         bundles = [k for k in g._cache if k[0] == "operator"]
-        assert transitions == [("d2pr_transition", 0.0, beta, weighted, None)]
-        assert bundles == [("operator", "d2pr", 0.0, beta, weighted, None)]
+        assert transitions == [("d2pr_transition", 0.0, beta, weighted)]
+        assert bundles == [("operator", "d2pr", 0.0, beta, weighted)]
 
     def test_repeat_predecessor_reads_do_no_fingerprint_work(
         self, monkeypatch

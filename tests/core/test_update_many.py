@@ -128,14 +128,12 @@ def test_weighted_block(rng):
         RankQuery(p=1.0, weighted=True, beta=0.5),
         RankQuery(p=1.0, weighted=True, beta=0.5, alpha=0.7),
     ]
-    previous = solve_many(graph, queries, clamp_min=1.0)
+    previous = solve_many(graph, queries)
     er, ec, _ = graph.edge_arrays()
     delta = GraphDelta.reweight(
         er[:4], ec[:4], np.full(4, 2.5)
     )
-    updated = update_scores_many(
-        previous, delta, queries, clamp_min=1.0
-    )
-    cold = solve_many(graph, queries, clamp_min=1.0)
+    updated = update_scores_many(previous, delta, queries)
+    cold = solve_many(graph, queries)
     for got, ref in zip(updated, cold):
         assert np.abs(got.values - ref.values).max() < 1e-8

@@ -324,7 +324,7 @@ class TestCacheRefresh:
         pagerank(grid_digraph)
         delta = self._delta_for(grid_digraph, rng)
         stats = grid_digraph.apply_delta(delta)
-        assert ("operator", "d2pr", 0.0, 0.0, False, None) in stats[
+        assert ("operator", "d2pr", 0.0, 0.0, False) in stats[
             "refreshed"
         ]
         fresh = _rebuilt(grid_digraph)
@@ -352,7 +352,7 @@ class TestCacheRefresh:
             GraphDelta.delete(er[:2], ec[:2])
             | GraphDelta.reweight(er[2:4], ec[2:4], np.full(2, 7.0))
         )
-        key = ("d2pr_transition", p, beta, True, None)
+        key = ("d2pr_transition", p, beta, True)
         assert key in stats["refreshed"]
         assert ("operator", "d2pr", *key[1:]) in stats["refreshed"]
         fresh = _rebuilt(g)
@@ -414,7 +414,7 @@ class TestCacheRefresh:
             stats = grid_graph.apply_delta(
                 self._delta_for(grid_graph, rng)
             )
-            assert ("d2pr_transition", 1.5, 0.0, False, None) in stats[
+            assert ("d2pr_transition", 1.5, 0.0, False) in stats[
                 "refreshed"
             ]
         fresh = _rebuilt(grid_graph)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.d2pr import d2pr_transition
-from repro.errors import ConvergenceError, ParameterError
+from repro.errors import ParameterError
 from repro.graph import Graph
 from repro.linalg import (
     DANGLING_STRATEGIES,
@@ -136,13 +136,6 @@ class TestMixedConvergence:
         np.testing.assert_allclose(
             batch.scores[:, 0], seq.scores, atol=1e-12, rtol=0
         )
-
-    def test_raise_on_failure(self, transition):
-        with pytest.raises(ConvergenceError):
-            power_iteration_batch(
-                transition, alphas=[0.1, 0.999], max_iter=20,
-                raise_on_failure=True,
-            )
 
     def test_residual_histories_have_per_column_length(self, transition):
         batch = power_iteration_batch(transition, alphas=[0.3, 0.95])
@@ -494,11 +487,6 @@ class TestChebyshev:
         )
         assert not batch.converged.any()
         assert (batch.iterations == 5).all()
-        with pytest.raises(ConvergenceError):
-            power_iteration_batch(
-                undirected, [rng.random(n)], tol=1e-14, max_iter=5,
-                reversible=True, raise_on_failure=True,
-            )
 
     def test_scores_non_negative_on_long_ring(self):
         """Chebyshev over-relaxation would dip tiny entries below zero."""

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import d2pr, update_scores
 from repro.core.d2pr import d2pr_operator
-from repro.errors import ConvergenceError, FrozenGraphError, ParameterError
+from repro.errors import FrozenGraphError, ParameterError
 from repro.graph import DiGraph, Graph, GraphDelta
 from repro.linalg import incremental_update, power_iteration, residual_vector
 from repro.linalg.operator import LinearOperatorBundle
@@ -124,16 +124,17 @@ class TestIncrementalUpdate:
         assert result.converged
         assert result.iterations <= 2
 
-    def test_raise_on_failure(self, rng):
+    def test_exhausted_budget_reported(self, rng):
         g = _random_graph(Graph, 60, 300, rng)
         old = d2pr(g, 0.0, tol=1e-10)
         g.apply_delta(_random_delta(g, rng))
         bundle = d2pr_operator(g, 0.0)
-        with pytest.raises(ConvergenceError):
-            incremental_update(
-                None, old.values, alpha=0.85, tol=1e-14, max_iter=1,
-                operator=bundle, frontier_cap=1.0, raise_on_failure=True,
-            )
+        result = incremental_update(
+            None, old.values, alpha=0.85, tol=1e-14, max_iter=1,
+            operator=bundle, frontier_cap=1.0,
+        )
+        assert not result.converged
+        assert result.iterations == 1
 
     def test_bad_previous_rejected(self, cycle_digraph):
         bundle = d2pr_operator(cycle_digraph, 0.0)
@@ -192,18 +193,15 @@ class TestUpdateScoresProperty:
         rng = np.random.default_rng(seed)
         g = _random_graph(Graph, 80, 400, rng, weighted=True)
         tol = 1e-11
-        previous = d2pr(g, 0.5, beta=0.3, weighted=True,
-                        clamp_min=1.0, tol=tol)
+        previous = d2pr(g, 0.5, beta=0.3, weighted=True, tol=tol)
         delta = _random_delta(g, rng)
         updated = update_scores(
-            previous, delta, p=0.5, beta=0.3, weighted=True,
-            clamp_min=1.0, tol=tol,
+            previous, delta, p=0.5, beta=0.3, weighted=True, tol=tol
         )
         fresh = Graph.from_arrays(
             *g.edge_arrays(), num_nodes=g.number_of_nodes
         )
-        cold = d2pr(fresh, 0.5, beta=0.3, weighted=True,
-                    clamp_min=1.0, tol=tol)
+        cold = d2pr(fresh, 0.5, beta=0.3, weighted=True, tol=tol)
         assert np.abs(updated.values - cold.values).max() < 100 * tol
 
     def test_frozen_graph_raises(self, rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.d2pr import d2pr, d2pr_operator, d2pr_transition
-from repro.errors import ConvergenceError, ParameterError
+from repro.errors import ParameterError
 from repro.graph import DiGraph, Graph
 from repro.linalg import forward_push, power_iteration
 
@@ -140,15 +140,6 @@ class TestCertificate:
         result = forward_push(t, 0, tol=1e-14, max_iter=2, frontier_cap=1.0)
         assert not result.converged
         assert result.iterations == 2
-
-    def test_raise_on_failure(self):
-        g = _random_digraph(200, 1000, seed=6)
-        t = d2pr_transition(g, 0.0)
-        with pytest.raises(ConvergenceError):
-            forward_push(
-                t, 0, tol=1e-14, max_iter=2, frontier_cap=1.0,
-                raise_on_failure=True,
-            )
 
 
 class TestFallback:

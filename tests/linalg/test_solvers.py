@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConvergenceError, ParameterError
+from repro import RankingService, RankQuery, RankRequest, d2pr, solve_many
+from repro.errors import ParameterError
 from repro.graph import DiGraph, Graph, erdos_renyi
 from repro.linalg import (
     direct_solve,
@@ -17,6 +18,9 @@ from repro.linalg import (
     power_iteration,
     uniform_transition,
 )
+from repro.linalg.batch import power_iteration_batch
+from repro.linalg.incremental import incremental_update
+from repro.linalg.push import forward_push
 
 
 def _transition(graph):
@@ -78,15 +82,6 @@ class TestPowerIteration:
         )
         assert not result.converged
         assert result.iterations == 3
-
-    def test_raise_on_failure(self, figure1_graph):
-        with pytest.raises(ConvergenceError):
-            power_iteration(
-                _transition(figure1_graph),
-                tol=1e-16,
-                max_iter=2,
-                raise_on_failure=True,
-            )
 
     def test_unknown_dangling_strategy_rejected(self, dangling_digraph):
         with pytest.raises(ParameterError):
@@ -254,3 +249,51 @@ def test_power_iteration_matches_direct_on_random_digraphs(edges, alpha):
     pw = power_iteration(t, alpha=alpha, tol=1e-13, max_iter=5000)
     ds = direct_solve(t, alpha=alpha)
     assert np.allclose(pw.scores, ds.scores, atol=1e-7)
+
+
+def _poisoned(n: int, bad: float) -> np.ndarray:
+    vec = np.full(n, 1.0 / n)
+    vec[1] = bad
+    return vec
+
+
+_NON_FINITE_CASES = {
+    "power_iteration": lambda g, bad: power_iteration(
+        _transition(g), teleport=_poisoned(g.number_of_nodes, bad)
+    ),
+    "power_iteration_x0": lambda g, bad: power_iteration(
+        _transition(g), x0=_poisoned(g.number_of_nodes, bad)
+    ),
+    "power_iteration_batch": lambda g, bad: power_iteration_batch(
+        _transition(g), [_poisoned(g.number_of_nodes, bad)]
+    ),
+    "solve_many": lambda g, bad: solve_many(
+        g, [RankQuery(teleport=_poisoned(g.number_of_nodes, bad))]
+    ),
+    "d2pr": lambda g, bad: d2pr(g, 1.0, teleport={"A": 1.0, "B": bad}),
+    "forward_push": lambda g, bad: forward_push(
+        _transition(g), {0: 1.0, 1: bad}
+    ),
+    "forward_push_dense": lambda g, bad: forward_push(
+        _transition(g), _poisoned(g.number_of_nodes, bad)
+    ),
+    "incremental_update": lambda g, bad: incremental_update(
+        _transition(g), _poisoned(g.number_of_nodes, bad)
+    ),
+    "rank_request": lambda g, bad: RankingService(g).rank(
+        RankRequest(p=1.0, seeds={"A": 1.0, "B": bad})
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_CASES))
+def test_non_finite_input_rejected(figure1_graph, case, bad):
+    """A NaN/inf teleport, seed or start vector fails fast.
+
+    NaN passes both ``< 0`` and ``<= 0`` checks, so without an explicit
+    finiteness check every solver ran its whole budget and returned NaN
+    scores, and the planner dropped a NaN seed and served the rest.
+    """
+    with pytest.raises(ParameterError, match="finite"):
+        _NON_FINITE_CASES[case](figure1_graph, bad)

@@ -142,7 +142,7 @@ def test_fatigued_sharded_operator_from_base_class(community_digraph):
     key = ("fatigued", 0.0, 0.5, 0.0, False, "teleport")
     sharded = sharded_operator_for(g, key, n_shards=4)
     assert sharded is sharded_operator_for(g, key, n_shards=4)
-    assert ("sharded_operator", *key[:-1], None, 4) in g._cache
+    assert ("sharded_operator", *key[:-1], 4) in g._cache
 
 
 def test_sharded_operator_caches_no_plan(community_digraph):

@@ -147,6 +147,29 @@ if grep -rnE 'RankingService|RankRequest|self\.service|config\.solver' src/repro
 fi
 echo "src/repro/recsys/ lines: $(cat src/repro/recsys/*.py | wc -l)"
 
+# No option without a caller: the paper's Eq. (1) has two parameters, p
+# and beta.  The theta clamp is fixed (1.0 unweighted, the smallest
+# positive theta weighted), solvers report an exhausted budget through
+# converged=False, and the service builds its own planner, cache and
+# coalescer.  Fail if raise_on_failure returns under src/repro/, if
+# clamp_min appears outside the paper-era builders in linalg/transition.py
+# and their call in methods/stochastic.py, or if trace_sample returns to
+# the serving layer.
+if grep -rn --include='*.py' 'raise_on_failure' src/repro/; then
+    echo "FAIL: raise_on_failure reappeared under src/repro/; report through converged" >&2
+    exit 1
+fi
+if grep -rn --include='*.py' 'clamp_min' src/repro/ \
+        | grep -vE '^src/repro/linalg/transition\.py:' \
+        | grep -vE '^src/repro/methods/stochastic\.py:[0-9]+: .*theta=theta, clamp_min=(floor|1\.0)$'; then
+    echo "FAIL: a clamp_min option reappeared under src/repro/" >&2
+    exit 1
+fi
+if grep -rn --include='*.py' 'trace_sample' src/repro/serving/; then
+    echo "FAIL: trace_sample reappeared under src/repro/serving/" >&2
+    exit 1
+fi
+
 python -m pytest -x -q
 
 # Re-run the multi-threaded stress suite under a hard watchdog: a

@@ -51,7 +51,7 @@ __all__ = [
     "adjacency_and_theta",
 ]
 
-SOLVERS = ("power", "gauss_seidel", "direct", "push", "sharded")
+SOLVERS = ("power", "gauss_seidel", "direct", "push")
 
 
 def build_teleport(
@@ -117,14 +117,6 @@ def solve_transition(
     the low-latency path for sparse personalised teleports; a ``None``
     (uniform) teleport or a non-localized query falls back to power
     iteration inside the push solver itself.
-
-    ``solver="sharded"`` routes to
-    :func:`~repro.shard.solver.sharded_solve` — block relaxation with the
-    aggregation/disaggregation coarse correction over a
-    :class:`~repro.shard.operator.ShardedOperator`.  Sharding options
-    (``sharded``, ``n_shards``, ``inner_sweeps``, ``aggregate``,
-    ``size_floor``) pass through ``extra``; below the size floor it
-    falls back transparently to the monolithic power path.
     """
     if solver == "power":
         return power_iteration(
@@ -143,7 +135,7 @@ def solve_transition(
             alpha=alpha,
             teleport=teleport,
             tol=tol,
-            max_iter=max(max_iter, 1),
+            max_iter=max_iter,
             dangling=dangling,
             operator=operator,
             **extra,
@@ -182,21 +174,6 @@ def solve_transition(
             tol=tol,
             max_iter=max_iter,
             dangling=dangling,
-            operator=operator,
-            **extra,
-        )
-    if solver == "sharded":
-        from repro.shard.solver import sharded_solve  # local: keep the
-        # shard package off the default import path of every non-sharded
-        # caller.
-
-        return sharded_solve(
-            transition,
-            alpha=alpha,
-            teleport=teleport,
-            dangling=dangling,
-            tol=tol,
-            max_iter=max_iter,
             operator=operator,
             **extra,
         )

@@ -174,7 +174,10 @@ class BaseGraph:
         changes through the classic mutators (node added, edge
         added/re-weighted, bulk ingestion), so ``key`` only needs to
         encode the *parameters* of the derived object — e.g.
-        ``("d2pr_transition", p, beta, weighted)`` — not the graph state.
+        ``("operator", "d2pr", p, beta, weighted)`` — not the graph state.
+        Each matrix has one entry: a transition lives only inside its
+        operator bundle, and ``("theta", weighted)`` holds only theta,
+        not the ``("csr", weighted)`` adjacency beside it.
         The streaming path (:meth:`apply_delta`) instead *refreshes*
         known entries: it stores deferred patch thunks that this method
         resolves transparently on first access, so a refreshed entry is
@@ -198,29 +201,6 @@ class BaseGraph:
             self._cache_hits += 1
             return value
 
-    def operator_bundle(
-        self, key: tuple, transition_builder: Callable[[], Any]
-    ) -> Any:
-        """Memoised solver-operator views of a transition built from this graph.
-
-        Wraps the matrix returned by ``transition_builder()`` in a
-        :class:`~repro.linalg.operator.LinearOperatorBundle` — the cached
-        CSR-transpose / CSC views and dangling masks/targets every
-        single-query solver needs — and memoises it on this graph's
-        mutation-aware cache under ``("operator", *key)``.  The bundle
-        therefore invalidates on exactly the same mutation-counter bumps as
-        the transition caches, and mutation of a frozen graph raises
-        :class:`~repro.errors.FrozenGraphError` before it could ever
-        desynchronise a handed-out bundle.  ``key`` must encode the same
-        parameters as the transition it wraps.
-        """
-        from repro.linalg.operator import LinearOperatorBundle
-
-        return self.cached(
-            ("operator", *key),
-            lambda: LinearOperatorBundle.of(transition_builder()),
-        )
-
     def invalidate_caches(self) -> None:
         """Drop all cached derived objects and bump the mutation counter.
 
@@ -236,7 +216,7 @@ class BaseGraph:
         re-weights are validated and folded into the columnar edge store
         in one vectorised pass, and — unlike the classic mutators, which
         evict the whole derived-object cache — the known cached matrices
-        (COO/CSR exports, transition matrices, operator bundles) are
+        (CSR exports, theta vectors, D2PR operator bundles) are
         **refreshed** with surgically patched replacements: only rows the
         delta actually touches are recomputed, untouched rows are
         block-copied.  ``mutation_count`` still bumps once, cached objects

@@ -609,10 +609,6 @@ class _RefreshPlan:
         self.touched = touched
         self._scan: tuple | None = None
         self._thetas: dict[bool, np.ndarray] = {}
-        # Correction matrices remembered per transition cache key, so the
-        # operator-bundle refresh can patch the cached transpose in place
-        # (old.t_csr + D.T) instead of lazily rebuilding it from scratch.
-        self._corrections: dict[tuple, sparse.csr_matrix] = {}
 
     # -- changed-row scan ------------------------------------------------
     def _ensure_scan(self) -> tuple:
@@ -666,39 +662,20 @@ class _RefreshPlan:
         return self._scan
 
     # -- building blocks -------------------------------------------------
-    def patched(
-        self,
-        mat: sparse.csr_matrix,
-        new_vals: np.ndarray,
-        remember: tuple | None = None,
-    ):
-        """``mat`` with the changed rows replaced by ``new_vals``.
+    def correction(
+        self, mat: sparse.csr_matrix, new_vals: np.ndarray
+    ) -> sparse.csr_matrix:
+        """``D = new_rows − old_rows`` over the changed rows of ``mat``.
 
-        Assembled as ``mat + D`` with ``D = new_rows − old_rows`` — one
-        scipy C merge over the stored entries; exact cancellations
-        (rows recomputed without an actual change, deleted entries) are
-        pruned so row emptiness still identifies dangling nodes.
-        ``remember`` keeps the correction ``D`` under a cache key so the
-        matching operator-bundle refresh can patch its cached transpose
-        as ``old.t_csr + D.T`` (see :func:`_refresh_bundle`).
+        ``mat + D`` replaces the changed rows by ``new_vals`` in one
+        scipy C merge over the stored entries.
         """
         changed, r_sub, c_sub, _, _, _, _, _ = self._ensure_scan()
         old_sub = mat[changed].tocoo()
         d_rows = np.concatenate([changed[old_sub.row], r_sub])
         d_cols = np.concatenate([old_sub.col.astype(np.int64), c_sub])
         d_data = np.concatenate([-old_sub.data, new_vals])
-        correction = sparse.csr_matrix(
-            (d_data, (d_rows, d_cols)), shape=mat.shape
-        )
-        if remember is not None:
-            self._corrections[remember] = correction
-        out = mat + correction
-        out.eliminate_zeros()
-        return out
-
-    def correction(self, key: tuple) -> sparse.csr_matrix | None:
-        """The remembered correction ``D`` of a refreshed transition."""
-        return self._corrections.get(key)
+        return sparse.csr_matrix((d_data, (d_rows, d_cols)), shape=mat.shape)
 
     def theta(self, weighted: bool, old_theta: np.ndarray | None):
         got = self._thetas.get(weighted)
@@ -729,14 +706,14 @@ class _RefreshPlan:
         return w_sub if weighted else np.ones_like(w_sub)
 
     def transition_vals(self, key: tuple) -> np.ndarray:
-        """New changed-row values for a cached transition entry."""
+        """New changed-row values of the D2PR transition ``key``."""
         from repro.linalg.transition import segment_softmax_weights
 
         _, _, c_sub, w_sub, sub_indptr, lengths, sums, _ = (
             self._ensure_scan()
         )
-        # ("d2pr_transition", p, beta, weighted); the conventional walk
-        # is its p = 0 (beta = 1 when weighted) point.
+        # ("d2pr", p, beta, weighted); the conventional walk is its
+        # p = 0 (beta = 1 when weighted) point.
         _, p, beta, weighted = key
         blend = weighted and beta != 0.0
         if blend:
@@ -755,57 +732,24 @@ class _RefreshPlan:
         return decoupled
 
 
-def _resolve(value):
-    """Materialise a possibly-pending cache value (chained deltas nest)."""
-    from repro.graph.base import PendingRefresh
-
-    if type(value) is PendingRefresh:
-        return value.resolve()
-    return value
-
-
-def _resolve_entry(graph, key: tuple):
-    value = _resolve(graph._cache[key])
-    graph._cache[key] = value
-    return value
-
-
-def _refresh_bundle(graph, plan: _RefreshPlan, trans_key: tuple, old_bundle):
-    """Rebuild an operator bundle over its refreshed transition.
-
-    Resolving the transition entry first materialises its patched matrix
-    (and remembers the correction ``D`` on the plan); if the predecessor
-    bundle had already built its CSR transpose, the new bundle's is
-    seeded in place as ``old.t_csr + D.T`` — the ROADMAP follow-up that
-    spares the power-iteration fallback the full post-delta
-    ``P.T.tocsr()`` rebuild.
-    """
-    from repro.linalg.operator import LinearOperatorBundle
-
-    mat = _resolve_entry(graph, trans_key)
-    bundle = LinearOperatorBundle.of(mat)
-    correction = plan.correction(trans_key)
-    if correction is not None:
-        bundle.seed_transpose_from(old_bundle, correction)
-    return bundle
-
-
 def _refresh_caches(graph, touched: np.ndarray, stats: dict) -> None:
     """Queue patched replacements for known cache entries; drop the rest.
 
-    Entries are replaced by :class:`~repro.graph.base.PendingRefresh`
-    thunks sharing one :class:`_RefreshPlan`, so ``apply_delta`` itself
-    pays only the canonical-store merge; each cached matrix is patched
-    on first access after the delta.  An entry *still pending* when the
-    next delta lands was not read in between — it is evicted rather than
-    chained, which caps retained plan state at one layer per entry (a
-    chain would hold one store snapshot per delta and replay every
-    deferred patch on first access).  The raw ``("coo",)`` triple is
-    dropped rather than patched: rebuilding it on demand from the
-    columnar store costs the same pass.
+    Three kinds are patched: ``("csr", w)``, ``("theta", w)`` and the
+    D2PR bundles ``("operator", "d2pr", p, beta, w)``, each the one
+    entry of its object.  Entries are replaced by
+    :class:`~repro.graph.base.PendingRefresh` thunks sharing one
+    :class:`_RefreshPlan`, so ``apply_delta`` itself pays only the
+    canonical-store merge; each entry is patched on first access after
+    the delta.  An entry *still pending* when the next delta lands was
+    not read in between — it is evicted rather than chained, which caps
+    retained plan state at one layer per entry (a chain would hold one
+    store snapshot per delta and replay every deferred patch on first
+    access).  The raw ``("coo",)`` triple is dropped rather than
+    patched: rebuilding it on demand from the columnar store costs the
+    same pass.
     """
     from repro.graph.base import PendingRefresh
-    from repro.linalg.operator import LinearOperatorBundle
 
     old = graph._cache
     graph._cache = {}
@@ -819,69 +763,36 @@ def _refresh_caches(graph, touched: np.ndarray, stats: dict) -> None:
         touched=touched,
     )
 
-    def defer(build) -> PendingRefresh:
-        return PendingRefresh(build)
-
-    from repro.graph.base import PendingRefresh as _Pending
-
-    transition_keys: set[tuple] = set()
-    # Operators last: they must only survive when their transition entry
-    # did (a dropped weighted transition drops its bundle).
-    ordered = sorted(old.items(), key=lambda kv: kv[0][0] == "operator")
-    for key, value in ordered:
+    for key, value in old.items():
         kind = key[0]
-        new_value = None
-        if type(value) is _Pending:
+        build = None
+        if type(value) is PendingRefresh:
             # Still unresolved since the previous delta: nobody read this
             # entry in between, so it is not hot — evict instead of
-            # chaining (a chain would retain one O(m) store snapshot per
-            # delta and pay every deferred patch pass on first access).
+            # chaining.
+            pass
+        elif kind == "csr":
+            def build(mat=value, weighted=key[1]):
+                out = mat + plan.correction(mat, plan.adjacency_vals(weighted))
+                out.eliminate_zeros()
+                return out
+        elif kind == "theta":
+            def build(theta=value, weighted=key[1]):
+                return plan.theta(bool(weighted), theta)
+        elif key[:2] == ("operator", "d2pr"):
+            _, _, p, beta, weighted = key
+            # A weighted clamp is the global minimum positive theta,
+            # which the delta may have moved: every row could change, so
+            # that bundle is evicted.  (At p = 0 or beta = 1 the clamp
+            # cannot reach the matrix.)
+            if not (weighted and p != 0.0 and beta != 1.0):
+                def build(bundle=value, key=key):
+                    vals = plan.transition_vals(key[1:])
+                    return bundle.corrected(
+                        plan.correction(bundle.mat, vals)
+                    )
+        if build is None:
             stats["dropped"].append(key)
             continue
-        if kind == "csr":
-            weighted = key[1]
-            new_value = defer(
-                lambda value=value, weighted=weighted: plan.patched(
-                    _resolve(value), plan.adjacency_vals(weighted)
-                )
-            )
-        elif kind == "adj_theta":
-            weighted = key[1]
-            if ("csr", weighted) in old:
-                new_value = defer(
-                    lambda value=value, weighted=weighted: (
-                        _resolve_entry(graph, ("csr", weighted)),
-                        plan.theta(bool(weighted), _resolve(value)[1]),
-                    )
-                )
-        elif kind == "d2pr_transition":
-            _, p, beta, weighted = key
-            if weighted and p != 0.0 and beta != 1.0:
-                # The scale-safe clamp is the global minimum positive
-                # theta, which the delta may have moved: every row could
-                # change, so evict this entry instead.  (At p = 0 or
-                # beta = 1 the clamp cannot reach the matrix.)
-                new_value = None
-            else:
-                transition_keys.add(key)
-                new_value = defer(
-                    lambda value=value, key=key: plan.patched(
-                        _resolve(value), plan.transition_vals(key),
-                        remember=key,
-                    )
-                )
-        elif kind == "operator":
-            # ("operator", "d2pr", *params) wraps ("d2pr_transition",
-            # *params); other bundles are dropped.
-            trans_key = ("d2pr_transition", *key[2:])
-            if key[1] == "d2pr" and trans_key in transition_keys:
-                new_value = defer(
-                    lambda trans_key=trans_key, old=value: _refresh_bundle(
-                        graph, plan, trans_key, old
-                    )
-                )
-        if new_value is None:
-            stats["dropped"].append(key)
-            continue
-        graph._cache[key] = new_value
+        graph._cache[key] = PendingRefresh(build)
         stats["refreshed"].append(key)

@@ -54,6 +54,7 @@ from repro.linalg.operator import LinearOperatorBundle
 from repro.linalg.solvers import (
     DANGLING_STRATEGIES,
     PageRankResult,
+    _check_budget,
     _unit_mass,
 )
 from repro.telemetry.trace import record_solver
@@ -490,6 +491,7 @@ def power_iteration_batch(
     """
     bundle = LinearOperatorBundle.resolve(transition, operator)
     n = bundle.n
+    _check_budget(tol, max_iter)
     if dangling not in DANGLING_STRATEGIES:
         raise ParameterError(
             f"unknown dangling strategy {dangling!r}; "

@@ -211,7 +211,9 @@ def incremental_update(
         counts push epochs and local solves (plus fallback sweeps) and
         ``residuals`` the remaining signed residual mass after each.
     """
-    bundle, t = _validate_common(transition, alpha, teleport, operator)
+    bundle, t = _validate_common(
+        transition, alpha, teleport, operator, tol=tol, max_iter=max_iter
+    )
     n = bundle.n
     if dangling not in DANGLING_STRATEGIES:
         raise ParameterError(

@@ -18,9 +18,10 @@ call even though the transition itself was cached on the graph.
   bundle with zero extra bookkeeping, and the bundle's lifetime is the
   matrix's lifetime (a graph mutation rebuilds the transition, which
   abandons the old bundle with it);
-* graph-level callers go through :meth:`repro.graph.base.BaseGraph.
-  operator_bundle`, which keys the bundle on the graph's mutation-aware
-  cache so it invalidates exactly like the transition caches.
+* graph-level callers go through
+  :meth:`repro.methods.CentralityMethod.operator`, which caches the
+  bundle as the matrix's one entry in the graph's mutation-aware cache;
+  :meth:`LinearOperatorBundle.corrected` carries it across a delta.
 
 Cached views are shared between callers and must be treated as read-only —
 the same copy-before-mutate contract as the graph matrix cache
@@ -295,42 +296,29 @@ class LinearOperatorBundle:
             self._t_csr = self._mat.T.tocsr()
         return self._t_csr
 
-    def seed_transpose_from(
-        self,
-        old_bundle: "LinearOperatorBundle | object",
-        correction: sparse.spmatrix,
-    ) -> bool:
-        """Patch the cached ``P.T`` from a predecessor bundle's transpose.
+    def corrected(self, correction: sparse.spmatrix) -> "LinearOperatorBundle":
+        """The bundle of ``mat + correction``, attached to the new matrix.
 
-        The streaming-refresh fast path: when this bundle wraps
-        ``old.mat + correction`` (the invariant of the graph's
-        delta-aware cache refresh, see ``graph/delta.py``) and the old
-        bundle had already built its transpose, the new transpose is
-        exactly ``old.t_csr + correction.T`` — one sparse merge over the
-        stored entries plus an O(correction-nnz) conversion, instead of
-        the full CSC→CSR transpose rebuild the first post-delta power
-        sweep used to pay.  Entry values match the lazy rebuild exactly:
-        both sides add the same float pairs the forward patch added.
-
-        Returns ``True`` when the transpose is (or already was) seeded;
-        ``False`` when the predecessor never built its transpose or a
-        consistency check fails — in either case the lazy rebuild on
-        first access still applies, so this method can never serve a
-        wrong view, only decline to pre-build one.
+        The streaming-refresh step of the graph cache (see
+        ``graph/delta.py``): ``correction`` is the sparse ``D`` holding
+        ``new_row − old_row`` over the rows a delta changed.  The new
+        matrix is ``mat + D`` with exact cancellations pruned, so row
+        emptiness still identifies dangling nodes.  If this bundle had
+        built its transpose, the new one starts from ``t_csr + Dᵀ`` — one
+        sparse merge instead of the full CSC→CSR rebuild the first
+        post-delta power sweep would pay; both sides add the same float
+        pairs, so the entries match that rebuild exactly.  Otherwise the
+        new transpose stays lazy.  This bundle is left untouched.
         """
+        mat = self._mat + correction
+        mat.eliminate_zeros()
+        bundle = LinearOperatorBundle.of(mat)
         if self._t_csr is not None:
-            return True
-        if not isinstance(old_bundle, LinearOperatorBundle):
-            return False
-        old_t = old_bundle._t_csr
-        if old_t is None or old_bundle.shape != self.shape:
-            return False
-        patched = (old_t + correction.T.tocsr()).tocsr()
-        patched.eliminate_zeros()
-        if patched.nnz != self._mat.nnz:  # pragma: no cover - defensive
-            return False
-        self._t_csr = patched
-        return True
+            t_csr = self._t_csr + correction.T.tocsr()
+            t_csr.eliminate_zeros()
+            if t_csr.nnz == mat.nnz:  # defensive; else it stays lazy
+                bundle._t_csr = t_csr
+        return bundle
 
     @property
     def t_csc(self) -> sparse.csc_matrix:

@@ -77,7 +77,11 @@ from scipy.sparse.linalg import splu
 
 from repro.errors import ParameterError
 from repro.linalg.operator import DANGLING_STRATEGIES, LinearOperatorBundle
-from repro.linalg.solvers import PageRankResult, power_iteration
+from repro.linalg.solvers import (
+    PageRankResult,
+    _check_budget,
+    power_iteration,
+)
 from repro.telemetry.trace import record_result
 
 __all__ = ["forward_push"]
@@ -627,6 +631,7 @@ def forward_push(
     n = bundle.n
     if not 0.0 <= alpha < 1.0:
         raise ParameterError(f"alpha must be in [0, 1), got {alpha}")
+    _check_budget(tol, max_iter)
     if dangling not in DANGLING_STRATEGIES:
         raise ParameterError(
             f"unknown dangling strategy {dangling!r}; "
@@ -665,7 +670,7 @@ def forward_push(
     if front.capped:
         return _fallback(
             bundle, teleport(), front.dense(front.q + front.res),
-            alpha=alpha, tol=tol, max_iter=max_iter - front.steps,
+            alpha=alpha, tol=tol, max_iter=max(max_iter - front.steps, 1),
             dangling=dangling, front=front, history=history,
             method="forward_push_fallback", fallback="frontier_cap",
         )

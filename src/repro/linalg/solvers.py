@@ -114,11 +114,27 @@ def _unit_mass(vec, n: int, what: str) -> np.ndarray:
     return vec / total
 
 
+def _check_budget(tol: float, max_iter: int) -> None:
+    """Reject a ``tol`` no residual can meet and a budget of no step.
+
+    NaN fails every comparison, so a NaN ``tol`` — like ``tol <= 0`` —
+    never stops a loop and burns the whole budget, and ``max_iter < 1``
+    returns the start vector as the answer.
+    """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be positive, got {max_iter}")
+
+
 def _validate_common(
     transition: sparse.spmatrix | None,
     alpha: float,
     teleport: np.ndarray | None,
     operator: LinearOperatorBundle | None = None,
+    *,
+    tol: float | None = None,
+    max_iter: int | None = None,
 ) -> tuple[LinearOperatorBundle, np.ndarray]:
     """Resolve the cached operator bundle and the normalised teleport.
 
@@ -126,12 +142,15 @@ def _validate_common(
     the bundle is looked up on (or attached to) ``transition`` via
     :meth:`LinearOperatorBundle.of`, so repeated solves against the same
     matrix object — what the graph matrix cache hands out — share one
-    bundle and never re-derive transpose/dangling views.
+    bundle and never re-derive transpose/dangling views.  Iterative
+    solvers pass their ``tol`` and ``max_iter`` for :func:`_check_budget`.
     """
     bundle = LinearOperatorBundle.resolve(transition, operator)
     n = bundle.n
     if not 0.0 <= alpha < 1.0:
         raise ParameterError(f"alpha must be in [0, 1), got {alpha}")
+    if tol is not None:
+        _check_budget(tol, max_iter)
     if teleport is None:
         t = np.full(n, 1.0 / n)
     else:
@@ -204,7 +223,9 @@ def power_iteration(
     -------
     PageRankResult
     """
-    bundle, t = _validate_common(transition, alpha, teleport, operator)
+    bundle, t = _validate_common(
+        transition, alpha, teleport, operator, tol=tol, max_iter=max_iter
+    )
     dangle_mask = bundle.dangle_mask
     has_dangling = bundle.has_dangling
     dangle_target = bundle.dangling_target(dangling, t)
@@ -269,7 +290,9 @@ def extrapolated_power_iteration(
         raise ParameterError(
             f"extrapolate_every must be >= 3, got {extrapolate_every}"
         )
-    bundle, t = _validate_common(transition, alpha, teleport, operator)
+    bundle, t = _validate_common(
+        transition, alpha, teleport, operator, tol=tol, max_iter=max_iter
+    )
     dangle_mask = bundle.dangle_mask
     has_dangling = bundle.has_dangling
     dangle_target = bundle.dangling_target(dangling, t)
@@ -354,7 +377,9 @@ def gauss_seidel(
     are Python-loop bound, so this solver exists as an independent
     verification path for small/medium graphs, not as the production path.
     """
-    bundle, t = _validate_common(transition, alpha, teleport, operator)
+    bundle, t = _validate_common(
+        transition, alpha, teleport, operator, tol=tol, max_iter=max_iter
+    )
     n = bundle.n
     # Row j of the system matrix involves column j of P: iterate on the
     # bundle's memoised patched-CSC view (dangling rows densified once per

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ParameterError, ReproError
-from repro.linalg.operator import DANGLING_STRATEGIES
+from repro.linalg.operator import DANGLING_STRATEGIES, LinearOperatorBundle
 
 __all__ = ["CERTIFICATES", "CentralityMethod", "MethodParams"]
 
@@ -222,7 +222,11 @@ class CentralityMethod:
         return False
 
     def transition(self, graph, group_key: tuple):
-        """Graph-cached row-stochastic transition for ``group_key``."""
+        """Build the row-stochastic transition for ``group_key``.
+
+        Uncached: :meth:`operator` is its only caller, and the bundle it
+        builds is the matrix's one graph-cache entry.
+        """
         raise ReproError(  # pragma: no cover - guarded by capability flags
             f"method {self.name!r} has no stochastic transition; "
             "it solves through CentralityMethod.solve"
@@ -233,11 +237,14 @@ class CentralityMethod:
 
         Wraps :meth:`transition`, memoised under
         ``("operator", *matrix_key)`` so every solve strategy of every
-        layer shares one transpose and one set of dangling views.
+        layer shares one matrix, one transpose and one set of dangling
+        views.  This entry is the matrix's only one in the graph cache.
         """
-        return graph.operator_bundle(
-            self.matrix_key(group_key),
-            lambda: self.transition(graph, group_key),
+        return graph.cached(
+            ("operator", *self.matrix_key(group_key)),
+            lambda: LinearOperatorBundle.of(
+                self.transition(graph, group_key)
+            ),
         )
 
     def sharded_operator(self, graph, group_key: tuple, *, n_shards: int = 8):

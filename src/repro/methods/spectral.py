@@ -54,6 +54,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
+from repro.linalg.operator import LinearOperatorBundle
 from repro.linalg.solvers import PageRankResult
 from repro.methods.base import CentralityMethod, MethodParams
 from repro.methods.registry import register
@@ -77,9 +78,9 @@ def adjacency_bundle(graph, *, weighted: bool = False):
     reads (:meth:`~repro.graph.base.DiGraph.predecessors`) all iterate
     one export.  This is the only construction site of that bundle.
     """
-    return graph.operator_bundle(
-        ("adjacency", bool(weighted)),
-        lambda: graph.to_csr(weighted=weighted),
+    return graph.cached(
+        ("operator", "adjacency", bool(weighted)),
+        lambda: LinearOperatorBundle.of(graph.to_csr(weighted=weighted)),
     )
 
 

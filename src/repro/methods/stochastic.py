@@ -38,7 +38,7 @@ from repro.linalg.transition import (
     degree_decoupled_transition,
 )
 from repro.methods.base import CentralityMethod, MethodParams
-from repro.methods.registry import register
+from repro.methods.registry import operator_for, register
 
 __all__ = [
     "D2PRMethod",
@@ -62,22 +62,22 @@ def adjacency_and_theta(
     * directed unweighted   — node out-degree;
     * weighted (either)     — total out-weight ``Θ(v) = Σ_h w(v→h)``.
 
-    The pair is memoised on the graph's mutation-aware cache, so repeated
-    solves and parameter sweeps reuse one export per graph version.
+    The adjacency is the graph's cached ``("csr", weighted)`` export and
+    ``theta`` is memoised beside it under ``("theta", weighted)``, so
+    repeated solves and parameter sweeps reuse one of each per graph
+    version.
     """
     graph.require_nonempty()
+    adjacency = graph.to_csr(weighted=weighted)
 
-    def build() -> tuple[sparse.csr_matrix, np.ndarray]:
-        adjacency = graph.to_csr(weighted=weighted)
+    def build() -> np.ndarray:
         if weighted:
-            theta = np.asarray(adjacency.sum(axis=1)).ravel()
-        else:
-            # Degree for undirected graphs, out-degree for DiGraph — both
-            # are exactly out_degree_vector on our representation.
-            theta = graph.out_degree_vector()
-        return adjacency, theta
+            return np.asarray(adjacency.sum(axis=1)).ravel()
+        # Degree for undirected graphs, out-degree for DiGraph — both
+        # are exactly out_degree_vector on our representation.
+        return graph.out_degree_vector()
 
-    return graph.cached(("adj_theta", bool(weighted)), build)
+    return adjacency, graph.cached(("theta", bool(weighted)), build)
 
 
 def d2pr_transition(
@@ -112,32 +112,13 @@ def d2pr_transition(
     Returns
     -------
     scipy.sparse.csr_matrix
-        Rows are sources; each non-dangling row sums to 1.
+        Rows are sources; each non-dangling row sums to 1.  It is the
+        ``.mat`` of the graph-cached ``("operator", "d2pr", p, beta,
+        weighted)`` bundle, so sweeps and repeated solves with the same
+        ``(p, beta, weighted)`` reuse one matrix per graph version.
     """
-    if not weighted and beta != 0.0:
-        raise ParameterError(
-            "beta is only meaningful for weighted graphs "
-            "(the paper defines the blend in §3.2.3); pass weighted=True"
-        )
-    graph.require_nonempty()
-
-    def build():
-        adjacency, theta = adjacency_and_theta(graph, weighted=weighted)
-        if weighted:
-            positive = theta[theta > 0]
-            floor = float(positive.min()) if positive.size else 1.0
-            return blended_transition(
-                adjacency, p, beta, theta=theta, clamp_min=floor
-            )
-        return degree_decoupled_transition(
-            adjacency, p, theta=theta, clamp_min=1.0
-        )
-
-    # Memoised per graph version: sweeps and repeated solves with the same
-    # (p, beta, weighted) reuse the built matrix.
-    return graph.cached(
-        ("d2pr_transition", float(p), float(beta), bool(weighted)), build
-    )
+    key = ("d2pr", float(p), float(beta), bool(weighted), "teleport")
+    return operator_for(graph, key).mat
 
 
 def fatigued_transition(
@@ -153,38 +134,20 @@ def fatigued_transition(
     Column-scales the cached D2PR transition by ``1 − φ`` (φ = per-node
     fatigue, γ·θ/θ_max) and re-normalises rows.  γ < 1 keeps every
     surviving entry positive, so zero rows — and hence the dangling
-    mask — are exactly those of the base transition; the delta-refresh
-    machinery does not recognise this key, so a :class:`GraphDelta`
-    evicts it and the next solve rebuilds (correct, merely colder).
+    mask — are exactly those of the base transition.  It is the ``.mat``
+    of the graph-cached ``("operator", "fatigued", p, fatigue, beta,
+    weighted)`` bundle; a :class:`GraphDelta` drops that bundle and the
+    next solve rebuilds it (correct, merely colder).
     """
-
-    def build():
-        base = d2pr_transition(graph, p, beta=beta, weighted=weighted)
-        _, theta = adjacency_and_theta(graph, weighted=weighted)
-        theta_max = float(theta.max()) if theta.size else 0.0
-        if theta_max > 0.0:
-            keep = 1.0 - float(fatigue) * (theta / theta_max)
-        else:
-            keep = np.ones_like(theta, dtype=np.float64)
-        mat = base.multiply(keep[np.newaxis, :]).tocsr()
-        row_mass = np.asarray(mat.sum(axis=1)).ravel()
-        inv = np.zeros_like(row_mass)
-        nonzero = row_mass > 0.0
-        inv[nonzero] = 1.0 / row_mass[nonzero]
-        mat = sparse.diags(inv).dot(mat).tocsr()
-        mat.sort_indices()
-        return mat
-
-    return graph.cached(
-        (
-            "fatigued_transition",
-            float(p),
-            float(fatigue),
-            float(beta),
-            bool(weighted),
-        ),
-        build,
+    key = (
+        "fatigued",
+        float(p),
+        float(fatigue),
+        float(beta),
+        bool(weighted),
+        "teleport",
     )
+    return operator_for(graph, key).mat
 
 
 class _StochasticMethod(CentralityMethod):
@@ -238,7 +201,21 @@ class PageRankMethod(_StochasticMethod):
 
     def transition(self, graph, group_key: tuple):
         _, p, beta, weighted, _dangling = group_key
-        return d2pr_transition(graph, p, beta=beta, weighted=weighted)
+        if not weighted and beta != 0.0:
+            raise ParameterError(
+                "beta is only meaningful for weighted graphs "
+                "(the paper defines the blend in §3.2.3); pass weighted=True"
+            )
+        adjacency, theta = adjacency_and_theta(graph, weighted=weighted)
+        if weighted:
+            positive = theta[theta > 0]
+            floor = float(positive.min()) if positive.size else 1.0
+            return blended_transition(
+                adjacency, p, beta, theta=theta, clamp_min=floor
+            )
+        return degree_decoupled_transition(
+            adjacency, p, theta=theta, clamp_min=1.0
+        )
 
 
 class D2PRMethod(PageRankMethod):
@@ -280,10 +257,23 @@ class FatiguedMethod(PageRankMethod):
         return ("fatigued", weighted, dangling, beta, fatigue, p)
 
     def transition(self, graph, group_key: tuple):
+        # A rescale of the cached D2PR matrix (see fatigued_transition).
         _, p, fatigue, beta, weighted, _dangling = group_key
-        return fatigued_transition(
-            graph, p, fatigue=fatigue, beta=beta, weighted=weighted
-        )
+        base = d2pr_transition(graph, p, beta=beta, weighted=weighted)
+        _, theta = adjacency_and_theta(graph, weighted=weighted)
+        theta_max = float(theta.max()) if theta.size else 0.0
+        if theta_max > 0.0:
+            keep = 1.0 - float(fatigue) * (theta / theta_max)
+        else:
+            keep = np.ones_like(theta, dtype=np.float64)
+        mat = base.multiply(keep[np.newaxis, :]).tocsr()
+        row_mass = np.asarray(mat.sum(axis=1)).ravel()
+        inv = np.zeros_like(row_mass)
+        nonzero = row_mass > 0.0
+        inv[nonzero] = 1.0 / row_mass[nonzero]
+        mat = sparse.diags(inv).dot(mat).tocsr()
+        mat.sort_indices()
+        return mat
 
 
 register(PageRankMethod())

@@ -365,41 +365,25 @@ class QueryPlan:
         return f"{out} [{facts}]" if facts else out
 
 
+#: Largest seed-support size the push path is considered for; wider
+#: personalisation vectors spread mass too broadly for Gauss–Southwell
+#: push to beat a pooled batched sweep.
+PUSH_MAX_SEEDS = 32
+#: Upper bound on the *localization ratio* — the estimated frontier reach
+#: (``support · avg_out_entries / (1 − α)``) as a fraction of the stored
+#: entries — below which push is chosen.  The estimate is deliberately
+#: crude (the push solver carries its own exact ``frontier_cap``
+#: fallback); it exists to keep obviously global queries off the push
+#: path, not to be a performance model.
+PUSH_LOCALIZATION = 0.25
+
+
 class QueryPlanner:
     """Chooses an execution strategy per request with explicit heuristics.
 
-    Parameters
-    ----------
-    push_max_seeds:
-        Largest seed-support size the push path is considered for; wider
-        personalisation vectors spread mass too broadly for
-        Gauss–Southwell push to beat a pooled batched sweep.
-    push_localization:
-        Upper bound on the *localization ratio* — the estimated frontier
-        reach (``support · avg_out_entries / (1 − α)``) as a fraction of
-        the stored entries — below which push is chosen.  The estimate is
-        deliberately crude (the push solver carries its own exact
-        ``frontier_cap`` fallback); it exists to keep obviously global
-        queries off the push path, not to be a performance model.
+    The push window is :data:`PUSH_MAX_SEEDS` seeds and
+    :data:`PUSH_LOCALIZATION` of the stored entries.
     """
-
-    def __init__(
-        self,
-        *,
-        push_max_seeds: int = 32,
-        push_localization: float = 0.25,
-    ) -> None:
-        if push_max_seeds < 0:
-            raise ParameterError(
-                f"push_max_seeds must be >= 0, got {push_max_seeds}"
-            )
-        if not 0.0 <= push_localization <= 1.0:
-            raise ParameterError(
-                f"push_localization must be in [0, 1], "
-                f"got {push_localization}"
-            )
-        self.push_max_seeds = push_max_seeds
-        self.push_localization = push_localization
 
     def plan(
         self,
@@ -516,8 +500,8 @@ class QueryPlanner:
             )
             if (
                 method.supports_push
-                and support <= self.push_max_seeds
-                and localization <= self.push_localization
+                and support <= PUSH_MAX_SEEDS
+                and localization <= PUSH_LOCALIZATION
             ):
                 return QueryPlan(
                     strategy="push",
@@ -532,7 +516,7 @@ class QueryPlanner:
                 )
             if not method.supports_push:
                 reason = f"method {method.name!r} has no push solver"
-            elif support > self.push_max_seeds:
+            elif support > PUSH_MAX_SEEDS:
                 reason = f"seed support {support} exceeds the push window"
             else:
                 reason = (

@@ -7,8 +7,7 @@ operand into per-shard diagonal and coupling blocks
 serial block Gauss–Seidel rounds with an aggregation/disaggregation
 coarse correction (:mod:`repro.shard.solver`).
 :func:`repro.shard.solver.sharded_solve` is the solver entry point;
-``solver="sharded"`` in :func:`repro.core.engine.solve_transition`
-routes here.
+the serving layer's ``sharded`` strategy is its only library caller.
 """
 
 from repro.shard.operator import DEFAULT_SIZE_FLOOR, ShardedOperator

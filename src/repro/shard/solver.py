@@ -263,7 +263,9 @@ def sharded_solve(
         )
     if sharded is not None:
         operator = sharded.bundle
-    bundle, t = _validate_common(transition, alpha, teleport, operator)
+    bundle, t = _validate_common(
+        transition, alpha, teleport, operator, tol=tol, max_iter=max_iter
+    )
 
     if sharded is None:
         if bundle.n < size_floor:

@@ -156,12 +156,12 @@ class TestSolveMany:
         queries = [RankQuery(p=2.0, alpha=a) for a in (0.5, 0.7, 0.9)]
         solve_many(graph, queries)
         entries_after_first = graph.cache_info()["entries"]
-        # one d2pr transition (plus its coo/csr/adj_theta inputs), no more
+        # one d2pr bundle (plus its coo/csr/theta inputs), no more
         assert (
             sum(
                 1
                 for key in graph._cache
-                if key[0] == "d2pr_transition"
+                if key[:2] == ("operator", "d2pr")
             )
             == 1
         )

@@ -165,8 +165,11 @@ class TestOneOperatorBuilder:
         )
         transitions = [k for k in g._cache if k[0].endswith("_transition")]
         bundles = [k for k in g._cache if k[0] == "operator"]
-        assert transitions == [("d2pr_transition", 0.0, beta, weighted)]
+        assert transitions == []
         assert bundles == [("operator", "d2pr", 0.0, beta, weighted)]
+        assert d2pr_transition(g, 0.0, beta=beta, weighted=weighted) is (
+            g._cache[bundles[0]].mat
+        )
 
     def test_repeat_predecessor_reads_do_no_fingerprint_work(
         self, monkeypatch

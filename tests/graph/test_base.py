@@ -408,12 +408,10 @@ class TestOperatorBundleCache:
 
     @staticmethod
     def _bundle(g):
-        from repro.linalg.transition import uniform_transition
+        from repro.core.d2pr import d2pr_operator
 
-        return g.operator_bundle(
-            ("walk", False),
-            lambda: uniform_transition(g.to_csr(weighted=False)),
-        )
+        # At p = 0 the d2pr bundle wraps the uniform walk.
+        return d2pr_operator(g, 0.0)
 
     def test_bundle_memoised_until_mutation(self):
         g = DiGraph.from_edges([("a", "b"), ("b", "c")])

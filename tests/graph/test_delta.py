@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import d2pr, pagerank
 from repro.core.d2pr import d2pr_operator, d2pr_transition
-from repro.core.engine import adjacency_and_theta
+from repro.core.engine import RankQuery, adjacency_and_theta, solve_many
 from repro.errors import (
     EdgeError,
     FrozenGraphError,
@@ -15,6 +15,7 @@ from repro.errors import (
     ParameterError,
 )
 from repro.graph import DiGraph, Graph, GraphDelta
+from repro.linalg.operator import LinearOperatorBundle
 
 
 def _arr(*values):
@@ -262,8 +263,12 @@ class TestCacheRefresh:
         # the refreshed keys include every warmed matrix; the raw COO
         # triple is dropped (its on-demand rebuild is the same cost)
         kinds = {key[0] for key in stats["refreshed"]}
-        assert {"csr", "adj_theta", "d2pr_transition", "operator"} <= kinds
+        assert {"csr", "theta", "operator"} <= kinds
         assert {key[0] for key in stats["dropped"]} <= {"coo"}
+        # One entry per matrix: the refreshed transition is its bundle's.
+        assert LinearOperatorBundle.of(
+            d2pr_transition(graph, 1.5)
+        ) is d2pr_operator(graph, 1.5)
 
         assert (graph.to_csr() != fresh.to_csr()).nnz == 0
         assert (
@@ -280,6 +285,18 @@ class TestCacheRefresh:
         np.testing.assert_allclose(
             pagerank(graph).values, pagerank(fresh).values, atol=1e-12
         )
+
+        # A fatigued solve caches only bundles (its own and the d2pr one
+        # it rescales); the next delta drops its bundle.
+        solve_many(graph, [RankQuery(method="fatigued", p=1.5, fatigue=0.3)])
+        assert {key[0] for key in graph._cache} <= {
+            "coo", "csr", "theta", "operator"
+        }
+        fatigued_key = ("operator", "fatigued", 1.5, 0.3, 0.0, False)
+        assert fatigued_key in graph._cache
+        stats = graph.apply_delta(self._delta_for(graph, rng))
+        assert fatigued_key in stats["dropped"]
+        assert ("operator", "d2pr", 1.5, 0.0, False) in stats["refreshed"]
 
     def test_refresh_hits_cache_not_rebuild(self, grid_graph, rng):
         self._warm(grid_graph)
@@ -352,9 +369,7 @@ class TestCacheRefresh:
             GraphDelta.delete(er[:2], ec[:2])
             | GraphDelta.reweight(er[2:4], ec[2:4], np.full(2, 7.0))
         )
-        key = ("d2pr_transition", p, beta, True)
-        assert key in stats["refreshed"]
-        assert ("operator", "d2pr", *key[1:]) in stats["refreshed"]
+        assert ("operator", "d2pr", p, beta, True) in stats["refreshed"]
         fresh = _rebuilt(g)
         patched = d2pr_transition(g, p, beta=beta, weighted=True)
         rebuilt = d2pr_transition(fresh, p, beta=beta, weighted=True)
@@ -376,8 +391,7 @@ class TestCacheRefresh:
         d2pr(g, 1.0, weighted=True)  # caches weighted transition, clamp=None
         er, ec, _ = g.edge_arrays()
         stats = g.apply_delta(GraphDelta.delete(er[:2], ec[:2]))
-        dropped_kinds = {key[0] for key in stats["dropped"]}
-        assert "d2pr_transition" in dropped_kinds
+        assert ("operator", "d2pr", 1.0, 0.0, True) in stats["dropped"]
         # ...and the rebuild-on-demand answer matches a fresh graph
         fresh = _rebuilt(g)
         np.testing.assert_allclose(
@@ -414,7 +428,7 @@ class TestCacheRefresh:
             stats = grid_graph.apply_delta(
                 self._delta_for(grid_graph, rng)
             )
-            assert ("d2pr_transition", 1.5, 0.0, False) in stats[
+            assert ("operator", "d2pr", 1.5, 0.0, False) in stats[
                 "refreshed"
             ]
         fresh = _rebuilt(grid_graph)

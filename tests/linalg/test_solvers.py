@@ -13,6 +13,7 @@ from repro.errors import ParameterError
 from repro.graph import DiGraph, Graph, erdos_renyi
 from repro.linalg import (
     direct_solve,
+    extrapolated_power_iteration,
     gauss_seidel,
     patch_dangling,
     power_iteration,
@@ -21,6 +22,7 @@ from repro.linalg import (
 from repro.linalg.batch import power_iteration_batch
 from repro.linalg.incremental import incremental_update
 from repro.linalg.push import forward_push
+from repro.shard import sharded_solve
 
 
 def _transition(graph):
@@ -297,3 +299,54 @@ def test_non_finite_input_rejected(figure1_graph, case, bad):
     """
     with pytest.raises(ParameterError, match="finite"):
         _NON_FINITE_CASES[case](figure1_graph, bad)
+
+
+def _uniform(n: int) -> np.ndarray:
+    return np.full(n, 1.0 / n)
+
+
+_BUDGET_CASES = {
+    "power_iteration": lambda g, **kw: power_iteration(_transition(g), **kw),
+    "extrapolated_power_iteration": lambda g, **kw: (
+        extrapolated_power_iteration(_transition(g), **kw)
+    ),
+    "gauss_seidel": lambda g, **kw: gauss_seidel(_transition(g), **kw),
+    "power_iteration_batch": lambda g, **kw: power_iteration_batch(
+        _transition(g), **kw
+    ),
+    "forward_push": lambda g, **kw: forward_push(
+        _transition(g), {0: 1.0}, **kw
+    ),
+    "incremental_update": lambda g, **kw: incremental_update(
+        _transition(g), _uniform(g.number_of_nodes), **kw
+    ),
+    "sharded_solve": lambda g, **kw: sharded_solve(
+        _transition(g), size_floor=0, n_shards=2, **kw
+    ),
+    "d2pr": lambda g, **kw: d2pr(g, 1.0, **kw),
+    "solve_many": lambda g, **kw: solve_many(g, [RankQuery(p=1.0)], **kw),
+}
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        {"tol": np.nan},
+        {"tol": 0.0},
+        {"tol": -1.0},
+        {"max_iter": 0},
+        {"max_iter": -5},
+    ],
+    ids=["tol-nan", "tol-0", "tol-neg", "max_iter-0", "max_iter-neg"],
+)
+@pytest.mark.parametrize("case", sorted(_BUDGET_CASES))
+def test_bad_budget_rejected(figure1_graph, case, budget):
+    """A ``tol`` no residual can meet or a budget of no step fails fast.
+
+    Unchecked, a NaN or non-positive ``tol`` ran the whole budget and
+    returned ``converged=False``, and ``max_iter < 1`` returned the
+    start vector as the scores.
+    """
+    name = next(iter(budget))
+    with pytest.raises(ParameterError, match=f"{name} must be positive"):
+        _BUDGET_CASES[case](figure1_graph, **budget)

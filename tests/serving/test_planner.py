@@ -13,6 +13,7 @@ from repro.serving import (
     RankRequest,
     canonical_query,
 )
+from repro.serving import planner as planner_module
 
 
 def _graph(n=200, m=2000, seed=0):
@@ -198,21 +199,22 @@ class TestQueryPlanner:
         assert plan.strategy == "push"
         assert plan.estimates["seed_support"] == 1
 
-    def test_wide_seed_set_plans_batch(self):
+    def test_wide_seed_set_plans_batch(self, monkeypatch):
         graph = _graph()
         nodes = graph.nodes()
-        planner = QueryPlanner(push_max_seeds=4)
-        plan = planner.plan(
+        monkeypatch.setattr(planner_module, "PUSH_MAX_SEEDS", 4)
+        plan = QueryPlanner().plan(
             graph,
             canonical_query(graph, RankRequest(p=1.0, seeds=nodes[:20])),
         )
         assert plan.strategy == "batch"
         assert "exceeds the push window" in plan.reason
 
-    def test_delocalised_reach_plans_batch(self):
+    def test_delocalised_reach_plans_batch(self, monkeypatch):
         # Tiny graph: even one seed's estimated frontier covers it.
         graph = Graph.from_edges([("a", "b"), ("b", "c")])
-        plan = QueryPlanner(push_localization=0.01).plan(
+        monkeypatch.setattr(planner_module, "PUSH_LOCALIZATION", 0.01)
+        plan = QueryPlanner().plan(
             graph, canonical_query(graph, RankRequest(seeds=["a"]))
         )
         assert plan.strategy == "batch"
@@ -241,9 +243,3 @@ class TestQueryPlanner:
         assert "strategy=push" in text
         assert "localization=" in text
         assert isinstance(plan, QueryPlan)
-
-    def test_planner_rejects_bad_thresholds(self):
-        with pytest.raises(ParameterError):
-            QueryPlanner(push_max_seeds=-1)
-        with pytest.raises(ParameterError):
-            QueryPlanner(push_localization=1.5)

@@ -10,6 +10,7 @@ from repro.core.engine import RankQuery
 from repro.errors import ConvergenceError, FrozenGraphError, ParameterError
 from repro.graph import DiGraph, Graph, GraphDelta
 from repro.serving import RankingService, RankRequest
+from repro.serving import planner as planner_module
 
 
 def _arrays(n=250, m=2500, seed=5):
@@ -125,14 +126,14 @@ class TestRankMany:
             "cached", "push", "batch",
         ]
 
-    def test_wide_seed_requests_pool_into_batches(self):
+    def test_wide_seed_requests_pool_into_batches(self, monkeypatch):
         graph = _graph()
         nodes = graph.nodes()
         service = RankingService(
             graph, window=8
         )
         # Make push unattractive so the planner pools.
-        service._planner.push_max_seeds = 0
+        monkeypatch.setattr(planner_module, "PUSH_MAX_SEEDS", 0)
         users = [[nodes[i]] for i in range(6)]
         served = service.rank_many(
             [RankRequest(p=1.0, seeds=seeds) for seeds in users]
@@ -258,10 +259,11 @@ class TestApplyDelta:
         cold = d2pr(graph, 1.0, alpha=0.5)
         assert np.abs(after.scores.values - cold.values).max() < 1e-9
 
-    def test_duplicate_batch_requests_share_one_column(self):
+    def test_duplicate_batch_requests_share_one_column(self, monkeypatch):
         graph = _graph()
         service = RankingService(graph)
-        service._planner.push_max_seeds = 0  # force batch planning
+        # Force batch planning.
+        monkeypatch.setattr(planner_module, "PUSH_MAX_SEEDS", 0)
         request = RankRequest(p=1.0, seeds=[graph.nodes()[3]], top_k=2)
         served = service.rank_many([request] * 4)
         assert service.stats()["coalescer"]["columns"] == 1

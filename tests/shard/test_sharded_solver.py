@@ -165,18 +165,9 @@ def test_parameter_validation(community_digraph):
         )
 
 
-def test_engine_dispatch(community_digraph):
+def test_engine_rejects_sharded_solver(community_digraph):
+    # Sharded solves run through sharded_solve and the service's
+    # "sharded" strategy only; the engine dispatch has no such solver.
     bundle = d2pr_operator(community_digraph, 0.0)
-    via_engine = solve_transition(
-        bundle.mat,
-        solver="sharded",
-        alpha=0.85,
-        tol=TOL,
-        operator=bundle,
-        size_floor=0,
-        n_shards=4,
-    )
-    direct = sharded_solve(
-        alpha=0.85, tol=TOL, operator=bundle, size_floor=0, n_shards=4
-    )
-    assert np.abs(via_engine.scores - direct.scores).sum() < MATCH
+    with pytest.raises(ParameterError, match="unknown solver"):
+        solve_transition(bundle.mat, solver="sharded", operator=bundle)

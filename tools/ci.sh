@@ -34,15 +34,26 @@ echo "src/repro/graph/ lines: $(cat src/repro/graph/*.py src/repro/graph/backend
 # One operator builder: the method registry (src/repro/methods/) is the
 # only code that turns a group key into a transition, an operator bundle
 # or a sharded operator.  Fail if the deleted parallel builders reappear,
-# or if a graph-cache construction site (operator_bundle / cached) shows
-# up outside the registry and the BaseGraph definitions in graph/base.py.
+# or if a graph-cache construction site (cached) shows up outside the
+# registry and the BaseGraph definitions in graph/base.py.
 if grep -rnwE 'walk_operator|d2pr_sharded_operator|pagerank_transition' src/repro/; then
     echo "FAIL: a parallel operator builder reappeared under src/repro/" >&2
     exit 1
 fi
-if grep -rnE '(operator_bundle|\.cached)\(' src/repro/ \
+if grep -rnE '\.cached\(' src/repro/ \
         | grep -vE '^src/repro/(methods/[a-z_]+|graph/base)\.py:'; then
     echo "FAIL: operator construction outside src/repro/methods/" >&2
+    exit 1
+fi
+
+# One graph-cache entry per matrix: a transition lives only inside its
+# ("operator", ...) bundle and ("theta", w) holds theta alone, so a delta
+# patches each matrix once.  Fail if a separate transition or
+# adjacency+theta key returns, or the code that carried one entry's
+# correction over to its twin (the transpose seeding, the bundle refresh,
+# the graph-level bundle wrapper).
+if grep -rnE --include='*.py' '\("(d2pr_transition|fatigued_transition|adj_theta)"|seed_transpose_from|operator_bundle\(|_refresh_bundle' src/repro/; then
+    echo "FAIL: a duplicate graph-cache entry or its refresh plumbing reappeared under src/repro/" >&2
     exit 1
 fi
 echo "src/repro/methods/ + core/ lines: $(cat src/repro/methods/*.py src/repro/core/*.py | wc -l)"

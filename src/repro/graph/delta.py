@@ -698,6 +698,8 @@ class _RefreshPlan:
             got[self.touched] = (
                 sums[touched_pos] if weighted else lengths[touched_pos]
             )
+            # Cached as ("theta", w): shared, so read-only like the build.
+            got.flags.writeable = False
             self._thetas[weighted] = got
         return got
 

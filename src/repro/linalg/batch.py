@@ -15,7 +15,10 @@ One CSR·dense multiply per sweep replaces K CSR·vector multiplies.  Because
 sparse matvec is memory-bound, the batched multiply touches every stored
 nonzero once per sweep *for all columns at once*, which is where the
 speedup comes from (the ``analytics-sweep`` workload of ``perfbench/``
-spends most of its time here).
+spends most of its time here).  Columns of *different* transitions over
+one adjacency ``M`` — a D2PR ``p`` grid, ``P_k = diag(r_k)·M·diag(c_k)``
+— share the multiply too: ``scales=(r, c)`` sweeps
+``c_k ⊙ (Mᵀ(r_k ⊙ x))`` per column.
 
 Every sweep runs in float64.  With ``reversible=False`` (the default)
 semantics match :func:`repro.linalg.solvers.power_iteration` column by
@@ -204,6 +207,28 @@ def _initial_block(
     return block
 
 
+def _scale_block(arr, n: int, k: int, what: str) -> np.ndarray:
+    """Validate one ``(n, K)`` block of per-column scale factors."""
+    block = np.asarray(arr, dtype=np.float64)
+    if block.shape != (n, k):
+        raise ParameterError(
+            f"{what} scales must have shape ({n}, {k}), got {block.shape}"
+        )
+    if not (np.isfinite(block).all() and (block >= 0.0).all()):
+        raise ParameterError(f"{what} scales must be finite and non-negative")
+    return block
+
+
+def _columns(block: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``block[:, idx]`` as a C-contiguous array.
+
+    Fancy indexing along axis 1 returns Fortran order; scipy's
+    sparse·dense kernel would copy that operand on every sweep, and the
+    row-wise passes would stride.
+    """
+    return np.ascontiguousarray(block[:, idx])
+
+
 #: Column-chunk width for the dense block.  Keeps the sweep loop's hot
 #: working set a few score-blocks wide and sits at the measured
 #: throughput sweet spot of scipy's sparse·dense kernel from 100k to 1M
@@ -224,6 +249,7 @@ def _pooled_loop(
     tol: float,
     max_iter: int,
     chebyshev: bool = False,
+    scales: tuple[np.ndarray, np.ndarray | None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
     """Advance every column of the batch to ``tol`` with a pooled scheduler.
 
@@ -237,10 +263,20 @@ def _pooled_loop(
     convergence times are spread out (the tail would otherwise iterate at
     near-matvec rates).
 
-    The per-column arithmetic matches ``power_iteration`` operation for
-    operation — pool composition never affects a column's values — so
-    results agree with the sequential solver to round-off (pinned at
-    1e-12 by the equivalence suite).
+    With ``scales = (r, c)`` (``(n, K)`` blocks; ``c`` may be ``None``
+    for unit column scales) column ``k`` solves on
+    ``P_k = diag(r_k)·M·diag(c_k)``, where ``mat_t`` is ``Mᵀ``: the sweep
+    computes ``P_kᵀx = c_k ⊙ (Mᵀ(r_k ⊙ x))``, so a whole parameter grid
+    over one adjacency streams ``M`` once per sweep.  α rides on the
+    row-scale pass (on its own when unscaled), the teleport-dangling
+    term is one pass since ``(1−α)·t + α·m·t = (1 − α + α·m)·t``, and
+    every column sum is one BLAS ``ones @ block``.  Scratch blocks are
+    reused across sweeps and re-gathered only when the pool is
+    compacted or refilled.
+
+    Pool composition never affects a column's values, and results
+    agree with ``power_iteration`` to round-off (pinned at 1e-12 by the
+    equivalence suite).
 
     With ``chebyshev`` (reversible transitions only: the spectrum of
     ``α·Pᵀ`` is real and lies in ``[−α, α]``) the residual and the
@@ -259,45 +295,67 @@ def _pooled_loop(
     converged = np.zeros(k, dtype=bool)
     residuals: list[list[float]] = [[] for _ in range(k)]
     has_dangling = dangle_idx.size > 0
+    # With teleport dangling the teleport block carries the whole
+    # (1 − α + α·m)·t term; otherwise the sweep adds (1 − α)·t as is.
+    fused = has_dangling and dangling == "teleport"
+    ones = np.ones(n)
+    ones_d = np.ones(dangle_idx.size)
 
-    ta_full = np.ascontiguousarray(teleport_block)
-    # (1 − α)·t is constant across sweeps: precompute it once per batch.
-    tb_full = ta_full * (1.0 - alphas)
+    # Full-width sources the pool gathers its columns from: the teleport
+    # term, α·r (or α alone) for the multiply's input, and c.
+    t_full = np.ascontiguousarray(
+        teleport_block if fused else teleport_block * (1.0 - alphas)
+    )
+    if scales is None:
+        ar_full, c_full = None, None
+    else:
+        ar_full = np.ascontiguousarray(scales[0] * alphas)
+        c_full = None if scales[1] is None else np.ascontiguousarray(scales[1])
     x_full = np.ascontiguousarray(x0)
+
+    def gather(idx):
+        return (
+            _columns(t_full, idx),
+            alphas[idx] if ar_full is None else _columns(ar_full, idx),
+            None if c_full is None else _columns(c_full, idx),
+        )
 
     next_fill = min(k, _CHUNK)
     cols = np.arange(next_fill)
-    xa = np.ascontiguousarray(x_full[:, :next_fill])
-    ta = np.ascontiguousarray(ta_full[:, :next_fill])
-    tb = np.ascontiguousarray(tb_full[:, :next_fill])
-    al = alphas[:next_fill].copy()
+    xa = _columns(x_full, cols)
+    tt, ar, cs = gather(cols)
+    al = alphas[cols]
+    # Input of the multiply, then free scratch until the next sweep.
+    buf = np.empty_like(xa)
     if chebyshev:
-        # x_{k−1} (unread on a column's first sweep, where ω = 1), the
-        # residual scratch, and per column ω (0 before the first sweep).
+        # x_{k−1} (unread on a column's first sweep, where ω = 1) and per
+        # column ω (0 before the first sweep).
         xp = xa.copy()
-        buf = np.empty_like(xa)
         om = np.zeros(cols.size)
 
     while cols.size:
-        spread = mat_t @ xa
+        np.multiply(xa, ar, out=buf)
+        spread = mat_t @ buf
+        if cs is not None:
+            spread *= cs
         if has_dangling:
+            xd = xa[dangle_idx]
             if dangling == "self":
-                spread[dangle_idx] += xa[dangle_idx]
+                spread[dangle_idx] += al * xd
             else:
-                mass = xa[dangle_idx].sum(axis=0)
-                if dangling == "teleport":
-                    spread += ta * mass
+                mass = ones_d @ xd
+                if fused:
+                    np.multiply(tt, (1.0 - al) + al * mass, out=buf)
                 else:  # "uniform"
-                    spread += mass / n
-        spread *= al
-        spread += tb
+                    spread += al * mass / n
+        spread += buf if fused else tt
         # Normalise each column to kill accumulated round-off drift.
-        spread /= spread.sum(axis=0)
+        spread *= 1.0 / (ones @ spread)
         if chebyshev:
             # x_k is next sweep's x_{k−1}: the residual needs scratch.
             np.subtract(xa, spread, out=buf)
             np.abs(buf, out=buf)
-            res = buf.sum(axis=0)
+            res = ones @ buf
             # ω: 0 → 1 → 2/(2−α²) → 1/(1 − α²ω/4); only ω_1 equals 1.
             om = 1.0 / (1.0 - al * al * om * np.where(om == 1.0, 0.5, 0.25))
             # ω·(y − x_{k−1}) + x_{k−1}, written into x_{k−1}'s buffer.
@@ -307,11 +365,12 @@ def _pooled_loop(
             np.maximum(xp, 0.0, out=xp)
             xa, xp = xp, xa
         else:
-            # Residual pass reuses the previous iterate's buffer in place.
+            # The residual pass reuses the previous iterate's buffer,
+            # which then becomes the next sweep's scratch.
             np.subtract(xa, spread, out=xa)
             np.abs(xa, out=xa)
-            res = xa.sum(axis=0)
-            xa = spread
+            res = ones @ xa
+            xa, buf = spread, xa
         iterations[cols] += 1
         for col, value in zip(cols, res):
             residuals[col].append(float(value))
@@ -326,31 +385,22 @@ def _pooled_loop(
                 converged[finished] = res[done] < tol
                 # A finished column returns the power step it certified.
                 scores[:, finished] = spread[:, done]
-                keep = ~done
-                cols = cols[keep]
-                # Boolean fancy indexing along axis 1 compacts into fresh
-                # contiguous arrays.
-                xa = xa[:, keep]
-                ta = ta[:, keep]
-                tb = tb[:, keep]
-                al = al[keep]
-                if chebyshev:
-                    xp = xp[:, keep]
-                    om = om[keep]
+            # One fancy-index gather per block rebuilds the pool: the
+            # kept columns in place order, then the refilled ones.
+            keep = np.flatnonzero(~done)
+            new = np.arange(0)
             if refill:
-                take = min(_CHUNK - cols.size, k - next_fill)
+                take = min(_CHUNK - keep.size, k - next_fill)
                 new = np.arange(next_fill, next_fill + take)
                 next_fill += take
-                cols = np.concatenate([cols, new])
-                xa = np.concatenate([xa, x_full[:, new]], axis=1)
-                ta = np.concatenate([ta, ta_full[:, new]], axis=1)
-                tb = np.concatenate([tb, tb_full[:, new]], axis=1)
-                al = np.concatenate([al, alphas[new]])
-                if chebyshev:
-                    xp = np.concatenate([xp, x_full[:, new]], axis=1)
-                    om = np.concatenate([om, np.zeros(take)])
+            cols = np.concatenate([cols[keep], new])
+            xa = np.hstack([_columns(xa, keep), _columns(x_full, new)])
+            tt, ar, cs = gather(cols)
+            al = alphas[cols]
+            buf = np.empty_like(xa)
             if chebyshev:
-                buf = np.empty_like(xa)
+                xp = np.hstack([_columns(xp, keep), _columns(x_full, new)])
+                om = np.concatenate([om[keep], np.zeros(new.size)])
     return scores, iterations, converged, residuals
 
 
@@ -362,6 +412,7 @@ def _alpha_family(
     alphas: np.ndarray,
     tol: float,
     max_iter: int,
+    scales: tuple[np.ndarray, np.ndarray | None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
     """Solve a whole α-family against one teleport with one matvec per sweep.
 
@@ -371,11 +422,15 @@ def _alpha_family(
     batch's columns share their teleport vector (an α grid, the shape of
     every parameter sweep), the matrix needs to be streamed **once per
     sweep for the whole family**: advance ``v`` with a single sparse
-    matvec and reconstruct each α's iterate with a few vector passes.
-    Per-column residuals, convergence masking and iteration counts keep
-    the exact power-iteration semantics (the reconstruction *is* the
-    power-iteration iterate, so results match the sequential solver to
-    round-off).
+    matvec and update every α's iterate by
+    ``x_{K+1} − x_K = α^{K+1}·(v_{K+1} − v_K)``, one rank-one pass.  The
+    power-iteration residual is then ``α^{K+1}·‖v_{K+1} − v_K‖₁``: one
+    vector norm for the whole family.  Per-column residuals, convergence
+    masking and iteration counts keep the exact power-iteration
+    semantics (the iterate *is* the power-iteration iterate, so results
+    match the sequential solver to round-off).  ``scales = (r, c)`` are
+    the shared factors of ``P = diag(r)·M·diag(c)`` as in
+    :func:`_pooled_loop`.
     """
     n = teleport.shape[0]
     k = alphas.shape[0]
@@ -384,16 +439,20 @@ def _alpha_family(
     converged = np.zeros(k, dtype=bool)
     residuals: list[list[float]] = [[] for _ in range(k)]
     has_dangling = dangle_idx.size > 0
+    row, col = (None, None) if scales is None else scales
+    ones = np.ones(n)
 
     cols = np.arange(k)
     al = alphas.copy()
     alpha_pow = np.ones(k)  # α^{sweep-1} per active column
     v = teleport.copy()  # v_{sweep-1}
-    series = np.zeros((n, k))  # Σ_{j<sweep-1} α^j v_j per active column
-    x_prev = np.repeat(teleport[:, None], k, axis=1)  # x_0(α) = t
+    x = np.repeat(teleport[:, None], k, axis=1)  # x_0(α) = t
+    buf = np.empty_like(x)
 
     for sweep in range(1, max_iter + 1):
-        w = mat_t @ v
+        w = mat_t @ (v if row is None else row * v)
+        if col is not None:
+            w *= col
         if has_dangling:
             if dangling == "self":
                 w[dangle_idx] += v[dangle_idx]
@@ -405,27 +464,29 @@ def _alpha_family(
                     w += mass / n
         # v is mass-preserving analytically; renormalise for round-off.
         w /= w.sum()
-        series += v[:, None] * alpha_pow
+        np.subtract(w, v, out=v)
         alpha_pow = alpha_pow * al
+        np.multiply.outer(v, alpha_pow, out=buf)
+        x += buf
+        res = alpha_pow * np.abs(v).sum()
         v = w
-        x_new = (1.0 - al) * series + v[:, None] * alpha_pow
-        x_new /= x_new.sum(axis=0)
-        res = np.abs(x_new - x_prev).sum(axis=0)
         iterations[cols] += 1
-        for col, value in zip(cols, res):
-            residuals[col].append(float(value))
-        x_prev = x_new
+        for c, value in zip(cols, res):
+            residuals[c].append(float(value))
         done = (res < tol) | (iterations[cols] >= max_iter)
         if done.any():
             finished = cols[done]
             converged[finished] = res[done] < tol
-            scores[:, finished] = x_new[:, done]
+            # Every update carries zero mass; normalise once for the
+            # round-off the sweeps accumulated.
+            out = x[:, done]
+            scores[:, finished] = out / (ones @ out)
             keep = ~done
             cols = cols[keep]
             if cols.size == 0:
                 break
-            series = series[:, keep]
-            x_prev = x_prev[:, keep]
+            x = _columns(x, keep)
+            buf = np.empty_like(x)
             al = al[keep]
             alpha_pow = alpha_pow[keep]
     return scores, iterations, converged, residuals
@@ -443,6 +504,7 @@ def power_iteration_batch(
     warm_start: np.ndarray | None = None,
     operator: LinearOperatorBundle | None = None,
     reversible: bool = False,
+    scales: tuple[np.ndarray, np.ndarray | None] | None = None,
 ) -> BatchResult:
     """Solve ``r_k = α_k·P.T·r_k + (1−α_k)·t_k`` for all columns at once.
 
@@ -484,6 +546,15 @@ def power_iteration_batch(
         sweeps, and answers that agree with power iteration within the
         certificate rather than to round-off.  The α-family path
         ignores it.
+    scales:
+        ``None`` (each column solves on ``transition``) or the factors
+        ``(r, c)`` of a pooled parameter grid, each ``(n, K)``; ``c``
+        may be ``None`` for unit column scales.  Column ``k`` then solves
+        on ``diag(r_k)·M·diag(c_k)`` with ``M = transition`` — a
+        non-negative matrix whose empty rows are the dangling nodes —
+        so columns of different transitions over one adjacency share
+        every sweep.  Callers pass the factors a method returns
+        (:meth:`~repro.methods.base.CentralityMethod.factors`).
 
     Returns
     -------
@@ -525,14 +596,26 @@ def power_iteration_batch(
     # sequential solvers now amortise through the same operator bundle).
     mat_t = bundle.t_csc
 
+    if scales is not None:
+        row, col = scales
+        scales = (
+            _scale_block(row, n, k, "row"),
+            None if col is None else _scale_block(col, n, k, "column"),
+        )
+
+    def shared(block: np.ndarray | None) -> bool:
+        return block is None or bool((block == block[:, :1]).all())
+
     family = (
         warm_start is None
         and k >= 2
-        and bool((teleport_block == teleport_block[:, :1]).all())
+        and shared(teleport_block)
+        and (scales is None or (shared(scales[0]) and shared(scales[1])))
     )
     if family:
-        # Every column shares its teleport (an α grid): one shared power
-        # sequence reconstructs all columns at single-matvec cost.
+        # Every column shares its teleport and transition (an α grid):
+        # one shared power sequence reconstructs all columns at
+        # single-matvec cost.
         scores, iterations, converged, residuals = _alpha_family(
             mat_t,
             dangle_idx,
@@ -541,6 +624,10 @@ def power_iteration_batch(
             alphas_vec,
             tol,
             max_iter,
+            scales=None if scales is None else (
+                scales[0][:, 0],
+                None if scales[1] is None else scales[1][:, 0],
+            ),
         )
     else:
         x0 = _initial_block(warm_start, teleport_block)
@@ -554,6 +641,7 @@ def power_iteration_batch(
             tol,
             max_iter,
             chebyshev=reversible,
+            scales=scales,
         )
 
     method = "power_iteration_batch"

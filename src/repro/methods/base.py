@@ -42,13 +42,14 @@ replaces those branches with one object that owns, per method:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ParameterError, ReproError
 from repro.linalg.operator import DANGLING_STRATEGIES, LinearOperatorBundle
 
-__all__ = ["CERTIFICATES", "CentralityMethod", "MethodParams"]
+__all__ = ["CERTIFICATES", "CentralityMethod", "Factors", "MethodParams"]
 
 CERTIFICATES = ("l1", "eigen")
 
@@ -81,6 +82,24 @@ class MethodParams:
     dangling: str = "teleport"
     fatigue: float = 0.0
     has_seeds: bool = False
+
+
+class Factors(NamedTuple):
+    """A group key's transition as ``P = diag(row)·M·diag(col)``.
+
+    ``pool`` is the key of the block the transition's columns solve in:
+    keys with one pool share ``mat`` (``M``'s
+    :class:`~repro.linalg.operator.LinearOperatorBundle`) and may share
+    one batched block.  ``row``/``col`` are ``(n,)`` scale vectors; the
+    unfactored form is the materialised bundle with ``row = col = None``
+    (unit scales, no scale passes), and ``col = None`` alone means unit
+    column scales.
+    """
+
+    pool: tuple
+    mat: LinearOperatorBundle
+    row: np.ndarray | None
+    col: np.ndarray | None
 
 
 class CentralityMethod:
@@ -220,6 +239,24 @@ class CentralityMethod:
         default is ``False``: spectral methods never take that path.
         """
         return False
+
+    def pool_key(self, group_key: tuple) -> tuple:
+        """The block ``group_key``'s batched columns may join.
+
+        Keys with one pool key solve in one block when their
+        :meth:`factors` agree on the pool.  It ends in the per-solve
+        dangling strategy, like the group key.  Default: the group key,
+        a block per transition.
+        """
+        return group_key
+
+    def factors(self, graph, group_key: tuple) -> Factors:
+        """``group_key``'s transition on ``graph`` as pooled factors.
+
+        Default: the materialised :meth:`operator` bundle under its own
+        group key, with unit scales.
+        """
+        return Factors(group_key, self.operator(graph, group_key), None, None)
 
     def transition(self, graph, group_key: tuple):
         """Build the row-stochastic transition for ``group_key``.

@@ -22,6 +22,14 @@ residual is a certified error bound at contraction rate α.
   ``γ < 1`` strictly, so no surviving entry hits zero and the dangling
   set is exactly the base transition's.
 
+Every builder here is a diagonal scaling of one adjacency,
+``T = diag(r)·M·diag(c)``: ``M`` is the 0/1 pattern (β = 0) or the
+weighted adjacency (β = 1), ``c = θ^{-p}`` (times ``1 − φ`` for
+fatigued) and ``r = 1/(M c)`` on non-empty rows.  :meth:`~_StochasticMethod.
+factors` hands those factors to the coalescer, so a whole ``p`` grid
+solves as one block over ``M`` without materialising a transition.  A
+blend ``0 < β < 1`` is a sum of two such scalings and does not factor.
+
 This module owns the transition builders themselves;
 :mod:`repro.core.d2pr` and :mod:`repro.core.pagerank` are thin wrappers
 over :func:`~repro.methods.registry.operator_for`.
@@ -37,7 +45,7 @@ from repro.linalg.transition import (
     blended_transition,
     degree_decoupled_transition,
 )
-from repro.methods.base import CentralityMethod, MethodParams
+from repro.methods.base import CentralityMethod, Factors, MethodParams
 from repro.methods.registry import operator_for, register
 
 __all__ = [
@@ -72,12 +80,70 @@ def adjacency_and_theta(
 
     def build() -> np.ndarray:
         if weighted:
-            return np.asarray(adjacency.sum(axis=1)).ravel()
-        # Degree for undirected graphs, out-degree for DiGraph — both
-        # are exactly out_degree_vector on our representation.
-        return graph.out_degree_vector()
+            theta = np.asarray(adjacency.sum(axis=1)).ravel()
+        else:
+            # Degree for undirected graphs, out-degree for DiGraph —
+            # both are exactly out_degree_vector on our representation.
+            theta = graph.out_degree_vector()
+        # Shared and unfingerprinted: a write would silently move every
+        # later build on this graph.
+        theta.flags.writeable = False
+        return theta
 
     return adjacency, graph.cached(("theta", bool(weighted)), build)
+
+
+def _theta_floor(theta: np.ndarray, weighted: bool) -> float:
+    """The clamp every D2PR build applies to ``θ`` before ``θ^{-p}``.
+
+    1.0 on unweighted graphs (sinks count as degree-1 nodes) and the
+    smallest positive ``Θ`` on weighted ones, which keeps the weighted
+    walk invariant under scaling all weights.
+    """
+    if not weighted:
+        return 1.0
+    positive = theta[theta > 0]
+    return float(positive.min()) if positive.size else 1.0
+
+
+def _fatigue_keep(theta: np.ndarray, fatigue: float) -> np.ndarray:
+    """Fatigued PageRank's column factor ``1 − φ = 1 − γ·θ/θ_max``."""
+    theta_max = float(theta.max()) if theta.size else 0.0
+    if theta_max > 0.0:
+        return 1.0 - float(fatigue) * (theta / theta_max)
+    return np.ones_like(theta, dtype=np.float64)
+
+
+#: ``ln 2`` split so that ``k·_LN2_HI`` is exact for any ``|k| < 2³²``
+#: (its low 32 mantissa bits are zero) and ``_LN2_HI + _LN2_LO`` is
+#: ``ln 2`` to well beyond float64.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
+#: Widest spread of ``log₂ c`` a factored key may have.  It keeps every
+#: ``c``, every ``r = 1/(M c)`` and every sum of a sweep a normal
+#: float64 number (``c ≥ 2⁻⁹⁰¹``, and ``≥ 2⁻⁹⁵⁴`` after fatigue's
+#: ``1 − φ ≥ 2⁻⁵³``); a wider key, ``|p|·log(θ_max/θ_min) ≳ 624``,
+#: stays materialised.
+_MAX_OCTAVES = 900
+
+
+def _exp_shifted(log_c: np.ndarray) -> np.ndarray | None:
+    """``exp(log_c)`` rescaled by one power of two (max entry ≈ 1).
+
+    The shift is a whole number of octaves: ``log_c = k·ln 2 + f`` with
+    the Cody–Waite split, ``exp(f)`` is taken on ``|f| ≤ ln 2 / 2`` and
+    ``ldexp`` applies ``2^(k − k_max)`` exactly, so each entry keeps
+    ``exp``'s own accuracy however wide the spread — a plain
+    ``exp(log_c − max)`` would lose ``|log_c − max|`` ulps to the
+    subtraction.  ``None`` when the spread exceeds ``_MAX_OCTAVES``.
+    """
+    octaves = np.rint(log_c * (1.0 / np.log(2.0)))
+    top = octaves.max()
+    if top - octaves.min() > _MAX_OCTAVES:
+        return None
+    frac = (log_c - octaves * _LN2_HI) - octaves * _LN2_LO
+    return np.ldexp(np.exp(frac), (octaves - top).astype(np.int64))
 
 
 def d2pr_transition(
@@ -173,6 +239,37 @@ class _StochasticMethod(CentralityMethod):
         # from the end of every group key of this family.
         return not graph.directed and group_key[-3] in (0.0, 1.0)
 
+    def pool_key(self, group_key: tuple) -> tuple:
+        # M is the 0/1 pattern at β = 0 and the weighted adjacency at
+        # β = 1 (weighted keys only); a blend keeps its own transition.
+        # β and the weighted flag sit just before the dangling strategy.
+        beta, weighted, dangling = group_key[-3:]
+        if beta != 0.0 and not (weighted and beta == 1.0):
+            return group_key
+        return ("csr", beta == 1.0, dangling)
+
+    def factors(self, graph, group_key: tuple) -> Factors:
+        pool = self.pool_key(group_key)
+        if pool != group_key:
+            col = self._column_scale(graph, group_key)
+            if col is not False:
+                from repro.methods.spectral import adjacency_bundle
+
+                bundle = adjacency_bundle(graph, weighted=pool[1])
+                mass = bundle.mat @ (np.ones(bundle.n) if col is None else col)
+                row = np.divide(
+                    1.0, mass, out=np.zeros(bundle.n), where=mass > 0.0
+                )
+                return Factors(pool, bundle, row, col)
+        return super().factors(graph, group_key)
+
+    def _column_scale(self, graph, group_key: tuple):
+        """``c`` of a poolable key: an array, ``None`` (unit) or ``False``.
+
+        ``False`` when the key's spread is too wide to factor.
+        """
+        raise NotImplementedError  # pragma: no cover - abstract
+
 
 class PageRankMethod(_StochasticMethod):
     """Conventional PageRank — the ``p = 0`` point of the D2PR family.
@@ -207,15 +304,24 @@ class PageRankMethod(_StochasticMethod):
                 "(the paper defines the blend in §3.2.3); pass weighted=True"
             )
         adjacency, theta = adjacency_and_theta(graph, weighted=weighted)
+        floor = _theta_floor(theta, weighted)
         if weighted:
-            positive = theta[theta > 0]
-            floor = float(positive.min()) if positive.size else 1.0
             return blended_transition(
                 adjacency, p, beta, theta=theta, clamp_min=floor
             )
         return degree_decoupled_transition(
-            adjacency, p, theta=theta, clamp_min=1.0
+            adjacency, p, theta=theta, clamp_min=floor
         )
+
+    def _column_scale(self, graph, group_key: tuple):
+        _, p, beta, weighted, _ = group_key
+        if p == 0.0 or beta == 1.0:
+            return None
+        _, theta = adjacency_and_theta(graph, weighted=weighted)
+        # −p·log θ exactly as the builder's per-entry log weights.
+        log_c = -p * np.log(np.maximum(theta, _theta_floor(theta, weighted)))
+        col = _exp_shifted(log_c)
+        return False if col is None else col
 
 
 class D2PRMethod(PageRankMethod):
@@ -261,11 +367,7 @@ class FatiguedMethod(PageRankMethod):
         _, p, fatigue, beta, weighted, _dangling = group_key
         base = d2pr_transition(graph, p, beta=beta, weighted=weighted)
         _, theta = adjacency_and_theta(graph, weighted=weighted)
-        theta_max = float(theta.max()) if theta.size else 0.0
-        if theta_max > 0.0:
-            keep = 1.0 - float(fatigue) * (theta / theta_max)
-        else:
-            keep = np.ones_like(theta, dtype=np.float64)
+        keep = _fatigue_keep(theta, fatigue)
         mat = base.multiply(keep[np.newaxis, :]).tocsr()
         row_mass = np.asarray(mat.sum(axis=1)).ravel()
         inv = np.zeros_like(row_mass)
@@ -274,6 +376,18 @@ class FatiguedMethod(PageRankMethod):
         mat = sparse.diags(inv).dot(mat).tocsr()
         mat.sort_indices()
         return mat
+
+    def _column_scale(self, graph, group_key: tuple):
+        # The d2pr key's c times 1 − φ: 1 − φ ≥ 1 − γ ≥ 2⁻⁵³ adds at
+        # most 53 octaves to the spread _MAX_OCTAVES leaves room for.
+        _, p, fatigue, beta, weighted, dangling = group_key
+        base = ("d2pr", p, beta, weighted, dangling)
+        col = super()._column_scale(graph, base)
+        if col is False or fatigue == 0.0:
+            return col
+        _, theta = adjacency_and_theta(graph, weighted=weighted)
+        keep = _fatigue_keep(theta, fatigue)
+        return keep if col is None else col * keep
 
 
 register(PageRankMethod())

@@ -55,18 +55,14 @@ def rank_data(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64).ravel()
     n = values.shape[0]
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    # Walk runs of equal values in sorted order and assign the average of
-    # the 1-based positions the run spans.
     sorted_vals = values[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        avg_rank = (i + j) / 2.0 + 1.0
-        ranks[order[i : j + 1]] = avg_rank
-        i = j + 1
+    # Runs of equal values in sorted order span positions
+    # [start, end); each gets the average of the 1-based positions.
+    breaks = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
+    starts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks, [n]))
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends - 1) / 2.0 + 1.0, ends - starts)
     return ranks
 
 

@@ -1,15 +1,20 @@
 """Microbatch coalescing of concurrent ranking requests.
 
 One personalised query against a 20M-edge graph streams the whole
-transition once per power sweep; sixteen queries against the *same*
-transition can share every one of those streams
+transition once per power sweep; sixteen queries over the *same*
+adjacency can share every one of those streams
 (:func:`~repro.linalg.power_iteration_batch` advances an ``n × K`` block
-with one sparse·dense multiply per sweep).  The coalescer is the serving
-piece that turns request traffic into those blocks:
+with one sparse·dense multiply per sweep).  A group is an **adjacency
+pool**, not a transition: every D2PR transition with β ∈ {0, 1} (and
+its fatigued rescale) is ``diag(r)·M·diag(c)`` over one adjacency ``M``
+(:meth:`~repro.methods.base.CentralityMethod.factors`), so a whole ``p``
+grid solves as one block.  The coalescer is the serving piece that
+turns request traffic into those blocks:
 
 * :meth:`MicrobatchCoalescer.submit` files one column — a ``(teleport,
-  alpha)`` pair under a transition-group key — and returns a
-  :class:`CoalescerTicket` immediately;
+  alpha)`` pair under a transition-group key — into the group of the
+  key's pool (:meth:`~repro.methods.base.CentralityMethod.pool_key`) and
+  tolerance, and returns a :class:`CoalescerTicket` immediately;
 * a group **auto-flushes** when it reaches the configured ``window``
   (the flush threshold / maximum block width, which also caps the dense
   block memory at ``O(n · window)``);
@@ -18,11 +23,15 @@ piece that turns request traffic into those blocks:
   a caller can never deadlock on an underfull batch.
 
 Columns are solved in submission order and always from a cold start.
-When every column of a flush shares one teleport, the batch solver's
-α-family fast path reconstructs the whole block from a single power
-sequence, whatever the column order.  A group's state is only its
-pending columns and its count of in-flight solves; it is dropped as soon
-as both are empty, so an idle coalescer holds no groups.
+A flush resolves each distinct key's factors once; a key that does not
+factor on the current graph (its ``θ^{-p}`` spread leaves float64
+range) solves in its own block on its materialised transition.  When
+every column of a block shares one teleport and one transition, the
+batch solver's α-family fast path reconstructs the whole block from a
+single power sequence, whatever the column order.  A group's state is
+only its pending columns and its count of in-flight solves; it is
+dropped as soon as both are empty, so an idle coalescer holds no
+groups.
 
 Thread safety
 -------------
@@ -66,6 +75,7 @@ __all__ = ["CoalescerTicket", "MicrobatchCoalescer"]
 
 @dataclass
 class _Column:
+    group_key: tuple
     teleport: np.ndarray | None
     alpha: float
     ticket: "CoalescerTicket"
@@ -156,7 +166,7 @@ class _GroupState:
 
 
 class MicrobatchCoalescer:
-    """Collects same-transition ranking requests into batched solves.
+    """Collects same-adjacency ranking requests into batched solves.
 
     Parameters
     ----------
@@ -226,13 +236,14 @@ class MicrobatchCoalescer:
         alpha: float,
         tol: float,
     ) -> CoalescerTicket:
-        """File one column under ``group_key`` and return its ticket.
+        """File one column for ``group_key`` and return its ticket.
 
         ``group_key`` is the planner's family-tagged transition-group
         key (``RankRequest.group_key``, built by the method registry —
-        e.g. ``("d2pr", p, beta, weighted, dangling)``); ``tol`` joins
-        it internally so
-        columns solved to different accuracies never share a block (a
+        e.g. ``("d2pr", p, beta, weighted, dangling)``).  The column
+        joins the group ``(*pool_key, tol)``: every key over one
+        adjacency and dangling strategy shares it, and ``tol`` keeps
+        columns solved to different accuracies out of one block (a
         block converges per column, but its certificate is per flush).
         Reaching ``window`` pending columns auto-flushes the group.
         """
@@ -249,12 +260,15 @@ class MicrobatchCoalescer:
                     "teleport must be non-negative and finite with "
                     "positive mass"
                 )
-        key = (*group_key, float(tol))
+        from repro.methods import family_method  # local: avoids cycle
+
+        key = (*family_method(group_key).pool_key(group_key), float(tol))
         with self._cv:
             state = self._groups.setdefault(key, _GroupState())
             ticket = CoalescerTicket(self, key)
             state.pending.append(
                 _Column(
+                    group_key=group_key,
                     teleport=teleport,
                     alpha=float(alpha),
                     ticket=ticket,
@@ -296,11 +310,6 @@ class MicrobatchCoalescer:
         *other* pending columns proceed independently, and ticket
         readers wait on the ``solving`` marker.
         """
-        from repro.methods import (  # local: avoids cycle
-            family_method,
-            operator_for,
-        )
-
         with self._cv:
             state = self._groups.get(key)
             if state is None or not state.pending:
@@ -309,22 +318,8 @@ class MicrobatchCoalescer:
             state.pending = []
             state.solving += 1
             taken_at = monotonic()
-        group_key, tol = tuple(key[:-1]), key[-1]
-        dangling = group_key[-1]
         try:
-            bundle = operator_for(self._graph, group_key)
-            batch = power_iteration_batch(
-                bundle.mat,
-                teleports=[c.teleport for c in columns],
-                alphas=np.array([c.alpha for c in columns]),
-                tol=tol,
-                max_iter=self.max_iter,
-                dangling=dangling,
-                operator=bundle,
-                reversible=family_method(group_key).reversible(
-                    self._graph, group_key
-                ),
-            )
+            blocks = self._solve(columns, tol=key[-1], dangling=key[-2])
             solved_at = self._graph.mutation_count
         except BaseException:
             # Restore the columns so a failed solve (solver error,
@@ -336,20 +331,21 @@ class MicrobatchCoalescer:
                 self._cv.notify_all()
             raise
         with self._cv:
-            for j, column in enumerate(columns):
-                column.ticket._result = batch.column(j)
-                column.ticket._mutation = solved_at
-                residuals = batch.residuals[j]
-                column.ticket._meta = {
-                    "flush_cause": cause,
-                    "batch_occupancy": len(columns),
-                    "batch_method": batch.method,
-                    "queue_wait": max(0.0, taken_at - column.filed_at),
-                    "iterations": int(batch.iterations[j]),
-                    "residual": (
-                        float(residuals[-1]) if residuals else None
-                    ),
-                }
+            for members, batch in blocks:
+                for j, column in enumerate(members):
+                    column.ticket._result = batch.column(j)
+                    column.ticket._mutation = solved_at
+                    residuals = batch.residuals[j]
+                    column.ticket._meta = {
+                        "flush_cause": cause,
+                        "batch_occupancy": len(members),
+                        "batch_method": batch.method,
+                        "queue_wait": max(0.0, taken_at - column.filed_at),
+                        "iterations": int(batch.iterations[j]),
+                        "residual": (
+                            float(residuals[-1]) if residuals else None
+                        ),
+                    }
             state.solving -= 1
             if not state.pending and not state.solving:
                 del self._groups[key]
@@ -358,8 +354,57 @@ class MicrobatchCoalescer:
             # keeps delivery and accounting atomic for ticket readers.
             self._m_flushes.inc(cause=cause)
             self._m_columns.inc(len(columns))
-            self._g_occupancy.set_max(len(columns))
+            self._g_occupancy.set_max(max(len(m) for m, _ in blocks))
             self._cv.notify_all()
+
+    def _solve(self, columns: list[_Column], *, tol: float, dangling: str):
+        """Solve a flush as one block per pool its keys factor into.
+
+        Returns ``[(columns, BatchResult)]``.  Each distinct key's
+        factors are resolved once, on the current graph; normally they
+        all land in the group's own pool and the flush is one block.
+        """
+        from repro.methods import family_method  # local: avoids cycle
+
+        resolved: dict[tuple, tuple] = {}
+        pools: dict[tuple, list[_Column]] = {}
+        for column in columns:
+            key = column.group_key
+            if key not in resolved:
+                method = family_method(key)
+                resolved[key] = (
+                    method.factors(self._graph, key),
+                    method.reversible(self._graph, key),
+                )
+            pools.setdefault(resolved[key][0].pool, []).append(column)
+        blocks = []
+        for members in pools.values():
+            factors = [resolved[c.group_key][0] for c in members]
+            bundle = factors[0].mat
+            scales = None
+            if factors[0].row is not None:
+                col = None
+                if any(f.col is not None for f in factors):
+                    ones = np.ones(bundle.n)
+                    col = np.column_stack(
+                        [ones if f.col is None else f.col for f in factors]
+                    )
+                scales = (np.column_stack([f.row for f in factors]), col)
+            batch = power_iteration_batch(
+                bundle.mat,
+                teleports=[c.teleport for c in members],
+                alphas=np.array([c.alpha for c in members]),
+                tol=tol,
+                max_iter=self.max_iter,
+                dangling=dangling,
+                operator=bundle,
+                reversible=all(
+                    resolved[c.group_key][1] for c in members
+                ),
+                scales=scales,
+            )
+            blocks.append((members, batch))
+        return blocks
 
     # ------------------------------------------------------------------
     # introspection

@@ -166,7 +166,12 @@ class TestOneOperatorBuilder:
         transitions = [k for k in g._cache if k[0].endswith("_transition")]
         bundles = [k for k in g._cache if k[0] == "operator"]
         assert transitions == []
-        assert bundles == [("operator", "d2pr", 0.0, beta, weighted)]
+        # The service's batch answer solves on the pooled adjacency
+        # (pattern at beta = 0, weighted at beta = 1), not a transition.
+        assert bundles == [
+            ("operator", "d2pr", 0.0, beta, weighted),
+            ("operator", "adjacency", weighted),
+        ]
         assert d2pr_transition(g, 0.0, beta=beta, weighted=weighted) is (
             g._cache[bundles[0]].mat
         )

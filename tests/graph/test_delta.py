@@ -250,6 +250,20 @@ class TestCacheRefresh:
             | GraphDelta.reweight(er[rw], ec[rw], np.full(3, 2.0))
         )
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_cached_theta_is_read_only(self, grid_graph, rng, weighted):
+        # Shared and unfingerprinted: a write into theta would silently
+        # move every later D2PR build, before and after a refresh.
+        self._warm(grid_graph)
+        _, theta = adjacency_and_theta(grid_graph, weighted=weighted)
+        with pytest.raises(ValueError):
+            theta[0] = 100.0
+        stats = grid_graph.apply_delta(self._delta_for(grid_graph, rng))
+        assert ("theta", weighted) in stats["refreshed"]
+        _, theta = adjacency_and_theta(grid_graph, weighted=weighted)
+        with pytest.raises(ValueError):
+            theta[0] = 100.0
+
     @pytest.mark.parametrize("factory", ["grid_graph", "grid_digraph"])
     def test_refreshed_entries_match_fresh_builds(
         self, factory, request, rng

@@ -43,6 +43,17 @@ class TestRankData:
         theirs = scipy.stats.rankdata(values, method="average")
         assert np.allclose(ours, theirs)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(min_value=-3, max_value=3), max_size=80))
+    def test_heavy_ties_match_average_rank_oracle(self, values):
+        """Brute force: 1 + (#smaller) + (#equal − 1)/2 per element."""
+        x = np.array(values, dtype=np.float64)
+        oracle = [
+            1.0 + float((x < v).sum()) + (float((x == v).sum()) - 1.0) / 2.0
+            for v in x
+        ]
+        assert rank_data(x).tolist() == oracle
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(finite_floats, min_size=1, max_size=40))
     def test_ranks_sum_invariant(self, values):

@@ -8,6 +8,7 @@ import pytest
 from repro.core import d2pr, personalized_d2pr
 from repro.errors import ParameterError
 from repro.graph import Graph
+from repro.methods import family_method
 from repro.serving import MicrobatchCoalescer
 
 
@@ -20,6 +21,11 @@ def _graph(n=150, m=1500, seed=1):
 
 
 GROUP = ("d2pr", 1.0, 0.0, False, "teleport")
+
+
+def _pool(group_key, tol):
+    """The coalescer group a key's columns file into."""
+    return (*family_method(group_key).pool_key(group_key), tol)
 
 
 def _teleport(graph, idx):
@@ -68,16 +74,17 @@ class TestSubmitFlush:
             assert np.abs(ticket.result().scores - ref.values).max() < 1e-9
 
     def test_groups_do_not_mix(self):
+        # Keys over one adjacency share a pool; another dangling
+        # strategy is another pool and never joins the block.
         graph = _graph()
         co = MicrobatchCoalescer(graph, window=16)
         t_a = co.submit(GROUP, teleport=None, alpha=0.85, tol=1e-10)
-        other = ("d2pr", 0.0, 0.0, False, "teleport")
+        other = ("d2pr", 0.0, 0.0, False, "uniform")
         t_b = co.submit(other, teleport=None, alpha=0.85, tol=1e-10)
-        co.flush(( *GROUP, 1e-10 ))
+        co.flush(_pool(GROUP, 1e-10))
         assert t_a.done and not t_b.done
-        assert np.abs(
-            t_b.result().scores - d2pr(graph, 0.0, tol=1e-10).values
-        ).max() < 1e-9
+        ref = d2pr(graph, 0.0, tol=1e-10, dangling="uniform")
+        assert np.abs(t_b.result().scores - ref.values).max() < 1e-9
 
     def test_different_tolerances_never_share_a_block(self):
         graph = _graph()
@@ -128,11 +135,13 @@ class TestSubmitFlush:
         graph = _graph()
         co = MicrobatchCoalescer(graph, window=16)
         tickets = [
-            co.submit(("d2pr", p, 0.0, False, "teleport"),
+            co.submit(("d2pr", p, 0.0, False, dangling),
                       teleport=_teleport(graph, i), alpha=0.85, tol=1e-8)
             for p in (0.0, 1.0)
+            for dangling in ("teleport", "uniform")
             for i in range(2)
         ]
+        # One pool per dangling strategy: both p values share it.
         assert len(co._groups) == 2
         for ticket in tickets:
             ticket.result()
@@ -167,19 +176,15 @@ class TestValidationAndStats:
         # column is not.
         graph = _graph()
         co = MicrobatchCoalescer(graph, window=16)
-        pending = co.submit(
-            ("d2pr", 0.0, 0.0, False, "teleport"),
-            teleport=None, alpha=0.85, tol=1e-8,
-        )
-        for p in (0.5, 1.0):
-            co.submit(
-                ("d2pr", p, 0.0, False, "teleport"),
-                teleport=None, alpha=0.85, tol=1e-8,
-            )
-            co.flush(("d2pr", p, 0.0, False, "teleport", 1e-8))
-        assert set(co._groups) == {("d2pr", 0.0, 0.0, False, "teleport", 1e-8)}
+        waiting = ("d2pr", 0.0, 0.0, False, "self")
+        pending = co.submit(waiting, teleport=None, alpha=0.85, tol=1e-8)
+        for dangling in ("teleport", "uniform"):
+            key = ("d2pr", 1.0, 0.0, False, dangling)
+            co.submit(key, teleport=None, alpha=0.85, tol=1e-8)
+            co.flush(_pool(key, 1e-8))
+        assert set(co._groups) == {_pool(waiting, 1e-8)}
         assert not pending.done
-        ref = d2pr(graph, 0.0, tol=1e-8)
+        ref = d2pr(graph, 0.0, tol=1e-8, dangling="self")
         assert np.abs(pending.result().scores - ref.values).max() < 1e-7
         assert co._groups == {}
 
@@ -196,3 +201,90 @@ class TestValidationAndStats:
         assert stats["max_occupancy"] == 2
         assert stats["pending"] == 0
         assert 1.0 <= stats["mean_occupancy"] <= 2.0
+
+
+def _weighted(directed=False, n=120, m=900, seed=3):
+    from repro.graph import DiGraph
+
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, n, m)
+    cols = rng.integers(0, n, m)
+    keep = rows != cols
+    weights = rng.integers(1, 6, keep.sum()).astype(float)
+    cls = DiGraph if directed else Graph
+    return cls.from_arrays(rows[keep], cols[keep], weights, num_nodes=n)
+
+
+class TestPooledGrid:
+    """A d2pr p grid over one adjacency solves as one scaled block."""
+
+    P_GRID = (-2.0, -1.0, 0.0, 1.5, 3.0)
+    TOL = 1e-8
+    ALPHA = 0.85
+    # The batch (Chebyshev) answer and the reference each sit within
+    # α/(1−α)·tol of the fixed point.
+    BOUND = 2 * ALPHA / (1 - ALPHA) * TOL
+
+    def _request(self, **kw):
+        from repro.serving import RankRequest
+
+        kw.setdefault("method", "d2pr")
+        return RankRequest(weighted=True, tol=self.TOL, **kw)
+
+    def test_grid_is_one_flush_without_transitions(self):
+        from repro.serving import RankingService
+
+        graph = _weighted()
+        service = RankingService(graph)
+        served = service.rank_many([self._request(p=p) for p in self.P_GRID])
+        stats = service.coalescer.stats()
+        assert stats["flushes"] == 1
+        assert stats["max_occupancy"] == 5
+        assert not [k for k in graph._cache if k[:2] == ("operator", "d2pr")]
+        for p, answer in zip(self.P_GRID, served):
+            assert answer.scores.solver_result.method.endswith("_chebyshev")
+            ref = d2pr(graph, p, weighted=True, tol=self.TOL).values
+            assert np.abs(answer.scores.values - ref).sum() < self.BOUND
+
+    def test_blend_and_fatigued_in_the_same_burst(self):
+        from repro.linalg import power_iteration
+        from repro.methods import fatigued_transition
+        from repro.serving import RankingService
+
+        graph = _weighted()
+        service = RankingService(graph)
+        requests = [self._request(p=p) for p in self.P_GRID] + [
+            self._request(p=1.0, beta=0.3),
+            self._request(method="fatigued", p=1.0, fatigue=0.5),
+        ]
+        served = service.rank_many(requests)
+        # The blend is its own pool; the fatigued column joins the grid.
+        stats = service.coalescer.stats()
+        assert stats["flushes"] == 2
+        assert stats["max_occupancy"] == 6
+        for p, answer in zip(self.P_GRID, served):
+            ref = d2pr(graph, p, weighted=True, tol=self.TOL).values
+            assert np.abs(answer.scores.values - ref).sum() < self.BOUND
+        blend = d2pr(graph, 1.0, beta=0.3, weighted=True, tol=self.TOL)
+        blended = served[5].scores.values
+        assert np.abs(blended - blend.values).sum() < self.BOUND
+        fatigued = power_iteration(
+            fatigued_transition(graph, 1.0, fatigue=0.5, weighted=True),
+            tol=self.TOL,
+        )
+        assert np.abs(
+            served[6].scores.values - fatigued.scores
+        ).sum() < self.BOUND
+
+    def test_directed_grid_runs_plain_power(self):
+        from repro.serving import RankingService
+
+        graph = _weighted(directed=True)
+        service = RankingService(graph)
+        served = service.rank_many([self._request(p=p) for p in self.P_GRID])
+        assert service.coalescer.stats()["flushes"] == 1
+        for p, answer in zip(self.P_GRID, served):
+            method = answer.scores.solver_result.method
+            assert method == "power_iteration_batch"
+            ref = d2pr(graph, p, weighted=True, tol=self.TOL).values
+            assert np.abs(answer.scores.values - ref).sum() < self.BOUND

@@ -181,6 +181,22 @@ if grep -rn --include='*.py' 'trace_sample' src/repro/serving/; then
     exit 1
 fi
 
+# One pooled batch path: a coalescer flush resolves each key's
+# diag(r)·M·diag(c) factors through its method (CentralityMethod.factors),
+# so a p grid solves as one block over one adjacency, and every batch
+# sweep takes its column sums as one BLAS `ones @ block` (a strided
+# .sum(axis=0) over a C-ordered n x K block costs ~4x as much).  Fail if
+# serving/coalescer.py builds an operator itself, or if a .sum(axis=0)
+# returns to linalg/batch.py.  The linalg/ line count is printed above.
+if grep -n 'operator_for(' src/repro/serving/coalescer.py; then
+    echo "FAIL: serving/coalescer.py calls operator_for; resolve factors through the method" >&2
+    exit 1
+fi
+if grep -n 'sum(axis=0)' src/repro/linalg/batch.py; then
+    echo "FAIL: a .sum(axis=0) column sum reappeared in src/repro/linalg/batch.py; use ones @ block" >&2
+    exit 1
+fi
+
 python -m pytest -x -q
 
 # Re-run the multi-threaded stress suite under a hard watchdog: a

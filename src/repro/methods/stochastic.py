@@ -25,10 +25,11 @@ residual is a certified error bound at contraction rate α.
 Every builder here is a diagonal scaling of one adjacency,
 ``T = diag(r)·M·diag(c)``: ``M`` is the 0/1 pattern (β = 0) or the
 weighted adjacency (β = 1), ``c = θ^{-p}`` (times ``1 − φ`` for
-fatigued) and ``r = 1/(M c)`` on non-empty rows.  :meth:`~_StochasticMethod.
-factors` hands those factors to the coalescer, so a whole ``p`` grid
-solves as one block over ``M`` without materialising a transition.  A
-blend ``0 < β < 1`` is a sum of two such scalings and does not factor.
+fatigued) and ``r = 1/(M c)`` on non-empty rows.
+:meth:`PageRankMethod.factors` hands those factors to the coalescer, so
+a whole ``p`` grid solves as one block over ``M`` without materialising
+a transition.  A blend ``0 < β < 1`` is a sum of two such scalings and
+does not factor.
 
 This module owns the transition builders themselves;
 :mod:`repro.core.d2pr` and :mod:`repro.core.pagerank` are thin wrappers
@@ -239,37 +240,6 @@ class _StochasticMethod(CentralityMethod):
         # from the end of every group key of this family.
         return not graph.directed and group_key[-3] in (0.0, 1.0)
 
-    def pool_key(self, group_key: tuple) -> tuple:
-        # M is the 0/1 pattern at β = 0 and the weighted adjacency at
-        # β = 1 (weighted keys only); a blend keeps its own transition.
-        # β and the weighted flag sit just before the dangling strategy.
-        beta, weighted, dangling = group_key[-3:]
-        if beta != 0.0 and not (weighted and beta == 1.0):
-            return group_key
-        return ("csr", beta == 1.0, dangling)
-
-    def factors(self, graph, group_key: tuple) -> Factors:
-        pool = self.pool_key(group_key)
-        if pool != group_key:
-            col = self._column_scale(graph, group_key)
-            if col is not False:
-                from repro.methods.spectral import adjacency_bundle
-
-                bundle = adjacency_bundle(graph, weighted=pool[1])
-                mass = bundle.mat @ (np.ones(bundle.n) if col is None else col)
-                row = np.divide(
-                    1.0, mass, out=np.zeros(bundle.n), where=mass > 0.0
-                )
-                return Factors(pool, bundle, row, col)
-        return super().factors(graph, group_key)
-
-    def _column_scale(self, graph, group_key: tuple):
-        """``c`` of a poolable key: an array, ``None`` (unit) or ``False``.
-
-        ``False`` when the key's spread is too wide to factor.
-        """
-        raise NotImplementedError  # pragma: no cover - abstract
-
 
 class PageRankMethod(_StochasticMethod):
     """Conventional PageRank — the ``p = 0`` point of the D2PR family.
@@ -313,7 +283,35 @@ class PageRankMethod(_StochasticMethod):
             adjacency, p, theta=theta, clamp_min=floor
         )
 
+    def pool_key(self, group_key: tuple) -> tuple:
+        # M is the 0/1 pattern at β = 0 and the weighted adjacency at
+        # β = 1 (weighted keys only); a blend keeps its own transition.
+        # β and the weighted flag sit just before the dangling strategy.
+        beta, weighted, dangling = group_key[-3:]
+        if beta != 0.0 and not (weighted and beta == 1.0):
+            return group_key
+        return ("csr", beta == 1.0, dangling)
+
+    def factors(self, graph, group_key: tuple) -> Factors:
+        pool = self.pool_key(group_key)
+        if pool != group_key:
+            col = self._column_scale(graph, group_key)
+            if col is not False:
+                from repro.methods.spectral import adjacency_bundle
+
+                bundle = adjacency_bundle(graph, weighted=pool[1])
+                mass = bundle.mat @ (np.ones(bundle.n) if col is None else col)
+                row = np.divide(
+                    1.0, mass, out=np.zeros(bundle.n), where=mass > 0.0
+                )
+                return Factors(pool, bundle, row, col)
+        return super().factors(graph, group_key)
+
     def _column_scale(self, graph, group_key: tuple):
+        """``c`` of a poolable key: an array, ``None`` (unit) or ``False``.
+
+        ``False`` when the key's spread is too wide to factor.
+        """
         _, p, beta, weighted, _ = group_key
         if p == 0.0 or beta == 1.0:
             return None

@@ -86,17 +86,24 @@ class PendingRefresh:
     :meth:`BaseGraph.apply_delta` stores these in place of evicting cache
     entries; :meth:`BaseGraph.cached` resolves them transparently on
     first access, so the patch cost is paid only for entries a caller
-    actually touches after the delta — an entry that is never read again
-    costs nothing beyond holding the (aliased, immutable) plan arrays.
+    actually touches after the delta.  ``base`` is the entry's last
+    materialised value and ``plan`` covers the union of the nodes every
+    delta since then touched, on the current store: a later delta
+    re-defers the entry with a wider plan, so however many deltas pass
+    unread, resolving is one ``patch(plan, base)``.
     """
 
-    __slots__ = ("_build",)
+    __slots__ = ("base", "plan", "_patch")
 
-    def __init__(self, build: Callable[[], Any]) -> None:
-        self._build = build
+    def __init__(
+        self, base: Any, plan: Any, patch: Callable[[Any, Any], Any]
+    ) -> None:
+        self.base = base
+        self.plan = plan
+        self._patch = patch
 
     def resolve(self) -> Any:
-        return self._build()
+        return self._patch(self.plan, self.base)
 
 
 class BaseGraph:
@@ -181,7 +188,10 @@ class BaseGraph:
         The streaming path (:meth:`apply_delta`) instead *refreshes*
         known entries: it stores deferred patch thunks that this method
         resolves transparently on first access, so a refreshed entry is
-        always consistent with the current structure.  Cached values are
+        always consistent with the current structure.  A thunk still
+        unread at the next delta is chained, not rebuilt: it resolves as
+        one patch over every delta since its value was last materialised
+        (see :class:`PendingRefresh`).  Cached values are
         shared between callers and must be treated as read-only.
         """
         with self._cache_lock:
@@ -229,11 +239,12 @@ class BaseGraph:
         the delta is appended to it *after* a successful apply, so the
         log replays to exactly the committed state.
 
-        Returns a stats dict with op counts and the refreshed/dropped
-        cache keys.  Raises :class:`~repro.errors.FrozenGraphError` on
-        frozen (shared) graphs, :class:`~repro.errors.EdgeError` for
-        deletes/re-weights of missing edges, and the usual validation
-        errors for bad indices or weights.  See
+        Returns a stats dict with op counts and the refreshed, chained
+        and dropped cache keys.  Raises
+        :class:`~repro.errors.FrozenGraphError` on frozen (shared)
+        graphs, :class:`~repro.errors.EdgeError` for deletes/re-weights
+        of missing edges, and the usual validation errors for bad
+        indices or weights.  See
         ``docs/performance.md`` ("Streaming updates") and
         ``docs/storage.md`` (delta log) for the contract.
         """
@@ -821,11 +832,23 @@ class BaseGraph:
         """
         def build() -> sparse.csr_matrix:
             n = self.number_of_nodes
-            rows, cols, data = self.to_coo_arrays()
+            # The store is key-sorted with each edge once, so the CSR
+            # needs no sort and no duplicate sum.  On an undirected graph
+            # the mirrored half (hi, lo) goes first: the stable row
+            # bucketing of COO -> CSR then leaves every row's columns
+            # ascending.
+            rows, cols, data = self._canonical_edges()
             if not weighted:
                 data = np.ones_like(data)
-            mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-            mat.sort_indices()
+            if not self.directed:
+                rows, cols = (
+                    np.concatenate([cols, rows]), np.concatenate([rows, cols])
+                )
+                data = np.concatenate([data, data])
+            coo = sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
+            coo.has_canonical_format = True  # tocsr skips sum_duplicates
+            mat = coo.tocsr()
+            mat.has_canonical_format = True
             return mat
 
         return self.cached(("csr", bool(weighted)), build)

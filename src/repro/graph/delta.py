@@ -22,14 +22,23 @@ This module provides the streaming path:
 
 Refreshing is surgical and runs at C speed: for each cached matrix the
 rows whose content can change are recomputed (they all share the
-adjacency's sparsity, so one changed-row scan serves every entry), packed
-into a sparse correction ``D`` holding ``new_row − old_row``, and the
-replacement is assembled as ``M + D`` — one scipy merge pass over the
-stored entries plus an ``eliminate_zeros`` sweep, instead of a from-
-scratch export → sort → normalise rebuild.  Unrecognised cache entries
+adjacency's sparsity, so one changed-row scan serves every entry).  A
+transition's rows are packed into a sparse correction ``D`` holding
+``new_row − old_row`` and the replacement is assembled as ``M + D`` —
+one scipy merge pass over the stored entries plus an ``eliminate_zeros``
+sweep; the adjacency's rows are spliced in exactly.  Either replaces a
+from-scratch export → normalise rebuild.  Unrecognised cache entries
 (and the raw COO triple, whose on-demand rebuild from the columnar store
 costs the same as any eager patch) are dropped — classic eviction
 semantics — so the refresh can never serve a stale object.
+
+The patch is deferred to the entry's first read, and an entry still
+unread at the next delta is *chained*: it keeps its last materialised
+value and its plan widens to the union of the nodes both deltas touched,
+on the current store.  By Equation (1) a D2PR row depends only on its own
+adjacency and its destinations' θ, so one patch over the union of a run
+of deltas is exact.  A chain is dropped once its union passes a fixed
+share of the nodes (``_CHAIN_FRACTION``), where a rebuild costs no more.
 
 Refresh semantics
 -----------------
@@ -383,7 +392,8 @@ def apply_graph_delta(graph, delta: GraphDelta, *, log=None) -> dict:
     Implementation of :meth:`repro.graph.base.BaseGraph.apply_delta`;
     see :class:`GraphDelta` for the operation semantics and the module
     docstring for the refresh contract.  Returns a small stats dict
-    (op counts plus which cache entries were refreshed vs dropped).
+    (op counts plus which cache entries were refreshed, chained or
+    dropped).
 
     When ``log`` is given (a :class:`~repro.graph.persist.DeltaLog`),
     the delta is appended to it after — and only after — a successful
@@ -401,6 +411,7 @@ def apply_graph_delta(graph, delta: GraphDelta, *, log=None) -> dict:
         "nodes_inserted": 0,
         "nodes_deleted": 0,
         "refreshed": [],
+        "chained": [],
         "dropped": [],
     }
     if delta.size == 0:
@@ -583,16 +594,24 @@ def _commit_with_node_ops(
         graph._version += 1
 
 
-class _RefreshPlan:
-    """Shared, lazily evaluated patch plan for one applied delta.
+#: A chained entry is evicted once the nodes touched since its last
+#: materialisation pass this share of ``n``: past it, patching the
+#: changed rows costs about as much as rebuilding them all (measured on
+#: an 81,920-node ring, see docs/performance.md § Streaming updates).
+_CHAIN_FRACTION = 0.1
 
-    Snapshots the *post-delta* canonical store (aliased — the columnar
-    arrays are immutable once committed) plus the touched-row set, and
-    computes the changed-row scan only when the first pending entry is
-    resolved.  All pending entries of one delta share one plan, so the
-    scan and the per-``weighted``-flag theta patches are paid at most
-    once per delta regardless of how many cached matrices exist — and
-    not at all if nothing is read before the next full invalidation.
+
+class _RefreshPlan:
+    """Shared, lazily evaluated patch plan over one union of touched nodes.
+
+    Snapshots the current canonical store (aliased — the columnar arrays
+    are immutable once committed) plus ``touched``, the union of the
+    nodes every delta since the entries' last materialisation touched,
+    and computes the changed-row scan only when the first pending entry
+    is resolved.  All pending entries with one union share one plan, so
+    the scan and the transition θ are paid at most once per plan however
+    many cached matrices exist — and not at all if nothing is read
+    before the entries are dropped.
     """
 
     def __init__(
@@ -629,9 +648,10 @@ class _RefreshPlan:
             )
         changed = np.unique(np.concatenate([self.touched, preds]))
 
-        # Sub-COO of the new adjacency restricted to the changed rows,
-        # in row-segment order (cols unsorted within a row — the D
-        # assembly canonicalises, the softmax only needs row segments).
+        # Sub-COO of the current adjacency restricted to the changed
+        # rows, each row's columns ascending as in the CSR: the store is
+        # key-sorted, and on an undirected graph the mirrored half
+        # (hi, lo) goes first, so the stable sort by row keeps that.
         member = np.zeros(n, dtype=bool)
         member[changed] = True
         if self.directed:
@@ -640,9 +660,9 @@ class _RefreshPlan:
         else:
             sel_lo = member[rows_c]
             sel_hi = member[cols_c]
-            r_sub = np.concatenate([rows_c[sel_lo], cols_c[sel_hi]])
-            c_sub = np.concatenate([cols_c[sel_lo], rows_c[sel_hi]])
-            w_sub = np.concatenate([w_c[sel_lo], w_c[sel_hi]])
+            r_sub = np.concatenate([cols_c[sel_hi], rows_c[sel_lo]])
+            c_sub = np.concatenate([rows_c[sel_hi], cols_c[sel_lo]])
+            w_sub = np.concatenate([w_c[sel_hi], w_c[sel_lo]])
         pos_in_changed = np.full(n, -1, dtype=np.int64)
         pos_in_changed[changed] = np.arange(changed.size, dtype=np.int64)
         seg = pos_in_changed[r_sub]
@@ -650,10 +670,15 @@ class _RefreshPlan:
         seg, c_sub, w_sub = seg[order], c_sub[order], w_sub[order]
         r_sub = changed[seg]
         lengths = np.bincount(seg, minlength=changed.size)
-        sums = np.bincount(seg, weights=w_sub, minlength=changed.size)
         sub_indptr = np.empty(changed.size + 1, dtype=np.int64)
         sub_indptr[0] = 0
         np.cumsum(lengths, out=sub_indptr[1:])
+        # Row sums as the CSR's own ``sum(axis=1)`` forms them (reduceat
+        # over each non-empty row), so a patched θ matches a rebuild.
+        sums = np.zeros(changed.size, dtype=np.float64)
+        filled = lengths > 0
+        if filled.any():
+            sums[filled] = np.add.reduceat(w_sub, sub_indptr[:-1][filled])
         touched_pos = pos_in_changed[self.touched]
         self._scan = (
             changed, r_sub, c_sub, w_sub, sub_indptr,
@@ -677,35 +702,56 @@ class _RefreshPlan:
         d_data = np.concatenate([-old_sub.data, new_vals])
         return sparse.csr_matrix((d_data, (d_rows, d_cols)), shape=mat.shape)
 
-    def theta(self, weighted: bool, old_theta: np.ndarray | None):
-        got = self._thetas.get(weighted)
-        if got is None:
-            n = self.n
-            rows_c, cols_c, w_c = self.store
-            _, _, _, _, _, lengths, sums, touched_pos = self._ensure_scan()
-            if old_theta is not None:
-                got = old_theta.copy()
-            else:
-                if weighted:
-                    got = np.bincount(rows_c, weights=w_c, minlength=n)
-                    if not self.directed:
-                        got += np.bincount(cols_c, weights=w_c, minlength=n)
-                else:
-                    got = np.bincount(rows_c, minlength=n).astype(np.float64)
-                    if not self.directed:
-                        got += np.bincount(cols_c, minlength=n)
-                got = got.astype(np.float64, copy=False)
-            got[self.touched] = (
-                sums[touched_pos] if weighted else lengths[touched_pos]
-            )
-            # Cached as ("theta", w): shared, so read-only like the build.
-            got.flags.writeable = False
-            self._thetas[weighted] = got
+    def adjacency(self, mat: sparse.csr_matrix, weighted: bool):
+        """``mat`` with its changed rows replaced by the current store's.
+
+        A splice, not ``mat + D``: ``old + (new − old)`` can round, and
+        the adjacency must match a fresh build exactly.
+        """
+        changed, _, c_sub, w_sub, _, lengths, _, _ = self._ensure_scan()
+        old_len = np.diff(mat.indptr)
+        new_len = old_len.astype(np.int64)
+        new_len[changed] = lengths
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(new_len, out=indptr[1:])
+        is_changed = np.zeros(self.n, dtype=bool)
+        is_changed[changed] = True
+        keep = np.repeat(~is_changed, old_len)
+        put = np.repeat(is_changed, new_len)
+        held = ~put
+        indices = np.empty(indptr[-1], dtype=mat.indices.dtype)
+        indices[held] = mat.indices[keep]
+        indices[put] = c_sub
+        data = np.empty(indptr[-1], dtype=np.float64)
+        data[held] = mat.data[keep]
+        data[put] = w_sub if weighted else 1.0
+        out = sparse.csr_matrix((data, indices, indptr), shape=mat.shape)
+        out.has_canonical_format = True
+        return out
+
+    def theta(self, base: np.ndarray, weighted: bool) -> np.ndarray:
+        """``base`` with the touched nodes' θ recomputed on the store."""
+        _, _, _, _, _, lengths, sums, touched_pos = self._ensure_scan()
+        got = base.copy()
+        got[self.touched] = (
+            sums[touched_pos] if weighted else lengths[touched_pos]
+        )
+        # Cached as ("theta", w): shared, so read-only like the build.
+        got.flags.writeable = False
         return got
 
-    def adjacency_vals(self, weighted: bool) -> np.ndarray:
-        _, _, _, w_sub, _, _, _, _ = self._ensure_scan()
-        return w_sub if weighted else np.ones_like(w_sub)
+    def _full_theta(self, weighted: bool) -> np.ndarray:
+        """θ of every node on the store (the transitions' destinations)."""
+        got = self._thetas.get(weighted)
+        if got is None:
+            rows_c, cols_c, w_c = self.store
+            w = w_c if weighted else None
+            got = np.bincount(rows_c, weights=w, minlength=self.n)
+            if not self.directed:
+                got = got + np.bincount(cols_c, weights=w, minlength=self.n)
+            got = got.astype(np.float64, copy=False)
+            self._thetas[weighted] = got
+        return got
 
     def transition_vals(self, key: tuple) -> np.ndarray:
         """New changed-row values of the D2PR transition ``key``."""
@@ -724,7 +770,7 @@ class _RefreshPlan:
             if beta == 1.0:
                 return strength
         # The unweighted clamp: a weighted entry gets here only at p = 0.
-        theta = self.theta(bool(weighted), None)
+        theta = self._full_theta(bool(weighted))
         log_theta = np.log(np.maximum(theta, 1.0))
         decoupled = segment_softmax_weights(
             log_theta[c_sub], sub_indptr, float(p)
@@ -734,22 +780,46 @@ class _RefreshPlan:
         return decoupled
 
 
+def _patch_of(key: tuple):
+    """The ``(plan, base) -> value`` patch of a cache key, or ``None``.
+
+    Three kinds are patched: ``("csr", w)``, ``("theta", w)`` and the
+    D2PR bundles ``("operator", "d2pr", p, beta, w)``.  A weighted D2PR
+    clamp is the global minimum positive θ, which a delta may move, so
+    every row could change: those bundles get no patch unless ``p = 0``
+    or ``beta = 1``, where the clamp cannot reach the matrix.
+    """
+    kind = key[0]
+    if kind == "csr":
+        return lambda plan, mat: plan.adjacency(mat, key[1])
+    if kind == "theta":
+        return lambda plan, theta: plan.theta(theta, key[1])
+    if key[:2] == ("operator", "d2pr"):
+        _, _, p, beta, weighted = key
+        if not (weighted and p != 0.0 and beta != 1.0):
+            return lambda plan, bundle: bundle.corrected(
+                plan.correction(bundle.mat, plan.transition_vals(key[1:]))
+            )
+    return None
+
+
 def _refresh_caches(graph, touched: np.ndarray, stats: dict) -> None:
     """Queue patched replacements for known cache entries; drop the rest.
 
-    Three kinds are patched: ``("csr", w)``, ``("theta", w)`` and the
-    D2PR bundles ``("operator", "d2pr", p, beta, w)``, each the one
-    entry of its object.  Entries are replaced by
-    :class:`~repro.graph.base.PendingRefresh` thunks sharing one
-    :class:`_RefreshPlan`, so ``apply_delta`` itself pays only the
-    canonical-store merge; each entry is patched on first access after
-    the delta.  An entry *still pending* when the next delta lands was
-    not read in between — it is evicted rather than chained, which caps
-    retained plan state at one layer per entry (a chain would hold one
-    store snapshot per delta and replay every deferred patch on first
-    access).  The raw ``("coo",)`` triple is dropped rather than
-    patched: rebuilding it on demand from the columnar store costs the
-    same pass.
+    Entries with a patch (see :func:`_patch_of`) are replaced by
+    :class:`~repro.graph.base.PendingRefresh` thunks, so ``apply_delta``
+    itself pays only the canonical-store merge; each entry is patched on
+    first access after the delta.  A materialised entry is deferred
+    against a plan over this delta's ``touched`` nodes (``"refreshed"``).
+    An entry *still pending* was not read since an earlier delta: it
+    keeps its last materialised value and is re-deferred against the
+    union of its plan's nodes and ``touched`` (``"chained"``), so it
+    resolves as one patch over the whole run of deltas.  Entries pending
+    on one plan move to one wider plan, so they still share one scan.
+    A chain whose union passes ``_CHAIN_FRACTION`` of the nodes is
+    dropped: past it a rebuild is as cheap, and a chain only a rebuild
+    reads would otherwise grow forever.  The raw ``("coo",)`` triple and
+    unknown keys are dropped too (``"dropped"``).
     """
     from repro.graph.base import PendingRefresh
 
@@ -758,43 +828,36 @@ def _refresh_caches(graph, touched: np.ndarray, stats: dict) -> None:
     graph._version += 1
     if not old:
         return
-    plan = _RefreshPlan(
-        directed=graph.directed,
-        n=graph.number_of_nodes,
-        store=graph._store.columnar,
-        touched=touched,
-    )
+    n = graph.number_of_nodes
+    store = graph._store.columnar
+    bound = max(1.0, _CHAIN_FRACTION * n)
+    # One plan per previous plan (None: a materialised entry).
+    plans: dict = {}
+
+    def plan_after(prev):
+        if prev not in plans:
+            union = touched if prev is None else np.union1d(
+                prev.touched, touched
+            )
+            plans[prev] = (
+                None if prev is not None and union.size > bound
+                else _RefreshPlan(
+                    directed=graph.directed, n=n, store=store, touched=union
+                )
+            )
+        return plans[prev]
 
     for key, value in old.items():
-        kind = key[0]
-        build = None
-        if type(value) is PendingRefresh:
-            # Still unresolved since the previous delta: nobody read this
-            # entry in between, so it is not hot — evict instead of
-            # chaining.
-            pass
-        elif kind == "csr":
-            def build(mat=value, weighted=key[1]):
-                out = mat + plan.correction(mat, plan.adjacency_vals(weighted))
-                out.eliminate_zeros()
-                return out
-        elif kind == "theta":
-            def build(theta=value, weighted=key[1]):
-                return plan.theta(bool(weighted), theta)
-        elif key[:2] == ("operator", "d2pr"):
-            _, _, p, beta, weighted = key
-            # A weighted clamp is the global minimum positive theta,
-            # which the delta may have moved: every row could change, so
-            # that bundle is evicted.  (At p = 0 or beta = 1 the clamp
-            # cannot reach the matrix.)
-            if not (weighted and p != 0.0 and beta != 1.0):
-                def build(bundle=value, key=key):
-                    vals = plan.transition_vals(key[1:])
-                    return bundle.corrected(
-                        plan.correction(bundle.mat, vals)
-                    )
-        if build is None:
+        patch = _patch_of(key)
+        plan = None
+        if patch is not None:
+            if type(value) is PendingRefresh:
+                plan, kind = plan_after(value.plan), "chained"
+                value = value.base
+            else:
+                plan, kind = plan_after(None), "refreshed"
+        if plan is None:
             stats["dropped"].append(key)
             continue
-        graph._cache[key] = PendingRefresh(build)
-        stats["refreshed"].append(key)
+        graph._cache[key] = PendingRefresh(value, plan, patch)
+        stats[kind].append(key)

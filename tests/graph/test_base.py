@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.errors import EdgeError, EmptyGraphError, NodeNotFoundError
 from repro.graph import DiGraph, Graph
@@ -223,6 +224,43 @@ class TestGraphExport:
         assert len(rows) == 2  # both orientations
         assert set(zip(rows.tolist(), cols.tolist())) == {(0, 1), (1, 0)}
         assert data.tolist() == [2.0, 2.0]
+
+    @pytest.mark.parametrize("cls", [Graph, DiGraph])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_to_csr_matches_sorted_summed_oracle(self, cls, weighted, rng):
+        # Built straight from the store, without scipy's sort and
+        # duplicate sum; nodes 50..59 stay isolated.
+        n = 60
+        rows = rng.integers(0, 50, 300)
+        cols = rng.integers(0, 50, 300)
+        keep = rows != cols
+        weights = rng.uniform(0.5, 4.0, int(keep.sum()))
+        graph = cls.from_arrays(rows[keep], cols[keep], weights, num_nodes=n)
+        coo_rows, coo_cols, data = graph.to_coo_arrays()
+        if not weighted:
+            data = np.ones_like(data)
+        oracle = sparse.coo_matrix(
+            (data, (coo_rows, coo_cols)), shape=(n, n)
+        ).tocsr()
+        oracle.sum_duplicates()
+        mat = graph.to_csr(weighted=weighted)
+        assert np.array_equal(mat.indptr, oracle.indptr)
+        assert np.array_equal(mat.indices, oracle.indices)
+        assert np.array_equal(mat.data, oracle.data)
+        assert mat.indices.dtype == oracle.indices.dtype
+        assert np.diff(mat.indptr)[50:].sum() == 0
+
+    @pytest.mark.parametrize("cls", [Graph, DiGraph])
+    def test_to_csr_of_empty_graph(self, cls):
+        assert cls().to_csr().shape == (0, 0)
+        edgeless = cls.from_arrays(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+            num_nodes=4,
+        )
+        mat = edgeless.to_csr()
+        assert mat.shape == (4, 4)
+        assert mat.nnz == 0
+        assert np.array_equal(mat.indptr, np.zeros(5))
 
 
 class TestGraphStructure:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import d2pr, pagerank
 from repro.core.d2pr import d2pr_operator, d2pr_transition
@@ -15,6 +17,7 @@ from repro.errors import (
     ParameterError,
 )
 from repro.graph import DiGraph, Graph, GraphDelta
+from repro.graph.delta import _CHAIN_FRACTION
 from repro.linalg.operator import LinearOperatorBundle
 
 
@@ -414,21 +417,38 @@ class TestCacheRefresh:
             atol=1e-12,
         )
 
-    def test_unread_pending_entries_evicted_not_chained(
-        self, grid_graph, rng
-    ):
-        # An entry nobody reads between two deltas is evicted, not
-        # chained — chaining would retain one store snapshot per delta.
-        self._warm(grid_graph)
-        stats1 = grid_graph.apply_delta(self._delta_for(grid_graph, rng))
-        stats2 = grid_graph.apply_delta(self._delta_for(grid_graph, rng))
-        assert set(stats2["dropped"]) >= set(stats1["refreshed"])
+    def test_unread_pending_entries_chain(self, rng):
+        # An entry nobody reads between two deltas is re-deferred, not
+        # evicted: it keeps its last materialised value and resolves as
+        # one patch over both deltas, with no rebuild.
+        n = 400
+        rows = rng.integers(0, n, 2400)
+        cols = rng.integers(0, n, 2400)
+        keep = rows != cols
+        graph = Graph.from_arrays(rows[keep], cols[keep], num_nodes=n)
+        self._warm(graph)
+
+        def local_delta(lo):
+            er, ec, _ = graph.edge_arrays()
+            inside = np.flatnonzero((er >= lo) & (ec < lo + 12) & (er < ec))
+            return GraphDelta.delete(
+                er[inside[:2]], ec[inside[:2]]
+            ) | GraphDelta.insert(_arr(lo, lo + 1), _arr(lo + 5, lo + 7))
+
+        stats1 = graph.apply_delta(local_delta(100))
+        stats2 = graph.apply_delta(local_delta(300))
+        assert stats1["chained"] == []
+        assert set(stats2["chained"]) == set(stats1["refreshed"])
         assert stats2["refreshed"] == []
-        fresh = _rebuilt(grid_graph)
-        assert (grid_graph.to_csr() != fresh.to_csr()).nnz == 0
+        assert set(stats2["dropped"]) <= {("coo",)}
+        fresh = _rebuilt(graph)  # reads only the dropped ("coo",)
+        misses = graph.cache_info()["misses"]
+        assert (graph.to_csr() != fresh.to_csr()).nnz == 0
+        patched = d2pr_transition(graph, 1.5)
+        assert graph.cache_info()["misses"] == misses
+        assert abs(patched - d2pr_transition(fresh, 1.5)).max() < 1e-15
         np.testing.assert_allclose(
-            d2pr(grid_graph, 1.5).values, d2pr(fresh, 1.5).values,
-            atol=1e-12,
+            d2pr(graph, 1.5).values, d2pr(fresh, 1.5).values, atol=1e-12,
         )
 
     def test_read_entries_stay_refreshed_across_deltas(
@@ -460,6 +480,124 @@ class TestCacheRefresh:
             patched = d2pr_transition(grid_graph, 1.5)
             rebuilt = d2pr_transition(fresh, 1.5)
             assert np.abs((patched - rebuilt).toarray()).max() < 1e-14
+
+
+#: (p, beta, weighted) of every D2PR bundle the chain tests warm.  The
+#: weighted p = 1.5, beta = 0 bundle is dropped at the first delta (its
+#: clamp can move); every other one chains.
+_CHAIN_KEYS = [
+    (0.0, 0.0, False), (1.5, 0.0, False),
+    (0.0, 0.0, True), (0.0, 1.0, True), (1.5, 0.0, True), (1.5, 1.0, True),
+]
+
+
+def _local_graph(cls, rng, *, n, m, weighted):
+    """Short-range edges, so a window of nodes holds edges to rewire."""
+    rows = rng.integers(0, n, m)
+    cols = (rows + rng.integers(1, 9, m)) % n
+    weights = rng.uniform(0.5, 4.0, m) if weighted else None
+    return cls.from_arrays(rows, cols, weights, num_nodes=n)
+
+
+def _window_delta(graph, rng, lo, width, *, weighted):
+    """Deletes, inserts and reweights among nodes ``lo .. lo+width-1``."""
+    er, ec, _ = graph.edge_arrays()
+    inside = np.flatnonzero(
+        (er >= lo) & (er < lo + width) & (ec >= lo) & (ec < lo + width)
+    )
+    picked = rng.permutation(inside)
+    gone, moved = picked[:2], picked[2:4]
+    ins_r = lo + rng.integers(0, width, 3)
+    ins_c = lo + rng.integers(0, width, 3)
+    keep = ins_r != ins_c
+
+    def weights(k):
+        return rng.uniform(0.5, 4.0, k) if weighted else np.ones(k)
+
+    return (
+        GraphDelta.delete(er[gone], ec[gone])
+        | GraphDelta.insert(ins_r[keep], ins_c[keep], weights(keep.sum()))
+        | GraphDelta.reweight(er[moved], ec[moved], weights(moved.size))
+    )
+
+
+def _warm_chain_keys(graph):
+    for weighted in (False, True):
+        adjacency_and_theta(graph, weighted=weighted)
+    for p, beta, weighted in _CHAIN_KEYS:
+        d2pr_operator(graph, p, beta=beta, weighted=weighted).t_csr
+
+
+class TestChainedRefresh:
+    """Entries unread across several deltas resolve as one patch."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        cls=st.sampled_from([Graph, DiGraph]),
+        weighted=st.booleans(),
+        starts=st.lists(st.integers(0, 984), min_size=1, max_size=5),
+    )
+    def test_chained_entries_match_fresh_builds(
+        self, seed, cls, weighted, starts
+    ):
+        rng = np.random.default_rng(seed)
+        graph = _local_graph(cls, rng, n=1000, m=5000, weighted=weighted)
+        _warm_chain_keys(graph)
+        # Five 16-node windows stay under the chain bound (100 nodes).
+        history = [
+            graph.apply_delta(
+                _window_delta(graph, rng, lo, 16, weighted=weighted)
+            )
+            for lo in starts
+        ]
+        deferred = set(history[0]["refreshed"])
+        assert ("operator", "d2pr", 1.5, 0.0, True) in history[0]["dropped"]
+        for stats in history[1:]:
+            assert set(stats["chained"]) == deferred
+            assert stats["refreshed"] == []
+
+        fresh = _rebuilt(graph)
+        for w in (False, True):
+            csr, theta = adjacency_and_theta(graph, weighted=w)
+            csr_ref, theta_ref = adjacency_and_theta(fresh, weighted=w)
+            assert np.array_equal(csr.indptr, csr_ref.indptr)
+            assert np.array_equal(csr.indices, csr_ref.indices)
+            assert np.array_equal(csr.data, csr_ref.data)
+            assert np.abs(theta - theta_ref).max() <= 1e-15
+        for p, beta, w in _CHAIN_KEYS:
+            bundle = d2pr_operator(graph, p, beta=beta, weighted=w)
+            reference = d2pr_operator(fresh, p, beta=beta, weighted=w)
+            assert bundle.mat.nnz == reference.mat.nnz
+            assert abs(bundle.mat - reference.mat).max() <= 1e-15
+            if ("operator", "d2pr", p, beta, w) in deferred:
+                assert bundle._t_csr is not None  # patched, not rebuilt
+            assert abs(bundle.t_csr - reference.t_csr).max() <= 1e-15
+
+    def test_union_past_the_bound_is_dropped(self, rng):
+        n = 400
+        graph = _local_graph(Graph, rng, n=n, m=2000, weighted=False)
+        _warm_chain_keys(graph)
+        # Each path touches 3/4 of the bound, so the second delta's
+        # union passes it.
+        width = int(_CHAIN_FRACTION * n) * 3 // 4
+
+        def path(lo):
+            nodes = np.arange(lo, lo + width, dtype=np.int64)
+            return GraphDelta.insert(nodes[:-1], nodes[1:])
+
+        stats1 = graph.apply_delta(path(0))
+        stats2 = graph.apply_delta(path(200))
+        assert stats1["chained"] == []
+        assert ("csr", False) in stats1["refreshed"]
+        assert stats2["chained"] == [] and stats2["refreshed"] == []
+        assert set(stats2["dropped"]) >= set(stats1["refreshed"])
+        assert graph.cache_info()["entries"] == 0
+        fresh = _rebuilt(graph)
+        assert (graph.to_csr() != fresh.to_csr()).nnz == 0
+        np.testing.assert_allclose(
+            d2pr(graph, 1.5).values, d2pr(fresh, 1.5).values, atol=1e-12,
+        )
 
 
 class TestDanglingTransitions:

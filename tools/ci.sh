@@ -244,15 +244,23 @@ try:
     again = warm2.rank(req)
     assert again.plan.strategy == "cached", again.plan.strategy
     assert float(np.abs(base.scores.values - again.scores.values).sum()) == 0.0
-    svc.apply_delta(GraphDelta.insert(
-        np.array([0, 1], dtype=np.int64), np.array([9, 11], dtype=np.int64)))
+    # A tail of 3 localized deltas, as restart-recover replays.
+    for lo in (0, 100, 200):
+        svc.apply_delta(GraphDelta.insert(
+            np.array([lo, lo + 1], dtype=np.int64),
+            np.array([lo + 9, lo + 11], dtype=np.int64)))
     warm = RankingService.warm_start(tmp / "ckpt", backend="mmap")
-    assert warm._warm_started["replayed"] == 1, warm._warm_started
+    assert warm._warm_started["replayed"] == 3, warm._warm_started
     assert warm._warm_started["seeded"] == 1, warm._warm_started
+    misses = warm.graph.cache_info()["misses"]
     live = svc.rank(req)
     restored = warm.rank(req)
-    # The replayed edge delta corrects the seeded answer, no re-solve.
+    # The replayed edge deltas correct the seeded answer, no re-solve,
+    # and the graph's deferred patches chain across the tail: the
+    # corrected read resolves them without a single matrix rebuild.
     assert restored.plan.strategy == "incremental", restored.plan.strategy
+    grown = warm.graph.cache_info()["misses"] - misses
+    assert grown == 0, f"corrected read rebuilt {grown} cached matrices"
     l1 = float(np.abs(live.scores.values - restored.scores.values).sum())
     assert l1 <= 2 * req.tol, f"warm restart diverged: L1={l1:g}"
     print("persistence roundtrip smoke: OK")

@@ -186,13 +186,14 @@ class BaseGraph:
         operator bundle, and ``("theta", weighted)`` holds only theta,
         not the ``("csr", weighted)`` adjacency beside it.
         The streaming path (:meth:`apply_delta`) instead *refreshes*
-        known entries: it stores deferred patch thunks that this method
-        resolves transparently on first access, so a refreshed entry is
-        always consistent with the current structure.  A thunk still
-        unread at the next delta is chained, not rebuilt: it resolves as
-        one patch over every delta since its value was last materialised
-        (see :class:`PendingRefresh`).  Cached values are
-        shared between callers and must be treated as read-only.
+        the adjacency and theta entries and drops the rest: it stores
+        deferred patch thunks that this method resolves transparently on
+        first access, so a refreshed entry is always consistent with the
+        current structure.  A thunk still unread at the next delta is
+        chained, not rebuilt: it resolves as one patch over every delta
+        since its value was last materialised (see
+        :class:`PendingRefresh`).  Cached values are shared between
+        callers and must be treated as read-only.
         """
         with self._cache_lock:
             try:
@@ -225,13 +226,14 @@ class BaseGraph:
         The streaming mutation path: edge inserts (upserts), deletes and
         re-weights are validated and folded into the columnar edge store
         in one vectorised pass, and — unlike the classic mutators, which
-        evict the whole derived-object cache — the known cached matrices
-        (CSR exports, theta vectors, D2PR operator bundles) are
-        **refreshed** with surgically patched replacements: only rows the
-        delta actually touches are recomputed, untouched rows are
-        block-copied.  ``mutation_count`` still bumps once, cached objects
-        are never mutated (holders of pre-delta matrices stay consistent),
-        and unrecognised cache entries are dropped.  Node-level ops
+        evict the whole derived-object cache — the CSR adjacency and
+        theta vectors are **refreshed** with surgically patched
+        replacements: only rows the delta actually touches are
+        recomputed, untouched rows are block-copied.  Operator bundles
+        and every other entry are dropped; their methods rebuild them
+        from the refreshed adjacency and theta.  ``mutation_count`` still
+        bumps once, and cached objects are never mutated (holders of
+        pre-delta matrices stay consistent).  Node-level ops
         (insert/delete) change the index space and therefore evict the
         derived-object cache wholesale instead of refreshing it.
 

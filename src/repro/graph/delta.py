@@ -20,25 +20,23 @@ This module provides the streaming path:
   key-sorted arrays — no global re-sort), and **refreshes** the known
   derived caches instead of evicting them.
 
-Refreshing is surgical and runs at C speed: for each cached matrix the
-rows whose content can change are recomputed (they all share the
-adjacency's sparsity, so one changed-row scan serves every entry).  A
-transition's rows are packed into a sparse correction ``D`` holding
-``new_row − old_row`` and the replacement is assembled as ``M + D`` —
-one scipy merge pass over the stored entries plus an ``eliminate_zeros``
-sweep; the adjacency's rows are spliced in exactly.  Either replaces a
-from-scratch export → normalise rebuild.  Unrecognised cache entries
-(and the raw COO triple, whose on-demand rebuild from the columnar store
-costs the same as any eager patch) are dropped — classic eviction
-semantics — so the refresh can never serve a stale object.
+The graph cache patches only what the graph itself owns: the adjacency
+``("csr", w)`` and ``θ`` under ``("theta", w)``.  The adjacency's
+touched rows are spliced in from the store (untouched row runs are
+block-copied) and the touched nodes' ``θ`` recomputed, both exactly
+equal to a fresh build.  Every other entry — each operator bundle, the
+raw COO triple, unknown keys — is dropped, so the refresh can never
+serve a stale object.  A stochastic transition is a pure function of
+the adjacency and ``θ`` (paper Eq. (1): ``T = diag(r)·M·diag(c)``), and
+its method rebuilds it from the patched pair on the next read; this
+module holds no transition math.
 
 The patch is deferred to the entry's first read, and an entry still
 unread at the next delta is *chained*: it keeps its last materialised
 value and its plan widens to the union of the nodes both deltas touched,
-on the current store.  By Equation (1) a D2PR row depends only on its own
-adjacency and its destinations' θ, so one patch over the union of a run
-of deltas is exact.  A chain is dropped once its union passes a fixed
-share of the nodes (``_CHAIN_FRACTION``), where a rebuild costs no more.
+on the current store, so one patch covers a run of deltas.  A chain is
+dropped once its union passes a fixed share of the nodes
+(``_CHAIN_FRACTION``), where a rebuild costs no more.
 
 Refresh semantics
 -----------------
@@ -49,26 +47,10 @@ with a freshly assembled object, so callers still holding the old matrix
 against the pre-delta snapshot, just as they would across a classic
 mutation.  ``mutation_count`` still bumps once per applied delta.
 
-Which rows change:
-
-* the adjacency rows of every edge endpoint that gains/loses/re-weights
-  an out-edge (both endpoints for undirected graphs, sources for
-  directed ones) — these also cover every ``theta`` change, since
-  ``theta`` is the out-degree / total out-weight;
-* for degree de-coupled transitions, additionally every row with a
-  ``theta``-changed node as *destination* (Equation 1 weights rows by
-  destination theta), i.e. the in-neighbourhood of the touched nodes.
-
-One superset (touched ∪ their in-neighbourhood) is used for every
-matrix: rows recomputed without an actual change reproduce their old
-values and cancel out of ``D`` (exactly, or to float round-off for
-theta-dependent weights — far below solver tolerance either way).
-
-A weighted D2PR transition clamps theta at the global minimum positive
-theta; a delta can move that minimum, which would re-weight *every*
-row, so weighted entries with ``p ≠ 0`` and ``β ≠ 1`` are dropped
-instead of refreshed.  The rest refresh with the unweighted clamp 1.0,
-which cannot reach a weighted matrix at ``p = 0`` or ``β = 1``.
+The rows that change are the adjacency rows of every edge endpoint that
+gains, loses or re-weights an out-edge (both endpoints for undirected
+graphs, sources for directed ones); they also cover every ``θ`` change,
+since ``θ`` is the out-degree / total out-weight.
 """
 
 from __future__ import annotations
@@ -595,9 +577,9 @@ def _commit_with_node_ops(
 
 
 #: A chained entry is evicted once the nodes touched since its last
-#: materialisation pass this share of ``n``: past it, patching the
-#: changed rows costs about as much as rebuilding them all (measured on
-#: an 81,920-node ring, see docs/performance.md § Streaming updates).
+#: materialisation pass this share of ``n``, so an entry only a rebuild
+#: reads is not kept forever (timed on an 81,920-node ring, see
+#: docs/performance.md § Streaming updates).
 _CHAIN_FRACTION = 0.1
 
 
@@ -607,11 +589,10 @@ class _RefreshPlan:
     Snapshots the current canonical store (aliased — the columnar arrays
     are immutable once committed) plus ``touched``, the union of the
     nodes every delta since the entries' last materialisation touched,
-    and computes the changed-row scan only when the first pending entry
+    and computes the touched rows' scan only when the first pending entry
     is resolved.  All pending entries with one union share one plan, so
-    the scan and the transition θ are paid at most once per plan however
-    many cached matrices exist — and not at all if nothing is read
-    before the entries are dropped.
+    the scan is paid at most once per plan however many entries exist —
+    and not at all if nothing is read before the entries are dropped.
     """
 
     def __init__(
@@ -627,33 +608,19 @@ class _RefreshPlan:
         self.store = store
         self.touched = touched
         self._scan: tuple | None = None
-        self._thetas: dict[bool, np.ndarray] = {}
 
-    # -- changed-row scan ------------------------------------------------
     def _ensure_scan(self) -> tuple:
+        """The current store's rows of the touched nodes, CSR-ordered."""
         if self._scan is not None:
             return self._scan
         n = self.n
         rows_c, cols_c, w_c = self.store
-        # Changed-row superset: touched rows plus every row with a
-        # touched node as destination (their theta enters the
-        # transition weights).
-        is_touched = np.zeros(n, dtype=bool)
-        is_touched[self.touched] = True
-        if self.directed:
-            preds = rows_c[is_touched[cols_c]]
-        else:
-            preds = np.concatenate(
-                [rows_c[is_touched[cols_c]], cols_c[is_touched[rows_c]]]
-            )
-        changed = np.unique(np.concatenate([self.touched, preds]))
-
-        # Sub-COO of the current adjacency restricted to the changed
+        # Sub-COO of the current adjacency restricted to the touched
         # rows, each row's columns ascending as in the CSR: the store is
         # key-sorted, and on an undirected graph the mirrored half
         # (hi, lo) goes first, so the stable sort by row keeps that.
         member = np.zeros(n, dtype=bool)
-        member[changed] = True
+        member[self.touched] = True
         if self.directed:
             sel = member[rows_c]
             r_sub, c_sub, w_sub = rows_c[sel], cols_c[sel], w_c[sel]
@@ -663,143 +630,82 @@ class _RefreshPlan:
             r_sub = np.concatenate([cols_c[sel_hi], rows_c[sel_lo]])
             c_sub = np.concatenate([rows_c[sel_hi], cols_c[sel_lo]])
             w_sub = np.concatenate([w_c[sel_hi], w_c[sel_lo]])
-        pos_in_changed = np.full(n, -1, dtype=np.int64)
-        pos_in_changed[changed] = np.arange(changed.size, dtype=np.int64)
-        seg = pos_in_changed[r_sub]
+        position = np.full(n, -1, dtype=np.int64)
+        position[self.touched] = np.arange(self.touched.size, dtype=np.int64)
+        seg = position[r_sub]
         order = np.argsort(seg, kind="stable")
-        seg, c_sub, w_sub = seg[order], c_sub[order], w_sub[order]
-        r_sub = changed[seg]
-        lengths = np.bincount(seg, minlength=changed.size)
-        sub_indptr = np.empty(changed.size + 1, dtype=np.int64)
-        sub_indptr[0] = 0
+        c_sub, w_sub = c_sub[order], w_sub[order]
+        lengths = np.bincount(seg, minlength=self.touched.size)
+        sub_indptr = np.zeros(self.touched.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=sub_indptr[1:])
         # Row sums as the CSR's own ``sum(axis=1)`` forms them (reduceat
         # over each non-empty row), so a patched θ matches a rebuild.
-        sums = np.zeros(changed.size, dtype=np.float64)
+        sums = np.zeros(self.touched.size, dtype=np.float64)
         filled = lengths > 0
         if filled.any():
             sums[filled] = np.add.reduceat(w_sub, sub_indptr[:-1][filled])
-        touched_pos = pos_in_changed[self.touched]
-        self._scan = (
-            changed, r_sub, c_sub, w_sub, sub_indptr,
-            lengths, sums, touched_pos,
-        )
+        self._scan = (c_sub, w_sub, sub_indptr, lengths, sums)
         return self._scan
 
-    # -- building blocks -------------------------------------------------
-    def correction(
-        self, mat: sparse.csr_matrix, new_vals: np.ndarray
-    ) -> sparse.csr_matrix:
-        """``D = new_rows − old_rows`` over the changed rows of ``mat``.
-
-        ``mat + D`` replaces the changed rows by ``new_vals`` in one
-        scipy C merge over the stored entries.
-        """
-        changed, r_sub, c_sub, _, _, _, _, _ = self._ensure_scan()
-        old_sub = mat[changed].tocoo()
-        d_rows = np.concatenate([changed[old_sub.row], r_sub])
-        d_cols = np.concatenate([old_sub.col.astype(np.int64), c_sub])
-        d_data = np.concatenate([-old_sub.data, new_vals])
-        return sparse.csr_matrix((d_data, (d_rows, d_cols)), shape=mat.shape)
-
     def adjacency(self, mat: sparse.csr_matrix, weighted: bool):
-        """``mat`` with its changed rows replaced by the current store's.
+        """``mat`` with the touched rows replaced by the current store's.
 
-        A splice, not ``mat + D``: ``old + (new − old)`` can round, and
-        the adjacency must match a fresh build exactly.
+        A block splice: each run of untouched rows is copied as one
+        slice and each run of touched rows from the scan, so the result
+        equals a fresh build exactly at memcpy cost.
         """
-        changed, _, c_sub, w_sub, _, lengths, _, _ = self._ensure_scan()
-        old_len = np.diff(mat.indptr)
-        new_len = old_len.astype(np.int64)
-        new_len[changed] = lengths
+        c_sub, w_sub, sub_indptr, lengths, _ = self._ensure_scan()
+        rows = self.touched
+        old_ptr = mat.indptr
+        new_len = np.diff(old_ptr).astype(np.int64)
+        new_len[rows] = lengths
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(new_len, out=indptr[1:])
-        is_changed = np.zeros(self.n, dtype=bool)
-        is_changed[changed] = True
-        keep = np.repeat(~is_changed, old_len)
-        put = np.repeat(is_changed, new_len)
-        held = ~put
-        indices = np.empty(indptr[-1], dtype=mat.indices.dtype)
-        indices[held] = mat.indices[keep]
-        indices[put] = c_sub
-        data = np.empty(indptr[-1], dtype=np.float64)
-        data[held] = mat.data[keep]
-        data[put] = w_sub if weighted else 1.0
+        # Runs of consecutive touched rows, as positions in ``rows``.
+        cuts = np.flatnonzero(np.diff(rows) != 1) + 1
+        run_lo = np.concatenate([[0], cuts])
+        run_hi = np.concatenate([cuts, [rows.size]])
+        # Untouched blocks: before the first run, between runs, after
+        # the last one.
+        keep_lo = old_ptr[np.concatenate([[0], rows[run_hi - 1] + 1])].tolist()
+        keep_hi = old_ptr[np.concatenate([rows[run_lo], [self.n]])].tolist()
+        put_lo = sub_indptr[run_lo].tolist()
+        put_hi = sub_indptr[run_hi].tolist()
+
+        def splice(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+            parts = [old[keep_lo[0]:keep_hi[0]]]
+            for a, b, c, d in zip(put_lo, put_hi, keep_lo[1:], keep_hi[1:]):
+                parts += (new[a:b], old[c:d])
+            return np.concatenate(parts)
+
+        indices = splice(mat.indices, c_sub.astype(mat.indices.dtype))
+        data = splice(mat.data, w_sub) if weighted else np.ones(indptr[-1])
         out = sparse.csr_matrix((data, indices, indptr), shape=mat.shape)
         out.has_canonical_format = True
         return out
 
     def theta(self, base: np.ndarray, weighted: bool) -> np.ndarray:
         """``base`` with the touched nodes' θ recomputed on the store."""
-        _, _, _, _, _, lengths, sums, touched_pos = self._ensure_scan()
+        _, _, _, lengths, sums = self._ensure_scan()
         got = base.copy()
-        got[self.touched] = (
-            sums[touched_pos] if weighted else lengths[touched_pos]
-        )
+        got[self.touched] = sums if weighted else lengths
         # Cached as ("theta", w): shared, so read-only like the build.
         got.flags.writeable = False
         return got
-
-    def _full_theta(self, weighted: bool) -> np.ndarray:
-        """θ of every node on the store (the transitions' destinations)."""
-        got = self._thetas.get(weighted)
-        if got is None:
-            rows_c, cols_c, w_c = self.store
-            w = w_c if weighted else None
-            got = np.bincount(rows_c, weights=w, minlength=self.n)
-            if not self.directed:
-                got = got + np.bincount(cols_c, weights=w, minlength=self.n)
-            got = got.astype(np.float64, copy=False)
-            self._thetas[weighted] = got
-        return got
-
-    def transition_vals(self, key: tuple) -> np.ndarray:
-        """New changed-row values of the D2PR transition ``key``."""
-        from repro.linalg.transition import segment_softmax_weights
-
-        _, _, c_sub, w_sub, sub_indptr, lengths, sums, _ = (
-            self._ensure_scan()
-        )
-        # ("d2pr", p, beta, weighted); the conventional walk is its
-        # p = 0 (beta = 1 when weighted) point.
-        _, p, beta, weighted = key
-        blend = weighted and beta != 0.0
-        if blend:
-            sum_rep = np.repeat(sums, lengths)
-            strength = w_sub / np.where(sum_rep > 0.0, sum_rep, 1.0)
-            if beta == 1.0:
-                return strength
-        # The unweighted clamp: a weighted entry gets here only at p = 0.
-        theta = self._full_theta(bool(weighted))
-        log_theta = np.log(np.maximum(theta, 1.0))
-        decoupled = segment_softmax_weights(
-            log_theta[c_sub], sub_indptr, float(p)
-        )
-        if blend:
-            return beta * strength + (1.0 - beta) * decoupled
-        return decoupled
 
 
 def _patch_of(key: tuple):
     """The ``(plan, base) -> value`` patch of a cache key, or ``None``.
 
-    Three kinds are patched: ``("csr", w)``, ``("theta", w)`` and the
-    D2PR bundles ``("operator", "d2pr", p, beta, w)``.  A weighted D2PR
-    clamp is the global minimum positive θ, which a delta may move, so
-    every row could change: those bundles get no patch unless ``p = 0``
-    or ``beta = 1``, where the clamp cannot reach the matrix.
+    Two kinds are patched: the adjacency ``("csr", w)`` and
+    ``("theta", w)``.  Everything else is dropped; an operator bundle is
+    rebuilt from those two on its next read.
     """
     kind = key[0]
     if kind == "csr":
         return lambda plan, mat: plan.adjacency(mat, key[1])
     if kind == "theta":
         return lambda plan, theta: plan.theta(theta, key[1])
-    if key[:2] == ("operator", "d2pr"):
-        _, _, p, beta, weighted = key
-        if not (weighted and p != 0.0 and beta != 1.0):
-            return lambda plan, bundle: bundle.corrected(
-                plan.correction(bundle.mat, plan.transition_vals(key[1:]))
-            )
     return None
 
 
@@ -818,8 +724,8 @@ def _refresh_caches(graph, touched: np.ndarray, stats: dict) -> None:
     on one plan move to one wider plan, so they still share one scan.
     A chain whose union passes ``_CHAIN_FRACTION`` of the nodes is
     dropped: past it a rebuild is as cheap, and a chain only a rebuild
-    reads would otherwise grow forever.  The raw ``("coo",)`` triple and
-    unknown keys are dropped too (``"dropped"``).
+    reads would otherwise grow forever.  Operator bundles, the raw
+    ``("coo",)`` triple and unknown keys are dropped too (``"dropped"``).
     """
     from repro.graph.base import PendingRefresh
 

@@ -20,8 +20,9 @@ call even though the transition itself was cached on the graph.
   abandons the old bundle with it);
 * graph-level callers go through
   :meth:`repro.methods.CentralityMethod.operator`, which caches the
-  bundle as the matrix's one entry in the graph's mutation-aware cache;
-  :meth:`LinearOperatorBundle.corrected` carries it across a delta.
+  bundle as the matrix's one entry in the graph's mutation-aware cache.
+  A graph delta drops that entry, and the method rebuilds the bundle
+  from the graph's refreshed adjacency and ``θ`` on the next read.
 
 Cached views are shared between callers and must be treated as read-only —
 the same copy-before-mutate contract as the graph matrix cache
@@ -295,30 +296,6 @@ class LinearOperatorBundle:
             # the whole single-query pipeline performs per matrix.
             self._t_csr = self._mat.T.tocsr()
         return self._t_csr
-
-    def corrected(self, correction: sparse.spmatrix) -> "LinearOperatorBundle":
-        """The bundle of ``mat + correction``, attached to the new matrix.
-
-        The streaming-refresh step of the graph cache (see
-        ``graph/delta.py``): ``correction`` is the sparse ``D`` holding
-        ``new_row − old_row`` over the rows a delta changed.  The new
-        matrix is ``mat + D`` with exact cancellations pruned, so row
-        emptiness still identifies dangling nodes.  If this bundle had
-        built its transpose, the new one starts from ``t_csr + Dᵀ`` — one
-        sparse merge instead of the full CSC→CSR rebuild the first
-        post-delta power sweep would pay; both sides add the same float
-        pairs, so the entries match that rebuild exactly.  Otherwise the
-        new transpose stays lazy.  This bundle is left untouched.
-        """
-        mat = self._mat + correction
-        mat.eliminate_zeros()
-        bundle = LinearOperatorBundle.of(mat)
-        if self._t_csr is not None:
-            t_csr = self._t_csr + correction.T.tocsr()
-            t_csr.eliminate_zeros()
-            if t_csr.nnz == mat.nnz:  # defensive; else it stays lazy
-                bundle._t_csr = t_csr
-        return bundle
 
     @property
     def t_csc(self) -> sparse.csc_matrix:

@@ -17,7 +17,7 @@ residual is a certified error bound at contraction rate α.
   ``φ_j = γ·θ_j/θ_max`` (γ = the request's ``fatigue`` parameter,
   θ = the paper's degree/out-weight vector) down-weights *entering*
   node ``j`` by ``1−φ_j``; re-normalising rows keeps the transition
-  stochastic, so the method is a diagonal rescale of the cached D2PR
+  stochastic, so the method is a diagonal rescale of the D2PR
   transition and reuses every solver and certificate unchanged.
   ``γ < 1`` strictly, so no surviving entry hits zero and the dangling
   set is exactly the base transition's.
@@ -28,8 +28,10 @@ weighted adjacency (β = 1), ``c = θ^{-p}`` (times ``1 − φ`` for
 fatigued) and ``r = 1/(M c)`` on non-empty rows.
 :meth:`PageRankMethod.factors` hands those factors to the coalescer, so
 a whole ``p`` grid solves as one block over ``M`` without materialising
-a transition.  A blend ``0 < β < 1`` is a sum of two such scalings and
-does not factor.
+a transition, and :meth:`PageRankMethod.transition` materialises the
+same factors, so a bundle depends on the graph only through the cached
+adjacency and θ.  A blend ``0 < β < 1`` is a sum of two such scalings
+and does not factor; it keeps the log-space softmax builders.
 
 This module owns the transition builders themselves;
 :mod:`repro.core.d2pr` and :mod:`repro.core.pagerank` are thin wrappers
@@ -83,9 +85,9 @@ def adjacency_and_theta(
         if weighted:
             theta = np.asarray(adjacency.sum(axis=1)).ravel()
         else:
-            # Degree for undirected graphs, out-degree for DiGraph —
-            # both are exactly out_degree_vector on our representation.
-            theta = graph.out_degree_vector()
+            # Degree for undirected graphs, out-degree for DiGraph: the
+            # CSR's row lengths, with no COO export.
+            theta = np.diff(adjacency.indptr).astype(np.float64)
         # Shared and unfingerprinted: a write would silently move every
         # later build on this graph.
         theta.flags.writeable = False
@@ -198,13 +200,16 @@ def fatigued_transition(
 ):
     """Row-stochastic fatigued transition, memoised on the graph cache.
 
-    Column-scales the cached D2PR transition by ``1 − φ`` (φ = per-node
-    fatigue, γ·θ/θ_max) and re-normalises rows.  γ < 1 keeps every
-    surviving entry positive, so zero rows — and hence the dangling
-    mask — are exactly those of the base transition.  It is the ``.mat``
-    of the graph-cached ``("operator", "fatigued", p, fatigue, beta,
-    weighted)`` bundle; a :class:`GraphDelta` drops that bundle and the
-    next solve rebuilds it (correct, merely colder).
+    The D2PR transition with its columns scaled by ``1 − φ`` (φ =
+    per-node fatigue, γ·θ/θ_max) and its rows re-normalised: built as
+    ``diag(r)·M·diag(c·(1 − φ))`` from the cached adjacency and θ, or,
+    for a blend or a too-wide key, as that rescale of the cached D2PR
+    transition.  γ < 1 keeps every surviving entry positive, so zero
+    rows — and hence the dangling mask — are exactly those of the base
+    transition.  It is the ``.mat`` of the graph-cached ``("operator",
+    "fatigued", p, fatigue, beta, weighted)`` bundle; a
+    :class:`GraphDelta` drops that bundle like every other, and the
+    next solve rebuilds it from the refreshed adjacency and θ.
     """
     key = (
         "fatigued",
@@ -267,6 +272,23 @@ class PageRankMethod(_StochasticMethod):
         return ("d2pr", weighted, dangling, beta, p)
 
     def transition(self, graph, group_key: tuple):
+        # Every β ∈ {0, 1} key is diag(r)·M·diag(c), materialised from
+        # the factors; a blend or a too-wide key keeps its own builder.
+        factored = self._factored(graph, group_key)
+        if factored is None:
+            return self._unfactored_transition(graph, group_key)
+        _, mat, row, col = factored
+        data = mat.data * np.repeat(row, np.diff(mat.indptr))
+        if col is not None:
+            data *= col[mat.indices]
+        # Shares M's index arrays, read-only like every cached matrix.
+        out = sparse.csr_matrix(
+            (data, mat.indices, mat.indptr), shape=mat.shape
+        )
+        out.has_canonical_format = True
+        return out
+
+    def _unfactored_transition(self, graph, group_key: tuple):
         _, p, beta, weighted, _dangling = group_key
         if not weighted and beta != 0.0:
             raise ParameterError(
@@ -293,19 +315,35 @@ class PageRankMethod(_StochasticMethod):
         return ("csr", beta == 1.0, dangling)
 
     def factors(self, graph, group_key: tuple) -> Factors:
-        pool = self.pool_key(group_key)
-        if pool != group_key:
-            col = self._column_scale(graph, group_key)
-            if col is not False:
-                from repro.methods.spectral import adjacency_bundle
+        factored = self._factored(graph, group_key)
+        if factored is None:
+            return super().factors(graph, group_key)
+        from repro.methods.spectral import adjacency_bundle
 
-                bundle = adjacency_bundle(graph, weighted=pool[1])
-                mass = bundle.mat @ (np.ones(bundle.n) if col is None else col)
-                row = np.divide(
-                    1.0, mass, out=np.zeros(bundle.n), where=mass > 0.0
-                )
-                return Factors(pool, bundle, row, col)
-        return super().factors(graph, group_key)
+        pool, _, row, col = factored
+        bundle = adjacency_bundle(graph, weighted=pool[1])
+        return Factors(pool, bundle, row, col)
+
+    def _factored(self, graph, group_key: tuple):
+        """``(pool, M, r, c)`` of a factorable key, else ``None``.
+
+        ``M`` is the cached ``("csr", β == 1)`` adjacency, ``c`` comes
+        from :meth:`_column_scale` and ``r = 1/(M c)`` on non-empty rows
+        (0 on dangling ones): the one derivation behind both
+        :meth:`factors` and :meth:`transition`.
+        """
+        pool = self.pool_key(group_key)
+        if pool == group_key:
+            return None
+        graph.require_nonempty()
+        col = self._column_scale(graph, group_key)
+        if col is False:
+            return None
+        mat = graph.to_csr(weighted=pool[1])
+        n = mat.shape[0]
+        mass = mat @ (np.ones(n) if col is None else col)
+        row = np.divide(1.0, mass, out=np.zeros(n), where=mass > 0.0)
+        return pool, mat, row, col
 
     def _column_scale(self, graph, group_key: tuple):
         """``c`` of a poolable key: an array, ``None`` (unit) or ``False``.
@@ -360,7 +398,7 @@ class FatiguedMethod(PageRankMethod):
         _, p, fatigue, beta, weighted, dangling = group_key
         return ("fatigued", weighted, dangling, beta, fatigue, p)
 
-    def transition(self, graph, group_key: tuple):
+    def _unfactored_transition(self, graph, group_key: tuple):
         # A rescale of the cached D2PR matrix (see fatigued_transition).
         _, p, fatigue, beta, weighted, _dangling = group_key
         base = d2pr_transition(graph, p, beta=beta, weighted=weighted)

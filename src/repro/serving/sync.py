@@ -4,10 +4,10 @@ The serving front's concurrency model needs exactly one non-standard
 primitive: a **readers/writer barrier** separating solves from
 mutations.  Query execution — push, sharded solve, batch flush,
 incremental correction — reads graph matrices and operator bundles
-that :meth:`~repro.serving.RankingService.apply_delta` patches
-*in place* (the delta-aware refresh keeps the cached CSR transpose
-alive by writing ``old + D`` into its buffers).  Readers therefore
-share; the mutation door excludes.  ``threading`` offers no
+out of the graph cache that
+:meth:`~repro.serving.RankingService.apply_delta` rewrites (the
+delta-aware refresh swaps in patched entries and drops the rest).
+Readers therefore share; the mutation door excludes.  ``threading`` offers no
 reader/writer lock, so :class:`ReadWriteLock` implements the minimal
 contract the service needs:
 

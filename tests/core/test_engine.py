@@ -65,6 +65,25 @@ class TestAdjacencyAndTheta:
         _adj, theta = adjacency_and_theta(dangling_digraph, weighted=False)
         assert np.array_equal(theta, dangling_digraph.out_degree_vector())
 
+    @pytest.mark.parametrize("cls", [Graph, DiGraph])
+    def test_unweighted_theta_equals_out_degree_vector(self, cls):
+        # Nodes 5 and 6 are isolated; on a DiGraph node 4 is a sink.
+        g = cls.from_arrays(
+            np.array([0, 0, 1, 3, 2]), np.array([1, 2, 2, 4, 0]),
+            np.array([2.0, 0.5, 1.0, 3.0, 4.0]), num_nodes=7,
+        )
+        _adj, theta = adjacency_and_theta(g, weighted=False)
+        want = g.out_degree_vector()
+        assert theta.dtype == want.dtype
+        assert np.array_equal(theta, want)
+
+    @pytest.mark.parametrize("cls", [Graph, DiGraph])
+    def test_theta_builds_no_coo_triple(self, cls):
+        g = cls.from_arrays(np.array([0, 1]), np.array([1, 2]), num_nodes=4)
+        for weighted in (False, True):
+            adjacency_and_theta(g, weighted=weighted)
+        assert ("coo",) not in g._cache
+
     def test_weighted_theta_is_out_weight(self):
         g = Graph()
         g.add_edge("a", "b", weight=2.0)

@@ -18,7 +18,7 @@ from repro.errors import (
 )
 from repro.graph import DiGraph, Graph, GraphDelta
 from repro.graph.delta import _CHAIN_FRACTION
-from repro.linalg.operator import LinearOperatorBundle
+from repro.methods import family_method, fatigued_transition
 
 
 def _arr(*values):
@@ -31,6 +31,13 @@ def _rebuilt(graph):
     return cls.from_arrays(
         *graph.edge_arrays(), num_nodes=graph.number_of_nodes
     )
+
+
+def _assert_same_csr(got, want):
+    """Bit-for-bit equality of two CSR matrices."""
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
 
 
 @pytest.fixture
@@ -277,34 +284,35 @@ class TestCacheRefresh:
         stats = graph.apply_delta(delta)
         fresh = _rebuilt(graph)
 
-        # the refreshed keys include every warmed matrix; the raw COO
-        # triple is dropped (its on-demand rebuild is the same cost)
-        kinds = {key[0] for key in stats["refreshed"]}
-        assert {"csr", "theta", "operator"} <= kinds
-        assert {key[0] for key in stats["dropped"]} <= {"coo"}
-        # One entry per matrix: the refreshed transition is its bundle's.
-        assert LinearOperatorBundle.of(
-            d2pr_transition(graph, 1.5)
-        ) is d2pr_operator(graph, 1.5)
+        # The graph refreshes only the adjacency and theta; every
+        # operator bundle (and the raw COO triple) is dropped.
+        assert {key[0] for key in stats["refreshed"]} == {"csr", "theta"}
+        assert {key[0] for key in stats["dropped"]} <= {"coo", "operator"}
+        assert ("operator", "d2pr", 1.5, 0.0, False) in stats["dropped"]
+        assert ("operator", "d2pr", 0.0, 0.0, False) in stats["dropped"]
 
-        assert (graph.to_csr() != fresh.to_csr()).nnz == 0
-        assert (
-            graph.to_csr(weighted=False) != fresh.to_csr(weighted=False)
-        ).nnz == 0
-        adj_new, theta_new = adjacency_and_theta(graph, weighted=False)
-        adj_ref, theta_ref = adjacency_and_theta(fresh, weighted=False)
-        np.testing.assert_allclose(theta_new, theta_ref)
+        for weighted in (False, True):
+            _assert_same_csr(
+                graph.to_csr(weighted=weighted),
+                fresh.to_csr(weighted=weighted),
+            )
+        _, theta_new = adjacency_and_theta(graph, weighted=False)
+        _, theta_ref = adjacency_and_theta(fresh, weighted=False)
+        assert np.array_equal(theta_new, theta_ref)
+        # The next bundle read rebuilds from the refreshed pair and
+        # equals a fresh build exactly.
         patched = d2pr_transition(graph, 1.5)
-        rebuilt = d2pr_transition(fresh, 1.5)
         assert patched is not old_transition
-        diff = (patched - rebuilt)
-        assert abs(diff).max() < 1e-15 if diff.nnz else True
+        _assert_same_csr(patched, d2pr_transition(fresh, 1.5))
+        _assert_same_csr(
+            d2pr_transition(graph, 0.0), d2pr_transition(fresh, 0.0)
+        )
         np.testing.assert_allclose(
             pagerank(graph).values, pagerank(fresh).values, atol=1e-12
         )
 
-        # A fatigued solve caches only bundles (its own and the d2pr one
-        # it rescales); the next delta drops its bundle.
+        # A fatigued solve caches only its own bundle; the next delta
+        # drops it and the rebuild equals a fresh build.
         solve_many(graph, [RankQuery(method="fatigued", p=1.5, fatigue=0.3)])
         assert {key[0] for key in graph._cache} <= {
             "coo", "csr", "theta", "operator"
@@ -313,16 +321,24 @@ class TestCacheRefresh:
         assert fatigued_key in graph._cache
         stats = graph.apply_delta(self._delta_for(graph, rng))
         assert fatigued_key in stats["dropped"]
-        assert ("operator", "d2pr", 1.5, 0.0, False) in stats["refreshed"]
+        fresh = _rebuilt(graph)
+        _assert_same_csr(
+            fatigued_transition(graph, 1.5, fatigue=0.3),
+            fatigued_transition(fresh, 1.5, fatigue=0.3),
+        )
 
     def test_refresh_hits_cache_not_rebuild(self, grid_graph, rng):
+        # Only the bundle is rebuilt: the adjacency and theta it reads
+        # are hits on the refreshed entries.
         self._warm(grid_graph)
         delta = self._delta_for(grid_graph, rng)
         grid_graph.apply_delta(delta)
         misses = grid_graph.cache_info()["misses"]
-        d2pr_transition(grid_graph, 1.5)  # must be a hit on refreshed entry
+        d2pr_transition(grid_graph, 1.5)
+        assert grid_graph.cache_info()["misses"] == misses + 1
         grid_graph.to_csr()
-        assert grid_graph.cache_info()["misses"] == misses
+        adjacency_and_theta(grid_graph, weighted=False)
+        assert grid_graph.cache_info()["misses"] == misses + 1
 
     def test_version_bumps_once(self, grid_graph, rng):
         self._warm(grid_graph)
@@ -358,10 +374,12 @@ class TestCacheRefresh:
         pagerank(grid_digraph)
         delta = self._delta_for(grid_digraph, rng)
         stats = grid_digraph.apply_delta(delta)
-        assert ("operator", "d2pr", 0.0, 0.0, False) in stats[
-            "refreshed"
-        ]
+        assert ("operator", "d2pr", 0.0, 0.0, False) in stats["dropped"]
+        assert ("csr", False) in stats["refreshed"]
         fresh = _rebuilt(grid_digraph)
+        _assert_same_csr(
+            d2pr_transition(grid_digraph, 0.0), d2pr_transition(fresh, 0.0)
+        )
         np.testing.assert_allclose(
             pagerank(grid_digraph).values, pagerank(fresh).values,
             atol=1e-12,
@@ -369,8 +387,8 @@ class TestCacheRefresh:
 
     @pytest.mark.parametrize("p,beta", [(0.0, 1.0), (0.0, 0.5), (2.0, 1.0)])
     def test_clamp_free_weighted_transition_refreshed(self, rng, p, beta):
-        # At p = 0 or beta = 1 the default clamp cannot reach the matrix,
-        # so the weighted walk (p = 0, beta = 1) is patched, not evicted.
+        # Weighted bundles, the blend included, are dropped like every
+        # other and rebuilt from the refreshed weighted adjacency and θ.
         n = 30
         rows = rng.integers(0, n, 150)
         cols = rng.integers(0, n, 150)
@@ -386,12 +404,13 @@ class TestCacheRefresh:
             GraphDelta.delete(er[:2], ec[:2])
             | GraphDelta.reweight(er[2:4], ec[2:4], np.full(2, 7.0))
         )
-        assert ("operator", "d2pr", p, beta, True) in stats["refreshed"]
+        assert ("operator", "d2pr", p, beta, True) in stats["dropped"]
+        assert ("csr", True) in stats["refreshed"]
         fresh = _rebuilt(g)
-        patched = d2pr_transition(g, p, beta=beta, weighted=True)
-        rebuilt = d2pr_transition(fresh, p, beta=beta, weighted=True)
-        assert patched.shape == rebuilt.shape
-        assert abs(patched - rebuilt).max() < 1e-15
+        _assert_same_csr(
+            d2pr_transition(g, p, beta=beta, weighted=True),
+            d2pr_transition(fresh, p, beta=beta, weighted=True),
+        )
         np.testing.assert_allclose(
             d2pr(g, p, beta=beta, weighted=True).values,
             d2pr(fresh, p, beta=beta, weighted=True).values,
@@ -438,15 +457,18 @@ class TestCacheRefresh:
         stats1 = graph.apply_delta(local_delta(100))
         stats2 = graph.apply_delta(local_delta(300))
         assert stats1["chained"] == []
+        assert {key[0] for key in stats1["refreshed"]} == {"csr", "theta"}
         assert set(stats2["chained"]) == set(stats1["refreshed"])
         assert stats2["refreshed"] == []
         assert set(stats2["dropped"]) <= {("coo",)}
         fresh = _rebuilt(graph)  # reads only the dropped ("coo",)
         misses = graph.cache_info()["misses"]
-        assert (graph.to_csr() != fresh.to_csr()).nnz == 0
-        patched = d2pr_transition(graph, 1.5)
+        _assert_same_csr(graph.to_csr(), fresh.to_csr())
         assert graph.cache_info()["misses"] == misses
-        assert abs(patched - d2pr_transition(fresh, 1.5)).max() < 1e-15
+        # The one rebuild is the bundle, from the chained pair.
+        patched = d2pr_transition(graph, 1.5)
+        assert graph.cache_info()["misses"] == misses + 1
+        _assert_same_csr(patched, d2pr_transition(fresh, 1.5))
         np.testing.assert_allclose(
             d2pr(graph, 1.5).values, d2pr(fresh, 1.5).values, atol=1e-12,
         )
@@ -455,20 +477,22 @@ class TestCacheRefresh:
         self, grid_graph, rng
     ):
         # The serving-loop pattern: the transition is read every round,
-        # so it keeps getting patched instead of evicted.
+        # so the adjacency and theta keep getting patched, not rebuilt,
+        # and each round's bundle is rebuilt from them.
         self._warm(grid_graph)
         for _ in range(3):
             d2pr_transition(grid_graph, 1.5)  # resolve before next delta
             stats = grid_graph.apply_delta(
                 self._delta_for(grid_graph, rng)
             )
-            assert ("operator", "d2pr", 1.5, 0.0, False) in stats[
-                "refreshed"
-            ]
-        fresh = _rebuilt(grid_graph)
-        patched = d2pr_transition(grid_graph, 1.5)
-        rebuilt = d2pr_transition(fresh, 1.5)
-        assert np.abs((patched - rebuilt).toarray()).max() < 1e-14
+            assert {("csr", False), ("theta", False)} <= set(
+                stats["refreshed"]
+            )
+            assert ("operator", "d2pr", 1.5, 0.0, False) in stats["dropped"]
+            fresh = _rebuilt(grid_graph)
+            _assert_same_csr(
+                d2pr_transition(grid_graph, 1.5), d2pr_transition(fresh, 1.5)
+            )
 
     def test_repeated_deltas_stay_consistent(self, grid_graph, rng):
         self._warm(grid_graph)
@@ -482,12 +506,17 @@ class TestCacheRefresh:
             assert np.abs((patched - rebuilt).toarray()).max() < 1e-14
 
 
-#: (p, beta, weighted) of every D2PR bundle the chain tests warm.  The
-#: weighted p = 1.5, beta = 0 bundle is dropped at the first delta (its
-#: clamp can move); every other one chains.
+#: Group keys of every bundle the chain tests warm: d2pr and fatigued,
+#: p ∈ {0, 1.5, −2}, β ∈ {0, 1} (β = 1 on weighted keys only), both
+#: weight flags.  Every one is dropped at a delta and rebuilt on read.
 _CHAIN_KEYS = [
-    (0.0, 0.0, False), (1.5, 0.0, False),
-    (0.0, 0.0, True), (0.0, 1.0, True), (1.5, 0.0, True), (1.5, 1.0, True),
+    key
+    for p in (0.0, 1.5, -2.0)
+    for beta, weighted in ((0.0, False), (0.0, True), (1.0, True))
+    for key in (
+        ("d2pr", p, beta, weighted, "teleport"),
+        ("fatigued", p, 0.3, beta, weighted, "teleport"),
+    )
 ]
 
 
@@ -524,12 +553,33 @@ def _window_delta(graph, rng, lo, width, *, weighted):
 def _warm_chain_keys(graph):
     for weighted in (False, True):
         adjacency_and_theta(graph, weighted=weighted)
-    for p, beta, weighted in _CHAIN_KEYS:
-        d2pr_operator(graph, p, beta=beta, weighted=weighted).t_csr
+    for key in _CHAIN_KEYS:
+        family_method(key).operator(graph, key).t_csr
+
+
+def _min_theta_delta(graph):
+    """Reweight one edge of the node with the smallest positive Θ down,
+    which moves the weighted clamp of every p ≠ 0, β = 0 key.  Reads
+    the edge store only, so no pending cache entry is resolved."""
+    er, ec, ew = graph.edge_arrays()
+    n = graph.number_of_nodes
+    theta = np.bincount(er, weights=ew, minlength=n)
+    if not graph.directed:
+        theta += np.bincount(ec, weights=ew, minlength=n)
+    low = theta[theta > 0].min()
+    node = int(np.flatnonzero(theta == low)[0])
+    incident = er == node
+    if not graph.directed:
+        incident |= ec == node
+    edge = int(np.flatnonzero(incident)[0])
+    return GraphDelta.reweight(
+        er[edge:edge + 1], ec[edge:edge + 1], np.array([ew[edge] / 8.0])
+    ), low
 
 
 class TestChainedRefresh:
-    """Entries unread across several deltas resolve as one patch."""
+    """The adjacency and θ chain across unread deltas; every bundle is
+    rebuilt from them and equals a fresh build exactly."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -537,22 +587,32 @@ class TestChainedRefresh:
         cls=st.sampled_from([Graph, DiGraph]),
         weighted=st.booleans(),
         starts=st.lists(st.integers(0, 984), min_size=1, max_size=5),
+        lower_clamp=st.booleans(),
     )
     def test_chained_entries_match_fresh_builds(
-        self, seed, cls, weighted, starts
+        self, seed, cls, weighted, starts, lower_clamp
     ):
         rng = np.random.default_rng(seed)
         graph = _local_graph(cls, rng, n=1000, m=5000, weighted=weighted)
         _warm_chain_keys(graph)
-        # Five 16-node windows stay under the chain bound (100 nodes).
+        # Five 16-node windows plus the two nodes of the clamp-moving
+        # reweight stay under the chain bound (100 nodes).  Nothing is
+        # read from the cache between the deltas.
         history = [
             graph.apply_delta(
                 _window_delta(graph, rng, lo, 16, weighted=weighted)
             )
             for lo in starts
         ]
+        if lower_clamp:
+            delta, clamp = _min_theta_delta(graph)
+            history.append(graph.apply_delta(delta))
         deferred = set(history[0]["refreshed"])
-        assert ("operator", "d2pr", 1.5, 0.0, True) in history[0]["dropped"]
+        assert deferred == {
+            ("csr", False), ("csr", True), ("theta", False), ("theta", True)
+        }
+        operators = {("operator", *key[:-1]) for key in _CHAIN_KEYS}
+        assert operators <= set(history[0]["dropped"])
         for stats in history[1:]:
             assert set(stats["chained"]) == deferred
             assert stats["refreshed"] == []
@@ -561,18 +621,17 @@ class TestChainedRefresh:
         for w in (False, True):
             csr, theta = adjacency_and_theta(graph, weighted=w)
             csr_ref, theta_ref = adjacency_and_theta(fresh, weighted=w)
-            assert np.array_equal(csr.indptr, csr_ref.indptr)
-            assert np.array_equal(csr.indices, csr_ref.indices)
-            assert np.array_equal(csr.data, csr_ref.data)
-            assert np.abs(theta - theta_ref).max() <= 1e-15
-        for p, beta, w in _CHAIN_KEYS:
-            bundle = d2pr_operator(graph, p, beta=beta, weighted=w)
-            reference = d2pr_operator(fresh, p, beta=beta, weighted=w)
-            assert bundle.mat.nnz == reference.mat.nnz
-            assert abs(bundle.mat - reference.mat).max() <= 1e-15
-            if ("operator", "d2pr", p, beta, w) in deferred:
-                assert bundle._t_csr is not None  # patched, not rebuilt
-            assert abs(bundle.t_csr - reference.t_csr).max() <= 1e-15
+            _assert_same_csr(csr, csr_ref)
+            assert np.array_equal(theta, theta_ref)
+        if lower_clamp:
+            _, theta = adjacency_and_theta(graph, weighted=True)
+            assert theta[theta > 0].min() < clamp
+        for key in _CHAIN_KEYS:
+            method = family_method(key)
+            _assert_same_csr(
+                method.operator(graph, key).mat,
+                method.operator(fresh, key).mat,
+            )
 
     def test_union_past_the_bound_is_dropped(self, rng):
         n = 400
@@ -621,64 +680,6 @@ class TestDanglingTransitions:
         np.testing.assert_allclose(
             d2pr(dg, 0.5).values, d2pr(fresh, 0.5).values, atol=1e-12
         )
-
-
-class TestTransposePatch:
-    """The operator-bundle refresh patches the cached transpose in place."""
-
-    def _delta(self, rng, graph):
-        er, ec, _ = graph.edge_arrays()
-        n = graph.number_of_nodes
-        sel = rng.choice(er.shape[0], 3, replace=False)
-        ins_r = rng.integers(0, n, 5)
-        ins_c = rng.integers(0, n, 5)
-        keep = ins_r != ins_c
-        return GraphDelta.delete(er[sel], ec[sel]) | GraphDelta.insert(
-            ins_r[keep], ins_c[keep]
-        )
-
-    @pytest.mark.parametrize("cls", [Graph, DiGraph])
-    def test_built_transpose_is_patched_not_rebuilt(self, cls, rng):
-        rows = rng.integers(0, 200, 2000)
-        cols = rng.integers(0, 200, 2000)
-        keep = rows != cols
-        graph = cls.from_arrays(rows[keep], cols[keep], num_nodes=200)
-        bundle = d2pr_operator(graph, 1.0)
-        bundle.t_csr  # build the transpose view
-        graph.apply_delta(self._delta(rng, graph))
-        refreshed = d2pr_operator(graph, 1.0)
-        assert refreshed is not bundle
-        # Seeded at refresh time, before any solver touched it.
-        assert refreshed._t_csr is not None
-        reference = refreshed.mat.T.tocsr()
-        assert refreshed.t_csr.nnz == reference.nnz
-        assert (refreshed.t_csr != reference).nnz == 0
-
-    def test_unbuilt_transpose_stays_lazy(self, rng):
-        rows = rng.integers(0, 100, 800)
-        cols = rng.integers(0, 100, 800)
-        keep = rows != cols
-        graph = Graph.from_arrays(rows[keep], cols[keep], num_nodes=100)
-        d2pr_operator(graph, 1.0)  # bundle exists, transpose never built
-        graph.apply_delta(self._delta(rng, graph))
-        refreshed = d2pr_operator(graph, 1.0)
-        assert refreshed._t_csr is None  # no eager cost
-        reference = refreshed.mat.T.tocsr()
-        assert (refreshed.t_csr != reference).nnz == 0
-
-    def test_chained_deltas_keep_patching(self, rng):
-        rows = rng.integers(0, 150, 1200)
-        cols = rng.integers(0, 150, 1200)
-        keep = rows != cols
-        graph = Graph.from_arrays(rows[keep], cols[keep], num_nodes=150)
-        d2pr_operator(graph, 1.0).t_csr
-        for _ in range(3):
-            graph.apply_delta(self._delta(rng, graph))
-            bundle = d2pr_operator(graph, 1.0)
-            assert bundle._t_csr is not None
-            reference = bundle.mat.T.tocsr()
-            assert (bundle.t_csr != reference).nnz == 0
-            bundle.t_csr  # keep it built for the next round
 
 
 class TestNodeOps:

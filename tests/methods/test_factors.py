@@ -1,8 +1,9 @@
 """The pooled factors of the stochastic family: ``P = diag(r)·M·diag(c)``.
 
 ``CentralityMethod.factors`` lets the coalescer solve a whole ``p`` grid
-as one block over one adjacency.  The factored sweep must reproduce the
-materialised transition to round-off, on the same dangling rows; keys
+as one block over one adjacency, and ``transition()`` materialises the
+same factors.  The factored sweep must reproduce the paper-era builders
+of ``linalg/transition.py`` to round-off, on the same dangling rows; keys
 that cannot factor (a blend, or a ``θ^{-p}`` spread beyond float64
 range) must fall back to their materialised bundle and still answer
 like :func:`~repro.core.d2pr`.
@@ -12,11 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import d2pr
 from repro.graph import DiGraph, Graph
+from repro.linalg.transition import (
+    blended_transition,
+    degree_decoupled_transition,
+)
 from repro.methods import family_method
 from repro.serving import RankingService, RankRequest
 
@@ -44,6 +50,27 @@ def _apply_factors(f, x):
     return col[:, None] * (f.mat.mat.T @ (f.row[:, None] * x))
 
 
+def _oracle(graph, p, beta, weighted, fatigue):
+    """The key's transition from the paper-era builders, independently
+    of the factors: ``θ`` and the clamp are derived here, and fatigue
+    is the column rescale ``1 − φ`` with rows re-normalised."""
+    adjacency = graph.to_csr(weighted=weighted)
+    theta = np.asarray(adjacency.sum(axis=1)).ravel()
+    if weighted:
+        positive = theta[theta > 0]
+        floor = float(positive.min()) if positive.size else 1.0
+        mat = blended_transition(adjacency, p, beta, clamp_min=floor)
+    else:
+        mat = degree_decoupled_transition(adjacency, p, clamp_min=1.0)
+    if fatigue == 0.0 or theta.max() == 0.0:
+        return mat
+    keep = 1.0 - fatigue * theta / theta.max()
+    mat = mat.multiply(keep[np.newaxis, :]).tocsr()
+    mass = np.asarray(mat.sum(axis=1)).ravel()
+    inv = np.divide(1.0, mass, out=np.zeros_like(mass), where=mass > 0.0)
+    return sparse.diags(inv) @ mat
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=4, max_value=25),
@@ -65,16 +92,22 @@ def test_factors_reproduce_the_transition(
         key = ("fatigued", p, fatigue, beta, weighted, "teleport")
     else:
         key = ("d2pr", p, beta, weighted, "teleport")
+        fatigue = 0.0
     method = family_method(key)
     f = method.factors(graph, key)
     assert f.pool == method.pool_key(key) == ("csr", beta == 1.0, "teleport")
     assert f.row is not None
-    bundle = method.operator(graph, key)
+    oracle = _oracle(graph, p, beta, weighted, fatigue)
     x = np.random.default_rng(seed).random((n, 3))
-    want = bundle.mat.T @ x
+    want = oracle.T @ x
     got = _apply_factors(f, x)
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-    np.testing.assert_array_equal(f.mat.dangle_idx, bundle.dangle_idx)
+    np.testing.assert_array_equal(
+        f.mat.dangle_idx, np.flatnonzero(np.diff(oracle.indptr) == 0)
+    )
+    # The served transition is the same factors, materialised.
+    served = method.operator(graph, key).mat
+    assert abs(served - oracle).max() <= 1e-15
 
 
 def _wide_graph():

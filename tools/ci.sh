@@ -58,6 +58,21 @@ if grep -rnE --include='*.py' '\("(d2pr_transition|fatigued_transition|adj_theta
 fi
 echo "src/repro/methods/ + core/ lines: $(cat src/repro/methods/*.py src/repro/core/*.py | wc -l)"
 
+# The graph layer knows only the adjacency and theta: a delta patches
+# ("csr", w) and ("theta", w), drops every operator bundle, and the
+# method rebuilds the bundle from them.  Fail if transition math or a
+# bundle patch returns to src/repro/graph/ (the changed-row transition
+# values, the bundle correction, the softmax, any repro.linalg import),
+# or if LinearOperatorBundle grows a correction method again.
+if grep -rnE 'transition_vals|\.corrected\(|segment_softmax_weights|(from|import) repro\.linalg' src/repro/graph/; then
+    echo "FAIL: transition math or a bundle patch reappeared under src/repro/graph/" >&2
+    exit 1
+fi
+if grep -n 'def corrected' src/repro/linalg/operator.py; then
+    echo "FAIL: LinearOperatorBundle.corrected reappeared in src/repro/linalg/operator.py" >&2
+    exit 1
+fi
+
 # One strategy table: serving mechanisms without a measured win stay
 # deleted — the planner's latency self-tuning, the coalescer's age and
 # backlog triggers with their poll(), and the front's batch parking
@@ -252,15 +267,33 @@ try:
     warm = RankingService.warm_start(tmp / "ckpt", backend="mmap")
     assert warm._warm_started["replayed"] == 3, warm._warm_started
     assert warm._warm_started["seeded"] == 1, warm._warm_started
-    misses = warm.graph.cache_info()["misses"]
     live = svc.rank(req)
-    restored = warm.rank(req)
-    # The replayed edge deltas correct the seeded answer, no re-solve,
-    # and the graph's deferred patches chain across the tail: the
-    # corrected read resolves them without a single matrix rebuild.
+    # Count the graph-cache misses of the corrected read.
+    from repro.graph.base import BaseGraph
+    real_cached, missed = BaseGraph.cached, []
+
+    def counting_cached(graph, key, builder):
+        if graph is warm.graph and key not in graph._cache:
+            missed.append(key)
+        return real_cached(graph, key, builder)
+
+    def graph_keys():
+        kinds = ("csr", "theta", "coo")
+        return {key for key in warm.graph._cache if key[0] in kinds}
+
+    before = graph_keys()
+    BaseGraph.cached = counting_cached
+    try:
+        restored = warm.rank(req)
+    finally:
+        BaseGraph.cached = real_cached
+    # The replayed edge deltas correct the seeded answer, no re-solve.
+    # The graph's adjacency and theta patches chain across the tail, so
+    # nothing is rebuilt from the edge store: the read's one miss is
+    # the operator bundle, rebuilt from the patched adjacency and theta.
     assert restored.plan.strategy == "incremental", restored.plan.strategy
-    grown = warm.graph.cache_info()["misses"] - misses
-    assert grown == 0, f"corrected read rebuilt {grown} cached matrices"
+    assert missed == [("operator", "d2pr", 0.0, 0.0, False)], missed
+    assert graph_keys() == before, (before, graph_keys())
     l1 = float(np.abs(live.scores.values - restored.scores.values).sum())
     assert l1 <= 2 * req.tol, f"warm restart diverged: L1={l1:g}"
     print("persistence roundtrip smoke: OK")

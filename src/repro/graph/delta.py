@@ -619,17 +619,21 @@ class _RefreshPlan:
         # rows, each row's columns ascending as in the CSR: the store is
         # key-sorted, and on an undirected graph the mirrored half
         # (hi, lo) goes first, so the stable sort by row keeps that.
-        member = np.zeros(n, dtype=bool)
-        member[self.touched] = True
+        # The store is row-sorted, so the entries whose row is touched
+        # are one bracket per node: no pass over the whole store.
+        lo = np.searchsorted(rows_c, self.touched, side="left")
+        span = np.searchsorted(rows_c, self.touched, side="right") - lo
+        first = np.cumsum(span) - span
+        sel = np.arange(span.sum()) + np.repeat(lo - first, span)
         if self.directed:
-            sel = member[rows_c]
             r_sub, c_sub, w_sub = rows_c[sel], cols_c[sel], w_c[sel]
         else:
-            sel_lo = member[rows_c]
+            member = np.zeros(n, dtype=bool)
+            member[self.touched] = True
             sel_hi = member[cols_c]
-            r_sub = np.concatenate([cols_c[sel_hi], rows_c[sel_lo]])
-            c_sub = np.concatenate([rows_c[sel_hi], cols_c[sel_lo]])
-            w_sub = np.concatenate([w_c[sel_hi], w_c[sel_lo]])
+            r_sub = np.concatenate([cols_c[sel_hi], rows_c[sel]])
+            c_sub = np.concatenate([rows_c[sel_hi], cols_c[sel]])
+            w_sub = np.concatenate([w_c[sel_hi], w_c[sel]])
         position = np.full(n, -1, dtype=np.int64)
         position[self.touched] = np.arange(self.touched.size, dtype=np.int64)
         seg = position[r_sub]

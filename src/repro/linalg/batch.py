@@ -26,15 +26,16 @@ column (the test-suite pins agreement to 1e-12 across all dangling
 strategies).  On a reversible transition — a fact callers take from
 :meth:`~repro.methods.base.CentralityMethod.reversible` — the block
 loop runs as a Chebyshev semi-iteration (Golub & Varga 1961) on the
-real spectrum ``[−α, α]``: each sweep still computes and certifies the
-power step, so ``converged``, ``iterations``, ``residuals`` and the L1
-certificate keep their meaning, but answers agree with
-``power_iteration`` within ``α/(1−α)·tol`` rather than to round-off.
-Either way:
+real spectrum ``[−α, α]``: a column still certifies and returns the
+power step, so ``converged``, ``iterations`` and the L1 certificate
+keep their meaning (``residuals`` lists the evaluated sweeps only), but
+answers agree with ``power_iteration`` within ``α/(1−α)·tol`` rather
+than to round-off.  Either way:
 
 * **per-column convergence masking** — a column whose L1 residual drops
-  below ``tol`` freezes and leaves the active block, so late stragglers
-  don't force converged systems to keep iterating;
+  below ``tol`` is copied out and stops counting sweeps; its lane leaves
+  the block at the next compaction, so late stragglers don't force
+  converged systems to keep iterating;
 * **shared dangling handling** — the dangling-row mask and target are
   computed once for the whole batch; with ``dangling="teleport"`` each
   column redistributes its dangling mass through its *own* teleport vector,
@@ -80,7 +81,11 @@ class BatchResult:
     converged:
         ``(K,)`` boolean convergence flags.
     residuals:
-        Per-column L1 residual history (list of K lists).
+        Per-column L1 residual history (list of K lists), one entry per
+        *evaluated* sweep: every sweep of plain power and of the
+        α-family path, but on the Chebyshev path only the sweeps whose
+        residual could matter (see :func:`_pooled_loop`).  The last
+        entry is always the final sweep's.
     method:
         Name of the solver that produced the result.
     """
@@ -151,12 +156,9 @@ def _teleport_block(
     cols = list(teleports)
     if not cols:
         raise ParameterError("teleports sequence must be non-empty")
-    block = np.empty((n, len(cols)))
-    uniform = np.full(n, 1.0 / n)
+    block = np.full((n, len(cols)), 1.0 / n)
     for k, spec in enumerate(cols):
-        if spec is None:
-            block[:, k] = uniform
-        else:
+        if spec is not None:
             block[:, k] = _unit_mass(spec, n, f"teleport column {k}")
     return block
 
@@ -183,10 +185,11 @@ def _alpha_vector(alphas: float | Sequence[float] | np.ndarray, k: int) -> np.nd
 def _initial_block(
     warm_start: np.ndarray | None,
     teleport_block: np.ndarray,
-) -> np.ndarray:
+) -> np.ndarray | None:
+    """The validated ``(n, K)`` warm start; ``None`` for a cold start."""
     n, k = teleport_block.shape
     if warm_start is None:
-        return teleport_block.copy()
+        return None
     try:
         arr = np.asarray(warm_start, dtype=np.float64)
     except (TypeError, ValueError):
@@ -207,26 +210,38 @@ def _initial_block(
     return block
 
 
-def _scale_block(arr, n: int, k: int, what: str) -> np.ndarray:
-    """Validate one ``(n, K)`` block of per-column scale factors."""
+def _scale_block(
+    arr, n: int, k: int, what: str, *, positive: bool
+) -> np.ndarray:
+    """Validate scale factors: an ``(n, K)`` block or a shared ``(n,)``.
+
+    Two reductions, no temporaries: the minimum catches a negative (or,
+    for column scales, zero) entry and NaN, the maximum an infinite one.
+    """
     block = np.asarray(arr, dtype=np.float64)
-    if block.shape != (n, k):
+    if block.shape not in ((n,), (n, k)):
         raise ParameterError(
-            f"{what} scales must have shape ({n}, {k}), got {block.shape}"
+            f"{what} scales must have shape ({n},) or ({n}, {k}), "
+            f"got {block.shape}"
         )
-    if not (np.isfinite(block).all() and (block >= 0.0).all()):
-        raise ParameterError(f"{what} scales must be finite and non-negative")
+    low = block.min()
+    in_range = low > 0.0 if positive else low >= 0.0
+    if not (in_range and np.isfinite(block.max())):
+        sign = "positive" if positive else "non-negative"
+        raise ParameterError(f"{what} scales must be finite and {sign}")
     return block
 
 
 def _columns(block: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``block[:, idx]`` as a C-contiguous array.
+    """``block[:, idx]`` as a C-contiguous array (``idx`` may be a mask).
 
-    Fancy indexing along axis 1 returns Fortran order; scipy's
-    sparse·dense kernel would copy that operand on every sweep, and the
-    row-wise passes would stride.
+    ``take`` along axis 1 returns C order, which scipy's sparse·dense
+    kernel and the row-wise passes need, at a fraction of the cost of
+    copying a fancy-indexed (Fortran-ordered) slice.
     """
-    return np.ascontiguousarray(block[:, idx])
+    if idx.dtype == bool:
+        idx = np.flatnonzero(idx)
+    return block.take(idx, axis=1)
 
 
 #: Column-chunk width for the dense block.  Keeps the sweep loop's hot
@@ -239,13 +254,28 @@ def _columns(block: np.ndarray, idx: np.ndarray) -> np.ndarray:
 #: per-call allocation; split very large query sets across calls.
 _CHUNK = 16
 
+#: Columns a pool admits past ``_CHUNK`` rather than leave them pending:
+#: a left-over column would start once the pool thins and then sweep
+#: almost alone, at single-column rate (the 17-point p grid's last
+#: point).  One multiply at width 17 costs about as much as 16 + 1.
+_OVERHANG = _CHUNK // 8
+
+#: How far (in powers of two) a Chebyshev lane's iterate may drift
+#: from its true scale before the loop folds the factor back in.
+_FACTOR_OCTAVES = 64
+
+#: A teleport block whose nonzero rows (over all columns) are at most
+#: this share of ``n`` is added on those rows only.
+_SPARSE_SHARE = 0.25
+
+
 def _pooled_loop(
     mat_t: sparse.spmatrix,
     dangle_idx: np.ndarray,
     dangling: str,
     teleport_block: np.ndarray,
     alphas: np.ndarray,
-    x0: np.ndarray,
+    x0: np.ndarray | None,
     tol: float,
     max_iter: int,
     chebyshev: bool = False,
@@ -253,41 +283,57 @@ def _pooled_loop(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
     """Advance every column of the batch to ``tol`` with a pooled scheduler.
 
-    At most ``_CHUNK`` columns iterate at a time (one contiguous dense
-    block: one sparse·dense multiply plus a few in-place passes per
-    sweep).  A column leaves the pool when its L1 residual drops below
-    ``tol`` or when it exhausts its ``max_iter`` budget.  Finished
-    columns are compacted out and **pending columns are refilled in**
-    once the pool thins below half width, so the sparse·dense multiply
-    keeps running at an efficient block width even when per-column
-    convergence times are spread out (the tail would otherwise iterate at
-    near-matvec rates).
+    At most ``_CHUNK`` columns (``_CHUNK + _OVERHANG`` when that is all
+    of them) iterate at a time, as one contiguous dense block: one
+    sparse·dense multiply plus a few in-place passes per sweep.  A
+    column *finishes* when its L1 residual drops below ``tol`` or when
+    it exhausts its ``max_iter`` budget; its answer is copied out then,
+    and its lane keeps sweeping (without touching the column's
+    ``iterations``, ``residuals`` or ``converged``) until the pool is
+    rebuilt: once a quarter of the lanes have finished, or when the
+    live lanes thin to half of ``_CHUNK`` while columns are pending
+    (the **refill**), so the multiply keeps running at an efficient
+    width even when convergence times are spread out.  Lanes are
+    gathered with ``take``, which returns C order directly.
 
-    With ``scales = (r, c)`` (``(n, K)`` blocks; ``c`` may be ``None``
-    for unit column scales) column ``k`` solves on
-    ``P_k = diag(r_k)·M·diag(c_k)``, where ``mat_t`` is ``Mᵀ``: the sweep
-    computes ``P_kᵀx = c_k ⊙ (Mᵀ(r_k ⊙ x))``, so a whole parameter grid
-    over one adjacency streams ``M`` once per sweep.  α rides on the
-    row-scale pass (on its own when unscaled), the teleport-dangling
-    term is one pass since ``(1−α)·t + α·m·t = (1 − α + α·m)·t``, and
-    every column sum is one BLAS ``ones @ block``.  Scratch blocks are
-    reused across sweeps and re-gathered only when the pool is
-    compacted or refilled.
+    With ``scales = (r, c)`` (each ``(n,)``, shared by every column, or
+    ``(n, K)``; ``c`` may be ``None`` for unit column scales) column
+    ``k`` solves on ``P_k = diag(r_k)·M·diag(c_k)``, where ``mat_t`` is
+    ``Mᵀ``, so a whole parameter grid over one adjacency streams ``M``
+    once per sweep.  A shared ``c`` (one key: a cohort) is absorbed by
+    iterating on ``z = x / c``: the step is ``z' = Mᵀ(α·r·c ⊙ z)`` plus
+    the teleport and dangling terms over ``c``, and when the input scale
+    ``α·r·c`` is shared too it is folded into a copy of ``Mᵀ``, so the
+    multiply is the sweep's only pass over the input.  Per-column ``c``
+    (a p grid) is one scale pass after the multiply.  The teleport term
+    is added on the union of the block's teleport rows when that is at
+    most ``_SPARSE_SHARE`` of ``n`` (seeded columns), as one broadcast
+    row when every column is uniform (in ``x``), and as a dense pass
+    otherwise.  Column sums are one BLAS ``c @ block``.
 
-    Pool composition never affects a column's values, and results
-    agree with ``power_iteration`` to round-off (pinned at 1e-12 by the
+    Pool composition never affects a column's values.  With plain power
+    every sweep is normalised and evaluated, and results agree with
+    ``power_iteration`` to round-off (pinned at 1e-12 by the
     equivalence suite).
 
     With ``chebyshev`` (reversible transitions only: the spectrum of
     ``α·Pᵀ`` is real and lies in ``[−α, α]``) the residual and the
-    returned iterate are those of the power step ``y = G(x_k)``, but the
-    next iterate is the Chebyshev semi-iterate
+    returned iterate are those of the normalised power step
+    ``y = G(x_k)``, but the next iterate is the Chebyshev semi-iterate
     ``x_{k+1} = max(ω_k·(y − x_{k−1}) + x_{k−1}, 0)`` with
     ``ω_1 = 1``, ``ω_2 = 2/(2−α²)``, ``ω_{k+1} = 1/(1 − α²ω_k/4)``
-    per column, contracting at ``α/(1+√(1−α²))`` instead of ``α`` per
-    sweep.  The clip keeps every iterate non-negative; it moves each
+    per column, contracting at ``ρ = α/(1+√(1−α²))`` instead of ``α``
+    per sweep.  The clip keeps every iterate non-negative; it moves each
     entry toward the non-negative fixed point, so it never increases
-    any component's error.
+    any component's error, but it adds mass, so ``y`` is still
+    normalised every sweep.  Each iterate is kept as ``g·z`` with a
+    per-column factor ``g``: the normalisation and ``ω`` ride on ``g``
+    instead of a scale pass, so the update is three passes.  The
+    residual ``res`` is evaluated only when it can matter: after one,
+    the next ``⌊log(res/tol)/log(1/ρ)⌋ − 1`` sweeps skip the residual
+    passes, and a column's ``max_iter``-th sweep is always evaluated; a
+    block sweep is evaluated when any live column is due, and then
+    every live column records its residual.
     """
     n, k = teleport_block.shape
     scores = np.empty((n, k))
@@ -295,111 +341,198 @@ def _pooled_loop(
     converged = np.zeros(k, dtype=bool)
     residuals: list[list[float]] = [[] for _ in range(k)]
     has_dangling = dangle_idx.size > 0
-    # With teleport dangling the teleport block carries the whole
-    # (1 − α + α·m)·t term; otherwise the sweep adds (1 − α)·t as is.
-    fused = has_dangling and dangling == "teleport"
-    ones = np.ones(n)
-    ones_d = np.ones(dangle_idx.size)
 
-    # Full-width sources the pool gathers its columns from: the teleport
-    # term, α·r (or α alone) for the multiply's input, and c.
-    t_full = np.ascontiguousarray(
-        teleport_block if fused else teleport_block * (1.0 - alphas)
-    )
-    if scales is None:
-        ar_full, c_full = None, None
+    # Full-width sources the pool gathers its lanes from: (K,) rows and
+    # (n, K) blocks, or None.
+    row, col = (None, None) if scales is None else scales
+    out_full = None  # per-column c, applied after the multiply
+    if col is not None and col.ndim == 2 and col.shape[1] > 1:
+        out_full, col = col, None
+    # The shared c of z = x / c (1 when unscaled or per-column).
+    c = np.ones(n) if col is None else col.reshape(n)
+    # α·r·c, the multiply's input scale; α alone when unscaled.
+    alpha = alphas[0] if (alphas == alphas[0]).all() else alphas
+    w_full = alpha
+    if row is not None:
+        w_full = (row if row.ndim == 2 else row[:, None]) * c[:, None] * alpha
+    if np.ndim(w_full) == 0 or w_full.shape == (n, 1):
+        # One scale for every column (one key, one α): fold it into
+        # the columns of a copy of Mᵀ.
+        per_entry = w_full if np.ndim(w_full) == 0 else np.repeat(
+            w_full[:, 0], np.diff(mat_t.indptr)
+        )
+        mat_t = sparse.csc_matrix(
+            (mat_t.data * per_entry, mat_t.indices, mat_t.indptr),
+            shape=mat_t.shape,
+        )
+        w_full = None
+    c_dangle = c[dangle_idx]
+    # The teleport term t/c, on its row support when that is small
+    # (teleports are non-negative: a row's maximum is 0 off the support).
+    support = np.flatnonzero(teleport_block.max(axis=1))
+    tele_rows = None
+    if support.size <= _SPARSE_SHARE * n:
+        tele_rows = support
+        tele_full = teleport_block[support] / c[support, None]
+    elif col is None and (teleport_block == teleport_block[0]).all():
+        tele_full = teleport_block[0]  # one value per column: a row
     else:
-        ar_full = np.ascontiguousarray(scales[0] * alphas)
-        c_full = None if scales[1] is None else np.ascontiguousarray(scales[1])
-    x_full = np.ascontiguousarray(x0)
+        tele_full = teleport_block / c[:, None]
+    # z = x / c, cold-started from the teleports.
+    z_full = (teleport_block if x0 is None else x0) / c[:, None]
+    # Chebyshev's a-priori rate per column; α = 0 gives ρ = 0.
+    rho = alphas / (1.0 + np.sqrt(1.0 - alphas * alphas))
+
+    def pick(src, idx):
+        if np.ndim(src) == 0 or idx.size == src.shape[-1]:
+            return src  # None or shared, or every column in order
+        return src.take(idx, axis=-1)
 
     def gather(idx):
         return (
-            _columns(t_full, idx),
-            alphas[idx] if ar_full is None else _columns(ar_full, idx),
-            None if c_full is None else _columns(c_full, idx),
+            alphas[idx],
+            rho[idx],
+            pick(w_full, idx),
+            pick(tele_full, idx),
+            pick(out_full, idx),
         )
 
-    next_fill = min(k, _CHUNK)
-    cols = np.arange(next_fill)
-    xa = _columns(x_full, cols)
-    tt, ar, cs = gather(cols)
-    al = alphas[cols]
-    # Input of the multiply, then free scratch until the next sweep.
-    buf = np.empty_like(xa)
+    def lanes(block, keep, new):
+        kept = _columns(block, keep)
+        if not new.size:
+            return kept
+        return np.concatenate([kept, _columns(z_full, new)], axis=1)
+
+    width = k if k <= _CHUNK + _OVERHANG else _CHUNK
+    next_fill = width
+    cols = np.arange(width)
+    z = z_full if width == k else z_full[:, :width].copy()
+    al, rh, w, tele, co = gather(cols)
+    live = np.ones(width, dtype=bool)
+    it = np.zeros(width, dtype=np.int64)  # sweeps per lane's column
+    due = np.ones(width, dtype=np.int64)  # sweep of the next evaluation
+    g = np.ones(width)  # the iterate is g·z, per lane
+    buf = np.empty_like(z)
     if chebyshev:
-        # x_{k−1} (unread on a column's first sweep, where ω = 1) and per
-        # column ω (0 before the first sweep).
-        xp = xa.copy()
-        om = np.zeros(cols.size)
+        # x_{k−1} = gp·zp (zeroed: unread on a column's first sweep,
+        # where ω = 1) and per column ω (0 before the first sweep).
+        zp = np.zeros_like(z)
+        gp = np.ones(width)
+        om = np.zeros(width)
 
     while cols.size:
-        np.multiply(xa, ar, out=buf)
-        spread = mat_t @ buf
-        if cs is not None:
-            spread *= cs
-        if has_dangling:
-            xd = xa[dangle_idx]
-            if dangling == "self":
-                spread[dangle_idx] += al * xd
-            else:
-                mass = ones_d @ xd
-                if fused:
-                    np.multiply(tt, (1.0 - al) + al * mass, out=buf)
-                else:  # "uniform"
-                    spread += al * mass / n
-        spread += buf if fused else tt
-        # Normalise each column to kill accumulated round-off drift.
-        spread *= 1.0 / (ones @ spread)
-        if chebyshev:
-            # x_k is next sweep's x_{k−1}: the residual needs scratch.
-            np.subtract(xa, spread, out=buf)
-            np.abs(buf, out=buf)
-            res = ones @ buf
-            # ω: 0 → 1 → 2/(2−α²) → 1/(1 − α²ω/4); only ω_1 equals 1.
-            om = 1.0 / (1.0 - al * al * om * np.where(om == 1.0, 0.5, 0.25))
-            # ω·(y − x_{k−1}) + x_{k−1}, written into x_{k−1}'s buffer.
-            np.subtract(xp, spread, out=xp)
-            xp *= 1.0 - om
-            xp += spread
-            np.maximum(xp, 0.0, out=xp)
-            xa, xp = xp, xa
-        else:
-            # The residual pass reuses the previous iterate's buffer,
-            # which then becomes the next sweep's scratch.
-            np.subtract(xa, spread, out=xa)
-            np.abs(xa, out=xa)
-            res = ones @ xa
-            xa, buf = spread, xa
-        iterations[cols] += 1
-        for col, value in zip(cols, res):
-            residuals[col].append(float(value))
-        done = (res < tol) | (iterations[cols] >= max_iter)
-        refill = (
-            next_fill < k
-            and (cols.size - int(done.sum())) <= _CHUNK // 2
+        it += live
+        evaluate = not chebyshev or bool(
+            (live & ((it >= due) | (it >= max_iter))).any()
         )
-        if done.any() or refill:
+        # y is the power step of x_k = g·z, over c and g.
+        if w is None:
+            y = mat_t @ z
+        else:
+            np.multiply(z, w, out=buf)
+            y = mat_t @ buf
+        if co is not None:
+            y *= co
+        coef = (1.0 - al) / g  # the teleport's weight in the step
+        if has_dangling:
+            zd = z[dangle_idx]
+            if dangling == "self":
+                y[dangle_idx] += al * zd
+            else:
+                mass = c_dangle @ zd  # Σ of x/g over the dangling rows
+                if dangling == "teleport":
+                    # (1−α)·t + α·m·t = (1 − α + α·m)·t
+                    coef += al * mass
+                elif col is None:  # "uniform"
+                    y += al * mass / n
+                else:
+                    y += np.multiply.outer(1.0 / (n * c), al * mass)
+        if tele_rows is not None:
+            y[tele_rows] += tele * coef
+        elif tele.ndim == 1:
+            y += tele * coef
+        else:
+            np.multiply(tele, coef, out=buf)
+            y += buf
+        # The normalised power step is h·y: the normalisation kills
+        # round-off drift and, under Chebyshev, the mass the clip added.
+        h = 1.0 / (c @ y)
+        if not chebyshev:
+            y *= h
+            h = g  # ones: y is now the power step itself
+        if evaluate:
+            # res = ‖x_k − h·y‖₁, the certificate of the power step.
+            if chebyshev:
+                np.multiply(z, g / h, out=buf)
+                buf -= y
+            else:
+                np.subtract(z, y, out=buf)
+            np.abs(buf, out=buf)
+            res = h * (c @ buf)
+            for lane in np.flatnonzero(live):
+                residuals[cols[lane]].append(float(res[lane]))
+            done = live & ((res < tol) | (it >= max_iter))
             if done.any():
                 finished = cols[done]
+                iterations[finished] = it[done]
                 converged[finished] = res[done] < tol
                 # A finished column returns the power step it certified.
-                scores[:, finished] = spread[:, done]
-            # One fancy-index gather per block rebuilds the pool: the
-            # kept columns in place order, then the refilled ones.
-            keep = np.flatnonzero(~done)
+                out = _columns(y, done)
+                out *= h[done]
+                out *= c[:, None]
+                scores[:, finished] = out
+                live &= ~done
+            if chebyshev:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    gap = np.log(res / tol) / -np.log(rh)
+                skip = np.fmax(1.0, np.floor(gap)).astype(np.int64)
+                due = np.where(live, it + skip, due)
+        if chebyshev:
+            # ω: 0 → 1 → 2/(2−α²) → 1/(1 − α²ω/4); only ω_1 equals 1.
+            om = 1.0 / (1.0 - al * al * om * np.where(om == 1.0, 0.5, 0.25))
+            # x_{k+1} = max(ω·h·y + (1−ω)·x_{k−1}, 0)
+            #         = ω·h · max(y + (1−ω)·gp/(ω·h) · zp, 0),
+            # written into x_{k−1}'s buffer: three passes, and the
+            # factor ω·h rides along instead of a scale pass.
+            zp *= (1.0 - om) * gp / (om * h)
+            zp += y
+            np.maximum(zp, 0.0, out=zp)
+            z, zp, g, gp = zp, z, om * h, g
+            # Each sweep shrinks z by about ω; fold g back in before
+            # small entries could underflow.
+            if (np.abs(np.log2(g)) > _FACTOR_OCTAVES).any():
+                z *= g
+                g = np.ones(g.size)
+        else:
+            # The previous iterate's buffer becomes the next scratch.
+            z, buf = y, z
+        if not evaluate:
+            continue
+        n_live = int(live.sum())
+        refill = next_fill < k and n_live <= _CHUNK // 2
+        if refill or 4 * (cols.size - n_live) >= cols.size:
+            # Rebuild the pool: the live lanes in place order, then the
+            # refilled columns (a short tail joins rather than waits).
+            keep = np.flatnonzero(live)
             new = np.arange(0)
             if refill:
-                take = min(_CHUNK - keep.size, k - next_fill)
+                take = k - next_fill
+                if take > _CHUNK - n_live + _OVERHANG:
+                    take = _CHUNK - n_live
                 new = np.arange(next_fill, next_fill + take)
                 next_fill += take
             cols = np.concatenate([cols[keep], new])
-            xa = np.hstack([_columns(xa, keep), _columns(x_full, new)])
-            tt, ar, cs = gather(cols)
-            al = alphas[cols]
-            buf = np.empty_like(xa)
+            z = lanes(z, keep, new)
+            al, rh, w, tele, co = gather(cols)
+            fresh = np.ones(new.size)
+            live = np.ones(cols.size, dtype=bool)
+            it = np.concatenate([it[keep], np.zeros(new.size, np.int64)])
+            due = np.concatenate([due[keep], np.ones(new.size, np.int64)])
+            g = np.concatenate([g[keep], fresh])
+            buf = np.empty_like(z)
             if chebyshev:
-                xp = np.hstack([_columns(xp, keep), _columns(x_full, new)])
+                zp = lanes(zp, keep, new)
+                gp = np.concatenate([gp[keep], fresh])
                 om = np.concatenate([om[keep], np.zeros(new.size)])
     return scores, iterations, converged, residuals
 
@@ -542,19 +675,22 @@ def power_iteration_batch(
         ``dangling``: callers pass
         :meth:`~repro.methods.base.CentralityMethod.reversible`.  When
         true, the block loop runs as a Chebyshev
-        semi-iteration: the same residual and certificate, fewer
-        sweeps, and answers that agree with power iteration within the
-        certificate rather than to round-off.  The α-family path
+        semi-iteration: the same certificate, fewer sweeps, residuals
+        recorded only on the sweeps where they can matter, and answers
+        that agree with power iteration within the certificate rather
+        than to round-off.  The α-family path
         ignores it.
     scales:
         ``None`` (each column solves on ``transition``) or the factors
-        ``(r, c)`` of a pooled parameter grid, each ``(n, K)``; ``c``
-        may be ``None`` for unit column scales.  Column ``k`` then solves
-        on ``diag(r_k)·M·diag(c_k)`` with ``M = transition`` — a
-        non-negative matrix whose empty rows are the dangling nodes —
-        so columns of different transitions over one adjacency share
-        every sweep.  Callers pass the factors a method returns
-        (:meth:`~repro.methods.base.CentralityMethod.factors`).
+        ``(r, c)`` of a pooled parameter grid, each an ``(n, K)`` block
+        or an ``(n,)`` vector shared by every column; ``c`` may be
+        ``None`` for unit column scales, and is positive.  Column ``k``
+        then solves on ``diag(r_k)·M·diag(c_k)`` with
+        ``M = transition`` — a non-negative matrix whose empty rows are
+        the dangling nodes — so columns of different transitions over
+        one adjacency share every sweep.  Callers pass the factors a
+        method returns
+        (:meth:`~repro.methods.base.CentralityMethod.pooled_factors`).
 
     Returns
     -------
@@ -598,13 +734,21 @@ def power_iteration_batch(
 
     if scales is not None:
         row, col = scales
+        # z = x / c needs every column scale positive.
         scales = (
-            _scale_block(row, n, k, "row"),
-            None if col is None else _scale_block(col, n, k, "column"),
+            _scale_block(row, n, k, "row", positive=False),
+            None if col is None
+            else _scale_block(col, n, k, "column", positive=True),
         )
 
     def shared(block: np.ndarray | None) -> bool:
-        return block is None or bool((block == block[:, :1]).all())
+        # The first row rejects most blocks without a full pass.
+        return block is None or block.ndim == 1 or bool(
+            (block[0] == block[0, 0]).all() and (block == block[:, :1]).all()
+        )
+
+    def first(block: np.ndarray | None) -> np.ndarray | None:
+        return block if block is None or block.ndim == 1 else block[:, 0]
 
     family = (
         warm_start is None
@@ -620,13 +764,12 @@ def power_iteration_batch(
             mat_t,
             dangle_idx,
             dangling,
-            np.ascontiguousarray(teleport_block[:, 0]),
+            teleport_block[:, 0].copy(),
             alphas_vec,
             tol,
             max_iter,
             scales=None if scales is None else (
-                scales[0][:, 0],
-                None if scales[1] is None else scales[1][:, 0],
+                first(scales[0]), first(scales[1])
             ),
         )
     else:

@@ -90,10 +90,12 @@ class Factors(NamedTuple):
     ``pool`` is the key of the block the transition's columns solve in:
     keys with one pool share ``mat`` (``M``'s
     :class:`~repro.linalg.operator.LinearOperatorBundle`) and may share
-    one batched block.  ``row``/``col`` are ``(n,)`` scale vectors; the
-    unfactored form is the materialised bundle with ``row = col = None``
-    (unit scales, no scale passes), and ``col = None`` alone means unit
-    column scales.
+    one batched block.  ``row``/``col`` are ``(n,)`` scale vectors, or,
+    from :meth:`CentralityMethod.pooled_factors`, ``(n, G)`` blocks with
+    one column per key (an ``(n,)`` vector there is shared by every
+    key); the unfactored form is the materialised bundle with
+    ``row = col = None`` (unit scales, no scale passes), and
+    ``col = None`` alone means unit column scales.
     """
 
     pool: tuple
@@ -257,6 +259,21 @@ class CentralityMethod:
         group key, with unit scales.
         """
         return Factors(group_key, self.operator(graph, group_key), None, None)
+
+    def pooled_factors(
+        self, graph, group_keys: list[tuple]
+    ) -> list[tuple[list[tuple], Factors]]:
+        """:meth:`factors` of several keys at once, one entry per block.
+
+        Returns ``[(keys, Factors)]``, one entry per pool: the keys of
+        one block and their factors, whose ``row``/``col`` hold one
+        column per key in ``keys`` order (or one ``(n,)`` vector shared
+        by all of them).  ``group_keys`` may mix the methods of one pool
+        (a fatigued key in a d2pr grid); the method of any of them
+        resolves all.  Default: every key on its own, as :meth:`factors`
+        gives it.
+        """
+        return [([key], self.factors(graph, key)) for key in group_keys]
 
     def transition(self, graph, group_key: tuple):
         """Build the row-stochastic transition for ``group_key``.

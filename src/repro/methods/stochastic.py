@@ -49,7 +49,7 @@ from repro.linalg.transition import (
     degree_decoupled_transition,
 )
 from repro.methods.base import CentralityMethod, Factors, MethodParams
-from repro.methods.registry import operator_for, register
+from repro.methods.registry import family_method, operator_for, register
 
 __all__ = [
     "D2PRMethod",
@@ -324,39 +324,93 @@ class PageRankMethod(_StochasticMethod):
         bundle = adjacency_bundle(graph, weighted=pool[1])
         return Factors(pool, bundle, row, col)
 
+    def pooled_factors(self, graph, group_keys: list[tuple]):
+        from repro.methods.spectral import adjacency_bundle
+
+        pools: dict[tuple, list[tuple]] = {}
+        for key in group_keys:
+            pools.setdefault(self.pool_key(key), []).append(key)
+        out = []
+        for pool, keys in pools.items():
+            if pool != keys[0]:
+                _, row, col, factored = self._factor_pool(graph, pool, keys)
+                if factored:
+                    bundle = adjacency_bundle(graph, weighted=pool[1])
+                    out.append((factored, Factors(pool, bundle, row, col)))
+                keys = [key for key in keys if key not in factored]
+            for key in keys:
+                out.append(([key], family_method(key).factors(graph, key)))
+        return out
+
     def _factored(self, graph, group_key: tuple):
         """``(pool, M, r, c)`` of a factorable key, else ``None``.
 
-        ``M`` is the cached ``("csr", β == 1)`` adjacency, ``c`` comes
-        from :meth:`_column_scale` and ``r = 1/(M c)`` on non-empty rows
-        (0 on dangling ones): the one derivation behind both
+        The one-key case of :meth:`_factor_pool`, behind both
         :meth:`factors` and :meth:`transition`.
         """
         pool = self.pool_key(group_key)
         if pool == group_key:
             return None
-        graph.require_nonempty()
-        col = self._column_scale(graph, group_key)
-        if col is False:
+        mat, row, col, factored = self._factor_pool(graph, pool, [group_key])
+        if not factored:
             return None
+        if row.ndim == 2:
+            row = row[:, 0]
+        return pool, mat, row, None if col is None else col[:, 0]
+
+    def _factor_pool(self, graph, pool: tuple, group_keys: list[tuple]):
+        """``(M, R, C, keys)``: the factors of one pool's factorable keys.
+
+        ``M`` is the cached ``("csr", β == 1)`` adjacency.  Column ``g``
+        of ``C`` is key ``keys[g]``'s :meth:`_column_scale` (``C`` is
+        ``None`` when every key has unit scales), and ``R = 1/(M C)`` on
+        non-empty rows (0 on dangling ones) comes from one multiply; it
+        is one ``(n,)`` vector when ``C`` is ``None``.  ``log θ`` is taken
+        once per weighted flag.  Keys too wide to factor are left out of
+        ``keys``.
+        """
+        graph.require_nonempty()
+        logs: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
+
+        def log_theta(weighted: bool):
+            if weighted not in logs:
+                _, theta = adjacency_and_theta(graph, weighted=weighted)
+                floor = _theta_floor(theta, weighted)
+                logs[weighted] = (theta, np.log(np.maximum(theta, floor)))
+            return logs[weighted]
+
+        keys, cols = [], []
+        for key in group_keys:
+            # A fatigued key may share a d2pr key's pool: each key's own
+            # method gives its column scale.
+            col = family_method(key)._column_scale(key, log_theta)
+            if col is not False:
+                keys.append(key)
+                cols.append(col)
         mat = graph.to_csr(weighted=pool[1])
         n = mat.shape[0]
-        mass = mat @ (np.ones(n) if col is None else col)
-        row = np.divide(1.0, mass, out=np.zeros(n), where=mass > 0.0)
-        return pool, mat, row, col
+        if all(col is None for col in cols):
+            block = None
+            mass = mat @ np.ones(n)
+        else:
+            block = np.column_stack(
+                [np.ones(n) if col is None else col for col in cols]
+            )
+            mass = mat @ block
+        row = np.divide(1.0, mass, out=np.zeros_like(mass), where=mass > 0.0)
+        return mat, row, block, keys
 
-    def _column_scale(self, graph, group_key: tuple):
+    def _column_scale(self, group_key: tuple, log_theta):
         """``c`` of a poolable key: an array, ``None`` (unit) or ``False``.
 
         ``False`` when the key's spread is too wide to factor.
+        ``log_theta(weighted)`` gives ``(θ, log max(θ, floor))``.
         """
         _, p, beta, weighted, _ = group_key
         if p == 0.0 or beta == 1.0:
             return None
-        _, theta = adjacency_and_theta(graph, weighted=weighted)
         # −p·log θ exactly as the builder's per-entry log weights.
-        log_c = -p * np.log(np.maximum(theta, _theta_floor(theta, weighted)))
-        col = _exp_shifted(log_c)
+        col = _exp_shifted(-p * log_theta(weighted)[1])
         return False if col is None else col
 
 
@@ -413,16 +467,15 @@ class FatiguedMethod(PageRankMethod):
         mat.sort_indices()
         return mat
 
-    def _column_scale(self, graph, group_key: tuple):
+    def _column_scale(self, group_key: tuple, log_theta):
         # The d2pr key's c times 1 − φ: 1 − φ ≥ 1 − γ ≥ 2⁻⁵³ adds at
         # most 53 octaves to the spread _MAX_OCTAVES leaves room for.
         _, p, fatigue, beta, weighted, dangling = group_key
         base = ("d2pr", p, beta, weighted, dangling)
-        col = super()._column_scale(graph, base)
+        col = super()._column_scale(base, log_theta)
         if col is False or fatigue == 0.0:
             return col
-        _, theta = adjacency_and_theta(graph, weighted=weighted)
-        keep = _fatigue_keep(theta, fatigue)
+        keep = _fatigue_keep(log_theta(weighted)[0], fatigue)
         return keep if col is None else col * keep
 
 

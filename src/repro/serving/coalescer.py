@@ -16,8 +16,12 @@ turns request traffic into those blocks:
   key's pool (:meth:`~repro.methods.base.CentralityMethod.pool_key`) and
   tolerance, and returns a :class:`CoalescerTicket` immediately;
 * a group **auto-flushes** when it reaches the configured ``window``
-  (the flush threshold / maximum block width, which also caps the dense
-  block memory at ``O(n · window)``);
+  (the flush threshold / block width, which also caps the dense block
+  memory at ``O(n · window)``); inside a :meth:`~MicrobatchCoalescer.
+  burst` (a caller that submits many columns before reading any) a
+  full window waits for up to ``window // 8`` more columns, so a
+  burst one column past the window solves as one block instead of
+  leaving that column to sweep alone;
 * :meth:`flush` (or reading an unflushed ticket's :meth:`~CoalescerTicket.
   result`, which flushes its group on demand) drains partial windows, so
   a caller can never deadlock on an underfull batch.
@@ -59,6 +63,7 @@ to deliver results and wake waiters.  Consequences worth knowing:
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import monotonic
 
@@ -156,6 +161,30 @@ class CoalescerTicket:
             coalescer._flush_group(self._group)
 
 
+def _column_scales(keys: list[tuple], factors, members: list[_Column]):
+    """``(r, c)`` of one block's members, as the batch kernel takes them.
+
+    ``factors`` hold one column per key of ``keys``.  A block of one key
+    gets ``(n,)`` vectors, a block whose columns are its keys in order
+    gets the factor blocks as they are, and any other block one column
+    per member.
+    """
+    idx = np.array([keys.index(c.group_key) for c in members])
+
+    def pick(block):
+        if block is None or block.ndim == 1:
+            return block
+        if len(keys) == 1:
+            return block[:, 0]
+        if idx.size == len(keys) and (idx == np.arange(idx.size)).all():
+            return block
+        return block.take(idx, axis=1)
+
+    if factors.row is None:
+        return None  # a materialised transition: unit scales
+    return pick(factors.row), pick(factors.col)
+
+
 @dataclass
 class _GroupState:
     pending: list[_Column] = field(default_factory=list)
@@ -205,6 +234,7 @@ class MicrobatchCoalescer:
         # flush solves run outside it and notify on delivery.
         self._cv = threading.Condition()
         self._groups: dict[tuple, _GroupState] = {}
+        self._local = threading.local()  # .burst: inside burst()
         # Flush counters live in the telemetry registry (atomic under
         # the counter family's leaf lock) instead of bare ints mutated
         # under the condition variable — exports never tear them.
@@ -245,7 +275,9 @@ class MicrobatchCoalescer:
         adjacency and dangling strategy shares it, and ``tol`` keeps
         columns solved to different accuracies out of one block (a
         block converges per column, but its certificate is per flush).
-        Reaching ``window`` pending columns auto-flushes the group.
+        Reaching ``window`` pending columns auto-flushes the group
+        (``window + window // 8`` inside a :meth:`burst`, which then
+        flushes ``window`` of them).
         """
         if not (np.isfinite(tol) and tol > 0.0):
             raise ParameterError(f"tol must be positive, got {tol}")
@@ -275,10 +307,34 @@ class MicrobatchCoalescer:
                     filed_at=monotonic(),
                 )
             )
-            window_full = len(state.pending) >= self.window
-        if window_full:
-            self._flush_group(key, cause="window")
+            width = None
+            if getattr(self._local, "burst", False):
+                if len(state.pending) > self.window + self.window // 8:
+                    width = self.window
+            elif len(state.pending) >= self.window:
+                width = len(state.pending)
+        if width is not None:
+            self._flush_group(key, cause="window", width=width)
         return ticket
+
+    @contextmanager
+    def burst(self):
+        """Hold this thread's window flushes for a short tail.
+
+        For a caller that submits a whole burst before reading a ticket
+        (:meth:`~repro.serving.service.RankingService.rank_many`): a
+        group's full window waits for up to ``window // 8`` more
+        columns, and the reads then flush it as one block, which still
+        counts as a ``window`` flush.  A window and its left-over column
+        would otherwise be two solves, the second at single-column
+        rate (the 17-point p grid at the default window of 16).
+        """
+        outer = getattr(self._local, "burst", False)
+        self._local.burst = True
+        try:
+            yield
+        finally:
+            self._local.burst = outer
 
     def _pending_locked(self) -> int:
         return sum(len(s.pending) for s in self._groups.values())
@@ -302,20 +358,26 @@ class MicrobatchCoalescer:
         for key in keys:
             self._flush_group(key)
 
-    def _flush_group(self, key: tuple, cause: str = "demand") -> None:
+    def _flush_group(
+        self, key: tuple, cause: str = "demand", width: int | None = None
+    ) -> None:
         """Take ownership of ``key``'s pending columns and solve them.
 
-        The solve runs outside the condition variable: concurrent
-        submits keep filing into the group, concurrent flushes of
-        *other* pending columns proceed independently, and ticket
-        readers wait on the ``solving`` marker.
+        ``width`` caps the columns taken (the oldest first; default
+        all).  A flush of at least ``window`` columns counts as a
+        ``window`` flush, whatever triggered it.  The solve runs outside
+        the condition variable: concurrent submits keep filing into the
+        group, concurrent flushes of *other* pending columns proceed
+        independently, and ticket readers wait on the ``solving`` marker.
         """
         with self._cv:
             state = self._groups.get(key)
             if state is None or not state.pending:
                 return
-            columns = state.pending
-            state.pending = []
+            columns = state.pending[:width]
+            state.pending = state.pending[len(columns):]
+            if len(columns) >= self.window:
+                cause = "window"
             state.solving += 1
             taken_at = monotonic()
         try:
@@ -360,48 +422,32 @@ class MicrobatchCoalescer:
     def _solve(self, columns: list[_Column], *, tol: float, dangling: str):
         """Solve a flush as one block per pool its keys factor into.
 
-        Returns ``[(columns, BatchResult)]``.  Each distinct key's
-        factors are resolved once, on the current graph; normally they
-        all land in the group's own pool and the flush is one block.
+        Returns ``[(columns, BatchResult)]``.  The factors of all the
+        flush's distinct keys are resolved in one call
+        (:meth:`~repro.methods.base.CentralityMethod.pooled_factors`), on
+        the current graph; normally they all land in the group's own
+        pool and the flush is one block.
         """
         from repro.methods import family_method  # local: avoids cycle
 
-        resolved: dict[tuple, tuple] = {}
-        pools: dict[tuple, list[_Column]] = {}
-        for column in columns:
-            key = column.group_key
-            if key not in resolved:
-                method = family_method(key)
-                resolved[key] = (
-                    method.factors(self._graph, key),
-                    method.reversible(self._graph, key),
-                )
-            pools.setdefault(resolved[key][0].pool, []).append(column)
+        keys = list(dict.fromkeys(c.group_key for c in columns))
+        method = family_method(keys[0])
         blocks = []
-        for members in pools.values():
-            factors = [resolved[c.group_key][0] for c in members]
-            bundle = factors[0].mat
-            scales = None
-            if factors[0].row is not None:
-                col = None
-                if any(f.col is not None for f in factors):
-                    ones = np.ones(bundle.n)
-                    col = np.column_stack(
-                        [ones if f.col is None else f.col for f in factors]
-                    )
-                scales = (np.column_stack([f.row for f in factors]), col)
+        for pooled, factors in method.pooled_factors(self._graph, keys):
+            members = [c for c in columns if c.group_key in pooled]
             batch = power_iteration_batch(
-                bundle.mat,
+                factors.mat.mat,
                 teleports=[c.teleport for c in members],
                 alphas=np.array([c.alpha for c in members]),
                 tol=tol,
                 max_iter=self.max_iter,
                 dangling=dangling,
-                operator=bundle,
+                operator=factors.mat,
                 reversible=all(
-                    resolved[c.group_key][1] for c in members
+                    family_method(key).reversible(self._graph, key)
+                    for key in pooled
                 ),
-                scales=scales,
+                scales=_column_scales(pooled, factors, members),
             )
             blocks.append((members, batch))
         return blocks

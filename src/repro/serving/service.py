@@ -580,11 +580,15 @@ class RankingService:
         """Answer a burst of requests, coalescing the pooled ones.
 
         All requests are submitted before any result is read, so
-        ``"batch"``-planned requests against one transition fill shared
+        ``"batch"``-planned requests against one pool fill shared
         microbatch windows (the coalescer auto-flushes full windows and
-        the final reads drain partial ones).
+        the final reads drain partial ones).  The submissions run as a
+        coalescer :meth:`~repro.serving.coalescer.MicrobatchCoalescer.
+        burst`: a window may take a short tail of the burst's columns
+        rather than leave them to a second, narrow block.
         """
-        tickets = [self.submit(request) for request in requests]
+        with self._coalescer.burst():
+            tickets = [self.submit(request) for request in requests]
         return [ticket.result() for ticket in tickets]
 
     # ------------------------------------------------------------------

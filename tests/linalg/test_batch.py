@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.d2pr import d2pr_transition
 from repro.errors import ParameterError
@@ -513,9 +515,153 @@ class TestChebyshev:
             2 * 0.85 / 0.15 * 1e-8
         )
 
+    def test_long_solve_stays_certified(self, undirected):
+        """At α = 0.99 a column sweeps past the point where the loop
+        folds its iterate's factor back in (z shrinks by ω per sweep)."""
+        rng = np.random.default_rng(15)
+        n = undirected.shape[0]
+        tels = [rng.random(n), None]
+        batch = power_iteration_batch(
+            undirected, tels, alphas=0.99, tol=1e-12, reversible=True
+        )
+        assert batch.all_converged
+        assert (batch.iterations > 150).all()
+        self._assert_certified(
+            batch, undirected, [tels[0], np.ones(n)], [0.99, 0.99],
+            tol=1e-12,
+        )
+
+    def test_residuals_list_the_evaluated_sweeps(self, undirected):
+        rng = np.random.default_rng(14)
+        n = undirected.shape[0]
+        tels = [rng.random(n) for _ in range(5)]
+        batch = power_iteration_batch(
+            undirected, tels, tol=self.TOL, reversible=True
+        )
+        assert batch.all_converged
+        for k, hist in enumerate(batch.residuals):
+            # The first sweep is evaluated, later ones only once the
+            # a-priori rate says tol is in reach; the last certifies.
+            assert 2 <= len(hist) < batch.iterations[k]
+            assert hist[-1] < self.TOL <= min(hist[:-1])
+
     def test_alpha_family_ignores_the_flag(self, undirected):
         batch = power_iteration_batch(
             undirected, None, alphas=[0.5, 0.85], tol=self.TOL,
             reversible=True,
         )
         assert batch.method == "power_iteration_batch_family"
+
+
+P_GRID = tuple(np.arange(-4.0, 4.01, 0.5).round(1))
+
+
+def _key_transition(graph, key):
+    """A pooled key's transition from the paper-era builders of
+    ``linalg/transition.py``: the weighted β = 0 D2PR walk, with
+    fatigue's ``1 − φ`` column rescale and renormalised rows."""
+    from scipy import sparse
+
+    from repro.linalg.transition import blended_transition
+
+    adjacency = graph.to_csr(weighted=True)
+    theta = np.asarray(adjacency.sum(axis=1)).ravel()
+    floor = float(theta[theta > 0].min())
+    p, fatigue = (key[1], key[2]) if key[0] == "fatigued" else (key[1], 0.0)
+    mat = blended_transition(adjacency, p, 0.0, clamp_min=floor)
+    if fatigue == 0.0:
+        return mat
+    mat = mat.multiply(1.0 - fatigue * theta / theta.max()).tocsr()
+    mass = np.asarray(mat.sum(axis=1)).ravel()
+    inv = np.divide(1.0, mass, out=np.zeros_like(mass), where=mass > 0.0)
+    return sparse.diags(inv) @ mat
+
+
+class TestPooledLoopProperties:
+    """Pooled blocks of methods-built factors: every column certified
+    against a dense solve, whatever the pool's width and composition."""
+
+    TOL = 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=6, max_value=30),
+        density=st.floats(min_value=0.1, max_value=0.5),
+        seed=st.integers(min_value=0, max_value=9999),
+        data=st.data(),
+    )
+    def test_columns_certified_and_pool_independent(
+        self, n, density, seed, data
+    ):
+        from repro.methods import family_method
+
+        rng = np.random.default_rng(seed)
+        m = max(1, int(density * n * n))
+        # The last two nodes stay isolated (dangling rows).
+        rows, cols = rng.integers(0, n - 2, m), rng.integers(0, n - 2, m)
+        keep = rows != cols
+        if not keep.any():
+            rows, cols, keep = np.array([0]), np.array([1]), np.array([True])
+        weights = 10.0 ** rng.uniform(-1.0, 1.0, int(keep.sum()))
+        graph = Graph.from_arrays(rows[keep], cols[keep], weights, num_nodes=n)
+
+        dangling = data.draw(st.sampled_from(DANGLING_STRATEGIES))
+        ps = data.draw(st.lists(st.sampled_from(P_GRID), min_size=1,
+                                max_size=5, unique=True))
+        keys = [("d2pr", float(p), 0.0, True, dangling) for p in ps]
+        if data.draw(st.booleans()):
+            keys.append(("fatigued", 1.0, 0.5, 0.0, True, dangling))
+        k = data.draw(st.integers(min_value=1, max_value=40))
+        col_keys = [keys[i] for i in rng.integers(0, len(keys), k)]
+        alphas = rng.uniform(0.3, 0.95, k)
+        teleports = []
+        for kind in rng.integers(0, 3, k):
+            if kind == 0:
+                teleports.append(None)
+            elif kind == 1:
+                seeds = rng.choice(n, int(rng.integers(1, min(40, n) + 1)),
+                                   replace=False)
+                vec = np.zeros(n)
+                vec[seeds] = rng.random(seeds.size) + 0.1
+                teleports.append(vec)
+            else:
+                teleports.append(rng.random(n) + 0.01)
+
+        factors = {key: family_method(key).factors(graph, key)
+                   for key in keys}
+        bundle = factors[keys[0]].mat
+
+        def solve(idx):
+            fs = [factors[col_keys[j]] for j in idx]
+            if len({col_keys[j] for j in idx}) == 1:
+                scales = (fs[0].row, fs[0].col)  # one key: shared vectors
+            else:
+                ones = np.ones(n)
+                scales = (
+                    np.column_stack([f.row for f in fs]),
+                    np.column_stack([ones if f.col is None else f.col
+                                     for f in fs]),
+                )
+            return power_iteration_batch(
+                bundle.mat, [teleports[j] for j in idx],
+                alphas=alphas[idx], tol=self.TOL, dangling=dangling,
+                operator=bundle, reversible=True, scales=scales,
+            )
+
+        batch = solve(np.arange(k))
+        assert (batch.scores >= 0.0).all()
+        assert np.allclose(np.ones(n) @ batch.scores, 1.0, rtol=0, atol=1e-12)
+        transitions = {key: _key_transition(graph, key) for key in keys}
+        for j in range(k):
+            tel = np.ones(n) if teleports[j] is None else teleports[j]
+            exact = _dense_oracle(
+                transitions[col_keys[j]], tel, alphas[j], dangling
+            )
+            bound = alphas[j] / (1 - alphas[j]) * self.TOL
+            assert np.abs(batch.scores[:, j] - exact).sum() <= bound
+        for j in rng.choice(k, min(k, 4), replace=False):
+            alone = solve(np.array([j]))
+            bound = 2 * alphas[j] / (1 - alphas[j]) * self.TOL
+            gap = np.abs(alone.scores[:, 0] - batch.scores[:, j]).sum()
+            assert gap <= bound
+            assert alone.converged[0] == batch.converged[j]

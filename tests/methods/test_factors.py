@@ -157,3 +157,30 @@ class TestFallback:
         )
         ref = d2pr(graph, p, weighted=weighted, tol=tol).values
         assert np.abs(served.scores.values - ref).sum() < 2 * 0.85 / 0.15 * tol
+
+
+def test_pooled_factors_match_per_key_factors():
+    """One ``pooled_factors`` call gives every key the factors
+    ``factors()`` gives it alone: the pooled keys' columns exactly, and
+    a blend on its own."""
+    graph = _random_graph(20, 0.3, False, True, seed=5)
+    keys = [("d2pr", p, 0.0, True, "teleport") for p in (-2.0, 0.0, 1.5)]
+    keys += [
+        ("fatigued", 1.0, 0.5, 0.0, True, "teleport"),
+        ("d2pr", 1.0, 0.3, True, "teleport"),
+    ]
+    entries = family_method(keys[0]).pooled_factors(graph, keys)
+    assert sorted(k for pooled, _ in entries for k in pooled) == sorted(keys)
+    for pooled, f in entries:
+        for g, key in enumerate(pooled):
+            alone = family_method(key).factors(graph, key)
+            assert alone.pool == f.pool
+            if f.row is None:
+                assert alone.row is None and len(pooled) == 1
+                continue
+            row = f.row if f.row.ndim == 1 else f.row[:, g]
+            assert np.array_equal(row, alone.row)
+            if alone.col is None:
+                assert f.col is None or np.all(f.col[:, g] == 1.0)
+            else:
+                assert np.array_equal(f.col[:, g], alone.col)

@@ -246,6 +246,17 @@ class TestPooledGrid:
             ref = d2pr(graph, p, weighted=True, tol=self.TOL).values
             assert np.abs(answer.scores.values - ref).sum() < self.BOUND
 
+    def test_seventeen_point_grid_is_one_block(self):
+        from repro.serving import RankingService
+
+        grid = np.arange(-4.0, 4.01, 0.5)
+        service = RankingService(_weighted())
+        service.rank_many([self._request(p=p) for p in grid])
+        stats = service.coalescer.stats()
+        assert stats["flushes"] == 1
+        assert stats["max_occupancy"] == 17
+        assert stats["flush_causes"]["window"] == 1
+
     def test_blend_and_fatigued_in_the_same_burst(self):
         from repro.linalg import power_iteration
         from repro.methods import fatigued_transition

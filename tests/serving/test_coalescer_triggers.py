@@ -43,3 +43,35 @@ def test_demand_flush_counts():
     )
     ticket.result()
     assert co.stats()["flush_causes"]["demand"] == 1
+
+
+def _burst(co, graph, count):
+    with co.burst():
+        tickets = [
+            co.submit(GROUP, teleport=_teleport(graph, i), alpha=0.85,
+                      tol=1e-8)
+            for i in range(count)
+        ]
+    for ticket in tickets:
+        ticket.result()
+    return co.stats()
+
+
+def test_burst_takes_a_short_tail_into_the_window():
+    graph = _graph()
+    co = MicrobatchCoalescer(graph, window=16)
+    stats = _burst(co, graph, 18)  # window + window // 8
+    assert stats["flushes"] == 1
+    assert stats["max_occupancy"] == 18
+    assert stats["flush_causes"] == {"window": 1, "demand": 0}
+
+
+def test_burst_past_the_tail_flushes_a_window():
+    graph = _graph()
+    co = MicrobatchCoalescer(graph, window=16)
+    stats = _burst(co, graph, 19)
+    assert stats["flush_causes"] == {"window": 1, "demand": 1}
+    assert stats["max_occupancy"] == 16
+    # Outside a burst the window flushes as before.
+    co.submit(GROUP, teleport=_teleport(graph, 0), alpha=0.5, tol=1e-8)
+    assert co.pending == 1

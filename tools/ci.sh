@@ -211,6 +211,13 @@ if grep -n 'sum(axis=0)' src/repro/linalg/batch.py; then
     echo "FAIL: a .sum(axis=0) column sum reappeared in src/repro/linalg/batch.py; use ones @ block" >&2
     exit 1
 fi
+# The pooled loop gathers columns with block.take(idx, axis=1), which
+# returns C order directly; copying a fancy-indexed (Fortran-ordered)
+# slice through ascontiguousarray costs 2-5x as much per compaction.
+if grep -nE 'ascontiguousarray\([a-z_]+\[:, ' src/repro/linalg/batch.py; then
+    echo "FAIL: src/repro/linalg/batch.py gathers columns through ascontiguousarray(block[:, idx]); use block.take(idx, axis=1)" >&2
+    exit 1
+fi
 
 python -m pytest -x -q
 

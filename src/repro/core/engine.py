@@ -458,7 +458,7 @@ def update_scores(
 
     1. applies the delta to the scores' graph through the delta-aware
        cache refresh (:meth:`~repro.graph.base.BaseGraph.apply_delta` —
-       cached matrices and operator bundles are patched, not evicted),
+       the cached adjacency and θ are patched, not evicted),
     2. re-solves by **residual correction**
        (:func:`~repro.linalg.incremental.incremental_update`): only the
        residual the delta creates is propagated, instead of re-streaming
@@ -525,14 +525,15 @@ def update_scores_many(
     residual correction instead of a cold re-solve, and the per-delta
     costs are paid **once for the whole block**:
 
-    * each query's *baseline residual* is captured against its
-      still-cached pre-delta operator bundle — queries sharing a
-      transition matrix share one bundle and one CSC view, so a block of
-      K personalised queries costs K matvecs, not K bundle builds;
+    * each group's pre-delta transition factors (the cached adjacency
+      plus two O(n) vectors) are captured before the delta lands —
+      queries sharing a transition share them, and no transition is
+      built;
     * the delta is applied once (one columnar merge, one delta-aware
       cache refresh);
-    * corrections run per query against the refreshed post-delta bundles
-      (grouped, again, by transition matrix), each with the same
+    * corrections run per query against the post-delta factors (grouped,
+      again, by transition), each costing one full residual plus the
+      rows the delta changed, with the same
       certified O(tol) distance to its cold re-solve as
       :func:`~repro.linalg.incremental.incremental_update` guarantees —
       de-localised corrections fall back to warm-started power iteration
@@ -553,8 +554,9 @@ def update_scores_many(
     tol, max_iter, frontier_cap:
         As in :func:`update_scores`, shared by the whole block.
     apply_delta:
-        ``False`` skips both the baseline capture and the delta
-        application for callers that already applied the delta.
+        ``False`` skips both the factor capture and the delta
+        application for callers that already applied the delta; the
+        corrections then split the old solve's dust by magnitude.
 
     Returns
     -------
@@ -564,8 +566,8 @@ def update_scores_many(
     annotate(engine="update_scores_many", engine_blocks=len(previous))
 
     from repro.core.results import NodeScores
-    from repro.linalg.incremental import incremental_update, pre_delta_residual
-    from repro.methods import operator_for, resolve
+    from repro.linalg.incremental import incremental_update
+    from repro.methods import family_method, resolve
 
     previous = list(previous)
     if not previous:
@@ -603,30 +605,23 @@ def update_scores_many(
     for idx, query in enumerate(queries):
         groups.setdefault(query.group_key, []).append(idx)
 
-    baselines: list[np.ndarray | None] = [None] * len(previous)
+    before: dict[tuple, object] = {}
+    touched = None
     if apply_delta:
-        # Capture every query's old-system residual before the delta
-        # lands: the bundles are (typically) still cached, and one
-        # matvec through the free CSC view per query costs far less
-        # than the global-dust cleanup it saves the push solver (see
-        # ``incremental_update``'s baseline_residual).
-        for key, indices in groups.items():
-            dangling = key[-1]
-            old_bundle = operator_for(graph, key)
-            for idx in indices:
-                baselines[idx] = pre_delta_residual(
-                    old_bundle,
-                    previous[idx].values,
-                    queries[idx].alpha,
-                    vectors[idx],
-                    dangling,
-                )
+        # Capture every group's old-system factors before the delta
+        # lands: each correction derives its old residual from them and
+        # the touched nodes, which costs far less than the global-dust
+        # cleanup it saves the push solver (see ``incremental_update``'s
+        # ``before``).
+        for key in groups:
+            before[key] = family_method(key).factors(graph, key)
+        touched = delta.endpoints()
         graph.apply_delta(delta)
 
     out: list = [None] * len(previous)
     for key, indices in groups.items():
         dangling = key[-1]
-        bundle = operator_for(graph, key)
+        factors = family_method(key).factors(graph, key)
         for idx in indices:
             result = incremental_update(
                 None,
@@ -637,8 +632,9 @@ def update_scores_many(
                 tol=tol,
                 max_iter=max_iter,
                 frontier_cap=frontier_cap,
-                operator=bundle,
-                baseline_residual=baselines[idx],
+                operator=factors,
+                before=before.get(key),
+                touched=touched,
             )
             out[idx] = NodeScores(graph, result.scores, result)
     return out

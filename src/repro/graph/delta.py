@@ -344,28 +344,64 @@ def _check_indices(
         raise EdgeError(f"self-loop on {offender!r} is not allowed")
 
 
-def _positions_of(
-    keys_sorted: np.ndarray,
-    want: np.ndarray,
-    what: str,
-    n_total: int,
-    name_of,
+def _locate(
+    rows0: np.ndarray, cols0: np.ndarray, keys: np.ndarray, n: np.int64
+) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion positions of ``keys`` in the key-sorted store, and hits.
+
+    The store is sorted by ``(row, col)``, so each key's row is one run
+    of it: only the runs of the rows the keys name are read (found with
+    ``searchsorted`` on ``rows0``), never the whole store.  A position
+    is where the key sits, or would be inserted (before the entry
+    there), in the store.
+    """
+    if rows0.size == 0:
+        return (
+            np.zeros(keys.size, dtype=np.int64),
+            np.zeros(keys.size, dtype=bool),
+        )
+    want = keys // n
+    runs = np.unique(want)
+    lo = np.searchsorted(rows0, runs, side="left")
+    lengths = np.searchsorted(rows0, runs, side="right") - lo
+    offsets = np.cumsum(lengths) - lengths
+    idx = np.repeat(lo - offsets, lengths) + np.arange(int(lengths.sum()))
+    local = rows0[idx] * n + cols0[idx]
+    at = np.searchsorted(local, keys)
+    run = np.searchsorted(runs, want)
+    pos = lo[run] + (at - offsets[run])
+    hit = np.zeros(keys.size, dtype=bool)
+    inside = at < local.size
+    hit[inside] = local[at[inside]] == keys[inside]
+    return pos, hit
+
+
+def _missing(keys: np.ndarray, hit: np.ndarray, what: str, n, name_of):
+    """Raise for the first key of ``keys`` not ``hit``."""
+    if hit.all():
+        return
+    bad = keys[int(np.flatnonzero(~hit)[0])]
+    u = name_of(int(bad // n))
+    v = name_of(int(bad % n))
+    raise EdgeError(f"cannot {what} missing edge {u!r} -> {v!r}")
+
+
+def _splice(
+    old: np.ndarray,
+    lo: int,
+    hi: int,
+    keep: np.ndarray,
+    fresh_at: np.ndarray,
+    fresh: np.ndarray,
 ) -> np.ndarray:
-    """Positions of ``want`` keys in ``keys_sorted``, raising on absences."""
-    n = np.int64(n_total)
-    pos = np.searchsorted(keys_sorted, want)
-    pos_c = np.minimum(pos, keys_sorted.size - 1)
-    ok = (
-        (pos < keys_sorted.size) & (keys_sorted[pos_c] == want)
-        if keys_sorted.size
-        else np.zeros(want.shape[0], dtype=bool)
-    )
-    if not ok.all():
-        bad = want[int(np.flatnonzero(~ok)[0])]
-        u = name_of(int(bad // n))
-        v = name_of(int(bad % n))
-        raise EdgeError(f"cannot {what} missing edge {u!r} -> {v!r}")
-    return pos
+    """``old`` with ``old[lo:hi]`` replaced by its kept entries and the
+    fresh ones at their output places, in one concatenation."""
+    middle = np.empty(keep.sum() + fresh.size, dtype=old.dtype)
+    is_new = np.zeros(middle.size, dtype=bool)
+    is_new[fresh_at] = True
+    middle[is_new] = fresh
+    middle[~is_new] = old[lo:hi][keep]
+    return np.concatenate((old[:lo], middle, old[hi:]))
 
 
 def apply_graph_delta(graph, delta: GraphDelta, *, log=None) -> dict:
@@ -444,66 +480,79 @@ def apply_graph_delta(graph, delta: GraphDelta, *, log=None) -> dict:
     _require_positive_weights(delta.reweight_weights, "reweight")
 
     n = n_total
-    # The store is sorted by (row, col), so its keys are sorted too.
-    rows0, cols0, w0 = graph._canonical_edges()
-    keys0 = rows0 * np.int64(n) + cols0
+    nn = np.int64(n)
     # The merge below is pure: the live store is only replaced at the
-    # very end, so any validation error leaves the graph untouched.
-    # ``w_owned`` tracks whether ``w0`` is a private copy we may write.
-    w_owned = False
+    # very end, so any validation error leaves the graph untouched.  It
+    # resolves every op against the current store (deletes, then
+    # upserts, then reweights, in that order), then writes each column
+    # once: the store between the first and last changed position is
+    # rebuilt, the rest is copied as two slices.
+    rows0, cols0, w0 = graph._canonical_edges()
+    m = rows0.shape[0]
 
     # 1. deletes (must exist)
-    if del_r.size:
-        del_keys = np.unique(del_r * np.int64(n) + del_c)
-        pos = _positions_of(keys0, del_keys, "delete", n, name_of)
-        keep = np.ones(keys0.shape[0], dtype=bool)
-        keep[pos] = False
-        keys0, rows0, cols0, w0 = (
-            keys0[keep], rows0[keep], cols0[keep], w0[keep]
-        )
-        w_owned = True
-        stats["deleted"] = int(del_keys.shape[0])
+    del_keys = np.unique(del_r * nn + del_c)
+    del_pos, hit = _locate(rows0, cols0, del_keys, nn)
+    _missing(del_keys, hit, "delete", n, name_of)
+    stats["deleted"] = int(del_keys.shape[0])
 
-    # 2. inserts (upsert, last wins; merged without a global re-sort)
-    if ins_r.size:
-        ins_keys = ins_r * np.int64(n) + ins_c
-        sel = graph._dedup_last_wins(ins_keys)
-        ins_keys = ins_keys[sel]
-        ins_rs, ins_cs = ins_r[sel], ins_c[sel]
-        ins_w = delta.insert_weights[sel]
-        pos = np.searchsorted(keys0, ins_keys)
-        pos_c = np.minimum(pos, keys0.shape[0] - 1) if keys0.size else pos
-        exists = (
-            (pos < keys0.shape[0]) & (keys0[pos_c] == ins_keys)
-            if keys0.size
-            else np.zeros(ins_keys.shape[0], dtype=bool)
-        )
-        if exists.any():
-            if not w_owned:
-                w0 = w0.copy()
-                w_owned = True
-            w0[pos[exists]] = ins_w[exists]
-        fresh = ~exists
-        if fresh.any():
-            at = pos[fresh]
-            keys0 = np.insert(keys0, at, ins_keys[fresh])
-            rows0 = np.insert(rows0, at, ins_rs[fresh])
-            cols0 = np.insert(cols0, at, ins_cs[fresh])
-            w0 = np.insert(w0, at, ins_w[fresh])
-            w_owned = True
-        stats["inserted"] = int(fresh.sum())
+    # 2. inserts (upsert, last wins).  A key deleted above is inserted
+    # afresh; physically its store entry stays, with the new weight.
+    ins_keys = ins_r * nn + ins_c
+    sel = graph._dedup_last_wins(ins_keys)
+    ins_keys, ins_w = ins_keys[sel], delta.insert_weights[sel]
+    ins_pos, ins_hit = _locate(rows0, cols0, ins_keys, nn)
+    revived = ins_hit & np.isin(ins_keys, del_keys)
+    fresh = ~ins_hit
+    stats["inserted"] = int(fresh.sum() + revived.sum())
+    removed = np.setdiff1d(del_pos, ins_pos[revived], assume_unique=True)
+    fresh_keys, fresh_at = ins_keys[fresh], ins_pos[fresh]
+    fresh_w = ins_w[fresh]
+    set_pos, set_w = ins_pos[ins_hit], ins_w[ins_hit]
 
     # 3. reweights (must exist after deletes + inserts)
     if rew_r.size:
-        rew_keys = rew_r * np.int64(n) + rew_c
+        rew_keys = rew_r * nn + rew_c
         sel = graph._dedup_last_wins(rew_keys)
         rew_keys, rew_w = rew_keys[sel], delta.reweight_weights[sel]
-        pos = _positions_of(keys0, rew_keys, "reweight", n, name_of)
-        if not w_owned:
-            w0 = w0.copy()
-            w_owned = True
-        w0[pos] = rew_w
+        rew_pos, rew_hit = _locate(rows0, cols0, rew_keys, nn)
+        gone = np.isin(rew_keys, del_keys) & ~np.isin(rew_keys, ins_keys)
+        rew_hit &= ~gone
+        new = np.searchsorted(fresh_keys, rew_keys)
+        in_fresh = np.zeros(rew_keys.size, dtype=bool)
+        ok = new < fresh_keys.size
+        in_fresh[ok] = fresh_keys[new[ok]] == rew_keys[ok]
+        _missing(rew_keys, rew_hit | in_fresh, "reweight", n, name_of)
+        fresh_w[new[in_fresh]] = rew_w[in_fresh]
+        set_pos = np.concatenate((set_pos, rew_pos[rew_hit]))
+        set_w = np.concatenate((set_w, rew_w[rew_hit]))
         stats["reweighted"] = int(rew_keys.shape[0])
+
+    if removed.size or fresh_at.size:
+        # Output place of old position p: p, less the removals before
+        # it, plus the fresh entries inserted at or before it.
+        lo = int(min(removed.min(initial=m), fresh_at.min(initial=m)))
+        hi = int(max(removed.max(initial=-1) + 1, fresh_at.max(initial=0)))
+        hi = max(hi, lo)
+        keep = np.ones(hi - lo, dtype=bool)
+        keep[removed - lo] = False
+        out_at = (
+            fresh_at - lo - np.searchsorted(removed, fresh_at)
+            + np.arange(fresh_at.size)
+        )
+        rows0 = _splice(rows0, lo, hi, keep, out_at, fresh_keys // nn)
+        cols0 = _splice(cols0, lo, hi, keep, out_at, fresh_keys % nn)
+        w0 = _splice(w0, lo, hi, keep, out_at, fresh_w)
+        set_pos = (
+            set_pos - np.searchsorted(removed, set_pos)
+            + np.searchsorted(fresh_at, set_pos, side="right")
+        )
+    elif set_pos.size:
+        w0 = np.array(w0)
+    if set_pos.size:
+        # A reweight of an upserted edge comes later and wins.
+        last = graph._dedup_last_wins(set_pos)
+        w0[set_pos[last]] = set_w[last]
 
     # Commit the new canonical store (key-sorted, each edge once), and
     # swap the derived-object cache under the graph's cache lock so a

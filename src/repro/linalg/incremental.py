@@ -26,9 +26,24 @@ generalised to **signed** residual mass: pushing node ``u`` settles
 of ``P'`` — no transpose view is ever needed, which also means an update
 never pays the ``P.T.tocsr()`` rebuild a cold solve does.
 
-Cost: evaluating the starting residual (one matvec through the CSC view)
-and assembling the returned vector are O(nnz) and O(n), once per call.
-Each push epoch then costs O(stored entries of the active rows +
+**On the factors.**  Every D2PR-family transition is
+``P = diag(r)·M·diag(c)`` (paper Eq. 1), and the solver reads it as
+:class:`~repro.linalg.operator.Factors`: the push scales ``M``'s entries
+itself (see :mod:`repro.linalg.push`) and the residual is
+``c ⊙ Mᵀ(r ⊙ x)`` plus the dangling term, so a correction builds no
+transition.  The old system enters only through the split below: its
+residual is ``full − delta``, where ``delta = α·(P̂′ − P̂)ᵀx``
+(:func:`delta_residual`) is nonzero only through the *changed rows*
+``C`` — the rows the delta touched, the rows whose ``r`` moved and the
+in-neighbours (in ``M`` and ``M′``) of the nodes whose ``c`` moved — and
+is computed on those rows alone.  When ``C``'s rows store more than half
+of the entries (say, a fatigue ``θ_max`` shift moves every ``c``) or an
+operator is unfactored, the old residual is computed in full instead.
+
+Cost: the one full residual on the new system (one SpMV over ``M``),
+the changed rows' entries, O(n) comparisons of ``r`` and ``c``, and
+assembling the returned vector, once per call.  Each push epoch then
+costs O(stored entries of the active rows +
 residual support): the correction lives on per-call slots of the nodes
 that ever held residual, never on all n nodes.  A dense teleport under
 ``dangling="teleport"`` is the exception — the first dangling push gives
@@ -53,7 +68,7 @@ inline notes in :func:`incremental_update`).
 
 When the correction de-localises (large scattered deltas, tiny α,
 ``dangling="uniform"`` spraying mass), the solver falls back to
-warm-started power iteration through the same operator bundle, exactly
+warm-started power iteration on the materialised transition, exactly
 like forward push — callers always converge; the win degrades gracefully
 toward the warm-start-only speedup.
 """
@@ -64,29 +79,43 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import ParameterError
-from repro.linalg.operator import DANGLING_STRATEGIES, LinearOperatorBundle
-from repro.linalg.push import _fallback, _push_epochs
+from repro.linalg.operator import (
+    DANGLING_STRATEGIES,
+    Factors,
+    LinearOperatorBundle,
+)
+from repro.linalg.push import _fallback, _positions, _push_epochs
 from repro.linalg.solvers import PageRankResult, _unit_mass, _validate_common
 from repro.telemetry.trace import record_result
 
-__all__ = ["incremental_update", "pre_delta_residual", "residual_vector"]
+__all__ = ["delta_residual", "incremental_update", "residual_vector"]
 
 
 def residual_vector(
-    bundle: LinearOperatorBundle,
+    operator: Factors | LinearOperatorBundle,
     x: np.ndarray,
     teleport: np.ndarray,
     alpha: float,
     dangling: str,
 ) -> np.ndarray:
-    """Defect of ``x`` in the system defined by ``bundle``.
+    """Defect of ``x`` in the system defined by ``operator``.
 
     ``(1−α)t + α·(P̂ᵀx) − x`` with the standard dangling-mass handling;
     zero (up to the old solve's tolerance) iff ``x`` is the fixed point.
-    Computed through the **free CSC transpose view** — evaluating the
-    residual never triggers the CSR transpose conversion.
+    One SpMV: on factors ``Pᵀx = c ⊙ Mᵀ(r ⊙ x)``, through ``M`` itself
+    when it is symmetric; on a bundle (or through an unsymmetric ``M``)
+    the **free CSC transpose view** — evaluating the residual never
+    triggers the CSR transpose conversion.
     """
-    spread = bundle.t_csc @ x
+    factors = Factors.resolve(None, operator)
+    bundle = factors.mat
+    if factors.row is None:
+        spread = bundle.t_csc @ x
+    else:
+        mat = bundle.mat if bundle.symmetric else bundle.t_csc
+        spread = mat @ (factors.row * x)
+        if factors.col is not None:
+            spread *= factors.col
     if bundle.has_dangling:
         mass = float(x[bundle.dangle_mask].sum())
         if mass > 0.0:
@@ -98,25 +127,134 @@ def residual_vector(
     return alpha * spread + (1.0 - alpha) * teleport - x
 
 
-def pre_delta_residual(
-    old_bundle: LinearOperatorBundle,
-    previous: np.ndarray,
+def _changed_rows(
+    before: Factors, after: Factors, touched: np.ndarray
+) -> np.ndarray | None:
+    """Rows ``C`` where ``P̂`` and ``P̂′`` may differ, or ``None``.
+
+    With ``P = diag(r)·M·diag(c)`` a row changes only when its row of
+    ``M`` does (a ``touched`` node), when its ``r`` does, or when it
+    points, in ``M`` or ``M′``, at a node whose ``c`` changed.  A
+    dangling row's ``P̂`` row is the dangling target, the same before
+    and after, and a row whose dangling status flips is touched.
+    ``None`` when either side is unfactored: the changed rows are not
+    known.
+    """
+    if before.row is None or after.row is None:
+        return None
+    old, new = before.mat.mat, after.mat.mat
+    n = new.shape[0]
+    if old.shape != new.shape:
+        return None
+    mark = np.zeros(n, dtype=bool)
+    mark[touched] = True
+    mark |= before.row != after.row
+    if before.col is not None or after.col is not None:
+        if before.col is None or after.col is None:
+            moved = np.ones(n, dtype=bool)
+        else:
+            moved = before.col != after.col
+        if moved.any():
+            for mat, bundle in ((old, before.mat), (new, after.mat)):
+                if bundle.symmetric:
+                    # In-neighbours are out-neighbours: gather the
+                    # moved nodes' rows.
+                    idx = np.flatnonzero(moved)
+                    starts = mat.indptr[idx]
+                    lengths = mat.indptr[idx + 1] - starts
+                    mark[mat.indices.take(_positions(starts, lengths))] = True
+                else:
+                    # One boolean pass over M.indices.
+                    hits = np.flatnonzero(moved[mat.indices])
+                    owners = np.searchsorted(mat.indptr, hits, side="right")
+                    mark[owners - 1] = True
+    return np.flatnonzero(mark)
+
+
+def _row_flow(
+    factors: Factors, rows: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(columns, values, sinks)`` of ``x_i·P_i`` over ``rows``.
+
+    Each ``P_ij`` is rounded as the materialised transition rounds it
+    (:func:`~repro.linalg.operator.scaled_transition`); ``sinks`` are
+    the empty rows among ``rows``.
+    """
+    mat = factors.mat.mat
+    starts = mat.indptr[rows]
+    lengths = mat.indptr[rows + 1] - starts
+    pos = _positions(starts, lengths)
+    cols = mat.indices.take(pos)
+    vals = np.repeat(factors.row.take(rows), lengths)
+    if factors.col is not None:
+        vals *= factors.col.take(cols)
+    if not factors.mat.unit:
+        vals *= mat.data.take(pos)
+    vals *= np.repeat(x.take(rows), lengths)
+    return cols, vals, rows[lengths == 0]
+
+
+def delta_residual(
+    before: Factors | LinearOperatorBundle,
+    after: Factors | LinearOperatorBundle,
+    x: np.ndarray,
+    touched: np.ndarray,
+    teleport: np.ndarray,
     alpha: float,
-    teleport: np.ndarray | None,
     dangling: str,
 ) -> np.ndarray | None:
-    """The ``baseline_residual`` of :func:`incremental_update`.
+    """``α·(P̂′ − P̂)ᵀx``, computed on the changed rows only.
 
-    Residual of ``previous`` (normalised to unit mass) on the old system
-    ``old_bundle`` defines, with ``teleport`` resolved and normalised
-    exactly as the solvers resolve it.  ``None`` when ``previous`` has no
-    positive mass (the update then splits its dust by magnitude).
+    ``before``/``after`` are the transition before and after a delta
+    (or a chain of them) as factors, and ``touched`` every node whose
+    adjacency row changed.  It equals ``residual_vector(after, …) −
+    residual_vector(before, …)`` up to round-off, at the cost of the
+    changed rows' entries plus O(n) comparisons of ``r`` and ``c``
+    (and one boolean pass over ``M.indices`` on a directed graph whose
+    ``c`` moved).  ``None`` when the changed rows are unknown (see
+    :func:`_changed_rows`) or store more than half of the entries of
+    ``M`` and ``M′``.
     """
-    _, t = _validate_common(None, alpha, teleport, old_bundle)
-    total = previous.sum()
-    if total <= 0.0:
+    before = Factors.resolve(None, before)
+    after = Factors.resolve(None, after)
+    rows = _changed_rows(before, after, np.asarray(touched, dtype=np.int64))
+    if rows is None:
         return None
-    return residual_vector(old_bundle, previous / total, t, alpha, dangling)
+    old, new = before.mat.mat, after.mat.mat
+    entries = (old.indptr[rows + 1] - old.indptr[rows]).sum() + (
+        new.indptr[rows + 1] - new.indptr[rows]
+    ).sum()
+    if 2 * int(entries) > old.nnz + new.nnz:
+        # A full SpMV is cheaper.
+        return None
+    return _local_delta(before, after, rows, x, teleport, alpha, dangling)
+
+
+def _local_delta(
+    before: Factors,
+    after: Factors,
+    rows: np.ndarray,
+    x: np.ndarray,
+    teleport: np.ndarray,
+    alpha: float,
+    dangling: str,
+) -> np.ndarray:
+    """``α·(P̂′ − P̂)ᵀx`` over ``rows``, a superset of the changed rows."""
+    cols_new, vals_new, sinks_new = _row_flow(after, rows, x)
+    cols_old, vals_old, sinks_old = _row_flow(before, rows, x)
+    delta = np.bincount(
+        np.concatenate((cols_new, cols_old)),
+        weights=np.concatenate((vals_new, -vals_old)),
+        minlength=after.n,
+    )
+    if sinks_new.size or sinks_old.size:
+        target = after.mat.dangling_target(dangling, teleport)
+        if target is None:  # "self": a dangling row keeps its mass
+            delta[sinks_new] += x[sinks_new]
+            delta[sinks_old] -= x[sinks_old]
+        else:
+            delta += (x[sinks_new].sum() - x[sinks_old].sum()) * target
+    return alpha * delta
 
 
 def _finish(
@@ -158,8 +296,9 @@ def incremental_update(
     tol: float = 1e-10,
     max_iter: int = 1000,
     frontier_cap: float = 0.2,
-    operator: LinearOperatorBundle | None = None,
-    baseline_residual: np.ndarray | None = None,
+    operator: Factors | LinearOperatorBundle | None = None,
+    before: Factors | LinearOperatorBundle | None = None,
+    touched: np.ndarray | None = None,
 ) -> PageRankResult:
     """Update ``previous`` scores to the fixed point of a new transition.
 
@@ -185,21 +324,30 @@ def incremental_update(
         than a power sweep — and falls back to warm-started power
         iteration.  ``0`` forces the fallback immediately.
     operator:
-        Pre-built bundle of the new transition.
-    baseline_residual:
-        The residual of ``previous`` on the **old** (pre-delta) system,
-        as :func:`pre_delta_residual` computes it from the old bundle
-        (:func:`repro.core.engine.update_scores` does so before applying
-        the delta, the serving layer from the bundle it retained).
-        When given, this dense inherited background (total mass ≤ the
-        old solve's tolerance) is frozen wholesale and subtracted from
-        the working residual, leaving exactly the delta-induced part —
-        sparse by construction, for *any* dangling configuration — so
-        the push never mistakes the old solve's truncation dust for
-        correction work.  Without it, only the per-entry ``tol/n`` floor
-        separates background from signal, which is enough for strongly
-        localized deltas but floods the frontier near convergence when
-        the background mass is comparable to ``tol``.
+        The new transition as :class:`~repro.linalg.operator.Factors`
+        (corrected without materialising it) or a pre-built bundle.
+    before, touched:
+        The **old** (pre-delta) transition ``previous`` was certified
+        on, as factors or a bundle, and the nodes whose adjacency rows
+        the delta (or chain of deltas) changed, e.g.
+        :meth:`~repro.graph.delta.GraphDelta.endpoints`;
+        :func:`repro.core.engine.update_scores` captures the factors
+        before applying the delta, the serving layer at delta time.
+        With them the residual of ``previous`` on the old system — a
+        dense inherited background of total mass ≤ the old solve's
+        tolerance — is frozen wholesale, leaving exactly the
+        delta-induced part, sparse by construction for *any* dangling
+        configuration, so the push never mistakes the old solve's
+        truncation dust for correction work.  On factors that baseline
+        is ``full − delta``: the one full residual on the new system
+        minus :func:`delta_residual` on the changed rows.  When those
+        rows are unknown (a bundle) or store more than half of the
+        entries, the old residual is computed in full instead.
+        ``touched`` is required with factored ``before``.  Without
+        ``before``, only the per-entry ``tol/n`` floor separates
+        background from signal, which is enough for strongly localized
+        deltas but floods the frontier near convergence when the
+        background mass is comparable to ``tol``.
 
     Returns
     -------
@@ -211,10 +359,11 @@ def incremental_update(
         counts push epochs and local solves (plus fallback sweeps) and
         ``residuals`` the remaining signed residual mass after each.
     """
-    bundle, t = _validate_common(
-        transition, alpha, teleport, operator, tol=tol, max_iter=max_iter
+    factors = Factors.resolve(transition, operator)
+    _, t = _validate_common(
+        None, alpha, teleport, factors.mat, tol=tol, max_iter=max_iter
     )
-    n = bundle.n
+    n = factors.n
     if dangling not in DANGLING_STRATEGIES:
         raise ParameterError(
             f"unknown dangling strategy {dangling!r}; "
@@ -225,8 +374,16 @@ def incremental_update(
             f"frontier_cap must be in [0, 1], got {frontier_cap}"
         )
     x = _unit_mass(previous, n, "previous scores")
+    if before is not None:
+        before = Factors.resolve(None, before)
+        if before.n != n:
+            raise ParameterError(
+                f"before has {before.n} nodes, the new operator {n}"
+            )
+        if before.row is not None and touched is None:
+            raise ParameterError("touched is required with factored before")
 
-    res = residual_vector(bundle, x, t, alpha, dangling)
+    res = residual_vector(factors, x, t, alpha, dangling)
     # The previous solve was itself only tol-accurate, so ``res`` carries
     # a *dense* inherited background (total mass ≲ tol, per-entry ≲
     # tol/n) on top of the (sparse) delta-induced defect.  Chasing that
@@ -234,23 +391,26 @@ def incremental_update(
     # work the incremental path exists to avoid — so it is split off as
     # frozen "dust": never pushed, never counted against the stopping
     # rule, added back into the final estimate unchanged.  The split is
-    # exact when the caller supplies the old system's residual
-    # (``baseline_residual``; the difference is the pure delta-induced
-    # part) and magnitude-based otherwise (entries ≤ tol/n can never sum
-    # past tol).  Dust mass is ≤ ~2·tol either way, so with the push
+    # exact when the caller supplies the old system (``before``; the
+    # old residual is then the baseline and the difference is the pure
+    # delta-induced part) and magnitude-based otherwise (entries ≤ tol/n
+    # can never sum past tol).  Dust mass is ≤ ~2·tol either way, so with the push
     # stopping at Σ|res| ≤ tol the final certified L1 distance from the
     # exact fixed point is ≤ 3·tol·α/(1−α) — the same O(tol) class as a
     # cold power iteration's tol·α/(1−α) certificate at the same tol.
-    if baseline_residual is not None:
-        base = np.asarray(baseline_residual, dtype=np.float64)
-        if base.shape != (n,):
-            raise ParameterError(
-                f"baseline_residual must have shape ({n},), "
-                f"got {base.shape}"
+    base = None
+    if before is not None:
+        delta = None
+        if touched is not None:
+            delta = delta_residual(
+                before, factors, x, touched, t, alpha, dangling
             )
-        res = res - base
-    else:
-        base = None
+        if delta is None:
+            base = residual_vector(before, x, t, alpha, dangling)
+            res = res - base
+        else:
+            # The full residual minus its delta part is the old one.
+            res, base = delta, res - delta
     floor = tol / n
     small = np.abs(res) <= floor
     dust = np.where(small, res, 0.0)
@@ -266,11 +426,11 @@ def incremental_update(
             method="incremental_push",
         )
 
-    if dangling == "uniform" and bundle.has_dangling:
+    if dangling == "uniform" and factors.mat.has_dangling:
         # One dangling push densifies the correction; go straight to the
         # solver the frontier check would fall back to anyway.
         return _fallback(
-            bundle, t, np.maximum(x + res + dust, 0.0),
+            factors, t, np.maximum(x + res + dust, 0.0),
             alpha=alpha, tol=tol, max_iter=max(max_iter, 1),
             dangling=dangling, front=None,
             history=history, method="incremental_fallback",
@@ -287,16 +447,16 @@ def incremental_update(
     support = np.flatnonzero(res)
     t_idx = np.flatnonzero(t)
     front = _push_epochs(
-        bundle, support, res[support],
+        factors, support, res[support],
         alpha=alpha, tol=tol, max_iter=max_iter, dangling=dangling,
         settle=1.0, target=(t_idx, t[t_idx]),
-        row_limit=np.inf, entry_limit=frontier_cap * bundle.mat.nnz,
+        row_limit=np.inf, entry_limit=frontier_cap * factors.mat.mat.nnz,
         history=history,
     )
     estimate = x + front.dense(front.q + front.res) + dust
     if front.capped:
         return _fallback(
-            bundle, t, np.maximum(estimate, 0.0),
+            factors, t, np.maximum(estimate, 0.0),
             alpha=alpha, tol=tol, max_iter=max(max_iter - front.steps, 1),
             dangling=dangling, front=front, history=history,
             method="incremental_fallback", fallback="frontier_cap",

@@ -24,6 +24,13 @@ call even though the transition itself was cached on the graph.
   A graph delta drops that entry, and the method rebuilds the bundle
   from the graph's refreshed adjacency and ``θ`` on the next read.
 
+:class:`Factors` is the same transition before it is materialised,
+``P = diag(r)·M·diag(c)`` over one cached adjacency bundle ``M`` (paper
+Eq. 1).  The push and correction solvers read it directly;
+:meth:`Factors.bundle` materialises it, and on a symmetric ``M`` the
+transpose ``diag(c)·M·diag(r)`` shares ``M``'s index arrays too
+(:func:`scaled_transition`).
+
 Cached views are shared between callers and must be treated as read-only —
 the same copy-before-mutate contract as the graph matrix cache
 (``docs/performance.md``).
@@ -32,6 +39,7 @@ the same copy-before-mutate contract as the graph matrix cache
 from __future__ import annotations
 
 import hashlib
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -40,9 +48,11 @@ from repro.errors import ParameterError
 
 __all__ = [
     "DANGLING_STRATEGIES",
+    "Factors",
     "LinearOperatorBundle",
     "dangling_target",
     "patch_dangling",
+    "scaled_transition",
 ]
 
 DANGLING_STRATEGIES = ("teleport", "uniform", "self")
@@ -149,6 +159,9 @@ class LinearOperatorBundle:
     __slots__ = (
         "_mat",
         "_t_csr",
+        "_t_build",
+        "_symmetric",
+        "_unit",
         "_dangle_mask",
         "_dangle_idx",
         "_uniform",
@@ -156,7 +169,13 @@ class LinearOperatorBundle:
         "_fingerprint",
     )
 
-    def __init__(self, transition: sparse.spmatrix) -> None:
+    def __init__(
+        self,
+        transition: sparse.spmatrix,
+        *,
+        symmetric: bool = False,
+        transpose=None,
+    ) -> None:
         if (
             sparse.issparse(transition)
             and transition.format == "csr"
@@ -186,7 +205,13 @@ class LinearOperatorBundle:
         # wrap-only-immutable-matrices contract still stands; the
         # fingerprint is a guard rail, not a licence to mutate.
         self._fingerprint = self._fingerprint_of(mat)
-        self._t_csr: sparse.csr_matrix | None = None
+        # A symmetric matrix is its own transpose; ``transpose`` is a
+        # zero-argument builder of ``P.T`` in CSR form, called on first
+        # use instead of the CSC→CSR conversion.
+        self._symmetric = bool(symmetric)
+        self._t_csr: sparse.csr_matrix | None = mat if symmetric else None
+        self._t_build = transpose
+        self._unit: bool | None = None
         self._dangle_mask: np.ndarray | None = None
         self._dangle_idx: np.ndarray | None = None
         self._uniform: np.ndarray | None = None
@@ -214,7 +239,9 @@ class LinearOperatorBundle:
 
     @classmethod
     def of(
-        cls, transition: "sparse.spmatrix | LinearOperatorBundle"
+        cls,
+        transition: "sparse.spmatrix | LinearOperatorBundle",
+        **views,
     ) -> "LinearOperatorBundle":
         """Return the memoised bundle of ``transition`` (building one once).
 
@@ -225,7 +252,8 @@ class LinearOperatorBundle:
         fresh (uncached) bundle.  A fingerprint mismatch — structural
         setitem *or* in-place value mutation of ``.data`` (see
         :meth:`_fingerprint_of`) — rebuilds instead of serving stale
-        derived views.
+        derived views.  ``views`` (``symmetric=``, ``transpose=``) go to
+        the constructor when a bundle is built.
         """
         if isinstance(transition, cls):
             return transition
@@ -235,7 +263,7 @@ class LinearOperatorBundle:
             and bundle._fingerprint == cls._fingerprint_of(bundle._mat)
         ):
             return bundle
-        bundle = cls(transition)
+        bundle = cls(transition, **views)
         try:
             setattr(transition, _BUNDLE_ATTR, bundle)
         except AttributeError:  # pragma: no cover - exotic matrix types
@@ -289,12 +317,28 @@ class LinearOperatorBundle:
         return self._mat
 
     @property
+    def symmetric(self) -> bool:
+        """Whether the wrapped matrix was declared symmetric (``P.T = P``)."""
+        return self._symmetric
+
+    @property
+    def unit(self) -> bool:
+        """Whether every stored value is 1 (a 0/1 pattern); checked once."""
+        if self._unit is None:
+            self._unit = bool((self._mat.data == 1.0).all())
+        return self._unit
+
+    @property
     def t_csr(self) -> sparse.csr_matrix:
         """``P.T`` in CSR form — built once, reused by every solve."""
         if self._t_csr is None:
-            # The cached construction site: the one transpose conversion
-            # the whole single-query pipeline performs per matrix.
-            self._t_csr = self._mat.T.tocsr()
+            if self._t_build is not None:
+                self._t_csr = self._t_build()
+            else:
+                # The cached construction site: the one transpose
+                # conversion the single-query pipeline performs per
+                # matrix.
+                self._t_csr = self._mat.T.tocsr()
         return self._t_csr
 
     @property
@@ -388,4 +432,102 @@ class LinearOperatorBundle:
         return (
             f"<LinearOperatorBundle n={self.n} nnz={self._mat.nnz} "
             f"built={built}>"
+        )
+
+
+def scaled_transition(
+    adjacency: LinearOperatorBundle,
+    row: np.ndarray,
+    col: np.ndarray | None,
+    *,
+    transpose: bool = False,
+) -> sparse.csr_matrix:
+    """``diag(row)·M·diag(col)`` over ``M``'s own index arrays.
+
+    ``M`` is the matrix of the ``adjacency`` bundle.
+    ``col=None`` means unit column scales.  With ``transpose=True`` and a
+    symmetric ``M`` the result is the transpose ``diag(col)·M·diag(row)``
+    instead, each entry rounded exactly like its mirror in the plain
+    call — ``(row_j·col_i)·M_ij`` — so it equals ``P.T.tocsr()`` array
+    for array.  Either result shares ``M.indices``/``M.indptr`` and is
+    read-only by contract.
+    """
+    mat = adjacency.mat
+    lengths = np.diff(mat.indptr)
+    # Products commute exactly, so M_ij·row_i·col_j is formed in the
+    # cheapest order; a 0/1 pattern's factor 1 is skipped.
+    if transpose:
+        data = row.take(mat.indices)
+        if col is not None:
+            data *= np.repeat(col, lengths)
+    else:
+        data = np.repeat(row, lengths)
+        if col is not None:
+            data *= col.take(mat.indices)
+    if not adjacency.unit:
+        data *= mat.data
+    out = sparse.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
+    out.has_canonical_format = True
+    return out
+
+
+class Factors(NamedTuple):
+    """A transition as ``P = diag(row)·M·diag(col)``.
+
+    ``pool`` is the key of the block the transition's columns solve in:
+    keys with one pool share ``mat`` (``M``'s
+    :class:`LinearOperatorBundle`) and may share one batched block.
+    ``row``/``col`` are ``(n,)`` scale vectors, or, from
+    :meth:`~repro.methods.base.CentralityMethod.pooled_factors`,
+    ``(n, G)`` blocks with one column per key (an ``(n,)`` vector there
+    is shared by every key); the unfactored form is the materialised
+    bundle with ``row = col = None`` (unit scales, no scale passes), and
+    ``col = None`` alone means unit column scales.  ``row`` is zero
+    exactly on ``M``'s empty rows, so the dangling rows of ``P`` are
+    those of ``M``.
+    """
+
+    pool: tuple | None
+    mat: LinearOperatorBundle
+    row: np.ndarray | None
+    col: np.ndarray | None
+
+    @classmethod
+    def resolve(
+        cls,
+        transition: "sparse.spmatrix | None",
+        operator: "Factors | LinearOperatorBundle | None",
+    ) -> "Factors":
+        """A solver's ``(transition, operator)`` pair as factors.
+
+        ``operator`` may be factors or a bundle; a bundle or a bare
+        matrix is the unfactored form.  Shapes are checked as in
+        :meth:`LinearOperatorBundle.resolve`.
+        """
+        if isinstance(operator, cls):
+            LinearOperatorBundle.resolve(transition, operator.mat)
+            return operator
+        bundle = LinearOperatorBundle.resolve(transition, operator)
+        return cls(None, bundle, None, None)
+
+    @property
+    def n(self) -> int:
+        return self.mat.n
+
+    def bundle(self) -> LinearOperatorBundle:
+        """The bundle of the materialised transition.
+
+        The unfactored form is its own bundle.  A factored one is built
+        here, uncached (the method layer caches it), and on a symmetric
+        ``M`` its transpose is built from the factors too.
+        """
+        if self.row is None:
+            return self.mat
+        adjacency, row, col = self.mat, self.row, self.col
+        transpose = None
+        if adjacency.symmetric:
+            def transpose() -> sparse.csr_matrix:
+                return scaled_transition(adjacency, row, col, transpose=True)
+        return LinearOperatorBundle.of(
+            scaled_transition(adjacency, row, col), transpose=transpose
         )

@@ -41,6 +41,14 @@ returned score vector and, when it triggers, the power-iteration
 fallback — so the win grows with graph size for localized queries
 (``docs/performance.md`` § Forward push; the ``serve-local`` workload).
 
+**On the factors.**  Every transition of the D2PR family is
+``P = diag(r)·M·diag(c)`` (paper Eq. 1) over one cached adjacency ``M``.
+The loop reads it as :class:`~repro.linalg.operator.Factors` and scales
+each gathered entry of ``M`` by ``r_u`` and ``c_v`` itself, so a push
+builds no transition and a graph delta leaves nothing to rebuild but
+``r`` and ``c``.  The dangling rows are ``M``'s empty rows.  A bundle is
+the unfactored form (unit scales).
+
 **Local finish.**  Epochs find *where* the answer lives; they are a slow
 way to settle it there (about 118 epochs at ``tol=1e-8``, α = 0.85).  So
 after ``_LOCAL_EPOCHS`` epochs the loop closes the support over
@@ -62,8 +70,8 @@ system's entries (an expander-like support).
 When the premise fails — the frontier stops being sparse (uniform-ish
 teleports, very small α, ``dangling="uniform"`` spraying mass everywhere)
 — the solver *falls back* to :func:`~repro.linalg.solvers.power_iteration`
-through the same cached operator bundle, warm-started from ``q + res``, so
-callers always get a correctly-converged result.
+on the materialised transition, warm-started from ``q + res``, so callers
+always get a correctly-converged result.
 """
 
 from __future__ import annotations
@@ -76,7 +84,11 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from repro.errors import ParameterError
-from repro.linalg.operator import DANGLING_STRATEGIES, LinearOperatorBundle
+from repro.linalg.operator import (
+    DANGLING_STRATEGIES,
+    Factors,
+    LinearOperatorBundle,
+)
 from repro.linalg.solvers import (
     PageRankResult,
     _check_budget,
@@ -296,7 +308,7 @@ def _close(
 
 def _local_solve(
     front: _Frontier,
-    bundle: LinearOperatorBundle,
+    factors: Factors,
     *,
     alpha: float,
     dangling: str,
@@ -320,9 +332,12 @@ def _local_solve(
     ``S``.  Returns ``False``, changing nothing, when it does not, when
     ``S`` has more than ``row_limit`` rows or its rows store more than
     ``entry_limit`` entries, or when the LU could fill more than
-    ``_LOCAL_FILL`` times the system's entries.
+    ``_LOCAL_FILL`` times the system's entries.  ``P_SS`` is assembled
+    from ``M_SS``, ``r_S`` and ``c_S``, each entry rounded as the
+    materialised transition rounds it
+    (:func:`~repro.linalg.operator.scaled_transition`).
     """
-    mat = bundle.mat
+    mat = factors.mat.mat
     indptr, indices, data = mat.indptr, mat.indices, mat.data
     before = front.nodes.size
     _close(front, indptr, indices, row_limit)
@@ -346,7 +361,15 @@ def _local_solve(
         return False
     pos = _positions(starts, lengths)
     cols = indices.take(pos)
-    vals = data.take(pos)
+    if factors.row is None:
+        vals = data.take(pos)
+    else:
+        # (r_i·c_j)·M_ij, rounded as scaled_transition rounds it.
+        vals = np.repeat(factors.row.take(closed), lengths)
+        if factors.col is not None:
+            vals *= factors.col.take(cols)
+        if not factors.mat.unit:
+            vals *= data.take(pos)
     owner = np.repeat(np.arange(m), lengths)
     # Slots for every node S's rows reach, then slot → local index (-1
     # outside S): a support-sized map, no search per entry.
@@ -357,9 +380,15 @@ def _local_solve(
     inside = col_local >= 0
 
     # A = I − α·P̂_SSᵀ in CSC: column j is row closed[j] of P̂ (its inside
-    # entries, already grouped by row), then the diagonal, then under
-    # "teleport" a dangling row's target entries.
-    in_count = np.bincount(owner[inside], minlength=m)
+    # entries, grouped by row) and the diagonal, then under "teleport" a
+    # dangling row's target entries.  When M's rows are sorted, so are
+    # the inside entries (S is in node order), and the diagonal goes in
+    # its sorted place; otherwise it goes last.
+    ordered = mat.has_sorted_indices
+    own = owner[inside]
+    col_in = col_local[inside]
+    in_count = np.bincount(own, minlength=m)
+    past = (col_in > own) if ordered else np.zeros(own.size, dtype=bool)
     counts = in_count + 1
     if teleported:
         counts[sinks] += t_idx.size
@@ -368,10 +397,10 @@ def _local_solve(
     a_val = np.empty(a_ptr[-1])
     a_idx = np.empty(a_ptr[-1], dtype=np.int64)
     shift = a_ptr[:-1] - (np.cumsum(in_count) - in_count)
-    dest = np.arange(in_count.sum()) + shift[owner[inside]]
+    dest = np.arange(in_count.sum()) + shift[own] + past
     a_val[dest] = -alpha * vals[inside]
-    a_idx[dest] = col_local[inside]
-    diag_at = a_ptr[:-1] + in_count
+    a_idx[dest] = col_in
+    diag_at = a_ptr[:-1] + in_count - np.bincount(own[past], minlength=m)
     a_val[diag_at] = 1.0
     a_idx[diag_at] = np.arange(m)
     if sinks.size and not teleported:
@@ -392,6 +421,9 @@ def _local_solve(
         front.truncate(before)
         return False
     local = sparse.csc_matrix((a_val, a_idx, a_ptr), shape=(m, m))
+    # Sorted and duplicate-free unless a target block follows a diagonal,
+    # so splu need not sort it.
+    local.has_canonical_format = ordered and not teleported
 
     r_local = front.res[order]
     y = splu(local, permc_spec="NATURAL").solve(r_local)
@@ -408,7 +440,7 @@ def _local_solve(
 
 
 def _push_epochs(
-    bundle: LinearOperatorBundle,
+    factors: Factors,
     nodes: np.ndarray,
     res: np.ndarray,
     *,
@@ -428,7 +460,8 @@ def _push_epochs(
     ``nodes``/``res`` are the initial residual support (distinct node
     indices) and its values.  Pushing slot ``u`` settles
     ``settle·res[u]`` into ``q[u]`` and forwards ``α·res[u]`` along row
-    ``u`` of the bundle's matrix; a ``dangling="self"`` row settles its
+    ``u`` of ``P = diag(r)·M·diag(c)``, that is ``α·res[u]·r_u·M[u, :]``
+    scaled by ``c`` entry by entry; a ``dangling="self"`` row settles its
     whole geometric series ``settle·res[u]/(1−α)`` at once, and under
     ``dangling="teleport"`` a dangling row's forwarded mass goes to the
     sparse ``target`` ``(indices, weights)``.  After ``_LOCAL_EPOCHS``
@@ -442,18 +475,21 @@ def _push_epochs(
     costs O(active rows' entries + support), one local solve the sparse
     LU of a support-sized system.
     """
-    mat = bundle.mat
+    mat = factors.mat.mat
     indptr, indices, data = mat.indptr, mat.indices, mat.data
-    dangle_mask = bundle.dangle_mask
-    has_dangling = bundle.has_dangling
+    row, col = factors.row, factors.col
+    # A 0/1 pattern's values need no gather: the scales are the weights.
+    unit = row is not None and factors.mat.unit
+    dangle_mask = factors.mat.dangle_mask
+    has_dangling = factors.mat.has_dangling
     self_settle = settle / (1.0 - alpha)
-    front = _Frontier(bundle.n, nodes, res)
+    front = _Frontier(factors.n, nodes, res)
     local = True
     while front.steps < max_iter:
         if local and front.epochs >= _LOCAL_EPOCHS:
             before = front.mass
             local = _local_solve(
-                front, bundle,
+                front, factors,
                 alpha=alpha, dangling=dangling, settle=settle, target=target,
                 row_limit=row_limit, entry_limit=entry_limit,
             )
@@ -497,14 +533,20 @@ def _push_epochs(
         r_act = res[active]
         res[active] = 0.0
         front.q[active] += settle * r_act
-        # Gather the active rows' entries straight from the CSR arrays
-        # and scatter res += α · Σ_u r_u · P[u, :] over the slots.
+        # Gather the active rows' entries straight from M's CSR arrays
+        # and scatter res += α · Σ_u res_u · r_u · M[u, :] ⊙ c over the
+        # slots.
         if entries:
             pos = _positions(starts, lengths)
-            weights = data.take(pos)
-            weights *= np.repeat(r_act, lengths)
+            cols = indices.take(pos)
+            scale = r_act if row is None else r_act * row.take(act_nodes)
+            weights = np.repeat(scale, lengths)
+            if not unit:
+                weights *= data.take(pos)
+            if col is not None:
+                weights *= col.take(cols)
             flow = np.bincount(
-                front.slots(indices.take(pos)),
+                front.slots(cols),
                 weights=weights,
                 minlength=front.nodes.size,
             )
@@ -524,7 +566,7 @@ def _push_epochs(
 
 
 def _fallback(
-    bundle: LinearOperatorBundle,
+    factors: Factors,
     teleport: np.ndarray,
     guess: np.ndarray,
     *,
@@ -537,9 +579,10 @@ def _fallback(
     method: str,
     fallback: str,
 ) -> PageRankResult:
-    """Finish by power iteration on the same bundle from ``guess``.
+    """Finish by power iteration on the materialised transition.
 
-    ``front`` is the push that ran first, or ``None`` when none did.
+    Starts from ``guess``; ``front`` is the push that ran first, or
+    ``None`` when none did.  Factors are materialised here, uncached.
     """
     steps = front.steps if front is not None else 0
     facts = front.facts() if front is not None else {}
@@ -550,7 +593,7 @@ def _fallback(
         tol=tol,
         max_iter=max_iter,
         dangling=dangling,
-        operator=bundle,
+        operator=factors.bundle(),
         x0=guess if guess.sum() > 0.0 else None,
     )
     return record_result(
@@ -576,7 +619,7 @@ def forward_push(
     max_iter: int = 1000,
     dangling: str = "teleport",
     frontier_cap: float = 0.2,
-    operator: LinearOperatorBundle | None = None,
+    operator: Factors | LinearOperatorBundle | None = None,
 ) -> PageRankResult:
     """Personalised PageRank/D2PR via vectorised Gauss–Southwell push.
 
@@ -615,8 +658,10 @@ def forward_push(
         warm-started power iteration.  ``0`` forces the fallback
         immediately (useful for testing).
     operator:
-        Pre-built :class:`~repro.linalg.operator.LinearOperatorBundle`;
-        when omitted the memoised bundle of ``transition`` is used.
+        The transition as :class:`~repro.linalg.operator.Factors`
+        (pushed without materialising it) or a pre-built
+        :class:`~repro.linalg.operator.LinearOperatorBundle`; when
+        omitted the memoised bundle of ``transition`` is used.
 
     Returns
     -------
@@ -627,8 +672,8 @@ def forward_push(
         (plus fallback sweeps), ``residuals`` the remaining residual mass
         after each of them.
     """
-    bundle = LinearOperatorBundle.resolve(transition, operator)
-    n = bundle.n
+    factors = Factors.resolve(transition, operator)
+    n = factors.n
     if not 0.0 <= alpha < 1.0:
         raise ParameterError(f"alpha must be in [0, 1), got {alpha}")
     _check_budget(tol, max_iter)
@@ -649,27 +694,27 @@ def forward_push(
         return vec
 
     history: list[float] = []
-    if dangling == "uniform" and bundle.has_dangling:
+    if dangling == "uniform" and factors.mat.has_dangling:
         # Dangling mass sprayed uniformly densifies the residual in one
         # step: push has no advantage, go straight to the solver it would
         # fall back to anyway.
         t = teleport()
         return _fallback(
-            bundle, t, t,
+            factors, t, t,
             alpha=alpha, tol=tol, max_iter=max_iter, dangling=dangling,
             front=None, history=history,
             method="forward_push_fallback", fallback="uniform_dangling",
         )
 
     front = _push_epochs(
-        bundle, seed_idx, seed_w.copy(),
+        factors, seed_idx, seed_w.copy(),
         alpha=alpha, tol=tol, max_iter=max_iter, dangling=dangling,
         settle=1.0 - alpha, target=(seed_idx, seed_w),
         row_limit=frontier_cap * n, entry_limit=np.inf, history=history,
     )
     if front.capped:
         return _fallback(
-            bundle, teleport(), front.dense(front.q + front.res),
+            factors, teleport(), front.dense(front.q + front.res),
             alpha=alpha, tol=tol, max_iter=max(max_iter - front.steps, 1),
             dangling=dangling, front=front, history=history,
             method="forward_push_fallback", fallback="frontier_cap",

@@ -42,12 +42,15 @@ replaces those branches with one object that owns, per method:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ParameterError, ReproError
-from repro.linalg.operator import DANGLING_STRATEGIES, LinearOperatorBundle
+from repro.linalg.operator import (
+    DANGLING_STRATEGIES,
+    Factors,
+    LinearOperatorBundle,
+)
 
 __all__ = ["CERTIFICATES", "CentralityMethod", "Factors", "MethodParams"]
 
@@ -82,26 +85,6 @@ class MethodParams:
     dangling: str = "teleport"
     fatigue: float = 0.0
     has_seeds: bool = False
-
-
-class Factors(NamedTuple):
-    """A group key's transition as ``P = diag(row)·M·diag(col)``.
-
-    ``pool`` is the key of the block the transition's columns solve in:
-    keys with one pool share ``mat`` (``M``'s
-    :class:`~repro.linalg.operator.LinearOperatorBundle`) and may share
-    one batched block.  ``row``/``col`` are ``(n,)`` scale vectors, or,
-    from :meth:`CentralityMethod.pooled_factors`, ``(n, G)`` blocks with
-    one column per key (an ``(n,)`` vector there is shared by every
-    key); the unfactored form is the materialised bundle with
-    ``row = col = None`` (unit scales, no scale passes), and
-    ``col = None`` alone means unit column scales.
-    """
-
-    pool: tuple
-    mat: LinearOperatorBundle
-    row: np.ndarray | None
-    col: np.ndarray | None
 
 
 class CentralityMethod:
@@ -278,8 +261,8 @@ class CentralityMethod:
     def transition(self, graph, group_key: tuple):
         """Build the row-stochastic transition for ``group_key``.
 
-        Uncached: :meth:`operator` is its only caller, and the bundle it
-        builds is the matrix's one graph-cache entry.
+        Uncached: :meth:`build_operator` wraps it, and the bundle
+        :meth:`operator` caches is the matrix's one graph-cache entry.
         """
         raise ReproError(  # pragma: no cover - guarded by capability flags
             f"method {self.name!r} has no stochastic transition; "
@@ -296,10 +279,12 @@ class CentralityMethod:
         """
         return graph.cached(
             ("operator", *self.matrix_key(group_key)),
-            lambda: LinearOperatorBundle.of(
-                self.transition(graph, group_key)
-            ),
+            lambda: self.build_operator(graph, group_key),
         )
+
+    def build_operator(self, graph, group_key: tuple):
+        """Uncached :meth:`operator`: the bundle of :meth:`transition`."""
+        return LinearOperatorBundle.of(self.transition(graph, group_key))
 
     def sharded_operator(self, graph, group_key: tuple, *, n_shards: int = 8):
         """Graph-cached block-partitioned operator (sharding methods).

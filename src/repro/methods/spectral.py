@@ -76,11 +76,15 @@ def adjacency_bundle(graph, *, weighted: bool = False):
     memoises the CSR adjacency and its transpose per graph version, so
     Katz, eigenvector centrality, HITS and the graph's own predecessor
     reads (:meth:`~repro.graph.base.DiGraph.predecessors`) all iterate
-    one export.  This is the only construction site of that bundle.
+    one export.  This is the only construction site of that bundle.  On
+    an undirected graph the adjacency is symmetric and is its own
+    transpose.
     """
     return graph.cached(
         ("operator", "adjacency", bool(weighted)),
-        lambda: LinearOperatorBundle.of(graph.to_csr(weighted=weighted)),
+        lambda: LinearOperatorBundle.of(
+            graph.to_csr(weighted=weighted), symmetric=not graph.directed
+        ),
     )
 
 

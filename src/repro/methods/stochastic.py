@@ -44,6 +44,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import ParameterError
+from repro.linalg.operator import LinearOperatorBundle
 from repro.linalg.transition import (
     blended_transition,
     degree_decoupled_transition,
@@ -272,21 +273,19 @@ class PageRankMethod(_StochasticMethod):
         return ("d2pr", weighted, dangling, beta, p)
 
     def transition(self, graph, group_key: tuple):
+        return self.build_operator(graph, group_key).mat
+
+    def build_operator(self, graph, group_key: tuple):
         # Every β ∈ {0, 1} key is diag(r)·M·diag(c), materialised from
-        # the factors; a blend or a too-wide key keeps its own builder.
-        factored = self._factored(graph, group_key)
+        # the memoised factors (on an undirected graph its transpose is
+        # built from them too, see Factors.bundle); a blend or a
+        # too-wide key keeps its own builder.
+        factored = self._factors_of(graph, group_key)
         if factored is None:
-            return self._unfactored_transition(graph, group_key)
-        _, mat, row, col = factored
-        data = mat.data * np.repeat(row, np.diff(mat.indptr))
-        if col is not None:
-            data *= col[mat.indices]
-        # Shares M's index arrays, read-only like every cached matrix.
-        out = sparse.csr_matrix(
-            (data, mat.indices, mat.indptr), shape=mat.shape
-        )
-        out.has_canonical_format = True
-        return out
+            return LinearOperatorBundle.of(
+                self._unfactored_transition(graph, group_key)
+            )
+        return factored.bundle()
 
     def _unfactored_transition(self, graph, group_key: tuple):
         _, p, beta, weighted, _dangling = group_key
@@ -315,14 +314,24 @@ class PageRankMethod(_StochasticMethod):
         return ("csr", beta == 1.0, dangling)
 
     def factors(self, graph, group_key: tuple) -> Factors:
-        factored = self._factored(graph, group_key)
+        factored = self._factors_of(graph, group_key)
         if factored is None:
             return super().factors(graph, group_key)
-        from repro.methods.spectral import adjacency_bundle
+        return factored
 
-        pool, _, row, col = factored
-        bundle = adjacency_bundle(graph, weighted=pool[1])
-        return Factors(pool, bundle, row, col)
+    def _factors_of(self, graph, group_key: tuple) -> Factors | None:
+        """The memoised factors of a factorable key, else ``None``.
+
+        Cached under ``("factors", *group_key)``: a delta drops the
+        entry like every operator bundle, and the rebuild costs O(n)
+        plus one ``M·c`` multiply over the refreshed adjacency.
+        """
+        if self.pool_key(group_key) == group_key:
+            return None
+        return graph.cached(
+            ("factors", *group_key),
+            lambda: self._factored(graph, group_key),
+        )
 
     def pooled_factors(self, graph, group_keys: list[tuple]):
         from repro.methods.spectral import adjacency_bundle
@@ -342,21 +351,21 @@ class PageRankMethod(_StochasticMethod):
                 out.append(([key], family_method(key).factors(graph, key)))
         return out
 
-    def _factored(self, graph, group_key: tuple):
-        """``(pool, M, r, c)`` of a factorable key, else ``None``.
+    def _factored(self, graph, group_key: tuple) -> Factors | None:
+        """Uncached factors of a poolable key; ``None`` if too wide.
 
-        The one-key case of :meth:`_factor_pool`, behind both
-        :meth:`factors` and :meth:`transition`.
+        The one-key case of :meth:`_factor_pool`.
         """
+        from repro.methods.spectral import adjacency_bundle
+
         pool = self.pool_key(group_key)
-        if pool == group_key:
-            return None
-        mat, row, col, factored = self._factor_pool(graph, pool, [group_key])
+        _, row, col, factored = self._factor_pool(graph, pool, [group_key])
         if not factored:
             return None
         if row.ndim == 2:
             row = row[:, 0]
-        return pool, mat, row, None if col is None else col[:, 0]
+        bundle = adjacency_bundle(graph, weighted=pool[1])
+        return Factors(pool, bundle, row, None if col is None else col[:, 0])
 
     def _factor_pool(self, graph, pool: tuple, group_keys: list[tuple]):
         """``(M, R, C, keys)``: the factors of one pool's factorable keys.

@@ -12,19 +12,20 @@ hit.  This cache keeps entries *alive across localized deltas* instead:
 * when the service routes a :class:`~repro.graph.delta.GraphDelta`
   through :meth:`~repro.serving.RankingService.apply_delta` and the
   delta is localized, each live entry is **marked pending** with a
-  reference to its still-cached pre-delta operator, instead of being
-  evicted — an O(1) capture per entry.  The next lookup reports
-  ``"pending"`` and the service corrects the entry by residual push
+  token holding its group's memoised pre-delta transition factors and
+  the delta's endpoints, instead of being evicted; the capture builds
+  nothing.  The next lookup reports ``"pending"`` and the service
+  corrects the entry by residual push
   (:func:`~repro.linalg.incremental.incremental_update` — the
-  ``update_scores`` machinery, with the baseline residual derived
-  lazily from the retained pre-delta operator), re-certifying it at
-  the new graph version for a small fraction of a cold solve;
+  ``update_scores`` machinery, with the baseline residual derived from
+  the captured factors), re-certifying it at the new graph version for
+  a small fraction of a cold solve;
 * an entry still pending when a *further* localized delta lands was
   not read in between — it is **chained**: re-marked under a fresh
-  token that keeps the operator it was certified on, so one correction
+  token that keeps the factors it was certified on, so one correction
   covers the composite delta.  The service evicts it instead when its
   transition group captured live entries at this delta (one retained
-  operator per group) or when the deltas since certification touched
+  adjacency per group) or when the deltas since certification touched
   more than ``localized_fraction`` of the nodes;
 * capacity is bounded LRU; storing past capacity evicts the
   least-recently-served digest.
@@ -89,9 +90,9 @@ class CacheEntry:
     #: when a correction actually solves.
     teleport: tuple[np.ndarray, np.ndarray] | None
     #: Correction token captured by the service before a localized delta
-    #: was applied (opaque to the cache — in practice a reference to the
-    #: pre-delta operator bundle, from which the baseline residual is
-    #: derived lazily at correction time).  Non-``None`` marks the entry
+    #: was applied (opaque to the cache — in practice the pre-delta
+    #: transition factors and the touched nodes, from which the baseline
+    #: residual is derived at correction time).  Non-``None`` marks the entry
     #: as awaiting incremental correction; its *identity* is the
     #: atomicity handle of the correction lifecycle (see module docs).
     pending: object | None = None

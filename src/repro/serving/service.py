@@ -75,7 +75,7 @@ from repro.graph.persist import (
     save_snapshot,
     snapshot_id,
 )
-from repro.linalg.incremental import incremental_update, pre_delta_residual
+from repro.linalg.incremental import incremental_update
 from repro.linalg.push import forward_push
 from repro.serving.cache import CacheEntry, ResultCache
 from repro.serving.coalescer import CoalescerTicket, MicrobatchCoalescer
@@ -125,17 +125,22 @@ def _unconverged(result, tol: float) -> ConvergenceError:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PendingCorrection:
-    """Correction token: the operator an entry was certified on.
+    """Correction token: the factors an entry was certified on.
 
-    Holding the bundle (not a precomputed residual) keeps
-    :meth:`RankingService.apply_delta` at O(1) per cached entry; the
-    bundle is immutable, so the baseline residual derived from it at
-    correction time equals the one a pre-delta capture would have
-    produced — however many localized deltas the entry was chained
-    across since.  Its memory is one retained matrix per transition
-    group — released as entries are corrected or evicted.
+    ``factors`` is the pre-delta transition as
+    :class:`~repro.linalg.operator.Factors` — the cached, immutable
+    adjacency ``M`` plus the O(n) vectors ``r`` and ``c`` (or, for a
+    key that does not factor, its materialised bundle) — and ``nodes``
+    the union of the delta endpoints since certification.  Capturing
+    them builds nothing: the factors are memoised per graph version.
+    At correction time they give the old system's residual as
+    ``full − delta``, with ``delta`` computed on the rows the deltas
+    changed (:func:`~repro.linalg.incremental.delta_residual`) — however
+    many localized deltas the entry was chained across since.  Its
+    memory is one retained adjacency per transition group — released
+    as entries are corrected or evicted.
 
     The token's *identity* also guards the correction commit: the cache
     stores a corrected answer only when the entry is still pending on
@@ -143,10 +148,13 @@ class _PendingCorrection:
     delta landing between solve and commit can never be papered over.
     """
 
-    old_bundle: object
+    factors: object
     #: Delta endpoints summed over every delta since certification; a
     #: chain past ``localized_fraction`` of the nodes is evicted.
     touched: int
+    #: The union of those endpoints: the nodes whose adjacency rows
+    #: changed.
+    nodes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -599,6 +607,13 @@ class RankingService:
 
         return operator_for(self._graph, group_key)
 
+    def _factors(self, group_key: tuple):
+        """``group_key``'s memoised transition factors (builds no bundle
+        for a factorable key)."""
+        from repro.methods import family_method  # local: avoids cycle
+
+        return family_method(group_key).factors(self._graph, group_key)
+
     def _sharded(self, group_key: tuple):
         """The block-partitioned operator for ``group_key``, or ``None``.
 
@@ -697,7 +712,7 @@ class RankingService:
             tol=request.tol,
             max_iter=self._max_iter,
             dangling=request.dangling,
-            operator=self._bundle(query.group_key),
+            operator=self._factors(query.group_key),
         )
 
     def _solve_sharded(self, query: CanonicalQuery, plan, entry):
@@ -721,22 +736,15 @@ class RankingService:
         self, query: CanonicalQuery, plan, entry: CacheEntry
     ) -> NodeScores:
         request = entry.request
-        bundle = self._bundle(request.group_key)
         teleport = self._dense_teleport(entry.teleport)
         # The baseline residual — the previous solve's own truncation
-        # dust, frozen by the incremental solver — is derived lazily
-        # here from the pre-delta operator retained at delta time, so
-        # apply_delta stays O(1) per cached entry.
+        # dust, frozen by the incremental solver — is derived here from
+        # the pre-delta factors captured at delta time and the nodes
+        # the deltas touched: one SpMV plus the changed rows.
         pending = entry.pending
-        baseline = None
+        before = nodes = None
         if isinstance(pending, _PendingCorrection):
-            baseline = pre_delta_residual(
-                pending.old_bundle,
-                entry.scores.values,
-                request.alpha,
-                teleport,
-                request.dangling,
-            )
+            before, nodes = pending.factors, pending.nodes
         result = incremental_update(
             None,
             entry.scores.values,
@@ -745,8 +753,9 @@ class RankingService:
             dangling=request.dangling,
             tol=entry.tol,
             max_iter=self._max_iter,
-            operator=bundle,
-            baseline_residual=baseline,
+            operator=self._factors(request.group_key),
+            before=before,
+            touched=nodes,
         )
         if not result.converged:
             # An uncertified correction never lands: drop the pending
@@ -876,22 +885,24 @@ class RankingService:
         ones wait), outstanding microbatches are drained (their answers
         belong to the pre-delta graph and are cached as such), then, for
         a **localized** delta (touching at most ``localized_fraction``
-        of the nodes), each live cached answer retains a reference to
-        its still-cached pre-delta operator *before* the delta lands (an
-        O(1) capture) — the next request for that answer derives its
-        baseline residual from it and corrects by residual push at a
-        fraction of a cold solve.  An entry still pending from an
-        earlier delta is chained: it keeps the bundle it was certified
-        on under a fresh token, so one correction covers every delta
-        since.  It is evicted instead when its transition group captured
-        live entries at this delta (one retained bundle per group) or
-        when the endpoints touched since certification exceed
+        of the nodes), each live cached answer captures its group's
+        pre-delta factors and the delta's endpoints *before* the delta
+        lands.  The factors are memoised per graph version (the cached
+        adjacency plus two O(n) vectors), so the capture builds no
+        transition.  The next request for that answer corrects it by
+        residual push at a fraction of a cold solve: one full residual
+        on the new factors plus the rows the delta changed.  An entry
+        still pending from an earlier delta is chained: it keeps the
+        factors it was certified on under a fresh token, with the
+        union of the touched nodes, so one correction covers every
+        delta since.  It is evicted instead when its transition group
+        captured live entries at this delta (one retained adjacency per
+        group) or when the endpoints touched since certification exceed
         ``localized_fraction`` of the nodes.  De-localised deltas and
         node inserts/deletes evict the cache (classic semantics).  The
         delta itself goes through
-        :meth:`~repro.graph.base.BaseGraph.apply_delta`, so the graph's
-        cached matrices and operator bundles are surgically refreshed
-        too.
+        :meth:`~repro.graph.base.BaseGraph.apply_delta`, which refreshes
+        the graph's adjacency and θ and drops every derived operator.
 
         Raises exactly what ``graph.apply_delta`` raises (frozen graph,
         missing edges, bad indices); on any failure the graph and every
@@ -913,7 +924,8 @@ class RankingService:
             self._drain()
             graph = self._graph
             budget = max(1.0, self._localized_fraction * graph.number_of_nodes)
-            touched = int(delta.endpoints().size)
+            endpoints = delta.endpoints()
+            touched = int(endpoints.size)
             # Node inserts/deletes renumber (or resize) the score index
             # space, so no cached vector can be residual-corrected across
             # them — always take the evicting path.
@@ -925,7 +937,7 @@ class RankingService:
                 from repro.methods import resolve  # local: avoids cycle
 
                 mutation = graph.mutation_count
-                captured: set[tuple] = set()
+                captured: dict[tuple, object] = {}
                 for digest, entry in self._cache.live_entries():
                     if entry.mutation != mutation:
                         stale.append(digest)
@@ -938,20 +950,25 @@ class RankingService:
                     ).supports_incremental:
                         stale.append(digest)
                         continue
-                    # O(1) per entry: retain the (still-cached,
-                    # immutable) pre-delta bundle; the baseline residual
-                    # is derived from it lazily when the entry is next
-                    # requested.
+                    # Retain the group's memoised pre-delta factors
+                    # (built once per graph version, shared by the
+                    # group's entries; no transition is built); the
+                    # baseline residual is derived from them when the
+                    # entry is next requested.
                     group = entry.request.group_key
-                    captured.add(group)
-                    token = _PendingCorrection(self._bundle(group), touched)
+                    if group not in captured:
+                        captured[group] = self._factors(group)
+                    token = _PendingCorrection(
+                        captured[group], touched, endpoints
+                    )
                     prepared.append((digest, token))
                 # An entry still pending from an earlier delta chains:
-                # a fresh token keeps the bundle it was certified on,
-                # whose residual is still the exact old-system baseline,
-                # so one correction covers the composite delta.  It is
-                # evicted when its group captured a newer bundle above
-                # (one retained bundle per group) or when the chain has
+                # a fresh token keeps the factors it was certified on
+                # and the union of the touched nodes, from which the
+                # exact old-system baseline still follows, so one
+                # correction covers the composite delta.  It is evicted
+                # when its group captured newer factors above (one
+                # retained adjacency per group) or when the chain has
                 # touched more than a localized delta may.
                 for digest, entry in self._cache.pending_entries():
                     token = entry.pending
@@ -964,7 +981,9 @@ class RankingService:
                         stale.append(digest)
                         continue
                     chained = _PendingCorrection(
-                        token.old_bundle, token.touched + touched
+                        token.factors,
+                        token.touched + touched,
+                        np.union1d(token.nodes, endpoints),
                     )
                     prepared.append((digest, chained))
 

@@ -192,6 +192,134 @@ class TestApplySemantics:
         assert stats["inserted"] == 0
 
 
+def _stepwise_store(graph, delta):
+    """The store ``delta`` leaves on ``graph``, merged step by step.
+
+    The reference merge: build every key, drop the deletes with a keep
+    mask, ``np.insert`` the fresh upserts, then set the reweights, each
+    step on the previous step's arrays.  Returns ``(rows, cols,
+    weights, stats)``, or ``None`` where a step finds a missing edge.
+    """
+    n = np.int64(graph.number_of_nodes)
+    rows, cols, w = (np.array(a) for a in graph._canonical_edges())
+    keys = rows * n + cols
+    stats = {"inserted": 0, "deleted": 0, "reweighted": 0}
+
+    def find(want):
+        pos = np.searchsorted(keys, want)
+        hit = np.zeros(want.size, dtype=bool)
+        ok = pos < keys.size
+        hit[ok] = keys[pos[ok]] == want[ok]
+        return pos, hit
+
+    dr, dc = graph._canonical_pairs(delta.delete_rows, delta.delete_cols)
+    if dr.size:
+        want = np.unique(dr * n + dc)
+        pos, hit = find(want)
+        if not hit.all():
+            return None
+        keep = np.ones(keys.size, dtype=bool)
+        keep[pos] = False
+        keys, rows, cols, w = keys[keep], rows[keep], cols[keep], w[keep]
+        stats["deleted"] = int(want.size)
+    ir, ic = graph._canonical_pairs(delta.insert_rows, delta.insert_cols)
+    if ir.size:
+        want = ir * n + ic
+        sel = graph._dedup_last_wins(want)
+        want, iw = want[sel], delta.insert_weights[sel]
+        pos, hit = find(want)
+        w[pos[hit]] = iw[hit]
+        at = pos[~hit]
+        keys = np.insert(keys, at, want[~hit])
+        rows = np.insert(rows, at, ir[sel][~hit])
+        cols = np.insert(cols, at, ic[sel][~hit])
+        w = np.insert(w, at, iw[~hit])
+        stats["inserted"] = int((~hit).sum())
+    rr, rc = graph._canonical_pairs(delta.reweight_rows, delta.reweight_cols)
+    if rr.size:
+        want = rr * n + rc
+        sel = graph._dedup_last_wins(want)
+        pos, hit = find(want[sel])
+        if not hit.all():
+            return None
+        w[pos] = delta.reweight_weights[sel]
+        stats["reweighted"] = int(sel.size)
+    return rows, cols, w, stats
+
+
+@st.composite
+def _store_and_delta(draw):
+    """A small graph and a delta mixing inserts, upserts, deletes,
+    re-inserts of deleted edges and reweights (of kept, upserted,
+    re-inserted and fresh edges), sometimes naming a missing edge."""
+    cls = draw(st.sampled_from([Graph, DiGraph]))
+    n = draw(st.integers(2, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda uv: uv[0] != uv[1]
+    )
+    edges = draw(st.lists(pairs, max_size=30))
+    weights = st.floats(0.25, 4.0)
+    graph = cls.from_arrays(
+        np.array([u for u, _ in edges], dtype=np.int64),
+        np.array([v for _, v in edges], dtype=np.int64),
+        np.array([draw(weights) for _ in edges]),
+        num_nodes=n,
+    )
+    er, ec, _ = graph.edge_arrays()
+    existing = list(zip(er.tolist(), ec.tolist()))
+    some = st.lists(st.sampled_from(existing), max_size=6) if existing else (
+        st.just([])
+    )
+    deletes = list(dict.fromkeys(draw(some)))
+    inserts = draw(some) + deletes[: draw(st.integers(0, len(deletes)))]
+    inserts += draw(st.lists(pairs, max_size=6))
+    reweights = draw(some) + draw(st.lists(st.sampled_from(inserts), max_size=3)
+                                  if inserts else st.just([]))
+    if draw(st.booleans()):
+        deletes += draw(st.lists(pairs, max_size=1))
+        reweights += draw(st.lists(pairs, max_size=1))
+
+    def arrays(uvs):
+        return (
+            np.array([u for u, _ in uvs], dtype=np.int64),
+            np.array([v for _, v in uvs], dtype=np.int64),
+        )
+
+    delta = (
+        GraphDelta.delete(*arrays(deletes))
+        | GraphDelta.insert(
+            *arrays(inserts), np.array([draw(weights) for _ in inserts])
+        )
+        | GraphDelta.reweight(
+            *arrays(reweights), np.array([draw(weights) for _ in reweights])
+        )
+    )
+    return graph, delta
+
+
+class TestOnePassMerge:
+    """``apply_graph_delta`` merges each store column in one pass; the
+    committed store must equal the step-by-step merge exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_store_and_delta())
+    def test_store_equals_stepwise_merge(self, case):
+        graph, delta = case
+        want = _stepwise_store(graph, delta)
+        if want is None:
+            with pytest.raises(EdgeError):
+                graph.apply_delta(delta)
+            return
+        stats = graph.apply_delta(delta)
+        rows, cols, w = graph._canonical_edges()
+        assert np.array_equal(rows, want[0])
+        assert np.array_equal(cols, want[1])
+        assert np.array_equal(w, want[2])
+        assert graph.number_of_edges == rows.size
+        for key, count in want[3].items():
+            assert stats[key] == count
+
+
 class TestApplyValidation:
     def test_delete_missing_edge_raises(self):
         g = Graph.from_edges([("a", "b"), ("b", "c")])
@@ -285,9 +413,12 @@ class TestCacheRefresh:
         fresh = _rebuilt(graph)
 
         # The graph refreshes only the adjacency and theta; every
-        # operator bundle (and the raw COO triple) is dropped.
+        # operator bundle, its memoised factors (and the raw COO
+        # triple) are dropped.
         assert {key[0] for key in stats["refreshed"]} == {"csr", "theta"}
-        assert {key[0] for key in stats["dropped"]} <= {"coo", "operator"}
+        assert {key[0] for key in stats["dropped"]} <= {
+            "coo", "operator", "factors",
+        }
         assert ("operator", "d2pr", 1.5, 0.0, False) in stats["dropped"]
         assert ("operator", "d2pr", 0.0, 0.0, False) in stats["dropped"]
 
@@ -315,7 +446,7 @@ class TestCacheRefresh:
         # drops it and the rebuild equals a fresh build.
         solve_many(graph, [RankQuery(method="fatigued", p=1.5, fatigue=0.3)])
         assert {key[0] for key in graph._cache} <= {
-            "coo", "csr", "theta", "operator"
+            "coo", "csr", "theta", "operator", "factors"
         }
         fatigued_key = ("operator", "fatigued", 1.5, 0.3, 0.0, False)
         assert fatigued_key in graph._cache
@@ -328,17 +459,18 @@ class TestCacheRefresh:
         )
 
     def test_refresh_hits_cache_not_rebuild(self, grid_graph, rng):
-        # Only the bundle is rebuilt: the adjacency and theta it reads
-        # are hits on the refreshed entries.
+        # Only the bundle, its memoised factors and the adjacency bundle
+        # they wrap are rebuilt: the adjacency and theta they read are
+        # hits on the refreshed entries.
         self._warm(grid_graph)
         delta = self._delta_for(grid_graph, rng)
         grid_graph.apply_delta(delta)
         misses = grid_graph.cache_info()["misses"]
         d2pr_transition(grid_graph, 1.5)
-        assert grid_graph.cache_info()["misses"] == misses + 1
+        assert grid_graph.cache_info()["misses"] == misses + 3
         grid_graph.to_csr()
         adjacency_and_theta(grid_graph, weighted=False)
-        assert grid_graph.cache_info()["misses"] == misses + 1
+        assert grid_graph.cache_info()["misses"] == misses + 3
 
     def test_version_bumps_once(self, grid_graph, rng):
         self._warm(grid_graph)
@@ -465,9 +597,10 @@ class TestCacheRefresh:
         misses = graph.cache_info()["misses"]
         _assert_same_csr(graph.to_csr(), fresh.to_csr())
         assert graph.cache_info()["misses"] == misses
-        # The one rebuild is the bundle, from the chained pair.
+        # The rebuilds are the bundle, its factors and the adjacency
+        # bundle, from the chained pair.
         patched = d2pr_transition(graph, 1.5)
-        assert graph.cache_info()["misses"] == misses + 1
+        assert graph.cache_info()["misses"] == misses + 3
         _assert_same_csr(patched, d2pr_transition(fresh, 1.5))
         np.testing.assert_allclose(
             d2pr(graph, 1.5).values, d2pr(fresh, 1.5).values, atol=1e-12,

@@ -4,13 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import d2pr, update_scores
 from repro.core.d2pr import d2pr_operator
 from repro.errors import FrozenGraphError, ParameterError
 from repro.graph import DiGraph, Graph, GraphDelta
 from repro.linalg import incremental_update, power_iteration, residual_vector
+from repro.linalg.incremental import (
+    _changed_rows,
+    _local_delta,
+    delta_residual,
+)
 from repro.linalg.operator import LinearOperatorBundle
+from repro.methods import family_method
+from tests.linalg.factor_cases import exact, factor_cases, oracle_transition
 
 
 def _random_graph(cls, n, m, rng, weighted=False):
@@ -147,12 +156,22 @@ class TestIncrementalUpdate:
                 None, np.array([0.5, 0.5, 0.5, -0.5]), operator=bundle
             )
 
-    def test_bad_baseline_shape_rejected(self, cycle_digraph):
+    def test_bad_before_shape_rejected(self, cycle_digraph, figure1_graph):
         bundle = d2pr_operator(cycle_digraph, 0.0)
         with pytest.raises(ParameterError):
             incremental_update(
                 None, np.full(4, 0.25), operator=bundle,
-                baseline_residual=np.zeros(5),
+                before=d2pr_operator(figure1_graph, 0.0),
+            )
+        # Factored ``before`` needs the touched nodes to find the
+        # changed rows.
+        factors = family_method(("d2pr", 1.0, 0.0, False, "teleport"))
+        factors = factors.factors(
+            cycle_digraph, ("d2pr", 1.0, 0.0, False, "teleport")
+        )
+        with pytest.raises(ParameterError):
+            incremental_update(
+                None, np.full(4, 0.25), operator=factors, before=factors,
             )
 
     def test_resolves_bundle_from_matrix(self, figure1_graph):
@@ -258,3 +277,90 @@ class TestUpdateScoresProperty:
         assert updated.solver_result.method in (
             "incremental_push", "incremental_fallback"
         )
+
+
+class TestOnTheFactors:
+    """Corrections on ``(M, r, c)`` against the paper-era oracle.
+
+    The delta part of the residual, computed on the changed rows only,
+    must equal the difference of two full residuals on the oracle
+    transitions; a correction on the factors must agree with the same
+    correction on the oracle bundle and hold its certificate against a
+    dense solve.
+    """
+
+    @staticmethod
+    def _teleport(n, personal, rng):
+        if not personal:
+            return np.full(n, 1.0 / n)
+        t = np.zeros(n)
+        t[rng.choice(n, 2, replace=False)] = [1.0, 3.0]
+        return t / t.sum()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=factor_cases(),
+        alpha=st.sampled_from([0.5, 0.85]),
+        personal=st.booleans(),
+    )
+    def test_local_delta_equals_the_residual_difference(
+        self, case, alpha, personal
+    ):
+        dangling = case.key[-1]
+        before = case.factors()
+        old = LinearOperatorBundle.of(oracle_transition(case.graph, case.key))
+        n = old.n
+        rng = np.random.default_rng(n)
+        x = rng.uniform(0.1, 1.0, n)
+        x /= x.sum()
+        t = self._teleport(n, personal, rng)
+        touched = case.apply_deltas()
+        after = case.factors()
+        new = LinearOperatorBundle.of(oracle_transition(case.graph, case.key))
+
+        want = residual_vector(new, x, t, alpha, dangling) - residual_vector(
+            old, x, t, alpha, dangling
+        )
+        rows = _changed_rows(before, after, touched)
+        local = _local_delta(before, after, rows, x, t, alpha, dangling)
+        assert np.abs(local - want).sum() <= 1e-14
+        public = delta_residual(before, after, x, touched, t, alpha, dangling)
+        assert public is None or np.array_equal(public, local)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=factor_cases(),
+        alpha=st.sampled_from([0.5, 0.85]),
+        personal=st.booleans(),
+    )
+    def test_correction_on_factors_matches_the_oracle_bundle(
+        self, case, alpha, personal
+    ):
+        tol = 1e-9
+        dangling = case.key[-1]
+        before = case.factors()
+        P_old = oracle_transition(case.graph, case.key)
+        t = self._teleport(P_old.shape[0], personal, np.random.default_rng(1))
+        x_old = np.maximum(exact(P_old, t, alpha, dangling), 0.0)
+        touched = case.apply_deltas()
+        after = case.factors()
+        P_new = oracle_transition(case.graph, case.key)
+
+        # frontier_cap=1.0: the push runs natively on these small graphs.
+        common = dict(
+            alpha=alpha, teleport=t, dangling=dangling, tol=tol,
+            max_iter=100_000, frontier_cap=1.0,
+        )
+        on_factors = incremental_update(
+            None, x_old, operator=after, before=before, touched=touched,
+            **common,
+        )
+        on_oracle = incremental_update(
+            P_new, x_old, before=LinearOperatorBundle.of(P_old), **common
+        )
+        assert on_factors.converged and on_oracle.converged
+        assert np.abs(on_factors.scores - on_oracle.scores).sum() <= 2 * tol
+        x_new = exact(P_new, t, alpha, dangling)
+        bound = 3.0 * tol * alpha / (1.0 - alpha) + 1e-12
+        for result in (on_factors, on_oracle):
+            assert np.abs(result.scores - x_new).sum() <= bound

@@ -28,8 +28,9 @@ from scipy.sparse.linalg import spsolve
 from repro.graph import DiGraph, GraphDelta
 from repro.linalg import forward_push, incremental_update, residual_vector
 from repro.linalg import push
-from repro.linalg.operator import LinearOperatorBundle
+from repro.linalg.operator import Factors, LinearOperatorBundle
 from repro.telemetry import Tracer
+from tests.linalg.factor_cases import exact, factor_cases, oracle_transition
 
 ALPHAS = (0.5, 0.85, 0.99)
 DANGLING = ("teleport", "self", "uniform")
@@ -282,9 +283,10 @@ class TestIncrementalOracle:
         else:
             t_old = np.full(n, 1.0 / n)
         x_old = _oracle(P_old, t_old, alpha, dangling)
-        baseline = residual_vector(
-            LinearOperatorBundle.of(P_old), x_old, t_old, alpha, dangling
-        )
+        # The old system is an input only while the index space holds.
+        before = None
+        if with_baseline and kind in ("insert", "delete", "reweight"):
+            before = LinearOperatorBundle.of(P_old)
 
         align = _apply(graph, kind, rng)
         P_new = _transition(graph)
@@ -296,7 +298,7 @@ class TestIncrementalOracle:
             P_new, align(x_old), alpha=alpha, teleport=t_new,
             dangling=dangling, tol=TOL, max_iter=MAX_ITER,
             frontier_cap=frontier_cap,
-            baseline_residual=align(baseline) if with_baseline else None,
+            before=before,
         )
         exact = _oracle(P_new, t_new, alpha, dangling)
 
@@ -546,7 +548,7 @@ class TestLocalFinish:
         )
         weights = np.full(seeds.size, 1.0 / seeds.size)
         front = push._push_epochs(
-            LinearOperatorBundle.of(P), seeds, weights.copy(),
+            Factors.resolve(P, None), seeds, weights.copy(),
             alpha=alpha, tol=TOL, max_iter=MAX_ITER, dangling=dangling,
             settle=1.0 - alpha, target=(seeds, weights),
             row_limit=np.inf, entry_limit=np.inf, history=[],
@@ -570,7 +572,7 @@ class TestLocalFinish:
         adj = _community_ring(8, 16, 4, rng).tolil()
         adj[15, :] = 0.0
         P = _normalise(adj.tocsr())
-        bundle = LinearOperatorBundle.of(P)
+        bundle = Factors.resolve(P, None)
         far = (np.array([40]), np.array([1.0]))
         support = np.array([3, 15])
         cases = {
@@ -754,3 +756,50 @@ class TestLocalFinish:
         assert remaining <= tol
         settled = result.scores * (1.0 - remaining)
         assert _l1(settled, exact) <= tol + SLACK
+
+
+class TestOnTheFactors:
+    """Push on ``(M, r, c)`` against the paper-era oracle bundle, after
+    1–3 chained deltas (so the factors are the refreshed ones)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=factor_cases(),
+        alpha=st.sampled_from(ALPHAS[:2]),
+        data=st.data(),
+    )
+    def test_push_on_factors_matches_the_oracle_bundle(
+        self, case, alpha, data
+    ):
+        dangling = case.key[-1]
+        case.apply_deltas()
+        factors = case.factors()
+        P = oracle_transition(case.graph, case.key)
+        n = P.shape[0]
+        idx = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                     unique=True)
+        )
+        t = np.zeros(n)
+        t[idx] = 1.0 / len(idx)
+        # frontier_cap=1.0: the push runs natively on these small graphs.
+        common = dict(
+            alpha=alpha, tol=TOL, max_iter=MAX_ITER, dangling=dangling,
+            frontier_cap=1.0,
+        )
+        on_factors = forward_push(None, idx, operator=factors, **common)
+        on_oracle = forward_push(P, idx, **common)
+        assert on_factors.converged and on_oracle.converged
+        assert on_factors.method == on_oracle.method
+        assert _l1(on_factors.scores, on_oracle.scores) <= 2 * TOL
+        x = exact(P, t, alpha, dangling)
+        for result in (on_factors, on_oracle):
+            if result.method == "forward_push_fallback":
+                bound = TOL * alpha / (1.0 - alpha) + SLACK
+                assert _l1(result.scores, x) <= bound
+                continue
+            remaining = result.residuals[-1]
+            assert remaining <= TOL
+            # The certificate is on the settled estimate (see
+            # TestForwardPushOracle).
+            assert _l1(result.scores * (1.0 - remaining), x) <= TOL + SLACK

@@ -219,6 +219,44 @@ if grep -nE 'ascontiguousarray\([a-z_]+\[:, ' src/repro/linalg/batch.py; then
     exit 1
 fi
 
+# Corrections and pushes read the transition factors: a delta captures
+# the memoised (M, r, c), a push and a correction run on them, and the
+# old system's residual is full - delta over the changed rows.  Fail if
+# RankingService.apply_delta, _solve_push or _solve_incremental calls
+# _bundle or operator_for (a materialised transition), or if
+# linalg/incremental.py defines pre_delta_residual (the second full
+# residual per corrected answer) again.
+python - <<'EOF'
+import ast
+import sys
+
+service = ast.parse(open("src/repro/serving/service.py").read())
+paths = {"apply_delta", "_solve_push", "_solve_incremental"}
+found, bad = set(), []
+for cls in service.body:
+    if isinstance(cls, ast.ClassDef) and cls.name == "RankingService":
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in paths:
+                found.add(fn.name)
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        name = getattr(func, "attr", getattr(func, "id", None))
+                        if name in ("_bundle", "operator_for"):
+                            bad.append(f"service.py:{node.lineno}: "
+                                       f"{fn.name} calls {name}")
+if found != paths:
+    bad.append(f"RankingService lacks {sorted(paths - found)}")
+incremental = ast.parse(open("src/repro/linalg/incremental.py").read())
+if any(isinstance(node, ast.FunctionDef) and node.name == "pre_delta_residual"
+       for node in incremental.body):
+    bad.append("linalg/incremental.py defines pre_delta_residual")
+if bad:
+    print("FAIL: the push/correction path builds a transition:", *bad,
+          sep="\n  ", file=sys.stderr)
+    sys.exit(1)
+EOF
+
 python -m pytest -x -q
 
 # Re-run the multi-threaded stress suite under a hard watchdog: a
@@ -296,10 +334,15 @@ try:
         BaseGraph.cached = real_cached
     # The replayed edge deltas correct the seeded answer, no re-solve.
     # The graph's adjacency and theta patches chain across the tail, so
-    # nothing is rebuilt from the edge store: the read's one miss is
-    # the operator bundle, rebuilt from the patched adjacency and theta.
+    # nothing is rebuilt from the edge store, and the correction runs on
+    # the factors: the read's only misses are the key's factors and the
+    # adjacency bundle they wrap, rebuilt from the patched adjacency and
+    # theta; no transition bundle is built.
     assert restored.plan.strategy == "incremental", restored.plan.strategy
-    assert missed == [("operator", "d2pr", 0.0, 0.0, False)], missed
+    assert missed == [
+        ("factors", "d2pr", 0.0, 0.0, False, "teleport"),
+        ("operator", "adjacency", False),
+    ], missed
     assert graph_keys() == before, (before, graph_keys())
     l1 = float(np.abs(live.scores.values - restored.scores.values).sum())
     assert l1 <= 2 * req.tol, f"warm restart diverged: L1={l1:g}"

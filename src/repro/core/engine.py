@@ -456,9 +456,9 @@ def update_scores(
     :func:`~repro.core.pagerank.pagerank` solve and a
     :class:`~repro.graph.delta.GraphDelta`, this
 
-    1. applies the delta to the scores' graph through the delta-aware
-       cache refresh (:meth:`~repro.graph.base.BaseGraph.apply_delta` —
-       the cached adjacency and θ are patched, not evicted),
+    1. applies the delta to the scores' graph
+       (:meth:`~repro.graph.base.BaseGraph.apply_delta` splices the CSR
+       edge store; the adjacency wraps it again in O(1)),
     2. re-solves by **residual correction**
        (:func:`~repro.linalg.incremental.incremental_update`): only the
        residual the delta creates is propagated, instead of re-streaming
@@ -529,8 +529,7 @@ def update_scores_many(
       plus two O(n) vectors) are captured before the delta lands —
       queries sharing a transition share them, and no transition is
       built;
-    * the delta is applied once (one columnar merge, one delta-aware
-      cache refresh);
+    * the delta is applied once (one CSR splice, one cache drop);
     * corrections run per query against the post-delta factors (grouped,
       again, by transition), each costing one full residual plus the
       rows the delta changed, with the same

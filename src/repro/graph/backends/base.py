@@ -4,26 +4,29 @@ A graph instance owns its *identity* — the node objects, their dense
 integer indexing and the frozen/mutation-counter bookkeeping — and
 delegates *storage* to a :class:`GraphBackend`:
 
-* the **columnar edge store**: de-duplicated ``(rows, cols, weights)``
-  arrays holding one entry per edge (``lo < hi`` for undirected graphs),
-  sorted by ``(row, col)``.  It is the graph's only adjacency: point
-  queries binary-search it or slice the CSR exported from it;
+* the **edge store**: the adjacency ``M`` as one row-major CSR over
+  arcs, ``(indptr, indices, weights)``.  Row ``i`` lists the out-arcs
+  of node ``i`` with ascending, unique columns; an undirected edge is
+  two arcs of equal weight, so the store of a ``Graph`` is symmetric.
+  ``indptr`` and ``indices`` share one index dtype (int32 where it
+  fits, as scipy picks), so ``to_csr`` wraps the arrays without a
+  copy.  It is the graph's only adjacency;
 * the **node-attribute columns** (``{name: {index: value}}``).
 
 Two implementations ship:
 
 * :class:`~repro.graph.backends.memory.InMemoryBackend` — plain numpy
-  arrays in RAM; the default and the behaviour every pre-backend release
-  had.
-* :class:`~repro.graph.backends.mmapped.MmapBackend` — the columnar
-  arrays live in ``.npy`` files opened through ``np.load(mmap_mode=...)``
-  so graphs larger than RAM page from disk, snapshots can be attached
+  arrays in RAM; the default.
+* :class:`~repro.graph.backends.mmapped.MmapBackend` — the CSR arrays
+  live in ``.npy`` files opened through ``np.load(mmap_mode=...)`` so
+  graphs larger than RAM page from disk, snapshots can be attached
   zero-copy, and other processes can map the same files without
   fork-inherited ``shared_memory``.
 
-Attribute columns are Python-object structures and therefore always
-RAM-resident regardless of backend.  See ``docs/storage.md`` for the
-full contract.
+Stored arrays are read-only and never mutated: a write replaces all
+three, so a matrix built on an old store stays valid.  Attribute
+columns are Python-object structures and therefore always RAM-resident
+regardless of backend.  See ``docs/storage.md`` for the full contract.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from repro.errors import ParameterError
 
 __all__ = ["GraphBackend"]
 
-#: Canonical columnar triple: (rows, cols, weights).
-Columnar = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: The stored CSR: (indptr, indices, weights).
+CSRArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class GraphBackend(ABC):
@@ -75,24 +78,28 @@ class GraphBackend(ABC):
         """Release backend resources (files, mappings).  Idempotent."""
 
     # ------------------------------------------------------------------
-    # canonical columnar edge store
+    # the CSR edge store
     # ------------------------------------------------------------------
     @property
     @abstractmethod
-    def columnar(self) -> Columnar:
-        """The canonical edge triple (empty arrays for an edgeless graph)."""
+    def csr(self) -> CSRArrays:
+        """The stored ``(indptr, indices, weights)`` (read-only arrays).
+
+        ``indptr`` may be shorter than ``number_of_nodes + 1``: nodes
+        added since the last write have no arcs yet.
+        """
 
     @abstractmethod
-    def set_columnar(
-        self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
+    def set_csr(
+        self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
     ) -> None:
-        """Replace the columnar store with canonical arrays.
+        """Replace the store with a row-major CSR over arcs.
 
-        ``rows``/``cols`` are int64, ``data`` float64, all equal-length
-        1-D, de-duplicated, one entry per edge, sorted by ``(row, col)``.
-        The backend may retain the arrays by reference or persist copies;
-        callers must treat previously returned triples as stale after
-        this call.
+        ``indptr``/``indices`` share one integer dtype, ``weights`` is
+        float64; columns are ascending and unique within each row.  The
+        backend may retain the arrays by reference (marking them
+        read-only) or persist copies; callers must treat previously
+        returned arrays as stale after this call.
         """
 
     # ------------------------------------------------------------------
@@ -106,21 +113,18 @@ class GraphBackend(ABC):
         return f"<{type(self).__name__} bound={self._bound}>"
 
 
-def _as_columnar(
-    rows: np.ndarray, cols: np.ndarray, data: np.ndarray
-) -> Columnar:
-    """Normalise a columnar triple to contiguous canonical dtypes."""
-    return (
-        np.ascontiguousarray(rows, dtype=np.int64),
-        np.ascontiguousarray(cols, dtype=np.int64),
-        np.ascontiguousarray(data, dtype=np.float64),
-    )
+def _read_only(*arrays: np.ndarray) -> CSRArrays:
+    """Contiguous read-only forms of the three CSR arrays."""
+    out = tuple(np.ascontiguousarray(arr) for arr in arrays)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
-def _empty_columnar() -> Columnar:
-    """The columnar triple of a graph with no edges."""
-    return (
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
+def _empty_csr() -> CSRArrays:
+    """The store of a graph with no nodes."""
+    return _read_only(
+        np.zeros(1, dtype=np.int32),
+        np.empty(0, dtype=np.int32),
         np.empty(0, dtype=np.float64),
     )

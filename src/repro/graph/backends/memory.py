@@ -1,47 +1,45 @@
-"""The default in-RAM storage backend (pre-backend behaviour, extracted)."""
+"""The default in-RAM storage backend."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.graph.backends.base import (
-    Columnar,
+    CSRArrays,
     GraphBackend,
-    _as_columnar,
-    _empty_columnar,
+    _empty_csr,
+    _read_only,
 )
 
 __all__ = ["InMemoryBackend"]
 
 
 class InMemoryBackend(GraphBackend):
-    """Columnar edge store held as plain numpy arrays in RAM.
+    """The CSR edge store held as plain numpy arrays in RAM.
 
-    A pure extraction of the storage that used to live inline in
-    ``BaseGraph``: :meth:`set_columnar` retains the (canonicalised)
-    arrays by reference, so the zero-copy aliasing contracts of
-    ``BaseGraph._canonical_edges`` and ``apply_delta`` are exactly what
-    they were before the backend split.
+    :meth:`set_csr` retains the arrays by reference and marks them
+    read-only, so ``to_csr`` and a delta splice alias them without a
+    copy.
     """
 
     name = "memory"
 
     def __init__(self) -> None:
         super().__init__()
-        self._columnar: Columnar = _empty_columnar()
+        self._csr: CSRArrays = _empty_csr()
 
     @property
-    def columnar(self) -> Columnar:
-        return self._columnar
+    def csr(self) -> CSRArrays:
+        return self._csr
 
-    def set_columnar(
-        self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
+    def set_csr(
+        self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
     ) -> None:
-        self._columnar = _as_columnar(rows, cols, data)
+        self._csr = _read_only(indptr, indices, weights)
 
     def describe(self) -> dict:
         return {
             "backend": self.name,
             "resident": "ram",
-            "columnar_bytes": int(sum(arr.nbytes for arr in self._columnar)),
+            "csr_bytes": int(sum(arr.nbytes for arr in self._csr)),
         }

@@ -1,18 +1,19 @@
-"""Memory-mapped columnar storage: edge arrays live in ``.npy`` files.
+"""Memory-mapped storage: the CSR edge store lives in ``.npy`` files.
 
-The graph's canonical ``(rows, cols, weights)`` triple is persisted to
+The graph's ``(indptr, indices, weights)`` arrays are persisted to
 ``np.save`` files and mapped back with ``np.load(mmap_mode="r")``, so
 
 * graphs larger than RAM page from disk on demand (the OS page cache
   keeps the hot range resident),
 * a snapshot directory can be *attached* zero-copy — loading a 100M-edge
-  snapshot costs three ``mmap(2)`` calls, not a read of the file bodies.
+  snapshot costs three ``mmap(2)`` calls, not a read of the file bodies,
+  and the mapped arrays are the adjacency ``to_csr`` wraps.
 
-Every mutation that rewrites the columnar store writes a fresh file
-generation and unlinks the previous one; open views keep the unlinked
-inodes alive (POSIX), so pre-mutation arrays handed to callers stay
-valid.  Files live in a ``repro_mmap_*`` temp directory unless the
-caller supplies one; ``tools/ci.sh`` fails on leaked directories.
+Every mutation that rewrites the store writes a fresh file generation
+and unlinks the previous one; open views keep the unlinked inodes alive
+(POSIX), so pre-mutation matrices handed to callers stay valid.  Files
+live in a ``repro_mmap_*`` temp directory unless the caller supplies
+one; ``tools/ci.sh`` fails on leaked directories.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.graph.backends.base import (
-    Columnar,
+    CSRArrays,
     GraphBackend,
-    _as_columnar,
-    _empty_columnar,
+    _empty_csr,
+    _read_only,
 )
 
 __all__ = ["MMAP_DIR_PREFIX", "MmapBackend"]
@@ -37,7 +38,7 @@ __all__ = ["MMAP_DIR_PREFIX", "MmapBackend"]
 #: Temp-directory prefix; mirrored by the leak check in tools/ci.sh.
 MMAP_DIR_PREFIX = "repro_mmap_"
 
-_STEMS = ("rows", "cols", "weights")
+_STEMS = ("indptr", "indices", "weights")
 
 
 def _cleanup(state: dict) -> None:
@@ -54,7 +55,7 @@ def _cleanup(state: dict) -> None:
 
 
 class MmapBackend(GraphBackend):
-    """Columnar edge store resident in memory-mapped ``.npy`` files.
+    """The CSR edge store resident in memory-mapped ``.npy`` files.
 
     Parameters
     ----------
@@ -78,7 +79,7 @@ class MmapBackend(GraphBackend):
             self.directory.mkdir(parents=True, exist_ok=True)
             owns_dir = False
         self._generation = 0
-        self._views: Columnar = _empty_columnar()
+        self._views: CSRArrays = _empty_csr()
         # Shared with the GC finalizer (which must not retain self).
         self._state: dict = {
             "files": [],
@@ -87,25 +88,24 @@ class MmapBackend(GraphBackend):
         self._finalizer = weakref.finalize(self, _cleanup, self._state)
 
     # ------------------------------------------------------------------
-    # columnar store
+    # the CSR store
     # ------------------------------------------------------------------
     @property
-    def columnar(self) -> Columnar:
+    def csr(self) -> CSRArrays:
         return self._views
 
-    def set_columnar(
-        self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
+    def set_csr(
+        self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
     ) -> None:
-        arrays = _as_columnar(rows, cols, data)
-        if arrays[0].size == 0:
-            # A zero-length mmap is not portable; an empty store needs no
-            # file at all.
-            self._adopt(arrays, ())
+        if indices.size == 0:
+            # A zero-length mmap is not portable; a store without arcs
+            # keeps its small indptr in RAM and needs no file at all.
+            self._adopt(_read_only(indptr, indices, weights), ())
             return
         self._generation += 1
         paths: list[Path] = []
         views: list[np.ndarray] = []
-        for stem, arr in zip(_STEMS, arrays):
+        for stem, arr in zip(_STEMS, (indptr, indices, weights)):
             path = self.directory / (
                 f"edges-{self._generation:08d}-{stem}.npy"
             )
@@ -115,20 +115,20 @@ class MmapBackend(GraphBackend):
         self._adopt(tuple(views), tuple(paths))
 
     def attach(
-        self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
+        self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
     ) -> None:
         """Adopt already-mapped arrays (e.g. snapshot files) zero-copy.
 
-        The arrays are used as the columnar store without rewriting them;
+        The arrays are used as the CSR store without rewriting them;
         the backend does **not** own the underlying files, so a later
         mutation writes its own generation here and leaves the attached
         files untouched.  Used by
         :func:`repro.graph.persist.load_snapshot`.
         """
-        self._adopt((rows, cols, data), ())
+        self._adopt((indptr, indices, weights), ())
 
     def _adopt(
-        self, views: Columnar, paths: tuple[Path, ...]
+        self, views: CSRArrays, paths: tuple[Path, ...]
     ) -> None:
         stale = list(self._state["files"])
         self._state["files"][:] = [str(p) for p in paths]
@@ -143,7 +143,7 @@ class MmapBackend(GraphBackend):
     # lifecycle / diagnostics
     # ------------------------------------------------------------------
     def close(self) -> None:
-        self._views = _empty_columnar()
+        self._views = _empty_csr()
         self._finalizer()
 
     def describe(self) -> dict:
@@ -152,5 +152,5 @@ class MmapBackend(GraphBackend):
             "resident": "disk",
             "directory": str(self.directory),
             "files": list(self._state["files"]),
-            "columnar_bytes": int(sum(arr.nbytes for arr in self._views)),
+            "csr_bytes": int(sum(arr.nbytes for arr in self._views)),
         }

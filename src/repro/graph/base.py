@@ -18,18 +18,24 @@ indices; the mapping is exposed through :meth:`BaseGraph.index_of` and
 
 Design notes
 ------------
-Edges live in exactly one place: the **columnar store**, a
-``(rows, cols, weights)`` triple held by the graph's storage backend with
-one entry per edge (``row < col`` for undirected graphs), sorted by
-``(row, col)``.  Everything else is derived from it:
+Edges live in exactly one place: the **edge store**, the adjacency ``M``
+of paper Eq. (1) as one row-major CSR over arcs, ``(indptr, indices,
+weights)``, held by the graph's storage backend.  Row ``i`` lists the
+out-arcs of node ``i`` with ascending, unique columns; an undirected
+edge is two arcs of equal weight.  Everything else is derived from it:
 
+* **Matrix export** — :meth:`BaseGraph.to_csr` wraps the store arrays
+  without a copy (``weighted=False`` shares ``indptr``/``indices`` with
+  read-only unit data), once per graph version.
 * **Point queries** — :meth:`BaseGraph.has_edge` and
-  :meth:`BaseGraph.edge_weight` binary-search the store;
-  :meth:`BaseGraph.neighbors` and :meth:`BaseGraph.degree` slice one row
-  of the cached CSR export (:meth:`BaseGraph.to_csr`), and
-  :meth:`DiGraph.predecessors` / :meth:`DiGraph.in_degree` one row of
-  its transpose.  Neighbour lists therefore come back in ascending index
-  order.
+  :meth:`BaseGraph.edge_weight` binary-search one row;
+  :meth:`BaseGraph.neighbors` and :meth:`BaseGraph.degree` slice one
+  row of :meth:`BaseGraph.to_csr`, and :meth:`DiGraph.predecessors` /
+  :meth:`DiGraph.in_degree` one row of its transpose.  Neighbour lists
+  therefore come back in ascending index order.
+* **Edge lists** — :meth:`BaseGraph.edge_arrays` (each edge once, key
+  sorted, ``lo < hi`` on a Graph), :meth:`BaseGraph.to_coo_arrays` and
+  the degree vectors are decoded from the CSR on each call.
 * **Per-edge mutation** — :meth:`BaseGraph.add_edge` and
   :meth:`BaseGraph.increment_edge` write into a small staging map keyed
   by the orientation-canonical index pair.  The map is folded into the
@@ -40,13 +46,17 @@ one entry per edge (``row < col`` for undirected graphs), sorted by
   arrays and merge them into the store with no per-edge Python calls.
   All heavy producers (generators, IO, dataset builders) route through
   this path.
-* **Invalidation-aware caching** — every structural mutation bumps a
-  monotonic counter (:attr:`BaseGraph.mutation_count`) and clears a per-graph
-  cache that memoises COO/CSR exports and the transition matrices derived
-  from them (see :meth:`BaseGraph.cached`).  Repeated solves and parameter
-  sweeps on an unmutated graph therefore never rebuild identical matrices.
-  Cached arrays/matrices are shared, so callers must treat them as
-  read-only; :meth:`BaseGraph.invalidate_caches` is the manual escape hatch.
+* **Streaming deltas** — :meth:`BaseGraph.apply_delta` splices the
+  CSR directly (:mod:`repro.graph.delta`); store arrays are never
+  mutated, so matrices built before a delta stay valid.
+* **Invalidation-aware caching** — every structural mutation (a delta
+  included) bumps a monotonic counter (:attr:`BaseGraph.mutation_count`)
+  and clears a per-graph cache that memoises the CSR wrappers and the
+  operators derived from them (see :meth:`BaseGraph.cached`).  Repeated
+  solves and parameter sweeps on an unmutated graph therefore never
+  rebuild identical matrices.  Cached arrays/matrices are shared, so
+  callers must treat them as read-only;
+  :meth:`BaseGraph.invalidate_caches` is the manual escape hatch.
 
 Node attributes live in per-name columns (``{name: {index: value}}``) so
 that attribute vectors align with node indices and can be handed directly
@@ -80,30 +90,19 @@ Node = Hashable
 __all__ = ["Graph", "DiGraph", "Node"]
 
 
-class PendingRefresh:
-    """A deferred delta-aware cache patch (see :mod:`repro.graph.delta`).
+def index_dtype(n: int, arcs: int):
+    """One dtype for ``indptr`` and ``indices``: int32 where it fits, as scipy picks."""
+    return np.int32 if max(n, arcs) <= np.iinfo(np.int32).max else np.int64
 
-    :meth:`BaseGraph.apply_delta` stores these in place of evicting cache
-    entries; :meth:`BaseGraph.cached` resolves them transparently on
-    first access, so the patch cost is paid only for entries a caller
-    actually touches after the delta.  ``base`` is the entry's last
-    materialised value and ``plan`` covers the union of the nodes every
-    delta since then touched, on the current store: a later delta
-    re-defers the entry with a wider plan, so however many deltas pass
-    unread, resolving is one ``patch(plan, base)``.
-    """
 
-    __slots__ = ("base", "plan", "_patch")
-
-    def __init__(
-        self, base: Any, plan: Any, patch: Callable[[Any, Any], Any]
-    ) -> None:
-        self.base = base
-        self.plan = plan
-        self._patch = patch
-
-    def resolve(self) -> Any:
-        return self._patch(self.plan, self.base)
+def pad_indptr(indptr: np.ndarray, n: int) -> np.ndarray:
+    """``indptr`` extended to ``n + 1`` entries; the added rows are empty."""
+    missing = n + 1 - indptr.shape[0]
+    if missing <= 0:
+        return indptr
+    return np.concatenate(
+        [indptr, np.full(missing, indptr[-1], dtype=indptr.dtype)]
+    )
 
 
 class BaseGraph:
@@ -120,27 +119,28 @@ class BaseGraph:
 
         self._index: dict[Node, int] = {}
         self._nodes: list[Node] = []
-        # Storage engine: owns the columnar edge store and the
-        # node-attribute columns.  ``backend`` accepts a registry name
+        # Storage engine: owns the CSR edge store and the node-attribute
+        # columns.  ``backend`` accepts a registry name
         # ("memory", "mmap"), an instance or a class; see
         # repro.graph.backends.
         self._store = resolve_backend(backend).bind()
         self._num_edges = 0
-        # Per-edge writes not yet merged into the columnar store,
+        # Per-edge writes not yet merged into the CSR store,
         # {(row, col): weight} with orientation-canonical keys.  Written
         # and folded under _cache_lock.
         self._staged: dict[tuple[int, int], float] = {}
-        # Structural version counter + derived-object cache (COO arrays,
-        # CSR matrices, transition matrices).  Any mutation bumps the
-        # version and clears the cache.
+        # Read-only ones behind to_csr(weighted=False); grows, never
+        # written, so a slice of it serves every graph version.
+        self._unit = np.ones(0)
+        # Structural version counter + derived-object cache (CSR
+        # wrappers, operator bundles).  Any mutation bumps the version
+        # and clears the cache.
         self._version = 0
         self._cache: dict[tuple, Any] = {}
         # Serialises derived-object cache access so concurrent readers
-        # (the serving layer's worker threads) can share one graph.
-        # Crucial for PendingRefresh resolution: a deferred delta patch
-        # may mutate a retained object in place exactly once — two
-        # threads racing into the same first access must not both apply
-        # it.  Reentrant because builders may consult the cache.
+        # (the serving layer's worker threads) can share one graph and
+        # build each entry once.  Reentrant because builders may
+        # consult the cache.
         self._cache_lock = threading.RLock()
         self._cache_hits = 0
         self._cache_misses = 0
@@ -184,16 +184,11 @@ class BaseGraph:
         ``("operator", "d2pr", p, beta, weighted)`` — not the graph state.
         Each matrix has one entry: a transition lives only inside its
         operator bundle, and ``("theta", weighted)`` holds only theta,
-        not the ``("csr", weighted)`` adjacency beside it.
-        The streaming path (:meth:`apply_delta`) instead *refreshes*
-        the adjacency and theta entries and drops the rest: it stores
-        deferred patch thunks that this method resolves transparently on
-        first access, so a refreshed entry is always consistent with the
-        current structure.  A thunk still unread at the next delta is
-        chained, not rebuilt: it resolves as one patch over every delta
-        since its value was last materialised (see
-        :class:`PendingRefresh`).  Cached values are shared between
-        callers and must be treated as read-only.
+        not the ``("csr", weighted)`` adjacency beside it.  The
+        streaming path (:meth:`apply_delta`) drops every entry too; the
+        ``("csr", w)`` wrappers are rebuilt in O(1) from the spliced
+        store.  Cached values are shared between callers and must be
+        treated as read-only.
         """
         with self._cache_lock:
             try:
@@ -203,12 +198,6 @@ class BaseGraph:
                 value = builder()
                 self._cache[key] = value
                 return value
-            if type(value) is PendingRefresh:
-                # A delta-aware patch queued by apply_delta: materialise
-                # it now (still far cheaper than builder() from scratch)
-                # and keep the result for everyone else.
-                value = value.resolve()
-                self._cache[key] = value
             self._cache_hits += 1
             return value
 
@@ -224,26 +213,22 @@ class BaseGraph:
         """Apply a batched :class:`~repro.graph.delta.GraphDelta`.
 
         The streaming mutation path: edge inserts (upserts), deletes and
-        re-weights are validated and folded into the columnar edge store
-        in one vectorised pass, and — unlike the classic mutators, which
-        evict the whole derived-object cache — the CSR adjacency and
-        theta vectors are **refreshed** with surgically patched
-        replacements: only rows the delta actually touches are
-        recomputed, untouched rows are block-copied.  Operator bundles
-        and every other entry are dropped; their methods rebuild them
-        from the refreshed adjacency and theta.  ``mutation_count`` still
-        bumps once, and cached objects are never mutated (holders of
-        pre-delta matrices stay consistent).  Node-level ops
-        (insert/delete) change the index space and therefore evict the
-        derived-object cache wholesale instead of refreshing it.
+        re-weights are validated and spliced into the CSR edge store in
+        one vectorised pass (both arcs of an undirected edge), with
+        node inserts/deletes folded in through the same merge bulk
+        ingestion uses.  Every derived-object cache entry is dropped;
+        the ``("csr", w)`` wrappers come back in O(1) from the new
+        store and each method rebuilds its operator from them.
+        ``mutation_count`` bumps once, and store arrays and cached
+        objects are never mutated (holders of pre-delta matrices stay
+        consistent).
 
         When ``log`` (a :class:`~repro.graph.persist.DeltaLog`) is given,
         the delta is appended to it *after* a successful apply, so the
         log replays to exactly the committed state.
 
-        Returns a stats dict with op counts and the refreshed, chained
-        and dropped cache keys.  Raises
-        :class:`~repro.errors.FrozenGraphError` on frozen (shared)
+        Returns a stats dict with op counts and the dropped cache keys.
+        Raises :class:`~repro.errors.FrozenGraphError` on frozen (shared)
         graphs, :class:`~repro.errors.EdgeError` for deletes/re-weights
         of missing edges, and the usual validation errors for bad
         indices or weights.  See
@@ -254,27 +239,28 @@ class BaseGraph:
 
         return apply_graph_delta(self, delta, log=log)
 
-    def _canonical_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The columnar store: ``(rows, cols, weights)``, each edge once.
+    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The store: ``(indptr, indices, weights)`` with one row per node.
 
-        Folds staged per-edge writes in first, so the result is complete
-        and sorted by ``(row, col)``.  Unlike :meth:`edge_arrays` this
-        aliases the store — callers must not mutate the result.
+        Folds staged per-edge writes in first, and extends ``indptr``
+        over nodes added since the last store write (they have no
+        arcs).  Aliases the read-only store arrays.
         """
         with self._cache_lock:
             if self._staged:
                 self._merge_edges()
-            return self._store.columnar
+            indptr, indices, weights = self._store.csr
+            return pad_indptr(indptr, self.number_of_nodes), indices, weights
 
     def _merge_edges(self, *batch: np.ndarray) -> None:
-        """Merge staged writes, then ``batch``, into the columnar store.
+        """Merge staged writes, then ``batch``, into the CSR store.
 
         ``batch`` is an optional orientation-canonical ``(rows, cols,
         weights)`` triple.  Duplicate pairs keep the *last* weight (store,
         then staged writes, then ``batch``), which is the result of
         applying every write in order.  Caller holds the cache lock.
         """
-        parts = [self._store.columnar]
+        parts = [self._edges_of(*self._store.csr)]
         staged = self._staged
         if staged:
             pairs = np.fromiter(
@@ -289,8 +275,52 @@ class BaseGraph:
             parts.append(batch)
         rows, cols, data = (np.concatenate(column) for column in zip(*parts))
         sel = self._dedup_last_wins(rows * np.int64(self.number_of_nodes) + cols)
-        self._set_edge_store(rows[sel], cols[sel], data[sel])
+        self._set_edge_store(
+            *self._encode(rows[sel], cols[sel], data[sel], self.number_of_nodes)
+        )
         self._staged = {}
+
+    def _encode(
+        self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, n: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The CSR store of key-sorted canonical edges over ``n`` nodes.
+
+        The edges are sorted and unique, so they already are the CSR of
+        their own rows; on a Graph that is the upper triangle, and the
+        store is it plus its transpose (disjoint patterns, so no entry
+        is summed).
+        """
+        arcs = rows.shape[0] * (1 if self.directed else 2)
+        dtype = index_dtype(n, arcs)
+        indptr = np.zeros(n + 1, dtype=dtype)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        indices = cols.astype(dtype)
+        if self.directed:
+            return indptr, indices, data
+        upper = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+        both = upper + upper.T.tocsr()
+        return both.indptr, both.indices, both.data
+
+    def _edges_of(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        *,
+        once: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fresh int64/float64 ``(rows, cols, weights)`` of a CSR store.
+
+        Row-major, so key-sorted; with ``once`` each edge is listed once
+        (its ``lo < hi`` arc on a Graph), else every arc is.
+        """
+        rows = np.repeat(
+            np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr)
+        )
+        if once and not self.directed:
+            sel = np.flatnonzero(rows < indices)
+            return rows[sel], indices[sel].astype(np.int64), weights[sel]
+        return rows, indices.astype(np.int64), np.array(weights)
 
     def _canonical_pairs(
         self, rows: np.ndarray, cols: np.ndarray
@@ -300,22 +330,13 @@ class BaseGraph:
             return np.minimum(rows, cols), np.maximum(rows, cols)
         return rows, cols
 
-    def _delta_touched(self, delta) -> tuple[np.ndarray, ...]:
-        """Index arrays of rows whose adjacency/theta a delta changes."""
-        if not self.directed:
-            return (
-                delta.insert_rows, delta.insert_cols,
-                delta.delete_rows, delta.delete_cols,
-                delta.reweight_rows, delta.reweight_cols,
-            )
-        return (delta.insert_rows, delta.delete_rows, delta.reweight_rows)
-
     def _set_edge_store(
-        self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
+        self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
     ) -> None:
-        """Replace the edge store with canonical, key-sorted arrays."""
-        self._store.set_columnar(rows, cols, data)
-        self._num_edges = rows.shape[0]
+        """Replace the edge store with a row-major CSR over arcs."""
+        self._store.set_csr(indptr, indices, weights)
+        arcs = indices.shape[0]
+        self._num_edges = arcs if self.directed else arcs // 2
 
     def cache_info(self) -> dict[str, int]:
         """Hit/miss counters and current cache size (for tests/diagnostics)."""
@@ -512,18 +533,19 @@ class BaseGraph:
     def _weight_at(self, row: int, col: int) -> float | None:
         """Weight of the canonical pair ``(row, col)``, or ``None``.
 
-        Staged writes first, then a binary search of the columnar store:
-        ``rows`` brackets the row's run, ``cols`` is sorted within it.
+        Staged writes first, then a binary search of row ``row`` of the
+        CSR store (its columns are ascending).
         """
         weight = self._staged.get((row, col))
         if weight is not None:
             return weight
-        rows, cols, data = self._store.columnar
-        start = int(np.searchsorted(rows, row))
-        stop = int(np.searchsorted(rows, row, side="right"))
-        pos = start + int(np.searchsorted(cols[start:stop], col))
-        if pos < stop and cols[pos] == col:
-            return float(data[pos])
+        indptr, indices, weights = self._store.csr
+        if row + 1 >= indptr.shape[0]:
+            return None
+        start, stop = int(indptr[row]), int(indptr[row + 1])
+        pos = start + int(np.searchsorted(indices[start:stop], col))
+        if pos < stop and indices[pos] == col:
+            return float(weights[pos])
         return None
 
     def _stage(self, key: tuple[int, int], weight: float, *, is_new: bool) -> None:
@@ -617,7 +639,7 @@ class BaseGraph:
         Edges come in ascending ``(u-index, v-index)`` order; for a Graph
         each edge is listed once with u-index < v-index.
         """
-        rows, cols, data = self._canonical_edges()
+        rows, cols, data = self.edge_arrays()
         nodes = self._nodes
         for i, j, w in zip(rows.tolist(), cols.tolist(), data.tolist()):
             yield nodes[i], nodes[j], w
@@ -769,7 +791,7 @@ class BaseGraph:
         sub = type(self)()
         for i in kept:
             sub.add_node(self._nodes[i], **self._attrs_at(i))
-        rows, cols, data = self._canonical_edges()
+        rows, cols, data = self.edge_arrays()
         if rows.size:
             # Monotone remap: canonical (row < col) pairs stay canonical.
             remap = np.full(self.number_of_nodes, -1, dtype=np.int64)
@@ -787,69 +809,49 @@ class BaseGraph:
     # ------------------------------------------------------------------
     # numpy / scipy export
     # ------------------------------------------------------------------
-    def _coo_from_lazy(
-        self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        raise NotImplementedError  # pragma: no cover - subclass hook
-
-    @staticmethod
-    def _freeze(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-        for arr in arrays:
-            arr.setflags(write=False)
-        return arrays
-
     def to_coo_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(rows, cols, weights)`` arrays of the adjacency.
+        """Return ``(rows, cols, weights)`` arrays of the adjacency's arcs.
 
-        For undirected graphs both orientations of every edge are present,
-        mirroring the symmetric adjacency matrix.  The arrays are cached
-        until the next mutation and marked read-only; copy before writing.
+        Row-major, as the CSR stores them; for undirected graphs both
+        orientations of every edge are present, mirroring the symmetric
+        adjacency matrix.  Decoded from the store on each call: the
+        arrays are fresh, safe to mutate.
         """
-        return self.cached(
-            ("coo",),
-            lambda: self._freeze(*self._coo_from_lazy(*self._canonical_edges())),
-        )
+        return self._edges_of(*self._csr_arrays(), once=False)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonical ``(rows, cols, weights)`` with each edge listed once.
 
-        For undirected graphs each edge appears with ``row < col``; for
-        directed graphs this is identical to :meth:`to_coo_arrays`.  The
-        returned arrays are fresh copies, safe to mutate.
+        Sorted by ``(row, col)``; for undirected graphs each edge appears
+        with ``row < col``, for directed graphs this is identical to
+        :meth:`to_coo_arrays`.  The returned arrays are fresh, safe to
+        mutate.
         """
-        rows, cols, data = self.to_coo_arrays()
-        if not self.directed:
-            once = rows < cols
-            return rows[once].copy(), cols[once].copy(), data[once].copy()
-        return rows.copy(), cols.copy(), data.copy()
+        return self._edges_of(*self._csr_arrays())
+
+    def _ones(self, size: int) -> np.ndarray:
+        """A read-only run of ``size`` ones (caller holds the cache lock)."""
+        if self._unit.shape[0] < size:
+            self._unit = np.ones(size + size // 8)
+            self._unit.flags.writeable = False
+        return self._unit[:size]
 
     def to_csr(self, *, weighted: bool = True) -> sparse.csr_matrix:
         """Return the adjacency matrix as ``scipy.sparse.csr_matrix``.
 
         Row ``i`` holds the out-edges of node ``i`` (for undirected graphs
         the matrix is symmetric).  With ``weighted=False`` all stored
-        weights are replaced by ``1.0``.  The matrix is cached until the
-        next mutation and shared between callers: treat it as read-only
-        (every consumer in :mod:`repro.linalg` copies before mutating).
+        weights are replaced by ``1.0``.  The matrix wraps the store's
+        read-only arrays without a copy (``weighted=False`` shares
+        ``indptr``/``indices`` with read-only unit data), is cached until
+        the next mutation and shared between callers: every consumer in
+        :mod:`repro.linalg` copies before mutating.
         """
         def build() -> sparse.csr_matrix:
             n = self.number_of_nodes
-            # The store is key-sorted with each edge once, so the CSR
-            # needs no sort and no duplicate sum.  On an undirected graph
-            # the mirrored half (hi, lo) goes first: the stable row
-            # bucketing of COO -> CSR then leaves every row's columns
-            # ascending.
-            rows, cols, data = self._canonical_edges()
-            if not weighted:
-                data = np.ones_like(data)
-            if not self.directed:
-                rows, cols = (
-                    np.concatenate([cols, rows]), np.concatenate([rows, cols])
-                )
-                data = np.concatenate([data, data])
-            coo = sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
-            coo.has_canonical_format = True  # tocsr skips sum_duplicates
-            mat = coo.tocsr()
+            indptr, indices, weights = self._csr_arrays()
+            data = weights if weighted else self._ones(indices.shape[0])
+            mat = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
             mat.has_canonical_format = True
             return mat
 
@@ -862,12 +864,12 @@ class BaseGraph:
         """Out-degree (or total out-weight) per node index.
 
         For undirected graphs this equals the ordinary degree vector.
+        Row lengths (or row sums) of :meth:`to_csr`.
         """
-        n = self.number_of_nodes
-        rows, _, data = self.to_coo_arrays()
-        return np.bincount(
-            rows, weights=data if weighted else None, minlength=n
-        ).astype(float)
+        mat = self.to_csr(weighted=weighted)
+        if weighted:
+            return np.asarray(mat.sum(axis=1), dtype=float).ravel()
+        return np.diff(mat.indptr).astype(float)
 
     def degree(self, node: Node) -> int:
         """Number of (out-)edges incident on ``node``."""
@@ -905,15 +907,6 @@ class Graph(BaseGraph):
     """
 
     directed = False
-
-    def _coo_from_lazy(
-        self, lo: np.ndarray, hi: np.ndarray, data: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            np.concatenate([lo, hi]),
-            np.concatenate([hi, lo]),
-            np.concatenate([data, data]),
-        )
 
     def degree_vector(self, *, weighted: bool = False) -> np.ndarray:
         """Degree (or strength when ``weighted``) of every node, by index."""
@@ -973,15 +966,6 @@ class DiGraph(BaseGraph):
 
     directed = True
 
-    def _coo_from_lazy(
-        self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not rows.flags.writeable:
-            # Already-immutable views (mmap backend): alias them, the
-            # read-only COO contract holds without a copy.
-            return rows, cols, data
-        return rows.copy(), cols.copy(), data.copy()
-
     def _transpose(self) -> sparse.csr_matrix:
         """Cached CSR of the reversed adjacency (row ``j`` = in-edges of ``j``).
 
@@ -1004,10 +988,10 @@ class DiGraph(BaseGraph):
 
     def in_degree_vector(self, *, weighted: bool = False) -> np.ndarray:
         """In-degree (or total in-weight) per node index."""
-        n = self.number_of_nodes
-        _, cols, data = self.to_coo_arrays()
+        _, indices, weights = self._csr_arrays()
         return np.bincount(
-            cols, weights=data if weighted else None, minlength=n
+            indices, weights=weights if weighted else None,
+            minlength=self.number_of_nodes,
         ).astype(float)
 
     def predecessors(self, node: Node) -> list[Node]:

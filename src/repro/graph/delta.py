@@ -1,56 +1,36 @@
-"""Batched streaming edge mutations and delta-aware cache refresh.
+"""Batched streaming edge mutations spliced into the CSR edge store.
 
-Every mutator on :class:`~repro.graph.base.BaseGraph` historically bumped
-the mutation counter and evicted the *entire* derived-object cache — COO
-arrays, CSR adjacency, transition matrices, operator bundles.  For a
-streaming workload ("heavy traffic over graphs that change continuously",
-the ROADMAP north star) that is catastrophic: one re-weighted edge forces
-the next query to re-export 20M edges, re-run the log-space softmax over
-every stored entry and re-derive the solver views, even though the delta
-touched a handful of rows.
-
-This module provides the streaming path:
+Every mutator on :class:`~repro.graph.base.BaseGraph` bumps the
+mutation counter and evicts the derived-object cache.  For a streaming
+workload the cost that matters is the store write itself: re-sorting
+20M edges because a handful of rows changed would dominate every
+update.  This module provides the streaming path:
 
 * :class:`GraphDelta` — a batched, array-native description of edge
-  inserts, deletes and re-weights (the first deletion support in the
-  library; the classic mutators only ever add).
+  inserts, deletes and re-weights (plus node inserts/deletes).
 * :func:`apply_graph_delta` — the implementation behind
-  :meth:`BaseGraph.apply_delta`: validates the delta, merges it into the
-  canonical columnar edge store (compress + ``np.insert`` against the
-  key-sorted arrays — no global re-sort), and **refreshes** the known
-  derived caches instead of evicting them.
+  :meth:`BaseGraph.apply_delta`: validates the delta and splices it
+  into the graph's CSR edge store (see
+  :mod:`repro.graph.backends.base`) without a global re-sort.
 
-The graph cache patches only what the graph itself owns: the adjacency
-``("csr", w)`` and ``θ`` under ``("theta", w)``.  The adjacency's
-touched rows are spliced in from the store (untouched row runs are
-block-copied) and the touched nodes' ``θ`` recomputed, both exactly
-equal to a fresh build.  Every other entry — each operator bundle, the
-raw COO triple, unknown keys — is dropped, so the refresh can never
-serve a stale object.  A stochastic transition is a pure function of
-the adjacency and ``θ`` (paper Eq. (1): ``T = diag(r)·M·diag(c)``), and
-its method rebuilds it from the patched pair on the next read; this
-module holds no transition math.
+The store is the adjacency ``M`` of paper Eq. (1) as one row-major CSR
+over arcs.  Every op is located within its row by ``indptr`` bounds
+(only the rows the delta names are read), an undirected op touches both
+arcs of its edge, and ``indices`` and ``weights`` are each written once:
+the span between the first and last changed arc is rebuilt from its
+kept entries and the fresh ones, the two untouched ends are copied as
+slices, and ``indptr`` shifts by the per-row count changes.  A delta
+that only re-weights shares ``indptr`` and ``indices`` with the old
+store.  Old arrays are never mutated, so matrices (and the factors a
+pending answer correction holds) built on the previous store stay
+valid.
 
-The patch is deferred to the entry's first read, and an entry still
-unread at the next delta is *chained*: it keeps its last materialised
-value and its plan widens to the union of the nodes both deltas touched,
-on the current store, so one patch covers a run of deltas.  A chain is
-dropped once its union passes a fixed share of the nodes
-(``_CHAIN_FRACTION``), where a rebuild costs no more.
-
-Refresh semantics
------------------
-The shared-object contract of the matrix cache is preserved exactly:
-cached matrices are never mutated — a refresh *replaces* the cache entry
-with a freshly assembled object, so callers still holding the old matrix
-(or an operator bundle wrapping it) keep computing consistent answers
-against the pre-delta snapshot, just as they would across a classic
-mutation.  ``mutation_count`` still bumps once per applied delta.
-
-The rows that change are the adjacency rows of every edge endpoint that
-gains, loses or re-weights an out-edge (both endpoints for undirected
-graphs, sources for directed ones); they also cover every ``θ`` change,
-since ``θ`` is the out-degree / total out-weight.
+Every derived cache entry is dropped (``stats["dropped"]``): the
+``("csr", w)`` wrappers come back in O(1) from the spliced store, the
+pattern ``θ`` is ``np.diff(indptr)`` and the weighted ``θ`` one row
+sum, and each method rebuilds its operator from them; this module holds
+no transition math.  Node ops change the index space and fold through
+the same merge bulk ingestion uses.
 """
 
 from __future__ import annotations
@@ -58,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import EdgeError, ParameterError
 
@@ -155,9 +134,8 @@ class GraphDelta:
       compacted (indices above a deleted node shift down, preserving
       relative order).
 
-    Node ops change the index space, so applying a delta that carries
-    them evicts the graph's derived-object cache wholesale instead of
-    refreshing it.
+    Node ops change the index space; like every delta, applying one
+    evicts the graph's derived-object cache.
     """
 
     insert_rows: np.ndarray = field(default_factory=_empty_i)
@@ -345,28 +323,22 @@ def _check_indices(
 
 
 def _locate(
-    rows0: np.ndarray, cols0: np.ndarray, keys: np.ndarray, n: np.int64
+    indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray, n: np.int64
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Insertion positions of ``keys`` in the key-sorted store, and hits.
+    """Arc positions of the sorted arc ``keys`` in the CSR, and hits.
 
-    The store is sorted by ``(row, col)``, so each key's row is one run
-    of it: only the runs of the rows the keys name are read (found with
-    ``searchsorted`` on ``rows0``), never the whole store.  A position
-    is where the key sits, or would be inserted (before the entry
-    there), in the store.
+    A key ``row * n + col`` can only sit in row ``row``, so only the
+    rows the keys name are read (their bounds come from ``indptr``),
+    never the whole store.  A position is where the arc sits, or would
+    be inserted (before the arc there), in ``indices``.
     """
-    if rows0.size == 0:
-        return (
-            np.zeros(keys.size, dtype=np.int64),
-            np.zeros(keys.size, dtype=bool),
-        )
     want = keys // n
     runs = np.unique(want)
-    lo = np.searchsorted(rows0, runs, side="left")
-    lengths = np.searchsorted(rows0, runs, side="right") - lo
+    lo = indptr[runs].astype(np.int64)
+    lengths = indptr[runs + 1] - lo
     offsets = np.cumsum(lengths) - lengths
     idx = np.repeat(lo - offsets, lengths) + np.arange(int(lengths.sum()))
-    local = rows0[idx] * n + cols0[idx]
+    local = np.repeat(runs, lengths) * n + indices[idx]
     at = np.searchsorted(local, keys)
     run = np.searchsorted(runs, want)
     pos = lo[run] + (at - offsets[run])
@@ -405,18 +377,19 @@ def _splice(
 
 
 def apply_graph_delta(graph, delta: GraphDelta, *, log=None) -> dict:
-    """Apply ``delta`` to ``graph`` with delta-aware cache refresh.
+    """Apply ``delta`` to ``graph`` by splicing its CSR edge store.
 
     Implementation of :meth:`repro.graph.base.BaseGraph.apply_delta`;
     see :class:`GraphDelta` for the operation semantics and the module
-    docstring for the refresh contract.  Returns a small stats dict
-    (op counts plus which cache entries were refreshed, chained or
-    dropped).
+    docstring for the store contract.  Returns a small stats dict (op
+    counts plus the dropped cache keys).
 
     When ``log`` is given (a :class:`~repro.graph.persist.DeltaLog`),
     the delta is appended to it after — and only after — a successful
     commit, so replaying the log reproduces exactly the committed state.
     """
+    from repro.graph.base import index_dtype, pad_indptr
+
     graph._check_mutable()
     if not isinstance(delta, GraphDelta):
         raise ParameterError(
@@ -428,8 +401,6 @@ def apply_graph_delta(graph, delta: GraphDelta, *, log=None) -> dict:
         "reweighted": 0,
         "nodes_inserted": 0,
         "nodes_deleted": 0,
-        "refreshed": [],
-        "chained": [],
         "dropped": [],
     }
     if delta.size == 0:
@@ -469,43 +440,67 @@ def apply_graph_delta(graph, delta: GraphDelta, *, log=None) -> dict:
             graph.node_at(idx) if idx < n else ins_nodes[idx - n][0]
         )
 
-    ins_r, ins_c = graph._canonical_pairs(delta.insert_rows, delta.insert_cols)
-    del_r, del_c = graph._canonical_pairs(delta.delete_rows, delta.delete_cols)
-    rew_r, rew_c = graph._canonical_pairs(
-        delta.reweight_rows, delta.reweight_cols
-    )
-    for r, c in ((ins_r, ins_c), (del_r, del_c), (rew_r, rew_c)):
+    for r, c in (
+        (delta.insert_rows, delta.insert_cols),
+        (delta.delete_rows, delta.delete_cols),
+        (delta.reweight_rows, delta.reweight_cols),
+    ):
         _check_indices(graph, r, c, n_total, name_of)
     _require_positive_weights(delta.insert_weights, "insert")
     _require_positive_weights(delta.reweight_weights, "reweight")
+
+    # Every op as arcs: an undirected op names both orientations, side
+    # by side, so the arcs keep the op order (last-wins picks the same
+    # op for both arcs of an edge) and every count below is twice the
+    # edge count.  The minimum arc key of an edge is its canonical one,
+    # so a missing edge is reported as (lo, hi), as before.
+    halves = 1 if graph.directed else 2
+
+    def arcs(rows, cols, *weights):
+        if halves == 1:
+            return (rows, cols, *weights)
+        return (
+            np.column_stack([rows, cols]).ravel(),
+            np.column_stack([cols, rows]).ravel(),
+            *(np.repeat(w, 2) for w in weights),
+        )
+
+    ins_r, ins_c, ins_w = arcs(
+        delta.insert_rows, delta.insert_cols, delta.insert_weights
+    )
+    del_r, del_c = arcs(delta.delete_rows, delta.delete_cols)
+    rew_r, rew_c, rew_w = arcs(
+        delta.reweight_rows, delta.reweight_cols, delta.reweight_weights
+    )
 
     n = n_total
     nn = np.int64(n)
     # The merge below is pure: the live store is only replaced at the
     # very end, so any validation error leaves the graph untouched.  It
     # resolves every op against the current store (deletes, then
-    # upserts, then reweights, in that order), then writes each column
-    # once: the store between the first and last changed position is
-    # rebuilt, the rest is copied as two slices.
-    rows0, cols0, w0 = graph._canonical_edges()
-    m = rows0.shape[0]
+    # upserts, then reweights, in that order), then writes each array
+    # once.
+    indptr, indices, w0 = graph._csr_arrays()
+    indptr = pad_indptr(indptr, n)
+    m = indices.shape[0]
 
     # 1. deletes (must exist)
     del_keys = np.unique(del_r * nn + del_c)
-    del_pos, hit = _locate(rows0, cols0, del_keys, nn)
+    del_pos, hit = _locate(indptr, indices, del_keys, nn)
     _missing(del_keys, hit, "delete", n, name_of)
-    stats["deleted"] = int(del_keys.shape[0])
+    stats["deleted"] = int(del_keys.shape[0]) // halves
 
-    # 2. inserts (upsert, last wins).  A key deleted above is inserted
+    # 2. inserts (upsert, last wins).  An arc deleted above is inserted
     # afresh; physically its store entry stays, with the new weight.
     ins_keys = ins_r * nn + ins_c
     sel = graph._dedup_last_wins(ins_keys)
-    ins_keys, ins_w = ins_keys[sel], delta.insert_weights[sel]
-    ins_pos, ins_hit = _locate(rows0, cols0, ins_keys, nn)
+    ins_keys, ins_w = ins_keys[sel], ins_w[sel]
+    ins_pos, ins_hit = _locate(indptr, indices, ins_keys, nn)
     revived = ins_hit & np.isin(ins_keys, del_keys)
     fresh = ~ins_hit
-    stats["inserted"] = int(fresh.sum() + revived.sum())
-    removed = np.setdiff1d(del_pos, ins_pos[revived], assume_unique=True)
+    stats["inserted"] = int(fresh.sum() + revived.sum()) // halves
+    gone = ~np.isin(del_keys, ins_keys)
+    removed, removed_rows = del_pos[gone], del_keys[gone] // nn
     fresh_keys, fresh_at = ins_keys[fresh], ins_pos[fresh]
     fresh_w = ins_w[fresh]
     set_pos, set_w = ins_pos[ins_hit], ins_w[ins_hit]
@@ -514,10 +509,9 @@ def apply_graph_delta(graph, delta: GraphDelta, *, log=None) -> dict:
     if rew_r.size:
         rew_keys = rew_r * nn + rew_c
         sel = graph._dedup_last_wins(rew_keys)
-        rew_keys, rew_w = rew_keys[sel], delta.reweight_weights[sel]
-        rew_pos, rew_hit = _locate(rows0, cols0, rew_keys, nn)
-        gone = np.isin(rew_keys, del_keys) & ~np.isin(rew_keys, ins_keys)
-        rew_hit &= ~gone
+        rew_keys, rew_w = rew_keys[sel], rew_w[sel]
+        rew_pos, rew_hit = _locate(indptr, indices, rew_keys, nn)
+        rew_hit &= ~(np.isin(rew_keys, del_keys) & ~np.isin(rew_keys, ins_keys))
         new = np.searchsorted(fresh_keys, rew_keys)
         in_fresh = np.zeros(rew_keys.size, dtype=bool)
         ok = new < fresh_keys.size
@@ -526,11 +520,11 @@ def apply_graph_delta(graph, delta: GraphDelta, *, log=None) -> dict:
         fresh_w[new[in_fresh]] = rew_w[in_fresh]
         set_pos = np.concatenate((set_pos, rew_pos[rew_hit]))
         set_w = np.concatenate((set_w, rew_w[rew_hit]))
-        stats["reweighted"] = int(rew_keys.shape[0])
+        stats["reweighted"] = int(rew_keys.shape[0]) // halves
 
     if removed.size or fresh_at.size:
         # Output place of old position p: p, less the removals before
-        # it, plus the fresh entries inserted at or before it.
+        # it, plus the fresh arcs inserted at or before it.
         lo = int(min(removed.min(initial=m), fresh_at.min(initial=m)))
         hi = int(max(removed.max(initial=-1) + 1, fresh_at.max(initial=0)))
         hi = max(hi, lo)
@@ -540,54 +534,55 @@ def apply_graph_delta(graph, delta: GraphDelta, *, log=None) -> dict:
             fresh_at - lo - np.searchsorted(removed, fresh_at)
             + np.arange(fresh_at.size)
         )
-        rows0 = _splice(rows0, lo, hi, keep, out_at, fresh_keys // nn)
-        cols0 = _splice(cols0, lo, hi, keep, out_at, fresh_keys % nn)
+        indices = _splice(indices, lo, hi, keep, out_at, fresh_keys % nn)
         w0 = _splice(w0, lo, hi, keep, out_at, fresh_w)
         set_pos = (
             set_pos - np.searchsorted(removed, set_pos)
             + np.searchsorted(fresh_at, set_pos, side="right")
         )
+        change = np.bincount(fresh_keys // nn + 1, minlength=n + 1)
+        change -= np.bincount(removed_rows + 1, minlength=n + 1)
+        indptr = indptr + np.cumsum(change)
+        dtype = index_dtype(n, indices.shape[0])
+        indptr = indptr.astype(dtype)
+        indices = indices.astype(dtype, copy=False)
     elif set_pos.size:
         w0 = np.array(w0)
     if set_pos.size:
-        # A reweight of an upserted edge comes later and wins.
+        # A reweight of an upserted arc comes later and wins.
         last = graph._dedup_last_wins(set_pos)
         w0[set_pos[last]] = set_w[last]
 
-    # Commit the new canonical store (key-sorted, each edge once), and
-    # swap the derived-object cache under the graph's cache lock so a
-    # concurrent reader resolving a cached entry never observes the
-    # half-rewritten table (the serving layer additionally excludes
-    # solves during a delta via its own write barrier).
+    new_nodes = None
     if delta.has_node_ops:
-        _commit_with_node_ops(graph, delta, del_idx, rows0, cols0, w0, stats)
-    else:
-        touched = np.unique(np.concatenate(graph._delta_touched(delta)))
-        with graph._cache_lock:
-            graph._set_edge_store(rows0, cols0, w0)
-            _refresh_caches(graph, touched, stats)
+        new_nodes, (indptr, indices, w0) = _node_ops(
+            graph, delta, del_idx, (indptr, indices, w0), stats
+        )
+    # Commit the new store and drop the derived-object cache under the
+    # graph's cache lock, so a concurrent reader never pairs the new
+    # store with a stale entry (the serving layer additionally excludes
+    # solves during a delta via its own write barrier).
+    with graph._cache_lock:
+        if new_nodes is not None:
+            graph._nodes = new_nodes
+            graph._index = {node: i for i, node in enumerate(new_nodes)}
+        graph._set_edge_store(indptr, indices, w0)
+        stats["dropped"] = list(graph._cache)
+        graph._invalidate()
     if log is not None:
         log.append(delta)
     return stats
 
 
-def _commit_with_node_ops(
-    graph,
-    delta: GraphDelta,
-    del_idx: np.ndarray,
-    rows0: np.ndarray,
-    cols0: np.ndarray,
-    w0: np.ndarray,
-    stats: dict,
-) -> None:
-    """Commit a node-op delta: grow/compact the node table, swap the store.
+def _node_ops(graph, delta: GraphDelta, del_idx: np.ndarray, store, stats):
+    """Grow/compact the node table; the store over the surviving nodes.
 
-    Node ops change the index space, so every cached derived object
-    (including score vectors held by callers) is keyed to a dead
-    numbering: the cache is evicted wholesale — no surgical refresh.
-    The surviving-node remap is monotone, which keeps the merged edge
-    arrays key-sorted (and ``lo < hi`` for undirected graphs) after
-    re-indexing.
+    Node ops change the index space.  Inserted nodes were given empty
+    rows above; a delete drops the incident edges and compacts the
+    survivors with a monotone remap, which keeps the canonical edges
+    key-sorted (and ``lo < hi`` on a Graph), so they fold back through
+    the same merge bulk ingestion uses.  Returns the new node list and
+    store; committing them is the caller's.
     """
     new_nodes = list(graph._nodes)
     attrs = graph._node_attrs
@@ -597,226 +592,24 @@ def _commit_with_node_ops(
         for name, value in node_attrs.items():
             attrs.setdefault(name, {})[idx] = value
     stats["nodes_inserted"] = len(delta.node_inserts)
+    if not del_idx.size:
+        return new_nodes, store
 
-    if del_idx.size:
-        n_total = len(new_nodes)
-        keep = np.ones(n_total, dtype=bool)
-        keep[del_idx] = False
-        remap = np.cumsum(keep, dtype=np.int64) - 1
-        edge_keep = keep[rows0] & keep[cols0]
-        rows0 = remap[rows0[edge_keep]]
-        cols0 = remap[cols0[edge_keep]]
-        w0 = w0[edge_keep]
-        kept_idx = np.flatnonzero(keep)
-        new_nodes = [new_nodes[i] for i in kept_idx.tolist()]
-        for name in list(attrs):
-            col = attrs[name]
-            attrs[name] = {
-                int(remap[i]): v for i, v in col.items() if keep[i]
-            }
-        stats["nodes_deleted"] = int(del_idx.shape[0])
-
-    with graph._cache_lock:
-        graph._nodes = new_nodes
-        graph._index = {node: i for i, node in enumerate(new_nodes)}
-        graph._set_edge_store(rows0, cols0, w0)
-        stats["dropped"].extend(graph._cache)
-        graph._cache.clear()
-        graph._version += 1
-
-
-#: A chained entry is evicted once the nodes touched since its last
-#: materialisation pass this share of ``n``, so an entry only a rebuild
-#: reads is not kept forever (timed on an 81,920-node ring, see
-#: docs/performance.md § Streaming updates).
-_CHAIN_FRACTION = 0.1
-
-
-class _RefreshPlan:
-    """Shared, lazily evaluated patch plan over one union of touched nodes.
-
-    Snapshots the current canonical store (aliased — the columnar arrays
-    are immutable once committed) plus ``touched``, the union of the
-    nodes every delta since the entries' last materialisation touched,
-    and computes the touched rows' scan only when the first pending entry
-    is resolved.  All pending entries with one union share one plan, so
-    the scan is paid at most once per plan however many entries exist —
-    and not at all if nothing is read before the entries are dropped.
-    """
-
-    def __init__(
-        self,
-        *,
-        directed: bool,
-        n: int,
-        store: tuple[np.ndarray, np.ndarray, np.ndarray],
-        touched: np.ndarray,
-    ) -> None:
-        self.directed = directed
-        self.n = n
-        self.store = store
-        self.touched = touched
-        self._scan: tuple | None = None
-
-    def _ensure_scan(self) -> tuple:
-        """The current store's rows of the touched nodes, CSR-ordered."""
-        if self._scan is not None:
-            return self._scan
-        n = self.n
-        rows_c, cols_c, w_c = self.store
-        # Sub-COO of the current adjacency restricted to the touched
-        # rows, each row's columns ascending as in the CSR: the store is
-        # key-sorted, and on an undirected graph the mirrored half
-        # (hi, lo) goes first, so the stable sort by row keeps that.
-        # The store is row-sorted, so the entries whose row is touched
-        # are one bracket per node: no pass over the whole store.
-        lo = np.searchsorted(rows_c, self.touched, side="left")
-        span = np.searchsorted(rows_c, self.touched, side="right") - lo
-        first = np.cumsum(span) - span
-        sel = np.arange(span.sum()) + np.repeat(lo - first, span)
-        if self.directed:
-            r_sub, c_sub, w_sub = rows_c[sel], cols_c[sel], w_c[sel]
-        else:
-            member = np.zeros(n, dtype=bool)
-            member[self.touched] = True
-            sel_hi = member[cols_c]
-            r_sub = np.concatenate([cols_c[sel_hi], rows_c[sel]])
-            c_sub = np.concatenate([rows_c[sel_hi], cols_c[sel]])
-            w_sub = np.concatenate([w_c[sel_hi], w_c[sel]])
-        position = np.full(n, -1, dtype=np.int64)
-        position[self.touched] = np.arange(self.touched.size, dtype=np.int64)
-        seg = position[r_sub]
-        order = np.argsort(seg, kind="stable")
-        c_sub, w_sub = c_sub[order], w_sub[order]
-        lengths = np.bincount(seg, minlength=self.touched.size)
-        sub_indptr = np.zeros(self.touched.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=sub_indptr[1:])
-        # Row sums as the CSR's own ``sum(axis=1)`` forms them (reduceat
-        # over each non-empty row), so a patched θ matches a rebuild.
-        sums = np.zeros(self.touched.size, dtype=np.float64)
-        filled = lengths > 0
-        if filled.any():
-            sums[filled] = np.add.reduceat(w_sub, sub_indptr[:-1][filled])
-        self._scan = (c_sub, w_sub, sub_indptr, lengths, sums)
-        return self._scan
-
-    def adjacency(self, mat: sparse.csr_matrix, weighted: bool):
-        """``mat`` with the touched rows replaced by the current store's.
-
-        A block splice: each run of untouched rows is copied as one
-        slice and each run of touched rows from the scan, so the result
-        equals a fresh build exactly at memcpy cost.
-        """
-        c_sub, w_sub, sub_indptr, lengths, _ = self._ensure_scan()
-        rows = self.touched
-        old_ptr = mat.indptr
-        new_len = np.diff(old_ptr).astype(np.int64)
-        new_len[rows] = lengths
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(new_len, out=indptr[1:])
-        # Runs of consecutive touched rows, as positions in ``rows``.
-        cuts = np.flatnonzero(np.diff(rows) != 1) + 1
-        run_lo = np.concatenate([[0], cuts])
-        run_hi = np.concatenate([cuts, [rows.size]])
-        # Untouched blocks: before the first run, between runs, after
-        # the last one.
-        keep_lo = old_ptr[np.concatenate([[0], rows[run_hi - 1] + 1])].tolist()
-        keep_hi = old_ptr[np.concatenate([rows[run_lo], [self.n]])].tolist()
-        put_lo = sub_indptr[run_lo].tolist()
-        put_hi = sub_indptr[run_hi].tolist()
-
-        def splice(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-            parts = [old[keep_lo[0]:keep_hi[0]]]
-            for a, b, c, d in zip(put_lo, put_hi, keep_lo[1:], keep_hi[1:]):
-                parts += (new[a:b], old[c:d])
-            return np.concatenate(parts)
-
-        indices = splice(mat.indices, c_sub.astype(mat.indices.dtype))
-        data = splice(mat.data, w_sub) if weighted else np.ones(indptr[-1])
-        out = sparse.csr_matrix((data, indices, indptr), shape=mat.shape)
-        out.has_canonical_format = True
-        return out
-
-    def theta(self, base: np.ndarray, weighted: bool) -> np.ndarray:
-        """``base`` with the touched nodes' θ recomputed on the store."""
-        _, _, _, lengths, sums = self._ensure_scan()
-        got = base.copy()
-        got[self.touched] = sums if weighted else lengths
-        # Cached as ("theta", w): shared, so read-only like the build.
-        got.flags.writeable = False
-        return got
-
-
-def _patch_of(key: tuple):
-    """The ``(plan, base) -> value`` patch of a cache key, or ``None``.
-
-    Two kinds are patched: the adjacency ``("csr", w)`` and
-    ``("theta", w)``.  Everything else is dropped; an operator bundle is
-    rebuilt from those two on its next read.
-    """
-    kind = key[0]
-    if kind == "csr":
-        return lambda plan, mat: plan.adjacency(mat, key[1])
-    if kind == "theta":
-        return lambda plan, theta: plan.theta(theta, key[1])
-    return None
-
-
-def _refresh_caches(graph, touched: np.ndarray, stats: dict) -> None:
-    """Queue patched replacements for known cache entries; drop the rest.
-
-    Entries with a patch (see :func:`_patch_of`) are replaced by
-    :class:`~repro.graph.base.PendingRefresh` thunks, so ``apply_delta``
-    itself pays only the canonical-store merge; each entry is patched on
-    first access after the delta.  A materialised entry is deferred
-    against a plan over this delta's ``touched`` nodes (``"refreshed"``).
-    An entry *still pending* was not read since an earlier delta: it
-    keeps its last materialised value and is re-deferred against the
-    union of its plan's nodes and ``touched`` (``"chained"``), so it
-    resolves as one patch over the whole run of deltas.  Entries pending
-    on one plan move to one wider plan, so they still share one scan.
-    A chain whose union passes ``_CHAIN_FRACTION`` of the nodes is
-    dropped: past it a rebuild is as cheap, and a chain only a rebuild
-    reads would otherwise grow forever.  Operator bundles, the raw
-    ``("coo",)`` triple and unknown keys are dropped too (``"dropped"``).
-    """
-    from repro.graph.base import PendingRefresh
-
-    old = graph._cache
-    graph._cache = {}
-    graph._version += 1
-    if not old:
-        return
-    n = graph.number_of_nodes
-    store = graph._store.columnar
-    bound = max(1.0, _CHAIN_FRACTION * n)
-    # One plan per previous plan (None: a materialised entry).
-    plans: dict = {}
-
-    def plan_after(prev):
-        if prev not in plans:
-            union = touched if prev is None else np.union1d(
-                prev.touched, touched
-            )
-            plans[prev] = (
-                None if prev is not None and union.size > bound
-                else _RefreshPlan(
-                    directed=graph.directed, n=n, store=store, touched=union
-                )
-            )
-        return plans[prev]
-
-    for key, value in old.items():
-        patch = _patch_of(key)
-        plan = None
-        if patch is not None:
-            if type(value) is PendingRefresh:
-                plan, kind = plan_after(value.plan), "chained"
-                value = value.base
-            else:
-                plan, kind = plan_after(None), "refreshed"
-        if plan is None:
-            stats["dropped"].append(key)
-            continue
-        graph._cache[key] = PendingRefresh(value, plan, patch)
-        stats[kind].append(key)
+    n_total = len(new_nodes)
+    keep = np.ones(n_total, dtype=bool)
+    keep[del_idx] = False
+    remap = np.cumsum(keep, dtype=np.int64) - 1
+    rows, cols, w = graph._edges_of(*store)
+    edge_keep = keep[rows] & keep[cols]
+    kept_idx = np.flatnonzero(keep)
+    new_nodes = [new_nodes[i] for i in kept_idx.tolist()]
+    for name in list(attrs):
+        col = attrs[name]
+        attrs[name] = {
+            int(remap[i]): v for i, v in col.items() if keep[i]
+        }
+    stats["nodes_deleted"] = int(del_idx.shape[0])
+    return new_nodes, graph._encode(
+        remap[rows[edge_keep]], remap[cols[edge_keep]], w[edge_keep],
+        len(new_nodes),
+    )

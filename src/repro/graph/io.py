@@ -96,12 +96,12 @@ _WRITE_CHUNK = 65_536
 def write_edge_list(graph: BaseGraph, path: str | Path) -> None:
     """Write ``graph`` as ``u v weight`` lines (one per edge).
 
-    Streams the canonical columnar arrays in chunks — no per-edge
+    Streams the canonical edge arrays in chunks — no per-edge
     ``write`` call — so dumping a large graph never pulls the whole
     edge list through Python objects at once.
     """
     path = Path(path)
-    rows, cols, data = graph._canonical_edges()
+    rows, cols, data = graph.edge_arrays()
     nodes = graph.nodes()
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(
@@ -125,7 +125,7 @@ def write_edge_list(graph: BaseGraph, path: str | Path) -> None:
 def write_json_graph(graph: BaseGraph, path: str | Path) -> None:
     """Serialise ``graph`` (structure + node attributes) to JSON.
 
-    Edges are read straight from the canonical columnar arrays (one
+    Edges are read straight from the canonical edge arrays (one
     ``tolist`` per column) and attributes from the per-name columns, so
     serialisation does no per-node ``node_attr`` lookups; JSON stays
     the small-graph interchange format,
@@ -137,7 +137,7 @@ def write_json_graph(graph: BaseGraph, path: str | Path) -> None:
         for idx, value in graph._node_attrs[name].items():
             if value is not None:
                 attr_rows[idx][name] = value
-    rows, cols, data = graph._canonical_edges()
+    rows, cols, data = graph.edge_arrays()
     payload = {
         "directed": graph.directed,
         "nodes": [

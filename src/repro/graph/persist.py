@@ -2,15 +2,16 @@
 
 Two complementary durability primitives (see ``docs/storage.md``):
 
-* **Snapshots** — :func:`save_snapshot` writes a graph's canonical
-  columnar arrays and node table to a directory in one binary pass
-  (``np.save`` per array + a small ``meta.json``; node objects and
-  attributes are pickled only when present — integer-indexed graphs,
-  the bulk-ingestion norm, serialise without touching Python objects).
+* **Snapshots** — :func:`save_snapshot` writes a graph's CSR edge store
+  and node table to a directory in one binary pass (``np.save`` per
+  array + a small ``meta.json``; node objects and attributes are
+  pickled only when present — integer-indexed graphs, the
+  bulk-ingestion norm, serialise without touching Python objects).
   :func:`load_snapshot` reconstructs the graph; with ``backend="mmap"``
   the edge arrays are *attached* by mapping the snapshot files directly
-  (three ``mmap(2)`` calls, no body read), which is what makes a warm
-  restart of a 100M-edge service cheap.
+  (three ``mmap(2)`` calls, no body read) and serve as the graph's CSR,
+  which is what makes a warm restart of a 100M-edge service cheap: no
+  adjacency is rebuilt, before or after a log replay.
 * **Delta logs** — :class:`DeltaLog` is an append-only record stream of
   :class:`~repro.graph.delta.GraphDelta` batches.  ``apply_delta(...,
   log=...)`` tees each successfully committed delta; replaying
@@ -21,11 +22,15 @@ The snapshot layout is a directory::
 
     meta.json            format/version, directedness, counts, flags,
                          and a random snapshot_id naming this write
-    edges-rows.npy       canonical int64 source indices (key-sorted)
-    edges-cols.npy       canonical int64 target indices
-    edges-weights.npy    float64 weights
+    edges-indptr.npy     CSR row pointers, one row per node (n + 1)
+    edges-indices.npy    column of every arc, ascending within a row
+                         (same int32/int64 dtype as indptr)
+    edges-weights.npy    float64 weight of every arc
     nodes.pkl            node objects (absent for integer-range nodes)
     attrs.pkl            {name: {index: value}} (absent when empty)
+
+This is format version 2; an undirected edge is two arcs.  Version 1
+(a key-sorted ``rows``/``cols`` edge list) is refused, not misread.
 
 Log records are length-prefixed, CRC-checked frames so a torn final
 write (crash mid-append) is detected and — by default — tolerated by
@@ -35,6 +40,7 @@ write (crash mid-append) is detected and — by default — tolerated by
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import struct
 import uuid
@@ -57,9 +63,9 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "repro-graph-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
-_EDGE_FILES = ("edges-rows.npy", "edges-cols.npy", "edges-weights.npy")
+_EDGE_FILES = ("edges-indptr.npy", "edges-indices.npy", "edges-weights.npy")
 
 
 # ----------------------------------------------------------------------
@@ -68,9 +74,10 @@ _EDGE_FILES = ("edges-rows.npy", "edges-cols.npy", "edges-weights.npy")
 def save_snapshot(graph: BaseGraph, path: str | Path) -> Path:
     """Write ``graph`` to the snapshot directory ``path`` (created/overwritten).
 
-    The columnar edge store is written as-is: it is sorted by
-    ``(row, col)``, so a loaded snapshot keeps the sorted-store
-    invariant the point queries and the streaming delta merge rely on.
+    The CSR edge store is written as-is (staged writes folded in, one
+    row per node), so a loaded snapshot serves it as its adjacency and
+    keeps the sorted-row invariant the point queries and the streaming
+    delta splice rely on.
     Frozen state is recorded and restored by :func:`load_snapshot`.
     Every write gets a fresh random :func:`snapshot_id`, so state
     certified against one write can tell it from a later rewrite of the
@@ -79,9 +86,15 @@ def save_snapshot(graph: BaseGraph, path: str | Path) -> Path:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     n = graph.number_of_nodes
-    rows, cols, data = graph._canonical_edges()
-    for name, arr in zip(_EDGE_FILES, (rows, cols, data)):
-        np.save(path / name, arr)
+    for name, arr in zip(_EDGE_FILES, graph._csr_arrays()):
+        # A new file renamed over the old one: a graph still mapping the
+        # old file (an mmap restart checkpointing where it started)
+        # keeps its inode, where truncating in place would pull the
+        # mapped pages, and the arrays being written, from under it.
+        staging = path / (name + ".tmp")
+        with open(staging, "wb") as handle:
+            np.save(handle, arr)
+        os.replace(staging, path / name)
 
     nodes = graph.nodes()
     integer_nodes = nodes == list(range(n))
@@ -100,7 +113,7 @@ def save_snapshot(graph: BaseGraph, path: str | Path) -> Path:
         "version": SNAPSHOT_VERSION,
         "directed": graph.directed,
         "nodes": n,
-        "edges": int(rows.shape[0]),
+        "edges": graph.number_of_edges,
         "integer_nodes": integer_nodes,
         "frozen": graph.frozen,
         "has_attrs": bool(attrs),
@@ -121,9 +134,10 @@ def load_snapshot(
     ``backend`` selects the storage backend of the loaded graph (name,
     instance or class — see :mod:`repro.graph.backends`).  With the
     ``"mmap"`` backend the snapshot's edge files are attached zero-copy:
-    the arrays stay on disk and page in on demand, so load time is
-    independent of edge count.  ``restore_frozen=False`` returns an
-    unfrozen graph even when the snapshot recorded a frozen one.
+    the arrays stay on disk, page in on demand and are wrapped by
+    ``to_csr``, so load time is independent of edge count.
+    ``restore_frozen=False`` returns an unfrozen graph even when the
+    snapshot recorded a frozen one.
     """
     path = Path(path)
     meta = _read_meta(path)
@@ -158,16 +172,17 @@ def load_snapshot(
             np.load(path / name, mmap_mode=mmap_mode, allow_pickle=False)
             for name in _EDGE_FILES
         )
-        if any(a.shape != (num_edges,) for a in arrays):
+        arcs = num_edges if graph.directed else 2 * num_edges
+        if [a.shape for a in arrays] != [(n + 1,), (arcs,), (arcs,)]:
             raise GraphError(
                 f"snapshot {path} is inconsistent: edge arrays do not "
-                f"match meta edge count {num_edges}"
+                f"match meta counts ({n} nodes, {num_edges} edges)"
             )
         if mmap_mode is not None:
-            # Zero-copy: the snapshot files *are* the columnar store.
+            # Zero-copy: the snapshot files *are* the CSR store.
             store.attach(*arrays)
         else:
-            store.set_columnar(*arrays)
+            store.set_csr(*arrays)
         graph._num_edges = num_edges
         graph._invalidate()
     if meta.get("frozen") and restore_frozen:
@@ -192,10 +207,11 @@ def _read_meta(path: Path) -> dict:
         raise GraphError(
             f"{path} is not a graph snapshot (format={meta.get('format')!r})"
         )
-    if int(meta.get("version", -1)) > SNAPSHOT_VERSION:
+    version = int(meta.get("version", -1))
+    if version != SNAPSHOT_VERSION:
         raise GraphError(
-            f"snapshot {path} has version {meta['version']}, newer than "
-            f"this library supports ({SNAPSHOT_VERSION})"
+            f"snapshot {path} has format version {version}; this library "
+            f"reads only version {SNAPSHOT_VERSION}"
         )
     return meta
 

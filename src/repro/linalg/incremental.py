@@ -307,7 +307,7 @@ def incremental_update(
     transition:
         The **new** (post-delta) row-stochastic matrix ``P'`` (may be
         ``None`` when ``operator`` is given — e.g. a graph-cached bundle
-        refreshed by :meth:`~repro.graph.base.BaseGraph.apply_delta`).
+        rebuilt after :meth:`~repro.graph.base.BaseGraph.apply_delta`).
     previous:
         The converged scores of the pre-delta system, solved with the
         same ``(alpha, teleport, dangling)``.  Any non-negative vector

@@ -22,7 +22,7 @@ call even though the transition itself was cached on the graph.
   :meth:`repro.methods.CentralityMethod.operator`, which caches the
   bundle as the matrix's one entry in the graph's mutation-aware cache.
   A graph delta drops that entry, and the method rebuilds the bundle
-  from the graph's refreshed adjacency and ``θ`` on the next read.
+  from the graph's new adjacency and ``θ`` on the next read.
 
 :class:`Factors` is the same transition before it is materialised,
 ``P = diag(r)·M·diag(c)`` over one cached adjacency bundle ``M`` (paper

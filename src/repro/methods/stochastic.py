@@ -210,7 +210,7 @@ def fatigued_transition(
     transition.  It is the ``.mat`` of the graph-cached ``("operator",
     "fatigued", p, fatigue, beta, weighted)`` bundle; a
     :class:`GraphDelta` drops that bundle like every other, and the
-    next solve rebuilds it from the refreshed adjacency and θ.
+    next solve rebuilds it from the new adjacency and θ.
     """
     key = (
         "fatigued",
@@ -324,7 +324,7 @@ class PageRankMethod(_StochasticMethod):
 
         Cached under ``("factors", *group_key)``: a delta drops the
         entry like every operator bundle, and the rebuild costs O(n)
-        plus one ``M·c`` multiply over the refreshed adjacency.
+        plus one ``M·c`` multiply over the new adjacency.
         """
         if self.pool_key(group_key) == group_key:
             return None

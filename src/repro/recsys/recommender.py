@@ -15,8 +15,8 @@ small recommender:
   teleport vectors and advances together, one sparse·dense multiply per
   sweep,
 * **streaming updates** — :meth:`D2PRRecommender.update` absorbs a
-  :class:`~repro.graph.delta.GraphDelta` without a refit: the fitted
-  graph's caches are patched in place and the global ranking is
+  :class:`~repro.graph.delta.GraphDelta` without a refit: the delta is
+  spliced into the fitted graph's edge store and the global ranking is
   corrected incrementally (:func:`repro.core.engine.update_scores`), so
   serving survives edits.
 
@@ -176,12 +176,12 @@ class D2PRRecommender:
         """Absorb a :class:`~repro.graph.delta.GraphDelta` without a refit.
 
         The streaming-serving counterpart of :meth:`fit`: the delta is
-        applied to the fitted graph through the delta-aware cache refresh
-        and the precomputed global ranking is **incrementally corrected**
+        spliced into the fitted graph's edge store and the precomputed
+        global ranking is **incrementally corrected**
         (:func:`repro.core.engine.update_scores`) instead of re-solved
         from scratch — bulk serving (:meth:`recommend`,
         :meth:`recommend_for_many`, :meth:`recommend_one`) keeps running
-        against up-to-date scores and patched cached operators while the
+        against up-to-date scores and rebuilt cached operators while the
         graph takes edits.  Methods without incremental correction
         (the spectral ones) re-solve the global ranking at ``tol``.
         Fitted on a frozen shared graph, the update raises

@@ -203,7 +203,7 @@ class MicrobatchCoalescer:
         The served graph; transition matrices and operator bundles
         resolve through its mutation-aware cache, so a flush after a
         :class:`~repro.graph.delta.GraphDelta` transparently uses the
-        delta-refreshed operator.
+        operator rebuilt on the new adjacency.
     window:
         Flush threshold and maximum block width (K) per solve.  Also the
         dense-memory cap: one flush holds ``O(n · window)`` floats.

@@ -17,7 +17,7 @@ earlier layers:
   commit of fresh answers.
 * :meth:`RankingService.apply_delta` is the **one mutation door** for a
   served graph: it applies the :class:`~repro.graph.delta.GraphDelta`
-  through the graph's delta-aware matrix refresh and, for localized
+  through the graph's CSR splice and, for localized
   deltas, captures each cached answer's baseline residual against the
   still-cached pre-delta operator so the cache can *correct* entries by
   residual push on next access instead of evicting them.
@@ -371,7 +371,7 @@ class RankingService:
         self._checkpoint_path: Path | None = None
         self._snapshot_bytes: int | None = None
         # Readers/writer barrier: solves share, apply_delta excludes
-        # (delta refresh patches cached operator bundles in place).
+        # (a delta swaps the edge store and the graph cache).
         self._rw = ReadWriteLock()
         # Bookkeeping lock (leaf relative to the RW barrier): counters,
         # the inflight-dedup table, outstanding tickets.
@@ -901,8 +901,8 @@ class RankingService:
         ``localized_fraction`` of the nodes.  De-localised deltas and
         node inserts/deletes evict the cache (classic semantics).  The
         delta itself goes through
-        :meth:`~repro.graph.base.BaseGraph.apply_delta`, which refreshes
-        the graph's adjacency and θ and drops every derived operator.
+        :meth:`~repro.graph.base.BaseGraph.apply_delta`, which splices
+        the graph's CSR edge store and drops every derived entry.
 
         Raises exactly what ``graph.apply_delta`` raises (frozen graph,
         missing edges, bad indices); on any failure the graph and every

@@ -6,7 +6,7 @@ mutations.  Query execution — push, sharded solve, batch flush,
 incremental correction — reads graph matrices and operator bundles
 out of the graph cache that
 :meth:`~repro.serving.RankingService.apply_delta` rewrites (the
-delta-aware refresh swaps in patched entries and drops the rest).
+delta splices the edge store and drops every cached entry).
 Readers therefore share; the mutation door excludes.  ``threading`` offers no
 reader/writer lock, so :class:`ReadWriteLock` implements the minimal
 contract the service needs:

@@ -1,9 +1,9 @@
 """Backend parity: the mmap backend behaves exactly like the memory one.
 
 The contract under test: a graph is *behaviourally identical* across
-storage backends — same adjacency answers, same canonical columnar
-arrays, same matrices, same mutation semantics — with only ``describe()``
-and the residence of the columnar arrays differing.  Most cases run the
+storage backends — same adjacency answers, same CSR edge store, same
+matrices, same mutation semantics — with only ``describe()`` and the
+residence of the store arrays differing.  Most cases run the
 same assertion block against both backends and compare.
 """
 
@@ -67,8 +67,8 @@ class TestParity:
         mem, mm = _pair(cls, rng)
         assert mem.number_of_edges == mm.number_of_edges
         assert (mem.to_csr() != mm.to_csr()).nnz == 0
-        r1, c1, w1 = mem._canonical_edges()
-        r2, c2, w2 = mm._canonical_edges()
+        r1, c1, w1 = mem.edge_arrays()
+        r2, c2, w2 = mm.edge_arrays()
         np.testing.assert_array_equal(r1, r2)
         np.testing.assert_array_equal(c1, c2)
         np.testing.assert_allclose(w1, w2)
@@ -124,13 +124,14 @@ class TestMmapResidence:
     def test_columnar_arrays_are_readonly_memmaps(self, rng):
         rows, cols, weights = _random_edges(rng, 50, 300)
         g = DiGraph.from_arrays(rows, cols, weights, num_nodes=50, backend="mmap")
-        r, c, w = g._canonical_edges()
-        for arr in (r, c, w):
+        store = g.backend.csr
+        for arr in store:
             assert isinstance(arr, np.memmap)
             assert not arr.flags.writeable
-        # Zero-copy COO export: the same read-only buffers come back.
-        r2, c2, w2 = g.to_coo_arrays()
-        assert not r2.flags.writeable
+        # Zero-copy export: the CSR wraps the mapped buffers.
+        mat = g.to_csr()
+        for got, mapped in zip((mat.indptr, mat.indices, mat.data), store):
+            assert np.shares_memory(got, mapped)
 
     def test_describe_reports_files(self, rng):
         rows, cols, weights = _random_edges(rng, 50, 300)
@@ -155,7 +156,7 @@ class TestMmapResidence:
         g = Graph.from_arrays(rows, cols, weights, num_nodes=50, backend="mmap")
         before = set(g.backend.describe()["files"])
         g.add_edge(0, 1, weight=5.0)
-        g._canonical_edges()  # re-materialise the columnar store
+        g.edge_arrays()  # fold the staged edge into the store
         after = set(g.backend.describe()["files"])
         assert before.isdisjoint(after)
         for path in before:

@@ -12,6 +12,9 @@ semantics (truncated tail forgiven, corrupt CRC fatal) holding.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,8 +36,8 @@ def _assert_same_graph(a, b):
     assert a.number_of_nodes == b.number_of_nodes
     assert a.number_of_edges == b.number_of_edges
     assert a.nodes() == b.nodes()
-    r1, c1, w1 = a._canonical_edges()
-    r2, c2, w2 = b._canonical_edges()
+    r1, c1, w1 = a.edge_arrays()
+    r2, c2, w2 = b.edge_arrays()
     np.testing.assert_array_equal(r1, r2)
     np.testing.assert_array_equal(c1, c2)
     np.testing.assert_allclose(w1, w2)
@@ -136,9 +139,21 @@ class TestSnapshotRoundtrip:
         g = _random_graph(DiGraph, rng)
         save_snapshot(g, tmp_path / "snap")
         restored = load_snapshot(tmp_path / "snap", backend="mmap")
-        r, _, _ = restored._canonical_edges()
-        assert isinstance(r, np.memmap)
-        assert not r.flags.writeable
+        indices = restored.backend.csr[1]
+        assert isinstance(indices, np.memmap)
+        assert not indices.flags.writeable
+        assert Path(indices.filename) == tmp_path / "snap" / "edges-indices.npy"
+        assert np.shares_memory(restored.to_csr().indices, indices)
+
+    def test_mmap_restore_saves_over_its_own_files(self, rng, tmp_path):
+        # The restored graph's CSR is the mapped snapshot; saving it back
+        # to the same directory must not truncate the files it reads.
+        g = _random_graph(Graph, rng)
+        save_snapshot(g, tmp_path / "snap")
+        restored = load_snapshot(tmp_path / "snap", backend="mmap")
+        save_snapshot(restored, tmp_path / "snap")
+        _assert_same_graph(g, restored)
+        _assert_same_graph(g, load_snapshot(tmp_path / "snap"))
 
     def test_empty_graph_roundtrips(self, tmp_path):
         g = Graph()
@@ -151,6 +166,17 @@ class TestSnapshotRoundtrip:
     def test_bad_path_raises(self, tmp_path):
         with pytest.raises(GraphError):
             load_snapshot(tmp_path / "nope")
+
+    def test_version_1_snapshot_rejected(self, rng, tmp_path):
+        # Format 1 stored a (rows, cols) edge list; format 2 stores the
+        # CSR, so an old snapshot is refused, not misread.
+        save_snapshot(_random_graph(Graph, rng), tmp_path / "snap")
+        meta_path = tmp_path / "snap" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["version"] = 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(GraphError, match=r"version 1.*version 2"):
+            load_snapshot(tmp_path / "snap")
 
 
 class TestReplayProperty:

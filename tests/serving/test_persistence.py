@@ -99,6 +99,39 @@ class TestWarmStart:
         assert warm.stats()["plan_mix"] == {"cached": len(stream)}
         assert warm.stats()["warm_start"]["seeded"] == len(stream)
 
+    def test_replay_restart_builds_no_csr(
+        self, graph, stream, tmp_path, monkeypatch
+    ):
+        """An mmap restart that replays edge deltas serves the mapped,
+        then spliced, store as the adjacency: no COO -> CSR conversion
+        runs in the warm start or its first rank."""
+        from scipy import sparse
+
+        service = RankingService(graph)
+        _serve_all(service, stream)
+        service.checkpoint(tmp_path / "ckpt")
+        for lo in (0, 100, 200):
+            service.apply_delta(GraphDelta.insert(
+                np.array([lo, lo + 1], dtype=np.int64),
+                np.array([lo + 9, lo + 11], dtype=np.int64),
+            ))
+        owner = next(
+            cls for cls in sparse.coo_matrix.__mro__ if "tocsr" in vars(cls)
+        )
+        real, calls = owner.tocsr, []
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.shape)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "tocsr", counting)
+        warm = RankingService.warm_start(tmp_path / "ckpt", backend="mmap")
+        assert warm._warm_started["replayed"] == 3
+        served = warm.rank(stream[0])
+        assert served.plan.strategy == "incremental"
+        assert calls == []
+        warm.close()
+
     def test_mmap_warm_restart_matches_cold_restart(
         self, graph, stream, tmp_path
     ):

@@ -21,12 +21,20 @@ TMPDIR_BASE="${TMPDIR:-/tmp}"
 # repro_mmap_* backend directories from mmap-backed graphs.
 mmapdir_before=$(ls "$TMPDIR_BASE" 2>/dev/null | grep '^repro_mmap_' || true)
 
-# One graph representation: the columnar store (plus the CSR derived
-# from it) is the only adjacency.  Fail if the identifiers of the
-# deleted per-node dict adjacency reappear, and print the graph layer's
-# line count so size is tracked next to speed.
+# One graph representation: the CSR edge store is the only adjacency.
+# Fail if the identifiers of the deleted per-node dict adjacency
+# reappear, and print the graph layer's line count so size is tracked
+# next to speed.
 if grep -rnwE '_succ|_pred|_materialize|_coo_from_dicts|grow_slot|reset_slots' src/repro/; then
     echo "FAIL: per-node dict adjacency identifiers reappeared under src/repro/" >&2
+    exit 1
+fi
+# The store is the CSR, so a delta splices it and drops every cache
+# entry: nothing is left to patch.  Fail if the deferred cache refresh
+# (its thunk, plan, patch table and chain bound), the COO decode hooks
+# or a cached ("coo",) triple reappear.
+if grep -rnE 'PendingRefresh|_RefreshPlan|_CHAIN_FRACTION|_patch_of|_coo_from_lazy|\("coo",\)' src/repro/; then
+    echo "FAIL: the deferred cache refresh or a cached COO triple reappeared under src/repro/" >&2
     exit 1
 fi
 echo "src/repro/graph/ lines: $(cat src/repro/graph/*.py src/repro/graph/backends/*.py | wc -l)"
@@ -47,8 +55,8 @@ if grep -rnE '\.cached\(' src/repro/ \
 fi
 
 # One graph-cache entry per matrix: a transition lives only inside its
-# ("operator", ...) bundle and ("theta", w) holds theta alone, so a delta
-# patches each matrix once.  Fail if a separate transition or
+# ("operator", ...) bundle and ("theta", w) holds theta alone, so each
+# matrix is rebuilt once after a delta.  Fail if a separate transition or
 # adjacency+theta key returns, or the code that carried one entry's
 # correction over to its twin (the transpose seeding, the bundle refresh,
 # the graph-level bundle wrapper).
@@ -58,9 +66,9 @@ if grep -rnE --include='*.py' '\("(d2pr_transition|fatigued_transition|adj_theta
 fi
 echo "src/repro/methods/ + core/ lines: $(cat src/repro/methods/*.py src/repro/core/*.py | wc -l)"
 
-# The graph layer knows only the adjacency and theta: a delta patches
-# ("csr", w) and ("theta", w), drops every operator bundle, and the
-# method rebuilds the bundle from them.  Fail if transition math or a
+# The graph layer knows only the adjacency and theta: a delta splices
+# the CSR store and drops every entry, and the method rebuilds its
+# bundle from ("csr", w) and ("theta", w).  Fail if transition math or a
 # bundle patch returns to src/repro/graph/ (the changed-row transition
 # values, the bundle correction, the softmax, any repro.linalg import),
 # or if LinearOperatorBundle grows a correction method again.
@@ -309,41 +317,35 @@ try:
         svc.apply_delta(GraphDelta.insert(
             np.array([lo, lo + 1], dtype=np.int64),
             np.array([lo + 9, lo + 11], dtype=np.int64)))
-    warm = RankingService.warm_start(tmp / "ckpt", backend="mmap")
+    # Count the COO -> CSR conversions of the replaying restart and its
+    # first read: the mapped snapshot is the CSR and each replayed delta
+    # splices it, so there must be none.
+    from scipy import sparse
+    owner = next(c for c in sparse.coo_matrix.__mro__ if "tocsr" in vars(c))
+    real_tocsr, converted = owner.tocsr, []
+
+    def counting_tocsr(mat, *args, **kwargs):
+        converted.append(mat.shape)
+        return real_tocsr(mat, *args, **kwargs)
+
+    owner.tocsr = counting_tocsr
+    try:
+        warm = RankingService.warm_start(tmp / "ckpt", backend="mmap")
+        restored = warm.rank(req)
+    finally:
+        owner.tocsr = real_tocsr
     assert warm._warm_started["replayed"] == 3, warm._warm_started
     assert warm._warm_started["seeded"] == 1, warm._warm_started
     live = svc.rank(req)
-    # Count the graph-cache misses of the corrected read.
-    from repro.graph.base import BaseGraph
-    real_cached, missed = BaseGraph.cached, []
-
-    def counting_cached(graph, key, builder):
-        if graph is warm.graph and key not in graph._cache:
-            missed.append(key)
-        return real_cached(graph, key, builder)
-
-    def graph_keys():
-        kinds = ("csr", "theta", "coo")
-        return {key for key in warm.graph._cache if key[0] in kinds}
-
-    before = graph_keys()
-    BaseGraph.cached = counting_cached
-    try:
-        restored = warm.rank(req)
-    finally:
-        BaseGraph.cached = real_cached
-    # The replayed edge deltas correct the seeded answer, no re-solve.
-    # The graph's adjacency and theta patches chain across the tail, so
-    # nothing is rebuilt from the edge store, and the correction runs on
-    # the factors: the read's only misses are the key's factors and the
-    # adjacency bundle they wrap, rebuilt from the patched adjacency and
-    # theta; no transition bundle is built.
+    # The replayed edge deltas correct the seeded answer, no re-solve,
+    # and the adjacency the correction read aliases the backend's
+    # arrays: no conversion and no copy.
     assert restored.plan.strategy == "incremental", restored.plan.strategy
-    assert missed == [
-        ("factors", "d2pr", 0.0, 0.0, False, "teleport"),
-        ("operator", "adjacency", False),
-    ], missed
-    assert graph_keys() == before, (before, graph_keys())
+    assert converted == [], converted
+    mat = warm.graph.to_csr(weighted=False)
+    indptr, indices, _ = warm.graph.backend.csr
+    assert np.shares_memory(mat.indptr, indptr), "indptr was copied"
+    assert np.shares_memory(mat.indices, indices), "indices were copied"
     l1 = float(np.abs(live.scores.values - restored.scores.values).sum())
     assert l1 <= 2 * req.tol, f"warm restart diverged: L1={l1:g}"
     print("persistence roundtrip smoke: OK")
